@@ -352,6 +352,7 @@ impl Kernel {
                 rounds = 1;
             }
             while msg.pending_intersects(awaited) {
+                ctx.service_awaited_peers(awaited);
                 if ctx.core.take_ipi() {
                     ctx.drain_messages();
                 }
@@ -468,7 +469,7 @@ mod tests {
     use super::*;
     use crate::coherent::cpage::Cpage;
     use crate::kernel::KernelConfig;
-    use crate::{FaultPlan, PlatinumPolicy, Rights, StatsSnapshot};
+    use crate::{FaultPlan, Lockstep, PlatinumPolicy, Rights, StatsSnapshot};
 
     /// A randomized shootdown scenario: which processors read which
     /// pages beforehand (the reference masks), which targets are
@@ -547,9 +548,11 @@ mod tests {
     /// Runs one scenario end to end, shooting the pages either as one
     /// coalesced batch or one page at a time, and returns the combined
     /// observation. Setup (mapping, replication reads, suspensions) is
-    /// identical single-threaded code in both modes; active targets ack
-    /// from real service threads, as in a live run.
-    fn run(sc: &Scenario, batched: bool) -> Obs {
+    /// identical single-threaded code in every mode; active targets ack
+    /// either from real service threads, as in a live run, or — with
+    /// `lockstep` — inline from the initiator's wait, all contexts owned
+    /// by one [`Lockstep`] executor.
+    fn run(sc: &Scenario, batched: bool, lockstep: bool) -> Obs {
         let machine = Machine::new(MachineConfig {
             nodes: sc.procs,
             frames_per_node: 64,
@@ -603,42 +606,13 @@ mod tests {
         } else {
             Directive::Invalidate
         };
-        let mut ctx0 = ctxs[0].take().unwrap();
-        let mut movers: Vec<(usize, UserCtx)> = (1..sc.procs)
-            .filter(|p| sc.suspended & (1u64 << p) == 0)
-            .map(|p| (p, ctxs[p].take().unwrap()))
-            .collect();
-
-        let stop = AtomicBool::new(false);
-        let outcome = std::thread::scope(|s| {
-            let stop = &stop;
-            let handles: Vec<(usize, std::thread::ScopedJoinHandle<UserCtx>)> = movers
-                .drain(..)
-                .map(|(p, mut c)| {
-                    (
-                        p,
-                        s.spawn(move || {
-                            let mut spins = 0u32;
-                            while !stop.load(Ordering::Acquire) {
-                                c.service_ipis();
-                                std::hint::spin_loop();
-                                spins = spins.wrapping_add(1);
-                                if spins.is_multiple_of(64) {
-                                    std::thread::yield_now();
-                                }
-                            }
-                            c
-                        }),
-                    )
-                })
-                .collect();
-
+        let shoot = |ctx0: &mut UserCtx| {
             let cpages: Vec<Arc<Cpage>> = sc
                 .shoot
                 .iter()
                 .filter_map(|&i| kernel.cpage_for_va(&space, page_va(i)))
                 .collect();
-            let outcome = if batched {
+            if batched {
                 // Locks are taken in page-id order (the multi-page
                 // initiator rule) and held until the flush.
                 let mut order: Vec<usize> = (0..cpages.len()).collect();
@@ -646,13 +620,13 @@ mod tests {
                 let mut guards: Vec<Option<MutexGuard<CpageInner>>> = Vec::new();
                 guards.resize_with(cpages.len(), || None);
                 for &i in &order {
-                    guards[i] = Some(kernel.lock_cpage(&mut ctx0, &cpages[i]));
+                    guards[i] = Some(kernel.lock_cpage(ctx0, &cpages[i]));
                 }
                 let mut batch = ctx0.take_batch();
                 for (i, cpage) in cpages.iter().enumerate() {
                     let g = guards[i].as_ref().expect("locked above");
                     kernel.batch_post(
-                        &mut ctx0,
+                        ctx0,
                         &mut batch,
                         cpage.id(),
                         g,
@@ -660,15 +634,15 @@ mod tests {
                         &ProcSet::full(sc.procs),
                     );
                 }
-                let out = kernel.batch_flush(&mut ctx0, &mut batch);
+                let out = kernel.batch_flush(ctx0, &mut batch);
                 ctx0.put_batch(batch);
                 out
             } else {
                 let mut sum = ShootdownOutcome::default();
                 for cpage in &cpages {
-                    let g = kernel.lock_cpage(&mut ctx0, cpage);
+                    let g = kernel.lock_cpage(ctx0, cpage);
                     let out = kernel.shootdown(
-                        &mut ctx0,
+                        ctx0,
                         cpage.id(),
                         &g,
                         directive.clone(),
@@ -681,14 +655,58 @@ mod tests {
                     sum.escalated |= out.escalated;
                 }
                 sum
-            };
-            stop.store(true, Ordering::Release);
-            for (p, h) in handles {
-                ctxs[p] = Some(h.join().unwrap());
+            }
+        };
+
+        let outcome = if lockstep {
+            let mut all = Lockstep::new(sc.procs);
+            for slot in &mut ctxs {
+                all.adopt(slot.take().unwrap());
+            }
+            let outcome = all.run(0, shoot);
+            for (p, slot) in ctxs.iter_mut().enumerate() {
+                *slot = Some(all.release(p));
             }
             outcome
-        });
-        ctxs[0] = Some(ctx0);
+        } else {
+            let mut ctx0 = ctxs[0].take().unwrap();
+            let mut movers: Vec<(usize, UserCtx)> = (1..sc.procs)
+                .filter(|p| sc.suspended & (1u64 << p) == 0)
+                .map(|p| (p, ctxs[p].take().unwrap()))
+                .collect();
+            let stop = AtomicBool::new(false);
+            let outcome = std::thread::scope(|s| {
+                let stop = &stop;
+                let handles: Vec<(usize, std::thread::ScopedJoinHandle<UserCtx>)> = movers
+                    .drain(..)
+                    .map(|(p, mut c)| {
+                        (
+                            p,
+                            s.spawn(move || {
+                                let mut spins = 0u32;
+                                while !stop.load(Ordering::Acquire) {
+                                    c.service_ipis();
+                                    std::hint::spin_loop();
+                                    spins = spins.wrapping_add(1);
+                                    if spins.is_multiple_of(64) {
+                                        std::thread::yield_now();
+                                    }
+                                }
+                                c
+                            }),
+                        )
+                    })
+                    .collect();
+                let outcome = shoot(&mut ctx0);
+                stop.store(true, Ordering::Release);
+                for (p, h) in handles {
+                    ctxs[p] = Some(h.join().unwrap());
+                }
+                outcome
+            });
+            ctxs[0] = Some(ctx0);
+            outcome
+        };
 
         // Suspended targets apply the queued directives on resume.
         for p in procs_in_mask(sc.suspended) {
@@ -724,8 +742,8 @@ mod tests {
     }
 
     fn assert_equivalent(sc: &Scenario) -> Result<(), TestCaseError> {
-        let seq = run(sc, false);
-        let bat = run(sc, true);
+        let seq = run(sc, false, false);
+        let bat = run(sc, true, false);
         prop_assert_eq!(&bat.vtimes, &seq.vtimes, "virtual times diverged: {:?}", sc);
         prop_assert_eq!(
             &bat.counters,
@@ -744,6 +762,16 @@ mod tests {
         prop_assert_eq!(bat.outcome.escalated, seq.outcome.escalated);
         prop_assert!(bat.outcome.rounds <= 1, "a batch waits at most once");
         prop_assert!(bat.outcome.rounds <= seq.outcome.rounds);
+        // One thread owning every context observes what service threads
+        // observe. Only the wait rounds may differ: a service thread can
+        // ack before the initiator starts waiting, a lockstep target
+        // cannot, so lockstep counts a round whenever a target is awaited.
+        for (batched, threaded) in [(false, &seq), (true, &bat)] {
+            let mut ls = run(sc, batched, true);
+            prop_assert!(ls.outcome.rounds >= threaded.outcome.rounds);
+            ls.outcome.rounds = threaded.outcome.rounds;
+            prop_assert_eq!(&ls, threaded, "lockstep diverged: {:?}", sc);
+        }
         Ok(())
     }
 

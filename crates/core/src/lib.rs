@@ -62,6 +62,7 @@ pub mod thread;
 pub mod vm;
 
 mod kernel;
+mod lockstep;
 mod user;
 
 pub use coherent::cpage::{CpState, Cpage, CpageInner};
@@ -75,6 +76,7 @@ pub use costs::KernelCosts;
 pub use error::{KernelError, Result};
 pub use ids::{AsId, CpageId, ObjId, PortId, Rights, ThreadId};
 pub use kernel::{Kernel, KernelConfig, ShootdownMode};
+pub use lockstep::Lockstep;
 /// Deterministic fault-injection plans (re-exported so downstream crates
 /// need not depend on `platinum-faults` directly).
 pub use platinum_faults as faults;

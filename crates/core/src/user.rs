@@ -28,8 +28,10 @@ use crate::vm::space::AddressSpace;
 /// handler — the mechanism of §2.1. The context also carries the thread's
 /// kernel entry points (ports, migration, explicit thaw).
 ///
-/// Exactly one `UserCtx` exists per processor at a time, driven by one OS
-/// thread; it is created by [`Kernel::attach`].
+/// Exactly one `UserCtx` exists per processor at a time; it is created by
+/// [`Kernel::attach`] and driven either by an OS thread of its own or,
+/// together with every other processor's, by a [`Lockstep`](crate::Lockstep)
+/// executor on one thread.
 pub struct UserCtx {
     pub(crate) kernel: Arc<Kernel>,
     pub(crate) core: ProcCore,
@@ -46,6 +48,10 @@ pub struct UserCtx {
     thread: ThreadId,
     /// Reusable slow-path buffers; see [`FaultScratch`].
     pub(crate) scratch: FaultScratch,
+    /// The other processors' contexts (slot `p` = processor `p`) while
+    /// this one runs a [`Lockstep`](crate::Lockstep) step; `None` outside
+    /// one. The shootdown ack wait services awaited targets through here.
+    pub(crate) peers: Option<Vec<Option<Box<UserCtx>>>>,
 }
 
 impl UserCtx {
@@ -64,6 +70,7 @@ impl UserCtx {
             ptable,
             thread,
             scratch: FaultScratch::default(),
+            peers: None,
         };
         ctx.activate_space();
         ctx
@@ -291,6 +298,31 @@ impl UserCtx {
     pub fn service_ipis(&mut self) {
         if self.core.take_ipi() {
             self.drain_messages();
+        }
+    }
+
+    /// The lockstep ack hook: when this context runs under a
+    /// [`Lockstep`](crate::Lockstep) executor, services the doorbell of
+    /// each `awaited` shootdown target in ascending processor order — the
+    /// targets have no thread of their own to do it. A no-op otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an awaited processor's context is not owned by the
+    /// executor: it could never acknowledge, and the wait would spin
+    /// forever.
+    pub(crate) fn service_awaited_peers(&mut self, awaited: &ProcSet) {
+        let Some(peers) = self.peers.as_mut() else {
+            return;
+        };
+        for p in awaited.iter() {
+            match peers.get_mut(p).and_then(Option::as_mut) {
+                Some(target) => target.service_ipis(),
+                None => panic!(
+                    "lockstep: processor {p} is an awaited shootdown target but its \
+                     context is attached outside the executor, so nothing services it"
+                ),
+            }
         }
     }
 

@@ -171,7 +171,9 @@ impl RefTrace {
         Ok(())
     }
 
-    /// Deserializes from `r`, validating magic and version.
+    /// Deserializes from `r`, validating magic, version, and that every
+    /// phase is replayable: a trace that decodes never hangs or crashes
+    /// [`replay`](crate::replay::replay).
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
@@ -213,12 +215,14 @@ impl RefTrace {
             for _ in 0..nops {
                 ops.push(get_rec(r)?);
             }
-            phases.push(Phase {
+            let phase = Phase {
                 label,
                 workers,
                 final_vtimes,
                 ops,
-            });
+            };
+            check_replayable(&phase)?;
+            phases.push(phase);
         }
         Ok(Self {
             nodes,
@@ -241,6 +245,41 @@ impl RefTrace {
         let mut r = io::BufReader::new(std::fs::File::open(path)?);
         Self::read_from(&mut r)
     }
+}
+
+/// Rejects a phase the replayer cannot execute: every op must run on a
+/// processor below the worker count and inside that processor's single
+/// `Attach`…`Detach` bracket, every worker must have its bracket, and an
+/// `AdvanceDep` must name an earlier op (whose post-time then exists).
+/// Every phase [`Capture`](crate::Capture) records satisfies all three.
+fn check_replayable(ph: &Phase) -> io::Result<()> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Worker {
+        Unattached,
+        Attached,
+        Detached,
+    }
+    let err = |i: usize, what: &str| bad(&format!("phase {:?}, op {i}: {what}", ph.label));
+    let mut state = vec![Worker::Unattached; ph.workers];
+    for (i, rec) in ph.ops.iter().enumerate() {
+        let Some(st) = state.get_mut(usize::from(rec.proc)) else {
+            return Err(err(i, "processor index is not below the worker count"));
+        };
+        match (rec.op, *st) {
+            (Op::Attach, Worker::Unattached) => *st = Worker::Attached,
+            (Op::Attach, _) => return Err(err(i, "processor attaches twice")),
+            (Op::Detach, Worker::Attached) => *st = Worker::Detached,
+            (Op::AdvanceDep { seq }, Worker::Attached) if seq >= i as u64 => {
+                return Err(err(i, "AdvanceDep does not name an earlier op"));
+            }
+            (_, Worker::Attached) => {}
+            (_, _) => return Err(err(i, "op outside the processor's Attach..Detach")),
+        }
+    }
+    if state.iter().any(|&st| st != Worker::Detached) {
+        return Err(err(ph.ops.len(), "a worker has no complete Attach..Detach"));
+    }
+    Ok(())
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -430,15 +469,15 @@ mod tests {
                     final_vtimes: vec![7],
                     ops: vec![
                         Rec {
-                            proc: 3,
+                            proc: 0,
                             op: Op::Attach,
                         },
                         Rec {
-                            proc: 3,
+                            proc: 0,
                             op: Op::Compute { ns: 1 << 40 },
                         },
                         Rec {
-                            proc: 3,
+                            proc: 0,
                             op: Op::Detach,
                         },
                     ],
@@ -467,6 +506,40 @@ mod tests {
         t.write_to(&mut buf2).unwrap();
         buf2[4] = 99; // version varint
         assert!(RefTrace::read_from(&mut buf2.as_slice()).is_err());
+    }
+
+    /// Each edit makes the sample a trace no capture can produce and the
+    /// replayer cannot execute; decoding must refuse all of them.
+    #[test]
+    fn rejects_unreplayable_phases() {
+        /// Applies `edit` to the sample's first phase and returns the
+        /// decoder's complaint about the result.
+        fn complaint(edit: impl FnOnce(&mut Vec<Rec>)) -> String {
+            let mut t = sample();
+            edit(&mut t.phases[0].ops);
+            let mut buf = Vec::new();
+            t.write_to(&mut buf).unwrap();
+            let e = RefTrace::read_from(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            e.to_string()
+        }
+        let has = |msg: String, want: &str| assert!(msg.contains(want), "{want:?} not in {msg}");
+        has(complaint(|ops| ops[2].proc = 2), "processor index");
+        has(
+            complaint(|ops| ops[5].op = Op::AdvanceDep { seq: 5 }),
+            "AdvanceDep",
+        );
+        has(
+            complaint(|ops| ops[5].op = Op::AdvanceDep { seq: 1 << 40 }),
+            "AdvanceDep",
+        );
+        has(complaint(|ops| ops.swap(0, 2)), "outside");
+        has(complaint(|ops| ops.swap(6, 8)), "outside");
+        has(complaint(|ops| ops[2].op = Op::Attach), "attaches twice");
+        has(complaint(|ops| ops.truncate(8)), "no complete");
+        // A second bracket for an already detached processor.
+        let again = |proc| [Op::Attach, Op::Detach].map(|op| Rec { proc, op });
+        has(complaint(|ops| ops.extend(again(1))), "attaches twice");
     }
 
     #[test]

@@ -59,7 +59,4 @@ pub mod replay;
 
 pub use format::{Op, Phase, Rec, RefTrace};
 pub use record::{Capture, RecordingCtx};
-pub use replay::{
-    replay, replay_cfg, replay_many, replay_many_with, replay_par, replay_par_cfg, replay_par_with,
-    replay_with, PhaseOutcome, ReplayOutcome,
-};
+pub use replay::{replay, PhaseOutcome, ReplayOptions, ReplayOutcome};

@@ -86,9 +86,9 @@ impl Capture {
 
     /// Like [`Capture::new`] on an explicit machine description. The
     /// trace format does not record the topology — a replay must be
-    /// handed the same one (`replay_with`) for its virtual times to
-    /// mean anything; with `None` the machine is the flat Butterfly and
-    /// plain `replay` matches.
+    /// handed the same one (`ReplayOptions::topology`) for its virtual
+    /// times to mean anything; with `None` the machine is the flat
+    /// Butterfly and plain `replay` matches.
     pub fn on_topology(nodes: usize, topo: Option<&Topology>) -> Self {
         Self::on_config(nodes, topo, None)
     }
@@ -96,8 +96,8 @@ impl Capture {
     /// Like [`Capture::on_topology`] with an explicit translation-fabric
     /// configuration. As with the topology, the trace format does not
     /// record the ptable config — a replay must be handed the same one
-    /// (`replay_cfg`) for bit-identity to hold; `None` boots the default
-    /// centralized placement and `replay_with` matches.
+    /// (`ReplayOptions::ptable`) for bit-identity to hold; `None` boots
+    /// the default centralized placement and plain `replay` matches.
     pub fn on_config(nodes: usize, topo: Option<&Topology>, ptable: Option<PtableConfig>) -> Self {
         let mut mc = MachineConfig::with_nodes(nodes);
         mc.frames_per_node = 4096;

@@ -3,25 +3,22 @@
 //!
 //! Replay reconstructs the capture machine (same node count, frame depth,
 //! page size, zone layout), boots a kernel with the requested
-//! [`PolicyKind`], and drives real per-processor threads through the
-//! recorded op list *in exactly the recorded global order*: a shared
-//! cursor names the next op; each thread executes its own ops and spins —
-//! servicing shootdown IPIs — while it is another processor's turn. Real
-//! threads are required because the protocol is: a shootdown initiator
-//! blocks (in host time) until its targets ack, and the targets ack from
-//! their cursor-wait loops.
+//! [`PolicyKind`], and executes the recorded op list *in exactly the
+//! recorded global order* on one host thread: a [`Lockstep`] executor owns
+//! every processor's context, each op runs on the context of the processor
+//! that recorded it, and a shootdown's targets acknowledge inline, inside
+//! the initiator's wait (DESIGN.md §10 has the determinism argument).
 //!
-//! Each op's post-execution virtual time is published in a side array so
-//! that [`Op::AdvanceDep`] release edges can read the *replayed* producer
+//! Each op's post-execution virtual time is kept in a side array so that
+//! [`Op::AdvanceDep`] release edges can read the *replayed* producer
 //! time — under a slow policy the consumer inherits the slow release
 //! time, exactly as the application's synchronization would behave.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use numa_machine::{MachineConfig, Mem, Topology};
 use platinum::{PolicyKind, PtableConfig, StatsSnapshot, UserCtx};
 use platinum_runtime::measure::{RunStats, WorkerStats};
 use platinum_runtime::sim::{Sim, SimBuilder};
+use platinum_runtime::Lockstep;
 
 use crate::format::{Op, Phase, RefTrace};
 
@@ -77,398 +74,120 @@ impl ReplayOutcome {
     }
 }
 
-/// Boots a replay machine matching the capture machine.
-fn boot(
-    trace: &RefTrace,
-    kind: PolicyKind,
-    topo: Option<&Topology>,
-    ptable: Option<PtableConfig>,
-) -> Sim {
-    let mut mc = MachineConfig::with_nodes(trace.nodes);
-    mc.frames_per_node = trace.frames_per_node;
-    mc.page_shift = trace.page_shift;
-    mc.skew_window_ns = None;
-    let mut b = SimBuilder::nodes(trace.nodes)
-        .machine_config(mc)
-        .policy_kind(kind);
-    if let Some(t) = topo {
-        b = b.topology(t.clone());
-    }
-    if let Some(p) = ptable {
-        b = b.ptable(p);
-    }
-    let sim = b.build();
-    for &pages in &trace.zones {
-        sim.alloc_zone(pages as usize);
-    }
-    sim
+/// What a replay machine needs that the trace format does not record.
+/// Both must match the capture machine's for the bit-identity guarantee
+/// to hold; any value yields a deterministic replay (same trace + policy
+/// + options → identical virtual times).
+#[derive(Clone, Debug, Default)]
+pub struct ReplayOptions {
+    /// The machine description; `None` is the flat Butterfly.
+    pub topology: Option<Topology>,
+    /// The page-table fabric configuration; `None` is the centralized
+    /// default.
+    pub ptable: Option<PtableConfig>,
 }
 
-/// Replays `trace` against `kind` and returns the outcome. The replay is
+impl ReplayOptions {
+    /// Replays `trace` against `kind` on the machine these options
+    /// describe. See [`replay`].
+    pub fn replay(&self, trace: &RefTrace, kind: PolicyKind) -> ReplayOutcome {
+        let sim = self.boot(trace, kind);
+        let phases = trace
+            .phases
+            .iter()
+            .map(|ph| replay_phase(&sim, ph))
+            .collect();
+        ReplayOutcome {
+            policy: kind,
+            phases,
+            kernel: sim.kernel.stats().snapshot(),
+        }
+    }
+
+    /// Boots a replay machine matching the capture machine.
+    fn boot(&self, trace: &RefTrace, kind: PolicyKind) -> Sim {
+        let mut mc = MachineConfig::with_nodes(trace.nodes);
+        mc.frames_per_node = trace.frames_per_node;
+        mc.page_shift = trace.page_shift;
+        mc.skew_window_ns = None;
+        let mut b = SimBuilder::nodes(trace.nodes)
+            .machine_config(mc)
+            .policy_kind(kind);
+        if let Some(t) = &self.topology {
+            b = b.topology(t.clone());
+        }
+        if let Some(p) = self.ptable {
+            b = b.ptable(p);
+        }
+        let sim = b.build();
+        for &pages in &trace.zones {
+            sim.alloc_zone(pages as usize);
+        }
+        sim
+    }
+}
+
+/// Replays `trace` against `kind` on the default machine (flat topology,
+/// centralized page tables) and returns the outcome. The replay is
 /// deterministic: same trace + same policy → identical virtual times and
 /// counters, and a PLATINUM replay of a fresh capture reproduces the
 /// capture run bit for bit.
+///
+/// # Panics
+///
+/// Panics on a trace that no capture could have produced (an op outside
+/// its processor's `Attach`…`Detach` bracket, a processor index beyond
+/// the phase's worker count, an `AdvanceDep` naming a missing op);
+/// [`RefTrace::read_from`] rejects those before they get here.
 pub fn replay(trace: &RefTrace, kind: PolicyKind) -> ReplayOutcome {
-    replay_with(trace, kind, None)
-}
-
-/// [`replay`] on an explicit machine description, which must match the
-/// capture machine's (the trace does not record it): the bit-identity
-/// guarantee holds per-topology, not across them.
-pub fn replay_with(trace: &RefTrace, kind: PolicyKind, topo: Option<&Topology>) -> ReplayOutcome {
-    replay_cfg(trace, kind, topo, None)
-}
-
-/// [`replay_with`], additionally booting the replay kernel with an
-/// explicit page-table fabric configuration. The trace format does not
-/// record the ptable config; for bit-identity against the capture run,
-/// pass the same config the capture machine used (`None` means the
-/// centralized default, matching [`replay`]). Any config yields a
-/// deterministic replay — same trace + policy + config → identical
-/// virtual times — because walk charging and replica population happen
-/// at gate-ordered points.
-pub fn replay_cfg(
-    trace: &RefTrace,
-    kind: PolicyKind,
-    topo: Option<&Topology>,
-    ptable: Option<PtableConfig>,
-) -> ReplayOutcome {
-    let sim = boot(trace, kind, topo, ptable);
-    let phases = trace
-        .phases
-        .iter()
-        .map(|ph| replay_phase(&sim, ph))
-        .collect();
-    ReplayOutcome {
-        policy: kind,
-        phases,
-        kernel: sim.kernel.stats().snapshot(),
-    }
-}
-
-/// Like [`replay`], but hands the op stream between worker threads once
-/// per maximal same-processor *run* instead of once per op.
-///
-/// The recorded global order is load-bearing — it *is* the interleaving
-/// the capture gate picked, and the protocol state (page rights, freezes,
-/// bus buckets) evolves along it — so a replay may never reorder ops
-/// across processors. What it may do is cut the synchronization bill for
-/// honoring that order: the op list is sharded into runs of consecutive
-/// ops from one processor, the shared cursor advances once per run, and a
-/// post-time is published only for the seqs some [`Op::AdvanceDep`]
-/// actually reads (everything else synchronizes through the cursor's
-/// release/acquire chain). Per-op cross-core cursor traffic — the
-/// dominant host cost of replaying long private sweeps — collapses to
-/// one handoff per run, and block ops reuse one per-worker buffer.
-///
-/// The outcome is bit-identical to [`replay`]: same virtual times, same
-/// counters, same kernel statistics (the tests and the `policy_matrix`
-/// self-check assert it).
-pub fn replay_par(trace: &RefTrace, kind: PolicyKind) -> ReplayOutcome {
-    replay_par_with(trace, kind, None)
-}
-
-/// [`replay_par`] on an explicit machine description (see
-/// [`replay_with`]).
-pub fn replay_par_with(
-    trace: &RefTrace,
-    kind: PolicyKind,
-    topo: Option<&Topology>,
-) -> ReplayOutcome {
-    replay_par_cfg(trace, kind, topo, None)
-}
-
-/// [`replay_par_with`] with an explicit page-table fabric configuration
-/// (see [`replay_cfg`]).
-pub fn replay_par_cfg(
-    trace: &RefTrace,
-    kind: PolicyKind,
-    topo: Option<&Topology>,
-    ptable: Option<PtableConfig>,
-) -> ReplayOutcome {
-    let sim = boot(trace, kind, topo, ptable);
-    let phases = trace
-        .phases
-        .iter()
-        .map(|ph| replay_phase_par(&sim, ph))
-        .collect();
-    ReplayOutcome {
-        policy: kind,
-        phases,
-        kernel: sim.kernel.stats().snapshot(),
-    }
-}
-
-/// Replays `trace` under each policy in `kinds` concurrently — one
-/// independent replay machine per host thread — and returns the outcomes
-/// in `kinds` order. Policies are mutually independent, so a policy
-/// tournament scales with host cores; each individual replay uses
-/// [`replay_par`] and is bit-identical to its serial counterpart.
-pub fn replay_many(trace: &RefTrace, kinds: &[PolicyKind]) -> Vec<ReplayOutcome> {
-    replay_many_with(trace, kinds, None)
-}
-
-/// [`replay_many`] on an explicit machine description (see
-/// [`replay_with`]).
-pub fn replay_many_with(
-    trace: &RefTrace,
-    kinds: &[PolicyKind],
-    topo: Option<&Topology>,
-) -> Vec<ReplayOutcome> {
-    let mut out: Vec<Option<ReplayOutcome>> = Vec::new();
-    out.resize_with(kinds.len(), || None);
-    std::thread::scope(|s| {
-        for (&kind, slot) in kinds.iter().zip(out.iter_mut()) {
-            s.spawn(move || {
-                *slot = Some(replay_par_with(trace, kind, topo));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("replay thread completed"))
-        .collect()
-}
-
-/// The precomputed shard plan for one phase's parallel replay.
-struct ParSchedule {
-    /// Half-open `(start, end)` spans of consecutive same-processor ops.
-    /// A `Detach` always terminates its run.
-    runs: Vec<(usize, usize)>,
-    /// Bit `i` set ⇔ some `AdvanceDep` in the phase reads op `i`'s
-    /// post-time, so the executing worker must publish it.
-    needed: Vec<u64>,
-}
-
-impl ParSchedule {
-    fn build(ph: &Phase) -> Self {
-        let ops = &ph.ops;
-        let mut needed = vec![0u64; ops.len().div_ceil(64)];
-        for r in ops {
-            if let Op::AdvanceDep { seq } = r.op {
-                let s = seq as usize;
-                if s < ops.len() {
-                    needed[s / 64] |= 1 << (s % 64);
-                }
-            }
-        }
-        let mut runs = Vec::new();
-        let mut start = 0;
-        for i in 0..ops.len() {
-            let split = i + 1 == ops.len()
-                || ops[i + 1].proc != ops[i].proc
-                || matches!(ops[i].op, Op::Detach);
-            if split {
-                runs.push((start, i + 1));
-                start = i + 1;
-            }
-        }
-        ParSchedule { runs, needed }
-    }
-
-    fn is_needed(&self, i: usize) -> bool {
-        self.needed[i / 64] >> (i % 64) & 1 == 1
-    }
-}
-
-fn replay_phase_par(sim: &Sim, ph: &Phase) -> PhaseOutcome {
-    let sched = ParSchedule::build(ph);
-    let cursor = AtomicUsize::new(0);
-    let post: Vec<AtomicU64> = (0..ph.ops.len()).map(|_| AtomicU64::new(0)).collect();
-    let mut out: Vec<Option<WorkerStats>> = Vec::new();
-    out.resize_with(ph.workers, || None);
-    std::thread::scope(|s| {
-        let cursor = &cursor;
-        let post = &post;
-        let sched = &sched;
-        for (p, slot) in out.iter_mut().enumerate() {
-            s.spawn(move || {
-                *slot = replay_worker_par(sim, ph, sched, p, cursor, post);
-            });
-        }
-    });
-    let workers: Vec<WorkerStats> = out
-        .into_iter()
-        .map(|w| w.expect("replay worker reached its Detach op"))
-        .collect();
-    PhaseOutcome {
-        label: ph.label.clone(),
-        stats: RunStats { workers },
-    }
-}
-
-/// Drives processor `p` through its runs of the phase's op list, one
-/// cursor handoff per run. Returns once the worker's `Detach` executed.
-fn replay_worker_par(
-    sim: &Sim,
-    ph: &Phase,
-    sched: &ParSchedule,
-    p: usize,
-    cursor: &AtomicUsize,
-    post: &[AtomicU64],
-) -> Option<WorkerStats> {
-    let ops = &ph.ops;
-    let mut ctx: Option<UserCtx> = None;
-    let mut stats = None;
-    let mut block_buf: Vec<u32> = Vec::new();
-    loop {
-        // Wait for the cursor to reach one of our runs, acking shootdowns
-        // (we may be a target of the running op's initiator) meanwhile.
-        let r = {
-            let mut spins = 0u32;
-            loop {
-                let r = cursor.load(Ordering::Acquire);
-                if r >= sched.runs.len() {
-                    // Defensive: a malformed trace may omit our Detach.
-                    return stats;
-                }
-                if ops[sched.runs[r].0].proc as usize == p {
-                    break r;
-                }
-                if let Some(c) = ctx.as_mut() {
-                    c.service_ipis();
-                }
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                }
-            }
-        };
-        let (start, end) = sched.runs[r];
-        for i in start..end {
-            match ops[i].op {
-                Op::Attach => {
-                    ctx = Some(
-                        sim.attach(p)
-                            .expect("replay worker claims a free processor"),
-                    );
-                }
-                Op::Detach => {
-                    let mut c = ctx.take().expect("Detach follows Attach");
-                    c.service_ipis();
-                    stats = Some(WorkerStats {
-                        proc: p,
-                        vtime_ns: c.vtime(),
-                        counters: c.counters(),
-                    });
-                    if sched.is_needed(i) {
-                        post[i].store(c.vtime(), Ordering::Relaxed);
-                    }
-                    drop(c);
-                    cursor.store(r + 1, Ordering::Release);
-                    return stats;
-                }
-                op => {
-                    let c = ctx.as_mut().expect("ops follow Attach");
-                    exec(c, op, post, &mut block_buf);
-                }
-            }
-            if sched.is_needed(i) {
-                let v = ctx.as_ref().map(|c| c.vtime()).unwrap_or(0);
-                post[i].store(v, Ordering::Relaxed);
-            }
-        }
-        cursor.store(r + 1, Ordering::Release);
-    }
+    ReplayOptions::default().replay(trace, kind)
 }
 
 fn replay_phase(sim: &Sim, ph: &Phase) -> PhaseOutcome {
-    let cursor = AtomicUsize::new(0);
-    let post: Vec<AtomicU64> = (0..ph.ops.len()).map(|_| AtomicU64::new(0)).collect();
-    let mut out: Vec<Option<WorkerStats>> = Vec::new();
-    out.resize_with(ph.workers, || None);
-    std::thread::scope(|s| {
-        let cursor = &cursor;
-        let post = &post;
-        for (p, slot) in out.iter_mut().enumerate() {
-            s.spawn(move || {
-                *slot = replay_worker(sim, ph, p, cursor, post);
-            });
-        }
-    });
-    let workers: Vec<WorkerStats> = out
+    let mut procs = Lockstep::new(ph.workers);
+    let mut post = vec![0u64; ph.ops.len()];
+    let mut workers: Vec<Option<WorkerStats>> = vec![None; ph.workers];
+    let mut block_buf: Vec<u32> = Vec::new();
+    for (i, rec) in ph.ops.iter().enumerate() {
+        let p = rec.proc as usize;
+        post[i] = match rec.op {
+            Op::Attach => {
+                let ctx = sim.attach(p).expect("replay claims a free processor");
+                let t = ctx.vtime();
+                procs.adopt(ctx);
+                t
+            }
+            Op::Detach => {
+                let mut ctx = procs.release(p);
+                ctx.service_ipis();
+                workers[p] = Some(WorkerStats {
+                    proc: p,
+                    vtime_ns: ctx.vtime(),
+                    counters: ctx.counters(),
+                });
+                ctx.vtime()
+            }
+            op => procs.run(p, |ctx| {
+                exec(ctx, op, &post, &mut block_buf);
+                ctx.vtime()
+            }),
+        };
+    }
+    let workers = workers
         .into_iter()
-        .map(|w| w.expect("replay worker reached its Detach op"))
+        .map(|w| w.expect("every worker of the phase reached its Detach op"))
         .collect();
     PhaseOutcome {
         label: ph.label.clone(),
         stats: RunStats { workers },
-    }
-}
-
-/// Drives processor `p` through its share of the phase's op list.
-/// Returns once the worker's `Detach` op has executed.
-fn replay_worker(
-    sim: &Sim,
-    ph: &Phase,
-    p: usize,
-    cursor: &AtomicUsize,
-    post: &[AtomicU64],
-) -> Option<WorkerStats> {
-    let ops = &ph.ops;
-    let mut ctx: Option<UserCtx> = None;
-    let mut stats = None;
-    let mut block_buf: Vec<u32> = Vec::new();
-    loop {
-        // Wait for the cursor to reach one of our ops, acking shootdowns
-        // (we may be a target of the current op's initiator) meanwhile.
-        let i = {
-            let mut spins = 0u32;
-            loop {
-                let i = cursor.load(Ordering::Acquire);
-                if i >= ops.len() {
-                    // Defensive: a malformed trace may omit our Detach.
-                    return stats;
-                }
-                if ops[i].proc as usize == p {
-                    break i;
-                }
-                if let Some(c) = ctx.as_mut() {
-                    c.service_ipis();
-                }
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                }
-            }
-        };
-        match ops[i].op {
-            Op::Attach => {
-                ctx = Some(
-                    sim.attach(p)
-                        .expect("replay worker claims a free processor"),
-                );
-            }
-            Op::Detach => {
-                let mut c = ctx.take().expect("Detach follows Attach");
-                c.service_ipis();
-                stats = Some(WorkerStats {
-                    proc: p,
-                    vtime_ns: c.vtime(),
-                    counters: c.counters(),
-                });
-                post[i].store(c.vtime(), Ordering::Relaxed);
-                drop(c);
-                cursor.store(i + 1, Ordering::Release);
-                return stats;
-            }
-            op => {
-                let c = ctx.as_mut().expect("ops follow Attach");
-                exec(c, op, post, &mut block_buf);
-            }
-        }
-        let v = ctx.as_ref().map(|c| c.vtime()).unwrap_or(0);
-        post[i].store(v, Ordering::Relaxed);
-        cursor.store(i + 1, Ordering::Release);
     }
 }
 
 /// Executes one recorded op against the replay kernel. Values were not
 /// recorded (the protocol's behaviour and charges are value-independent),
 /// so writes store zero and atomics add zero; block ops borrow the
-/// worker's reusable scratch buffer instead of allocating per op.
-fn exec(ctx: &mut UserCtx, op: Op, post: &[AtomicU64], block_buf: &mut Vec<u32>) {
+/// phase's reusable scratch buffer instead of allocating per op.
+fn exec(ctx: &mut UserCtx, op: Op, post: &[u64], block_buf: &mut Vec<u32>) {
     match op {
         Op::Read { va } => {
             ctx.read(va);
@@ -491,17 +210,14 @@ fn exec(ctx: &mut UserCtx, op: Op, post: &[AtomicU64], block_buf: &mut Vec<u32>)
             ctx.write_block(va, block_buf);
         }
         Op::Compute { ns } => ctx.compute(ns),
-        Op::AdvanceDep { seq } => {
-            let t = post[seq as usize].load(Ordering::Acquire);
-            ctx.advance_to(t);
-        }
+        Op::AdvanceDep { seq } => ctx.advance_to(post[seq as usize]),
         Op::AdvanceAbs { t } => ctx.advance_to(t),
         Op::SetVtime { t } => ctx.set_vtime(t),
         Op::Poll => ctx.poll(),
         Op::BeginWait => ctx.begin_wait(),
         Op::EndWait => ctx.end_wait(),
         Op::TraceLock { va, acquire } => ctx.trace_lock(va, acquire),
-        Op::Attach | Op::Detach => unreachable!("handled by the worker loop"),
+        Op::Attach | Op::Detach => unreachable!("handled by replay_phase"),
     }
 }
 
@@ -576,57 +292,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(out.kernel, live_kernel, "kernel protocol counters drifted");
-    }
-
-    fn assert_same_outcome(a: &ReplayOutcome, b: &ReplayOutcome) {
-        assert_eq!(a.policy, b.policy);
-        assert_eq!(a.phases.len(), b.phases.len());
-        for (pa, pb) in a.phases.iter().zip(&b.phases) {
-            assert_eq!(pa.label, pb.label);
-            for (wa, wb) in pa.stats.workers.iter().zip(&pb.stats.workers) {
-                assert_eq!(wa.proc, wb.proc);
-                assert_eq!(wa.vtime_ns, wb.vtime_ns, "proc {} vtime drifted", wa.proc);
-                assert_eq!(
-                    wa.counters, wb.counters,
-                    "proc {} counters drifted",
-                    wa.proc
-                );
-            }
-        }
-        assert_eq!(a.kernel, b.kernel, "kernel protocol counters drifted");
-    }
-
-    #[test]
-    fn parallel_replay_is_bit_identical_to_serial_and_live() {
-        let (trace, live, live_kernel) = capture_mini(3);
-        let par = replay_par(&trace, PolicyKind::Platinum);
-        let serial = replay(&trace, PolicyKind::Platinum);
-        assert_same_outcome(&par, &serial);
-        for (a, b) in live.workers.iter().zip(&par.phases[0].stats.workers) {
-            assert_eq!(a.vtime_ns, b.vtime_ns, "proc {} vtime drifted", a.proc);
-            assert_eq!(a.counters, b.counters, "proc {} counters drifted", a.proc);
-        }
-        assert_eq!(par.kernel, live_kernel);
-        // Off-policy replays shard identically: the run plan depends only
-        // on the trace, never on the policy under test.
-        for kind in [PolicyKind::RemoteAlways, PolicyKind::MigrateOnly] {
-            assert_same_outcome(&replay_par(&trace, kind), &replay(&trace, kind));
-        }
-    }
-
-    #[test]
-    fn replay_many_matches_individual_replays() {
-        let (trace, _, _) = capture_mini(2);
-        let kinds = [
-            PolicyKind::Platinum,
-            PolicyKind::LocalFirstTouch,
-            PolicyKind::RemoteAlways,
-        ];
-        let many = replay_many(&trace, &kinds);
-        assert_eq!(many.len(), kinds.len());
-        for (kind, out) in kinds.iter().zip(&many) {
-            assert_same_outcome(out, &replay(&trace, *kind));
-        }
     }
 
     #[test]

@@ -34,6 +34,10 @@ pub mod zones;
 
 pub use measure::{RunStats, WorkerStats};
 pub use par::{run_uma_workers, run_workers, PlatinumHarness};
+/// The lockstep executor: one host thread drives every processor's
+/// context in a caller-chosen order (re-exported from the kernel crate,
+/// where its shootdown-ack hook lives).
+pub use platinum::Lockstep;
 pub use sim::{Sim, SimBuilder};
 pub use sync::{Barrier, EventCount, SpinLock};
 pub use zones::Zone;

@@ -3,19 +3,19 @@
 //!
 //! # Why the open-loop driver is deterministic
 //!
-//! The reference-trace replay engine established the argument this
-//! driver reuses: if kernel entries happen one at a time in a fixed
-//! global order (with waiting processors servicing shootdown IPIs and
-//! *nothing else*), then every protocol decision — replicate vs.
-//! migrate, freeze, evict — sees identical state on every run, so
-//! virtual times, counters, and table contents are bit-identical. Here
-//! the fixed order is the merged arrival schedule: workers take turns
-//! at *request* granularity (coarser than the replay engine's
-//! per-operation gate, but the same invariant: one runner, everyone
-//! else only acknowledging shootdowns). The simulation must be booted
-//! with `skew_window_ns: None`, as the capture engine does — the skew
-//! throttle is a liveness aid for free-running workers and would add
-//! host-dependent kernel entries.
+//! The driver executes the merged arrival schedule on one host thread: a
+//! [`Lockstep`] executor owns every worker's context, each request runs
+//! to completion on its processor's context before the next one starts,
+//! and shootdown targets acknowledge inline, inside the initiator's wait.
+//! Kernel entries therefore happen one at a time in a fixed global order,
+//! so every protocol decision — replicate vs. migrate, freeze, evict —
+//! sees identical state on every run, and virtual times, counters, and
+//! table contents are bit-identical (DESIGN.md §10 has the argument; the
+//! reference-trace replayer rests on the same executor at per-operation
+//! granularity). The simulation must be booted with `skew_window_ns:
+//! None`, as the capture engine does — the skew throttle is a liveness
+//! aid for free-running workers and would add host-dependent kernel
+//! entries.
 //!
 //! Virtual time still *overlaps* between processors — each worker's
 //! clock advances independently, arrivals pace it, and a backlogged
@@ -29,11 +29,10 @@
 //! host-schedule-dependent results: use it for stress and ceiling
 //! numbers, never for baseline checks.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use numa_machine::Mem as _;
 use platinum::{StatsSnapshot, UserCtx};
 use platinum_runtime::sim::Sim;
+use platinum_runtime::Lockstep;
 use platinum_trace::EventKind;
 
 use crate::hist::Histogram;
@@ -129,76 +128,16 @@ pub enum ServerPhase {
 /// honest transient plans converge in a handful of tries.
 const MAX_ATTEMPTS: u32 = 64;
 
-/// Runs `exec` over `items` serialized in item order: item `i` runs on
-/// processor `proc_of(item)` only after items `0..i` finished, while
-/// every other worker spins servicing shootdown IPIs. One attached
-/// context per processor for the whole pass.
-fn run_serialized<T, A>(
-    sim: &Sim,
-    procs: usize,
-    items: &[T],
-    proc_of: impl Fn(&T) -> usize + Sync,
-    init: impl Fn(usize) -> A + Sync,
-    exec: impl Fn(&mut UserCtx, &T, &mut A) + Sync,
-) -> (Vec<A>, Vec<u64>)
-where
-    T: Sync,
-    A: Send,
-{
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<(A, u64)>> = Vec::new();
-    out.resize_with(procs, || None);
-    std::thread::scope(|s| {
-        let cursor = &cursor;
-        let proc_of = &proc_of;
-        let init = &init;
-        let exec = &exec;
-        for (p, slot) in out.iter_mut().enumerate() {
-            s.spawn(move || {
-                let mut ctx = sim
-                    .attach(p)
-                    .expect("driver worker claims a free processor");
-                let mut acc = init(p);
-                let mut spins = 0u32;
-                loop {
-                    let i = cursor.load(Ordering::Acquire);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if proc_of(&items[i]) != p {
-                        // Not our turn: keep shootdowns flowing (the
-                        // runner may be blocked on our ack) and nothing
-                        // else.
-                        ctx.service_ipis();
-                        spins += 1;
-                        if spins & 63 == 0 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                    spins = 0;
-                    exec(&mut ctx, &items[i], &mut acc);
-                    cursor.store(i + 1, Ordering::Release);
-                }
-                let vtime = ctx.vtime();
-                // Dropping the context deactivates the space, which
-                // acknowledges any still-pending mapping changes — no
-                // runner can block on an exited worker.
-                drop(ctx);
-                *slot = Some((acc, vtime));
-            });
-        }
-    });
-    let mut accs = Vec::with_capacity(procs);
-    let mut vtimes = Vec::with_capacity(procs);
-    for slot in out {
-        let (a, v) = slot.expect("driver worker completed");
-        accs.push(a);
-        vtimes.push(v);
+/// Attaches processors `0..procs` and hands them to one lockstep
+/// executor. Every worker is attached before the pass's first step, so
+/// all are live shootdown targets throughout, and each holds one context
+/// for the whole pass.
+fn attach_all(sim: &Sim, procs: usize) -> Lockstep {
+    let mut workers = Lockstep::new(procs);
+    for p in 0..procs {
+        workers.adopt(sim.attach(p).expect("driver claims a free processor"));
     }
-    (accs, vtimes)
+    workers
 }
 
 /// Per-worker measurement accumulator.
@@ -312,9 +251,20 @@ fn merge_report(
     rep
 }
 
-/// Populates `w` (one serialized turn per worker, so each worker
-/// first-touches its own partition) and then executes the merged
-/// open-loop `schedule` deterministically. The populate and measured
+/// Builds `w`'s initial state: one serialized turn per worker, so each
+/// worker first-touches its own partition.
+fn populate<W: Workload>(sim: &Sim, w: &W, procs: usize) {
+    let mut workers = attach_all(sim, procs);
+    for t in 0..procs {
+        workers.run(t, |ctx| {
+            w.populate(ctx, t, procs)
+                .expect("populate phase must not hit injected-fault residue")
+        });
+    }
+}
+
+/// Populates `w` (one serialized turn per worker) and then executes the
+/// merged open-loop `schedule` deterministically. The populate and measured
 /// phases each attach fresh contexts with clocks at zero, mirroring the
 /// phase structure of every other harness in the repository.
 ///
@@ -330,28 +280,17 @@ pub fn run_open_loop<W: Workload>(
         sim.machine.cfg().skew_window_ns.is_none(),
         "deterministic driver needs skew_window_ns: None (as the capture engine boots)"
     );
-    let turns: Vec<usize> = (0..procs).collect();
-    run_serialized(
-        sim,
-        procs,
-        &turns,
-        |&t| t,
-        |_| (),
-        |ctx, &t, _: &mut ()| {
-            w.populate(ctx, t, procs)
-                .expect("populate phase must not hit injected-fault residue")
-        },
-    );
+    populate(sim, w, procs);
 
     let before = sim.kernel.stats().snapshot();
-    let (accs, vtimes) = run_serialized(
-        sim,
-        procs,
-        schedule,
-        |r| r.proc,
-        |_| Acc::new(w.shards()),
-        |ctx, req, acc| execute_one(ctx, w, req, acc),
-    );
+    let mut workers = attach_all(sim, procs);
+    let mut accs: Vec<Acc> = (0..procs).map(|_| Acc::new(w.shards())).collect();
+    for req in schedule {
+        workers.run(req.proc, |ctx| {
+            execute_one(ctx, w, req, &mut accs[req.proc])
+        });
+    }
+    let vtimes = (0..procs).map(|p| workers.release(p).vtime()).collect();
     let protocol = sim.kernel.stats().snapshot().delta(&before);
     merge_report(accs, vtimes, w.shards(), protocol)
 }
@@ -363,18 +302,7 @@ pub fn run_open_loop<W: Workload>(
 /// compare against a committed baseline.
 pub fn run_closed_loop<W: Workload>(sim: &Sim, w: &W, per_proc: &[Vec<Request>]) -> DriverReport {
     let procs = per_proc.len();
-    let turns: Vec<usize> = (0..procs).collect();
-    run_serialized(
-        sim,
-        procs,
-        &turns,
-        |&t| t,
-        |_| (),
-        |ctx, &t, _: &mut ()| {
-            w.populate(ctx, t, procs)
-                .expect("populate phase must not hit injected-fault residue")
-        },
-    );
+    populate(sim, w, procs);
 
     let before = sim.kernel.stats().snapshot();
     let (outs, run) = sim.run(procs, |p, ctx| {

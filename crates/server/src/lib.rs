@@ -18,10 +18,11 @@
 //!   read/write mix with write bursts, per-processor arrival schedules
 //!   in virtual time.
 //! * [`drive`] — the measurement harness: a serialized, deterministic
-//!   open-loop driver (same argument as the reftrace replay engine: one
-//!   kernel entry at a time in a fixed global order reproduces the run
-//!   exactly), a concurrent closed-loop mode for saturation tests, and
-//!   per-request virtual-time latency accounting ([`hist`]).
+//!   open-loop driver (same executor as the reftrace replay engine: one
+//!   host thread, one kernel entry at a time in a fixed global order,
+//!   reproduces the run exactly), a concurrent closed-loop mode for
+//!   saturation tests, and per-request virtual-time latency accounting
+//!   ([`hist`]).
 //!
 //! Workloads are written against [`ServerMem`], a small extension of the
 //! portable [`Mem`] interface that exposes the kernel's *fallible*
