@@ -186,6 +186,9 @@ pub mod json {
     pub enum Value {
         /// A JSON number (finite f64; NaN/inf serialize as null).
         Num(f64),
+        /// A JSON integer, written digit for digit (an `f64` rounds
+        /// above 2^53, which corrupts checksums and large counters).
+        Int(u64),
         /// A JSON string.
         Str(String),
         /// A JSON boolean.
@@ -222,6 +225,9 @@ pub mod json {
                     } else {
                         out.push_str("null");
                     }
+                }
+                Value::Int(n) => {
+                    let _ = write!(out, "{n}");
                 }
                 Value::Bool(b) => {
                     let _ = write!(out, "{b}");
@@ -353,6 +359,8 @@ mod tests {
             "{\"name\":\"a\\\"b\\nc\",\"n\":1.5,\"ok\":true,\"xs\":[1,2]}"
         );
         assert_eq!(Value::Num(f64::NAN).to_json(), "null");
+        // Above 2^53 an integer survives only as `Int`.
+        assert_eq!(Value::Int(u64::MAX).to_json(), u64::MAX.to_string());
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! application's own correctness condition *unrecorded* — verification
 //! re-reads the whole data set and is no part of the workload being
 //! compared — and returns the sealed [`RefTrace`] next to the live
-//! [`AppRun`]. Replaying the trace under `PolicyKind::Platinum` must
-//! reproduce the live run's virtual times bit for bit; replaying under
-//! any other policy prices the same reference stream under that policy.
+//! [`AppRun`]. Replaying the trace under `PolicyKind::Platinum` through
+//! the [`ReplayOptions`] the runner was given must reproduce the live
+//! run's virtual times bit for bit; replaying under any other policy
+//! prices the same reference stream under that policy.
 //!
 //! The message-passing Gaussian variant is not capturable: it talks to
 //! kernel ports directly, around the `Mem` seam the recorder wraps.
 
-use numa_machine::Topology;
-use platinum_reftrace::{Capture, RefTrace};
+use platinum_reftrace::{Capture, RefTrace, ReplayOptions};
 use platinum_runtime::sync::{Barrier, EventCount};
 use platinum_server::{KvConfig, KvTable, TrafficConfig, Workload};
 
@@ -43,9 +43,9 @@ pub fn record_gauss(
     nodes: usize,
     p: usize,
     cfg: &GaussConfig,
-    topo: Option<&Topology>,
+    opts: &ReplayOptions,
 ) -> CapturedRun {
-    let mut cap = Capture::on_topology(nodes, topo);
+    let mut cap = Capture::new(nodes, opts);
     let page_words = cap.sim().machine.cfg().words_per_page();
     let mut data = cap.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
     let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
@@ -81,9 +81,9 @@ pub fn record_mergesort(
     nodes: usize,
     p: usize,
     cfg: &SortConfig,
-    topo: Option<&Topology>,
+    opts: &ReplayOptions,
 ) -> CapturedRun {
-    let mut cap = Capture::on_topology(nodes, topo);
+    let mut cap = Capture::new(nodes, opts);
     let page_words = cap.sim().machine.cfg().words_per_page();
     let mut data = cap.alloc_zone(SortLayout::zone_pages(cfg.n, page_words));
     let lay = SortLayout::alloc(&mut data, cfg.n);
@@ -120,9 +120,9 @@ pub fn record_neural(
     nodes: usize,
     p: usize,
     cfg: &NeuralConfig,
-    topo: Option<&Topology>,
+    opts: &ReplayOptions,
 ) -> (CapturedRun, f64) {
-    let mut cap = Capture::on_topology(nodes, topo);
+    let mut cap = Capture::new(nodes, opts);
     let mut zone = cap.alloc_zone(NeuralLayout::zone_pages());
     let lay = NeuralLayout::alloc(&mut zone);
 
@@ -161,10 +161,10 @@ pub fn record_kv(
     p: usize,
     kcfg: KvConfig,
     traffic: &TrafficConfig,
-    topo: Option<&Topology>,
+    opts: &ReplayOptions,
 ) -> CapturedRun {
     let keys = kcfg.keys;
-    let mut cap = Capture::on_topology(nodes, topo);
+    let mut cap = Capture::new(nodes, opts);
     let page_words = cap.sim().machine.cfg().words_per_page();
     let mut data = cap.alloc_zone(kcfg.table_pages(page_words));
     let mut locks = cap.alloc_zone(kcfg.lock_pages());
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn gauss_capture_replays_bit_identically() {
         let cfg = GaussConfig::with_n(32);
-        let captured = record_gauss(4, 4, &cfg, None);
+        let captured = record_gauss(4, 4, &cfg, &ReplayOptions::default());
         assert_eq!(
             captured.live.checksum,
             gauss::reference_checksum(&cfg),
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn mergesort_capture_verifies_and_replays() {
         let cfg = SortConfig::with_n(1 << 10);
-        let captured = record_mergesort(4, 4, &cfg, None);
+        let captured = record_mergesort(4, 4, &cfg, &ReplayOptions::default());
         let out = replay(&captured.trace, PolicyKind::Platinum);
         assert_eq!(out.measured_elapsed_ns(), captured.live.elapsed_ns);
     }
@@ -252,7 +252,13 @@ mod tests {
             mean_interarrival_ns: 10_000,
             ..TrafficConfig::default()
         };
-        let captured = record_kv(4, 4, KvConfig::for_keys(1 << 9, 4), &traffic, None);
+        let captured = record_kv(
+            4,
+            4,
+            KvConfig::for_keys(1 << 9, 4),
+            &traffic,
+            &ReplayOptions::default(),
+        );
         let out = replay(&captured.trace, PolicyKind::Platinum);
         assert_eq!(
             out.measured_elapsed_ns(),
@@ -283,7 +289,7 @@ mod tests {
     #[test]
     fn neural_capture_replays_under_other_policy() {
         let cfg = NeuralConfig::with_epochs(2);
-        let (captured, _err) = record_neural(4, 4, &cfg, None);
+        let (captured, _err) = record_neural(4, 4, &cfg, &ReplayOptions::default());
         let plat = replay(&captured.trace, PolicyKind::Platinum);
         assert_eq!(plat.measured_elapsed_ns(), captured.live.elapsed_ns);
         let remote = replay(&captured.trace, PolicyKind::RemoteAlways);

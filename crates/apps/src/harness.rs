@@ -10,8 +10,8 @@ use std::sync::Arc;
 use numa_machine::Mem;
 use platinum::{FaultPlan, StatsSnapshot};
 use platinum_runtime::measure::RunStats;
-use platinum_runtime::par::{run_uma_workers, uma_machine, PlatinumHarness};
-use platinum_runtime::sim::SimBuilder;
+use platinum_runtime::par::{run_uma_workers, uma_machine};
+use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_runtime::sync::{Barrier, EventCount};
 
 use crate::gauss::{self, GaussConfig, GaussLayout};
@@ -58,14 +58,14 @@ pub struct AppRun {
     pub run: RunStats,
 }
 
-/// Boots a harness under `policy`, with an optional deterministic
+/// Boots a simulation under `policy`, with an optional deterministic
 /// fault-injection plan (the chaos runners' shared entry).
-fn boot(nodes: usize, policy: PolicyKind, faults: Option<Arc<FaultPlan>>) -> PlatinumHarness {
+fn boot(nodes: usize, policy: PolicyKind, faults: Option<Arc<FaultPlan>>) -> Sim {
     let mut b = SimBuilder::nodes(nodes).policy(policy);
     if let Some(plan) = faults {
         b = b.faults(plan);
     }
-    b.build().into()
+    b.build()
 }
 
 /// Runs Gaussian elimination in the given style on `p` of `nodes`
@@ -100,7 +100,7 @@ fn run_gauss_faulty(
         GaussStyle::MessagePassing => PolicyKind::Platinum,
     };
     let h = boot(nodes, policy, faults);
-    let page_words = h.kernel.machine().cfg().words_per_page();
+    let page_words = h.machine.cfg().words_per_page();
     let mut data = h.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
     let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
     let mut sync = h.alloc_zone(1);
@@ -183,8 +183,8 @@ pub fn run_gauss_profiled(
     if let Some(t) = topo {
         b = b.topology(t.clone());
     }
-    let h: PlatinumHarness = b.build().into();
-    let page_words = h.kernel.machine().cfg().words_per_page();
+    let h = b.build();
+    let page_words = h.machine.cfg().words_per_page();
     let mut data = h.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
     let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
     let mut sync = h.alloc_zone(1);
@@ -231,13 +231,12 @@ pub fn run_gauss_anecdote(
     colocated: bool,
     t2_ns: u64,
 ) -> AppRun {
-    let h: PlatinumHarness = SimBuilder::nodes(nodes)
+    let h = SimBuilder::nodes(nodes)
         .frames_per_node(4096)
         .policy(PolicyKind::Platinum)
         .defrost_ns(t2_ns)
-        .build()
-        .into();
-    let page_words = h.kernel.machine().cfg().words_per_page();
+        .build();
+    let page_words = h.machine.cfg().words_per_page();
     let mut data = h.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
     let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
 
@@ -305,7 +304,7 @@ fn run_mergesort_faulty(
     faults: Option<Arc<FaultPlan>>,
 ) -> AppRun {
     let h = boot(nodes, PolicyKind::Platinum, faults);
-    let page_words = h.kernel.machine().cfg().words_per_page();
+    let page_words = h.machine.cfg().words_per_page();
     let mut data = h.alloc_zone(SortLayout::zone_pages(cfg.n, page_words));
     let lay = SortLayout::alloc(&mut data, cfg.n);
     let mut sync = h.alloc_zone(1);

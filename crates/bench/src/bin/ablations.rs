@@ -17,14 +17,14 @@
 //! With no flags, runs everything.
 
 use numa_machine::MachineConfig;
-use platinum::{KernelConfig, PlatinumPolicy};
+use platinum::PlatinumPolicy;
 use platinum_analysis::report::Table;
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::harness::{run_gauss, run_gauss_anecdote, GaussStyle, PolicyKind};
 use platinum_apps::neural::NeuralConfig;
 use platinum_apps::workloads::{round_robin, SharingConfig};
 use platinum_bench::{Args, TraceSink};
-use platinum_runtime::par::PlatinumHarness;
+use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_runtime::sync::EventCount;
 
 fn main() {
@@ -61,16 +61,12 @@ fn t1_sweep(args: &Args) {
     let cfg = GaussConfig::with_n(n);
     let mut table = Table::new(vec!["t1 ms", "time ms", "freezes"]);
     for t1_ms in [1u64, 10, 30, 100] {
-        let mut mcfg = MachineConfig::with_nodes(16.max(p));
-        mcfg.frames_per_node = 4096;
-        let h = PlatinumHarness::with_config(
-            mcfg,
-            Box::new(PlatinumPolicy {
+        let h = SimBuilder::nodes(16.max(p))
+            .policy(PlatinumPolicy {
                 t1_ns: t1_ms * 1_000_000,
                 thaw_on_access: false,
-            }),
-            KernelConfig::default(),
-        );
+            })
+            .build();
         let run = run_gauss_with_harness(&h, p, &cfg);
         table.row(vec![
             t1_ms.to_string(),
@@ -83,10 +79,10 @@ fn t1_sweep(args: &Args) {
     println!("paper: insensitive from 10 ms up to ~100 ms\n");
 }
 
-/// Runs shared-memory GE on an existing harness, returning (time, freezes).
-fn run_gauss_with_harness(h: &PlatinumHarness, p: usize, cfg: &GaussConfig) -> (u64, u64) {
+/// Runs shared-memory GE on a booted simulation, returning (time, freezes).
+fn run_gauss_with_harness(h: &Sim, p: usize, cfg: &GaussConfig) -> (u64, u64) {
     use platinum_apps::gauss;
-    let page_words = h.kernel.machine().cfg().words_per_page();
+    let page_words = h.machine.cfg().words_per_page();
     let stride = cfg.n.div_ceil(page_words) * page_words;
     let pages = (stride * cfg.n).div_ceil(page_words) + 2;
     let mut data = h.alloc_zone(pages);
@@ -159,7 +155,7 @@ fn variant_compare(args: &Args) {
 
 fn run_neural_with(policy: PolicyKind, p: usize, cfg: &NeuralConfig) -> (u64, f64) {
     use platinum_apps::neural;
-    let h = PlatinumHarness::with_policy(p.max(2), policy.build());
+    let h = SimBuilder::nodes(p.max(2)).policy(policy).build();
     let mut zone = h.alloc_zone(neural::UNITS + 2);
     let lay = neural::NeuralLayout::alloc(&mut zone);
     h.run(1, |_, ctx| neural::init(ctx, &lay));
@@ -184,9 +180,10 @@ fn ace_compare(args: &Args) {
     };
     let mut table = Table::new(vec!["policy", "time ms", "migrations", "freezes"]);
     for policy in [PolicyKind::Platinum, PolicyKind::AceStyle] {
-        let mut mcfg = MachineConfig::with_nodes(p.max(2));
-        mcfg.frames_per_node = 256;
-        let h = PlatinumHarness::with_config(mcfg, policy.build(), KernelConfig::default());
+        let h = SimBuilder::nodes(p.max(2))
+            .frames_per_node(256)
+            .policy(policy)
+            .build();
         let mut data = h.alloc_zone(2);
         let base = data.alloc_page_aligned(cfg.struct_words);
         let mut sync = h.alloc_zone(1);
@@ -220,11 +217,7 @@ fn pagesize_sweep(args: &Args) {
         // Keep total memory per node constant.
         mcfg.frames_per_node = 4096 << (12 - shift.min(12)) << (shift.saturating_sub(12));
         mcfg.frames_per_node = (4096u64 * 4096 / (1u64 << shift)) as usize * 4;
-        let h = PlatinumHarness::with_config(
-            mcfg,
-            PolicyKind::Platinum.build(),
-            KernelConfig::default(),
-        );
+        let h = SimBuilder::nodes(mcfg.nodes).machine_config(mcfg).build();
         let run = run_gauss_with_harness(&h, p, &cfg);
         let s = h.kernel.stats().snapshot();
         table.row(vec![

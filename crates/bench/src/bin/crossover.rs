@@ -21,7 +21,7 @@ use platinum_analysis::report::Table;
 use platinum_apps::harness::PolicyKind;
 use platinum_apps::workloads::{operation_for_benchmarks, SharingConfig};
 use platinum_bench::{Args, TraceSink};
-use platinum_runtime::par::PlatinumHarness;
+use platinum_runtime::sim::SimBuilder;
 
 /// Host-side round-robin turn-taking with virtual-time propagation.
 ///
@@ -73,9 +73,10 @@ impl HostTurn {
 }
 
 fn run_once(policy: PolicyKind, p: usize, cfg: &SharingConfig) -> u64 {
-    let mut mcfg = MachineConfig::with_nodes(p.max(2));
-    mcfg.frames_per_node = 512;
-    let h = PlatinumHarness::with_config(mcfg, policy.build(), platinum::KernelConfig::default());
+    let h = SimBuilder::nodes(p.max(2))
+        .frames_per_node(512)
+        .policy(policy)
+        .build();
     let mut data = h.alloc_zone(2);
     let base = data.alloc_page_aligned(cfg.struct_words);
     let turn = HostTurn::new();

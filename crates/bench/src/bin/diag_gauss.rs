@@ -1,22 +1,14 @@
-use numa_machine::MachineConfig;
 use platinum_apps::gauss::{self, GaussConfig, GaussLayout};
-use platinum_apps::harness::PolicyKind;
 use platinum_bench::{Args, TraceSink};
-use platinum_runtime::par::PlatinumHarness;
+use platinum_runtime::sim::SimBuilder;
 use platinum_runtime::sync::EventCount;
 
 fn main() {
     let args = Args::parse();
     let sink = TraceSink::from_args(&args);
     let cfg = GaussConfig::with_n(200);
-    let mut mcfg = MachineConfig::with_nodes(16);
-    mcfg.frames_per_node = 4096;
-    let h = PlatinumHarness::with_config(
-        mcfg,
-        PolicyKind::Platinum.build(),
-        platinum::KernelConfig::default(),
-    );
-    let page_words = h.kernel.machine().cfg().words_per_page();
+    let h = SimBuilder::nodes(16).build();
+    let page_words = h.machine.cfg().words_per_page();
     let stride = cfg.n.div_ceil(page_words) * page_words;
     let pages = (stride * cfg.n).div_ceil(page_words) + 2;
     let mut data = h.alloc_zone(pages);

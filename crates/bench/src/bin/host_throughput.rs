@@ -1,90 +1,61 @@
-//! Host-throughput benchmark: how many simulated memory references per
-//! host second the simulator sustains, with the translation fast path on
-//! versus forced off (`MachineConfig::fast_path = false`).
+//! Host throughput against machine size: how many simulated memory
+//! references per host second the simulator sustains as the processor
+//! count grows, and where the kernel's slow-path host time goes.
 //!
 //! Unlike every other binary in this crate, the numbers here are *host*
-//! wall-clock — virtual time is identical on both paths by construction
-//! (see the equivalence tests); only the cost of simulating each access
-//! changes. Three mixes bracket the design space:
+//! wall-clock. Single-machine host cost — per layer, with repetitions,
+//! spreads and a recorded baseline — is `benchmark/run.sh` (perf_ledger);
+//! what this binary alone does is chart the *shape* of that cost against
+//! p. Three mixes bracket the design space:
 //!
 //!   * `all_local`  — ATC-resident reads/writes to local pages: the pure
-//!     fast-path regime the overhaul targets.
+//!     fast-path regime.
 //!   * `all_remote` — ATC-resident references to statically-placed remote
 //!     pages (NeverReplicate): fast path plus the contention model.
-//!   * `fault_heavy` — write ping-pong between two processors: every
-//!     reference migrates the page, so the kernel slow path dominates
-//!     and the fast path can only get out of the way.
+//!   * `fault_heavy` — write ping-pong circulating over every processor:
+//!     each reference migrates the page, so the kernel slow path
+//!     dominates.
 //!
 //! Usage:
-//!   host_throughput [--ops 4000000] [--rounds 20000] [--out FILE]
-//!                   [--mix NAME] [--check --baseline FILE [--tolerance 0.20]]
-//!                   [--procs 16,32,64,128,256] [--topology flat|hier2|hier2x4]
+//!   host_throughput [--procs 16,32,64,128] [--topology flat|hier2|hier2x4]
+//!                   [--mix NAME] [--ops 2000000] [--rounds 20000] [--out FILE]
 //!
-//! `--out` writes a JSON artifact (default results/BENCH_host_throughput.json;
-//! bench artifacts live under results/, never the repo root).
-//! `--mix` restricts the run to one mix for quick iteration.
-//! `--check` compares each mix's fast-path MIPS against a baseline
-//! artifact and exits nonzero on a regression beyond the tolerance.
-//!
-//! `--procs` switches to the machine-size sweep: each listed processor
-//! count boots its own machine (optionally under `--topology`), runs the
-//! selected mixes on the fast path, and the artifact gains one entry per
-//! p with throughput and `host_phase_ns_per_op` — the protocol-cost-vs-
-//! machine-size curve. The sweep intentionally skips the reference path
-//! and the interleaved best-of-6 discipline: it charts scaling shape,
-//! not the `--check` capability number, so the default artifact format
-//! (and any recorded baseline) is untouched.
+//! Each listed processor count boots its own machine under `--topology`
+//! and runs the selected mixes once with the kernel phase profiler
+//! enabled — one boot per (p, mix) cell. The throughput numbers therefore
+//! carry the profiler's two clock reads per slow-path span; the curve's
+//! shape against p is the deliverable. `--out` writes the JSON artifact
+//! (default results/BENCH_host_throughput_procs.json; bench artifacts
+//! live under results/, never the repo root): one entry per p with
+//! throughput and `host_phase_ns_per_op`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use numa_machine::{MachineConfig, Mem, TimingConfig, Topology};
 use platinum::hostprof::HostProfSnapshot;
-use platinum::{NeverReplicate, PlatinumPolicy, ReplicationPolicy, Rights, UserCtx};
+use platinum::{PlacementPolicy, PlatinumPolicy, PolicyKind, Rights, UserCtx};
 use platinum_analysis::report::json::Value;
 use platinum_analysis::report::Table;
 use platinum_bench::Args;
 use platinum_runtime::sim::{Sim, SimBuilder};
 
-fn boot(
-    nodes: usize,
-    frames_per_node: usize,
-    fast_path: bool,
-    topo: Option<&Topology>,
-    policy: Option<Box<dyn ReplicationPolicy>>,
-) -> Sim {
-    let mut b = SimBuilder::nodes(nodes).machine_config(MachineConfig {
-        nodes,
-        frames_per_node,
-        skew_window_ns: None,
-        fast_path,
-        ..MachineConfig::default()
-    });
-    if let Some(t) = topo {
-        b = b.topology(t.clone());
-    }
-    if let Some(p) = policy {
-        b = b.policy_box(p);
-    }
-    b.build()
-}
+// Shallow frame pool: the mixes touch at most four pages per node, and
+// 256 nodes x 4096 frames of real backing storage would be gigabytes of
+// host memory per boot.
+const SWEEP_FRAMES: usize = 32;
 
-struct MixResult {
-    name: &'static str,
-    ops: u64,
-    fast_mips: f64,
-    reference_mips: f64,
-    /// Host time spent in each kernel slow-path phase during the
-    /// profiled pass (a separate pass: enabling the profiler adds two
-    /// clock reads per span, so the timed slices above run unprofiled).
-    prof: HostProfSnapshot,
-    /// Reference count of the profiled pass, for per-op normalization.
-    profiled_ops: u64,
-}
-
-impl MixResult {
-    fn speedup(&self) -> f64 {
-        self.fast_mips / self.reference_mips
-    }
+fn boot(nodes: usize, topo: &Topology, policy: impl Into<Arc<dyn PlacementPolicy>>) -> Sim {
+    SimBuilder::nodes(nodes)
+        .machine_config(MachineConfig {
+            nodes,
+            frames_per_node: SWEEP_FRAMES,
+            skew_window_ns: None,
+            ..MachineConfig::default()
+        })
+        .topology(topo.clone())
+        .policy(policy)
+        .build()
 }
 
 fn mips(ops: u64, secs: f64) -> f64 {
@@ -105,16 +76,9 @@ fn pattern(va: u64, page_bytes: u64) -> Vec<(u64, bool)> {
 
 /// ATC-resident references to pages homed on the running processor.
 /// Returns elapsed host seconds for `ops` references (setup excluded)
-/// plus the kernel phase profile when `profile` is set.
-fn all_local(
-    nodes: usize,
-    topo: Option<&Topology>,
-    frames: usize,
-    fast_path: bool,
-    ops: u64,
-    profile: bool,
-) -> (f64, HostProfSnapshot) {
-    let sim = boot(nodes, frames, fast_path, topo, None);
+/// plus the kernel phase profile of the measured loop.
+fn all_local(nodes: usize, topo: &Topology, ops: u64) -> (f64, HostProfSnapshot) {
+    let sim = boot(nodes, topo, PolicyKind::Platinum);
     let object = sim.kernel.create_object(PAGES as usize);
     let va = sim.space.map_anywhere(object, Rights::RW).unwrap();
     let page_bytes = (sim.machine.cfg().words_per_page() * 4) as u64;
@@ -124,9 +88,7 @@ fn all_local(
     }
     let pat = pattern(va, page_bytes);
     let rounds = ops.div_ceil(64);
-    if profile {
-        sim.kernel.host_prof().enable();
-    }
+    sim.kernel.host_prof().enable();
     let start = Instant::now();
     let mut sum = 0u32;
     for r in 0..rounds {
@@ -146,21 +108,8 @@ fn all_local(
 }
 
 /// ATC-resident references to pages statically placed on a remote node.
-fn all_remote(
-    nodes: usize,
-    topo: Option<&Topology>,
-    frames: usize,
-    fast_path: bool,
-    ops: u64,
-    profile: bool,
-) -> (f64, HostProfSnapshot) {
-    let sim = boot(
-        nodes,
-        frames,
-        fast_path,
-        topo,
-        Some(Box::new(NeverReplicate)),
-    );
+fn all_remote(nodes: usize, topo: &Topology, ops: u64) -> (f64, HostProfSnapshot) {
+    let sim = boot(nodes, topo, PolicyKind::NeverReplicate);
     let object = sim.kernel.create_object(PAGES as usize);
     let va = sim.space.map_anywhere(object, Rights::RW).unwrap();
     let page_bytes = (sim.machine.cfg().words_per_page() * 4) as u64;
@@ -174,9 +123,7 @@ fn all_remote(
     let mut ctx = sim.attach(0).unwrap();
     let pat = pattern(va, page_bytes);
     let rounds = ops.div_ceil(64);
-    if profile {
-        sim.kernel.host_prof().enable();
-    }
+    sim.kernel.host_prof().enable();
     let start = Instant::now();
     let mut sum = 0u32;
     for _ in 0..rounds {
@@ -193,26 +140,17 @@ fn all_remote(
 
 /// Write ping-pong: each reference invalidates the previous writer's
 /// copy and migrates the page, so the protocol slow path dominates. The
-/// page circulates round-robin over all `nodes` processors (`nodes = 2`
-/// recovers the classic two-party ping-pong), `pings` writes in total.
-fn fault_heavy(
-    nodes: usize,
-    topo: Option<&Topology>,
-    frames: usize,
-    fast_path: bool,
-    pings: u64,
-    profile: bool,
-) -> (f64, HostProfSnapshot) {
+/// page circulates round-robin over all `nodes` processors, `pings`
+/// writes in total.
+fn fault_heavy(nodes: usize, topo: &Topology, pings: u64) -> (f64, HostProfSnapshot) {
     let sim = boot(
         nodes,
-        frames,
-        fast_path,
         topo,
-        Some(Box::new(PlatinumPolicy {
+        PlatinumPolicy {
             // Never freeze: keep every round on the full migrate path.
             t1_ns: 0,
             ..PlatinumPolicy::paper_default()
-        })),
+        },
     );
     let object = sim.kernel.create_object(1);
     let va = sim.space.map_anywhere(object, Rights::RW).unwrap();
@@ -223,9 +161,7 @@ fn fault_heavy(
     for c in ctxs.iter_mut().skip(1) {
         c.suspend();
     }
-    if profile {
-        sim.kernel.host_prof().enable();
-    }
+    sim.kernel.host_prof().enable();
     let start = Instant::now();
     for k in 0..pings {
         let i = (k as usize) % nodes;
@@ -239,70 +175,8 @@ fn fault_heavy(
     )
 }
 
-/// Measures one mix with the two paths interleaved (fast, reference,
-/// fast, ...) and keeps each side's *fastest* slice. Interleaving lands
-/// host-side drift (frequency scaling, noisy neighbours) on both sides
-/// instead of on whichever ran second; taking the minimum discards the
-/// noise bursts that inflate a sum, which is what a throughput capability
-/// number should exclude.
-fn interleaved(
-    name: &'static str,
-    ops: u64,
-    run: impl Fn(bool, u64, bool) -> (f64, HostProfSnapshot),
-) -> MixResult {
-    const SLICES: u64 = 6;
-    let slice = (ops / SLICES).max(1);
-    let (mut fast_secs, mut ref_secs) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..SLICES {
-        fast_secs = fast_secs.min(run(true, slice, false).0);
-        ref_secs = ref_secs.min(run(false, slice, false).0);
-    }
-    // One extra fast-path slice with the kernel phase profiler on. Kept
-    // out of the timed slices above: each profiled span costs two extra
-    // clock reads, which would depress the throughput numbers the
-    // `--check` gate compares.
-    let (_, prof) = run(true, slice, true);
-    MixResult {
-        name,
-        ops,
-        fast_mips: mips(slice, fast_secs),
-        reference_mips: mips(slice, ref_secs),
-        prof,
-        profiled_ops: slice,
-    }
-}
-
-fn run_mixes(ops: u64, rounds: u64, only: Option<&str>) -> Vec<MixResult> {
-    let wanted = |name: &str| only.is_none_or(|m| m == name);
-    let mut out = Vec::new();
-    if wanted("all_local") {
-        out.push(interleaved("all_local", ops, |fast, n, prof| {
-            all_local(2, None, 256, fast, n, prof)
-        }));
-    }
-    if wanted("all_remote") {
-        out.push(interleaved("all_remote", ops, |fast, n, prof| {
-            all_remote(2, None, 256, fast, n, prof)
-        }));
-    }
-    if wanted("fault_heavy") {
-        out.push(interleaved("fault_heavy", rounds * 2, |fast, n, prof| {
-            fault_heavy(2, None, 256, fast, n, prof)
-        }));
-    }
-    assert!(
-        !out.is_empty(),
-        "--mix must be one of all_local, all_remote, fault_heavy"
-    );
-    out
-}
-
 fn per_op_ns(ns: u64, ops: u64) -> f64 {
     ns as f64 / ops.max(1) as f64
-}
-
-fn per_op(ns: u64, r: &MixResult) -> f64 {
-    per_op_ns(ns, r.profiled_ops)
 }
 
 /// One (p, mix) cell of the machine-size sweep.
@@ -313,12 +187,21 @@ struct SweepCell {
     prof: HostProfSnapshot,
 }
 
-/// The `--procs` sweep: each listed processor count boots its own
-/// machine under `topo` and runs the selected mixes once, fast path
-/// only, with the kernel phase profiler enabled — one boot per (p, mix)
-/// cell. The throughput numbers therefore carry the profiler's two
-/// clock reads per slow-path span; the curve's *shape* against p is the
-/// deliverable, not a `--check`-grade capability figure.
+/// A mix: its name and its runner, which takes the machine size, the
+/// machine description and the op count.
+type Mix = (
+    &'static str,
+    fn(usize, &Topology, u64) -> (f64, HostProfSnapshot),
+);
+
+const MIXES: [Mix; 3] = [
+    ("all_local", all_local),
+    ("all_remote", all_remote),
+    ("fault_heavy", fault_heavy),
+];
+
+/// The sweep: each listed processor count boots its own machine under
+/// `topo` and runs the selected mixes once, one boot per (p, mix) cell.
 fn run_sweep(
     ps: &[usize],
     topo: &str,
@@ -326,11 +209,6 @@ fn run_sweep(
     pings: u64,
     only: Option<&str>,
 ) -> Vec<(usize, Vec<SweepCell>)> {
-    let wanted = |name: &str| only.is_none_or(|m| m == name);
-    // Shallow frame pool: the mixes touch at most four pages per node,
-    // and 256 nodes x 4096 frames of real backing storage would be
-    // gigabytes of host memory per boot.
-    const SWEEP_FRAMES: usize = 32;
     let timing = TimingConfig::default();
     let mut out = Vec::new();
     for &p in ps {
@@ -338,34 +216,20 @@ fn run_sweep(
         let t = Topology::by_name(topo, p, &timing).unwrap_or_else(|| {
             panic!("unknown --topology {topo:?} (expected flat, hier2, hier2x4)")
         });
-        let mut cells = Vec::new();
-        if wanted("all_local") {
-            let (secs, prof) = all_local(p, Some(&t), SWEEP_FRAMES, true, ops, true);
-            cells.push(SweepCell {
-                name: "all_local",
-                ops,
-                fast_mips: mips(ops, secs),
-                prof,
-            });
-        }
-        if wanted("all_remote") {
-            let (secs, prof) = all_remote(p, Some(&t), SWEEP_FRAMES, true, ops, true);
-            cells.push(SweepCell {
-                name: "all_remote",
-                ops,
-                fast_mips: mips(ops, secs),
-                prof,
-            });
-        }
-        if wanted("fault_heavy") {
-            let (secs, prof) = fault_heavy(p, Some(&t), SWEEP_FRAMES, true, pings, true);
-            cells.push(SweepCell {
-                name: "fault_heavy",
-                ops: pings,
-                fast_mips: mips(pings, secs),
-                prof,
-            });
-        }
+        let cells: Vec<SweepCell> = MIXES
+            .iter()
+            .filter(|(name, _)| only.is_none_or(|m| m == *name))
+            .map(|&(name, run)| {
+                let ops = if name == "fault_heavy" { pings } else { ops };
+                let (secs, prof) = run(p, &t, ops);
+                SweepCell {
+                    name,
+                    ops,
+                    fast_mips: mips(ops, secs),
+                    prof,
+                }
+            })
+            .collect();
         assert!(
             !cells.is_empty(),
             "--mix must be one of all_local, all_remote, fault_heavy"
@@ -377,6 +241,24 @@ fn run_sweep(
 }
 
 fn sweep_artifact(topo: &str, sweep: &[(usize, Vec<SweepCell>)]) -> String {
+    let cell = |c: &SweepCell| {
+        let per_op = |ns: u64| Value::Num(per_op_ns(ns, c.ops));
+        Value::obj(vec![
+            ("name", Value::Str(c.name.to_string())),
+            ("ops", Value::Int(c.ops)),
+            ("fast_mips", Value::Num(c.fast_mips)),
+            (
+                "host_phase_ns_per_op",
+                Value::obj(vec![
+                    ("fault", per_op(c.prof.fault_ns)),
+                    ("shootdown", per_op(c.prof.shootdown_ns)),
+                    ("transfer", per_op(c.prof.transfer_ns)),
+                    ("directory", per_op(c.prof.directory_ns)),
+                    ("walk", per_op(c.prof.walk_ns)),
+                ]),
+            ),
+        ])
+    };
     Value::obj(vec![
         ("bench", Value::Str("host_throughput".to_string())),
         ("mode", Value::Str("procs_sweep".to_string())),
@@ -392,62 +274,8 @@ fn sweep_artifact(topo: &str, sweep: &[(usize, Vec<SweepCell>)]) -> String {
                     .iter()
                     .map(|(p, cells)| {
                         Value::obj(vec![
-                            ("procs", Value::Num(*p as f64)),
-                            (
-                                "mixes",
-                                Value::Arr(
-                                    cells
-                                        .iter()
-                                        .map(|c| {
-                                            Value::obj(vec![
-                                                ("name", Value::Str(c.name.to_string())),
-                                                ("ops", Value::Num(c.ops as f64)),
-                                                ("fast_mips", Value::Num(c.fast_mips)),
-                                                (
-                                                    "host_phase_ns_per_op",
-                                                    Value::obj(vec![
-                                                        (
-                                                            "fault",
-                                                            Value::Num(per_op_ns(
-                                                                c.prof.fault_ns,
-                                                                c.ops,
-                                                            )),
-                                                        ),
-                                                        (
-                                                            "shootdown",
-                                                            Value::Num(per_op_ns(
-                                                                c.prof.shootdown_ns,
-                                                                c.ops,
-                                                            )),
-                                                        ),
-                                                        (
-                                                            "transfer",
-                                                            Value::Num(per_op_ns(
-                                                                c.prof.transfer_ns,
-                                                                c.ops,
-                                                            )),
-                                                        ),
-                                                        (
-                                                            "directory",
-                                                            Value::Num(per_op_ns(
-                                                                c.prof.directory_ns,
-                                                                c.ops,
-                                                            )),
-                                                        ),
-                                                        (
-                                                            "walk",
-                                                            Value::Num(per_op_ns(
-                                                                c.prof.walk_ns,
-                                                                c.ops,
-                                                            )),
-                                                        ),
-                                                    ]),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
+                            ("procs", Value::Int(*p as u64)),
+                            ("mixes", Value::Arr(cells.iter().map(cell).collect())),
                         ])
                     })
                     .collect(),
@@ -468,179 +296,53 @@ fn write_artifact(out: &str, body: &str) {
     println!("artifact written to {out}");
 }
 
-fn artifact(results: &[MixResult]) -> String {
-    Value::obj(vec![
-        ("bench", Value::Str("host_throughput".to_string())),
-        (
-            "unit",
-            Value::Str("simulated Mrefs per host second".to_string()),
-        ),
-        (
-            "mixes",
-            Value::Arr(
-                results
-                    .iter()
-                    .map(|r| {
-                        Value::obj(vec![
-                            ("name", Value::Str(r.name.to_string())),
-                            ("ops", Value::Num(r.ops as f64)),
-                            ("fast_mips", Value::Num(r.fast_mips)),
-                            ("reference_mips", Value::Num(r.reference_mips)),
-                            ("speedup", Value::Num(r.speedup())),
-                            // Where the fast path's host time goes, from a
-                            // separate profiled slice (the timed slices run
-                            // unprofiled). ns-per-op so different --ops runs
-                            // stay comparable; the four buckets only cover
-                            // slow-path work, so all_local's are near zero.
-                            (
-                                "host_phase_ns_per_op",
-                                Value::obj(vec![
-                                    ("fault", Value::Num(per_op(r.prof.fault_ns, r))),
-                                    ("shootdown", Value::Num(per_op(r.prof.shootdown_ns, r))),
-                                    ("transfer", Value::Num(per_op(r.prof.transfer_ns, r))),
-                                    ("directory", Value::Num(per_op(r.prof.directory_ns, r))),
-                                    ("walk", Value::Num(per_op(r.prof.walk_ns, r))),
-                                ]),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_json()
-}
-
-/// Pulls `"fast_mips":<number>` for `mix` out of a baseline artifact.
-/// Hand-rolled to match the hand-rolled writer; the format is ours.
-fn baseline_mips(json: &str, mix: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\":\"{mix}\""))?;
-    let rest = &json[at..];
-    let v = rest.find("\"fast_mips\":")? + "\"fast_mips\":".len();
-    let tail = &rest[v..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].parse().ok()
-}
-
 fn main() {
     let args = Args::parse();
     let ops = args.get_or("--ops", 2_000_000u64);
     let rounds = args.get_or("--rounds", 20_000u64);
     let mix = args.get::<String>("--mix");
-
-    if let Some(list) = args.get::<String>("--procs") {
-        let ps: Vec<usize> = list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--procs takes a comma-separated list, got {s:?}"))
-            })
-            .collect();
-        let topo = args
-            .get::<String>("--topology")
-            .unwrap_or_else(|| "flat".to_string());
-        let out = args
-            .get::<String>("--out")
-            .unwrap_or_else(|| "results/BENCH_host_throughput_procs.json".to_string());
-        println!("Host throughput vs machine size ({topo} topology)\n");
-        let sweep = run_sweep(&ps, &topo, ops, rounds, mix.as_deref());
-        let mut table = Table::new(vec![
-            "p",
-            "mix",
-            "fast (Mref/s)",
-            "fault ns/op",
-            "shootdown ns/op",
-            "transfer ns/op",
-            "directory ns/op",
-            "walk ns/op",
-        ]);
-        for (p, cells) in &sweep {
-            for c in cells {
-                table.row(vec![
-                    p.to_string(),
-                    c.name.to_string(),
-                    format!("{:.2}", c.fast_mips),
-                    format!("{:.0}", per_op_ns(c.prof.fault_ns, c.ops)),
-                    format!("{:.0}", per_op_ns(c.prof.shootdown_ns, c.ops)),
-                    format!("{:.0}", per_op_ns(c.prof.transfer_ns, c.ops)),
-                    format!("{:.0}", per_op_ns(c.prof.directory_ns, c.ops)),
-                    format!("{:.0}", per_op_ns(c.prof.walk_ns, c.ops)),
-                ]);
-            }
-        }
-        println!("{table}");
-        write_artifact(&out, &sweep_artifact(&topo, &sweep));
-        return;
-    }
-
+    let ps: Vec<usize> = args
+        .get::<String>("--procs")
+        .unwrap_or_else(|| "16,32,64,128".to_string())
+        .split(',')
+        .map(|s| {
+            s.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("--procs takes a comma-separated list, got {s:?}"))
+        })
+        .collect();
+    let topo = args
+        .get::<String>("--topology")
+        .unwrap_or_else(|| "flat".to_string());
     let out = args
         .get::<String>("--out")
-        .unwrap_or_else(|| "results/BENCH_host_throughput.json".to_string());
-
-    println!("Host throughput: simulated references per host second\n");
-    let results = run_mixes(ops, rounds, mix.as_deref());
-
+        .unwrap_or_else(|| "results/BENCH_host_throughput_procs.json".to_string());
+    println!("Host throughput vs machine size ({topo} topology)\n");
+    let sweep = run_sweep(&ps, &topo, ops, rounds, mix.as_deref());
     let mut table = Table::new(vec![
+        "p",
         "mix",
-        "ops",
         "fast (Mref/s)",
-        "reference (Mref/s)",
-        "speedup",
+        "fault ns/op",
+        "shootdown ns/op",
+        "transfer ns/op",
+        "directory ns/op",
+        "walk ns/op",
     ]);
-    for r in &results {
-        table.row(vec![
-            r.name.to_string(),
-            r.ops.to_string(),
-            format!("{:.2}", r.fast_mips),
-            format!("{:.2}", r.reference_mips),
-            format!("{:.2}x", r.speedup()),
-        ]);
+    for (p, cells) in &sweep {
+        for c in cells {
+            table.row(vec![
+                p.to_string(),
+                c.name.to_string(),
+                format!("{:.2}", c.fast_mips),
+                format!("{:.0}", per_op_ns(c.prof.fault_ns, c.ops)),
+                format!("{:.0}", per_op_ns(c.prof.shootdown_ns, c.ops)),
+                format!("{:.0}", per_op_ns(c.prof.transfer_ns, c.ops)),
+                format!("{:.0}", per_op_ns(c.prof.directory_ns, c.ops)),
+                format!("{:.0}", per_op_ns(c.prof.walk_ns, c.ops)),
+            ]);
+        }
     }
     println!("{table}");
-
-    write_artifact(&out, &artifact(&results));
-
-    if args.flag("--check") {
-        let path: String = args.get("--baseline").expect("--check needs --baseline");
-        let tolerance = args.get_or("--tolerance", 0.20f64);
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let mut failed = false;
-        for r in &results {
-            let base = baseline_mips(&baseline, r.name)
-                .unwrap_or_else(|| panic!("{path} has no fast_mips for {}", r.name));
-            let floor = base * (1.0 - tolerance);
-            let verdict = if r.fast_mips < floor {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            println!(
-                "check {:<12} {:.2} Mref/s vs baseline {:.2} (floor {:.2}): {}",
-                r.name, r.fast_mips, base, floor, verdict
-            );
-        }
-        if failed {
-            eprintln!(
-                "host throughput regressed more than {:.0}%",
-                tolerance * 100.0
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::baseline_mips;
-
-    #[test]
-    fn baseline_parser_reads_own_artifact() {
-        let json = r#"{"bench":"host_throughput","mixes":[{"name":"all_local","ops":100,"fast_mips":12.5,"reference_mips":4.1,"speedup":3.04},{"name":"fault_heavy","fast_mips":0.25}]}"#;
-        assert_eq!(baseline_mips(json, "all_local"), Some(12.5));
-        assert_eq!(baseline_mips(json, "fault_heavy"), Some(0.25));
-        assert_eq!(baseline_mips(json, "missing"), None);
-    }
+    write_artifact(&out, &sweep_artifact(&topo, &sweep));
 }

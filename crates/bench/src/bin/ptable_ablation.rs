@@ -53,6 +53,7 @@ use numa_machine::{MachineConfig, Mem, TimingConfig, Topology};
 use platinum::{PlatinumPolicy, PtableConfig, PtablePlacement, Rights, UserCtx, WalkSnapshot};
 use platinum_analysis::report::json::Value;
 use platinum_analysis::report::Table;
+use platinum_bench::check::check_section;
 use platinum_bench::Args;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
@@ -71,10 +72,10 @@ fn boot(procs: usize, topo: &Topology, placement: PtablePlacement, never_freeze:
         .topology(topo.clone())
         .ptable(PtableConfig::with_placement(placement));
     if never_freeze {
-        b = b.policy_box(Box::new(PlatinumPolicy {
+        b = b.policy(PlatinumPolicy {
             t1_ns: 0,
             ..PlatinumPolicy::paper_default()
-        }));
+        });
     }
     b.build()
 }
@@ -275,19 +276,19 @@ fn artifact(topo: &str, cells: &[Cell], checks: &[(String, bool)]) -> String {
                         Value::obj(vec![
                             ("key", Value::Str(c.key())),
                             ("workload", Value::Str(c.workload.to_string())),
-                            ("procs", Value::Num(c.procs as f64)),
+                            ("procs", Value::Int(c.procs as u64)),
                             ("placement", Value::Str(c.placement.name().to_string())),
-                            ("ops", Value::Num(c.ops as f64)),
-                            ("elapsed_ns", Value::Num(c.elapsed_ns as f64)),
-                            ("walks", Value::Num(w.walks as f64)),
-                            ("walk_ns", Value::Num(w.walk_ns as f64)),
-                            ("local_walk_ns", Value::Num(w.local_walk_ns as f64)),
+                            ("ops", Value::Int(c.ops)),
+                            ("elapsed_ns", Value::Int(c.elapsed_ns)),
+                            ("walks", Value::Int(w.walks)),
+                            ("walk_ns", Value::Int(w.walk_ns)),
+                            ("local_walk_ns", Value::Int(w.local_walk_ns)),
                             ("walk_locality", Value::Num(w.walk_locality())),
-                            ("populates", Value::Num(w.populates as f64)),
-                            ("populate_ns", Value::Num(w.populate_ns as f64)),
-                            ("invals", Value::Num(w.invals as f64)),
-                            ("inval_ns", Value::Num(w.inval_ns as f64)),
-                            ("fabric_ns", Value::Num(w.fabric_ns() as f64)),
+                            ("populates", Value::Int(w.populates)),
+                            ("populate_ns", Value::Int(w.populate_ns)),
+                            ("invals", Value::Int(w.invals)),
+                            ("inval_ns", Value::Int(w.inval_ns)),
+                            ("fabric_ns", Value::Int(w.fabric_ns())),
                             ("host_mops", Value::Num(c.host_mops)),
                         ])
                     })
@@ -305,19 +306,6 @@ fn artifact(topo: &str, cells: &[Cell], checks: &[(String, bool)]) -> String {
         ),
     ])
     .to_json()
-}
-
-/// Pulls an integer field out of a baseline cell identified by `key`.
-/// Hand-rolled to match the hand-rolled writer; the format is ours.
-fn baseline_field(json: &str, key: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"key\":\"{key}\""))?;
-    let rest = &json[at..];
-    let cell_end = rest.find('}').unwrap_or(rest.len());
-    let cell = &rest[..cell_end];
-    let v = cell.find(&format!("\"{field}\":"))? + field.len() + 3;
-    let tail = &cell[v..];
-    let end = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..end].parse::<f64>().ok().map(|f| f as u64)
 }
 
 fn write_artifact(out: &str, body: &str) {
@@ -427,55 +415,20 @@ fn main() {
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
         // Virtual-time metrics are exact functions of the configuration,
         // so the comparison is equality, not a tolerance band.
-        let mut failed = false;
+        let mut ok = true;
         for c in &cells {
-            let key = c.key();
-            for (field, got) in [
+            let fields = [
                 ("elapsed_ns", c.elapsed_ns),
                 ("walks", c.walks.walks),
                 ("walk_ns", c.walks.walk_ns),
                 ("fabric_ns", c.walks.fabric_ns()),
-            ] {
-                let Some(want) = baseline_field(&baseline, &key, field) else {
-                    println!("check {key} {field}: absent from baseline, skipped");
-                    continue;
-                };
-                if want != got {
-                    failed = true;
-                    eprintln!("check {key} {field}: {got} != baseline {want}: DRIFT");
-                } else {
-                    println!("check {key} {field}: {got} ok");
-                }
-            }
+            ];
+            ok &= check_section(&baseline, "key", &c.key(), &fields, 0.0);
         }
-        if failed {
+        if !ok {
             eprintln!("ptable ablation drifted from the committed baseline");
             std::process::exit(1);
         }
         println!("baseline check passed: every virtual-time metric exact");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::baseline_field;
-
-    #[test]
-    fn baseline_parser_reads_own_artifact() {
-        let json = r#"{"cells":[{"key":"fault_heavy/p16/centralized","elapsed_ns":123,"walk_ns":456,"fabric_ns":456},{"key":"kv/p16/home_node","elapsed_ns":9}]}"#;
-        assert_eq!(
-            baseline_field(json, "fault_heavy/p16/centralized", "elapsed_ns"),
-            Some(123)
-        );
-        assert_eq!(
-            baseline_field(json, "fault_heavy/p16/centralized", "fabric_ns"),
-            Some(456)
-        );
-        assert_eq!(
-            baseline_field(json, "kv/p16/home_node", "elapsed_ns"),
-            Some(9)
-        );
-        assert_eq!(baseline_field(json, "kv/p16/home_node", "walk_ns"), None);
-        assert_eq!(baseline_field(json, "missing", "elapsed_ns"), None);
     }
 }

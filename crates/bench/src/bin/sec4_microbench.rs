@@ -88,11 +88,12 @@ fn read_miss_non_modified() {
     // Remote kernel data: a second space (home 1), first touch by
     // processor 1, faulting processor 0.
     let mb = MicroBench::new(false);
-    let space2 = mb.kernel.create_space(); // AsId 1 -> home 1
-    let object = mb.kernel.create_object_homed(1, 1);
+    let space2 = mb.sim.kernel.create_space(); // AsId 1 -> home 1
+    let object = mb.sim.kernel.create_object_homed(1, 1);
     let va = space2.map_anywhere(object, platinum::Rights::RW).unwrap();
     {
         let mut c1 = mb
+            .sim
             .kernel
             .attach(std::sync::Arc::clone(&space2), 1, 0)
             .unwrap();
@@ -101,6 +102,7 @@ fn read_miss_non_modified() {
         // Start well past the warmer's clock so the measurement does not
         // inherit residual bus occupancy from setup.
         let mut c0 = mb
+            .sim
             .kernel
             .attach(std::sync::Arc::clone(&space2), 0, 50_000_000)
             .unwrap();

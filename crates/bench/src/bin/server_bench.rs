@@ -25,6 +25,7 @@
 use numa_machine::MachineConfig;
 use platinum_analysis::report::json::Value;
 use platinum_analysis::report::Table;
+use platinum_bench::check::check_section;
 use platinum_bench::{Args, TraceSink};
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{
@@ -109,7 +110,7 @@ fn run_flow(cfg: &BenchConfig) -> WorkloadResult {
 }
 
 fn n(v: u64) -> Value {
-    Value::Num(v as f64)
+    Value::Int(v)
 }
 
 fn workload_value(r: &WorkloadResult) -> Value {
@@ -206,69 +207,18 @@ fn artifact(cfg: &BenchConfig, results: &[WorkloadResult]) -> String {
 
 /// The fields the `--check` gate compares. All are exact integers under
 /// the deterministic open-loop driver.
-const CHECKED_FIELDS: [&str; 8] = [
-    "requests",
-    "elapsed_ns",
-    "p50_ns",
-    "p99_ns",
-    "p999_ns",
-    "checksum",
-    "latency_sum_ns",
-    "retries",
-];
-
-/// Pulls `"field":<number>` out of the named workload's section of a
-/// baseline artifact. Hand-rolled to match the hand-rolled writer.
-fn baseline_field(json: &str, workload: &str, field: &str) -> Option<f64> {
-    let at = json.find(&format!("\"name\":\"{workload}\""))?;
-    let rest = &json[at..];
-    let v = rest.find(&format!("\"{field}\":"))? + field.len() + 3;
-    let tail = &rest[v..];
-    let end = tail.find([',', '}', ']'])?;
-    tail[..end].parse().ok()
-}
-
-fn current_field(r: &WorkloadResult, field: &str) -> f64 {
+fn checked_fields(r: &WorkloadResult) -> [(&'static str, u64); 8] {
     let rep = &r.report;
-    (match field {
-        "requests" => rep.requests,
-        "elapsed_ns" => rep.elapsed_ns,
-        "p50_ns" => rep.latency.p50(),
-        "p99_ns" => rep.latency.p99(),
-        "p999_ns" => rep.latency.p999(),
-        "checksum" => r.checksum,
-        "latency_sum_ns" => rep.latency.sum(),
-        "retries" => rep.retries,
-        other => panic!("unknown check field {other}"),
-    }) as f64
-}
-
-fn check(results: &[WorkloadResult], baseline: &str, tolerance: f64) -> bool {
-    let mut ok = true;
-    for r in results {
-        if baseline_field(baseline, r.name, "requests").is_none() {
-            println!("check {:<4}: baseline has no section, skipped", r.name);
-            continue;
-        }
-        for field in CHECKED_FIELDS {
-            let base = baseline_field(baseline, r.name, field)
-                .unwrap_or_else(|| panic!("baseline has no {field} for {}", r.name));
-            let cur = current_field(r, field);
-            let pass = (cur - base).abs() <= base.abs() * tolerance;
-            if !pass {
-                ok = false;
-            }
-            println!(
-                "check {:<4} {:<16} {:>16} vs baseline {:>16}: {}",
-                r.name,
-                field,
-                cur,
-                base,
-                if pass { "ok" } else { "MISMATCH" }
-            );
-        }
-    }
-    ok
+    [
+        ("requests", rep.requests),
+        ("elapsed_ns", rep.elapsed_ns),
+        ("p50_ns", rep.latency.p50()),
+        ("p99_ns", rep.latency.p99()),
+        ("p999_ns", rep.latency.p999()),
+        ("checksum", r.checksum),
+        ("latency_sum_ns", rep.latency.sum()),
+        ("retries", rep.retries),
+    ]
 }
 
 fn table(results: &[WorkloadResult]) -> Table {
@@ -389,25 +339,13 @@ fn main() {
         let tolerance = args.get_or("--tolerance", 0.0f64);
         let baseline =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        if !check(&results, &baseline, tolerance) {
+        let mut ok = true;
+        for r in &results {
+            ok &= check_section(&baseline, "name", r.name, &checked_fields(r), tolerance);
+        }
+        if !ok {
             eprintln!("server_bench diverged from {path} (tolerance {tolerance})");
             std::process::exit(1);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::baseline_field;
-
-    #[test]
-    fn baseline_parser_reads_own_artifact() {
-        let json = r#"{"bench":"server_bench","workloads":[{"name":"kv","requests":1024,"elapsed_ns":55,"p50_ns":7,"checksum":12345},{"name":"flow","requests":2048,"checksum":9}]}"#;
-        assert_eq!(baseline_field(json, "kv", "requests"), Some(1024.0));
-        assert_eq!(baseline_field(json, "kv", "checksum"), Some(12345.0));
-        assert_eq!(baseline_field(json, "flow", "requests"), Some(2048.0));
-        assert_eq!(baseline_field(json, "flow", "checksum"), Some(9.0));
-        assert_eq!(baseline_field(json, "kv", "missing"), None);
-        assert_eq!(baseline_field(json, "neither", "requests"), None);
     }
 }

@@ -9,20 +9,16 @@
 //! code, as far as the shootdown mechanism is concerned.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use numa_machine::{Machine, MachineConfig, Mem, Va};
-use platinum::{
-    AddressSpace, Kernel, KernelConfig, PlatinumPolicy, Rights, ShootdownMode, UserCtx,
-};
+use numa_machine::{MachineConfig, Mem, Va};
+use platinum::{Rights, ShootdownMode, UserCtx};
+use platinum_runtime::sim::{Sim, SimBuilder};
 
-/// A booted 16-node machine + kernel + space + one mapped page, the §4
-/// measurement fixture.
+/// A booted 16-node simulation + one mapped page, the §4 measurement
+/// fixture.
 pub struct MicroBench {
-    /// The kernel.
-    pub kernel: Arc<Kernel>,
-    /// The measurement address space.
-    pub space: Arc<AddressSpace>,
+    /// The machine, kernel and measurement address space.
+    pub sim: Sim,
     /// A mapped, read-write page.
     pub va: Va,
 }
@@ -39,24 +35,24 @@ impl MicroBench {
 
     /// Boots with an explicit node count.
     pub fn with_nodes(nodes: usize, mach_mode: bool) -> Self {
-        let machine = Machine::new(MachineConfig {
-            nodes,
-            frames_per_node: 256,
-            skew_window_ns: None,
-            ..MachineConfig::default()
-        })
-        .expect("valid machine config");
-        let mut cfg = KernelConfig::default();
-        if mach_mode {
-            cfg.shootdown = ShootdownMode::SharedPmapStall;
-        }
-        let kernel = Kernel::with_config(machine, Box::new(PlatinumPolicy::paper_default()), cfg);
-        let space = kernel.create_space();
-        let object = kernel.create_object(4);
-        let va = space
-            .map_anywhere(object, Rights::RW)
+        let sim = SimBuilder::nodes(nodes)
+            .machine_config(MachineConfig {
+                nodes,
+                frames_per_node: 256,
+                skew_window_ns: None,
+                ..MachineConfig::default()
+            })
+            .shootdown(if mach_mode {
+                ShootdownMode::SharedPmapStall
+            } else {
+                ShootdownMode::PerProcessorPmap
+            })
+            .build();
+        let va = sim
+            .space
+            .map_anywhere(sim.kernel.create_object(4), Rights::RW)
             .expect("fresh mapping");
-        Self { kernel, space, va }
+        Self { sim, va }
     }
 
     /// Attaches a context on `proc`.
@@ -65,9 +61,7 @@ impl MicroBench {
     ///
     /// Panics if the processor is occupied.
     pub fn attach(&self, proc: usize) -> UserCtx {
-        self.kernel
-            .attach(Arc::clone(&self.space), proc, 0)
-            .expect("processor free")
+        self.sim.attach(proc).expect("processor free")
     }
 
     /// Runs `measured` on processor 0 while processors `pollers` run live
@@ -144,6 +138,6 @@ mod tests {
             },
         );
         assert!(cost > 1_000_000, "read miss on modified: {cost} ns");
-        assert_eq!(mb.kernel.stats().snapshot().ipis_sent, 1);
+        assert_eq!(mb.sim.kernel.stats().snapshot().ipis_sent, 1);
     }
 }

@@ -76,19 +76,12 @@ fn remote_ratio(run: &platinum_runtime::measure::RunStats) -> f64 {
 /// independent machines, so each gets its own host thread — and returns
 /// the rows, asserting that the PLATINUM replay reproduces the live run
 /// bit for bit.
-fn sweep(app: &str, captured: &CapturedRun, topo: Option<&Topology>) -> Vec<Row> {
+fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
     let mut rows = Vec::new();
-    let opts = ReplayOptions {
-        topology: topo.cloned(),
-        ptable: None,
-    };
     let outs: Vec<ReplayOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = PolicyKind::FIG1_SET
             .into_iter()
-            .map(|kind| {
-                let opts = &opts;
-                s.spawn(move || opts.replay(&captured.trace, kind))
-            })
+            .map(|kind| s.spawn(move || opts.replay(&captured.trace, kind)))
             .collect();
         handles
             .into_iter()
@@ -276,32 +269,25 @@ pub fn run() {
     let as_json = args.flag("--json");
     // An explicit machine description: `--topology hier2 --nodes 64`
     // reads the same policy comparison on a big hierarchical machine.
-    // Capture and every replay run on the same description, so the
+    // Capture and every replay boot from this one value, so the
     // PLATINUM bit-identity self-check still holds.
     let topo_name = args.get::<String>("--topology");
-    let topo = topo_name.as_deref().map(|name| {
-        Topology::by_name(name, nodes, &TimingConfig::default()).unwrap_or_else(|| {
-            panic!("unknown --topology {name:?} (expected flat, hier2, hier2x4)")
-        })
-    });
+    let opts = ReplayOptions {
+        topology: topo_name.as_deref().map(|name| {
+            Topology::by_name(name, nodes, &TimingConfig::default()).unwrap_or_else(|| {
+                panic!("unknown --topology {name:?} (expected flat, hier2, hier2x4)")
+            })
+        }),
+        ptable: None,
+    };
 
     let mut rows = Vec::new();
     let mut checks: Vec<(String, bool)> = Vec::new();
     for app in apps.split(',').map(str::trim).filter(|a| !a.is_empty()) {
         let captured = match app {
-            "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), topo.as_ref()),
-            "mergesort" => {
-                record_mergesort(nodes, procs, &SortConfig::with_n(sort_n), topo.as_ref())
-            }
-            "neural" => {
-                record_neural(
-                    nodes,
-                    procs,
-                    &NeuralConfig::with_epochs(epochs),
-                    topo.as_ref(),
-                )
-                .0
-            }
+            "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), &opts),
+            "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(sort_n), &opts),
+            "neural" => record_neural(nodes, procs, &NeuralConfig::with_epochs(epochs), &opts).0,
             "kv" => record_kv(
                 nodes,
                 procs,
@@ -320,7 +306,7 @@ pub fn run() {
                     burst_every: 0,
                     ..TrafficConfig::default()
                 },
-                topo.as_ref(),
+                &opts,
             ),
             other => panic!("unknown app {other:?} (expected gauss, mergesort, neural, kv)"),
         };
@@ -333,9 +319,9 @@ pub fn run() {
                 remote_ratio(&captured.live.run) * 100.0,
             );
         }
-        rows.extend(sweep(app, &captured, topo.as_ref()));
+        rows.extend(sweep(app, &captured, &opts));
 
-        if app == "kv" && topo.is_none() {
+        if app == "kv" && opts.topology.is_none() {
             // The serve phase arrives faster than any policy can serve
             // (5 µs mean gap), so per-policy elapsed is service cost:
             // the five placements must price the same request stream
@@ -391,7 +377,7 @@ pub fn run() {
             );
         }
 
-        if app == "gauss" && topo.is_none() {
+        if app == "gauss" && opts.topology.is_none() {
             // The paper's comparison (Fig. 1): coherent memory beats
             // static placement, and local static beats all-remote.
             // Asserted on the flat Butterfly only: the n thresholds

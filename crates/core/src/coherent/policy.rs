@@ -13,6 +13,8 @@
 //! and [`AceStyle`] (Bolosky et al.'s IBM ACE policy discussed in §8) remain
 //! for the existing harnesses.
 
+use std::sync::Arc;
+
 use crate::coherent::cpage::CpState;
 
 /// Everything a policy may consult when deciding how to service a fault.
@@ -81,10 +83,11 @@ pub trait PlacementPolicy: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Historical name for [`PlacementPolicy`], kept so existing call sites
-/// (`Kernel::with_policy(Box<dyn ReplicationPolicy>)`, harness helpers)
-/// keep compiling unchanged.
-pub use self::PlacementPolicy as ReplicationPolicy;
+impl std::fmt::Debug for dyn PlacementPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// The paper's interim policy (§4.2): replicate or migrate if the most
 /// recent protocol invalidation is at least `t1` in the past, otherwise
@@ -337,20 +340,20 @@ impl PolicyKind {
     ];
 
     /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
+    pub fn build(self) -> Arc<dyn PlacementPolicy> {
         match self {
-            PolicyKind::Platinum => Box::new(PlatinumPolicy::paper_default()),
-            PolicyKind::PlatinumThawOnAccess => Box::new(PlatinumPolicy {
+            PolicyKind::Platinum => Arc::new(PlatinumPolicy::paper_default()),
+            PolicyKind::PlatinumThawOnAccess => Arc::new(PlatinumPolicy {
                 t1_ns: 10_000_000,
                 thaw_on_access: true,
             }),
-            PolicyKind::MigrateOnly => Box::new(MigrateOnly),
-            PolicyKind::ReplicateOnly => Box::new(ReplicateOnly),
-            PolicyKind::LocalFirstTouch => Box::new(LocalFirstTouch),
-            PolicyKind::RemoteAlways => Box::new(RemoteAlways),
-            PolicyKind::NeverReplicate => Box::new(NeverReplicate),
-            PolicyKind::AlwaysReplicate => Box::new(AlwaysReplicate),
-            PolicyKind::AceStyle => Box::new(AceStyle::default()),
+            PolicyKind::MigrateOnly => Arc::new(MigrateOnly),
+            PolicyKind::ReplicateOnly => Arc::new(ReplicateOnly),
+            PolicyKind::LocalFirstTouch => Arc::new(LocalFirstTouch),
+            PolicyKind::RemoteAlways => Arc::new(RemoteAlways),
+            PolicyKind::NeverReplicate => Arc::new(NeverReplicate),
+            PolicyKind::AlwaysReplicate => Arc::new(AlwaysReplicate),
+            PolicyKind::AceStyle => Arc::new(AceStyle::default()),
         }
     }
 
@@ -369,6 +372,37 @@ impl PolicyKind {
         }
     }
 }
+
+impl From<PolicyKind> for Arc<dyn PlacementPolicy> {
+    fn from(kind: PolicyKind) -> Self {
+        kind.build()
+    }
+}
+
+/// Every policy object converts into what [`crate::KernelConfig::policy`]
+/// holds, so a setter taking `impl Into<Arc<dyn PlacementPolicy>>` accepts
+/// a [`PolicyKind`], a policy value, or an already-shared object alike.
+/// (A blanket impl over `P: PlacementPolicy` is ruled out by coherence;
+/// a policy defined elsewhere writes the same three lines.)
+macro_rules! policy_into_arc {
+    ($($policy:ty),*) => {$(
+        impl From<$policy> for Arc<dyn PlacementPolicy> {
+            fn from(policy: $policy) -> Self {
+                Arc::new(policy)
+            }
+        }
+    )*};
+}
+policy_into_arc!(
+    PlatinumPolicy,
+    MigrateOnly,
+    ReplicateOnly,
+    LocalFirstTouch,
+    RemoteAlways,
+    NeverReplicate,
+    AlwaysReplicate,
+    AceStyle
+);
 
 impl std::str::FromStr for PolicyKind {
     type Err = String;

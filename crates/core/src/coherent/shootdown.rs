@@ -469,7 +469,7 @@ mod tests {
     use super::*;
     use crate::coherent::cpage::Cpage;
     use crate::kernel::KernelConfig;
-    use crate::{FaultPlan, Lockstep, PlatinumPolicy, Rights, StatsSnapshot};
+    use crate::{FaultPlan, Lockstep, Rights, StatsSnapshot};
 
     /// A randomized shootdown scenario: which processors read which
     /// pages beforehand (the reference masks), which targets are
@@ -561,9 +561,8 @@ mod tests {
             ..MachineConfig::default()
         })
         .unwrap();
-        let kernel = Kernel::with_config(
+        let kernel = Kernel::boot(
             machine,
-            Box::new(PlatinumPolicy::paper_default()),
             KernelConfig {
                 shootdown: if sc.mach_mode {
                     ShootdownMode::SharedPmapStall

@@ -12,7 +12,7 @@ use platinum_trace::{EventKind, Tracer};
 
 use crate::coherent::cpage::{Cpage, CpageInner, CpageTable};
 use crate::coherent::defrost::DefrostState;
-use crate::coherent::policy::{PlacementPolicy, PlatinumPolicy, PolicyKind};
+use crate::coherent::policy::{PlacementPolicy, PlatinumPolicy};
 use crate::coherent::reclaim::ReclaimState;
 use crate::coherent::signal::ActiveSpace;
 use crate::costs::KernelCosts;
@@ -53,12 +53,12 @@ pub struct KernelConfig {
     /// power of two). Purely a host-side concurrency knob: protocol
     /// behaviour is identical at any shard count.
     pub cmap_shards: usize,
-    /// Which placement policy [`Kernel::from_config`] boots with. The
-    /// explicit-`Box` constructors ([`Kernel::with_policy`],
-    /// [`Kernel::with_config`]) override this selector and leave it
-    /// untouched, so it records the *configured* kind, not necessarily
-    /// the installed object.
-    pub policy: PolicyKind,
+    /// The placement policy the kernel runs — the installed object
+    /// itself, so what was configured is what [`Kernel::policy`] returns.
+    /// Anything in the family converts: `PolicyKind::MigrateOnly.into()`,
+    /// `AceStyle { max_migrations: 5 }.into()`, or an `Arc` of a policy
+    /// defined elsewhere.
+    pub policy: Arc<dyn PlacementPolicy>,
     /// Deterministic fault-injection plan, if any. With `None` (the
     /// default) every injection hook is a single pointer test and the
     /// kernel behaves bit-identically to a build without the subsystem.
@@ -77,7 +77,7 @@ impl Default for KernelConfig {
             t2_defrost_ns: 1_000_000_000,
             shootdown: ShootdownMode::PerProcessorPmap,
             cmap_shards: crate::coherent::cmap::DEFAULT_SHARDS,
-            policy: PolicyKind::Platinum,
+            policy: Arc::new(PlatinumPolicy::paper_default()),
             faults: None,
             ptable: PtableConfig::default(),
         }
@@ -111,7 +111,6 @@ pub(crate) struct ProcSlot {
 pub struct Kernel {
     machine: Arc<Machine>,
     cfg: KernelConfig,
-    policy: Box<dyn PlacementPolicy>,
     pub(crate) cpages: CpageTable,
     objects: RwLock<Vec<Arc<MemoryObject>>>,
     spaces: RwLock<Vec<Arc<AddressSpace>>>,
@@ -130,31 +129,10 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Boots a kernel on `machine` with the paper's default policy and
-    /// configuration.
-    pub fn new(machine: Arc<Machine>) -> Arc<Self> {
-        Self::with_policy(machine, Box::new(PlatinumPolicy::paper_default()))
-    }
-
-    /// Boots a kernel with a specific placement policy.
-    pub fn with_policy(machine: Arc<Machine>, policy: Box<dyn PlacementPolicy>) -> Arc<Self> {
-        Self::with_config(machine, policy, KernelConfig::default())
-    }
-
-    /// Boots a kernel entirely from a [`KernelConfig`], instantiating the
-    /// policy named by [`KernelConfig::policy`].
-    pub fn from_config(machine: Arc<Machine>, cfg: KernelConfig) -> Arc<Self> {
-        let policy = cfg.policy.build();
-        Self::with_config(machine, policy, cfg)
-    }
-
-    /// Boots a kernel with full control of policy and configuration. The
-    /// explicit policy object wins over [`KernelConfig::policy`].
-    pub fn with_config(
-        machine: Arc<Machine>,
-        policy: Box<dyn PlacementPolicy>,
-        cfg: KernelConfig,
-    ) -> Arc<Self> {
+    /// Boots a kernel on `machine`. The one constructor: the policy, the
+    /// shootdown mechanism, the fault plan and every other choice arrive
+    /// in `cfg` (`KernelConfig::default()` is the paper's kernel).
+    pub fn boot(machine: Arc<Machine>, cfg: KernelConfig) -> Arc<Self> {
         let slots = (0..machine.nprocs())
             .map(|_| ProcSlot {
                 occupied: AtomicBool::new(false),
@@ -167,7 +145,6 @@ impl Kernel {
         Arc::new(Self {
             machine,
             cfg,
-            policy,
             cpages: CpageTable::new(),
             objects: RwLock::new(Vec::new()),
             spaces: RwLock::new(Vec::new()),
@@ -194,7 +171,7 @@ impl Kernel {
 
     /// The active placement policy.
     pub fn policy(&self) -> &dyn PlacementPolicy {
-        self.policy.as_ref()
+        self.cfg.policy.as_ref()
     }
 
     /// The installed fault-injection plan, if any. `None` on healthy
@@ -428,7 +405,7 @@ mod tests {
             ..MachineConfig::default()
         })
         .unwrap();
-        Kernel::new(m)
+        Kernel::boot(m, KernelConfig::default())
     }
 
     #[test]

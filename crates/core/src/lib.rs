@@ -29,10 +29,10 @@
 //!
 //! ```
 //! use numa_machine::{Machine, MachineConfig, Mem};
-//! use platinum::{Kernel, Rights};
+//! use platinum::{Kernel, KernelConfig, Rights};
 //!
 //! let machine = Machine::new(MachineConfig::with_nodes(4)).unwrap();
-//! let kernel = Kernel::new(machine);
+//! let kernel = Kernel::boot(machine, KernelConfig::default());
 //! let space = kernel.create_space();
 //! let object = kernel.create_object(2); // two pages
 //! let base = space.map_anywhere(object, Rights::RW).unwrap();
@@ -70,7 +70,6 @@ pub use coherent::policy::PolicyKind;
 pub use coherent::policy::{
     AceStyle, AlwaysReplicate, FaultAction, FaultInfo, LocalFirstTouch, MigrateOnly,
     NeverReplicate, PlacementPolicy, PlatinumPolicy, RemoteAlways, ReplicateOnly,
-    ReplicationPolicy,
 };
 pub use costs::KernelCosts;
 pub use error::{KernelError, Result};

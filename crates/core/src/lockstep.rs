@@ -95,7 +95,7 @@ mod tests {
     use numa_machine::{Machine, MachineConfig, Mem};
 
     use super::*;
-    use crate::{AddressSpace, Kernel, Rights};
+    use crate::{AddressSpace, Kernel, KernelConfig, Rights};
 
     /// A kernel on `nodes` processors with one mapped page; returns the
     /// page's address.
@@ -107,7 +107,7 @@ mod tests {
             ..MachineConfig::default()
         })
         .unwrap();
-        let kernel = Kernel::new(machine);
+        let kernel = Kernel::boot(machine, KernelConfig::default());
         let space = kernel.create_space();
         let va = space
             .map_anywhere(kernel.create_object(1), Rights::RW)

@@ -291,10 +291,11 @@ impl UserCtx {
     }
 
     /// Services the IPI doorbell — and nothing else: no access-counter
-    /// tick, no throttling, no defrost opportunity. External spin loops
-    /// that must stay responsive to shootdowns *without* perturbing the
-    /// kernel-entry schedule (the reference-trace recorder's gate, the
-    /// replay engine's turn wait) call this instead of touching memory.
+    /// tick, no throttling, no defrost opportunity. Callers that must
+    /// stay responsive to shootdowns *without* perturbing the
+    /// kernel-entry schedule (the reference-trace recorder's gate wait,
+    /// the lockstep executor draining an awaited target inline) call
+    /// this instead of touching memory.
     pub fn service_ipis(&mut self) {
         if self.core.take_ipi() {
             self.drain_messages();

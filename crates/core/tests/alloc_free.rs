@@ -49,13 +49,15 @@ fn steady_state_fault_path_is_allocation_free() {
     .unwrap();
     // t1 = 0: invalidations are never "recent", so the page migrates on
     // every write fault and never freezes — the pure slow-path regime.
-    let kernel = Kernel::with_config(
+    let kernel = Kernel::boot(
         machine,
-        Box::new(PlatinumPolicy {
-            t1_ns: 0,
-            ..PlatinumPolicy::paper_default()
-        }),
-        KernelConfig::default(),
+        KernelConfig {
+            policy: Arc::new(PlatinumPolicy {
+                t1_ns: 0,
+                ..PlatinumPolicy::paper_default()
+            }),
+            ..KernelConfig::default()
+        },
     );
     let space = kernel.create_space();
     let object = kernel.create_object(1);

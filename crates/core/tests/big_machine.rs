@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{CpState, Kernel, PlatinumPolicy, Rights, UserCtx};
+use platinum::{CpState, Kernel, KernelConfig, Rights, UserCtx};
 use proptest::prelude::*;
 
 fn machine(nodes: usize) -> Arc<Machine> {
@@ -50,7 +50,7 @@ fn attach_suspended(kernel: &Arc<Kernel>, procs: &[usize]) -> (u64, Vec<UserCtx>
 /// replicate to every reader, shoot all replicas down from the writer,
 /// and verify the directory, refmask, and re-read values at each stage.
 fn round_trip(nodes: usize, readers: &[usize], writer: usize) {
-    let kernel = Kernel::with_policy(machine(nodes), Box::new(PlatinumPolicy::paper_default()));
+    let kernel = Kernel::boot(machine(nodes), KernelConfig::default());
     let mut procs: Vec<usize> = readers.to_vec();
     if !procs.contains(&writer) {
         procs.push(writer);

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{AlwaysReplicate, Kernel, PlatinumPolicy, Rights};
+use platinum::{AlwaysReplicate, Kernel, KernelConfig, Rights};
 
 fn machine(nodes: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -26,7 +26,7 @@ fn machine(nodes: usize) -> Arc<Machine> {
 fn shared_counter_no_lost_updates() {
     const THREADS: usize = 4;
     const OPS: u32 = 5_000;
-    let kernel = Kernel::new(machine(THREADS));
+    let kernel = Kernel::boot(machine(THREADS), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(1);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -59,7 +59,7 @@ fn per_word_monotonicity_under_replication() {
     const WORDS: u64 = 64;
     const ROUNDS: u32 = 300;
     const READERS: usize = 3;
-    let kernel = Kernel::new(machine(READERS + 1));
+    let kernel = Kernel::boot(machine(READERS + 1), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(1);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -109,7 +109,7 @@ fn concurrent_initiators_do_not_deadlock() {
     const THREADS: usize = 4;
     const PAGES: usize = 6;
     const ROUNDS: usize = 60;
-    let kernel = Kernel::new(machine(THREADS));
+    let kernel = Kernel::boot(machine(THREADS), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(PAGES);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -146,7 +146,13 @@ fn always_replicate_is_coherent_under_contention() {
     // The most protocol-hostile policy: every remote write migrates.
     const THREADS: usize = 3;
     const OPS: u32 = 400;
-    let kernel = Kernel::with_policy(machine(THREADS), Box::new(AlwaysReplicate));
+    let kernel = Kernel::boot(
+        machine(THREADS),
+        KernelConfig {
+            policy: Arc::new(AlwaysReplicate),
+            ..KernelConfig::default()
+        },
+    );
     let space = kernel.create_space();
     let object = kernel.create_object(1);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -173,7 +179,7 @@ fn always_replicate_is_coherent_under_contention() {
 
 #[test]
 fn ports_block_and_deliver_in_order_per_sender() {
-    let kernel = Kernel::new(machine(3));
+    let kernel = Kernel::boot(machine(3), KernelConfig::default());
     let space = kernel.create_space();
     let port = kernel.create_port();
     // A shared page being written concurrently ensures shootdowns happen
@@ -236,14 +242,7 @@ fn freeze_then_quiet_period_then_replication_recovers() {
         t2_defrost_ns: 50_000_000, // 50 ms virtual
         ..Default::default()
     };
-    let kernel = Kernel::with_config(
-        m,
-        Box::new(PlatinumPolicy {
-            t1_ns: 10_000_000,
-            thaw_on_access: false,
-        }),
-        cfg,
-    );
+    let kernel = Kernel::boot(m, cfg);
     let space = kernel.create_space();
     let object = kernel.create_object(1);
     let va = space.map_anywhere(object, Rights::RW).unwrap();

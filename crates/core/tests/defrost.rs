@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
 use platinum::trace::{EventKind, TraceConfig, Tracer};
-use platinum::{Kernel, KernelConfig, PlatinumPolicy, Rights, UserCtx};
+use platinum::{Kernel, KernelConfig, Rights, UserCtx};
 
 fn machine_with(nodes: usize, skew: Option<u64>) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -20,7 +20,7 @@ fn machine_with(nodes: usize, skew: Option<u64>) -> Arc<Machine> {
 }
 
 fn setup(nodes: usize) -> (Arc<Kernel>, u64, Vec<UserCtx>) {
-    let kernel = Kernel::new(machine_with(nodes, None));
+    let kernel = Kernel::boot(machine_with(nodes, None), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(2);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -133,7 +133,10 @@ fn refreeze_after_thaw_reenrolls() {
 fn thaw_races_concurrent_faults() {
     const WORKERS: usize = 3;
     const OPS: u32 = 2_000;
-    let kernel = Kernel::new(machine_with(WORKERS + 1, Some(5_000_000)));
+    let kernel = Kernel::boot(
+        machine_with(WORKERS + 1, Some(5_000_000)),
+        KernelConfig::default(),
+    );
     let space = kernel.create_space();
     let object = kernel.create_object(1);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -190,9 +193,8 @@ fn thaw_races_concurrent_faults() {
 #[test]
 fn t2_activation_ordering_under_skew_window() {
     const T2: u64 = 2_000_000; // 2 ms, small enough to hit repeatedly
-    let kernel = Kernel::with_config(
+    let kernel = Kernel::boot(
         machine_with(2, Some(5_000_000)),
-        Box::new(PlatinumPolicy::paper_default()),
         KernelConfig {
             t2_defrost_ns: T2,
             ..KernelConfig::default()

@@ -14,10 +14,7 @@ use std::sync::Arc;
 
 use numa_machine::{AccessCounters, Machine, MachineConfig, Mem, ProcSet};
 use platinum::trace::{EventKind, TraceConfig, Tracer};
-use platinum::{
-    AlwaysReplicate, FaultPlan, Kernel, KernelConfig, PlatinumPolicy, Rights, StatsSnapshot,
-    UserCtx,
-};
+use platinum::{AlwaysReplicate, FaultPlan, Kernel, KernelConfig, Rights, StatsSnapshot, UserCtx};
 
 fn machine(nodes: usize, fast_path: bool) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -63,9 +60,8 @@ fn run_scripted(
 ) -> Observation {
     const P: usize = 4;
     const PAGES: usize = 8;
-    let kernel = Kernel::with_config(
+    let kernel = Kernel::boot(
         machine(P, fast_path),
-        Box::new(PlatinumPolicy::paper_default()),
         KernelConfig {
             cmap_shards,
             faults,
@@ -203,10 +199,10 @@ type StressOutcome = (
 fn run_stress(cmap_shards: usize) -> StressOutcome {
     const P: usize = 8;
     const PAGES: usize = 32;
-    let kernel = Kernel::with_config(
+    let kernel = Kernel::boot(
         machine(P, true),
-        Box::new(AlwaysReplicate),
         KernelConfig {
+            policy: Arc::new(AlwaysReplicate),
             cmap_shards,
             ..KernelConfig::default()
         },

@@ -7,9 +7,7 @@ use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
 use platinum::trace::{EventKind, TraceConfig, TraceEvent, Tracer};
-use platinum::{
-    FaultPlan, FaultSite, Kernel, KernelConfig, KernelError, PlatinumPolicy, Rights, UserCtx,
-};
+use platinum::{FaultPlan, FaultSite, Kernel, KernelConfig, KernelError, Rights, UserCtx};
 
 fn machine(nodes: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -22,9 +20,8 @@ fn machine(nodes: usize) -> Arc<Machine> {
 }
 
 fn kernel_with_plan(nodes: usize, plan: Arc<FaultPlan>) -> Arc<Kernel> {
-    Kernel::with_config(
+    Kernel::boot(
         machine(nodes),
-        Box::new(PlatinumPolicy::paper_default()),
         KernelConfig {
             faults: Some(plan),
             ..KernelConfig::default()

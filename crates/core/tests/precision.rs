@@ -59,7 +59,7 @@ fn with_pollers<T: Send>(
 /// active" — live processors that never touched the page get no IPI.
 #[test]
 fn shootdown_interrupts_only_actual_users() {
-    let kernel = Kernel::new(machine(6));
+    let kernel = Kernel::boot(machine(6), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(2);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -111,7 +111,7 @@ fn mach_comparator_interrupts_everyone_active() {
         shootdown: ShootdownMode::SharedPmapStall,
         ..Default::default()
     };
-    let kernel = Kernel::with_config(m, Box::new(platinum::PlatinumPolicy::paper_default()), cfg);
+    let kernel = Kernel::boot(m, cfg);
     let space = kernel.create_space();
     let object = kernel.create_object(2);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -148,7 +148,7 @@ fn mach_comparator_interrupts_everyone_active() {
 /// applied lazily from the message queue on reactivation.
 #[test]
 fn inactive_targets_get_messages_not_interrupts() {
-    let kernel = Kernel::new(machine(4));
+    let kernel = Kernel::boot(machine(4), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(1);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -185,7 +185,7 @@ fn inactive_targets_get_messages_not_interrupts() {
 
 #[test]
 fn port_try_recv_and_multiple_senders() {
-    let kernel = Kernel::new(machine(3));
+    let kernel = Kernel::boot(machine(3), KernelConfig::default());
     let space = kernel.create_space();
     let port = kernel.create_port();
     let mut rx = kernel.attach(Arc::clone(&space), 0, 0).unwrap();
@@ -214,7 +214,7 @@ fn port_try_recv_and_multiple_senders() {
 
 #[test]
 fn port_receive_advances_clock_past_send() {
-    let kernel = Kernel::new(machine(2));
+    let kernel = Kernel::boot(machine(2), KernelConfig::default());
     let space = kernel.create_space();
     let port = kernel.create_port();
     let mut tx = kernel.attach(Arc::clone(&space), 0, 0).unwrap();
@@ -232,7 +232,7 @@ fn port_receive_advances_clock_past_send() {
 
 #[test]
 fn thread_registry_tracks_lifecycle_and_migration() {
-    let kernel = Kernel::new(machine(4));
+    let kernel = Kernel::boot(machine(4), KernelConfig::default());
     let space = kernel.create_space();
     let id = {
         let mut ctx = kernel.attach(Arc::clone(&space), 0, 0).unwrap();
@@ -267,7 +267,7 @@ fn thread_registry_tracks_lifecycle_and_migration() {
 
 #[test]
 fn switch_space_updates_registry_and_protects_old_mappings() {
-    let kernel = Kernel::new(machine(2));
+    let kernel = Kernel::boot(machine(2), KernelConfig::default());
     let s1 = kernel.create_space();
     let s2 = kernel.create_space();
     let o1 = kernel.create_object(1);

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
 use platinum::{
-    AceStyle, AlwaysReplicate, CpState, Kernel, NeverReplicate, PlatinumPolicy, ReplicationPolicy,
-    Rights, UserCtx,
+    AceStyle, AlwaysReplicate, CpState, Kernel, KernelConfig, NeverReplicate, PlacementPolicy,
+    PlatinumPolicy, PolicyKind, Rights, UserCtx,
 };
 
 fn machine(nodes: usize) -> Arc<Machine> {
@@ -27,9 +27,15 @@ fn machine(nodes: usize) -> Arc<Machine> {
 
 fn setup_with_policy(
     nodes: usize,
-    policy: Box<dyn ReplicationPolicy>,
+    policy: Arc<dyn PlacementPolicy>,
 ) -> (Arc<Kernel>, u64, Vec<UserCtx>) {
-    let kernel = Kernel::with_policy(machine(nodes), policy);
+    let kernel = Kernel::boot(
+        machine(nodes),
+        KernelConfig {
+            policy,
+            ..KernelConfig::default()
+        },
+    );
     let space = kernel.create_space();
     let object = kernel.create_object(4);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -40,7 +46,7 @@ fn setup_with_policy(
 }
 
 fn setup(nodes: usize) -> (Arc<Kernel>, u64, Vec<UserCtx>) {
-    setup_with_policy(nodes, Box::new(PlatinumPolicy::paper_default()))
+    setup_with_policy(nodes, PolicyKind::Platinum.into())
 }
 
 /// State snapshot helpers.
@@ -297,7 +303,7 @@ fn thaw_on_access_variant_replicates_after_t1() {
         t1_ns: 10_000_000,
         thaw_on_access: true,
     };
-    let (kernel, va, mut ctxs) = setup_with_policy(3, Box::new(policy));
+    let (kernel, va, mut ctxs) = setup_with_policy(3, Arc::new(policy));
     ctxs[0].write(va, 1);
     ctxs[0].suspend();
     ctxs[1].write(va, 2);
@@ -343,7 +349,7 @@ fn thaw_on_access_variant_replicates_after_t1() {
 
 #[test]
 fn never_replicate_remote_maps() {
-    let (kernel, va, mut ctxs) = setup_with_policy(3, Box::new(NeverReplicate));
+    let (kernel, va, mut ctxs) = setup_with_policy(3, Arc::new(NeverReplicate));
     ctxs[0].write(va, 42);
     assert_eq!(ctxs[1].read(va), 42);
     assert_eq!(ctxs[2].read(va), 42);
@@ -362,7 +368,7 @@ fn never_replicate_remote_maps() {
 
 #[test]
 fn never_replicate_remote_write_keeps_placement() {
-    let (kernel, va, mut ctxs) = setup_with_policy(2, Box::new(NeverReplicate));
+    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(NeverReplicate));
     ctxs[0].write(va, 1);
     ctxs[0].suspend();
     ctxs[1].write(va, 2);
@@ -377,7 +383,7 @@ fn never_replicate_remote_write_keeps_placement() {
 
 #[test]
 fn always_replicate_never_freezes() {
-    let (kernel, va, mut ctxs) = setup_with_policy(2, Box::new(AlwaysReplicate));
+    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(AlwaysReplicate));
     for round in 0..4u32 {
         ctxs[1].suspend();
         ctxs[0].resume();
@@ -398,7 +404,7 @@ fn always_replicate_never_freezes() {
 
 #[test]
 fn ace_style_bounds_migrations_then_freezes() {
-    let (kernel, va, mut ctxs) = setup_with_policy(2, Box::new(AceStyle { max_migrations: 2 }));
+    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(AceStyle { max_migrations: 2 }));
     ctxs[0].write(va, 0);
     for round in 1..6u32 {
         let (a, b) = if round % 2 == 1 { (0, 1) } else { (1, 0) };
@@ -440,7 +446,7 @@ fn replication_preserves_data_and_invalidation_propagates() {
 
 #[test]
 fn two_address_spaces_share_one_object_coherently() {
-    let kernel = Kernel::new(machine(2));
+    let kernel = Kernel::boot(machine(2), KernelConfig::default());
     let object = kernel.create_object(1);
     let s1 = kernel.create_space();
     let s2 = kernel.create_space();

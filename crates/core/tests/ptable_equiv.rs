@@ -21,8 +21,7 @@ use std::sync::Arc;
 use numa_machine::{AccessCounters, Machine, MachineConfig, Mem, ProcSet};
 use platinum::trace::{TraceConfig, TraceEvent, Tracer};
 use platinum::{
-    Kernel, KernelConfig, PlatinumPolicy, PtableConfig, PtablePlacement, Rights, StatsSnapshot,
-    UserCtx,
+    Kernel, KernelConfig, PtableConfig, PtablePlacement, Rights, StatsSnapshot, UserCtx,
 };
 use proptest::prelude::*;
 
@@ -80,9 +79,8 @@ fn run_schedule(
     ptable: PtableConfig,
     steps: &[Step],
 ) -> Observation {
-    let kernel = Kernel::with_config(
+    let kernel = Kernel::boot(
         machine(procs, fast_path),
-        Box::new(PlatinumPolicy::paper_default()),
         KernelConfig {
             ptable,
             ..KernelConfig::default()

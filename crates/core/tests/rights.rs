@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{Kernel, KernelError, Rights};
+use platinum::{Kernel, KernelConfig, KernelError, Rights};
 
 fn kernel() -> Arc<Kernel> {
     let m = Machine::new(MachineConfig {
@@ -15,7 +15,7 @@ fn kernel() -> Arc<Kernel> {
         ..MachineConfig::default()
     })
     .unwrap();
-    Kernel::new(m)
+    Kernel::boot(m, KernelConfig::default())
 }
 
 #[test]

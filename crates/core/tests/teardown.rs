@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{Kernel, KernelError, Rights, UserCtx};
+use platinum::{Kernel, KernelConfig, KernelError, Rights, UserCtx};
 
 fn machine(nodes: usize, frames: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -24,7 +24,7 @@ fn attach_all(kernel: &Arc<Kernel>, space: &Arc<platinum::AddressSpace>, n: usiz
 
 #[test]
 fn unmap_invalidates_translations_everywhere() {
-    let kernel = Kernel::new(machine(3, 32));
+    let kernel = Kernel::boot(machine(3, 32), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(2);
     let va = space.map_anywhere(Arc::clone(&object), Rights::RW).unwrap();
@@ -59,7 +59,7 @@ fn unmap_invalidates_translations_everywhere() {
 
 #[test]
 fn destroy_object_frees_frames_and_requires_no_bindings() {
-    let kernel = Kernel::new(machine(2, 32));
+    let kernel = Kernel::boot(machine(2, 32), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(3);
     let va = space.map_anywhere(Arc::clone(&object), Rights::RW).unwrap();
@@ -95,7 +95,7 @@ fn destroy_object_frees_frames_and_requires_no_bindings() {
 fn replica_eviction_survives_memory_pressure() {
     // Node 0 has very few frames; a reader on node 0 replicating many
     // pages must evict older replicas instead of dying.
-    let kernel = Kernel::new(machine(2, 8));
+    let kernel = Kernel::boot(machine(2, 8), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(6);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -140,7 +140,7 @@ fn replica_eviction_survives_memory_pressure() {
 fn out_of_memory_without_evictable_replicas_is_reported() {
     // Every frame on node 0 holds a *sole* copy: nothing is evictable,
     // so allocation must fail cleanly rather than evict someone's data.
-    let kernel = Kernel::new(machine(1, 4));
+    let kernel = Kernel::boot(machine(1, 4), KernelConfig::default());
     let space = kernel.create_space();
     let object = kernel.create_object(5);
     let va = space.map_anywhere(object, Rights::RW).unwrap();
@@ -157,7 +157,7 @@ fn out_of_memory_without_evictable_replicas_is_reported() {
 
 #[test]
 fn reclaim_prefers_replicas_and_keeps_sole_copies() {
-    let kernel = Kernel::new(machine(2, 4));
+    let kernel = Kernel::boot(machine(2, 4), KernelConfig::default());
     let space = kernel.create_space();
     // Two pages of private data on node 0 (sole copies), then replicas
     // of remote pages until node 0 fills; further replicas must evict

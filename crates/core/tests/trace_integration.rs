@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
 use platinum::trace::{chrome, EventKind, FaultResolution, TraceConfig, Tracer};
-use platinum::{CpState, Kernel, PlatinumPolicy, Rights, UserCtx};
+use platinum::{CpState, Kernel, KernelConfig, Rights, UserCtx};
 
 fn traced_setup(nodes: usize) -> (Arc<Kernel>, Arc<Tracer>, u64, Vec<UserCtx>) {
     let machine = Machine::new(MachineConfig {
@@ -17,7 +17,7 @@ fn traced_setup(nodes: usize) -> (Arc<Kernel>, Arc<Tracer>, u64, Vec<UserCtx>) {
         ..MachineConfig::default()
     })
     .unwrap();
-    let kernel = Kernel::with_policy(machine, Box::new(PlatinumPolicy::paper_default()));
+    let kernel = Kernel::boot(machine, KernelConfig::default());
     let tracer = Tracer::new(TraceConfig::default());
     assert!(kernel.install_tracer(Arc::clone(&tracer)));
     let space = kernel.create_space();
@@ -193,7 +193,7 @@ fn counters_work_without_tracer() {
         ..MachineConfig::default()
     })
     .unwrap();
-    let kernel = Kernel::with_policy(machine, Box::new(PlatinumPolicy::paper_default()));
+    let kernel = Kernel::boot(machine, KernelConfig::default());
     assert!(kernel.tracer().is_none());
     let space = kernel.create_space();
     let object = kernel.create_object(1);

@@ -122,9 +122,14 @@ pub struct MachineConfig {
     /// ATC hit with sufficient rights, the access resolves through cached
     /// frame/module pointers instead of walking the machine's tables. The
     /// timing model, counters and traces are identical either way — this
-    /// only changes host-side work per simulated access. Disable to force
-    /// every access through the reference slow path (used by the
-    /// equivalence tests).
+    /// only changes host-side work per simulated access. `false` forces
+    /// every access through the reference slow path. Nothing ships that
+    /// way: its only callers are the three equivalence suites
+    /// (`machine/tests/fast_path_equiv.rs`,
+    /// `core/tests/fast_path_kernel_equiv.rs`,
+    /// `core/tests/ptable_equiv.rs`), which compare the fast path against
+    /// it. It is the reference those tests need, not a second mode to
+    /// simplify away.
     pub fast_path: bool,
 }
 

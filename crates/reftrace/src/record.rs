@@ -18,15 +18,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use numa_machine::{MachineConfig, Mem, Topology, Va};
+use numa_machine::{MachineConfig, Mem, Va};
 use parking_lot::Mutex;
-use platinum::{Kernel, PolicyKind, PtableConfig, StatsSnapshot, UserCtx};
+use platinum::{Kernel, PolicyKind, StatsSnapshot, UserCtx};
 use platinum_runtime::measure::{RunStats, WorkerStats};
-use platinum_runtime::sim::{Sim, SimBuilder};
+use platinum_runtime::sim::Sim;
 use platinum_runtime::zones::Zone;
 
 use crate::format::{Op, Phase, Rec, RefTrace};
 use crate::gate::Gate;
+use crate::replay::ReplayOptions;
 
 /// The release-time map is bounded: one entry per recorded op would grow
 /// without limit on long runs, and only *recent* post-times ever match an
@@ -78,42 +79,19 @@ pub struct Capture {
 
 impl Capture {
     /// Boots a `nodes`-node capture machine: PLATINUM policy, 4096 frames
-    /// per node, virtual-clock skew window disabled (serialized execution
-    /// needs no throttle, and replay uses the same setting).
-    pub fn new(nodes: usize) -> Self {
-        Self::on_topology(nodes, None)
-    }
-
-    /// Like [`Capture::new`] on an explicit machine description. The
-    /// trace format does not record the topology — a replay must be
-    /// handed the same one (`ReplayOptions::topology`) for its virtual
-    /// times to mean anything; with `None` the machine is the flat
-    /// Butterfly and plain `replay` matches.
-    pub fn on_topology(nodes: usize, topo: Option<&Topology>) -> Self {
-        Self::on_config(nodes, topo, None)
-    }
-
-    /// Like [`Capture::on_topology`] with an explicit translation-fabric
-    /// configuration. As with the topology, the trace format does not
-    /// record the ptable config — a replay must be handed the same one
-    /// (`ReplayOptions::ptable`) for bit-identity to hold; `None` boots
-    /// the default centralized placement and plain `replay` matches.
-    pub fn on_config(nodes: usize, topo: Option<&Topology>, ptable: Option<PtableConfig>) -> Self {
-        let mut mc = MachineConfig::with_nodes(nodes);
-        mc.frames_per_node = 4096;
-        mc.skew_window_ns = None;
-        let mut b = SimBuilder::nodes(nodes)
-            .machine_config(mc)
-            .policy_kind(PolicyKind::Platinum);
-        if let Some(t) = topo {
-            b = b.topology(t.clone());
-        }
-        if let Some(p) = ptable {
-            b = b.ptable(p);
-        }
-        let sim = b.build();
+    /// per node, on the topology and page-table fabric `opts` names. The
+    /// trace format records neither — replay the finished trace through
+    /// the same `opts` value ([`ReplayOptions::replay`]) and it runs on
+    /// the same machine; with `ReplayOptions::default()` that is the flat
+    /// Butterfly with centralized tables, and plain `replay` matches.
+    pub fn new(nodes: usize, opts: &ReplayOptions) -> Self {
         Self {
-            sim,
+            sim: opts.boot(
+                nodes,
+                4096,
+                MachineConfig::default().page_shift,
+                PolicyKind::Platinum,
+            ),
             zones: Vec::new(),
             phases: Vec::new(),
         }

@@ -74,10 +74,12 @@ impl ReplayOutcome {
     }
 }
 
-/// What a replay machine needs that the trace format does not record.
-/// Both must match the capture machine's for the bit-identity guarantee
-/// to hold; any value yields a deterministic replay (same trace + policy
-/// + options → identical virtual times).
+/// What a record/replay machine needs that the trace format does not
+/// record. Hand [`Capture::new`](crate::Capture::new) and
+/// [`ReplayOptions::replay`] the same value and both boot the same
+/// machine — one function builds it for either side — which is what the
+/// bit-identity guarantee rests on; any value yields a deterministic
+/// replay (same trace + policy + options → identical virtual times).
 #[derive(Clone, Debug, Default)]
 pub struct ReplayOptions {
     /// The machine description; `None` is the flat Butterfly.
@@ -91,7 +93,10 @@ impl ReplayOptions {
     /// Replays `trace` against `kind` on the machine these options
     /// describe. See [`replay`].
     pub fn replay(&self, trace: &RefTrace, kind: PolicyKind) -> ReplayOutcome {
-        let sim = self.boot(trace, kind);
+        let sim = self.boot(trace.nodes, trace.frames_per_node, trace.page_shift, kind);
+        for &pages in &trace.zones {
+            sim.alloc_zone(pages as usize);
+        }
         let phases = trace
             .phases
             .iter()
@@ -104,26 +109,28 @@ impl ReplayOptions {
         }
     }
 
-    /// Boots a replay machine matching the capture machine.
-    fn boot(&self, trace: &RefTrace, kind: PolicyKind) -> Sim {
-        let mut mc = MachineConfig::with_nodes(trace.nodes);
-        mc.frames_per_node = trace.frames_per_node;
-        mc.page_shift = trace.page_shift;
+    /// Boots the machine a capture runs on and every replay of it
+    /// rebuilds: virtual-clock skew window disabled (serialized execution
+    /// needs no throttle), these options' topology and page-table fabric.
+    pub(crate) fn boot(
+        &self,
+        nodes: usize,
+        frames_per_node: usize,
+        page_shift: u32,
+        kind: PolicyKind,
+    ) -> Sim {
+        let mut mc = MachineConfig::with_nodes(nodes);
+        mc.frames_per_node = frames_per_node;
+        mc.page_shift = page_shift;
         mc.skew_window_ns = None;
-        let mut b = SimBuilder::nodes(trace.nodes)
-            .machine_config(mc)
-            .policy_kind(kind);
+        let mut b = SimBuilder::nodes(nodes).machine_config(mc).policy(kind);
         if let Some(t) = &self.topology {
             b = b.topology(t.clone());
         }
         if let Some(p) = self.ptable {
             b = b.ptable(p);
         }
-        let sim = b.build();
-        for &pages in &trace.zones {
-            sim.alloc_zone(pages as usize);
-        }
-        sim
+        b.build()
     }
 }
 
@@ -225,14 +232,18 @@ fn exec(ctx: &mut UserCtx, op: Op, post: &[u64], block_buf: &mut Vec<u32>) {
 mod tests {
     use super::*;
     use crate::record::Capture;
+    use numa_machine::TimingConfig;
     use platinum_runtime::sync::{Barrier, SpinLock};
 
     /// A small hand-written workload exercising every op kind the
     /// recorder emits: private sweeps, a contended lock + shared counter
     /// (spin reads, atomics, advance_to release edges), a barrier, block
     /// transfers, and compute charges.
-    fn capture_mini(nodes: usize) -> (crate::RefTrace, RunStats, StatsSnapshot) {
-        let mut cap = Capture::new(nodes);
+    fn capture_mini(
+        nodes: usize,
+        opts: &ReplayOptions,
+    ) -> (crate::RefTrace, RunStats, StatsSnapshot) {
+        let mut cap = Capture::new(nodes, opts);
         let sync = cap.alloc_zone(1);
         let data = cap.alloc_zone(4);
         let lock_va = sync.base();
@@ -273,30 +284,38 @@ mod tests {
 
     #[test]
     fn same_policy_replay_is_bit_identical() {
-        let (trace, live, live_kernel) = capture_mini(3);
-        assert!(trace.total_ops() > 0);
-        let out = replay(&trace, PolicyKind::Platinum);
-        assert_eq!(out.phases.len(), 1);
-        let replayed = &out.phases[0].stats;
-        for (a, b) in live.workers.iter().zip(&replayed.workers) {
-            assert_eq!(a.proc, b.proc);
-            assert_eq!(a.vtime_ns, b.vtime_ns, "proc {} vtime drifted", a.proc);
-            assert_eq!(a.counters, b.counters, "proc {} counters drifted", a.proc);
+        // The default machine, and one whose description the trace does
+        // not carry: capture and replay go through the same value.
+        let hier2 = ReplayOptions {
+            topology: Some(Topology::hier2(4, 2, &TimingConfig::default())),
+            ..ReplayOptions::default()
+        };
+        for (nodes, opts) in [(3, ReplayOptions::default()), (4, hier2)] {
+            let (trace, live, live_kernel) = capture_mini(nodes, &opts);
+            assert!(trace.total_ops() > 0);
+            let out = opts.replay(&trace, PolicyKind::Platinum);
+            assert_eq!(out.phases.len(), 1);
+            let replayed = &out.phases[0].stats;
+            for (a, b) in live.workers.iter().zip(&replayed.workers) {
+                assert_eq!(a.proc, b.proc);
+                assert_eq!(a.vtime_ns, b.vtime_ns, "proc {} vtime drifted", a.proc);
+                assert_eq!(a.counters, b.counters, "proc {} counters drifted", a.proc);
+            }
+            assert_eq!(
+                trace.phases[0].final_vtimes,
+                replayed
+                    .workers
+                    .iter()
+                    .map(|w| w.vtime_ns)
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(out.kernel, live_kernel, "kernel protocol counters drifted");
         }
-        assert_eq!(
-            trace.phases[0].final_vtimes,
-            replayed
-                .workers
-                .iter()
-                .map(|w| w.vtime_ns)
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(out.kernel, live_kernel, "kernel protocol counters drifted");
     }
 
     #[test]
     fn replay_survives_serialization_round_trip() {
-        let (trace, live, _) = capture_mini(2);
+        let (trace, live, _) = capture_mini(2, &ReplayOptions::default());
         let mut buf = Vec::new();
         trace.write_to(&mut buf).unwrap();
         let back = crate::RefTrace::read_from(&mut buf.as_slice()).unwrap();
@@ -307,7 +326,7 @@ mod tests {
 
     #[test]
     fn other_policies_replay_to_completion() {
-        let (trace, live, _) = capture_mini(2);
+        let (trace, live, _) = capture_mini(2, &ReplayOptions::default());
         for kind in [
             PolicyKind::MigrateOnly,
             PolicyKind::ReplicateOnly,

@@ -33,7 +33,7 @@ pub mod sync;
 pub mod zones;
 
 pub use measure::{RunStats, WorkerStats};
-pub use par::{run_uma_workers, run_workers, PlatinumHarness};
+pub use par::{run_uma_workers, run_workers};
 /// The lockstep executor: one host thread drives every processor's
 /// context in a caller-chosen order (re-exported from the kernel crate,
 /// where its shootdown-ack hook lives).

@@ -3,99 +3,10 @@
 use std::sync::Arc;
 
 use numa_machine::uma::{UmaConfig, UmaCtx, UmaMachine};
-use numa_machine::{MachineConfig, Mem};
-use platinum::{
-    AddressSpace, Kernel, KernelConfig, PlatinumPolicy, ReplicationPolicy, Rights, UserCtx,
-};
+use numa_machine::Mem;
+use platinum::{AddressSpace, Kernel, UserCtx};
 
 use crate::measure::{RunStats, WorkerStats};
-use crate::zones::Zone;
-
-/// A convenience bundle: a booted machine + kernel + one address space,
-/// ready to run an application. This is the "shell" the paper's
-/// programming experiments used (§9).
-pub struct PlatinumHarness {
-    /// The kernel.
-    pub kernel: Arc<Kernel>,
-    /// The application's address space.
-    pub space: Arc<AddressSpace>,
-}
-
-impl PlatinumHarness {
-    /// Boots a `nodes`-processor machine with the paper's default policy.
-    pub fn new(nodes: usize) -> Self {
-        Self::with_policy(nodes, Box::new(PlatinumPolicy::paper_default()))
-    }
-
-    /// Boots with a specific replication policy. (Benchmarks replicate
-    /// freely; the builder's default frame pool is deeper than the
-    /// Butterfly's 4 MB so frame exhaustion never perturbs the curves —
-    /// documented substitution; see DESIGN.md.)
-    pub fn with_policy(nodes: usize, policy: Box<dyn ReplicationPolicy>) -> Self {
-        crate::sim::SimBuilder::nodes(nodes)
-            .policy_box(policy)
-            .build()
-            .into()
-    }
-
-    /// Boots with full control of machine and kernel configuration.
-    /// Thin delegate to [`crate::sim::SimBuilder`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid machine configuration — harness setup is
-    /// programmer-controlled.
-    pub fn with_config(
-        machine: MachineConfig,
-        policy: Box<dyn ReplicationPolicy>,
-        kernel: KernelConfig,
-    ) -> Self {
-        crate::sim::SimBuilder::nodes(machine.nodes)
-            .machine_config(machine)
-            .policy_box(policy)
-            .kernel_config(kernel)
-            .build()
-            .into()
-    }
-
-    /// The number of processors.
-    pub fn nprocs(&self) -> usize {
-        self.kernel.machine().nprocs()
-    }
-}
-
-impl From<crate::sim::Sim> for PlatinumHarness {
-    fn from(sim: crate::sim::Sim) -> Self {
-        Self {
-            kernel: sim.kernel,
-            space: sim.space,
-        }
-    }
-}
-
-impl PlatinumHarness {
-    /// Creates a memory object of `pages` pages, maps it into the
-    /// application's space, and wraps it as an allocation [`Zone`].
-    pub fn alloc_zone(&self, pages: usize) -> Zone {
-        let object = self.kernel.create_object(pages);
-        let base = self
-            .space
-            .map_anywhere(object, Rights::RW)
-            .expect("fresh mapping cannot conflict");
-        let words = pages * self.kernel.machine().cfg().words_per_page();
-        Zone::new(base, words, self.kernel.machine().cfg().words_per_page())
-    }
-
-    /// Runs `f(worker_index, ctx)` on processors `0..n` in parallel and
-    /// collects results plus per-worker statistics.
-    pub fn run<F, R>(&self, n: usize, f: F) -> (Vec<R>, RunStats)
-    where
-        F: Fn(usize, &mut UserCtx) -> R + Sync,
-        R: Send,
-    {
-        run_workers(&self.kernel, &self.space, n, f)
-    }
-}
 
 /// Runs `f(worker_index, ctx)` on processors `0..n` of `kernel`, one OS
 /// thread per simulated processor, starting all virtual clocks at 0.
@@ -205,10 +116,11 @@ pub fn uma_machine(procs: usize, mem_words: usize) -> Arc<UmaMachine> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimBuilder;
 
     #[test]
     fn harness_runs_workers() {
-        let h = PlatinumHarness::new(4);
+        let h = SimBuilder::nodes(4).build();
         let mut zone = h.alloc_zone(1);
         let counter = zone.alloc_words(1);
         let (results, stats) = h.run(4, |i, ctx| {
@@ -224,7 +136,7 @@ mod tests {
 
     #[test]
     fn harness_runs_twice_reusing_processors() {
-        let h = PlatinumHarness::new(2);
+        let h = SimBuilder::nodes(2).build();
         let mut zone = h.alloc_zone(1);
         let word = zone.alloc_words(1);
         let (_, s1) = h.run(2, |_, ctx| ctx.fetch_add(word, 1));

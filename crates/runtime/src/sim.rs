@@ -1,9 +1,11 @@
 //! One-call simulator setup: the [`SimBuilder`] fluent facade.
 //!
 //! Booting a PLATINUM simulation by hand takes five steps — machine
-//! config, `Machine::new`, `Kernel::with_config`, `create_space`, and
+//! config, `Machine::new`, `Kernel::boot`, `create_space`, and
 //! per-thread `attach` — plus tracer and fault-plan installation for
-//! instrumented runs. The builder folds all of that into one chain:
+//! instrumented runs. The builder folds all of that into one chain, and
+//! everything above the kernel crate (applications, benchmark binaries,
+//! record/replay, the server tier, examples) boots through it:
 //!
 //! ```
 //! use platinum_runtime::sim::SimBuilder;
@@ -25,8 +27,8 @@ use std::sync::Arc;
 use numa_machine::{Machine, MachineConfig, Topology};
 use platinum::trace::{TraceConfig, Tracer};
 use platinum::{
-    AddressSpace, FaultPlan, Kernel, KernelConfig, PolicyKind, PtableConfig, ReplicationPolicy,
-    Rights, ShootdownMode, UserCtx,
+    AddressSpace, FaultPlan, Kernel, KernelConfig, PlacementPolicy, PtableConfig, Rights,
+    ShootdownMode, UserCtx,
 };
 
 use crate::measure::RunStats;
@@ -43,7 +45,6 @@ pub struct SimBuilder {
     machine: Option<MachineConfig>,
     frames_per_node: Option<usize>,
     topology: Option<Topology>,
-    policy: Option<Box<dyn ReplicationPolicy>>,
     kernel: KernelConfig,
     trace: Option<(PathBuf, TraceConfig)>,
 }
@@ -57,7 +58,6 @@ impl SimBuilder {
             machine: None,
             frames_per_node: None,
             topology: None,
-            policy: None,
             kernel: KernelConfig::default(),
             trace: None,
         }
@@ -89,30 +89,17 @@ impl SimBuilder {
         self
     }
 
-    /// Selects a placement policy by kind. The selector is also recorded
-    /// in the kernel configuration, so `sim.kernel.config().policy`
-    /// reports what the simulation was booted with.
-    pub fn policy_kind(mut self, kind: PolicyKind) -> Self {
-        self.kernel.policy = kind;
-        self.policy = None;
+    /// Installs the placement policy: a [`platinum::PolicyKind`], a
+    /// policy value such as `AceStyle { max_migrations: 5 }`, or an
+    /// already-shared `Arc<dyn PlacementPolicy>`. The last call wins, and
+    /// `sim.kernel.policy()` is the object given here.
+    pub fn policy(mut self, policy: impl Into<Arc<dyn PlacementPolicy>>) -> Self {
+        self.kernel.policy = policy.into();
         self
     }
 
-    /// Selects a placement policy by kind (alias of
-    /// [`SimBuilder::policy_kind`], kept for existing call sites).
-    pub fn policy(self, kind: PolicyKind) -> Self {
-        self.policy_kind(kind)
-    }
-
-    /// Installs a custom placement policy object (overrides
-    /// [`SimBuilder::policy_kind`]).
-    pub fn policy_box(mut self, policy: Box<dyn ReplicationPolicy>) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Replaces the whole kernel configuration (later shootdown/defrost/
-    /// cmap/faults calls edit this).
+    /// Replaces the whole kernel configuration, policy included (later
+    /// policy/shootdown/defrost/cmap/faults calls edit this).
     pub fn kernel_config(mut self, cfg: KernelConfig) -> Self {
         self.kernel = cfg;
         self
@@ -184,10 +171,7 @@ impl SimBuilder {
             mcfg.topology = self.topology;
         }
         let machine = Machine::new(mcfg).expect("valid machine config");
-        let kernel = match self.policy {
-            Some(policy) => Kernel::with_config(Arc::clone(&machine), policy, self.kernel),
-            None => Kernel::from_config(Arc::clone(&machine), self.kernel),
-        };
+        let kernel = Kernel::boot(Arc::clone(&machine), self.kernel);
         let trace_path = self.trace.map(|(path, tcfg)| {
             kernel.install_tracer(Tracer::new(tcfg));
             path
@@ -281,6 +265,7 @@ impl Sim {
 mod tests {
     use super::*;
     use numa_machine::Mem;
+    use platinum::{AceStyle, PolicyKind};
 
     #[test]
     fn builder_boots_and_spawns() {
@@ -336,18 +321,27 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_selects_and_records() {
+    fn policy_setter_installs_what_it_is_given() {
         for kind in PolicyKind::FIG1_SET {
-            let sim = SimBuilder::nodes(2).policy_kind(kind).build();
-            assert_eq!(sim.kernel.config().policy, kind);
+            let sim = SimBuilder::nodes(2).policy(kind).build();
             assert_eq!(sim.kernel.policy().name(), kind.build().name());
         }
-        // An explicit policy object wins over the recorded kind.
+        // A policy object, and the last call wins in either order.
         let sim = SimBuilder::nodes(2)
-            .policy_kind(PolicyKind::RemoteAlways)
-            .policy_box(Box::new(platinum::PlatinumPolicy::paper_default()))
+            .policy(PolicyKind::RemoteAlways)
+            .policy(AceStyle { max_migrations: 5 })
             .build();
-        assert_eq!(sim.kernel.policy().name(), "platinum");
+        assert_eq!(sim.kernel.policy().name(), "ace-style");
+        let sim = SimBuilder::nodes(2)
+            .policy(AceStyle { max_migrations: 5 })
+            .policy(PolicyKind::RemoteAlways)
+            .build();
+        assert_eq!(sim.kernel.policy().name(), "remote-always");
+        // No call at all: the paper's policy.
+        assert_eq!(
+            SimBuilder::nodes(2).build().kernel.policy().name(),
+            "platinum"
+        );
     }
 
     #[test]
@@ -368,17 +362,5 @@ mod tests {
         // No topology: the flat Butterfly default.
         let sim = SimBuilder::nodes(2).build();
         assert_eq!(sim.machine.topology().name(), "flat");
-    }
-
-    #[test]
-    fn run_matches_harness_boilerplate() {
-        // The facade and the hand-rolled boot produce the same simulation.
-        let sim = SimBuilder::nodes(2).build();
-        let by_hand = crate::par::PlatinumHarness::new(2);
-        assert_eq!(sim.nprocs(), by_hand.nprocs());
-        assert_eq!(
-            sim.machine.cfg().frames_per_node,
-            by_hand.kernel.machine().cfg().frames_per_node
-        );
     }
 }

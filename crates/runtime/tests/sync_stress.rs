@@ -3,14 +3,14 @@
 //! generations, and event-count ordering must all hold while the pages
 //! underneath them freeze and thaw.
 
-use platinum_runtime::par::PlatinumHarness;
+use platinum_runtime::sim::SimBuilder;
 use platinum_runtime::sync::{Barrier, EventCount, SpinLock};
 
 use numa_machine::Mem;
 
 #[test]
 fn spinlock_provides_mutual_exclusion() {
-    let h = PlatinumHarness::new(4);
+    let h = SimBuilder::nodes(4).build();
     let mut zone = h.alloc_zone(2);
     let lock_va = zone.alloc_page_aligned(1);
     let counter = zone.alloc_page_aligned(1);
@@ -33,7 +33,7 @@ fn spinlock_provides_mutual_exclusion() {
 
 #[test]
 fn lock_acquirer_inherits_release_time() {
-    let h = PlatinumHarness::new(2);
+    let h = SimBuilder::nodes(2).build();
     let mut zone = h.alloc_zone(1);
     let lock = SpinLock::new(zone.alloc_words(1));
     let (times, _) = h.run(2, |tid, ctx| {
@@ -63,7 +63,7 @@ fn lock_acquirer_inherits_release_time() {
 
 #[test]
 fn barrier_runs_many_generations() {
-    let h = PlatinumHarness::new(4);
+    let h = SimBuilder::nodes(4).build();
     let mut zone = h.alloc_zone(2);
     let counters = zone.alloc_page_aligned(4);
     let b1 = zone.alloc_page_aligned(2);
@@ -87,7 +87,7 @@ fn barrier_runs_many_generations() {
 
 #[test]
 fn event_count_orders_producer_chain() {
-    let h = PlatinumHarness::new(3);
+    let h = SimBuilder::nodes(3).build();
     let mut zone = h.alloc_zone(2);
     let data = zone.alloc_page_aligned(64);
     let ec = EventCount::new(zone.alloc_page_aligned(1));
@@ -115,7 +115,7 @@ fn event_count_orders_producer_chain() {
 fn sync_pages_freeze_under_contention() {
     // The §4.2 phenomenon that motivates allocation zones: a heavily
     // contended lock page ends up frozen.
-    let h = PlatinumHarness::new(4);
+    let h = SimBuilder::nodes(4).build();
     let mut zone = h.alloc_zone(2);
     let lock = SpinLock::new(zone.alloc_page_aligned(1));
     let scratch = zone.alloc_page_aligned(4);

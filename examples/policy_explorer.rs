@@ -7,9 +7,7 @@
 
 use platinum_repro::apps::harness::PolicyKind;
 use platinum_repro::apps::workloads::{round_robin, SharingConfig};
-use platinum_repro::kernel::KernelConfig;
-use platinum_repro::machine::MachineConfig;
-use platinum_repro::runtime::par::PlatinumHarness;
+use platinum_repro::runtime::sim::SimBuilder;
 use platinum_repro::runtime::sync::EventCount;
 
 fn main() {
@@ -41,9 +39,10 @@ fn main() {
         PolicyKind::AlwaysReplicate,
         PolicyKind::AceStyle,
     ] {
-        let mut mcfg = MachineConfig::with_nodes(p);
-        mcfg.frames_per_node = 128;
-        let h = PlatinumHarness::with_config(mcfg, policy.build(), KernelConfig::default());
+        let h = SimBuilder::nodes(p)
+            .frames_per_node(128)
+            .policy(policy)
+            .build();
         let mut data = h.alloc_zone(2);
         let base = data.alloc_page_aligned(cfg.struct_words);
         let mut sync = h.alloc_zone(1);

@@ -11,12 +11,13 @@
 
 use std::sync::Arc;
 
-use platinum_repro::kernel::{Kernel, Rights};
-use platinum_repro::machine::{Machine, MachineConfig, Mem};
+use platinum_repro::kernel::Rights;
+use platinum_repro::machine::Mem;
+use platinum_repro::runtime::sim::SimBuilder;
 
 fn main() {
-    let machine = Machine::new(MachineConfig::with_nodes(4)).expect("valid config");
-    let kernel = Kernel::new(machine);
+    // The stages make their own address spaces; only the kernel is kept.
+    let kernel = SimBuilder::nodes(4).build().kernel;
 
     // A three-stage pipeline: generate -> square -> sum. Each stage runs
     // in its own address space with its own private scratch memory.

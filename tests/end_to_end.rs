@@ -146,9 +146,7 @@ fn anecdote_thawing_rescues_colocated_layout() {
 fn ace_policy_slower_on_coarse_grain_migratory_sharing() {
     // §8: bounding migrations leaves coarse-grain sharing remote forever.
     use platinum_repro::apps::workloads::{round_robin, SharingConfig};
-    use platinum_repro::kernel::KernelConfig;
-    use platinum_repro::machine::MachineConfig;
-    use platinum_repro::runtime::par::PlatinumHarness;
+    use platinum_repro::runtime::sim::SimBuilder;
     use platinum_repro::runtime::sync::EventCount;
 
     let cfg = SharingConfig {
@@ -159,9 +157,10 @@ fn ace_policy_slower_on_coarse_grain_migratory_sharing() {
         compute_ns_per_op: 15_000_000,
     };
     let run_with = |policy: PolicyKind| {
-        let mut mcfg = MachineConfig::with_nodes(4);
-        mcfg.frames_per_node = 64;
-        let h = PlatinumHarness::with_config(mcfg, policy.build(), KernelConfig::default());
+        let h = SimBuilder::nodes(4)
+            .frames_per_node(64)
+            .policy(policy)
+            .build();
         let mut data = h.alloc_zone(2);
         let base = data.alloc_page_aligned(cfg.struct_words);
         let mut sync = h.alloc_zone(1);

@@ -13,10 +13,11 @@ use std::sync::Arc;
 
 use platinum_repro::kernel::trace::{EventKind, TraceConfig, Tracer};
 use platinum_repro::kernel::{
-    AceStyle, AlwaysReplicate, Kernel, NeverReplicate, PlatinumPolicy, ReplicationPolicy, Rights,
+    AceStyle, AlwaysReplicate, Kernel, NeverReplicate, PlacementPolicy, PlatinumPolicy, Rights,
     UserCtx,
 };
-use platinum_repro::machine::{Machine, MachineConfig, Mem};
+use platinum_repro::machine::{MachineConfig, Mem};
+use platinum_repro::runtime::sim::SimBuilder;
 
 const PROCS: usize = 4;
 const PAGES: usize = 3;
@@ -54,12 +55,12 @@ fn policy_strategy() -> impl Strategy<Value = usize> {
     0..4usize
 }
 
-fn build_policy(which: usize) -> Box<dyn ReplicationPolicy> {
+fn build_policy(which: usize) -> Arc<dyn PlacementPolicy> {
     match which {
-        0 => Box::new(PlatinumPolicy::paper_default()),
-        1 => Box::new(NeverReplicate),
-        2 => Box::new(AlwaysReplicate),
-        _ => Box::new(AceStyle::default()),
+        0 => Arc::new(PlatinumPolicy::paper_default()),
+        1 => Arc::new(NeverReplicate),
+        2 => Arc::new(AlwaysReplicate),
+        _ => Arc::new(AceStyle::default()),
     }
 }
 
@@ -72,15 +73,16 @@ struct Fixture {
 
 impl Fixture {
     fn new(which_policy: usize) -> Self {
-        let machine = Machine::new(MachineConfig {
-            nodes: PROCS,
-            frames_per_node: 64,
-            skew_window_ns: None,
-            ..MachineConfig::default()
-        })
-        .unwrap();
-        let kernel = Kernel::with_policy(machine, build_policy(which_policy));
-        let space = kernel.create_space();
+        let sim = SimBuilder::nodes(PROCS)
+            .machine_config(MachineConfig {
+                nodes: PROCS,
+                frames_per_node: 64,
+                skew_window_ns: None,
+                ..MachineConfig::default()
+            })
+            .policy(build_policy(which_policy))
+            .build();
+        let (kernel, space) = (sim.kernel, sim.space);
         let object = kernel.create_object(PAGES);
         let base = space.map_anywhere(object, Rights::RW).unwrap();
         let mut ctxs: Vec<UserCtx> = (0..PROCS)
