@@ -176,8 +176,10 @@ pub fn run_gauss_profiled(
     topo: Option<&numa_machine::Topology>,
 ) -> ProfiledRun {
     let mut b = SimBuilder::nodes(nodes)
-        // Shallow frame pool: a 256-node machine at the default 4096
-        // frames/node would allocate gigabytes of real backing storage.
+        // 512 rather than the default 4096 is a model input, not a
+        // host-memory budget (frames materialise on first use): the
+        // inverted-page-table hash is `% frames_per_node`, and the
+        // published `--procs` sweeps were taken with it.
         .frames_per_node(512)
         .policy(PolicyKind::Platinum);
     if let Some(t) = topo {

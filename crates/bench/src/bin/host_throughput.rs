@@ -40,9 +40,10 @@ use platinum_analysis::report::Table;
 use platinum_bench::Args;
 use platinum_runtime::sim::{Sim, SimBuilder};
 
-// Shallow frame pool: the mixes touch at most four pages per node, and
-// 256 nodes x 4096 frames of real backing storage would be gigabytes of
-// host memory per boot.
+// The mixes touch at most four pages per node. The pool depth is a model
+// input, not a host-memory budget (frames materialise on first use): the
+// inverted-page-table hash is `% frames_per_node`, so it fixes every probe
+// count, and the sweep's recorded numbers were taken at 32.
 const SWEEP_FRAMES: usize = 32;
 
 fn boot(nodes: usize, topo: &Topology, policy: impl Into<Arc<dyn PlacementPolicy>>) -> Sim {

@@ -63,8 +63,10 @@ use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
 /// so every round stays on the full migrate path.
 fn boot(procs: usize, topo: &Topology, placement: PtablePlacement, never_freeze: bool) -> Sim {
     let mut mcfg = MachineConfig::with_nodes(procs);
-    // Shallow frame pool: the workloads touch few pages per node, and
-    // big-p boots should not cost gigabytes of host backing store.
+    // The workloads touch few pages per node. 256 is a model input, not
+    // a host-memory budget (frames materialise on first use): the
+    // inverted-page-table hash is `% frames_per_node`, and the exact
+    // baseline in results/ was recorded with it.
     mcfg.frames_per_node = 256;
     mcfg.skew_window_ns = None;
     let mut b = SimBuilder::nodes(procs)

@@ -191,7 +191,7 @@ impl Kernel {
                     .policy()
                     .place_first_touch(me, vpn, self.machine().nprocs());
                 let pp = self.alloc_frame(ctx, home, cpage, &ProcSet::empty())?;
-                self.charge_zero_fill(ctx);
+                self.zero_fill(ctx, pp);
                 g.add_copy(pp);
                 g.state = CpState::Present1;
                 self.map_page(ctx, entry, vpn, pp, false, g);
@@ -448,7 +448,7 @@ impl Kernel {
                 .policy()
                 .place_first_touch(me, vpn, self.machine().nprocs());
             let pp = self.alloc_frame(ctx, home, cpage, &ProcSet::empty())?;
-            self.charge_zero_fill(ctx);
+            self.zero_fill(ctx, pp);
             g.add_copy(pp);
             g.state = CpState::Modified;
             self.map_page(ctx, entry, vpn, pp, true, g);
@@ -953,8 +953,11 @@ impl Kernel {
         Err(KernelError::OutOfMemory)
     }
 
-    /// Zero-fill cost for a fresh page (a fast local clear loop).
-    fn charge_zero_fill(&self, ctx: &mut UserCtx) {
+    /// Zero-fills the fresh page's frame `pp` — it may be a recycled
+    /// frame still holding its previous page's words — and charges the
+    /// clear (a fast local loop). `pp` is allocated but not yet mapped.
+    fn zero_fill(&self, ctx: &mut UserCtx, pp: PhysPage) {
+        self.machine().frame_data(pp).zero();
         let words = self.machine().cfg().words_per_page() as u64;
         // ~80 ns/word: a tight clear loop is much faster than discrete
         // word stores on the 68020.

@@ -347,7 +347,11 @@ impl Kernel {
 
     /// Builds the post-mortem memory-management report (§4.2).
     pub fn report(&self) -> MemoryReport {
-        MemoryReport::build(&self.cpages, &self.stats)
+        MemoryReport::build(
+            &self.cpages,
+            &self.stats,
+            self.machine.frames_materialized(),
+        )
     }
 
     /// Locks a coherent page from the fault path: polls the caller's IPI

@@ -291,10 +291,18 @@ pub struct MemoryReport {
     pub pages: Vec<CpageReport>,
     /// Machine-wide event counters.
     pub totals: StatsSnapshot,
+    /// Frames whose storage the machine has materialised so far: the
+    /// run's host-memory footprint in pages, which follows the pages it
+    /// touched and not `frames_per_node`.
+    pub frames_materialized: usize,
 }
 
 impl MemoryReport {
-    pub(crate) fn build(table: &CpageTable, stats: &KernelStats) -> Self {
+    pub(crate) fn build(
+        table: &CpageTable,
+        stats: &KernelStats,
+        frames_materialized: usize,
+    ) -> Self {
         let pages = table
             .snapshot()
             .into_iter()
@@ -318,6 +326,7 @@ impl MemoryReport {
         Self {
             pages,
             totals: stats.snapshot(),
+            frames_materialized,
         }
     }
 
@@ -373,7 +382,8 @@ impl fmt::Display for MemoryReport {
                 if p.frozen_now { "  [FROZEN]" } else { "" },
             )?;
         }
-        write!(f, "{}", self.totals)
+        write!(f, "{}", self.totals)?;
+        writeln!(f, "  frames materialised{:>9}", self.frames_materialized)
     }
 }
 
@@ -426,11 +436,12 @@ mod tests {
             g.lock_wait_ns = 5000;
         }
         let stats = KernelStats::default();
-        let r = MemoryReport::build(&t, &stats);
+        let r = MemoryReport::build(&t, &stats, 3);
         assert_eq!(r.pages.len(), 1);
         assert_eq!(r.pages[0].faults, 7);
         assert_eq!(r.ever_frozen().len(), 1);
         assert_eq!(r.most_contended(5).len(), 1);
         assert!(r.to_string().contains("cp0"));
+        assert!(r.to_string().contains("frames materialised        3\n"));
     }
 }

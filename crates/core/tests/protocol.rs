@@ -381,6 +381,48 @@ fn never_replicate_remote_write_keeps_placement() {
     assert_eq!(ctxs[0].read(va), 2);
 }
 
+/// A frame recycled through `free_frame` must not leak its previous
+/// page's words into the next page's first touch. One frame per node, so
+/// page B's first touch on node 0 is certain to reuse the frame page A
+/// migrated out of.
+#[test]
+fn first_touch_zero_fills_a_recycled_frame() {
+    let machine = Machine::new(MachineConfig {
+        nodes: 2,
+        frames_per_node: 1,
+        skew_window_ns: None,
+        ..MachineConfig::default()
+    })
+    .unwrap();
+    let page_bytes = machine.cfg().page_bytes();
+    let kernel = Kernel::boot(
+        machine,
+        KernelConfig {
+            policy: Arc::new(AlwaysReplicate),
+            ..KernelConfig::default()
+        },
+    );
+    let space = kernel.create_space();
+    let object = kernel.create_object(2);
+    let page_a = space.map_anywhere(object, Rights::RW).unwrap();
+    let page_b = page_a + page_bytes;
+    let mut p0 = kernel.attach(Arc::clone(&space), 0, 0).unwrap();
+    let mut p1 = kernel.attach(space, 1, 0).unwrap();
+
+    p0.write(page_a + 5 * 4, 0xdead);
+    p0.suspend();
+    p1.write(page_a, 1); // migrates A to node 1, freeing node 0's frame
+    assert_eq!(kernel.machine().module(0).frames_allocated(), 0);
+    p1.suspend();
+    p0.resume();
+    assert_eq!(
+        p0.read(page_b + 5 * 4),
+        0,
+        "a never-written page read back the recycled frame's old contents"
+    );
+    assert_eq!(kernel.machine().module(0).frames_allocated(), 1);
+}
+
 #[test]
 fn always_replicate_never_freezes() {
     let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(AlwaysReplicate));

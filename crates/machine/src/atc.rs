@@ -36,11 +36,14 @@ const INVALID: AtcEntry = AtcEntry {
 /// access.
 ///
 /// The pointers are borrowed from the [`crate::Machine`] that owns the
-/// frame. They stay valid for the machine's whole lifetime: `MemoryModule`
-/// allocates its `frames` array once at boot and never grows, shrinks or
-/// moves it — `free_frame` only retags the frame's inverted-page-table
-/// owner. A handle is only ever dereferenced by the processor core that
-/// installed it, which holds an `Arc<Machine>` keeping the storage alive.
+/// frame. They stay valid for the machine's whole lifetime: a frame's
+/// storage is materialised by the `MemoryModule::frame` call that resolved
+/// the handle, into a write-once slot of a boxed slice, and from then on
+/// the module never moves, replaces or frees it — `free_frame` only retags
+/// the frame's inverted-page-table owner, and other frames materialising
+/// later fill their own slots. A handle is only ever dereferenced by the
+/// processor core that installed it, which holds an `Arc<Machine>` keeping
+/// the storage alive.
 #[derive(Clone, Copy)]
 pub struct FrameHandle {
     pub(crate) frame: *const Frame,
@@ -112,10 +115,11 @@ pub struct Atc {
 }
 
 // SAFETY: the raw pointers in `handles` point into a `Machine`'s frame
-// storage, which is `Sync` (frames are `AtomicU32` words) and immovable for
-// the machine's lifetime. An `Atc` is owned by one `ProcCore`, which holds
-// an `Arc<Machine>` keeping that storage alive, so moving the `Atc` to
-// another thread along with its core is sound.
+// storage, which is `Sync` (frames are `AtomicU32` words) and, once
+// materialised, immovable for the machine's lifetime. An `Atc` is owned by
+// one `ProcCore`, which holds an `Arc<Machine>` keeping that storage
+// alive, so moving the `Atc` to another thread along with its core is
+// sound.
 unsafe impl Send for Atc {}
 
 impl Atc {

@@ -153,10 +153,20 @@ impl Frame {
         }
     }
 
-    /// Zero-fills the frame (page allocation of a fresh coherent page).
+    /// Zero-fills the frame: the fault handler's first-touch clear of a
+    /// freshly allocated page (§3.3), which may be a recycled frame still
+    /// holding its previous page's words.
     pub fn zero(&self) {
-        for w in self.words.iter() {
-            w.store(0, Ordering::Relaxed);
+        if self.words.is_empty() {
+            return;
+        }
+        // SAFETY: one memset instead of a per-word atomic loop, by the
+        // same argument as `copy_from`: `AtomicU32` has the in-memory
+        // representation of `u32`, the pointer and length are those of
+        // `self.words`, and the kernel zeroes a frame only between
+        // allocating it and mapping it, so no other access is concurrent.
+        unsafe {
+            std::ptr::write_bytes(self.words[0].as_ptr(), 0, self.words.len());
         }
     }
 
@@ -168,9 +178,10 @@ impl Frame {
     /// Panics if the range is out of bounds.
     pub fn store_slice(&self, idx: usize, src: &[u32]) {
         assert!(idx + src.len() <= self.len(), "store_slice out of bounds");
-        // One bounds check, then a straight zip: the compiler turns this
-        // into a vectorizable copy while every store stays a relaxed
-        // atomic (frozen pages allow concurrent readers of other words).
+        // One bounds check, then a straight zip. LLVM does not vectorise
+        // or merge atomic stores, relaxed ones included, so this is one
+        // 32-bit store per word; they must stay atomic because a frozen
+        // page allows concurrent accesses to its other words.
         for (w, &v) in self.words[idx..idx + src.len()].iter().zip(src) {
             w.store(v, Ordering::Relaxed);
         }

@@ -23,7 +23,9 @@
 //! [`ProcCore`] where it is translated by the ATC and charged virtual time.
 //! Simulated physical memory is real memory (`AtomicU32` words), so page
 //! replicas made by the kernel are genuine copies and a coherence bug
-//! produces a genuinely wrong application answer.
+//! produces a genuinely wrong application answer. A frame's storage is
+//! materialised on its first use ([`MemoryModule::frame`]), so host memory
+//! follows the pages a run touches, not `frames_per_node`.
 //!
 //! The kernel built on top of this substrate lives in the `platinum` crate;
 //! the [`Mem`] trait is the programming interface that applications use so

@@ -174,6 +174,12 @@ impl Machine {
     pub fn frames_allocated(&self) -> usize {
         self.modules.iter().map(|m| m.frames_allocated()).sum()
     }
+
+    /// Total frames whose storage has been materialised across all
+    /// modules — what the machine has cost the host so far, in pages.
+    pub fn frames_materialized(&self) -> usize {
+        self.modules.iter().map(|m| m.frames_materialized()).sum()
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,22 @@
 //! Memory modules and their inverted page tables.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::contention::{BucketCursor, BucketedResource};
 use crate::frame::Frame;
 
 /// The inverted-page-table tag of a free frame.
 const FREE: u64 = 0;
+
+/// Frame slots per lazily created run of the slot table. A slot is 24
+/// bytes, so a run is 1.5 KB — small beside the 4 KB page whose first use
+/// creates it — and a module's boot-time table is one empty cell per run:
+/// a `1 << 20`-frame module boots with 16 384 cells, not a million slots.
+const SLOTS_PER_RUN: usize = 64;
+
+/// One run of frame slots; each slot is filled on its frame's first use.
+type SlotRun = Box<[OnceLock<Frame>]>;
 
 /// One node's memory module.
 ///
@@ -22,9 +32,22 @@ const FREE: u64 = 0;
 /// (so 0 means free), claimed by compare-and-swap. This mirrors §2.2's
 /// "wherever possible, atomic memory operations are used to implement
 /// concurrent data structures".
+///
+/// Only the inverted page table exists at boot. A frame's *storage* is
+/// materialised, zeroed, by the first [`Self::frame`] call that names it —
+/// in practice the fault handler's first-touch zero-fill or a block
+/// transfer into it — so what a machine costs the host follows the pages a
+/// run touches, not `frames_per_node`. Once materialised a [`Frame`] is
+/// never moved or freed before the module drops: `free_frame` only retags
+/// the inverted page table, and a recycled frame keeps its storage.
 pub struct MemoryModule {
     node: usize,
-    frames: Box<[Frame]>,
+    words_per_page: usize,
+    /// The slot table, in runs of [`SLOTS_PER_RUN`]: `runs[f / N][f % N]`
+    /// holds frame `f`'s storage once it has been used. Both levels are
+    /// write-once cells inside boxed slices, so a filled slot's address is
+    /// fixed for the module's lifetime.
+    runs: Box<[OnceLock<SlotRun>]>,
     /// Inverted page table: `owners[f]` is 0 when frame `f` is free, else
     /// the owning coherent page id plus one.
     owners: Box<[AtomicU64]>,
@@ -53,14 +76,13 @@ impl MemoryModule {
     /// Creates the module for `node` with `nframes` frames of
     /// `words_per_page` words each and the given contention-bucket width.
     pub fn new(node: usize, nframes: usize, words_per_page: usize, bucket_ns: u64) -> Self {
-        let mut frames = Vec::with_capacity(nframes);
-        frames.resize_with(nframes, || Frame::new(words_per_page));
-        let mut owners = Vec::with_capacity(nframes);
-        owners.resize_with(nframes, || AtomicU64::new(FREE));
         Self {
             node,
-            frames: frames.into_boxed_slice(),
-            owners: owners.into_boxed_slice(),
+            words_per_page,
+            runs: (0..nframes.div_ceil(SLOTS_PER_RUN))
+                .map(|_| OnceLock::new())
+                .collect(),
+            owners: (0..nframes).map(|_| AtomicU64::new(FREE)).collect(),
             bus: BucketedResource::new(bucket_ns),
             block_busy_until: AtomicU64::new(0),
             allocated: AtomicU64::new(0),
@@ -74,7 +96,7 @@ impl MemoryModule {
 
     /// The number of frames in the module.
     pub fn nframes(&self) -> usize {
-        self.frames.len()
+        self.owners.len()
     }
 
     /// The number of currently allocated frames.
@@ -82,14 +104,32 @@ impl MemoryModule {
         self.allocated.load(Ordering::Relaxed) as usize
     }
 
-    /// Direct access to a frame's storage.
+    /// The number of frames whose storage has been materialised: every
+    /// frame [`Self::frame`] has ever named, whether or not it is still
+    /// allocated.
+    pub fn frames_materialized(&self) -> usize {
+        self.runs
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|run| run.iter())
+            .filter(|slot| slot.get().is_some())
+            .count()
+    }
+
+    /// Direct access to a frame's storage, materialising it (zeroed) if
+    /// this is the first call to name `frame`. Racing first calls agree on
+    /// one storage; the reference returned stays valid, at the same
+    /// address, until the module drops.
     ///
     /// # Panics
     ///
     /// Panics if `frame` is out of range.
     #[inline]
     pub fn frame(&self, frame: usize) -> &Frame {
-        &self.frames[frame]
+        assert!(frame < self.owners.len(), "frame {frame} out of range");
+        let run = self.runs[frame / SLOTS_PER_RUN]
+            .get_or_init(|| (0..SLOTS_PER_RUN).map(|_| OnceLock::new()).collect());
+        run[frame % SLOTS_PER_RUN].get_or_init(|| Frame::new(self.words_per_page))
     }
 
     /// The owning coherent page recorded for `frame`, if allocated.
@@ -104,7 +144,7 @@ impl MemoryModule {
         // Fibonacci hash of the coherent page index, as a stand-in for the
         // paper's unspecified "hash function applied to the index of the
         // Cpage".
-        (cpage.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.frames.len()
+        (cpage.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.owners.len()
     }
 
     /// Probes the inverted page table for the local physical copy of
@@ -112,7 +152,7 @@ impl MemoryModule {
     pub fn find_frame_of(&self, cpage: u64) -> IptProbe {
         let tagged = cpage + 1;
         let start = self.hash_slot(cpage);
-        let n = self.frames.len();
+        let n = self.owners.len();
         for i in 0..n {
             let slot = (start + i) % n;
             if self.owners[slot].load(Ordering::Acquire) == tagged {
@@ -136,7 +176,7 @@ impl MemoryModule {
     pub fn alloc_frame(&self, cpage: u64) -> Option<IptProbe> {
         let tagged = cpage + 1;
         let start = self.hash_slot(cpage);
-        let n = self.frames.len();
+        let n = self.owners.len();
         for i in 0..n {
             let slot = (start + i) % n;
             if self.owners[slot]
@@ -248,6 +288,33 @@ mod tests {
         assert_eq!(m.owner_of(f), None);
         assert_eq!(m.frames_allocated(), 0);
         assert_eq!(m.find_frame_of(42).frame, None);
+    }
+
+    #[test]
+    fn storage_materialises_on_first_use_and_outlives_free() {
+        // 100 frames: the last run of the slot table is partial.
+        let m = MemoryModule::new(0, 100, 16, 100_000);
+        let f = m.alloc_frame(42).unwrap().frame.unwrap();
+        assert_eq!(m.frames_materialized(), 0, "allocation is IPT-only");
+        assert_eq!(m.frame(f).len(), 16);
+        assert_eq!(m.frame(f).load(3), 0);
+        m.frame(f).store(3, 7);
+        m.frame(99).store(0, 1);
+        assert_eq!(m.frames_materialized(), 2);
+        // Freeing retags the IPT; the storage (and its contents) stay,
+        // which is why the kernel zero-fills on first touch.
+        let at = m.frame(f) as *const Frame;
+        m.free_frame(f);
+        assert_eq!(m.frames_materialized(), 2);
+        assert_eq!(m.frame(f) as *const Frame, at);
+        assert_eq!(m.frame(f).load(3), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn frame_beyond_the_pool_panics() {
+        // 100 is inside the last slot run but outside the module.
+        MemoryModule::new(0, 100, 16, 100_000).frame(100);
     }
 
     #[test]

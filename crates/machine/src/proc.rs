@@ -396,10 +396,11 @@ impl ProcCore {
             return FastPath::Hit(self.machine.frame_data(pp));
         }
         // SAFETY: the handle was installed by `atc_insert` on this core
-        // from this machine's own storage. Frames and modules are
-        // allocated once at boot and never move or free (`free_frame`
-        // only retags the inverted page table), and `self.machine` keeps
-        // them alive for at least the returned borrow's lifetime.
+        // from this machine's own storage. Modules are allocated at boot
+        // and a frame is materialised by the `frame()` call `atc_insert`
+        // made; neither moves or is freed afterwards (`free_frame` only
+        // retags the inverted page table), and `self.machine` keeps them
+        // alive for at least the returned borrow's lifetime.
         let (frame, module) = unsafe { (&*h.frame, &*h.module) };
         let local = h.local;
         let latency = self.lat[pp.module_id()][kind as usize];

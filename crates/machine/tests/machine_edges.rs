@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use numa_machine::uma::{UmaConfig, UmaCtx, UmaMachine};
-use numa_machine::{AccessKind, Machine, MachineConfig, Mem, PhysPage, ProcCore};
+use numa_machine::{AccessKind, FastPath, Frame, Machine, MachineConfig, Mem, PhysPage, ProcCore};
 
 fn machine(nodes: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -177,4 +177,69 @@ fn skew_window_couples_numa_clocks() {
     // and both finished with sane clocks.
     assert!(spread.0 >= 40_000 * 320);
     assert!(spread.1 >= 40_000 * 640);
+}
+
+#[test]
+fn frame_handle_survives_later_materialisation() {
+    // A handle cached by `atc_insert` points at storage materialised on
+    // demand; frames of the same module materialising afterwards must
+    // neither move nor replace it.
+    let m = Machine::new(MachineConfig {
+        nodes: 1,
+        frames_per_node: 16_384,
+        skew_window_ns: None,
+        ..MachineConfig::default()
+    })
+    .unwrap();
+    let pp = PhysPage::new(0, 5_000);
+    let mut core = ProcCore::new(Arc::clone(&m), 0, 0);
+    core.atc_insert(1, 10, pp, true);
+    fn through_handle(core: &mut ProcCore) -> &Frame {
+        match core.fast_path(1, 10, true, AccessKind::Write) {
+            FastPath::Hit(f) => f,
+            _ => panic!("installed translation must hit"),
+        }
+    }
+    let before = through_handle(&mut core) as *const Frame;
+    m.frame_data(pp).store(9, 0xaaaa);
+
+    for f in (0..16_384).filter(|&f| f != 5_000).take(10_000) {
+        m.frame_data(PhysPage::new(0, f)).store(9, f as u32);
+    }
+    assert_eq!(m.frames_materialized(), 10_001);
+
+    let f = through_handle(&mut core);
+    assert!(std::ptr::eq(f, before), "the frame moved");
+    assert_eq!(f.load(9), 0xaaaa, "the handle lost the frame's contents");
+    f.store(9, 0xbbbb);
+    assert_eq!(m.frame_data(pp).load(9), 0xbbbb);
+}
+
+#[test]
+fn racing_first_uses_agree_on_one_storage() {
+    // Eight threads name the same unmaterialised frame at once. Each
+    // stores to its own word and, after all have, loads every word: had
+    // any of them been handed a storage of its own, its peers' stores
+    // would be missing from it.
+    const THREADS: usize = 8;
+    for round in 0..64 {
+        let m = machine(1);
+        let start = std::sync::Barrier::new(THREADS);
+        let stored = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (m, start, stored) = (&m, &start, &stored);
+                s.spawn(move || {
+                    start.wait();
+                    let f = m.frame_data(PhysPage::new(0, round % 16));
+                    f.store(t, 100 + t as u32);
+                    stored.wait();
+                    for peer in 0..THREADS {
+                        assert_eq!(f.load(peer), 100 + peer as u32);
+                    }
+                });
+            }
+        });
+        assert_eq!(m.frames_materialized(), 1);
+    }
 }

@@ -71,7 +71,11 @@ impl SimBuilder {
     }
 
     /// Physical frames per memory module (default 4096: deep enough that
-    /// benchmarks replicate freely without frame exhaustion).
+    /// benchmarks replicate freely without frame exhaustion). Depth costs
+    /// the host only an 8-byte inverted-page-table entry per frame — a
+    /// frame's storage materialises on first use — but it is a model
+    /// input: the inverted-page-table hash is `% frames`, so changing it
+    /// moves probe counts and with them virtual time.
     pub fn frames_per_node(mut self, frames: usize) -> Self {
         self.frames_per_node = Some(frames);
         self
