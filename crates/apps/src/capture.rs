@@ -1,28 +1,30 @@
-//! Reference-trace capture runners: one per application, mirroring the
-//! phase structure of [`crate::harness`] but recording every memory
-//! operation through [`platinum_reftrace::Capture`].
+//! Reference-trace capture runners: each application's one staging
+//! (the same calls [`crate::harness`] makes), on a
+//! [`platinum_reftrace::Capture`] instead of a bare simulation.
 //!
 //! Each runner executes the application once under the PLATINUM policy
 //! (the capture run doubles as the live measurement), verifies the
-//! application's own correctness condition *unrecorded* — verification
-//! re-reads the whole data set and is no part of the workload being
-//! compared — and returns the sealed [`RefTrace`] next to the live
-//! [`AppRun`]. Replaying the trace under `PolicyKind::Platinum` through
-//! the [`ReplayOptions`] the runner was given must reproduce the live
-//! run's virtual times bit for bit; replaying under any other policy
-//! prices the same reference stream under that policy.
+//! application's own correctness condition *unrecorded*, on the capture's
+//! inner simulation — verification re-reads the whole data set and is no
+//! part of the workload being compared — and returns the sealed
+//! [`RefTrace`] next to the live [`AppRun`]. Replaying the trace under
+//! `PolicyKind::Platinum` through the [`ReplayOptions`] the runner was
+//! given must reproduce the live run's virtual times bit for bit;
+//! replaying under any other policy prices the same reference stream
+//! under that policy.
 //!
 //! The message-passing Gaussian variant is not capturable: it talks to
 //! kernel ports directly, around the `Mem` seam the recorder wraps.
 
+use platinum::StatsSnapshot;
 use platinum_reftrace::{Capture, RefTrace, ReplayOptions};
-use platinum_runtime::sync::{Barrier, EventCount};
+use platinum_runtime::measure::RunStats;
 use platinum_server::{KvConfig, KvTable, TrafficConfig, Workload};
 
-use crate::gauss::{self, GaussConfig, GaussLayout};
+use crate::gauss::{Gauss, GaussConfig};
 use crate::harness::AppRun;
-use crate::mergesort::{self, SortConfig, SortLayout};
-use crate::neural::{self, NeuralConfig, NeuralLayout};
+use crate::mergesort::{Sort, SortConfig};
+use crate::neural::{Neural, NeuralConfig};
 
 /// A recorded application run: the trace plus the live measurement it
 /// was taken from.
@@ -36,6 +38,22 @@ pub struct CapturedRun {
     pub live: AppRun,
 }
 
+impl CapturedRun {
+    /// Seals `cap`; `kernel_stats` is the snapshot taken between the
+    /// measured phase and the verification that produced `checksum`.
+    fn seal(cap: Capture, run: RunStats, kernel_stats: StatsSnapshot, checksum: u64) -> Self {
+        CapturedRun {
+            live: AppRun {
+                elapsed_ns: run.elapsed_ns(),
+                checksum,
+                kernel_stats,
+                run,
+            },
+            trace: cap.finish(),
+        }
+    }
+}
+
 /// Records shared-memory Gaussian elimination on `p` of `nodes`
 /// processors: an owner-first-touch init phase and the measured
 /// elimination phase, exactly as `harness::run_gauss` stages them.
@@ -46,30 +64,12 @@ pub fn record_gauss(
     opts: &ReplayOptions,
 ) -> CapturedRun {
     let mut cap = Capture::new(nodes, opts);
-    let page_words = cap.sim().machine.cfg().words_per_page();
-    let mut data = cap.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
-    let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
-    let mut sync = cap.alloc_zone(1);
-    let ec = EventCount::new(sync.alloc_words(1));
-
-    cap.run_phase("init", p, |tid, ctx| {
-        gauss::init_owned_rows(ctx, &lay, cfg, tid, p)
-    });
-    let (_, run) = cap.run_phase("measured", p, |tid, ctx| {
-        gauss::run_shared(ctx, &lay, cfg, &ec, tid, p);
-    });
-
+    let g = Gauss::stage(&mut cap, cfg, p);
+    g.init(&mut cap);
+    let run = g.measured(&mut cap);
     let kernel_stats = cap.stats_snapshot();
-    let (sums, _) = cap.sim().run(1, |_, ctx| gauss::checksum(ctx, &lay));
-    CapturedRun {
-        live: AppRun {
-            elapsed_ns: run.elapsed_ns(),
-            checksum: sums[0],
-            kernel_stats,
-            run,
-        },
-        trace: cap.finish(),
-    }
+    let checksum = g.checksum(cap.sim());
+    CapturedRun::seal(cap, run, kernel_stats, checksum)
 }
 
 /// Records the tree merge sort on `p` of `nodes` processors.
@@ -84,33 +84,12 @@ pub fn record_mergesort(
     opts: &ReplayOptions,
 ) -> CapturedRun {
     let mut cap = Capture::new(nodes, opts);
-    let page_words = cap.sim().machine.cfg().words_per_page();
-    let mut data = cap.alloc_zone(SortLayout::zone_pages(cfg.n, page_words));
-    let lay = SortLayout::alloc(&mut data, cfg.n);
-    let mut sync = cap.alloc_zone(1);
-    let barrier = Barrier::new(sync.alloc_words(1), sync.alloc_words(1), p as u32);
-
-    cap.run_phase("init", p, |tid, ctx| {
-        mergesort::init_segment(ctx, &lay, cfg, tid, p)
-    });
-    let (_, run) = cap.run_phase("measured", p, |tid, ctx| {
-        mergesort::run(ctx, &lay, cfg, &barrier, tid, p);
-    });
-
+    let sort = Sort::stage(&mut cap, cfg, p);
+    sort.init(&mut cap);
+    let run = sort.measured(&mut cap);
     let kernel_stats = cap.stats_snapshot();
-    let (checks, _) = cap.sim().run(1, |_, ctx| {
-        mergesort::verify(ctx, &lay, cfg, p).map(|()| 1u64)
-    });
-    checks[0].as_ref().expect("merge sort output must verify");
-    CapturedRun {
-        live: AppRun {
-            elapsed_ns: run.elapsed_ns(),
-            checksum: 1,
-            kernel_stats,
-            run,
-        },
-        trace: cap.finish(),
-    }
+    sort.verify(cap.sim());
+    CapturedRun::seal(cap, run, kernel_stats, 1)
 }
 
 /// Records the neural-network simulator on `p` of `nodes` processors.
@@ -123,31 +102,12 @@ pub fn record_neural(
     opts: &ReplayOptions,
 ) -> (CapturedRun, f64) {
     let mut cap = Capture::new(nodes, opts);
-    let mut zone = cap.alloc_zone(NeuralLayout::zone_pages());
-    let lay = NeuralLayout::alloc(&mut zone);
-
-    cap.run_phase("init", 1, |_, ctx| neural::init(ctx, &lay));
-    cap.run_phase("init-weights", p, |tid, ctx| {
-        neural::init_owned_weights(ctx, &lay, tid, p)
-    });
-    let (_, run) = cap.run_phase("measured", p, |tid, ctx| {
-        neural::train(ctx, &lay, cfg, tid, p)
-    });
-
+    let net = Neural::stage(&mut cap, cfg, p);
+    net.init(&mut cap);
+    let run = net.measured(&mut cap);
     let kernel_stats = cap.stats_snapshot();
-    let (errors, _) = cap.sim().run(1, |_, ctx| neural::total_error(ctx, &lay));
-    (
-        CapturedRun {
-            live: AppRun {
-                elapsed_ns: run.elapsed_ns(),
-                checksum: 0,
-                kernel_stats,
-                run,
-            },
-            trace: cap.finish(),
-        },
-        errors[0],
-    )
+    let error = net.total_error(cap.sim());
+    (CapturedRun::seal(cap, run, kernel_stats, 0), error)
 }
 
 /// Records the key-value server workload on `p` of `nodes` processors:
@@ -165,10 +125,7 @@ pub fn record_kv(
 ) -> CapturedRun {
     let keys = kcfg.keys;
     let mut cap = Capture::new(nodes, opts);
-    let page_words = cap.sim().machine.cfg().words_per_page();
-    let mut data = cap.alloc_zone(kcfg.table_pages(page_words));
-    let mut locks = cap.alloc_zone(kcfg.lock_pages());
-    let kv = KvTable::layout(kcfg, &mut data, &mut locks);
+    let kv = KvTable::stage(kcfg, &mut cap);
     let schedules = traffic.per_proc_schedules(p);
 
     cap.run_phase("populate", p, |tid, ctx| {
@@ -190,20 +147,13 @@ pub fn record_kv(
         kv.verify(ctx).expect("live access cannot fail unfaulted")
     });
     assert_eq!(audits[0].occupied, keys, "keys lost from the table");
-    CapturedRun {
-        live: AppRun {
-            elapsed_ns: run.elapsed_ns(),
-            checksum: audits[0].checksum,
-            kernel_stats,
-            run,
-        },
-        trace: cap.finish(),
-    }
+    CapturedRun::seal(cap, run, kernel_stats, audits[0].checksum)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gauss;
     use platinum::PolicyKind;
     use platinum_reftrace::replay;
 

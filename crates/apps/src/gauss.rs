@@ -14,21 +14,30 @@
 //!   coherent memory (17 lines of elimination-phase code in the paper).
 //!   Also serves as the static-placement baseline when the kernel runs
 //!   the `NeverReplicate` policy.
-//! * [`run_uniform_system`] — the Uniform System style: static data
-//!   placement plus an *explicit* copy of the pivot row into a private
-//!   buffer each round (the coarse-grain version LeBlanc found fastest
-//!   on the US).
+//! * the Uniform System style — the same [`run_shared`] body over
+//!   scatter-stored rows ([`init_scattered_rows`]) on a kernel running
+//!   the `NeverReplicate` policy, so every reference to a row stored on
+//!   another node crosses the switch, at every processor count.
 //! * [`run_message_passing`] — the SMP style: private rows, the pivot row
 //!   broadcast down a binomial tree of port messages.
 //!
 //! All variants compute bit-identical results (wrapping integer
 //! arithmetic, elimination without pivoting), so cross-variant checksum
 //! equality is a strong end-to-end test of the whole stack.
+//!
+//! [`Gauss`] is the program's one staging — zones, layout and phase
+//! sequence on any [`Stage`] — and [`GaussAnecdote`] the §4.2 variant
+//! of it; every runner, recorder, benchmark and test goes through them.
+
+use std::sync::Arc;
 
 use numa_machine::{Mem, Va};
 use platinum::{Port, UserCtx};
-use platinum_runtime::sync::EventCount;
+use platinum_runtime::measure::RunStats;
+use platinum_runtime::sim::Sim;
+use platinum_runtime::sync::{Barrier, EventCount};
 use platinum_runtime::zones::Zone;
+use platinum_runtime::Stage;
 
 /// Problem configuration.
 #[derive(Clone, Debug)]
@@ -97,14 +106,8 @@ impl GaussLayout {
         self.matrix + 4 * (row * self.row_stride_words + col) as u64
     }
 
-    /// The number of pages the matrix occupies.
-    pub fn pages(&self, page_words: usize) -> usize {
-        (self.row_stride_words * self.n).div_ceil(page_words)
-    }
-
     /// Pages a zone must hold so [`GaussLayout::alloc`] succeeds for an
-    /// `n`×`n` matrix: the page-aligned rows plus alignment slop. The
-    /// single source of truth for every harness that sizes a gauss zone.
+    /// `n`×`n` matrix: the page-aligned rows plus alignment slop.
     pub fn zone_pages(n: usize, page_words: usize) -> usize {
         let stride = n.div_ceil(page_words) * page_words;
         (stride * n).div_ceil(page_words) + 2
@@ -244,7 +247,7 @@ pub fn run_shared_anecdote<M: Mem>(
     tid: usize,
     p: usize,
     msize_va: Va,
-    start: &platinum_runtime::sync::Barrier,
+    start: &Barrier,
 ) {
     // The spin-lock barrier at the start of the elimination phase.
     start.wait(m);
@@ -277,27 +280,6 @@ pub fn run_shared_anecdote<M: Mem>(
     }
 }
 
-/// The Uniform-System-style thread body: the same coarse-grain
-/// row-partitioned computation, run over scatter-stored data with no
-/// replication — every reference to a row stored on another node crosses
-/// the switch, at every processor count.
-///
-/// Run it on a kernel configured with the `NeverReplicate` policy and
-/// initialize the matrix with [`init_scattered_rows`].
-pub fn run_uniform_system<M: Mem>(
-    m: &mut M,
-    lay: &GaussLayout,
-    cfg: &GaussConfig,
-    ec: &EventCount,
-    tid: usize,
-    p: usize,
-) {
-    // Same structure; the differences are the policy the kernel runs
-    // (static placement) and the scattered storage, which together make
-    // the block reads remote.
-    run_shared(m, lay, cfg, ec, tid, p)
-}
-
 /// The SMP-style message-passing implementation: each thread keeps its
 /// rows in pages nobody else ever touches, and the pivot row travels by
 /// port messages down a binomial broadcast tree rooted at the owner.
@@ -307,7 +289,7 @@ pub fn run_message_passing(
     ctx: &mut UserCtx,
     lay: &GaussLayout,
     cfg: &GaussConfig,
-    ports: &[std::sync::Arc<Port>],
+    ports: &[Arc<Port>],
     tid: usize,
     p: usize,
 ) {
@@ -374,6 +356,134 @@ pub fn checksum<M: Mem>(m: &mut M, lay: &GaussLayout) -> u64 {
         }
     }
     sum
+}
+
+/// Shared-memory Gaussian elimination staged on a machine: its zones
+/// and its phases, in the order every runner sequences them. The stage
+/// is booted by the caller and stays the caller's, so one staging
+/// serves live and recorded runs, fault soaks, profiled sweeps and tests
+/// that read the machine afterwards.
+pub struct Gauss<'a> {
+    cfg: &'a GaussConfig,
+    p: usize,
+    lay: GaussLayout,
+    ec: EventCount,
+}
+
+/// Allocates the matrix zone and lays the matrix out in it.
+fn stage_matrix<S: Stage>(stage: &mut S, n: usize) -> GaussLayout {
+    let page_words = stage.page_words();
+    let mut data = stage.alloc_zone(GaussLayout::zone_pages(n, page_words));
+    GaussLayout::alloc(&mut data, n, page_words)
+}
+
+impl<'a> Gauss<'a> {
+    /// Allocates the matrix in one zone and the event count in another
+    /// (§6: synchronization words never share a page with data).
+    pub fn stage<S: Stage>(stage: &mut S, cfg: &'a GaussConfig, p: usize) -> Self {
+        let lay = stage_matrix(stage, cfg.n);
+        let ec = EventCount::new(stage.alloc_zone(1).alloc_words(1));
+        Self { cfg, p, lay, ec }
+    }
+
+    /// Initialization decides data placement: owners first-touch their
+    /// rows.
+    pub fn init<S: Stage>(&self, stage: &mut S) {
+        stage.phase("init", self.p, |tid, ctx| {
+            init_owned_rows(ctx, &self.lay, self.cfg, tid, self.p)
+        });
+    }
+
+    /// The Uniform System's initialization instead: its storage
+    /// discipline scatters rows over all `nodes` memories of the
+    /// machine, whichever processors will run.
+    pub fn init_scattered<S: Stage>(&self, stage: &mut S, nodes: usize) {
+        stage.phase("init", nodes, |node, ctx| {
+            init_scattered_rows(ctx, &self.lay, self.cfg, node, nodes)
+        });
+    }
+
+    /// The measured pass: the elimination phase, as in LeBlanc's studies.
+    pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
+        let (_, run) = stage.phase("measured", self.p, |tid, ctx| {
+            run_shared(ctx, &self.lay, self.cfg, &self.ec, tid, self.p)
+        });
+        run
+    }
+
+    /// The measured pass in the SMP style. Ports are kernel objects
+    /// outside the [`Mem`] seam, so this runs on a [`Sim`] only.
+    pub fn measured_message_passing(&self, sim: &Sim) -> RunStats {
+        let ports: Vec<Arc<Port>> = (0..self.p).map(|_| sim.kernel.create_port()).collect();
+        let (_, run) = sim.run(self.p, |tid, ctx| {
+            run_message_passing(ctx, &self.lay, self.cfg, &ports, tid, self.p)
+        });
+        run
+    }
+
+    /// Folds the eliminated matrix from one processor ([`checksum`]).
+    pub fn checksum<S: Stage>(&self, stage: &mut S) -> u64 {
+        let (sums, _) = stage.phase("verify", 1, |_, ctx| checksum(ctx, &self.lay));
+        sums[0]
+    }
+}
+
+/// The §4.2 anecdote staged on a machine: [`Gauss`] plus the shared
+/// matrix-size variable and the start barrier of
+/// [`run_shared_anecdote`].
+pub struct GaussAnecdote<'a> {
+    gauss: Gauss<'a>,
+    msize_va: Va,
+    start: Barrier,
+}
+
+impl<'a> GaussAnecdote<'a> {
+    /// With `colocated` the barrier words share a page with the
+    /// matrix-size variable (the paper's original, accidental layout);
+    /// without, they live in separate zones (the fixed layout).
+    pub fn stage<S: Stage>(stage: &mut S, cfg: &'a GaussConfig, p: usize, colocated: bool) -> Self {
+        let lay = stage_matrix(stage, cfg.n);
+        let mut sync = stage.alloc_zone(2);
+        let ec = EventCount::new(sync.alloc_page_aligned(1));
+        let (msize_va, start) = if colocated {
+            let base = sync.alloc_page_aligned(3);
+            (base, Barrier::new(base + 4, base + 8, p as u32))
+        } else {
+            let msize = stage.alloc_zone(2).alloc_page_aligned(1);
+            let b = sync.alloc_page_aligned(2);
+            (msize, Barrier::new(b, b + 4, p as u32))
+        };
+        Self {
+            gauss: Gauss { cfg, p, lay, ec },
+            msize_va,
+            start,
+        }
+    }
+
+    /// [`Gauss::init`], with processor 0 also publishing the matrix size.
+    pub fn init<S: Stage>(&self, stage: &mut S) {
+        let g = &self.gauss;
+        stage.phase("init", g.p, |tid, ctx| {
+            if tid == 0 {
+                ctx.write(self.msize_va, g.cfg.n as u32);
+            }
+            init_owned_rows(ctx, &g.lay, g.cfg, tid, g.p)
+        });
+    }
+
+    /// The measured pass: [`run_shared_anecdote`].
+    pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
+        let (g, msize_va, start) = (&self.gauss, self.msize_va, &self.start);
+        let (_, run) = stage.phase("measured", g.p, |tid, ctx| {
+            run_shared_anecdote(ctx, &g.lay, g.cfg, &g.ec, tid, g.p, msize_va, start)
+        });
+        run
+    }
+
+    /// [`Gauss::checksum`].
+    pub fn checksum<S: Stage>(&self, stage: &mut S) -> u64 {
+        self.gauss.checksum(stage)
+    }
 }
 
 /// Reference single-threaded elimination on host memory, for oracle

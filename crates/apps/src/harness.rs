@@ -1,22 +1,22 @@
-//! Ready-made runners: boot a machine + kernel, lay out an application,
-//! run it at a given processor count, and report timing + correctness.
+//! Ready-made runners: boot a machine + kernel, stage an application on
+//! it, and report timing + correctness.
 //!
-//! The per-figure benchmark binaries, the examples, and the integration
-//! tests all drive the applications through these functions so that
-//! "the same program" really is the same program everywhere.
+//! Each application's layout and phase sequence is written once, in its
+//! own module, against [`platinum_runtime::Stage`]; a runner here is a
+//! boot followed by calls into that staging, so the per-figure benchmark
+//! binaries, the examples, the integration tests and the trace recorder
+//! (`crate::capture`) all run the same program.
 
 use std::sync::Arc;
 
-use numa_machine::Mem;
 use platinum::{FaultPlan, StatsSnapshot};
 use platinum_runtime::measure::RunStats;
-use platinum_runtime::par::{run_uma_workers, uma_machine};
+use platinum_runtime::par::uma_machine;
 use platinum_runtime::sim::{Sim, SimBuilder};
-use platinum_runtime::sync::{Barrier, EventCount};
 
-use crate::gauss::{self, GaussConfig, GaussLayout};
-use crate::mergesort::{self, SortConfig, SortLayout};
-use crate::neural::{self, NeuralConfig, NeuralLayout};
+use crate::gauss::{Gauss, GaussAnecdote, GaussConfig};
+use crate::mergesort::{Sort, SortConfig};
+use crate::neural::{Neural, NeuralConfig};
 
 pub use platinum::PolicyKind;
 
@@ -58,8 +58,21 @@ pub struct AppRun {
     pub run: RunStats,
 }
 
+impl AppRun {
+    /// A live run's outcome; `sim`'s kernel counters are read now, after
+    /// whatever verification pass produced `checksum`.
+    fn live(sim: &Sim, run: RunStats, checksum: u64) -> Self {
+        AppRun {
+            elapsed_ns: run.elapsed_ns(),
+            checksum,
+            kernel_stats: sim.kernel.stats().snapshot(),
+            run,
+        }
+    }
+}
+
 /// Boots a simulation under `policy`, with an optional deterministic
-/// fault-injection plan (the chaos runners' shared entry).
+/// fault-injection plan.
 fn boot(nodes: usize, policy: PolicyKind, faults: Option<Arc<FaultPlan>>) -> Sim {
     let mut b = SimBuilder::nodes(nodes).policy(policy);
     if let Some(plan) = faults {
@@ -74,20 +87,10 @@ pub fn run_gauss(style: GaussStyle, nodes: usize, p: usize, cfg: &GaussConfig) -
     run_gauss_faulty(style, nodes, p, cfg, None)
 }
 
-/// [`run_gauss`] with the PLATINUM policy under a fault-injection plan:
-/// the chaos_soak entry point. Correctness is asserted the same way —
-/// the returned checksum must match the fault-free reference.
-pub fn run_gauss_chaos(nodes: usize, p: usize, cfg: &GaussConfig, plan: Arc<FaultPlan>) -> AppRun {
-    run_gauss_faulty(
-        GaussStyle::Shared(PolicyKind::Platinum),
-        nodes,
-        p,
-        cfg,
-        Some(plan),
-    )
-}
-
-fn run_gauss_faulty(
+/// [`run_gauss`] under an optional fault-injection plan: the chaos_soak
+/// entry point. Correctness is asserted the same way — the returned
+/// checksum must match the fault-free reference.
+pub fn run_gauss_faulty(
     style: GaussStyle,
     nodes: usize,
     p: usize,
@@ -99,52 +102,18 @@ fn run_gauss_faulty(
         GaussStyle::UniformSystem => PolicyKind::NeverReplicate,
         GaussStyle::MessagePassing => PolicyKind::Platinum,
     };
-    let h = boot(nodes, policy, faults);
-    let page_words = h.machine.cfg().words_per_page();
-    let mut data = h.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
-    let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
-    let mut sync = h.alloc_zone(1);
-    let ec = EventCount::new(sync.alloc_words(1));
-
-    // Initialization pass decides data placement: owners first-touch
-    // their rows, except in the Uniform System style, whose storage
-    // discipline scatters rows over every memory in the machine.
+    let mut h = boot(nodes, policy, faults);
+    let g = Gauss::stage(&mut h, cfg, p);
     match style {
-        GaussStyle::UniformSystem => {
-            h.run(nodes, |node, ctx| {
-                gauss::init_scattered_rows(ctx, &lay, cfg, node, nodes)
-            });
-        }
-        _ => {
-            h.run(p, |tid, ctx| gauss::init_owned_rows(ctx, &lay, cfg, tid, p));
-        }
+        GaussStyle::UniformSystem => g.init_scattered(&mut h, nodes),
+        _ => g.init(&mut h),
     }
-
-    // Measured pass: the elimination phase, as in LeBlanc's studies.
-    let (_, run) = match style {
-        GaussStyle::Shared(_) => h.run(p, |tid, ctx| {
-            gauss::run_shared(ctx, &lay, cfg, &ec, tid, p);
-        }),
-        GaussStyle::UniformSystem => h.run(p, |tid, ctx| {
-            gauss::run_uniform_system(ctx, &lay, cfg, &ec, tid, p);
-        }),
-        GaussStyle::MessagePassing => {
-            let ports: Vec<Arc<platinum::Port>> = (0..p).map(|_| h.kernel.create_port()).collect();
-            let ports = &ports;
-            let lay = &lay;
-            h.run(p, move |tid, ctx| {
-                gauss::run_message_passing(ctx, lay, cfg, ports, tid, p);
-            })
-        }
+    let run = match style {
+        GaussStyle::MessagePassing => g.measured_message_passing(&h),
+        _ => g.measured(&mut h),
     };
-
-    let (sums, _) = h.run(1, |_, ctx| gauss::checksum(ctx, &lay));
-    AppRun {
-        elapsed_ns: run.elapsed_ns(),
-        checksum: sums[0],
-        kernel_stats: h.kernel.stats().snapshot(),
-        run,
-    }
+    let checksum = g.checksum(&mut h);
+    AppRun::live(&h, run, checksum)
 }
 
 /// A profiled application run: the run itself plus where the kernel's
@@ -185,32 +154,20 @@ pub fn run_gauss_profiled(
     if let Some(t) = topo {
         b = b.topology(t.clone());
     }
-    let h = b.build();
-    let page_words = h.machine.cfg().words_per_page();
-    let mut data = h.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
-    let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
-    let mut sync = h.alloc_zone(1);
-    let ec = EventCount::new(sync.alloc_words(1));
-
-    h.run(p, |tid, ctx| gauss::init_owned_rows(ctx, &lay, cfg, tid, p));
+    let mut h = b.build();
+    let g = Gauss::stage(&mut h, cfg, p);
+    g.init(&mut h);
 
     h.kernel.host_prof().enable();
     let t0 = std::time::Instant::now();
-    let (_, run) = h.run(p, |tid, ctx| {
-        gauss::run_shared(ctx, &lay, cfg, &ec, tid, p);
-    });
+    let run = g.measured(&mut h);
     let host_secs = t0.elapsed().as_secs_f64();
     let prof = h.kernel.host_prof().snapshot();
 
-    let (sums, _) = h.run(1, |_, ctx| gauss::checksum(ctx, &lay));
+    let checksum = g.checksum(&mut h);
     let ops = run.merged_counters().total_refs();
     ProfiledRun {
-        run: AppRun {
-            elapsed_ns: run.elapsed_ns(),
-            checksum: sums[0],
-            kernel_stats: h.kernel.stats().snapshot(),
-            run,
-        },
+        run: AppRun::live(&h, run, checksum),
         prof,
         host_secs,
         ops,
@@ -233,46 +190,16 @@ pub fn run_gauss_anecdote(
     colocated: bool,
     t2_ns: u64,
 ) -> AppRun {
-    let h = SimBuilder::nodes(nodes)
+    let mut h = SimBuilder::nodes(nodes)
         .frames_per_node(4096)
         .policy(PolicyKind::Platinum)
         .defrost_ns(t2_ns)
         .build();
-    let page_words = h.machine.cfg().words_per_page();
-    let mut data = h.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
-    let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
-
-    let mut sync = h.alloc_zone(2);
-    let ec = EventCount::new(sync.alloc_page_aligned(1));
-    let (msize_va, barrier) = if colocated {
-        // The accident: the matrix-size variable and the barrier words
-        // share one page.
-        let base = sync.alloc_page_aligned(3);
-        (base, Barrier::new(base + 4, base + 8, p as u32))
-    } else {
-        // The fix: page-separated allocations.
-        let mut vars = h.alloc_zone(2);
-        let msize = vars.alloc_page_aligned(1);
-        let b = sync.alloc_page_aligned(2);
-        (msize, Barrier::new(b, b + 4, p as u32))
-    };
-
-    h.run(p, |tid, ctx| {
-        if tid == 0 {
-            ctx.write(msize_va, cfg.n as u32);
-        }
-        gauss::init_owned_rows(ctx, &lay, cfg, tid, p);
-    });
-    let (_, run) = h.run(p, |tid, ctx| {
-        gauss::run_shared_anecdote(ctx, &lay, cfg, &ec, tid, p, msize_va, &barrier);
-    });
-    let (sums, _) = h.run(1, |_, ctx| gauss::checksum(ctx, &lay));
-    AppRun {
-        elapsed_ns: run.elapsed_ns(),
-        checksum: sums[0],
-        kernel_stats: h.kernel.stats().snapshot(),
-        run,
-    }
+    let g = GaussAnecdote::stage(&mut h, cfg, p, colocated);
+    g.init(&mut h);
+    let run = g.measured(&mut h);
+    let checksum = g.checksum(&mut h);
+    AppRun::live(&h, run, checksum)
 }
 
 /// Runs the tree merge sort on PLATINUM with `p` of `nodes` processors.
@@ -284,50 +211,24 @@ pub fn run_mergesort_platinum(nodes: usize, p: usize, cfg: &SortConfig) -> AppRu
     run_mergesort_faulty(nodes, p, cfg, None)
 }
 
-/// [`run_mergesort_platinum`] under a fault-injection plan; the sorted
-/// output is verified exactly as in the fault-free run.
+/// [`run_mergesort_platinum`] under an optional fault-injection plan;
+/// the sorted output is verified exactly as in the fault-free run.
 ///
 /// # Panics
 ///
 /// Panics if the sorted output fails verification.
-pub fn run_mergesort_chaos(
-    nodes: usize,
-    p: usize,
-    cfg: &SortConfig,
-    plan: Arc<FaultPlan>,
-) -> AppRun {
-    run_mergesort_faulty(nodes, p, cfg, Some(plan))
-}
-
-fn run_mergesort_faulty(
+pub fn run_mergesort_faulty(
     nodes: usize,
     p: usize,
     cfg: &SortConfig,
     faults: Option<Arc<FaultPlan>>,
 ) -> AppRun {
-    let h = boot(nodes, PolicyKind::Platinum, faults);
-    let page_words = h.machine.cfg().words_per_page();
-    let mut data = h.alloc_zone(SortLayout::zone_pages(cfg.n, page_words));
-    let lay = SortLayout::alloc(&mut data, cfg.n);
-    let mut sync = h.alloc_zone(1);
-    let barrier = Barrier::new(sync.alloc_words(1), sync.alloc_words(1), p as u32);
-
-    h.run(p, |tid, ctx| {
-        mergesort::init_segment(ctx, &lay, cfg, tid, p)
-    });
-    let (_, run) = h.run(p, |tid, ctx| {
-        mergesort::run(ctx, &lay, cfg, &barrier, tid, p);
-    });
-    let (checks, _) = h.run(1, |_, ctx| {
-        mergesort::verify(ctx, &lay, cfg, p).map(|()| 1u64)
-    });
-    checks[0].as_ref().expect("merge sort output must verify");
-    AppRun {
-        elapsed_ns: run.elapsed_ns(),
-        checksum: 1,
-        kernel_stats: h.kernel.stats().snapshot(),
-        run,
-    }
+    let mut h = boot(nodes, PolicyKind::Platinum, faults);
+    let sort = Sort::stage(&mut h, cfg, p);
+    sort.init(&mut h);
+    let run = sort.measured(&mut h);
+    sort.verify(&mut h);
+    AppRun::live(&h, run, 1)
 }
 
 /// Runs the tree merge sort on the UMA comparator (the Sequent Symmetry
@@ -337,24 +238,15 @@ fn run_mergesort_faulty(
 ///
 /// Panics if the sorted output fails verification.
 pub fn run_mergesort_uma(procs: usize, p: usize, cfg: &SortConfig) -> AppRun {
-    let machine = uma_machine(procs, 4 * cfg.n + (1 << 16));
-    let a = machine.alloc_words(cfg.n);
-    let b = machine.alloc_words(cfg.n);
-    let lay = SortLayout { a, b, n: cfg.n };
-    let count = machine.alloc_words(1);
-    let generation = machine.alloc_words(1);
-    let barrier = Barrier::new(count, generation, p as u32);
-
-    run_uma_workers(&machine, p, |tid, ctx| {
-        mergesort::init_segment(ctx, &lay, cfg, tid, p)
-    });
-    let (_, run) = run_uma_workers(&machine, p, |tid, ctx| {
-        mergesort::run(ctx, &lay, cfg, &barrier, tid, p);
-    });
-    let (checks, _) = run_uma_workers(&machine, 1, |_, ctx| {
-        mergesort::verify(ctx, &lay, cfg, p).map(|()| 1u64)
-    });
-    checks[0].as_ref().expect("merge sort output must verify");
+    // Two arrays of `n` keys and the barrier words, with a little
+    // headroom. The comparator zero-fills all of its memory at boot, so
+    // what the sort never touches is host time and resident memory (and,
+    // in blocks this size, allocator fragmentation) for nothing.
+    let mut machine = uma_machine(procs, 2 * cfg.n + (1 << 10));
+    let sort = Sort::stage(&mut machine, cfg, p);
+    sort.init(&mut machine);
+    let run = sort.measured(&mut machine);
+    sort.verify(&mut machine);
     AppRun {
         elapsed_ns: run.elapsed_ns(),
         checksum: 1,
@@ -369,46 +261,27 @@ pub fn run_neural(nodes: usize, p: usize, cfg: &NeuralConfig) -> (AppRun, f64) {
     run_neural_faulty(nodes, p, cfg, None)
 }
 
-/// [`run_neural`] under a fault-injection plan. Returns the run plus the
-/// final training error, which chaos_soak compares against the
-/// fault-free run's.
-pub fn run_neural_chaos(
-    nodes: usize,
-    p: usize,
-    cfg: &NeuralConfig,
-    plan: Arc<FaultPlan>,
-) -> (AppRun, f64) {
-    run_neural_faulty(nodes, p, cfg, Some(plan))
-}
-
-fn run_neural_faulty(
+/// [`run_neural`] under an optional fault-injection plan. Returns the
+/// run plus the final training error, which chaos_soak compares against
+/// the fault-free run's.
+pub fn run_neural_faulty(
     nodes: usize,
     p: usize,
     cfg: &NeuralConfig,
     faults: Option<Arc<FaultPlan>>,
 ) -> (AppRun, f64) {
-    let h = boot(nodes, PolicyKind::Platinum, faults);
-    let mut zone = h.alloc_zone(NeuralLayout::zone_pages());
-    let lay = NeuralLayout::alloc(&mut zone);
-    h.run(1, |_, ctx| neural::init(ctx, &lay));
-    // Owners first-touch their units' weight pages (local placement).
-    h.run(p, |tid, ctx| neural::init_owned_weights(ctx, &lay, tid, p));
-    let (_, run) = h.run(p, |tid, ctx| neural::train(ctx, &lay, cfg, tid, p));
-    let (errors, _) = h.run(1, |_, ctx| neural::total_error(ctx, &lay));
-    (
-        AppRun {
-            elapsed_ns: run.elapsed_ns(),
-            checksum: 0,
-            kernel_stats: h.kernel.stats().snapshot(),
-            run,
-        },
-        errors[0],
-    )
+    let mut h = boot(nodes, PolicyKind::Platinum, faults);
+    let net = Neural::stage(&mut h, cfg, p);
+    net.init(&mut h);
+    let run = net.measured(&mut h);
+    let error = net.total_error(&mut h);
+    (AppRun::live(&h, run, 0), error)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gauss;
 
     fn small_gauss() -> GaussConfig {
         GaussConfig::with_n(48)

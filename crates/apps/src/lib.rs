@@ -19,9 +19,13 @@
 //!   structure access with controllable reference density) used to
 //!   measure the §4.1 crossover empirically.
 //!
-//! Applications are written against the [`numa_machine::Mem`] trait and a
-//! caller-provided memory layout, so the harness decides which machine,
-//! kernel, and policy they run on.
+//! Each application's thread bodies are written against the
+//! [`numa_machine::Mem`] trait, and its layout and phase sequence once
+//! against [`platinum_runtime::Stage`] (`gauss::Gauss`,
+//! `mergesort::Sort`, `neural::Neural`), so the caller decides which
+//! machine, kernel, and policy it runs on — and whether the run is live
+//! ([`harness`]), recorded ([`capture`]), or on the UMA comparator —
+//! without restating the program.
 
 #![warn(missing_docs)]
 

@@ -14,10 +14,16 @@
 //! local memory" and the linear access pattern touches all of each
 //! replicated page — the properties the paper credits for PLATINUM's
 //! good showing.
+//!
+//! [`Sort`] is the program's one staging — zones, layout and phase
+//! sequence on any [`Stage`]: the kernel, a recording capture, or the
+//! UMA comparator.
 
 use numa_machine::{Mem, Va};
+use platinum_runtime::measure::RunStats;
 use platinum_runtime::sync::Barrier;
 use platinum_runtime::zones::Zone;
+use platinum_runtime::Stage;
 
 /// Problem configuration.
 #[derive(Clone, Debug)]
@@ -75,9 +81,11 @@ impl SortLayout {
     }
 
     /// Pages a zone must hold so [`SortLayout::alloc`] succeeds for `n`
-    /// keys: both arrays plus alignment slop.
+    /// keys: both arrays plus alignment slop — none where a page is one
+    /// word (the UMA comparator), so there the arrays pack back to back.
     pub fn zone_pages(n: usize, page_words: usize) -> usize {
-        (2 * n).div_ceil(page_words) + 4
+        let slop = if page_words > 1 { 4 } else { 0 };
+        (2 * n).div_ceil(page_words) + slop
     }
 }
 
@@ -258,6 +266,64 @@ pub fn verify<M: Mem>(
     Ok(())
 }
 
+/// The merge sort staged on a machine: the array zone, the barrier
+/// zone, and the phases in the order every runner sequences them —
+/// [`Sort::init`], [`Sort::measured`], [`Sort::verify`]. The stage is
+/// booted by the caller and stays the caller's.
+pub struct Sort<'a> {
+    cfg: &'a SortConfig,
+    p: usize,
+    lay: SortLayout,
+    barrier: Barrier,
+}
+
+impl<'a> Sort<'a> {
+    /// Allocates both arrays in one zone and the barrier's two words in
+    /// another (§6: synchronization words never share a page with data).
+    pub fn stage<S: Stage>(stage: &mut S, cfg: &'a SortConfig, p: usize) -> Self {
+        let page_words = stage.page_words();
+        let mut data = stage.alloc_zone(SortLayout::zone_pages(cfg.n, page_words));
+        let lay = SortLayout::alloc(&mut data, cfg.n);
+        let mut sync = stage.alloc_zone(2usize.div_ceil(page_words));
+        let barrier = Barrier::new(sync.alloc_words(1), sync.alloc_words(1), p as u32);
+        Self {
+            cfg,
+            p,
+            lay,
+            barrier,
+        }
+    }
+
+    /// Every thread writes its own segment of the input (first touch
+    /// places it locally).
+    pub fn init<S: Stage>(&self, stage: &mut S) {
+        stage.phase("init", self.p, |tid, ctx| {
+            init_segment(ctx, &self.lay, self.cfg, tid, self.p)
+        });
+    }
+
+    /// The measured pass: local sorts, then the merge tree.
+    pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
+        let (_, stats) = stage.phase("measured", self.p, |tid, ctx| {
+            run(ctx, &self.lay, self.cfg, &self.barrier, tid, self.p)
+        });
+        stats
+    }
+
+    /// Reads the output back from one processor and checks it
+    /// ([`verify`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output is not the sorted input.
+    pub fn verify<S: Stage>(&self, stage: &mut S) {
+        let (checks, _) = stage.phase("verify", 1, |_, ctx| {
+            verify(ctx, &self.lay, self.cfg, self.p)
+        });
+        checks[0].as_ref().expect("merge sort output must verify");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,6 +342,18 @@ mod tests {
         init_segment(&mut m, &lay, &cfg, 0, 1);
         run(&mut m, &lay, &cfg, &barrier, 0, 1);
         verify(&mut m, &lay, &cfg, 1).unwrap();
+    }
+
+    /// The comparator's cache model is address-sensitive, so its staged
+    /// layout must be the hand-packed one: words 0, n, 2n and 2n + 1.
+    #[test]
+    fn uma_staging_packs_arrays_and_barrier_back_to_back() {
+        let cfg = SortConfig::with_n(1000);
+        let mut uma = platinum_runtime::par::uma_machine(2, 4096);
+        let sort = Sort::stage(&mut uma, &cfg, 2);
+        assert_eq!((sort.lay.a, sort.lay.b), (0, 4 * 1000));
+        assert_eq!(sort.barrier.va(), 4 * 2001, "generation word");
+        assert_eq!(uma.alloc_words(1), 4 * 2002, "nothing else was reserved");
     }
 
     #[test]

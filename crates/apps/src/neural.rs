@@ -16,9 +16,14 @@
 //! interleaved fine-grain writes are what freezes the shared pages, and
 //! the frozen remote accesses are what limits each extra processor to
 //! about half the contribution of a local-only processor (Figure 6).
+//!
+//! [`Neural`] is the program's one staging — zone, layout and phase
+//! sequence on any paged [`Stage`].
 
 use numa_machine::{Mem, Va};
+use platinum_runtime::measure::RunStats;
 use platinum_runtime::zones::Zone;
+use platinum_runtime::Stage;
 
 /// Number of input units (and output units) of the encoder.
 pub const INPUTS: usize = 16;
@@ -108,8 +113,16 @@ impl NeuralLayout {
     }
 
     /// Allocates the unit records (one page each) and the pattern page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page cannot hold a unit record.
     pub fn alloc(zone: &mut Zone) -> Self {
         let stride = zone.page_words();
+        assert!(
+            stride >= REC_W + INPUTS.max(HIDDEN),
+            "a {stride}-word page cannot hold a unit record"
+        );
         let records = zone.alloc_page_aligned(stride * UNITS);
         Self {
             records,
@@ -338,6 +351,52 @@ pub fn total_error<M: Mem>(m: &mut M, lay: &NeuralLayout) -> f64 {
         }
     }
     err as f64 / f64::from(ONE)
+}
+
+/// The simulator staged on a machine: the unit-record zone and the
+/// phases in the order every runner sequences them — [`Neural::init`],
+/// [`Neural::measured`], [`Neural::total_error`]. The stage is booted
+/// by the caller and stays the caller's.
+pub struct Neural<'a> {
+    cfg: &'a NeuralConfig,
+    p: usize,
+    lay: NeuralLayout,
+}
+
+impl<'a> Neural<'a> {
+    /// Allocates the unit records and the pattern page in one zone.
+    pub fn stage<S: Stage>(stage: &mut S, cfg: &'a NeuralConfig, p: usize) -> Self {
+        let mut zone = stage.alloc_zone(NeuralLayout::zone_pages());
+        Self {
+            cfg,
+            p,
+            lay: NeuralLayout::alloc(&mut zone),
+        }
+    }
+
+    /// One processor writes the patterns, then owners first-touch their
+    /// units' record pages (local placement).
+    pub fn init<S: Stage>(&self, stage: &mut S) {
+        stage.phase("init", 1, |_, ctx| init(ctx, &self.lay));
+        stage.phase("init-weights", self.p, |tid, ctx| {
+            init_owned_weights(ctx, &self.lay, tid, self.p)
+        });
+    }
+
+    /// The measured pass: unsynchronized training.
+    pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
+        let (_, run) = stage.phase("measured", self.p, |tid, ctx| {
+            train(ctx, &self.lay, self.cfg, tid, self.p)
+        });
+        run
+    }
+
+    /// Evaluates the trained network from one processor
+    /// ([`total_error`]).
+    pub fn total_error<S: Stage>(&self, stage: &mut S) -> f64 {
+        let (errors, _) = stage.phase("verify", 1, |_, ctx| total_error(ctx, &self.lay));
+        errors[0]
+    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@
 use numa_machine::MachineConfig;
 use platinum::PlatinumPolicy;
 use platinum_analysis::report::Table;
-use platinum_apps::gauss::GaussConfig;
+use platinum_apps::gauss::{Gauss, GaussConfig};
 use platinum_apps::harness::{run_gauss, run_gauss_anecdote, GaussStyle, PolicyKind};
-use platinum_apps::neural::NeuralConfig;
+use platinum_apps::neural::{Neural, NeuralConfig};
 use platinum_apps::workloads::{round_robin, SharingConfig};
 use platinum_bench::{Args, TraceSink};
 use platinum_runtime::sim::{Sim, SimBuilder};
@@ -61,13 +61,13 @@ fn t1_sweep(args: &Args) {
     let cfg = GaussConfig::with_n(n);
     let mut table = Table::new(vec!["t1 ms", "time ms", "freezes"]);
     for t1_ms in [1u64, 10, 30, 100] {
-        let h = SimBuilder::nodes(16.max(p))
+        let mut h = SimBuilder::nodes(16.max(p))
             .policy(PlatinumPolicy {
                 t1_ns: t1_ms * 1_000_000,
                 thaw_on_access: false,
             })
             .build();
-        let run = run_gauss_with_harness(&h, p, &cfg);
+        let run = run_gauss_with_harness(&mut h, p, &cfg);
         table.row(vec![
             t1_ms.to_string(),
             format!("{:.1}", run.0 as f64 / 1e6),
@@ -80,19 +80,10 @@ fn t1_sweep(args: &Args) {
 }
 
 /// Runs shared-memory GE on a booted simulation, returning (time, freezes).
-fn run_gauss_with_harness(h: &Sim, p: usize, cfg: &GaussConfig) -> (u64, u64) {
-    use platinum_apps::gauss;
-    let page_words = h.machine.cfg().words_per_page();
-    let stride = cfg.n.div_ceil(page_words) * page_words;
-    let pages = (stride * cfg.n).div_ceil(page_words) + 2;
-    let mut data = h.alloc_zone(pages);
-    let lay = gauss::GaussLayout::alloc(&mut data, cfg.n, page_words);
-    let mut sync = h.alloc_zone(1);
-    let ec = EventCount::new(sync.alloc_words(1));
-    h.run(p, |tid, ctx| gauss::init_owned_rows(ctx, &lay, cfg, tid, p));
-    let (_, run) = h.run(p, |tid, ctx| {
-        gauss::run_shared(ctx, &lay, cfg, &ec, tid, p);
-    });
+fn run_gauss_with_harness(h: &mut Sim, p: usize, cfg: &GaussConfig) -> (u64, u64) {
+    let g = Gauss::stage(h, cfg, p);
+    g.init(h);
+    let run = g.measured(h);
     (run.elapsed_ns(), h.kernel.stats().snapshot().freezes)
 }
 
@@ -154,15 +145,11 @@ fn variant_compare(args: &Args) {
 }
 
 fn run_neural_with(policy: PolicyKind, p: usize, cfg: &NeuralConfig) -> (u64, f64) {
-    use platinum_apps::neural;
-    let h = SimBuilder::nodes(p.max(2)).policy(policy).build();
-    let mut zone = h.alloc_zone(neural::UNITS + 2);
-    let lay = neural::NeuralLayout::alloc(&mut zone);
-    h.run(1, |_, ctx| neural::init(ctx, &lay));
-    h.run(p, |tid, ctx| neural::init_owned_weights(ctx, &lay, tid, p));
-    let (_, run) = h.run(p, |tid, ctx| neural::train(ctx, &lay, cfg, tid, p));
-    let (errs, _) = h.run(1, |_, ctx| neural::total_error(ctx, &lay));
-    (run.elapsed_ns(), errs[0])
+    let mut h = SimBuilder::nodes(p.max(2)).policy(policy).build();
+    let net = Neural::stage(&mut h, cfg, p);
+    net.init(&mut h);
+    let run = net.measured(&mut h);
+    (run.elapsed_ns(), net.total_error(&mut h))
 }
 
 /// PLATINUM vs ACE-style on coarse-grain, phase-spaced write sharing.
@@ -215,10 +202,9 @@ fn pagesize_sweep(args: &Args) {
         let mut mcfg = MachineConfig::with_nodes(16.max(p));
         mcfg.page_shift = shift;
         // Keep total memory per node constant.
-        mcfg.frames_per_node = 4096 << (12 - shift.min(12)) << (shift.saturating_sub(12));
         mcfg.frames_per_node = (4096u64 * 4096 / (1u64 << shift)) as usize * 4;
-        let h = SimBuilder::nodes(mcfg.nodes).machine_config(mcfg).build();
-        let run = run_gauss_with_harness(&h, p, &cfg);
+        let mut h = SimBuilder::nodes(mcfg.nodes).machine_config(mcfg).build();
+        let run = run_gauss_with_harness(&mut h, p, &cfg);
         let s = h.kernel.stats().snapshot();
         table.row(vec![
             format!("{} KB", (1u64 << shift) / 1024),

@@ -43,7 +43,9 @@ use numa_machine::MachineConfig;
 use platinum::trace::{EventKind, TraceConfig, TraceEvent};
 use platinum::{FaultPlan, FaultSite, PtableConfig, PtablePlacement, StatsSnapshot};
 use platinum_apps::gauss::{self, GaussConfig};
-use platinum_apps::harness::{run_gauss_chaos, run_mergesort_chaos, run_neural_chaos};
+use platinum_apps::harness::{
+    run_gauss_faulty, run_mergesort_faulty, run_neural_faulty, GaussStyle, PolicyKind,
+};
 use platinum_apps::mergesort::SortConfig;
 use platinum_apps::neural::NeuralConfig;
 use platinum_bench::Args;
@@ -100,12 +102,8 @@ fn kv_soak_run(
     if let Some(plan) = plan {
         b = b.faults(plan);
     }
-    let sim = b.build();
-    let kcfg = KvConfig::for_keys(traffic.keys, 8);
-    let page_words = sim.machine.cfg().words_per_page();
-    let mut data = sim.alloc_zone(kcfg.table_pages(page_words));
-    let mut locks = sim.alloc_zone(kcfg.lock_pages());
-    let kv = KvTable::layout(kcfg, &mut data, &mut locks);
+    let mut sim = b.build();
+    let kv = KvTable::stage(KvConfig::for_keys(traffic.keys, 8), &mut sim);
     let schedule = traffic.schedule(procs);
     let report = run_open_loop(&sim, &kv, procs, &schedule);
     let audit = sim
@@ -208,7 +206,13 @@ fn soak_apps(
         let run = {
             let (cfg, plan) = (gauss_cfg.clone(), Arc::clone(&plan));
             with_watchdog(&format!("gauss (seed {seed})"), timeout, move || {
-                run_gauss_chaos(nodes, procs, &cfg, plan)
+                run_gauss_faulty(
+                    GaussStyle::Shared(PolicyKind::Platinum),
+                    nodes,
+                    procs,
+                    &cfg,
+                    Some(plan),
+                )
             })
         };
         let gauss_ok = run.checksum == gauss_ref;
@@ -228,7 +232,7 @@ fn soak_apps(
         let run = {
             let (cfg, plan) = (sort_cfg.clone(), Arc::clone(&plan));
             with_watchdog(&format!("mergesort (seed {seed})"), timeout, move || {
-                run_mergesort_chaos(nodes, procs, &cfg, plan)
+                run_mergesort_faulty(nodes, procs, &cfg, Some(plan))
             })
         };
         let si = injected(&run.kernel_stats);
@@ -238,7 +242,7 @@ fn soak_apps(
         let (run, err) = {
             let (cfg, plan) = (neural_cfg.clone(), Arc::clone(&plan));
             with_watchdog(&format!("neural (seed {seed})"), timeout, move || {
-                run_neural_chaos(nodes, procs, &cfg, plan)
+                run_neural_faulty(nodes, procs, &cfg, Some(plan))
             })
         };
         if !err.is_finite() {

@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use numa_machine::{MachineConfig, Mem, TimingConfig, Topology};
 use platinum::hostprof::HostProfSnapshot;
-use platinum::{PlacementPolicy, PlatinumPolicy, PolicyKind, Rights, UserCtx};
+use platinum::{PlacementPolicy, PlatinumPolicy, PolicyKind, Rights};
 use platinum_analysis::report::json::Value;
 use platinum_analysis::report::Table;
 use platinum_bench::Args;
@@ -153,27 +153,9 @@ fn fault_heavy(nodes: usize, topo: &Topology, pings: u64) -> (f64, HostProfSnaps
             ..PlatinumPolicy::paper_default()
         },
     );
-    let object = sim.kernel.create_object(1);
-    let va = sim.space.map_anywhere(object, Rights::RW).unwrap();
-    let mut ctxs: Vec<UserCtx> = (0..nodes).map(|p| sim.attach(p).unwrap()).collect();
-    // Only the current writer runs; everyone else sits suspended so the
-    // migration's shootdown handshake never waits on a spinning peer in
-    // host time (the quantity under measurement).
-    for c in ctxs.iter_mut().skip(1) {
-        c.suspend();
-    }
     sim.kernel.host_prof().enable();
-    let start = Instant::now();
-    for k in 0..pings {
-        let i = (k as usize) % nodes;
-        ctxs[i].write(va, k as u32);
-        ctxs[(i + 1) % nodes].resume();
-        ctxs[i].suspend();
-    }
-    (
-        start.elapsed().as_secs_f64(),
-        sim.kernel.host_prof().snapshot(),
-    )
+    let (_, secs) = platinum_bench::micro::fault_heavy(&sim, nodes, pings);
+    (secs, sim.kernel.host_prof().snapshot())
 }
 
 fn per_op_ns(ns: u64, ops: u64) -> f64 {

@@ -49,11 +49,12 @@
 
 use std::time::Instant;
 
-use numa_machine::{MachineConfig, Mem, TimingConfig, Topology};
-use platinum::{PlatinumPolicy, PtableConfig, PtablePlacement, Rights, UserCtx, WalkSnapshot};
+use numa_machine::{MachineConfig, TimingConfig, Topology};
+use platinum::{PlatinumPolicy, PtableConfig, PtablePlacement, WalkSnapshot};
 use platinum_analysis::report::json::Value;
 use platinum_analysis::report::Table;
 use platinum_bench::check::check_section;
+use platinum_bench::micro::fault_heavy;
 use platinum_bench::Args;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
@@ -108,39 +109,10 @@ impl Cell {
     }
 }
 
-/// Round-robin write ping-pong over all `procs` processors: every write
-/// migrates the page, so every reference is an ATC miss (one walk) and
-/// every migration's shootdown round carries a replica invalidation.
-/// Single host thread; returns (elapsed vtime, host seconds).
-fn fault_heavy(sim: &Sim, procs: usize, pings: u64) -> (u64, f64) {
-    let object = sim.kernel.create_object(1);
-    let va = sim.space.map_anywhere(object, Rights::RW).unwrap();
-    let mut ctxs: Vec<UserCtx> = (0..procs).map(|p| sim.attach(p).unwrap()).collect();
-    // Only the current writer runs; everyone else sits suspended so the
-    // migration handshake never waits on a spinning peer in host time.
-    for c in ctxs.iter_mut().skip(1) {
-        c.suspend();
-    }
-    let start = Instant::now();
-    for k in 0..pings {
-        let i = (k as usize) % procs;
-        ctxs[i].write(va, k as u32);
-        ctxs[(i + 1) % procs].resume();
-        ctxs[i].suspend();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let elapsed = ctxs.iter().map(|c| c.core().vtime()).max().unwrap();
-    (elapsed, secs)
-}
-
 /// The server tier's open-loop key-value store under the deterministic
 /// serialized driver. Returns (elapsed vtime, host seconds, requests).
-fn kv(sim: &Sim, procs: usize, traffic: &TrafficConfig) -> (u64, f64, u64) {
-    let kcfg = KvConfig::for_keys(traffic.keys, 8);
-    let page_words = sim.machine.cfg().words_per_page();
-    let mut data = sim.alloc_zone(kcfg.table_pages(page_words));
-    let mut locks = sim.alloc_zone(kcfg.lock_pages());
-    let kv = KvTable::layout(kcfg, &mut data, &mut locks);
+fn kv(sim: &mut Sim, procs: usize, traffic: &TrafficConfig) -> (u64, f64, u64) {
+    let kv = KvTable::stage(KvConfig::for_keys(traffic.keys, 8), sim);
     let schedule = traffic.schedule(procs);
     let start = Instant::now();
     let report = run_open_loop(sim, &kv, procs, &schedule);
@@ -180,8 +152,8 @@ fn run_sweep(
                         }
                     }
                     "kv" => {
-                        let sim = boot(p, &topo, placement, false);
-                        let (elapsed_ns, secs, requests) = kv(&sim, p, traffic);
+                        let mut sim = boot(p, &topo, placement, false);
+                        let (elapsed_ns, secs, requests) = kv(&mut sim, p, traffic);
                         Cell {
                             workload: "kv",
                             procs: p,

@@ -71,12 +71,8 @@ fn drive<W: Workload>(sim: &Sim, w: &W, cfg: &BenchConfig) -> DriverReport {
 }
 
 fn run_kv(cfg: &BenchConfig) -> WorkloadResult {
-    let sim = boot(cfg.nodes);
-    let kcfg = KvConfig::for_keys(cfg.traffic.keys, cfg.shards);
-    let page_words = sim.machine.cfg().words_per_page();
-    let mut data = sim.alloc_zone(kcfg.table_pages(page_words));
-    let mut locks = sim.alloc_zone(kcfg.lock_pages());
-    let kv = KvTable::layout(kcfg, &mut data, &mut locks);
+    let mut sim = boot(cfg.nodes);
+    let kv = KvTable::stage(KvConfig::for_keys(cfg.traffic.keys, cfg.shards), &mut sim);
     let report = drive(&sim, &kv, cfg);
     let audit = sim
         .spawn(0, |ctx| kv.verify(ctx))
@@ -91,12 +87,8 @@ fn run_kv(cfg: &BenchConfig) -> WorkloadResult {
 }
 
 fn run_flow(cfg: &BenchConfig) -> WorkloadResult {
-    let sim = boot(cfg.nodes);
-    let fcfg = FlowConfig::default();
-    let page_words = sim.machine.cfg().words_per_page();
-    let mut lookup = sim.alloc_zone(fcfg.lookup_pages(page_words));
-    let mut state = sim.alloc_zone(fcfg.state_pages(page_words));
-    let ft = FlowTables::layout(fcfg, &mut lookup, &mut state);
+    let mut sim = boot(cfg.nodes);
+    let ft = FlowTables::stage(FlowConfig::default(), &mut sim);
     let report = drive(&sim, &ft, cfg);
     let checksum = sim
         .spawn(0, |ctx| ft.checksum(ctx))

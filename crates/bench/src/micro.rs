@@ -9,6 +9,7 @@
 //! code, as far as the shootdown mechanism is concerned.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Instant;
 
 use numa_machine::{MachineConfig, Mem, Va};
 use platinum::{Rights, ShootdownMode, UserCtx};
@@ -109,6 +110,33 @@ pub fn vcost<T>(ctx: &mut UserCtx, op: impl FnOnce(&mut UserCtx) -> T) -> (u64, 
     let before = ctx.vtime();
     let out = op(ctx);
     (ctx.vtime() - before, out)
+}
+
+/// Round-robin write ping-pong on a fresh page over processors
+/// `0..procs`, `pings` writes in total: each write invalidates the
+/// previous writer's copy and migrates the page, so every reference is
+/// an ATC miss and the protocol slow path does all the work. One host
+/// thread; returns (elapsed virtual time, host seconds of the loop).
+pub fn fault_heavy(sim: &Sim, procs: usize, pings: u64) -> (u64, f64) {
+    let object = sim.kernel.create_object(1);
+    let va = sim.space.map_anywhere(object, Rights::RW).unwrap();
+    let mut ctxs: Vec<UserCtx> = (0..procs).map(|p| sim.attach(p).unwrap()).collect();
+    // Only the current writer runs; everyone else sits suspended so the
+    // migration's shootdown handshake never waits on a spinning peer in
+    // host time.
+    for c in ctxs.iter_mut().skip(1) {
+        c.suspend();
+    }
+    let start = Instant::now();
+    for k in 0..pings {
+        let i = (k as usize) % procs;
+        ctxs[i].write(va, k as u32);
+        ctxs[(i + 1) % procs].resume();
+        ctxs[i].suspend();
+    }
+    let secs = start.elapsed().as_secs_f64();
+    let elapsed = ctxs.iter().map(|c| c.core().vtime()).max().unwrap();
+    (elapsed, secs)
 }
 
 #[cfg(test)]

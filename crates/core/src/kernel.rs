@@ -142,6 +142,7 @@ impl Kernel {
             .into_boxed_slice();
         let defrost = DefrostState::new(cfg.t2_defrost_ns);
         let reclaim = ReclaimState::new(machine.nprocs());
+        let stats = KernelStats::new(machine.nprocs());
         Arc::new(Self {
             machine,
             cfg,
@@ -150,7 +151,7 @@ impl Kernel {
             spaces: RwLock::new(Vec::new()),
             ports: RwLock::new(Vec::new()),
             slots,
-            stats: KernelStats::default(),
+            stats,
             defrost,
             reclaim,
             threads: ThreadTable::new(),

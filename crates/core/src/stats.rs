@@ -31,10 +31,6 @@ impl Default for StatsStripe {
     }
 }
 
-/// The stripe count matches the machine's hard limit of 64 processors
-/// (the width of the protocol's bitmasks).
-const STRIPES: usize = 64;
-
 /// Machine-wide kernel event counters.
 ///
 /// One counter per [`EventKind`], incremented by [`Kernel::record`]
@@ -42,36 +38,36 @@ const STRIPES: usize = 64;
 /// so counters and traces can never disagree: a count is exactly the
 /// number of events of that kind ever recorded.
 ///
-/// Counters are striped per recording processor: a record is one relaxed
-/// add on a processor-private cache line, and reads sum the stripes. This
-/// keeps the hot fault path free of cross-processor cache-line traffic.
+/// Counters are striped per recording processor, one stripe for each
+/// processor of the machine (any size `MachineConfig::validate` admits):
+/// a record is one relaxed add on a processor-private cache line, and
+/// reads sum the stripes. This keeps the hot fault path free of
+/// cross-processor cache-line traffic.
 pub struct KernelStats {
     stripes: Box<[StatsStripe]>,
 }
 
-impl Default for KernelStats {
-    fn default() -> Self {
-        let mut v = Vec::with_capacity(STRIPES);
-        v.resize_with(STRIPES, StatsStripe::default);
+impl KernelStats {
+    /// Counters for a machine of `nprocs` processors.
+    pub(crate) fn new(nprocs: usize) -> Self {
         Self {
-            stripes: v.into_boxed_slice(),
+            stripes: (0..nprocs).map(|_| StatsStripe::default()).collect(),
         }
     }
-}
 
-impl KernelStats {
     /// Counts one event of `kind`, recorded by processor `proc`.
     ///
-    /// Each stripe has exactly one writer: every record call passes the
-    /// calling processor's own id (shootdown initiators record IPIs under
-    /// their own id, not the target's), and a processor is driven by one
-    /// thread at a time (`Kernel::attach` enforces exclusivity). A plain
-    /// load+store therefore cannot lose updates, and it compiles to an
-    /// ordinary add instead of a locked read-modify-write — this is the
-    /// hottest instruction in the fault path's instrumentation.
+    /// Each stripe has exactly one writer: no two processors share a
+    /// stripe, every record call passes the calling processor's own id
+    /// (shootdown initiators record IPIs under their own id, not the
+    /// target's), and a processor is driven by one thread at a time
+    /// (`Kernel::attach` enforces exclusivity). A plain load+store
+    /// therefore cannot lose updates, and it compiles to an ordinary add
+    /// instead of a locked read-modify-write — this is the hottest
+    /// instruction in the fault path's instrumentation.
     #[inline]
     pub(crate) fn record(&self, proc: usize, kind: EventKind) {
-        let c = &self.stripes[proc & (STRIPES - 1)].counters[kind as usize];
+        let c = &self.stripes[proc].counters[kind as usize];
         c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
@@ -393,7 +389,7 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_records() {
-        let s = KernelStats::default();
+        let s = KernelStats::new(64);
         s.record(0, EventKind::FaultBegin);
         s.record(1, EventKind::FaultBegin);
         for p in 0..5 {
@@ -410,9 +406,32 @@ mod tests {
         assert!(text.contains("IPIs sent"));
     }
 
+    /// Processors 0 and 64 recording flat out, released together: each
+    /// has a stripe of its own, so the total is exact. (With 64 stripes
+    /// indexed `proc & 63` the two raced on one plain load+store and
+    /// about half the increments were lost.)
+    #[test]
+    fn processors_64_apart_do_not_share_a_stripe() {
+        const EVENTS: u64 = 2_000_000;
+        let s = KernelStats::new(65);
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|t| {
+            for proc in [0, 64] {
+                let (s, go) = (&s, &go);
+                t.spawn(move || {
+                    go.wait();
+                    for _ in 0..EVENTS {
+                        s.record(proc, EventKind::FaultBegin);
+                    }
+                });
+            }
+        });
+        assert_eq!(s.count(EventKind::FaultBegin), 2 * EVENTS);
+    }
+
     #[test]
     fn snapshot_delta() {
-        let s = KernelStats::default();
+        let s = KernelStats::new(64);
         s.record(0, EventKind::Freeze);
         let before = s.snapshot();
         s.record(2, EventKind::Freeze);
@@ -435,7 +454,7 @@ mod tests {
             g.freezes = 1;
             g.lock_wait_ns = 5000;
         }
-        let stats = KernelStats::default();
+        let stats = KernelStats::new(64);
         let r = MemoryReport::build(&t, &stats, 3);
         assert_eq!(r.pages.len(), 1);
         assert_eq!(r.pages[0].faults, 7);

@@ -111,9 +111,6 @@ pub struct MachineConfig {
     /// processor stalls until the others catch up. Keeps the replication
     /// policy's timestamps meaningful across processors.
     pub skew_window_ns: Option<u64>,
-    /// Number of accesses between publications of a processor's virtual
-    /// clock (used by the skew window and by observers).
-    pub publish_interval: u32,
     /// Width of the contention model's utilization buckets, ns. Should
     /// comfortably exceed typical access latencies and sit well below the
     /// skew window.
@@ -143,7 +140,6 @@ impl Default for MachineConfig {
             timing: TimingConfig::default(),
             topology: None,
             skew_window_ns: Some(2_000_000),
-            publish_interval: 64,
             contention_bucket_ns: 100_000,
             fast_path: true,
         }

@@ -14,6 +14,10 @@ use crate::stats::AccessCounters;
 /// idle processors are excluded from the skew window's minimum.
 pub const IDLE: u64 = u64::MAX;
 
+/// Accesses between publications of a processor's virtual clock (read
+/// by the skew window and by observers).
+const PUBLISH_INTERVAL: u32 = 64;
+
 /// The kind of a single-word memory access, for the timing model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccessKind {
@@ -99,9 +103,6 @@ pub struct ProcCore {
     lat: Box<[[u64; 3]]>,
     /// Per-destination memory-module service times, same resolution.
     svc: Box<[u64]>,
-    /// Cached `MachineConfig::publish_interval`, read on every access by
-    /// [`ProcCore::tick`].
-    publish_interval: u32,
     /// Cached `MachineConfig::fast_path`.
     fast_enabled: bool,
     /// Per-module contention-bucket cursors (indexed by module id),
@@ -158,7 +159,6 @@ impl ProcCore {
         let svc = (0..machine.nprocs())
             .map(|to| topo.service_time(id, to))
             .collect();
-        let publish_interval = machine.cfg().publish_interval;
         let fast_enabled = machine.cfg().fast_path;
         let cursors = vec![BucketCursor::default(); machine.cfg().nodes].into_boxed_slice();
         let shared = machine.shared(id) as *const ProcShared;
@@ -172,7 +172,6 @@ impl ProcCore {
             waiting: false,
             lat,
             svc,
-            publish_interval,
             fast_enabled,
             cursors,
             shared,
@@ -303,12 +302,12 @@ impl ProcCore {
     }
 
     /// Periodic publication bookkeeping; returns true every
-    /// `publish_interval` accesses so the caller can run the (slightly
+    /// `PUBLISH_INTERVAL` accesses so the caller can run the (slightly
     /// more expensive) throttle check.
     #[inline(always)]
     pub fn tick(&mut self) -> bool {
         self.accesses_since_publish += 1;
-        if self.accesses_since_publish >= self.publish_interval {
+        if self.accesses_since_publish >= PUBLISH_INTERVAL {
             self.accesses_since_publish = 0;
             true
         } else {

@@ -20,10 +20,12 @@ use std::sync::Arc;
 
 use numa_machine::{MachineConfig, Mem, Va};
 use parking_lot::Mutex;
-use platinum::{Kernel, PolicyKind, StatsSnapshot, UserCtx};
+use platinum::{PolicyKind, StatsSnapshot, UserCtx};
 use platinum_runtime::measure::{RunStats, WorkerStats};
+use platinum_runtime::par::pool;
 use platinum_runtime::sim::Sim;
 use platinum_runtime::zones::Zone;
+use platinum_runtime::Stage;
 
 use crate::format::{Op, Phase, Rec, RefTrace};
 use crate::gate::Gate;
@@ -97,15 +99,11 @@ impl Capture {
         }
     }
 
-    /// The underlying simulation (for unrecorded work such as checksum
+    /// The underlying simulation, itself a [`Stage`]: work staged on it
+    /// runs on the capture machine but stays out of the trace (checksum
     /// verification — run it *after* snapshotting any statistics).
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
-
-    /// The capture kernel.
-    pub fn kernel(&self) -> &Arc<Kernel> {
-        &self.sim.kernel
+    pub fn sim(&mut self) -> &mut Sim {
+        &mut self.sim
     }
 
     /// Snapshot of the capture kernel's protocol counters (freezes,
@@ -132,56 +130,45 @@ impl Capture {
         F: Fn(usize, &mut RecordingCtx) -> R + Sync,
         R: Send,
     {
-        let st = PhaseState::default();
-        let kernel = &self.sim.kernel;
-        let space = &self.sim.space;
-        let mut out: Vec<Option<(R, WorkerStats)>> = Vec::new();
-        out.resize_with(n, || None);
-        std::thread::scope(|s| {
-            let st = &st;
-            let f = &f;
-            for (p, slot) in out.iter_mut().enumerate() {
-                s.spawn(move || {
-                    let ctx = {
-                        let _g = st.gate.lock(|| {});
-                        let ctx = kernel
-                            .attach(Arc::clone(space), p, 0)
-                            .expect("recording worker claims a free processor");
-                        st.push(p as u8, Op::Attach, ctx.vtime());
-                        ctx
-                    };
-                    let mut rctx = RecordingCtx { ctx, st };
-                    let r = f(p, &mut rctx);
-                    let RecordingCtx { ctx: mut ctx2, .. } = rctx;
-                    let stats = {
-                        let _g = st.gate.lock(|| ctx2.service_ipis());
-                        let stats = WorkerStats {
-                            proc: p,
-                            vtime_ns: ctx2.vtime(),
-                            counters: ctx2.counters(),
-                        };
-                        st.push(p as u8, Op::Detach, ctx2.vtime());
-                        drop(ctx2);
-                        stats
-                    };
-                    *slot = Some((r, stats));
-                });
-            }
-        });
-        let mut results = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for slot in out {
-            let (r, w) = slot.expect("recording worker completed");
-            results.push(r);
-            workers.push(w);
-        }
+        let st = Arc::new(PhaseState::default());
+        let sim = &self.sim;
+        // The runtime's worker pool with the recorder's two extra steps:
+        // attach and detach each take the gate and are written into the
+        // op list, so replay attaches and detaches in the recorded order.
+        let (results, stats) = pool(
+            n,
+            |p| {
+                let _g = st.gate.lock(|| {});
+                let ctx = sim
+                    .attach(p)
+                    .expect("recording worker claims a free processor");
+                st.push(p as u8, Op::Attach, ctx.vtime());
+                RecordingCtx {
+                    ctx,
+                    st: Arc::clone(&st),
+                }
+            },
+            f,
+            |proc, RecordingCtx { mut ctx, st }| {
+                let _g = st.gate.lock(|| ctx.service_ipis());
+                let stats = WorkerStats {
+                    proc,
+                    vtime_ns: ctx.vtime(),
+                    counters: ctx.counters(),
+                };
+                st.push(proc as u8, Op::Detach, ctx.vtime());
+                drop(ctx);
+                stats
+            },
+        );
+        let st = Arc::into_inner(st).expect("every recording context detached");
         self.phases.push(Phase {
             label: label.to_string(),
             workers: n,
-            final_vtimes: workers.iter().map(|w| w.vtime_ns).collect(),
+            final_vtimes: stats.workers.iter().map(|w| w.vtime_ns).collect(),
             ops: st.ops.into_inner(),
         });
-        (results, RunStats { workers })
+        (results, stats)
     }
 
     /// Seals the recording into a self-contained [`RefTrace`].
@@ -197,16 +184,38 @@ impl Capture {
     }
 }
 
+/// Staging on a capture records: zone sizes go into the trace in call
+/// order and every phase becomes a labelled op list.
+impl Stage for Capture {
+    type Ctx = RecordingCtx;
+
+    fn page_words(&self) -> usize {
+        self.sim.page_words()
+    }
+
+    fn alloc_zone(&mut self, pages: usize) -> Zone {
+        Capture::alloc_zone(self, pages)
+    }
+
+    fn phase<R, F>(&mut self, label: &str, n: usize, f: F) -> (Vec<R>, RunStats)
+    where
+        F: Fn(usize, &mut RecordingCtx) -> R + Sync,
+        R: Send,
+    {
+        self.run_phase(label, n, f)
+    }
+}
+
 /// A [`UserCtx`] wrapped for recording: implements [`Mem`] by winning the
 /// phase's global gate, executing the real operation, and appending it to
 /// the op list. Application code written against `Mem` (including the
 /// runtime's locks, barriers and event counts) records itself unchanged.
-pub struct RecordingCtx<'a> {
+pub struct RecordingCtx {
     ctx: UserCtx,
-    st: &'a PhaseState,
+    st: Arc<PhaseState>,
 }
 
-impl RecordingCtx<'_> {
+impl RecordingCtx {
     /// The wrapped kernel context (read-only; going around the recorder
     /// for mutation would leave holes in the trace).
     pub fn inner(&self) -> &UserCtx {
@@ -216,8 +225,7 @@ impl RecordingCtx<'_> {
     /// Gate → execute → record. The split borrow (gate on `st`, executor
     /// on `ctx`) lets waiting service IPIs targeted at this processor.
     fn op<R>(&mut self, op: Op, exec: impl FnOnce(&mut UserCtx) -> R) -> R {
-        let st = self.st;
-        let ctx = &mut self.ctx;
+        let Self { ctx, st } = self;
         let _g = st.gate.lock(|| ctx.service_ipis());
         let r = exec(ctx);
         st.push(ctx.proc_id() as u8, op, ctx.vtime());
@@ -225,7 +233,7 @@ impl RecordingCtx<'_> {
     }
 }
 
-impl Mem for RecordingCtx<'_> {
+impl Mem for RecordingCtx {
     fn proc_id(&self) -> usize {
         self.ctx.proc_id()
     }
@@ -239,8 +247,7 @@ impl Mem for RecordingCtx<'_> {
     }
 
     fn advance_to(&mut self, t: u64) {
-        let st = self.st;
-        let ctx = &mut self.ctx;
+        let Self { ctx, st } = self;
         let _g = st.gate.lock(|| ctx.service_ipis());
         // Release edge: if some recorded op produced exactly this time
         // (a lock release, an event-count advance), record the dependency
@@ -310,5 +317,39 @@ impl Mem for RecordingCtx<'_> {
     fn write_block(&mut self, va: Va, src: &[u32]) {
         let words = src.len() as u64;
         self.op(Op::WriteBlock { va, words }, |c| c.write_block(va, src));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Replay attaches and detaches where the trace says, so every worker
+    /// of every phase must be bracketed by exactly one of each.
+    #[test]
+    fn each_worker_records_one_attach_and_one_detach_per_phase() {
+        let mut cap = Capture::new(4, &ReplayOptions::default());
+        let word = cap.alloc_zone(1).alloc_words(1);
+        for (label, n) in [("three", 3), ("four", 4)] {
+            cap.run_phase(label, n, |_, ctx| ctx.fetch_add(word, 1));
+        }
+        let trace = cap.finish();
+        assert_eq!(trace.phases.len(), 2);
+        for phase in &trace.phases {
+            for p in 0..phase.workers {
+                let ops: Vec<Op> = phase
+                    .ops
+                    .iter()
+                    .filter(|r| usize::from(r.proc) == p)
+                    .map(|r| r.op)
+                    .collect();
+                assert_eq!(
+                    ops,
+                    [Op::Attach, Op::Atomic { va: word }, Op::Detach],
+                    "phase {} worker {p}",
+                    phase.label
+                );
+            }
+        }
     }
 }

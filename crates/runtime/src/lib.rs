@@ -16,8 +16,11 @@
 //!   simulated coherent memory* (so their pages freeze and thaw exactly
 //!   like the paper describes) with virtual-time propagation from
 //!   releasers to acquirers;
-//! * [`par`] — spawn helpers that bind one worker thread per simulated
-//!   processor and collect per-worker timing/statistics;
+//! * [`par`] — the worker pool: one thread per simulated processor,
+//!   per-worker timing/statistics collected in worker order;
+//! * [`stage`] — the [`Stage`] seam applications are staged against, so
+//!   one layout-plus-phases definition runs live, recorded, and on the
+//!   UMA comparator;
 //! * [`measure`] — speedup bookkeeping shared by the benchmark harness.
 //!
 //! Everything generic is written against [`numa_machine::Mem`], so the
@@ -29,15 +32,17 @@
 pub mod measure;
 pub mod par;
 pub mod sim;
+pub mod stage;
 pub mod sync;
 pub mod zones;
 
 pub use measure::{RunStats, WorkerStats};
-pub use par::{run_uma_workers, run_workers};
+pub use par::run_uma_workers;
 /// The lockstep executor: one host thread drives every processor's
 /// context in a caller-chosen order (re-exported from the kernel crate,
 /// where its shootdown-ack hook lives).
 pub use platinum::Lockstep;
 pub use sim::{Sim, SimBuilder};
+pub use stage::Stage;
 pub use sync::{Barrier, EventCount, SpinLock};
 pub use zones::Zone;

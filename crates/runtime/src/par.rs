@@ -4,60 +4,44 @@ use std::sync::Arc;
 
 use numa_machine::uma::{UmaConfig, UmaCtx, UmaMachine};
 use numa_machine::Mem;
-use platinum::{AddressSpace, Kernel, UserCtx};
 
 use crate::measure::{RunStats, WorkerStats};
 
-/// Runs `f(worker_index, ctx)` on processors `0..n` of `kernel`, one OS
-/// thread per simulated processor, starting all virtual clocks at 0.
+/// The one worker pool: `n` scoped OS threads, worker `i` running
+/// `attach(i)`, then `f(i, &mut ctx)`, then `detach(i, ctx)`; results and
+/// per-worker statistics come back in worker order. Every way of running
+/// an application phase — on the kernel ([`crate::Sim::run`]), on the
+/// UMA comparator ([`run_uma_workers`]), under the reference-trace
+/// recorder — is this loop with its own attach and detach steps.
 ///
 /// # Panics
 ///
-/// Panics if any worker panics, or if a processor is already occupied.
-pub fn run_workers<F, R>(
-    kernel: &Arc<Kernel>,
-    space: &Arc<AddressSpace>,
+/// Panics if any worker panics.
+pub fn pool<C, R>(
     n: usize,
-    f: F,
+    attach: impl Fn(usize) -> C + Sync,
+    f: impl Fn(usize, &mut C) -> R + Sync,
+    detach: impl Fn(usize, C) -> WorkerStats + Sync,
 ) -> (Vec<R>, RunStats)
 where
-    F: Fn(usize, &mut UserCtx) -> R + Sync,
     R: Send,
 {
-    assert!(n >= 1 && n <= kernel.machine().nprocs());
-    let f = &f;
-    let mut out: Vec<Option<(R, WorkerStats)>> = Vec::new();
-    out.resize_with(n, || None);
-    std::thread::scope(|s| {
+    let (attach, f, detach) = (&attach, &f, &detach);
+    let (results, workers) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)
-            .map(|p| {
-                let kernel = Arc::clone(kernel);
-                let space = Arc::clone(space);
+            .map(|i| {
                 s.spawn(move || {
-                    let mut ctx = kernel
-                        .attach(space, p, 0)
-                        .expect("processor free for worker");
-                    let r = f(p, &mut ctx);
-                    let stats = WorkerStats {
-                        proc: p,
-                        vtime_ns: ctx.vtime(),
-                        counters: ctx.counters(),
-                    };
-                    (r, stats)
+                    let mut ctx = attach(i);
+                    let r = f(i, &mut ctx);
+                    (r, detach(i, ctx))
                 })
             })
             .collect();
-        for (p, h) in handles.into_iter().enumerate() {
-            out[p] = Some(h.join().expect("worker panicked"));
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .unzip()
     });
-    let mut results = Vec::with_capacity(n);
-    let mut workers = Vec::with_capacity(n);
-    for slot in out {
-        let (r, w) = slot.expect("every worker reports");
-        results.push(r);
-        workers.push(w);
-    }
     (results, RunStats { workers })
 }
 
@@ -69,37 +53,16 @@ where
     R: Send,
 {
     assert!(n >= 1 && n <= machine.cfg().procs);
-    let f = &f;
-    let mut out: Vec<Option<(R, WorkerStats)>> = Vec::new();
-    out.resize_with(n, || None);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|p| {
-                let machine = Arc::clone(machine);
-                s.spawn(move || {
-                    let mut ctx = UmaCtx::new(machine, p);
-                    let r = f(p, &mut ctx);
-                    let stats = WorkerStats {
-                        proc: p,
-                        vtime_ns: ctx.vtime(),
-                        counters: ctx.counters(),
-                    };
-                    (r, stats)
-                })
-            })
-            .collect();
-        for (p, h) in handles.into_iter().enumerate() {
-            out[p] = Some(h.join().expect("worker panicked"));
-        }
-    });
-    let mut results = Vec::with_capacity(n);
-    let mut workers = Vec::with_capacity(n);
-    for slot in out {
-        let (r, w) = slot.expect("every worker reports");
-        results.push(r);
-        workers.push(w);
-    }
-    (results, RunStats { workers })
+    pool(
+        n,
+        |p| UmaCtx::new(Arc::clone(machine), p),
+        f,
+        |proc, ctx| WorkerStats {
+            proc,
+            vtime_ns: ctx.vtime(),
+            counters: ctx.counters(),
+        },
+    )
 }
 
 /// Builds a UMA comparator machine with `procs` processors and enough
@@ -143,6 +106,50 @@ mod tests {
         let (_, s2) = h.run(2, |_, ctx| ctx.fetch_add(word, 1));
         assert_eq!(s1.workers.len(), 2);
         assert_eq!(s2.workers.len(), 2);
+    }
+
+    /// A context that only knows which worker it belongs to.
+    fn idle_stats(proc: usize, _ctx: usize) -> WorkerStats {
+        WorkerStats {
+            proc,
+            vtime_ns: 0,
+            counters: Default::default(),
+        }
+    }
+
+    #[test]
+    fn pool_returns_results_in_worker_order_not_completion_order() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Worker i returns only after worker i + 1 has: completion order
+        // is 3, 2, 1, 0.
+        let done: Vec<AtomicBool> = (0..5).map(|i| AtomicBool::new(i == 4)).collect();
+        let (results, stats) = pool(
+            4,
+            |i| i,
+            |i, ctx| {
+                assert_eq!(*ctx, i, "worker i runs on the context attach(i) made");
+                while !done[i + 1].load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                done[i].store(true, Ordering::Release);
+                i * 10
+            },
+            idle_stats,
+        );
+        assert_eq!(results, vec![0, 10, 20, 30]);
+        let procs: Vec<usize> = stats.workers.iter().map(|w| w.proc).collect();
+        assert_eq!(procs, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked")]
+    fn pool_propagates_a_worker_panic() {
+        pool(
+            3,
+            |i| i,
+            |i, _| assert_ne!(i, 1, "worker 1 fails"),
+            idle_stats,
+        );
     }
 
     #[test]

@@ -24,15 +24,15 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use numa_machine::{Machine, MachineConfig, Topology};
+use numa_machine::{Machine, MachineConfig, Mem, Topology};
 use platinum::trace::{TraceConfig, Tracer};
 use platinum::{
     AddressSpace, FaultPlan, Kernel, KernelConfig, PlacementPolicy, PtableConfig, Rights,
     ShootdownMode, UserCtx,
 };
 
-use crate::measure::RunStats;
-use crate::par::run_workers;
+use crate::measure::{RunStats, WorkerStats};
+use crate::par::pool;
 use crate::zones::Zone;
 
 /// Fluent builder for a booted simulation. Entry point: [`SimBuilder::nodes`].
@@ -46,7 +46,7 @@ pub struct SimBuilder {
     frames_per_node: Option<usize>,
     topology: Option<Topology>,
     kernel: KernelConfig,
-    trace: Option<(PathBuf, TraceConfig)>,
+    trace: Option<PathBuf>,
 }
 
 impl SimBuilder {
@@ -102,13 +102,6 @@ impl SimBuilder {
         self
     }
 
-    /// Replaces the whole kernel configuration, policy included (later
-    /// policy/shootdown/defrost/cmap/faults calls edit this).
-    pub fn kernel_config(mut self, cfg: KernelConfig) -> Self {
-        self.kernel = cfg;
-        self
-    }
-
     /// Selects the shootdown mechanism (PLATINUM's per-processor Pmap or
     /// the Mach-style shared-Pmap comparator).
     pub fn shootdown(mut self, mode: ShootdownMode) -> Self {
@@ -122,23 +115,11 @@ impl SimBuilder {
         self
     }
 
-    /// Number of Cmap directory shards (a host-side concurrency knob).
-    pub fn cmap_shards(mut self, shards: usize) -> Self {
-        self.kernel.cmap_shards = shards;
-        self
-    }
-
     /// Installs a protocol-event tracer at build time and remembers
     /// `path`; [`Sim::write_trace`] exports the Chrome/Perfetto JSON
     /// there after the run.
     pub fn trace(mut self, path: impl AsRef<Path>) -> Self {
-        self.trace = Some((path.as_ref().to_path_buf(), TraceConfig::default()));
-        self
-    }
-
-    /// Like [`SimBuilder::trace`] with an explicit ring capacity.
-    pub fn trace_with(mut self, path: impl AsRef<Path>, cfg: TraceConfig) -> Self {
-        self.trace = Some((path.as_ref().to_path_buf(), cfg));
+        self.trace = Some(path.as_ref().to_path_buf());
         self
     }
 
@@ -176,16 +157,15 @@ impl SimBuilder {
         }
         let machine = Machine::new(mcfg).expect("valid machine config");
         let kernel = Kernel::boot(Arc::clone(&machine), self.kernel);
-        let trace_path = self.trace.map(|(path, tcfg)| {
-            kernel.install_tracer(Tracer::new(tcfg));
-            path
-        });
+        if self.trace.is_some() {
+            kernel.install_tracer(Tracer::new(TraceConfig::default()));
+        }
         let space = kernel.create_space();
         Sim {
             machine,
             kernel,
             space,
-            trace_path,
+            trace_path: self.trace,
         }
     }
 }
@@ -225,14 +205,29 @@ impl Sim {
         Ok(entry(&mut ctx))
     }
 
-    /// Runs `f(worker_index, ctx)` on processors `0..n` in parallel and
+    /// Runs `f(worker_index, ctx)` on processors `0..n`, one OS thread
+    /// per simulated processor, all virtual clocks starting at 0, and
     /// collects results plus per-worker statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any worker panics, or if a processor is already occupied.
     pub fn run<F, R>(&self, n: usize, f: F) -> (Vec<R>, RunStats)
     where
         F: Fn(usize, &mut UserCtx) -> R + Sync,
         R: Send,
     {
-        run_workers(&self.kernel, &self.space, n, f)
+        assert!(n >= 1 && n <= self.nprocs());
+        pool(
+            n,
+            |p| self.attach(p).expect("processor free for worker"),
+            f,
+            |proc, ctx| WorkerStats {
+                proc,
+                vtime_ns: ctx.vtime(),
+                counters: ctx.counters(),
+            },
+        )
     }
 
     /// Creates a memory object of `pages` pages, maps it into the
@@ -296,7 +291,6 @@ mod tests {
             .policy(PolicyKind::Platinum)
             .shootdown(ShootdownMode::PerProcessorPmap)
             .defrost_ns(1_000_000)
-            .cmap_shards(4)
             .trace(&path)
             .faults(Arc::new(FaultPlan::chaos(7, 0))) // plan installed, rate 0
             .build();

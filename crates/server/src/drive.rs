@@ -168,13 +168,10 @@ impl Acc {
 }
 
 /// Executes one request against `w`, retrying surfaced recoverable
-/// errors, and returns the completion vtime.
-fn execute_one<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, acc: &mut Acc) {
-    if ctx.vtime() < req.arrival_ns {
-        // Idle until the request arrives; a backlogged worker skips
-        // this and the excess shows up as queueing latency.
-        ctx.advance_to(req.arrival_ns);
-    }
+/// errors, and accounts it with latency measured from `since` — the
+/// scheduled arrival for the open loop (queueing included), the issue
+/// time for the closed loop (pure service time).
+fn serve<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, since: u64, acc: &mut Acc) {
     let mut attempts = 0u32;
     loop {
         match w.execute(ctx, req) {
@@ -192,7 +189,7 @@ fn execute_one<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, acc: &mut A
         }
     }
     let done = ctx.vtime();
-    let latency = done - req.arrival_ns;
+    let latency = done - since;
     let class = w.class(req);
     acc.all.record(latency);
     if class == 1 {
@@ -287,7 +284,12 @@ pub fn run_open_loop<W: Workload>(
     let mut accs: Vec<Acc> = (0..procs).map(|_| Acc::new(w.shards())).collect();
     for req in schedule {
         workers.run(req.proc, |ctx| {
-            execute_one(ctx, w, req, &mut accs[req.proc])
+            if ctx.vtime() < req.arrival_ns {
+                // Idle until the request arrives; a backlogged worker
+                // skips this and the excess shows up as queueing latency.
+                ctx.advance_to(req.arrival_ns);
+            }
+            serve(ctx, w, req, req.arrival_ns, &mut accs[req.proc])
         });
     }
     let vtimes = (0..procs).map(|p| workers.release(p).vtime()).collect();
@@ -308,38 +310,8 @@ pub fn run_closed_loop<W: Workload>(sim: &Sim, w: &W, per_proc: &[Vec<Request>])
     let (outs, run) = sim.run(procs, |p, ctx| {
         let mut acc = Acc::new(w.shards());
         for req in &per_proc[p] {
-            let start = ctx.vtime();
-            let mut attempts = 0u32;
-            loop {
-                match w.execute(ctx, req) {
-                    Ok(()) => break,
-                    Err(e) => {
-                        acc.retries += 1;
-                        attempts += 1;
-                        assert!(attempts < MAX_ATTEMPTS, "unrecoverable request: {e}");
-                    }
-                }
-            }
-            let latency = ctx.vtime() - start;
-            let class = w.class(req);
-            acc.all.record(latency);
-            if class == 1 {
-                acc.write.record(latency);
-                acc.writes += 1;
-            } else {
-                acc.read.record(latency);
-                acc.reads += 1;
-            }
-            acc.per_shard[w.shard_of(req.key)] += 1;
-            acc.requests += 1;
-            ctx.kernel().record(
-                ctx.proc_id(),
-                ctx.vtime(),
-                EventKind::ServerRequest,
-                class,
-                req.key,
-                latency,
-            );
+            let issued = ctx.vtime();
+            serve(ctx, w, req, issued, &mut acc);
         }
         acc
     });

@@ -17,6 +17,7 @@
 
 use numa_machine::Va;
 use platinum_runtime::zones::Zone;
+use platinum_runtime::Stage;
 
 use crate::drive::Workload;
 use crate::rng::mix;
@@ -92,6 +93,15 @@ impl FlowTables {
             hop_base,
             state_base,
         }
+    }
+
+    /// Allocates the read-mostly zone and the flow-state zone on `stage`
+    /// and lays the pipeline out in them.
+    pub fn stage<S: Stage>(cfg: FlowConfig, stage: &mut S) -> Self {
+        let page_words = stage.page_words();
+        let mut lookup = stage.alloc_zone(cfg.lookup_pages(page_words));
+        let mut state = stage.alloc_zone(cfg.state_pages(page_words));
+        Self::layout(cfg, &mut lookup, &mut state)
     }
 
     /// The geometry this pipeline was laid out with.

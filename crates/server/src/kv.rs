@@ -27,6 +27,7 @@
 use numa_machine::Va;
 use platinum_runtime::sync::SpinLock;
 use platinum_runtime::zones::Zone;
+use platinum_runtime::Stage;
 
 use crate::drive::Workload;
 use crate::rng::mix;
@@ -117,6 +118,14 @@ impl KvTable {
             shard_base,
             locks,
         }
+    }
+
+    /// Allocates the table zone and the lock zone on `stage` and lays
+    /// the store out in them.
+    pub fn stage<S: Stage>(cfg: KvConfig, stage: &mut S) -> Self {
+        let mut data = stage.alloc_zone(cfg.table_pages(stage.page_words()));
+        let mut locks = stage.alloc_zone(cfg.lock_pages());
+        Self::layout(cfg, &mut data, &mut locks)
     }
 
     /// The geometry this table was laid out with.

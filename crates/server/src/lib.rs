@@ -88,7 +88,7 @@ impl ServerMem for platinum::UserCtx {
 /// Recorded runs use the panicking defaults: the recorder serializes
 /// every operation through its gate, and a recoverable error during a
 /// capture would leave a hole in the trace anyway.
-impl ServerMem for platinum_reftrace::RecordingCtx<'_> {}
+impl ServerMem for platinum_reftrace::RecordingCtx {}
 
 /// Test backend (no recoverable error path).
 impl ServerMem for numa_machine::mem_iface::test_support::FlatMem {}

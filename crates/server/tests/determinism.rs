@@ -128,12 +128,8 @@ fn boot(nodes: usize) -> Sim {
 /// One full open-loop KV run on a small machine; returns the report and
 /// the post-run table checksum.
 fn kv_run(nodes: usize, traffic: &TrafficConfig) -> (DriverReport, u64) {
-    let sim = boot(nodes);
-    let cfg = KvConfig::for_keys(traffic.keys, 8);
-    let page_words = sim.machine.cfg().words_per_page();
-    let mut data = sim.alloc_zone(cfg.table_pages(page_words));
-    let mut locks = sim.alloc_zone(cfg.lock_pages());
-    let kv = KvTable::layout(cfg, &mut data, &mut locks);
+    let mut sim = boot(nodes);
+    let kv = KvTable::stage(KvConfig::for_keys(traffic.keys, 8), &mut sim);
     let schedule = traffic.schedule(nodes);
     let report = run_open_loop(&sim, &kv, nodes, &schedule);
     let audit = sim
@@ -147,17 +143,14 @@ fn kv_run(nodes: usize, traffic: &TrafficConfig) -> (DriverReport, u64) {
 /// One open-loop run of a small flow-table pipeline; returns the report
 /// and the post-run state checksum.
 fn flow_run(nodes: usize, traffic: &TrafficConfig) -> (DriverReport, u64) {
-    let sim = boot(nodes);
+    let mut sim = boot(nodes);
     let cfg = FlowConfig {
         flows: 1 << 10,
         route_entries: 512,
         hop_entries: 128,
         state_words: 8,
     };
-    let page_words = sim.machine.cfg().words_per_page();
-    let mut lookup = sim.alloc_zone(cfg.lookup_pages(page_words));
-    let mut state = sim.alloc_zone(cfg.state_pages(page_words));
-    let ft = FlowTables::layout(cfg, &mut lookup, &mut state);
+    let ft = FlowTables::stage(cfg, &mut sim);
     let report = run_open_loop(&sim, &ft, nodes, &traffic.schedule(nodes));
     let checksum = sim
         .spawn(0, |ctx| ft.checksum(ctx))

@@ -2,11 +2,10 @@
 //! exists only once something has named it. Every assertion here is an
 //! exact frame count — nothing is timed.
 
-use platinum_repro::apps::gauss::{self, GaussConfig, GaussLayout};
+use platinum_repro::apps::gauss::{self, Gauss, GaussConfig};
 use platinum_repro::kernel::PolicyKind;
 use platinum_repro::machine::{Machine, MachineConfig, PhysPage};
 use platinum_repro::runtime::sim::{Sim, SimBuilder};
-use platinum_repro::runtime::sync::EventCount;
 
 #[test]
 fn a_16_gb_machine_boots_with_no_frame_materialised() {
@@ -28,23 +27,14 @@ fn a_16_gb_machine_boots_with_no_frame_materialised() {
     assert_eq!(m.module(1).frames_materialized(), 0);
 }
 
-/// Shared-memory Gaussian elimination as `harness::run_gauss` lays it
-/// out, on a machine the caller keeps so its frame counts can be read.
-fn gauss_n48(sim: &Sim, p: usize) {
+/// Shared-memory Gaussian elimination — the staging `harness::run_gauss`
+/// runs — on a machine the caller keeps so its frame counts can be read.
+fn gauss_n48(sim: &mut Sim, p: usize) {
     let cfg = GaussConfig::with_n(48);
-    let page_words = sim.machine.cfg().words_per_page();
-    let mut data = sim.alloc_zone(GaussLayout::zone_pages(cfg.n, page_words));
-    let lay = GaussLayout::alloc(&mut data, cfg.n, page_words);
-    let mut sync = sim.alloc_zone(1);
-    let ec = EventCount::new(sync.alloc_words(1));
-    sim.run(p, |tid, ctx| {
-        gauss::init_owned_rows(ctx, &lay, &cfg, tid, p)
-    });
-    sim.run(p, |tid, ctx| {
-        gauss::run_shared(ctx, &lay, &cfg, &ec, tid, p)
-    });
-    let (sums, _) = sim.run(1, |_, ctx| gauss::checksum(ctx, &lay));
-    assert_eq!(sums[0], gauss::reference_checksum(&cfg));
+    let g = Gauss::stage(sim, &cfg, p);
+    g.init(sim);
+    g.measured(sim);
+    assert_eq!(g.checksum(sim), gauss::reference_checksum(&cfg));
 }
 
 #[test]
@@ -52,9 +42,9 @@ fn gauss_materialises_exactly_the_frames_it_allocates() {
     // One processor never frees a frame, so the frames allocated at the
     // end are the high-water mark — and exactly those were materialised,
     // out of 16 x 4096 configured.
-    let sim = SimBuilder::nodes(16).policy(PolicyKind::Platinum).build();
+    let mut sim = SimBuilder::nodes(16).policy(PolicyKind::Platinum).build();
     assert_eq!(sim.machine.frames_materialized(), 0);
-    gauss_n48(&sim, 1);
+    gauss_n48(&mut sim, 1);
     assert_eq!(sim.kernel.stats().snapshot().frames_freed, 0);
     let allocated = sim.machine.frames_allocated();
     assert!(allocated >= 48, "one page per matrix row at least");
@@ -64,8 +54,8 @@ fn gauss_materialises_exactly_the_frames_it_allocates() {
     // With replication and migration frames are freed and reused, so the
     // count is bracketed instead: every allocated frame is materialised,
     // and a materialised frame that is no longer allocated was freed.
-    let sim = SimBuilder::nodes(4).policy(PolicyKind::Platinum).build();
-    gauss_n48(&sim, 4);
+    let mut sim = SimBuilder::nodes(4).policy(PolicyKind::Platinum).build();
+    gauss_n48(&mut sim, 4);
     let allocated = sim.machine.frames_allocated();
     let freed = sim.kernel.stats().snapshot().frames_freed as usize;
     let materialised = sim.machine.frames_materialized();
