@@ -4,7 +4,7 @@
 //! * [`model`] — when does it pay to migrate a page? Inequality (2),
 //!   `g(p)`, and the S_min values of Table 1.
 //! * [`report`] — text tables and speedup-series formatting shared by
-//!   the per-figure benchmark binaries.
+//!   the experiments of `platinum-bench`.
 
 #![warn(missing_docs)]
 

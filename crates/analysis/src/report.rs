@@ -1,9 +1,12 @@
-//! Text tables and ASCII charts for the benchmark harness.
+//! Text tables, ASCII charts and series artifacts for the benchmark
+//! harness.
 //!
-//! Every per-figure benchmark binary prints the same rows/series the
-//! paper reports; these helpers keep that output consistent.
+//! Every experiment prints the same rows/series the paper reports;
+//! these helpers keep that output consistent.
 
 use std::fmt::Write as _;
+
+use platinum_trace::json::Value;
 
 /// A simple right-aligned text table.
 #[derive(Clone, Debug)]
@@ -175,137 +178,32 @@ pub fn atc_summary(c: &numa_machine::AccessCounters) -> String {
     )
 }
 
-/// A minimal JSON writer for experiment artifacts (dependency-free; the
-/// benchmark binaries use it to emit machine-readable results alongside
-/// the text tables).
-pub mod json {
-    use std::fmt::Write as _;
-
-    /// A JSON value assembled by the writer.
-    #[derive(Clone, Debug)]
-    pub enum Value {
-        /// A JSON number (finite f64; NaN/inf serialize as null).
-        Num(f64),
-        /// A JSON integer, written digit for digit (an `f64` rounds
-        /// above 2^53, which corrupts checksums and large counters).
-        Int(u64),
-        /// A JSON string.
-        Str(String),
-        /// A JSON boolean.
-        Bool(bool),
-        /// A JSON array.
-        Arr(Vec<Value>),
-        /// A JSON object with ordered keys.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Convenience constructor for objects.
-        pub fn obj(fields: Vec<(&str, Value)>) -> Value {
-            Value::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
+/// A named set of (x, y) series — the standard shape of a figure's
+/// data — as a JSON artifact.
+pub fn series_artifact(name: &str, series: &[Series]) -> Value {
+    let points = |s: &Series| {
+        s.points
+            .iter()
+            .map(|&(x, y)| Value::Arr(vec![Value::Num(x), Value::Num(y)]))
+            .collect()
+    };
+    Value::obj(vec![
+        ("figure", Value::str(name)),
+        (
+            "series",
+            Value::Arr(
+                series
+                    .iter()
+                    .map(|s| {
+                        Value::obj(vec![
+                            ("name", Value::str(&*s.name)),
+                            ("points", Value::Arr(points(s))),
+                        ])
+                    })
                     .collect(),
-            )
-        }
-
-        /// Serializes the value to a JSON string.
-        pub fn to_json(&self) -> String {
-            let mut out = String::new();
-            self.write(&mut out);
-            out
-        }
-
-        fn write(&self, out: &mut String) {
-            match self {
-                Value::Num(n) => {
-                    if n.is_finite() {
-                        let _ = write!(out, "{n}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                Value::Int(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                Value::Bool(b) => {
-                    let _ = write!(out, "{b}");
-                }
-                Value::Str(s) => {
-                    out.push('"');
-                    for c in s.chars() {
-                        match c {
-                            '"' => out.push_str("\\\""),
-                            '\\' => out.push_str("\\\\"),
-                            '\n' => out.push_str("\\n"),
-                            '\t' => out.push_str("\\t"),
-                            c if (c as u32) < 0x20 => {
-                                let _ = write!(out, "\\u{:04x}", c as u32);
-                            }
-                            c => out.push(c),
-                        }
-                    }
-                    out.push('"');
-                }
-                Value::Arr(items) => {
-                    out.push('[');
-                    for (i, v) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        v.write(out);
-                    }
-                    out.push(']');
-                }
-                Value::Obj(fields) => {
-                    out.push('{');
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        Value::Str(k.clone()).write(out);
-                        out.push(':');
-                        v.write(out);
-                    }
-                    out.push('}');
-                }
-            }
-        }
-    }
-
-    /// Serializes a named set of (x, y) series — the standard shape of a
-    /// figure's data.
-    pub fn series_artifact(name: &str, series: &[super::Series]) -> String {
-        Value::obj(vec![
-            ("figure", Value::Str(name.to_string())),
-            (
-                "series",
-                Value::Arr(
-                    series
-                        .iter()
-                        .map(|s| {
-                            Value::obj(vec![
-                                ("name", Value::Str(s.name.clone())),
-                                (
-                                    "points",
-                                    Value::Arr(
-                                        s.points
-                                            .iter()
-                                            .map(|&(x, y)| {
-                                                Value::Arr(vec![Value::Num(x), Value::Num(y)])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
             ),
-        ])
-        .to_json()
-    }
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -346,7 +244,6 @@ mod tests {
 
     #[test]
     fn json_writer_escapes_and_nests() {
-        use super::json::Value;
         let v = Value::obj(vec![
             ("name", Value::Str("a\"b\nc".to_string())),
             ("n", Value::Num(1.5)),
@@ -368,7 +265,7 @@ mod tests {
         let mut s = Series::new("platinum");
         s.push(1.0, 1.0);
         s.push(16.0, 13.5);
-        let j = super::json::series_artifact("fig1", &[s]);
+        let j = series_artifact("fig1", &[s]).to_json();
         assert!(j.contains("\"figure\":\"fig1\""));
         assert!(j.contains("[16,13.5]"));
     }

@@ -14,7 +14,8 @@
 //! * `--pagesize`: the §4.1 granularity analysis — larger pages amortize
 //!   protocol overhead for coarse-grain access.
 //!
-//! With no flags, runs everything.
+//! With none of these flags, runs everything. `--n N` (300) and
+//! `--procs P` (8; 4 for `--ace`) size the runs.
 
 use numa_machine::MachineConfig;
 use platinum::PlatinumPolicy;
@@ -23,40 +24,37 @@ use platinum_apps::gauss::{Gauss, GaussConfig};
 use platinum_apps::harness::{run_gauss, run_gauss_anecdote, GaussStyle, PolicyKind};
 use platinum_apps::neural::{Neural, NeuralConfig};
 use platinum_apps::workloads::{round_robin, SharingConfig};
-use platinum_bench::{Args, TraceSink};
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_runtime::sync::EventCount;
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
-    let all = !(args.flag("--t1")
-        || args.flag("--t2")
-        || args.flag("--variant")
-        || args.flag("--ace")
-        || args.flag("--pagesize"));
-    if all || args.flag("--t1") {
-        t1_sweep(&args);
+use crate::run::{Artifact, Run};
+
+/// A study: the flag that selects it, its default `--procs`, and its
+/// runner over (n, procs).
+type Study = (&'static str, usize, fn(usize, usize));
+
+pub(crate) fn run(run: &mut Run) {
+    let studies: [Study; 5] = [
+        ("--t1", 8, t1_sweep),
+        ("--t2", 8, t2_sweep),
+        ("--variant", 8, variant_compare),
+        ("--ace", 4, ace_compare),
+        ("--pagesize", 8, pagesize_sweep),
+    ];
+    let chosen = studies.map(|(flag, ..)| run.args.flag(flag));
+    let all = !chosen.contains(&true);
+    let n = run.args.get_or("--n", 300usize);
+    let procs: Option<usize> = run.args.get("--procs");
+    run.start(Artifact::None);
+    for ((_, default_procs, study), chosen) in studies.into_iter().zip(chosen) {
+        if all || chosen {
+            study(n, procs.unwrap_or(default_procs));
+        }
     }
-    if all || args.flag("--t2") {
-        t2_sweep(&args);
-    }
-    if all || args.flag("--variant") {
-        variant_compare(&args);
-    }
-    if all || args.flag("--ace") {
-        ace_compare(&args);
-    }
-    if all || args.flag("--pagesize") {
-        pagesize_sweep(&args);
-    }
-    platinum_bench::trace_out::finish(sink);
 }
 
 /// Gaussian elimination under different t1 values.
-fn t1_sweep(args: &Args) {
-    let n = args.get_or("--n", 300usize);
-    let p = args.get_or("--procs", 8usize);
+fn t1_sweep(n: usize, p: usize) {
     println!("t1 sensitivity (Gaussian elimination {n}x{n}, p={p}):");
     let cfg = GaussConfig::with_n(n);
     let mut table = Table::new(vec!["t1 ms", "time ms", "freezes"]);
@@ -88,9 +86,7 @@ fn run_gauss_with_harness(h: &mut Sim, p: usize, cfg: &GaussConfig) -> (u64, u64
 }
 
 /// The anecdote under different defrost periods.
-fn t2_sweep(args: &Args) {
-    let n = args.get_or("--n", 300usize);
-    let p = args.get_or("--procs", 8usize);
+fn t2_sweep(n: usize, p: usize) {
     println!("t2 sensitivity (frozen-page anecdote, co-located layout, {n}x{n}, p={p}):");
     let cfg = GaussConfig::with_n(n);
     let mut table = Table::new(vec!["t2", "time ms", "thaws"]);
@@ -113,9 +109,7 @@ fn t2_sweep(args: &Args) {
 }
 
 /// Defrost-only vs thaw-on-access.
-fn variant_compare(args: &Args) {
-    let n = args.get_or("--n", 300usize);
-    let p = args.get_or("--procs", 8usize);
+fn variant_compare(n: usize, p: usize) {
     println!("post-freeze policy variants (Gaussian elimination {n}x{n}, p={p} + neural net):");
     let cfg = GaussConfig::with_n(n);
     let mut table = Table::new(vec!["workload", "defrost-only ms", "thaw-on-access ms"]);
@@ -153,8 +147,7 @@ fn run_neural_with(policy: PolicyKind, p: usize, cfg: &NeuralConfig) -> (u64, f6
 }
 
 /// PLATINUM vs ACE-style on coarse-grain, phase-spaced write sharing.
-fn ace_compare(args: &Args) {
-    let p = args.get_or("--procs", 4usize);
+fn ace_compare(_n: usize, p: usize) {
     println!("PLATINUM vs ACE-style policy (coarse-grain migratory sharing, p={p}):");
     // Each processor takes long, widely-spaced turns rewriting a page:
     // migration keeps paying forever, but ACE freezes after two moves.
@@ -192,9 +185,7 @@ fn ace_compare(args: &Args) {
 }
 
 /// Page-size sweep on Gaussian elimination.
-fn pagesize_sweep(args: &Args) {
-    let n = args.get_or("--n", 300usize);
-    let p = args.get_or("--procs", 8usize);
+fn pagesize_sweep(n: usize, p: usize) {
     println!("page-size sweep (Gaussian elimination {n}x{n}, p={p}):");
     let cfg = GaussConfig::with_n(n);
     let mut table = Table::new(vec!["page", "time ms", "replications"]);

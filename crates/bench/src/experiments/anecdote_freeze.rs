@@ -15,19 +15,21 @@
 //!   2. co-located, defrost enabled   (the thawing kernel, old program)
 //!   3. page-separated                (the fixed program)
 //!
-//! Usage:
-//!   anecdote_freeze [--n 300] [--procs 8] [--trace out.json]
+//! each a phase of the `--trace` file. `--n N` (300) and `--procs P` (8)
+//! size the elimination. The shape check — thawing rescues the
+//! co-located layout — applies once the frozen run outlasts t2 = 1 s;
+//! a smaller run ends before the defrost daemon first wakes.
 
 use platinum_analysis::report::Table;
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::harness::run_gauss_anecdote;
-use platinum_bench::{Args, TraceSink};
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
-    let n = args.get_or("--n", 300usize);
-    let p = args.get_or("--procs", 8usize);
+use crate::run::{Artifact, Run};
+
+pub(crate) fn run(run: &mut Run) {
+    let n = run.args.get_or("--n", 300usize);
+    let p = run.args.get_or("--procs", 8usize);
+    run.start(Artifact::None);
     let cfg = GaussConfig::with_n(n);
 
     println!("Section 4.2 anecdote: frozen synchronization page ({n}x{n} elimination, p={p})\n");
@@ -44,21 +46,19 @@ fn main() {
     let mut results = Vec::new();
     let mut checksum = None;
     for (name, colocated, t2) in cases {
-        if let Some(s) = &sink {
-            s.phase(name);
-        }
-        let run = run_gauss_anecdote(16.max(p), p, &cfg, colocated, t2);
+        run.phase(name);
+        let app = run_gauss_anecdote(16.max(p), p, &cfg, colocated, t2);
         match checksum {
-            None => checksum = Some(run.checksum),
-            Some(c) => assert_eq!(c, run.checksum, "{name} diverged"),
+            None => checksum = Some(app.checksum),
+            Some(c) => assert_eq!(c, app.checksum, "{name} diverged"),
         }
         table.row(vec![
             name.to_string(),
-            format!("{:.1}", run.elapsed_ns as f64 / 1e6),
-            run.kernel_stats.freezes.to_string(),
-            run.kernel_stats.thaws.to_string(),
+            format!("{:.1}", app.elapsed_ns as f64 / 1e6),
+            app.kernel_stats.freezes.to_string(),
+            app.kernel_stats.thaws.to_string(),
         ]);
-        results.push((name, run.elapsed_ns));
+        results.push((name, app.elapsed_ns));
         eprintln!("  {name}: done");
     }
     println!("{table}");
@@ -74,10 +74,13 @@ fn main() {
         "with the defrost daemon the old program costs only {:+.1} ms over the fixed one",
         (thawed as f64 - fixed as f64) / 1e6
     );
-    if thawed < frozen {
-        println!("shape check PASSED: thawing rescues the co-located layout");
+    if frozen < second {
+        run.skip(
+            "thawing_rescues_colocated_layout",
+            "the frozen run ends before t2 = 1 s, so the defrost daemon never runs; \
+             raise --n or --procs",
+        );
     } else {
-        println!("shape check FAILED: thawing did not help");
+        run.check("thawing_rescues_colocated_layout", thawed < frozen);
     }
-    platinum_bench::trace_out::finish(sink);
 }

@@ -9,21 +9,20 @@
 //! error) and must finish within a watchdog timeout — the recovery
 //! ladders are bounded by construction, so a hang is a bug, not bad luck.
 //!
-//! A process-global tracer records the whole soak; at the end every
-//! injection kind that fired must be paired with at least one
-//! fault→recovery span whose begin time precedes its end time.
+//! The tracer records the whole soak; at the end every injection kind
+//! that fired must be paired with at least one fault→recovery span whose
+//! begin time precedes its end time.
 //!
-//! Usage:
-//!   chaos_soak [--workload apps|kv] [--seeds 8] [--nodes 4] [--procs N]
-//!              [--ppm 25000] [--timeout-secs 120] [--ptable PLACEMENT]
-//!
+//! `--seeds N` (8), `--nodes N` (4), `--procs P` (= nodes), `--ppm R`
+//! (25000 per fault site), `--timeout-secs T` (120, the watchdog).
 //! `--workload apps` (default) soaks the three scientific applications.
 //! `--workload kv` soaks the server tier's key-value store instead: a
 //! fault-free run fixes the reference table audit, then every seed's
 //! chaos run must reproduce that audit exactly — the table sweep both
 //! asserts no slot is torn (a half-applied update breaks the value's
 //! arithmetic progression) and checksums the contents, so a lost or
-//! duplicated update diverges.
+//! duplicated update diverges. It takes `--kv-keys N` (1024),
+//! `--kv-requests N` (1024 per processor) and `--kv-gap-ns G` (10000).
 //!
 //! `--ptable` selects the page-table placement for the kv workload
 //! (default `replicated_on_fault`, so the soak exercises the dropped
@@ -32,15 +31,16 @@
 //! dropped shootdown ack). Replica invalidation is timing-only, so the
 //! audit must still match the fault-free reference bit for bit.
 //!
-//! Exits nonzero on a correctness failure, a hang, or a soak that
-//! injected nothing (which would make the "survived chaos" claim vacuous).
+//! The one named check fails on a correctness failure, an unrecovered
+//! or malformed span, or a soak that injected nothing (which would make
+//! the "survived chaos" claim vacuous); a hang exits 2 from the watchdog.
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use numa_machine::MachineConfig;
-use platinum::trace::{EventKind, TraceConfig, TraceEvent};
+use platinum::trace::{EventKind, TraceEvent};
 use platinum::{FaultPlan, FaultSite, PtableConfig, PtablePlacement, StatsSnapshot};
 use platinum_apps::gauss::{self, GaussConfig};
 use platinum_apps::harness::{
@@ -48,9 +48,10 @@ use platinum_apps::harness::{
 };
 use platinum_apps::mergesort::SortConfig;
 use platinum_apps::neural::NeuralConfig;
-use platinum_bench::Args;
 use platinum_runtime::sim::SimBuilder;
 use platinum_server::{run_open_loop, KvAudit, KvConfig, KvTable, TrafficConfig};
+
+use crate::run::{Artifact, Run};
 
 /// Runs `f` on a watchdog thread; exits the process if it does not
 /// finish within `timeout`. Liveness is part of the contract: every
@@ -262,53 +263,50 @@ fn soak_apps(
     (total_injected, total_recovered, failures)
 }
 
-fn main() {
-    let args = Args::parse();
-    let workload = args
-        .get::<String>("--workload")
-        .unwrap_or_else(|| "apps".to_string());
+pub(crate) fn run(run: &mut Run) {
+    let args = &mut run.args;
+    let workload = args.get_or("--workload", "apps".to_string());
     let seeds = args.get_or("--seeds", 8u64);
     let nodes = args.get_or("--nodes", 4usize);
     let procs = args.get_or("--procs", nodes);
     let ppm = args.get_or("--ppm", 25_000u32);
     let timeout = Duration::from_secs(args.get_or("--timeout-secs", 120u64));
-
-    // Install the process-global tracer before any machine boots so every
-    // seed's kernel records into it; the span check at the end sees the
-    // whole soak.
-    let tracer = platinum::trace::install_global(TraceConfig::default());
+    // The kv workload's own flags are read only for it, so under `apps`
+    // they are rejected rather than ignored.
+    let kv = match workload.as_str() {
+        "apps" => None,
+        // Small enough that every seed finishes in seconds on one host
+        // core, big enough that each run takes thousands of
+        // lock-protected multi-word updates through the fault sites.
+        // Replicated page tables by default so the soak reaches the
+        // dropped-ptable-invalidation site; --ptable centralized
+        // recovers the pre-fabric configuration.
+        "kv" => Some((
+            TrafficConfig {
+                keys: args.get_or("--kv-keys", 1u64 << 10),
+                requests_per_proc: args.get_or("--kv-requests", 1024usize),
+                mean_interarrival_ns: args.get_or("--kv-gap-ns", 10_000u64),
+                ..TrafficConfig::default()
+            },
+            PtableConfig::with_placement(
+                args.get_or("--ptable", PtablePlacement::ReplicatedOnFault),
+            ),
+        )),
+        other => panic!("unknown workload {other:?} (expected apps or kv)"),
+    };
+    run.start(Artifact::None);
+    // Every seed's kernel records into the run's tracer (shared with
+    // `--trace`); the span check at the end sees the whole soak.
+    let tracer = run.tracer();
 
     println!(
         "chaos soak ({workload}): {seeds} seeds, {nodes} nodes, {procs} procs, \
          {ppm} ppm per site, watchdog {timeout:?}\n"
     );
 
-    let (total_injected, total_recovered, mut failures) = match workload.as_str() {
-        "apps" => soak_apps(seeds, nodes, procs, ppm, timeout),
-        "kv" => {
-            // Small enough that every seed finishes in seconds on one
-            // host core, big enough that each run takes thousands of
-            // lock-protected multi-word updates through the fault sites.
-            let traffic = TrafficConfig {
-                keys: args.get_or("--kv-keys", 1u64 << 10),
-                requests_per_proc: args.get_or("--kv-requests", 1024usize),
-                mean_interarrival_ns: args.get_or("--kv-gap-ns", 10_000u64),
-                ..TrafficConfig::default()
-            };
-            // Replicated page tables by default so the soak reaches the
-            // dropped-ptable-invalidation site; --ptable centralized
-            // recovers the pre-fabric configuration.
-            let placement = args
-                .get::<String>("--ptable")
-                .map(|s| {
-                    s.parse::<PtablePlacement>()
-                        .unwrap_or_else(|e| panic!("--ptable: {e}"))
-                })
-                .unwrap_or(PtablePlacement::ReplicatedOnFault);
-            let ptable = PtableConfig::with_placement(placement);
-            soak_kv(seeds, nodes, procs, ppm, timeout, &traffic, ptable)
-        }
-        other => panic!("unknown workload {other:?} (expected apps or kv)"),
+    let (total_injected, total_recovered, mut failures) = match kv {
+        None => soak_apps(seeds, nodes, procs, ppm, timeout),
+        Some((traffic, ptable)) => soak_kv(seeds, nodes, procs, ppm, timeout, &traffic, ptable),
     };
 
     println!("\ninjected faults: {total_injected}, recovery spans: {total_recovered}");
@@ -364,9 +362,6 @@ fn main() {
         }
     }
 
-    if failures > 0 {
-        eprintln!("\nchaos soak FAILED ({failures} failures)");
-        std::process::exit(1);
-    }
-    println!("\nchaos soak passed: every run correct and live under injection");
+    println!("\n{failures} failures");
+    run.check("every_run_correct_and_live_under_injection", failures == 0);
 }

@@ -8,70 +8,31 @@
 //! The density at which the strategies' run times cross is compared with
 //! the crossover predicted by inequality (2) — using the simulator's own
 //! measured fixed overhead, and with the paper's published constants for
-//! reference.
-//!
-//! Usage:
-//!   crossover [--procs 2] [--ops 40]
-
-use std::sync::atomic::{AtomicU32, Ordering};
+//! reference. `--procs P` (2) sets the number of processors taking
+//! turns, `--ops N` (40) the operations each performs.
 
 use numa_machine::{MachineConfig, Mem};
+use platinum::Lockstep;
 use platinum_analysis::model::{g_round_robin, CostModel};
 use platinum_analysis::report::Table;
 use platinum_apps::harness::PolicyKind;
 use platinum_apps::workloads::{operation_for_benchmarks, SharingConfig};
-use platinum_bench::{Args, TraceSink};
 use platinum_runtime::sim::SimBuilder;
 
-/// Host-side round-robin turn-taking with virtual-time propagation.
+use crate::run::{Artifact, Run};
+
+/// One policy's run: `p` processors take strict round-robin turns at the
+/// operation, `cfg.ops_per_proc` each.
 ///
 /// §4.1's model prices only the operations on `X` itself — the critical
-/// section's lock is outside the model — so the harness keeps the
-/// turn-taking off the simulated machine entirely: a host atomic orders
-/// the turns and release times propagate through `advance_to`, exactly
-/// like the run-time primitives but with zero simulated traffic.
-struct HostTurn {
-    counter: AtomicU32,
-    times: std::sync::Mutex<Vec<u64>>,
-}
-
-impl HostTurn {
-    fn new() -> Self {
-        Self {
-            counter: AtomicU32::new(0),
-            times: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    fn await_turn<M: Mem>(&self, m: &mut M, turn: u32) {
-        m.begin_wait();
-        while self.counter.load(Ordering::Acquire) < turn {
-            m.poll();
-            std::thread::yield_now();
-        }
-        m.end_wait();
-        if turn > 0 {
-            let t = self
-                .times
-                .lock()
-                .unwrap()
-                .get(turn as usize - 1)
-                .copied()
-                .unwrap_or(0);
-            m.advance_to(t);
-        }
-    }
-
-    fn advance<M: Mem>(&self, m: &mut M) {
-        let new = self.counter.fetch_add(1, Ordering::AcqRel) + 1;
-        let mut times = self.times.lock().unwrap();
-        if times.len() < new as usize {
-            times.resize(new as usize, 0);
-        }
-        times[new as usize - 1] = m.vtime();
-    }
-}
-
+/// section's lock is outside the model — so the turn-taking stays off the
+/// simulated machine entirely: one host thread steps the processors in
+/// turn order through a [`Lockstep`], and each operation starts no
+/// earlier in virtual time than its predecessor ended, exactly like the
+/// run-time primitives' release-time propagation but with zero simulated
+/// traffic. A processor between turns is spin-waiting as far as the
+/// machine is concerned (live for shootdowns, its clock frozen), and
+/// leaves the machine after its last operation.
 fn run_once(policy: PolicyKind, p: usize, cfg: &SharingConfig) -> u64 {
     let h = SimBuilder::nodes(p.max(2))
         .frames_per_node(512)
@@ -79,24 +40,34 @@ fn run_once(policy: PolicyKind, p: usize, cfg: &SharingConfig) -> u64 {
         .build();
     let mut data = h.alloc_zone(2);
     let base = data.alloc_page_aligned(cfg.struct_words);
-    let turn = HostTurn::new();
-    let turn = &turn;
-    let (_, run) = h.run(p, move |tid, ctx| {
-        for op in 0..cfg.ops_per_proc {
-            let my_turn = (op * p + tid) as u32;
-            turn.await_turn(ctx, my_turn);
-            operation_for_benchmarks(ctx, base, cfg, op);
-            turn.advance(ctx);
+    let mut procs = Lockstep::new(p.max(2));
+    for tid in 0..p {
+        let mut ctx = h.attach(tid).expect("processor free");
+        ctx.begin_wait();
+        procs.adopt(ctx);
+    }
+    let mut released = 0;
+    for op in 0..cfg.ops_per_proc {
+        for tid in 0..p {
+            released = procs.run(tid, |ctx| {
+                ctx.end_wait();
+                ctx.advance_to(released);
+                operation_for_benchmarks(ctx, base, cfg, op);
+                ctx.begin_wait();
+                ctx.vtime()
+            });
+            if op + 1 == cfg.ops_per_proc {
+                drop(procs.release(tid));
+            }
         }
-    });
-    run.elapsed_ns()
+    }
+    released
 }
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
-    let p = args.get_or("--procs", 2usize);
-    let ops = args.get_or("--ops", 40usize);
+pub(crate) fn run(run: &mut Run) {
+    let p = run.args.get_or("--procs", 2usize);
+    let ops = run.args.get_or("--ops", 40usize);
+    run.start(Artifact::None);
     let s_words = 1024u64;
     let g = g_round_robin(p);
 
@@ -167,5 +138,4 @@ fn main() {
         "inequality (2) with the paper's constants:     rho* = {:.3}",
         paper.crossover_density(s_words, g)
     );
-    platinum_bench::trace_out::finish(sink);
 }

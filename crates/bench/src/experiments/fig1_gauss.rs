@@ -6,22 +6,21 @@
 //! 13.5 for PLATINUM coherent memory, 10.6 for the Uniform System
 //! implementation, and 15.3 for the SMP message-passing implementation.
 //!
-//! Usage:
-//!   fig1_gauss [--n 800] [--max-procs 16] [--quick]
-//!
-//! `--quick` runs a 400x400 matrix on {1,2,4,8,16} processors.
+//! `--n N` (800) sets the matrix, `--max-procs P` (16) the sweep's end;
+//! `--quick` runs a 400x400 matrix on {1,2,4,8,16} processors. The
+//! artifact is the three speedup series.
 
-use platinum_analysis::report::{ascii_chart, Series, Table};
+use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::harness::{run_gauss, GaussStyle, PolicyKind};
-use platinum_bench::{Args, TraceSink};
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
-    let quick = args.flag("--quick");
-    let n = args.get_or("--n", if quick { 400 } else { 800 });
-    let max_procs = args.get_or("--max-procs", 16usize);
+use crate::run::{Artifact, Run};
+
+pub(crate) fn run(run: &mut Run) {
+    let quick = run.args.flag("--quick");
+    let n = run.args.get_or("--n", if quick { 400 } else { 800 });
+    let max_procs = run.args.get_or("--max-procs", 16usize);
+    run.start(Artifact::Json);
     let procs: Vec<usize> = if quick {
         [1usize, 2, 4, 8, 16]
             .into_iter()
@@ -32,8 +31,14 @@ fn main() {
     };
     let cfg = GaussConfig::with_n(n);
 
-    println!("Figure 1: Gaussian elimination ({n}x{n}), speedup vs processors");
-    println!("paper targets at p=16: PLATINUM 13.5, Uniform System 10.6, SMP 15.3\n");
+    say!(
+        run,
+        "Figure 1: Gaussian elimination ({n}x{n}), speedup vs processors"
+    );
+    say!(
+        run,
+        "paper targets at p=16: PLATINUM 13.5, Uniform System 10.6, SMP 15.3\n"
+    );
 
     let styles = [
         GaussStyle::Shared(PolicyKind::Platinum),
@@ -59,21 +64,21 @@ fn main() {
         let mut serial_ns = 0u64;
         let mut checksum = None;
         for &p in &procs {
-            let run = run_gauss(*style, max_procs.max(p), p, &cfg);
+            let app = run_gauss(*style, max_procs.max(p), p, &cfg);
             match checksum {
-                None => checksum = Some(run.checksum),
-                Some(c) => assert_eq!(c, run.checksum, "{} diverged at p={p}", style.name()),
+                None => checksum = Some(app.checksum),
+                Some(c) => assert_eq!(c, app.checksum, "{} diverged at p={p}", style.name()),
             }
             if p == 1 {
-                serial_ns = run.elapsed_ns;
+                serial_ns = app.elapsed_ns;
             }
-            let speedup = serial_ns as f64 / run.elapsed_ns as f64;
+            let speedup = serial_ns as f64 / app.elapsed_ns as f64;
             series.push(p as f64, speedup);
-            results[si].push((p, run.elapsed_ns));
+            results[si].push((p, app.elapsed_ns));
             eprintln!(
                 "  {:<26} p={p:>2}  {:>10.1} ms  speedup {:>5.2}",
                 style.name(),
-                run.elapsed_ns as f64 / 1e6,
+                app.elapsed_ns as f64 / 1e6,
                 speedup
             );
         }
@@ -92,13 +97,9 @@ fn main() {
         let (t2, s2) = cell(2);
         table.row(vec![p.to_string(), t0, s0, t1, s1, t2, s2]);
     }
-    println!("{table}");
-    println!("{}", ascii_chart(&chart, 60, 16));
-    if let Some(path) = args.get::<String>("--json") {
-        let artifact = platinum_analysis::report::json::series_artifact("fig1_gauss", &chart);
-        std::fs::write(&path, artifact).expect("write json artifact");
-        eprintln!("wrote {path}");
-    }
+    say!(run, "{table}");
+    say!(run, "{}", ascii_chart(&chart, 60, 16));
+    run.artifact(series_artifact("fig1_gauss", &chart));
 
     // The Uniform System's scatter storage makes its *serial* run ~4x
     // slower than the others'; self-normalized speedup hides that. Report
@@ -106,15 +107,20 @@ fn main() {
     // coherent memory performs close to hand-tuned message passing and
     // far better than static placement — is about the absolute times).
     let best_serial = results.iter().map(|r| r[0].1).min().unwrap();
-    println!(
+    say!(
+        run,
         "{:<26} {:>12} {:>14} {:>18}",
-        "system", "T(max p) ms", "self speedup", "vs best serial"
+        "system",
+        "T(max p) ms",
+        "self speedup",
+        "vs best serial"
     );
     for (si, style) in styles.iter().enumerate() {
         let last = results[si].last().unwrap();
         let s = results[si][0].1 as f64 / last.1 as f64;
         let sb = best_serial as f64 / last.1 as f64;
-        println!(
+        say!(
+            run,
             "{:<26} {:>12.1} {:>14.2} {:>18.2}",
             style.name(),
             last.1 as f64 / 1e6,
@@ -122,9 +128,8 @@ fn main() {
             sb
         );
     }
-    println!(
-        "
-paper (16 processors): PLATINUM 13.5, Uniform System 10.6, SMP 15.3"
+    say!(
+        run,
+        "\npaper (16 processors): PLATINUM 13.5, Uniform System 10.6, SMP 15.3"
     );
-    platinum_bench::trace_out::finish(sink);
 }

@@ -8,22 +8,28 @@
 //! contribution of each incremental processor to about 1/2 that of a
 //! processor that makes only local memory references."
 //!
-//! Usage:
-//!   fig6_neural [--epochs 40] [--max-procs 10]
+//! `--epochs E` (40) sets the training length, `--max-procs P` (10) the
+//! sweep's end. The artifact is the speedup series.
 
-use platinum_analysis::report::{ascii_chart, Series, Table};
+use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
 use platinum_apps::harness::run_neural;
 use platinum_apps::neural::NeuralConfig;
-use platinum_bench::{Args, TraceSink};
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
-    let max_procs = args.get_or("--max-procs", 10usize);
-    let cfg = NeuralConfig::with_epochs(args.get_or("--epochs", 40usize));
+use crate::run::{Artifact, Run};
 
-    println!("Figure 6: recurrent backpropagation simulator (40 units, 16 patterns)");
-    println!("paper: linear speedup, slope ~1/2 per incremental processor\n");
+pub(crate) fn run(run: &mut Run) {
+    let max_procs = run.args.get_or("--max-procs", 10usize);
+    let cfg = NeuralConfig::with_epochs(run.args.get_or("--epochs", 40usize));
+    run.start(Artifact::Json);
+
+    say!(
+        run,
+        "Figure 6: recurrent backpropagation simulator (40 units, 16 patterns)"
+    );
+    say!(
+        run,
+        "paper: linear speedup, slope ~1/2 per incremental processor\n"
+    );
 
     let mut table = Table::new(vec![
         "p",
@@ -36,30 +42,27 @@ fn main() {
     let mut t1 = 0u64;
     let mut speedups = Vec::new();
     for p in 1..=max_procs {
-        let (run, err) = run_neural(max_procs.max(p), p, &cfg);
+        let (app, err) = run_neural(max_procs.max(p), p, &cfg);
         if p == 1 {
-            t1 = run.elapsed_ns;
+            t1 = app.elapsed_ns;
         }
-        let s = t1 as f64 / run.elapsed_ns as f64;
+        let s = t1 as f64 / app.elapsed_ns as f64;
         speedups.push((p as f64, s));
         series.push(p as f64, s);
-        let counters = run.run.merged_counters();
+        let counters = app.run.merged_counters();
         table.row(vec![
             p.to_string(),
-            format!("{:.1}", run.elapsed_ns as f64 / 1e6),
+            format!("{:.1}", app.elapsed_ns as f64 / 1e6),
             format!("{s:.2}"),
-            run.kernel_stats.freezes.to_string(),
+            app.kernel_stats.freezes.to_string(),
             format!("{:.2}", counters.remote_fraction()),
         ]);
         eprintln!("  p={p:>2} done (err {err:.2})");
     }
-    println!("{table}");
-    println!("{}", ascii_chart(&[series.clone()], 60, 14));
-    if let Some(path) = args.get::<String>("--json") {
-        let artifact = platinum_analysis::report::json::series_artifact("fig6_neural", &[series]);
-        std::fs::write(&path, artifact).expect("write json artifact");
-        eprintln!("wrote {path}");
-    }
+    let series = [series];
+    say!(run, "{table}");
+    say!(run, "{}", ascii_chart(&series, 60, 14));
+    run.artifact(series_artifact("fig6_neural", &series));
 
     // Least-squares slope of speedup vs p: the "contribution of each
     // incremental processor".
@@ -69,6 +72,8 @@ fn main() {
     let sxx: f64 = speedups.iter().map(|(x, _)| x * x).sum();
     let sxy: f64 = speedups.iter().map(|(x, y)| x * y).sum();
     let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-    println!("incremental-processor contribution (slope): {slope:.2}  (paper: ~0.5)");
-    platinum_bench::trace_out::finish(sink);
+    say!(
+        run,
+        "incremental-processor contribution (slope): {slope:.2}  (paper: ~0.5)"
+    );
 }

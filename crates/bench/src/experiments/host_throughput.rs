@@ -2,11 +2,11 @@
 //! references per host second the simulator sustains as the processor
 //! count grows, and where the kernel's slow-path host time goes.
 //!
-//! Unlike every other binary in this crate, the numbers here are *host*
-//! wall-clock. Single-machine host cost — per layer, with repetitions,
-//! spreads and a recorded baseline — is `benchmark/run.sh` (perf_ledger);
-//! what this binary alone does is chart the *shape* of that cost against
-//! p. Three mixes bracket the design space:
+//! Unlike every other experiment in this crate, the numbers here are
+//! *host* wall-clock. Single-machine host cost — per layer, with
+//! repetitions, spreads and a recorded baseline — is `benchmark/run.sh`
+//! (perf_ledger); what this experiment alone does is chart the *shape* of
+//! that cost against p. Three mixes bracket the design space:
 //!
 //!   * `all_local`  — ATC-resident reads/writes to local pages: the pure
 //!     fast-path regime.
@@ -16,29 +16,27 @@
 //!     each reference migrates the page, so the kernel slow path
 //!     dominates.
 //!
-//! Usage:
-//!   host_throughput [--procs 16,32,64,128] [--topology flat|hier2|hier2x4]
-//!                   [--mix NAME] [--ops 2000000] [--rounds 20000] [--out FILE]
-//!
-//! Each listed processor count boots its own machine under `--topology`
-//! and runs the selected mixes once with the kernel phase profiler
-//! enabled — one boot per (p, mix) cell. The throughput numbers therefore
-//! carry the profiler's two clock reads per slow-path span; the curve's
-//! shape against p is the deliverable. `--out` writes the JSON artifact
-//! (default results/BENCH_host_throughput_procs.json; bench artifacts
-//! live under results/, never the repo root): one entry per p with
-//! throughput and `host_phase_ns_per_op`.
+//! Each processor count of `--procs` (16,32,64,128) boots its own
+//! machine under `--topology` (flat) and runs every mix — or the one
+//! `--mix` names — once with the kernel phase profiler enabled: one boot
+//! per (p, mix) cell, `--ops N` (2000000) references for the resident
+//! mixes and `--rounds N` (20000) pings for `fault_heavy`. The throughput
+//! numbers therefore carry the profiler's two clock reads per slow-path
+//! span; the curve's shape against p is the deliverable. The artifact has
+//! one entry per p with throughput and `host_phase_ns_per_op`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use numa_machine::{MachineConfig, Mem, TimingConfig, Topology};
+use numa_machine::{MachineConfig, Mem, Topology};
 use platinum::hostprof::HostProfSnapshot;
+use platinum::trace::json::Value;
 use platinum::{PlacementPolicy, PlatinumPolicy, PolicyKind, Rights};
-use platinum_analysis::report::json::Value;
 use platinum_analysis::report::Table;
-use platinum_bench::Args;
 use platinum_runtime::sim::{Sim, SimBuilder};
+
+use crate::args::machines;
+use crate::run::{Artifact, Run};
 
 // The mixes touch at most four pages per node. The pool depth is a model
 // input, not a host-memory budget (frames materialise on first use): the
@@ -154,7 +152,7 @@ fn fault_heavy(nodes: usize, topo: &Topology, pings: u64) -> (f64, HostProfSnaps
         },
     );
     sim.kernel.host_prof().enable();
-    let (_, secs) = platinum_bench::micro::fault_heavy(&sim, nodes, pings);
+    let (_, secs) = crate::micro::fault_heavy(&sim, nodes, pings);
     (secs, sim.kernel.host_prof().snapshot())
 }
 
@@ -183,28 +181,22 @@ const MIXES: [Mix; 3] = [
     ("fault_heavy", fault_heavy),
 ];
 
-/// The sweep: each listed processor count boots its own machine under
-/// `topo` and runs the selected mixes once, one boot per (p, mix) cell.
+/// The sweep: each machine runs `mixes` once, one boot per (p, mix)
+/// cell.
 fn run_sweep(
-    ps: &[usize],
-    topo: &str,
+    machines: &[Topology],
+    mixes: &[Mix],
     ops: u64,
     pings: u64,
-    only: Option<&str>,
 ) -> Vec<(usize, Vec<SweepCell>)> {
-    let timing = TimingConfig::default();
     let mut out = Vec::new();
-    for &p in ps {
-        assert!(p >= 2, "--procs entries must be at least 2 (got {p})");
-        let t = Topology::by_name(topo, p, &timing).unwrap_or_else(|| {
-            panic!("unknown --topology {topo:?} (expected flat, hier2, hier2x4)")
-        });
-        let cells: Vec<SweepCell> = MIXES
+    for t in machines {
+        let p = t.nodes();
+        let cells: Vec<SweepCell> = mixes
             .iter()
-            .filter(|(name, _)| only.is_none_or(|m| m == *name))
             .map(|&(name, run)| {
                 let ops = if name == "fault_heavy" { pings } else { ops };
-                let (secs, prof) = run(p, &t, ops);
+                let (secs, prof) = run(p, t, ops);
                 SweepCell {
                     name,
                     ops,
@@ -213,21 +205,17 @@ fn run_sweep(
                 }
             })
             .collect();
-        assert!(
-            !cells.is_empty(),
-            "--mix must be one of all_local, all_remote, fault_heavy"
-        );
         eprintln!("  p={p} done");
         out.push((p, cells));
     }
     out
 }
 
-fn sweep_artifact(topo: &str, sweep: &[(usize, Vec<SweepCell>)]) -> String {
+fn sweep_artifact(topo: &str, sweep: &[(usize, Vec<SweepCell>)]) -> Value {
     let cell = |c: &SweepCell| {
         let per_op = |ns: u64| Value::Num(per_op_ns(ns, c.ops));
         Value::obj(vec![
-            ("name", Value::Str(c.name.to_string())),
+            ("name", Value::str(c.name)),
             ("ops", Value::Int(c.ops)),
             ("fast_mips", Value::Num(c.fast_mips)),
             (
@@ -243,13 +231,10 @@ fn sweep_artifact(topo: &str, sweep: &[(usize, Vec<SweepCell>)]) -> String {
         ])
     };
     Value::obj(vec![
-        ("bench", Value::Str("host_throughput".to_string())),
-        ("mode", Value::Str("procs_sweep".to_string())),
-        ("topology", Value::Str(topo.to_string())),
-        (
-            "unit",
-            Value::Str("simulated Mrefs per host second".to_string()),
-        ),
+        ("bench", Value::str("host_throughput")),
+        ("mode", Value::str("procs_sweep")),
+        ("topology", Value::str(topo)),
+        ("unit", Value::str("simulated Mrefs per host second")),
         (
             "sweep",
             Value::Arr(
@@ -265,43 +250,30 @@ fn sweep_artifact(topo: &str, sweep: &[(usize, Vec<SweepCell>)]) -> String {
             ),
         ),
     ])
-    .to_json()
 }
 
-fn write_artifact(out: &str, body: &str) {
-    if let Some(dir) = std::path::Path::new(out)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-    }
-    std::fs::write(out, body).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("artifact written to {out}");
-}
-
-fn main() {
-    let args = Args::parse();
-    let ops = args.get_or("--ops", 2_000_000u64);
-    let rounds = args.get_or("--rounds", 20_000u64);
-    let mix = args.get::<String>("--mix");
-    let ps: Vec<usize> = args
-        .get::<String>("--procs")
-        .unwrap_or_else(|| "16,32,64,128".to_string())
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("--procs takes a comma-separated list, got {s:?}"))
-        })
+pub(crate) fn run(run: &mut Run) {
+    let ops = run.args.get_or("--ops", 2_000_000u64);
+    let rounds = run.args.get_or("--rounds", 20_000u64);
+    let only: Option<String> = run.args.get("--mix");
+    let mixes: Vec<Mix> = MIXES
+        .into_iter()
+        .filter(|(name, _)| only.as_deref().is_none_or(|m| m == *name))
         .collect();
-    let topo = args
-        .get::<String>("--topology")
-        .unwrap_or_else(|| "flat".to_string());
-    let out = args
-        .get::<String>("--out")
-        .unwrap_or_else(|| "results/BENCH_host_throughput_procs.json".to_string());
-    println!("Host throughput vs machine size ({topo} topology)\n");
-    let sweep = run_sweep(&ps, &topo, ops, rounds, mix.as_deref());
+    assert!(
+        !mixes.is_empty(),
+        "--mix must be one of all_local, all_remote, fault_heavy"
+    );
+    let ps = run
+        .args
+        .list("--procs")
+        .unwrap_or_else(|| vec![16usize, 32, 64, 128]);
+    let topo = run.args.get_or("--topology", "flat".to_string());
+    let machines = machines(&topo, &ps);
+    run.start(Artifact::Json);
+
+    say!(run, "Host throughput vs machine size ({topo} topology)\n");
+    let sweep = run_sweep(&machines, &mixes, ops, rounds);
     let mut table = Table::new(vec![
         "p",
         "mix",
@@ -326,6 +298,6 @@ fn main() {
             ]);
         }
     }
-    println!("{table}");
-    write_artifact(&out, &sweep_artifact(&topo, &sweep));
+    say!(run, "{table}");
+    run.artifact(sweep_artifact(&topo, &sweep));
 }

@@ -7,28 +7,23 @@
 //! *identical* reference streams, so differences are attributable to the
 //! policy alone. The PLATINUM replay doubles as a self-check: it must
 //! reproduce the live capture run bit for bit, and on gauss the Fig. 1
-//! ordering (coherent < local-only < remote-only) is asserted.
+//! ordering (coherent < local-only < remote-only) is a named check.
 //!
-//! ```text
-//! cargo run --release --bin policy_matrix
-//! cargo run --release --bin policy_matrix -- --n 80 --apps gauss --json
-//! ```
-//!
-//! Flags: `--nodes N` (4), `--procs P` (4), `--n N` (gauss matrix, 96),
+//! `--nodes N` (4), `--procs P` (4), `--n N` (gauss matrix, 96),
 //! `--sort-n N` (2048), `--epochs E` (3), `--apps a,b,c`
 //! (gauss,mergesort,neural; `kv` adds the server workload), `--workload
-//! W` (run only that workload — `policy_matrix --workload kv` sweeps the
-//! key-value store alone), `--topology T` (flat; `hier2`/`hier2x4` read
-//! the comparison on a hierarchical machine — pair with `--nodes 64
-//! --procs 64`), `--kv-keys N` (4096), `--kv-requests N`
-//! (requests per processor, 6000), `--kv-gap-ns N` (5000: a saturating
-//! arrival rate, so per-policy elapsed reflects service cost, not idle
-//! pacing), `--json` (emit JSON instead of Markdown), `--out PATH` (also
-//! write the JSON to a file).
+//! W` (run only that workload — `--workload kv` sweeps the key-value
+//! store alone), `--topology T` (flat; `hier2`/`hier2x4` read the
+//! comparison on a hierarchical machine — pair with `--nodes 64 --procs
+//! 64`), `--kv-keys N` (4096), `--kv-requests N` (requests per
+//! processor, 6000), `--kv-gap-ns N` (5000: a saturating arrival rate, so
+//! per-policy elapsed reflects service cost, not idle pacing). The text
+//! report is a Markdown table; the artifact carries the same rows plus
+//! the named checks.
 
 use std::fmt::Write as _;
 
-use numa_machine::{TimingConfig, Topology};
+use platinum::trace::json::Value;
 use platinum::{PolicyKind, PtableConfig, PtablePlacement};
 use platinum_apps::capture::{
     record_gauss, record_kv, record_mergesort, record_neural, CapturedRun,
@@ -39,7 +34,8 @@ use platinum_apps::neural::NeuralConfig;
 use platinum_reftrace::{ReplayOptions, ReplayOutcome};
 use platinum_server::{KvConfig, TrafficConfig};
 
-use crate::Args;
+use crate::args::topology;
+use crate::run::{Artifact, Run};
 
 /// One cell row of the matrix: an (app, policy) pair.
 struct Row {
@@ -59,17 +55,6 @@ struct Row {
     /// instead of the centralized default — the replicated-vs-centralized
     /// page-table comparison over an identical reference stream.
     ptable_replicated_ns: Option<u64>,
-}
-
-fn remote_ratio(run: &platinum_runtime::measure::RunStats) -> f64 {
-    let c = run.merged_counters();
-    let remote = c.remote_reads + c.remote_writes + c.remote_atomics;
-    let total = c.total_refs();
-    if total == 0 {
-        0.0
-    } else {
-        remote as f64 / total as f64
-    }
 }
 
 /// Replays `captured` under every Fig. 1 policy — the five replays are
@@ -199,61 +184,44 @@ fn markdown(rows: &[Row]) -> String {
     s
 }
 
-fn json(
-    rows: &[Row],
-    nodes: usize,
-    procs: usize,
-    topology: &str,
-    checks: &[(String, bool)],
-) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"nodes\":{nodes},\"procs\":{procs},\"topology\":\"{topology}\",\"rows\":["
-    );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"app\":\"{}\",\"policy\":\"{}\",\"elapsed_ns\":{},\
-             \"remote_ratio\":{:.6},\"freezes\":{},\"defrost_runs\":{},\
-             \"replications\":{},\"migrations\":{},\"remote_maps\":{}",
-            r.app,
-            r.policy,
-            r.elapsed_ns,
-            r.remote_ratio,
-            r.freezes,
-            r.defrost_runs,
-            r.replications,
-            r.migrations,
-            r.remote_maps,
+fn artifact(rows: &[Row], nodes: usize, procs: usize, topology: &str, checks: Value) -> Value {
+    let row = |r: &Row| {
+        let mut fields = vec![
+            ("app", Value::str(&*r.app)),
+            ("policy", Value::str(r.policy)),
+            ("elapsed_ns", Value::Int(r.elapsed_ns)),
+            // Six decimals, as the table's percentages need no more.
+            (
+                "remote_ratio",
+                Value::Num((r.remote_ratio * 1e6).round() / 1e6),
+            ),
+            ("freezes", Value::Int(r.freezes)),
+            ("defrost_runs", Value::Int(r.defrost_runs)),
+            ("replications", Value::Int(r.replications)),
+            ("migrations", Value::Int(r.migrations)),
+            ("remote_maps", Value::Int(r.remote_maps)),
+        ];
+        fields.extend(r.bit_identical.map(|b| ("bit_identical", Value::Bool(b))));
+        fields.extend(
+            r.ptable_replicated_ns
+                .map(|ns| ("ptable_replicated_ns", Value::Int(ns))),
         );
-        if let Some(b) = r.bit_identical {
-            let _ = write!(s, ",\"bit_identical\":{b}");
-        }
-        if let Some(ns) = r.ptable_replicated_ns {
-            let _ = write!(s, ",\"ptable_replicated_ns\":{ns}");
-        }
-        s.push('}');
-    }
-    s.push_str("],\"checks\":{");
-    for (i, (name, ok)) in checks.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{name}\":{ok}");
-    }
-    s.push_str("}}");
-    s
+        Value::obj(fields)
+    };
+    Value::obj(vec![
+        ("nodes", Value::Int(nodes as u64)),
+        ("procs", Value::Int(procs as u64)),
+        ("topology", Value::str(topology)),
+        ("rows", Value::Arr(rows.iter().map(row).collect())),
+        ("checks", checks),
+    ])
 }
 
-/// Entry point shared by the `policy_matrix` binaries: parses CLI args,
-/// captures the requested apps, sweeps the Fig. 1 policies, prints the
-/// table, and asserts the bit-identity and ordering self-checks.
-pub fn run() {
-    let args = Args::parse();
+/// Captures the requested apps, sweeps the Fig. 1 policies over each
+/// trace, prints the table, and records the bit-identity and ordering
+/// self-checks.
+pub(crate) fn run(run: &mut Run) {
+    let args = &mut run.args;
     let nodes = args.get_or("--nodes", 4usize);
     let procs = args.get_or("--procs", 4usize).min(nodes);
     let n = args.get_or("--n", 96usize);
@@ -262,28 +230,30 @@ pub fn run() {
     let kv_keys = args.get_or("--kv-keys", 4096u64);
     let kv_requests = args.get_or("--kv-requests", 6000usize);
     let kv_gap_ns = args.get_or("--kv-gap-ns", 5_000u64);
-    let apps = args
-        .get::<String>("--workload")
-        .or_else(|| args.get::<String>("--apps"))
-        .unwrap_or_else(|| "gauss,mergesort,neural".to_string());
-    let as_json = args.flag("--json");
+    let only: Option<Vec<String>> = args.list("--workload");
+    let listed = args.list("--apps");
+    let apps = only
+        .or(listed)
+        .unwrap_or_else(|| ["gauss", "mergesort", "neural"].map(String::from).to_vec());
+    for app in &apps {
+        assert!(
+            ["gauss", "mergesort", "neural", "kv"].contains(&app.as_str()),
+            "unknown app {app:?} (expected gauss, mergesort, neural, kv)"
+        );
+    }
     // An explicit machine description: `--topology hier2 --nodes 64`
     // reads the same policy comparison on a big hierarchical machine.
     // Capture and every replay boot from this one value, so the
     // PLATINUM bit-identity self-check still holds.
-    let topo_name = args.get::<String>("--topology");
+    let topo_name: Option<String> = args.get("--topology");
     let opts = ReplayOptions {
-        topology: topo_name.as_deref().map(|name| {
-            Topology::by_name(name, nodes, &TimingConfig::default()).unwrap_or_else(|| {
-                panic!("unknown --topology {name:?} (expected flat, hier2, hier2x4)")
-            })
-        }),
+        topology: topo_name.as_deref().map(|name| topology(name, nodes)),
         ptable: None,
     };
+    run.start(Artifact::Json);
 
     let mut rows = Vec::new();
-    let mut checks: Vec<(String, bool)> = Vec::new();
-    for app in apps.split(',').map(str::trim).filter(|a| !a.is_empty()) {
+    for app in apps.iter().map(String::as_str) {
         let captured = match app {
             "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), &opts),
             "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(sort_n), &opts),
@@ -308,17 +278,16 @@ pub fn run() {
                 },
                 &opts,
             ),
-            other => panic!("unknown app {other:?} (expected gauss, mergesort, neural, kv)"),
+            other => unreachable!("app {other:?} was checked at parse time"),
         };
-        if !as_json {
-            println!(
-                "captured {app}: {} ops, live PLATINUM time {:.3} ms, \
-                 remote refs {:.1}%",
-                captured.trace.total_ops(),
-                captured.live.elapsed_ns as f64 / 1e6,
-                remote_ratio(&captured.live.run) * 100.0,
-            );
-        }
+        say!(
+            run,
+            "captured {app}: {} ops, live PLATINUM time {:.3} ms, \
+             remote refs {:.1}%",
+            captured.trace.total_ops(),
+            captured.live.elapsed_ns as f64 / 1e6,
+            captured.live.run.merged_counters().remote_fraction() * 100.0,
+        );
         rows.extend(sweep(app, &captured, &opts));
 
         if app == "kv" && opts.topology.is_none() {
@@ -335,11 +304,10 @@ pub fn run() {
             let mut distinct = elapsed.clone();
             distinct.sort_unstable();
             distinct.dedup();
-            checks.push(("kv_policy_spread".into(), distinct.len() >= 4));
-            let (min, max) = (elapsed.iter().min().unwrap(), elapsed.iter().max().unwrap());
-            assert!(
-                *max > *min + *min / 100,
-                "kv: no measurable policy spread (elapsed {elapsed:?})"
+            let (min, max) = (distinct[0], distinct[distinct.len() - 1]);
+            run.check(
+                "kv_policy_spread",
+                distinct.len() >= 4 && max > min + min / 100,
             );
             // A sharded KV table is fine-grain write-shared at page
             // granularity (every page holds some written slot), the
@@ -349,38 +317,25 @@ pub fn run() {
             // What PLATINUM guarantees there is *bounded* damage — the
             // freeze mechanism converges hot pages to remote mapping, so
             // coherent memory lands near the remote floor instead of
-            // thrashing arbitrarily far past it. Assert that bound.
+            // thrashing arbitrarily far past it. Check that bound.
             let coherent = elapsed_of(&rows, app, PolicyKind::Platinum);
             let remote = elapsed_of(&rows, app, PolicyKind::RemoteAlways);
-            checks.push((
-                "kv_freeze_bounds_coherent_near_remote_floor".into(),
+            run.check(
+                "kv_freeze_bounds_coherent_near_remote_floor",
                 coherent <= remote + remote / 2,
-            ));
-            assert!(
-                coherent <= remote + remote / 2,
-                "kv: freezing failed to bound coherent memory near the \
-                 remote floor (coherent {coherent} vs remote {remote})"
             );
             // ... and the freeze escape hatch is what provides that
             // bound: naive replication (same protocol, no freezing)
             // re-copies hot pages after every invalidation and falls
             // far behind.
             let replicate = elapsed_of(&rows, app, PolicyKind::ReplicateOnly);
-            checks.push((
-                "kv_freeze_beats_naive_replication".into(),
-                coherent < replicate,
-            ));
-            assert!(
-                coherent < replicate,
-                "kv: PLATINUM (freezing) should beat replicate-only on a \
-                 write-shared table ({coherent} vs {replicate})"
-            );
+            run.check("kv_freeze_beats_naive_replication", coherent < replicate);
         }
 
         if app == "gauss" && opts.topology.is_none() {
             // The paper's comparison (Fig. 1): coherent memory beats
             // static placement, and local static beats all-remote.
-            // Asserted on the flat Butterfly only: the n thresholds
+            // Checked on the flat Butterfly only: the n thresholds
             // below are crossover points of *that* machine's latencies
             // (inequality (2)); a hierarchical interconnect moves them
             // (2-hop page copies raise the replication amortization
@@ -392,43 +347,30 @@ pub fn run() {
             // Tiny matrices cannot amortize replication (inequality (2)):
             // below n≈48 even all-remote placement beats coherent memory,
             // and the full strict ordering only emerges around n=80, so
-            // each check is asserted only where the paper's analysis
+            // each check applies only where the paper's analysis
             // predicts it. The comparison values are still reported.
-            checks.push(("gauss_remote_ge_coherent".into(), remote >= coherent));
+            let too_small = |bar: usize| {
+                format!("n = {n} < {bar}: too small to amortize replication, inequality (2)")
+            };
             if n >= 48 {
-                assert!(
-                    remote >= coherent,
-                    "remote-only beat coherent memory on gauss: {remote} < {coherent}"
-                );
+                run.check("gauss_remote_ge_coherent", remote >= coherent);
+            } else {
+                run.skip("gauss_remote_ge_coherent", too_small(48));
             }
             if n >= 80 {
-                assert!(
-                    coherent < local && local < remote,
-                    "Fig. 1 ordering failed on gauss: coherent={coherent} \
-                     local-only={local} remote-only={remote}"
-                );
-                checks.push(("gauss_fig1_ordering".into(), true));
+                run.check("gauss_fig1_ordering", coherent < local && local < remote);
+            } else {
+                run.skip("gauss_fig1_ordering", too_small(80));
             }
         }
     }
 
-    let out = json(
+    say!(run, "\n{}", markdown(&rows));
+    run.artifact(artifact(
         &rows,
         nodes,
         procs,
         topo_name.as_deref().unwrap_or("flat"),
-        &checks,
-    );
-    if as_json {
-        println!("{out}");
-    } else {
-        println!("\n{}", markdown(&rows));
-        for (name, ok) in &checks {
-            println!("check {name}: {}", if *ok { "PASS" } else { "FAIL" });
-        }
-    }
-    if let Some(path) = args.get::<String>("--out") {
-        std::fs::write(&path, out).expect("write --out file");
-        eprintln!("wrote {path}");
-    }
+        run.checks_value(),
+    ));
 }

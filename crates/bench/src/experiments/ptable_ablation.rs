@@ -23,8 +23,8 @@
 //! a replica entry) and `kv` (the server tier's open-loop key-value
 //! store: a large read-mostly table whose misses spread over many
 //! pages). Both drive the simulation from a single host thread, so
-//! every virtual-time metric is exact and `--check` compares it
-//! bit-for-bit against a committed baseline.
+//! every virtual-time metric is exact and `--check` holds the [`EXACT`]
+//! keys of each cell equal to a committed baseline's.
 //!
 //! Per cell the artifact reports the walk tally (walks, populates,
 //! invalidations and their virtual-time costs), **walk locality** — the
@@ -33,12 +33,10 @@
 //! the workload's elapsed virtual time, and host-side Mops/s (unchecked;
 //! host throughput is not deterministic).
 //!
-//! Usage:
-//!   ptable_ablation [--procs 16,64] [--topology flat|hier2|hier2x4]
-//!                   [--placements a,b,c] [--workloads fault_heavy,kv]
-//!                   [--pings 2000] [--kv-keys 2048] [--kv-requests 192]
-//!                   [--out results/BENCH_ptable.json]
-//!                   [--check --baseline FILE]
+//! `--procs` (16,64), `--topology` (hier2), `--placements a,b,c` (all
+//! four), `--workloads` (fault_heavy,kv), `--pings N` (2000), `--kv-keys
+//! N` (2048), `--kv-requests N` (192 per processor), `--kv-gap-ns G`
+//! (5000).
 //!
 //! With both `centralized` and `replicated_on_fault` in the sweep, the
 //! run self-checks the fabric's reason to exist: at every (p, workload)
@@ -49,15 +47,25 @@
 
 use std::time::Instant;
 
-use numa_machine::{MachineConfig, TimingConfig, Topology};
+use numa_machine::{MachineConfig, Topology};
+use platinum::trace::json::Value;
 use platinum::{PlatinumPolicy, PtableConfig, PtablePlacement, WalkSnapshot};
-use platinum_analysis::report::json::Value;
 use platinum_analysis::report::Table;
-use platinum_bench::check::check_section;
-use platinum_bench::micro::fault_heavy;
-use platinum_bench::Args;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
+
+use crate::args::machines;
+use crate::check::Exact;
+use crate::micro::fault_heavy;
+use crate::run::{Artifact, Run};
+
+/// What `--check` compares, per cell: virtual-time metrics are exact
+/// functions of the configuration (`host_mops` is not).
+const EXACT: Exact = Exact {
+    sections: "cells",
+    id: "key",
+    keys: &["elapsed_ns", "walks", "walk_ns", "fabric_ns"],
+};
 
 /// Boots one cell's machine: `procs` nodes under `topo`, the given
 /// page-table placement, and (for the ping-pong) a never-freeze policy
@@ -89,9 +97,9 @@ struct Cell {
     procs: usize,
     placement: PtablePlacement,
     ops: u64,
-    /// Elapsed virtual time of the measured run (exact, `--check`ed).
+    /// Elapsed virtual time of the measured run (exact).
     elapsed_ns: u64,
-    /// The fabric's walk tally over the whole run (exact, `--check`ed).
+    /// The fabric's walk tally over the whole run (exact).
     walks: WalkSnapshot,
     /// Host-side throughput (unchecked; host clocks are not
     /// deterministic).
@@ -121,50 +129,33 @@ fn kv(sim: &mut Sim, procs: usize, traffic: &TrafficConfig) -> (u64, f64, u64) {
 }
 
 fn run_sweep(
-    ps: &[usize],
-    topo_name: &str,
+    machines: &[Topology],
     placements: &[PtablePlacement],
     workloads: &[&'static str],
     pings: u64,
     traffic: &TrafficConfig,
 ) -> Vec<Cell> {
-    let timing = TimingConfig::default();
     let mut cells = Vec::new();
-    for &p in ps {
-        assert!(p >= 2, "--procs entries must be at least 2 (got {p})");
-        let topo = Topology::by_name(topo_name, p, &timing).unwrap_or_else(|| {
-            panic!("unknown --topology {topo_name:?} (expected flat, hier2, hier2x4)")
-        });
+    for topo in machines {
+        let p = topo.nodes();
         for &placement in placements {
             for &w in workloads {
-                let cell = match w {
-                    "fault_heavy" => {
-                        let sim = boot(p, &topo, placement, true);
-                        let (elapsed_ns, secs) = fault_heavy(&sim, p, pings);
-                        Cell {
-                            workload: "fault_heavy",
-                            procs: p,
-                            placement,
-                            ops: pings,
-                            elapsed_ns,
-                            walks: sim.kernel.walk_snapshot(),
-                            host_mops: pings as f64 / 1e6 / secs,
-                        }
-                    }
-                    "kv" => {
-                        let mut sim = boot(p, &topo, placement, false);
-                        let (elapsed_ns, secs, requests) = kv(&mut sim, p, traffic);
-                        Cell {
-                            workload: "kv",
-                            procs: p,
-                            placement,
-                            ops: requests,
-                            elapsed_ns,
-                            walks: sim.kernel.walk_snapshot(),
-                            host_mops: requests as f64 / 1e6 / secs,
-                        }
-                    }
-                    other => panic!("unknown workload {other:?} (expected fault_heavy, kv)"),
+                let never_freeze = w == "fault_heavy";
+                let mut sim = boot(p, topo, placement, never_freeze);
+                let (elapsed_ns, secs, ops) = if never_freeze {
+                    let (elapsed_ns, secs) = fault_heavy(&sim, p, pings);
+                    (elapsed_ns, secs, pings)
+                } else {
+                    kv(&mut sim, p, traffic)
+                };
+                let cell = Cell {
+                    workload: w,
+                    procs: p,
+                    placement,
+                    ops,
+                    elapsed_ns,
+                    walks: sim.kernel.walk_snapshot(),
+                    host_mops: ops as f64 / 1e6 / secs,
                 };
                 eprintln!("  {} done", cell.key());
                 cells.push(cell);
@@ -185,11 +176,9 @@ fn find<'c>(
         .find(|c| c.workload == workload && c.procs == procs && c.placement == placement)
 }
 
-/// The fabric's reason to exist, asserted from the sweep's own numbers
-/// wherever both ends of the comparison ran. Returns named check
-/// results for the artifact.
-fn self_checks(cells: &[Cell], ps: &[usize], workloads: &[&'static str]) -> Vec<(String, bool)> {
-    let mut checks = Vec::new();
+/// The fabric's reason to exist, checked from the sweep's own numbers
+/// wherever both ends of the comparison ran.
+fn self_checks(run: &mut Run, cells: &[Cell], ps: &[usize], workloads: &[&'static str]) {
     for &p in ps {
         for &w in workloads {
             let (Some(central), Some(repl)) = (
@@ -201,44 +190,33 @@ fn self_checks(cells: &[Cell], ps: &[usize], workloads: &[&'static str]) -> Vec<
             // Replicated walks must be on-node: at least 1.2x the
             // centralized placement's walk locality (in practice the gap
             // is far wider — centralized locality decays like 1/p).
-            let ok = repl.walks.walk_locality() >= 1.2 * central.walks.walk_locality();
-            checks.push((format!("locality_1_2x/{w}/p{p}"), ok));
-            assert!(
-                ok,
-                "{w}/p{p}: replicate-on-fault walk locality {:.4} is not \
-                 1.2x centralized {:.4}",
-                repl.walks.walk_locality(),
-                central.walks.walk_locality(),
+            run.check(
+                format!("locality_1_2x/{w}/p{p}"),
+                repl.walks.walk_locality() >= 1.2 * central.walks.walk_locality(),
             );
             // ... and at scale the whole fabric (walks + populates +
             // invalidations) must cost less virtual time than the
             // centralized accounting says the same walks would have,
-            // remote charges and all. Asserted on the walk-dominated
+            // remote charges and all. Checked on the walk-dominated
             // ping-pong at p >= 64, where the issue's acceptance bar
             // sits; the kv cells report the same numbers unchecked.
             if w == "fault_heavy" && p >= 64 {
-                let ok = repl.walks.fabric_ns() < central.walks.fabric_ns();
-                checks.push((format!("fabric_cheaper/{w}/p{p}"), ok));
-                assert!(
-                    ok,
-                    "{w}/p{p}: replicate-on-fault fabric time {} ns is not \
-                     below centralized walk accounting {} ns",
-                    repl.walks.fabric_ns(),
-                    central.walks.fabric_ns(),
+                run.check(
+                    format!("fabric_cheaper/{w}/p{p}"),
+                    repl.walks.fabric_ns() < central.walks.fabric_ns(),
                 );
             }
         }
     }
-    checks
 }
 
-fn artifact(topo: &str, cells: &[Cell], checks: &[(String, bool)]) -> String {
+fn artifact(topo: &str, cells: &[Cell], checks: Value) -> Value {
     Value::obj(vec![
-        ("bench", Value::Str("ptable_ablation".to_string())),
-        ("topology", Value::Str(topo.to_string())),
+        ("bench", Value::str("ptable_ablation")),
+        ("topology", Value::str(topo)),
         (
             "unit",
-            Value::Str("virtual ns (exact); host Mops/s (unchecked)".to_string()),
+            Value::str("virtual ns (exact); host Mops/s (unchecked)"),
         ),
         (
             "cells",
@@ -249,9 +227,9 @@ fn artifact(topo: &str, cells: &[Cell], checks: &[(String, bool)]) -> String {
                         let w = &c.walks;
                         Value::obj(vec![
                             ("key", Value::Str(c.key())),
-                            ("workload", Value::Str(c.workload.to_string())),
+                            ("workload", Value::str(c.workload)),
                             ("procs", Value::Int(c.procs as u64)),
-                            ("placement", Value::Str(c.placement.name().to_string())),
+                            ("placement", Value::str(c.placement.name())),
                             ("ops", Value::Int(c.ops)),
                             ("elapsed_ns", Value::Int(c.elapsed_ns)),
                             ("walks", Value::Int(w.walks)),
@@ -269,68 +247,30 @@ fn artifact(topo: &str, cells: &[Cell], checks: &[(String, bool)]) -> String {
                     .collect(),
             ),
         ),
-        (
-            "checks",
-            Value::obj(
-                checks
-                    .iter()
-                    .map(|(name, ok)| (name.as_str(), Value::Bool(*ok)))
-                    .collect(),
-            ),
-        ),
+        ("checks", checks),
     ])
-    .to_json()
 }
 
-fn write_artifact(out: &str, body: &str) {
-    if let Some(dir) = std::path::Path::new(out)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-    }
-    std::fs::write(out, body).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("artifact written to {out}");
-}
-
-fn main() {
-    let args = Args::parse();
-    let ps: Vec<usize> = args
-        .get::<String>("--procs")
-        .unwrap_or_else(|| "16,64".to_string())
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("--procs takes a comma-separated list, got {s:?}"))
-        })
-        .collect();
-    let topo = args
-        .get::<String>("--topology")
-        .unwrap_or_else(|| "hier2".to_string());
-    let placements: Vec<PtablePlacement> = args
-        .get::<String>("--placements")
-        .map(|list| {
-            list.split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse::<PtablePlacement>()
-                        .unwrap_or_else(|e| panic!("--placements: {e}"))
-                })
-                .collect()
-        })
+pub(crate) fn run(run: &mut Run) {
+    let args = &mut run.args;
+    let ps = args.list("--procs").unwrap_or_else(|| vec![16usize, 64]);
+    let topo = args.get_or("--topology", "hier2".to_string());
+    let machines = machines(&topo, &ps);
+    let placements = args
+        .list("--placements")
         .unwrap_or_else(|| PtablePlacement::ALL.to_vec());
-    let workload_names = args
-        .get::<String>("--workloads")
-        .unwrap_or_else(|| "fault_heavy,kv".to_string());
-    let workloads: Vec<&'static str> = workload_names
-        .split(',')
-        .map(|s| match s.trim() {
-            "fault_heavy" => "fault_heavy",
-            "kv" => "kv",
-            other => panic!("unknown workload {other:?} (expected fault_heavy, kv)"),
-        })
-        .collect();
+    let workloads: Vec<&'static str> =
+        args.list::<String>("--workloads")
+            .map_or(vec!["fault_heavy", "kv"], |names| {
+                names
+                    .iter()
+                    .map(|w| match w.as_str() {
+                        "fault_heavy" => "fault_heavy",
+                        "kv" => "kv",
+                        other => panic!("unknown workload {other:?} (expected fault_heavy, kv)"),
+                    })
+                    .collect()
+            });
     let pings = args.get_or("--pings", 2_000u64);
     let traffic = TrafficConfig {
         keys: args.get_or("--kv-keys", 2_048u64),
@@ -340,12 +280,10 @@ fn main() {
         burst_every: 0,
         ..TrafficConfig::default()
     };
-    let out = args
-        .get::<String>("--out")
-        .unwrap_or_else(|| "results/BENCH_ptable.json".to_string());
+    run.start(Artifact::Exact(&EXACT));
 
-    println!("Page-table placement ablation ({topo} topology)\n");
-    let cells = run_sweep(&ps, &topo, &placements, &workloads, pings, &traffic);
+    say!(run, "Page-table placement ablation ({topo} topology)\n");
+    let cells = run_sweep(&machines, &placements, &workloads, pings, &traffic);
 
     let mut table = Table::new(vec![
         "workload",
@@ -375,34 +313,7 @@ fn main() {
             format!("{:.2}", c.host_mops),
         ]);
     }
-    println!("{table}");
-    let checks = self_checks(&cells, &ps, &workloads);
-    for (name, ok) in &checks {
-        println!("check {name}: {}", if *ok { "PASS" } else { "FAIL" });
-    }
-
-    write_artifact(&out, &artifact(&topo, &cells, &checks));
-
-    if args.flag("--check") {
-        let path: String = args.get("--baseline").expect("--check needs --baseline");
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        // Virtual-time metrics are exact functions of the configuration,
-        // so the comparison is equality, not a tolerance band.
-        let mut ok = true;
-        for c in &cells {
-            let fields = [
-                ("elapsed_ns", c.elapsed_ns),
-                ("walks", c.walks.walks),
-                ("walk_ns", c.walks.walk_ns),
-                ("fabric_ns", c.walks.fabric_ns()),
-            ];
-            ok &= check_section(&baseline, "key", &c.key(), &fields, 0.0);
-        }
-        if !ok {
-            eprintln!("ptable ablation drifted from the committed baseline");
-            std::process::exit(1);
-        }
-        println!("baseline check passed: every virtual-time metric exact");
-    }
+    say!(run, "{table}");
+    self_checks(run, &cells, &ps, &workloads);
+    run.artifact(artifact(&topo, &cells, run.checks_value()));
 }

@@ -13,25 +13,26 @@
 //! PLATINUM. Scaled efficiency should hold up better — coarse granularity
 //! is preserved.
 //!
-//! Usage:
-//!   scaled_speedup [--base-n 128] [--max-procs 8]
-//!                  [--procs 16,32,64,128,256] [--topology flat|hier2|hier2x4]
-//!                  [--out FILE]
+//! `--base-n N` (128) is the p = 1 matrix; `--max-procs P` (8) ends the
+//! comparison.
 //!
-//! `--procs` switches to the machine-size sweep: each listed processor
-//! count runs the *scaled* problem (n grows as p^(1/3), constant work
-//! per processor) on its own p-node machine, with the kernel's host
-//! phase profiler on, and writes a per-p JSON artifact of simulated
-//! throughput and `host_phase_ns_per_op` — how the protocol's host cost
-//! scales with machine size on a real application, the companion curve
-//! to `host_throughput --procs`'s microbenchmark view.
+//! `--procs 16,32,..` switches to the machine-size sweep: each listed
+//! processor count runs the *scaled* problem (n grows as p^(1/3),
+//! constant work per processor) on its own p-node machine under
+//! `--topology` (flat), with the kernel's host phase profiler on, and
+//! the artifact carries per-p simulated throughput and
+//! `host_phase_ns_per_op` — how the protocol's host cost scales with
+//! machine size on a real application, the companion curve to
+//! `host_throughput`'s microbenchmark view.
 
-use numa_machine::{TimingConfig, Topology};
-use platinum_analysis::report::json::Value;
+use numa_machine::Topology;
+use platinum::trace::json::Value;
 use platinum_analysis::report::Table;
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::harness::{run_gauss, run_gauss_profiled, GaussStyle, PolicyKind};
-use platinum_bench::{Args, TraceSink};
+
+use crate::args::topology;
+use crate::run::{Artifact, Run};
 
 /// Scaled problem size: n(p) = base_n * p^(1/3) keeps work per
 /// processor constant (total work ~ n^3).
@@ -39,16 +40,11 @@ fn scaled_n(base_n: usize, p: usize) -> usize {
     ((base_n as f64) * (p as f64).powf(1.0 / 3.0)).round() as usize
 }
 
-fn run_procs_sweep(args: &Args, ps: &[usize], base_n: usize) {
-    let topo_name = args
-        .get::<String>("--topology")
-        .unwrap_or_else(|| "flat".to_string());
-    let out = args
-        .get::<String>("--out")
-        .unwrap_or_else(|| "results/BENCH_scaled_speedup_procs.json".to_string());
-    let timing = TimingConfig::default();
-
-    println!("scaled-problem Gaussian elimination vs machine size ({topo_name} topology)\n");
+fn procs_sweep(run: &mut Run, topo_name: &str, machines: &[Topology], base_n: usize) {
+    say!(
+        run,
+        "scaled-problem Gaussian elimination vs machine size ({topo_name} topology)\n"
+    );
     let mut table = Table::new(vec![
         "p",
         "n",
@@ -60,12 +56,10 @@ fn run_procs_sweep(args: &Args, ps: &[usize], base_n: usize) {
         "directory ns/op",
     ]);
     let mut entries = Vec::new();
-    for &p in ps {
+    for topo in machines {
+        let p = topo.nodes();
         let n = scaled_n(base_n, p);
-        let topo = Topology::by_name(&topo_name, p, &timing).unwrap_or_else(|| {
-            panic!("unknown --topology {topo_name:?} (expected flat, hier2, hier2x4)")
-        });
-        let r = run_gauss_profiled(p, p, &GaussConfig::with_n(n), Some(&topo));
+        let r = run_gauss_profiled(p, p, &GaussConfig::with_n(n), Some(topo));
         let per_op = |ns: u64| ns as f64 / r.ops.max(1) as f64;
         let sim_mips = r.ops as f64 / 1e6 / r.host_secs.max(1e-9);
         table.row(vec![
@@ -96,45 +90,29 @@ fn run_procs_sweep(args: &Args, ps: &[usize], base_n: usize) {
         ]));
         eprintln!("  p={p} done");
     }
-    println!("{table}");
+    say!(run, "{table}");
 
-    let body = Value::obj(vec![
-        ("bench", Value::Str("scaled_speedup".to_string())),
-        ("mode", Value::Str("procs_sweep".to_string())),
-        ("topology", Value::Str(topo_name)),
+    run.artifact(Value::obj(vec![
+        ("bench", Value::str("scaled_speedup")),
+        ("mode", Value::str("procs_sweep")),
+        ("topology", Value::str(topo_name)),
         ("base_n", Value::Num(base_n as f64)),
         ("sweep", Value::Arr(entries)),
-    ])
-    .to_json();
-    if let Some(dir) = std::path::Path::new(&out)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-    }
-    std::fs::write(&out, body).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("artifact written to {out}");
+    ]));
 }
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
-    let base_n = args.get_or("--base-n", 128usize);
-    let max_procs = args.get_or("--max-procs", 8usize);
-
-    if let Some(list) = args.get::<String>("--procs") {
-        let ps: Vec<usize> = list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--procs takes a comma-separated list, got {s:?}"))
-            })
-            .collect();
-        run_procs_sweep(&args, &ps, base_n);
-        platinum_bench::trace_out::finish(sink);
-        return;
+pub(crate) fn run(run: &mut Run) {
+    let base_n = run.args.get_or("--base-n", 128usize);
+    // Each mode reads only its own flags, so the other mode's are
+    // rejected rather than ignored.
+    if let Some(ps) = run.args.list::<usize>("--procs") {
+        let topo_name = run.args.get_or("--topology", "flat".to_string());
+        let machines: Vec<Topology> = ps.iter().map(|&p| topology(&topo_name, p)).collect();
+        run.start(Artifact::Json);
+        return procs_sweep(run, &topo_name, &machines, base_n);
     }
+    let max_procs = run.args.get_or("--max-procs", 8usize);
+    run.start(Artifact::None);
 
     println!("fixed-size vs scaled-problem efficiency, Gaussian elimination on PLATINUM");
     println!("fixed: n = {base_n} at every p; scaled: n grows as p^(1/3) x {base_n} (constant work/processor)\n");
@@ -207,5 +185,4 @@ fn main() {
         "scaled efficiency should decay more slowly than fixed-size efficiency:\n\
          growing problems keep the data-access granularity coarse (§4.1)."
     );
-    platinum_bench::trace_out::finish(sink);
 }

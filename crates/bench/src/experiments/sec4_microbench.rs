@@ -17,12 +17,12 @@
 
 use numa_machine::{Machine, MachineConfig, Mem, ProcCore};
 use platinum_analysis::report::Table;
-use platinum_bench::micro::{vcost, MicroBench};
-use platinum_bench::{Args, TraceSink};
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
+use crate::micro::{vcost, MicroBench};
+use crate::run::{Artifact, Run};
+
+pub(crate) fn run(run: &mut Run) {
+    run.start(Artifact::None);
     println!("Section 4: basic operation costs (16-node machine)\n");
 
     block_transfer();
@@ -30,7 +30,6 @@ fn main() {
     read_miss_modified();
     write_miss_present_plus();
     incremental_shootdown();
-    platinum_bench::trace_out::finish(sink);
 }
 
 fn block_transfer() {
@@ -121,7 +120,7 @@ fn read_miss_modified() {
     let va = mb.va;
     let cost = mb.with_pollers(
         &[1],
-        |_, ctx| ctx.write(va, 42),
+        |ctx| ctx.write(va, 42),
         |ctx| {
             let (cost, v) = vcost(ctx, |c| c.read(va));
             assert_eq!(v, 42);
@@ -141,7 +140,7 @@ fn write_miss_present_plus() {
     let va = mb.va;
     let cost = mb.with_pollers(
         &[1],
-        |_, ctx| {
+        |ctx| {
             let _ = ctx.read(va); // replica on node 1
         },
         |ctx| {
@@ -167,7 +166,7 @@ fn incremental_shootdown() {
         let pollers: Vec<usize> = (1..=k).collect();
         mb.with_pollers(
             &pollers,
-            |_, ctx| {
+            |ctx| {
                 let _ = ctx.read(va);
             },
             |ctx| {

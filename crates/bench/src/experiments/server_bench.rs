@@ -5,32 +5,47 @@
 //! The open-loop driver is deterministic (serialized kernel entries in
 //! merged-arrival order, `skew_window_ns: None` — see
 //! `platinum_server::drive`), so every number in the artifact is a pure
-//! function of the configuration: the `--check` gate compares against a
-//! committed baseline *exactly* by default. `--mode closed` switches to
-//! the concurrent saturation driver, whose numbers are host-schedule
-//! dependent and never checked.
+//! function of the configuration: the `--check` gate holds the [`EXACT`]
+//! keys of each workload equal to a committed baseline's. `--mode closed`
+//! switches to the concurrent saturation driver, whose numbers are
+//! host-schedule dependent and never checked.
 //!
-//! Usage:
-//!   server_bench [--workload kv|flow|both] [--nodes 8] [--shards 64]
-//!                [--keys 262144] [--requests-per-proc 131072]
-//!                [--theta 0.99] [--write-pct 10] [--seed 24301]
-//!                [--mean-gap-ns 4000000] [--mode open|closed] [--out FILE]
-//!                [--trace FILE] [--check --baseline FILE [--tolerance 0.0]]
-//!
-//! Defaults drive ≥1M requests through the KV store (8 procs × 128Ki).
-//! The CI smoke job runs a reduced geometry against
-//! `results/BENCH_server_baseline.json`; regenerate that baseline with
-//! the exact flags recorded in its `config` object.
+//! `--workload kv|flow|both` (both), `--nodes N` (8), `--shards N` (64),
+//! `--keys N` (262144), `--requests-per-proc N` (131072), `--theta T`
+//! (0.99), `--write-pct W` (10), `--seed S` (24301), `--mean-gap-ns G`
+//! (4000000), `--mode open|closed` (open). Defaults drive ≥1M requests
+//! through the KV store (8 procs × 128Ki). The CI smoke job runs a
+//! reduced geometry against `results/BENCH_server_baseline.json`;
+//! regenerate that baseline with the exact flags recorded in its
+//! `config` object.
 
 use numa_machine::MachineConfig;
-use platinum_analysis::report::json::Value;
+use platinum::trace::json::Value;
 use platinum_analysis::report::Table;
-use platinum_bench::check::check_section;
-use platinum_bench::{Args, TraceSink};
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{
     run_closed_loop, run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable,
     ServerPhase, TrafficConfig, Workload,
+};
+
+use crate::check::Exact;
+use crate::run::{Artifact, Run};
+
+/// What `--check` compares, per workload: all exact integers under the
+/// deterministic open-loop driver.
+const EXACT: Exact = Exact {
+    sections: "workloads",
+    id: "name",
+    keys: &[
+        "requests",
+        "elapsed_ns",
+        "p50_ns",
+        "p99_ns",
+        "p999_ns",
+        "checksum",
+        "latency_sum_ns",
+        "retries",
+    ],
 };
 
 struct BenchConfig {
@@ -109,7 +124,7 @@ fn workload_value(r: &WorkloadResult) -> Value {
     let rep = &r.report;
     let p = &rep.protocol;
     Value::obj(vec![
-        ("name", Value::Str(r.name.to_string())),
+        ("name", Value::str(r.name)),
         ("requests", n(rep.requests)),
         ("reads", n(rep.reads)),
         ("writes", n(rep.writes)),
@@ -162,10 +177,10 @@ fn workload_value(r: &WorkloadResult) -> Value {
     ])
 }
 
-fn artifact(cfg: &BenchConfig, results: &[WorkloadResult]) -> String {
+fn artifact(cfg: &BenchConfig, results: &[WorkloadResult]) -> Value {
     let t = &cfg.traffic;
     Value::obj(vec![
-        ("bench", Value::Str("server_bench".to_string())),
+        ("bench", Value::str("server_bench")),
         (
             "mode",
             Value::Str(
@@ -194,23 +209,6 @@ fn artifact(cfg: &BenchConfig, results: &[WorkloadResult]) -> String {
             Value::Arr(results.iter().map(workload_value).collect()),
         ),
     ])
-    .to_json()
-}
-
-/// The fields the `--check` gate compares. All are exact integers under
-/// the deterministic open-loop driver.
-fn checked_fields(r: &WorkloadResult) -> [(&'static str, u64); 8] {
-    let rep = &r.report;
-    [
-        ("requests", rep.requests),
-        ("elapsed_ns", rep.elapsed_ns),
-        ("p50_ns", rep.latency.p50()),
-        ("p99_ns", rep.latency.p99()),
-        ("p999_ns", rep.latency.p999()),
-        ("checksum", r.checksum),
-        ("latency_sum_ns", rep.latency.sum()),
-        ("retries", rep.retries),
-    ]
 }
 
 fn table(results: &[WorkloadResult]) -> Table {
@@ -244,17 +242,15 @@ fn table(results: &[WorkloadResult]) -> Table {
     t
 }
 
-fn main() {
-    let args = Args::parse();
-    let workload = args
-        .get::<String>("--workload")
-        .unwrap_or_else(|| "both".to_string());
+pub(crate) fn run(run: &mut Run) {
+    let args = &mut run.args;
+    let workload = args.get_or("--workload", "both".to_string());
+    assert!(
+        ["kv", "flow", "both"].contains(&workload.as_str()),
+        "unknown workload {workload:?} (expected kv, flow, both)"
+    );
     let nodes = args.get_or("--nodes", 8usize);
-    let mode = match args
-        .get::<String>("--mode")
-        .unwrap_or_else(|| "open".to_string())
-        .as_str()
-    {
+    let mode = match args.get_or("--mode", "open".to_string()).as_str() {
         "open" => ServerPhase::OpenLoop,
         "closed" => ServerPhase::ClosedLoop,
         other => panic!("unknown mode {other:?} (expected open or closed)"),
@@ -283,12 +279,14 @@ fn main() {
         },
         mode,
     };
-    let out = args
-        .get::<String>("--out")
-        .unwrap_or_else(|| "BENCH_server.json".to_string());
-    let sink = TraceSink::from_args(&args);
+    // Only the deterministic driver's numbers can be held to a baseline.
+    run.start(match cfg.mode {
+        ServerPhase::OpenLoop => Artifact::Exact(&EXACT),
+        ServerPhase::ClosedLoop => Artifact::Json,
+    });
 
-    println!(
+    say!(
+        run,
         "Server tier: {} requests per workload, {} procs, {} mode\n",
         cfg.nodes * cfg.traffic.requests_per_proc,
         cfg.nodes,
@@ -300,44 +298,14 @@ fn main() {
 
     let mut results = Vec::new();
     if workload == "kv" || workload == "both" {
-        if let Some(s) = &sink {
-            s.phase("kv");
-        }
+        run.phase("kv");
         results.push(run_kv(&cfg));
     }
     if workload == "flow" || workload == "both" {
-        if let Some(s) = &sink {
-            s.phase("flow");
-        }
+        run.phase("flow");
         results.push(run_flow(&cfg));
     }
-    assert!(
-        !results.is_empty(),
-        "unknown workload {workload:?} (expected kv, flow, both)"
-    );
 
-    println!("{}", table(&results));
-
-    std::fs::write(&out, artifact(&cfg, &results)).unwrap_or_else(|e| panic!("writing {out}: {e}"));
-    println!("artifact written to {out}");
-    platinum_bench::trace_out::finish(sink);
-
-    if args.flag("--check") {
-        assert!(
-            cfg.mode == ServerPhase::OpenLoop,
-            "--check requires the deterministic open-loop mode"
-        );
-        let path: String = args.get("--baseline").expect("--check needs --baseline");
-        let tolerance = args.get_or("--tolerance", 0.0f64);
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let mut ok = true;
-        for r in &results {
-            ok &= check_section(&baseline, "name", r.name, &checked_fields(r), tolerance);
-        }
-        if !ok {
-            eprintln!("server_bench diverged from {path} (tolerance {tolerance})");
-            std::process::exit(1);
-        }
-    }
+    say!(run, "{}", table(&results));
+    run.artifact(artifact(&cfg, &results));
 }

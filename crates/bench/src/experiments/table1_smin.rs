@@ -3,27 +3,25 @@
 //! "It always pays to migrate data when the page size is greater than
 //! S_min." Prints the table computed from the coefficients as the paper
 //! published them (107 and 0.24), and, with `--raw`, from the raw
-//! Butterfly Plus latencies.
-//!
-//! Usage:
-//!   table1_smin [--raw] [--overhead-ns N]
+//! Butterfly Plus latencies (`--overhead-ns N` then overrides the fixed
+//! overhead F).
 
 use platinum_analysis::model::{table1, CostModel, TABLE1_GS};
 use platinum_analysis::report::Table;
-use platinum_bench::{Args, TraceSink};
 
-fn main() {
-    let args = Args::parse();
-    let sink = TraceSink::from_args(&args);
-    let model = if args.flag("--raw") {
+use crate::run::{Artifact, Run};
+
+pub(crate) fn run(run: &mut Run) {
+    let model = if run.args.flag("--raw") {
         let mut m = CostModel::paper();
-        if let Some(f) = args.get::<f64>("--overhead-ns") {
+        if let Some(f) = run.args.get::<f64>("--overhead-ns") {
             m.overhead_ns = f;
         }
         m
     } else {
         CostModel::paper_published()
     };
+    run.start(Artifact::None);
 
     println!("Table 1: minimum page size (words) for which migration always pays");
     println!(
@@ -53,5 +51,4 @@ fn main() {
     println!("{t}");
     println!("paper prints 435 at (rho=0.48, g=1); 107/(0.48-0.24) = 445.8,");
     println!("matching the 445 it prints at (rho=0.24, g=0.5) — a suspected typo.");
-    platinum_bench::trace_out::finish(sink);
 }

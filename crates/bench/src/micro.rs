@@ -2,26 +2,26 @@
 //!
 //! The paper's basic-operation timings involve *live* target processors
 //! that must be interrupted (restricting a writer's mapping, invalidating
-//! replicas). [`MicroBench`] runs "poller" threads on a chosen set of
-//! processors: each attaches a context, optionally touches the measured
-//! page (to become a replica holder or the writer), and then services its
-//! IPI doorbell in a loop until told to stop — a processor running user
-//! code, as far as the shootdown mechanism is concerned.
+//! replicas). [`MicroBench`] keeps a chosen set of "poller" processors
+//! live beside the measured one: each attaches a context and optionally
+//! touches the measured page (to become a replica holder or the writer),
+//! and then stays attached and running — a processor executing user code,
+//! as far as the shootdown mechanism is concerned — while one host thread
+//! drives them all through a [`Lockstep`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use numa_machine::{MachineConfig, Mem, Va};
-use platinum::{Rights, ShootdownMode, UserCtx};
+use platinum::{Lockstep, Rights, ShootdownMode, UserCtx};
 use platinum_runtime::sim::{Sim, SimBuilder};
 
 /// A booted 16-node simulation + one mapped page, the §4 measurement
 /// fixture.
-pub struct MicroBench {
+pub(crate) struct MicroBench {
     /// The machine, kernel and measurement address space.
-    pub sim: Sim,
+    pub(crate) sim: Sim,
     /// A mapped, read-write page.
-    pub va: Va,
+    pub(crate) va: Va,
 }
 
 impl MicroBench {
@@ -30,12 +30,12 @@ impl MicroBench {
     ///
     /// The skew window is disabled: micro-measurements want exact charges,
     /// not coupled clocks.
-    pub fn new(mach_mode: bool) -> Self {
+    pub(crate) fn new(mach_mode: bool) -> Self {
         Self::with_nodes(16, mach_mode)
     }
 
     /// Boots with an explicit node count.
-    pub fn with_nodes(nodes: usize, mach_mode: bool) -> Self {
+    pub(crate) fn with_nodes(nodes: usize, mach_mode: bool) -> Self {
         let sim = SimBuilder::nodes(nodes)
             .machine_config(MachineConfig {
                 nodes,
@@ -61,52 +61,36 @@ impl MicroBench {
     /// # Panics
     ///
     /// Panics if the processor is occupied.
-    pub fn attach(&self, proc: usize) -> UserCtx {
+    pub(crate) fn attach(&self, proc: usize) -> UserCtx {
         self.sim.attach(proc).expect("processor free")
     }
 
-    /// Runs `measured` on processor 0 while processors `pollers` run live
-    /// polling loops. Each poller first executes `warm` (e.g. read the
-    /// page to become a replica holder), then signals readiness; the
-    /// measured closure starts only after every poller is ready.
+    /// Runs `measured` on processor 0 while processors `pollers` stay
+    /// live. Each poller first executes `warm` (e.g. read the page to
+    /// become a replica holder), in ascending processor order; all of
+    /// them then sit in one [`Lockstep`] with processor 0, so a shootdown
+    /// the measured closure initiates interrupts them for real and their
+    /// acknowledgments drain inline.
     ///
     /// Returns the measured closure's result.
-    pub fn with_pollers<T: Send>(
+    pub(crate) fn with_pollers<T>(
         &self,
         pollers: &[usize],
-        warm: impl Fn(usize, &mut UserCtx) + Sync,
-        measured: impl FnOnce(&mut UserCtx) -> T + Send,
+        warm: impl Fn(&mut UserCtx),
+        measured: impl FnOnce(&mut UserCtx) -> T,
     ) -> T {
-        let stop = AtomicBool::new(false);
-        let ready = AtomicUsize::new(0);
-        let warm = &warm;
-        let stop_ref = &stop;
-        let ready_ref = &ready;
-        std::thread::scope(|s| {
-            for &p in pollers {
-                s.spawn(move || {
-                    let mut ctx = self.attach(p);
-                    warm(p, &mut ctx);
-                    ready_ref.fetch_add(1, Ordering::Release);
-                    while !stop_ref.load(Ordering::Acquire) {
-                        ctx.poll();
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            let mut ctx = self.attach(0);
-            while ready.load(Ordering::Acquire) < pollers.len() {
-                std::thread::yield_now();
-            }
-            let out = measured(&mut ctx);
-            stop.store(true, Ordering::Release);
-            out
-        })
+        let mut procs = Lockstep::new(self.sim.machine.cfg().nodes);
+        procs.adopt(self.attach(0));
+        for &p in pollers {
+            procs.adopt(self.attach(p));
+            procs.run(p, &warm);
+        }
+        procs.run(0, measured)
     }
 }
 
 /// Measures the virtual-time cost of `op` on `ctx`.
-pub fn vcost<T>(ctx: &mut UserCtx, op: impl FnOnce(&mut UserCtx) -> T) -> (u64, T) {
+pub(crate) fn vcost<T>(ctx: &mut UserCtx, op: impl FnOnce(&mut UserCtx) -> T) -> (u64, T) {
     let before = ctx.vtime();
     let out = op(ctx);
     (ctx.vtime() - before, out)
@@ -117,7 +101,7 @@ pub fn vcost<T>(ctx: &mut UserCtx, op: impl FnOnce(&mut UserCtx) -> T) -> (u64, 
 /// previous writer's copy and migrates the page, so every reference is
 /// an ATC miss and the protocol slow path does all the work. One host
 /// thread; returns (elapsed virtual time, host seconds of the loop).
-pub fn fault_heavy(sim: &Sim, procs: usize, pings: u64) -> (u64, f64) {
+pub(crate) fn fault_heavy(sim: &Sim, procs: usize, pings: u64) -> (u64, f64) {
     let object = sim.kernel.create_object(1);
     let va = sim.space.map_anywhere(object, Rights::RW).unwrap();
     let mut ctxs: Vec<UserCtx> = (0..procs).map(|p| sim.attach(p).unwrap()).collect();
@@ -158,7 +142,7 @@ mod tests {
         // must restrict it via a real IPI.
         let cost = mb.with_pollers(
             &[1],
-            |_, ctx| ctx.write(mb.va, 42),
+            |ctx| ctx.write(mb.va, 42),
             |ctx| {
                 let (cost, v) = vcost(ctx, |c| c.read(mb.va));
                 assert_eq!(v, 42);

@@ -327,10 +327,10 @@ impl Kernel {
     }
 
     /// Records one kernel event: bumps the [`KernelStats`] counter for
-    /// `kind` and, when tracing is compiled in and a tracer is installed,
-    /// emits the event against `proc`'s virtual clock. Every protocol
-    /// emit site goes through here, which is what guarantees that the
-    /// counters and the trace agree event for event.
+    /// `kind` and, when a tracer is installed, emits the event against
+    /// `proc`'s virtual clock. Every protocol emit site goes through
+    /// here, which is what guarantees that the counters and the trace
+    /// agree event for event.
     ///
     /// Public so instrumented tiers above the kernel (the server workload
     /// driver's per-request records) flow through the same choke point as
@@ -338,12 +338,9 @@ impl Kernel {
     #[inline]
     pub fn record(&self, proc: usize, vtime: u64, kind: EventKind, code: u8, page: u64, arg: u64) {
         self.stats.record(proc, kind);
-        #[cfg(feature = "trace")]
         if let Some(t) = self.machine.tracer() {
             t.emit(proc, vtime, kind, code, page, arg);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (proc, vtime, code, page, arg);
     }
 
     /// Builds the post-mortem memory-management report (§4.2).

@@ -526,7 +526,6 @@ impl ProcCore {
             s1
         };
         self.counters.queue_delay_ns += ready - self.vtime;
-        #[cfg(feature = "trace")]
         if let Some(t) = self.machine.tracer() {
             use platinum_trace::EventKind;
             let route = (src.module_id() as u64) << 32 | dst.module_id() as u64;

@@ -17,6 +17,7 @@
 use std::io::{self, Write};
 
 use crate::event::EventKind;
+use crate::json::escape;
 use crate::tracer::Trace;
 
 /// Renders `trace` as a Chrome trace_event JSON string.
@@ -115,195 +116,10 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventKind, FaultResolution, TraceConfig, Tracer};
-
-    /// A minimal strict JSON reader used to validate the exporter's
-    /// output shape without an external parser dependency.
-    mod json {
-        #[derive(Debug, PartialEq)]
-        pub enum Value {
-            Null,
-            Bool(bool),
-            Num(f64),
-            Str(String),
-            Arr(Vec<Value>),
-            Obj(Vec<(String, Value)>),
-        }
-
-        impl Value {
-            pub fn get(&self, key: &str) -> Option<&Value> {
-                match self {
-                    Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                    _ => None,
-                }
-            }
-
-            pub fn as_str(&self) -> Option<&str> {
-                match self {
-                    Value::Str(s) => Some(s),
-                    _ => None,
-                }
-            }
-
-            pub fn as_num(&self) -> Option<f64> {
-                match self {
-                    Value::Num(n) => Some(*n),
-                    _ => None,
-                }
-            }
-        }
-
-        pub fn parse(s: &str) -> Result<Value, String> {
-            let b = s.as_bytes();
-            let mut i = 0;
-            let v = value(b, &mut i)?;
-            skip_ws(b, &mut i);
-            if i != b.len() {
-                return Err(format!("trailing garbage at byte {i}"));
-            }
-            Ok(v)
-        }
-
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-
-        fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => {
-                    *i += 1;
-                    let mut fields = Vec::new();
-                    skip_ws(b, i);
-                    if b.get(*i) == Some(&b'}') {
-                        *i += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    loop {
-                        skip_ws(b, i);
-                        let Value::Str(k) = value(b, i)? else {
-                            return Err("object key must be a string".into());
-                        };
-                        skip_ws(b, i);
-                        if b.get(*i) != Some(&b':') {
-                            return Err(format!("expected ':' at byte {i}"));
-                        }
-                        *i += 1;
-                        fields.push((k, value(b, i)?));
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return Ok(Value::Obj(fields));
-                            }
-                            _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    *i += 1;
-                    let mut items = Vec::new();
-                    skip_ws(b, i);
-                    if b.get(*i) == Some(&b']') {
-                        *i += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    loop {
-                        items.push(value(b, i)?);
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b']') => {
-                                *i += 1;
-                                return Ok(Value::Arr(items));
-                            }
-                            _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                        }
-                    }
-                }
-                Some(b'"') => {
-                    *i += 1;
-                    let mut s = String::new();
-                    loop {
-                        match b.get(*i) {
-                            Some(b'"') => {
-                                *i += 1;
-                                return Ok(Value::Str(s));
-                            }
-                            Some(b'\\') => {
-                                *i += 1;
-                                match b.get(*i) {
-                                    Some(b'"') => s.push('"'),
-                                    Some(b'\\') => s.push('\\'),
-                                    Some(b'n') => s.push('\n'),
-                                    Some(b'u') => {
-                                        let hex = std::str::from_utf8(&b[*i + 1..*i + 5])
-                                            .map_err(|e| e.to_string())?;
-                                        let cp = u32::from_str_radix(hex, 16)
-                                            .map_err(|e| e.to_string())?;
-                                        s.push(char::from_u32(cp).ok_or("bad codepoint")?);
-                                        *i += 4;
-                                    }
-                                    _ => return Err("bad escape".into()),
-                                }
-                                *i += 1;
-                            }
-                            Some(&c) => {
-                                s.push(c as char);
-                                *i += 1;
-                            }
-                            None => return Err("unterminated string".into()),
-                        }
-                    }
-                }
-                Some(b't') if b[*i..].starts_with(b"true") => {
-                    *i += 4;
-                    Ok(Value::Bool(true))
-                }
-                Some(b'f') if b[*i..].starts_with(b"false") => {
-                    *i += 5;
-                    Ok(Value::Bool(false))
-                }
-                Some(b'n') if b[*i..].starts_with(b"null") => {
-                    *i += 4;
-                    Ok(Value::Null)
-                }
-                Some(_) => {
-                    let start = *i;
-                    while *i < b.len()
-                        && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                    {
-                        *i += 1;
-                    }
-                    std::str::from_utf8(&b[start..*i])
-                        .ok()
-                        .and_then(|t| t.parse().ok())
-                        .map(Value::Num)
-                        .ok_or_else(|| format!("bad number at byte {start}"))
-                }
-                None => Err("unexpected end of input".into()),
-            }
-        }
-    }
+    use crate::{json, EventKind, FaultResolution, TraceConfig, Tracer};
 
     fn sample_trace() -> Trace {
         let t = Tracer::new(TraceConfig {
@@ -333,9 +149,10 @@ mod tests {
             v.get("displayTimeUnit").and_then(|u| u.as_str()),
             Some("ns")
         );
-        let json::Value::Arr(events) = v.get("traceEvents").expect("traceEvents key") else {
-            panic!("traceEvents must be an array");
-        };
+        let events = v
+            .get("traceEvents")
+            .and_then(|e| e.as_arr())
+            .expect("traceEvents must be an array");
         // 2 process_name + 2 thread_name metadata + 5 events
         assert_eq!(events.len(), 9);
         for e in events {

@@ -20,12 +20,10 @@
 //!   [`EventKind`], a kind-specific `code`, and two 64-bit payload words
 //!   (`page`, `arg` — see the [`EventKind`] docs for each kind's
 //!   meaning).
-//! * Tracing is opt-in twice over: at compile time via the `trace`
-//!   cargo feature on the instrumented crates, and at run time by
-//!   whether a tracer is installed (emit sites hold an
-//!   `Option<Arc<Tracer>>`; disabled means one untaken branch on a
-//!   protocol path that already costs hundreds of instructions — the
-//!   word-access fast path has no emit sites at all).
+//! * Tracing is opt-in at run time, by whether a tracer is installed:
+//!   emit sites hold an `Option<Arc<Tracer>>`, so disabled means one
+//!   untaken branch on a protocol path that already costs hundreds of
+//!   instructions — the word-access fast path has no emit sites at all.
 //!
 //! # Exporters
 //!
@@ -51,6 +49,7 @@ mod ring;
 mod tracer;
 
 pub mod chrome;
+pub mod json;
 pub mod timeline;
 
 pub use event::{EventKind, FaultResolution, TraceEvent};
