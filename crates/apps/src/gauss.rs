@@ -494,12 +494,12 @@ pub fn reference_checksum(cfg: &GaussConfig) -> u64 {
         .map(|i| (0..n).map(|j| initial(cfg.seed, i, j)).collect())
         .collect();
     for k in 0..n.saturating_sub(1) {
-        for i in k + 1..n {
-            let factor = a[i][k];
-            let (rows_k, rows_i) = a.split_at_mut(i);
-            let (pivot, row) = (&rows_k[k], &mut rows_i[0]);
-            for j in k..n {
-                row[j] = row[j].wrapping_sub(factor.wrapping_mul(pivot[j]));
+        let (rows_k, rows_i) = a.split_at_mut(k + 1);
+        let pivot = &rows_k[k][k..];
+        for row in rows_i {
+            let factor = row[k];
+            for (r, &pv) in row[k..].iter_mut().zip(pivot) {
+                *r = r.wrapping_sub(factor.wrapping_mul(pv));
             }
         }
     }
@@ -573,5 +573,11 @@ mod tests {
             ..Default::default()
         });
         assert_ne!(a, other);
+        // The perf ledger's seed-1 `paper_apps` input.
+        let ledger = GaussConfig {
+            seed: 1 ^ 0x6A55,
+            ..GaussConfig::with_n(256)
+        };
+        assert_eq!(reference_checksum(&ledger), 0xeb7d_211b_b64d_b493);
     }
 }

@@ -143,6 +143,7 @@ impl Kernel {
         let defrost = DefrostState::new(cfg.t2_defrost_ns);
         let reclaim = ReclaimState::new(machine.nprocs());
         let stats = KernelStats::new(machine.nprocs());
+        let walk_stats = WalkStats::new(machine.nprocs());
         Arc::new(Self {
             machine,
             cfg,
@@ -156,7 +157,7 @@ impl Kernel {
             reclaim,
             threads: ThreadTable::new(),
             hostprof: HostProf::default(),
-            walk_stats: WalkStats::new(),
+            walk_stats,
         })
     }
 

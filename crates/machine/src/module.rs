@@ -147,25 +147,25 @@ impl MemoryModule {
         (cpage.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.owners.len()
     }
 
+    /// The order in which the inverted page table is probed for `cpage`:
+    /// every slot once, linearly from the page's hash slot, wrapping at
+    /// the end of the table. How far along it a probe stops is charged to
+    /// virtual time.
+    fn probe_order(&self, cpage: u64) -> impl Iterator<Item = usize> {
+        let start = self.hash_slot(cpage);
+        (start..self.owners.len()).chain(0..start)
+    }
+
     /// Probes the inverted page table for the local physical copy of
     /// coherent page `cpage` (§3.3's local-copy lookup).
     pub fn find_frame_of(&self, cpage: u64) -> IptProbe {
         let tagged = cpage + 1;
-        let start = self.hash_slot(cpage);
-        let n = self.owners.len();
-        for i in 0..n {
-            let slot = (start + i) % n;
-            if self.owners[slot].load(Ordering::Acquire) == tagged {
-                return IptProbe {
-                    frame: Some(slot),
-                    probes: i + 1,
-                };
-            }
-        }
-        IptProbe {
-            frame: None,
-            probes: n,
-        }
+        let mut probes = 0;
+        let frame = self.probe_order(cpage).find(|&slot| {
+            probes += 1;
+            self.owners[slot].load(Ordering::Acquire) == tagged
+        });
+        IptProbe { frame, probes }
     }
 
     /// Allocates a free frame for coherent page `cpage` by probing from
@@ -175,22 +175,18 @@ impl MemoryModule {
     /// Returns `None` when the module is out of frames.
     pub fn alloc_frame(&self, cpage: u64) -> Option<IptProbe> {
         let tagged = cpage + 1;
-        let start = self.hash_slot(cpage);
-        let n = self.owners.len();
-        for i in 0..n {
-            let slot = (start + i) % n;
-            if self.owners[slot]
+        let mut probes = 0;
+        let frame = self.probe_order(cpage).find(|&slot| {
+            probes += 1;
+            self.owners[slot]
                 .compare_exchange(FREE, tagged, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
-            {
-                self.allocated.fetch_add(1, Ordering::Relaxed);
-                return Some(IptProbe {
-                    frame: Some(slot),
-                    probes: i + 1,
-                });
-            }
-        }
-        None
+        })?;
+        self.allocated.fetch_add(1, Ordering::Relaxed);
+        Some(IptProbe {
+            frame: Some(frame),
+            probes,
+        })
     }
 
     /// Frees `frame`, returning it to the free pool.
@@ -232,10 +228,11 @@ impl MemoryModule {
     }
 
     /// The position of `now` within its contention bucket
-    /// (`now % bucket_ns`), via the bus divider's precomputed magic.
+    /// (`now % bucket_ns`), leaving `cursor` on that bucket so the
+    /// booking that follows finds it without a division.
     #[inline(always)]
-    pub fn bucket_into(&self, now: u64) -> u64 {
-        self.bus.bucket_into(now)
+    pub(crate) fn bucket_into(&self, cursor: &mut BucketCursor, now: u64) -> u64 {
+        self.bus.seek(cursor, now)
     }
 
     /// Reserves the block-transfer engine and the module bus for a
@@ -263,6 +260,14 @@ impl MemoryModule {
         // Word traffic during the transfer queues behind its bus share.
         let _ = self.bus.reserve_span(start, occupancy_ns);
         start
+    }
+}
+
+#[cfg(test)]
+impl MemoryModule {
+    /// The bus load booked in the contention bucket containing `now`.
+    pub(crate) fn bus_load_at(&self, now: u64) -> u64 {
+        self.bus.load_at(now)
     }
 }
 
@@ -343,6 +348,45 @@ mod tests {
         for c in 0..8u64 {
             assert!(m.find_frame_of(c).frame.is_some());
         }
+    }
+
+    #[test]
+    fn probing_keeps_the_modulo_order() {
+        // The probe order and the probe count are charged to virtual
+        // time: both must be what `(start + i) % n` gave, for a table
+        // size that is no power of two, from a start that wraps, and on
+        // a full table.
+        let n = 13;
+        let m = MemoryModule::new(0, n, 8, 100_000);
+        // Pages hashing to the first, a middle and the last slot.
+        let at = |slot| (0..).find(|&c| m.hash_slot(c) == slot).unwrap();
+        for cpage in [at(0), at(6), at(n - 1)] {
+            let start = m.hash_slot(cpage);
+            let modulo: Vec<usize> = (0..n).map(|i| (start + i) % n).collect();
+            assert_eq!(m.probe_order(cpage).collect::<Vec<_>>(), modulo);
+        }
+        // Fill the table with pages that all hash to the last slot: the
+        // i-th lands i slots on, around the end of the table, after
+        // i + 1 probes.
+        let last: Vec<u64> = (0..).filter(|&c| m.hash_slot(c) == n - 1).take(n).collect();
+        for (i, &cpage) in last.iter().enumerate() {
+            let want = IptProbe {
+                frame: Some((n - 1 + i) % n),
+                probes: i + 1,
+            };
+            assert_eq!(m.alloc_frame(cpage), Some(want));
+            assert_eq!(m.find_frame_of(cpage), want);
+        }
+        // Full: a miss inspects every entry, an allocation finds none.
+        assert_eq!(
+            m.find_frame_of(at(6)),
+            IptProbe {
+                frame: None,
+                probes: n
+            }
+        );
+        assert_eq!(m.alloc_frame(at(6)), None);
+        assert_eq!(m.frames_allocated(), n);
     }
 
     #[test]

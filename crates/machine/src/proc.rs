@@ -105,11 +105,12 @@ pub struct ProcCore {
     svc: Box<[u64]>,
     /// Cached `MachineConfig::fast_path`.
     fast_enabled: bool,
-    /// Per-module contention-bucket cursors (indexed by module id),
-    /// keeping the bucket-index division off the fast path. Purely a
-    /// host-side memoization: `reserve_with` is result-identical to
-    /// `reserve`.
-    cursors: Box<[BucketCursor]>,
+    /// The contention bucket the clock is in, memoized once for every
+    /// module (they share `contention_bucket_ns`, and the bucket depends
+    /// on the clock alone), keeping the bucket-index division off every
+    /// word charge, fast path and slow. Purely a host-side memoization:
+    /// `reserve_with` is result-identical to `reserve`.
+    cursor: BucketCursor,
     /// Cached `&machine.shared(id)`, so the per-access IPI poll skips
     /// the `Arc` walk and bounds check. Valid for the core's lifetime:
     /// the `Arc<Machine>` above keeps the (immovable) shared array alive.
@@ -160,7 +161,6 @@ impl ProcCore {
             .map(|to| topo.service_time(id, to))
             .collect();
         let fast_enabled = machine.cfg().fast_path;
-        let cursors = vec![BucketCursor::default(); machine.cfg().nodes].into_boxed_slice();
         let shared = machine.shared(id) as *const ProcShared;
         Self {
             machine,
@@ -173,7 +173,7 @@ impl ProcCore {
             lat,
             svc,
             fast_enabled,
-            cursors,
+            cursor: BucketCursor::default(),
             shared,
         }
     }
@@ -335,7 +335,7 @@ impl ProcCore {
         let latency = self.lat[pp.module_id()][kind as usize];
         let service = self.svc[pp.module_id()];
         let module = self.machine.module(pp.module_id());
-        let start = module.reserve(self.vtime, service);
+        let start = module.reserve_with(&mut self.cursor, self.vtime, service);
         let queue_delay = start - self.vtime;
         self.vtime = start + latency;
         self.counters.queue_delay_ns += queue_delay;
@@ -404,8 +404,7 @@ impl ProcCore {
         let local = h.local;
         let latency = self.lat[pp.module_id()][kind as usize];
         let service = self.svc[pp.module_id()];
-        let cursor = &mut self.cursors[pp.module_id()];
-        let start = module.reserve_with(cursor, self.vtime, service);
+        let start = module.reserve_with(&mut self.cursor, self.vtime, service);
         self.counters.queue_delay_ns += start - self.vtime;
         self.vtime = start + latency;
         match (local, kind) {
@@ -453,16 +452,23 @@ impl ProcCore {
         let service = self.svc[pp.module_id()];
         let bucket_ns = self.machine.cfg().contention_bucket_ns;
         let module = self.machine.module(pp.module_id());
+        let step = latency.max(1);
         let mut remaining = n;
         let mut queue_delay = 0u64;
         while remaining > 0 {
             // Book only the accesses that fall inside the clock's current
             // contention bucket, so a self-paced stream never re-books a
-            // bucket it has already filled.
-            let into = module.bucket_into(self.vtime);
-            let room = (bucket_ns - into).div_ceil(latency.max(1)).max(1);
-            let chunk = remaining.min(room);
-            let start = module.reserve(self.vtime, service * chunk);
+            // bucket it has already filled. `left.div_ceil(step)` of them
+            // start before the bucket ends; the division runs only when
+            // the run really crosses the edge (`left.div_ceil(step) >=
+            // remaining` iff `left > step * (remaining - 1)`).
+            let left = bucket_ns - module.bucket_into(&mut self.cursor, self.vtime);
+            let chunk = if left > step * (remaining - 1) {
+                remaining
+            } else {
+                left.div_ceil(step)
+            };
+            let start = module.reserve_with(&mut self.cursor, self.vtime, service * chunk);
             queue_delay += start - self.vtime;
             self.vtime = start + latency * chunk;
             remaining -= chunk;
@@ -766,6 +772,167 @@ mod tests {
             f.store(3, 0xfeed);
         }
         assert_eq!(m.frame_data(local).load(3), 0xfeed);
+    }
+
+    /// The slow path's charging as it was before the processor's cursor
+    /// served it, restated: every booking through the cursor-less
+    /// `MemoryModule::reserve`, the position in the bucket by `%`, the
+    /// chunk by an unconditional `div_ceil`.
+    struct Reference {
+        m: Arc<Machine>,
+        id: ProcId,
+        vtime: u64,
+        queue_delay_ns: u64,
+    }
+
+    impl Reference {
+        fn word_block(&mut self, module: usize, kind: AccessKind, n: u64) {
+            let topo = self.m.topology();
+            let latency = topo.word_latency(self.id, module, kind);
+            let service = topo.service_time(self.id, module);
+            let bucket_ns = self.m.cfg().contention_bucket_ns;
+            let mut remaining = n;
+            while remaining > 0 {
+                let into = self.vtime % bucket_ns;
+                let room = (bucket_ns - into).div_ceil(latency.max(1)).max(1);
+                let chunk = remaining.min(room);
+                let start = self.m.module(module).reserve(self.vtime, service * chunk);
+                self.queue_delay_ns += start - self.vtime;
+                self.vtime = start + latency * chunk;
+                remaining -= chunk;
+            }
+        }
+
+        fn block_transfer(&mut self, src: usize, dst: usize) {
+            let t = &self.m.cfg().timing;
+            let duration = self.m.cfg().words_per_page() as u64 * t.block_word_ns;
+            let occupancy = duration * t.block_bus_fraction_pct / 100;
+            let s1 = self
+                .m
+                .module(src)
+                .reserve_block(self.vtime, occupancy, 4 * duration);
+            let ready = self
+                .m
+                .module(dst)
+                .reserve_block(s1, occupancy, 4 * duration);
+            self.queue_delay_ns += ready - self.vtime;
+            self.vtime = ready + duration;
+        }
+    }
+
+    #[test]
+    fn slow_path_through_the_cursor_matches_cursorless_charging() {
+        use AccessKind::{Atomic, Read, Write};
+        enum Step {
+            At(u64),
+            Kernel(usize, AccessKind),
+            Words(usize, AccessKind, u64),
+            Transfer(usize, usize),
+        }
+        use Step::{At, Kernel, Transfer, Words};
+        const B: u64 = 100_000; // the default contention bucket
+        let mut script = vec![
+            // Kernel references hopping between modules inside one
+            // bucket, then across an edge.
+            Kernel(1, Read),
+            Kernel(2, Write),
+            Kernel(0, Atomic),
+            Kernel(3, Read),
+            At(B - 1),
+            Kernel(1, Read),
+            Kernel(1, Read),
+        ];
+        // Five remote reads (5000 ns apart) and ten local ones (320 ns)
+        // placed so the last starts exactly on the bucket edge, 1 ns
+        // before it, and 1 ns past it.
+        for (module, n, step) in [(1, 5, 5000), (0, 10, 320)] {
+            for left in [step * (n - 1), step * (n - 1) + 1, step * (n - 1) - 1] {
+                script.extend([At(3 * B - left), Words(module, Read, n)]);
+            }
+        }
+        script.extend([
+            // A run longer than several buckets, and a one-word run.
+            At(5 * B + 7),
+            Words(2, Write, 150),
+            Words(2, Read, 1),
+            // Overload one bucket of module 1 (the clock steps back, as
+            // it does across kernel entries) so the delays are nonzero.
+            At(10 * B),
+            Words(1, Read, 19),
+            At(10 * B),
+            Words(1, Read, 19),
+            At(10 * B + 50),
+            Words(1, Atomic, 19),
+            At(10 * B + 60),
+            Kernel(1, Read),
+            // A block transfer between the word traffic: its bus share
+            // queues the references that follow, on both modules, and it
+            // must not disturb the cursor.
+            At(20 * B + 10),
+            Kernel(2, Read),
+            Transfer(2, 3),
+            At(20 * B + 20),
+            Kernel(2, Read),
+            Words(3, Read, 30),
+            Transfer(2, 0),
+            Kernel(0, Write),
+            // A generation of the ring later, and a laggard behind it.
+            At(64 * B + 5),
+            Words(1, Read, 40),
+            At(5),
+            Kernel(1, Read),
+        ]);
+
+        let (with, without) = (machine(4), machine(4));
+        let mut core = ProcCore::new(Arc::clone(&with), 0, 0);
+        let mut reference = Reference {
+            m: Arc::clone(&without),
+            id: 0,
+            vtime: 0,
+            queue_delay_ns: 0,
+        };
+        let mut clocks = Vec::new();
+        for (i, step) in script.iter().enumerate() {
+            match *step {
+                At(t) => {
+                    core.set_vtime(t);
+                    reference.vtime = t;
+                }
+                Kernel(module, kind) => {
+                    core.charge_kernel_ref(module, kind);
+                    reference.word_block(module, kind, 1);
+                }
+                Words(module, kind, n) => {
+                    core.charge_word_block(PhysPage::new(module, 0), kind, n);
+                    reference.word_block(module, kind, n);
+                }
+                Transfer(src, dst) => {
+                    core.block_transfer(PhysPage::new(src, 0), PhysPage::new(dst, 1));
+                    reference.block_transfer(src, dst);
+                }
+            }
+            assert_eq!(core.vtime(), reference.vtime, "vtime after step {i}");
+            assert_eq!(
+                core.counters().queue_delay_ns,
+                reference.queue_delay_ns,
+                "queue delay after step {i}"
+            );
+            clocks.push(core.vtime());
+        }
+        assert!(reference.queue_delay_ns > 0, "the script must queue");
+        for module in 0..4 {
+            for &t in &clocks {
+                // A transfer books up to nine buckets past its start.
+                for ahead in 0..10 {
+                    let at = t.saturating_sub(ahead * B);
+                    assert_eq!(
+                        with.module(module).bus_load_at(at),
+                        without.module(module).bus_load_at(at),
+                        "module {module} load at {at}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   local copy of the space's translation structures. Kept coherent by an
 //!   invalidate-only protocol piggybacked on the kernel's shootdown
 //!   rounds (the `platinum` crate is the client).
-//! * [`WalkStats`] — striped walk/invalidation tallies with a
+//! * [`WalkStats`] — per-processor walk/invalidation tallies with a
 //!   [`WalkSnapshot`] summary (walk locality, fabric time).
 //!
 //! The virtual-time charging itself lives in the kernel's ATC-miss path:
@@ -265,10 +265,10 @@ impl fmt::Debug for PmapReplica {
     }
 }
 
-/// Stripe count for [`WalkStats`] (matches the kernel's striped stats).
-const STRIPES: usize = 64;
-
+/// One processor's walk tallies, on cache lines of their own so recording
+/// processors never false-share.
 #[derive(Default)]
+#[repr(align(128))]
 struct WalkStripe {
     walks: AtomicU64,
     walk_ns: AtomicU64,
@@ -279,51 +279,53 @@ struct WalkStripe {
     inval_ns: AtomicU64,
 }
 
-/// Striped walk/invalidation tallies, outside every equivalence-compared
-/// structure: the `Centralized` placement ticks these (pure accounting)
-/// while staying bit-identical in virtual time, counters, stats, and
-/// traces.
+/// `counter += by`, single-writer: a relaxed load and store, not a locked
+/// read-modify-write (see [`WalkStats`]).
+#[inline]
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+}
+
+/// Per-processor walk/invalidation tallies, outside every
+/// equivalence-compared structure: the `Centralized` placement ticks
+/// these (pure accounting) while staying bit-identical in virtual time,
+/// counters, stats, and traces.
+///
+/// Counted the way the kernel's `KernelStats` counts: one stripe per
+/// processor of the machine, every record call passes the calling
+/// processor's own id, and a processor is driven by one thread at a
+/// time, so each stripe has exactly one writer and a plain load + store
+/// cannot lose an update.
 pub struct WalkStats {
     stripes: Box<[WalkStripe]>,
 }
 
-impl Default for WalkStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl WalkStats {
-    /// Fresh all-zero tallies.
-    pub fn new() -> Self {
+    /// Fresh all-zero tallies for a machine of `nprocs` processors.
+    pub fn new(nprocs: usize) -> Self {
         Self {
-            stripes: (0..STRIPES).map(|_| WalkStripe::default()).collect(),
+            stripes: (0..nprocs).map(|_| WalkStripe::default()).collect(),
         }
-    }
-
-    #[inline]
-    fn stripe(&self, proc: usize) -> &WalkStripe {
-        &self.stripes[proc & (STRIPES - 1)]
     }
 
     /// Records one walk by `proc` costing `ns`, `local` when the walked
     /// table lived on `proc`'s own node.
     #[inline]
     pub fn record_walk(&self, proc: usize, ns: u64, local: bool) {
-        let s = self.stripe(proc);
-        s.walks.fetch_add(1, Ordering::Relaxed);
-        s.walk_ns.fetch_add(ns, Ordering::Relaxed);
+        let s = &self.stripes[proc];
+        bump(&s.walks, 1);
+        bump(&s.walk_ns, ns);
         if local {
-            s.local_walk_ns.fetch_add(ns, Ordering::Relaxed);
+            bump(&s.local_walk_ns, ns);
         }
     }
 
     /// Records one replica populate by `proc` costing `ns`.
     #[inline]
     pub fn record_populate(&self, proc: usize, ns: u64) {
-        let s = self.stripe(proc);
-        s.populates.fetch_add(1, Ordering::Relaxed);
-        s.populate_ns.fetch_add(ns, Ordering::Relaxed);
+        let s = &self.stripes[proc];
+        bump(&s.populates, 1);
+        bump(&s.populate_ns, ns);
     }
 
     /// Records one replica invalidation issued by `proc` costing `ns`
@@ -331,9 +333,9 @@ impl WalkStats {
     /// whole data-plane cost).
     #[inline]
     pub fn record_inval(&self, proc: usize, ns: u64) {
-        let s = self.stripe(proc);
-        s.invals.fetch_add(1, Ordering::Relaxed);
-        s.inval_ns.fetch_add(ns, Ordering::Relaxed);
+        let s = &self.stripes[proc];
+        bump(&s.invals, 1);
+        bump(&s.inval_ns, ns);
     }
 
     /// Sums the stripes.
@@ -451,9 +453,34 @@ mod tests {
         assert_eq!(r.holders().iter().collect::<Vec<_>>(), vec![64]);
     }
 
+    /// Processors 0 and 64 walking flat out, released together: each has
+    /// a stripe of its own, so the single-writer adds lose nothing. (With
+    /// 64 stripes indexed `proc & 63` the two would share one.)
+    #[test]
+    fn processors_64_apart_do_not_share_a_stripe() {
+        const WALKS: u64 = 1_000_000;
+        let w = WalkStats::new(65);
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|t| {
+            for proc in [0, 64] {
+                let (w, go) = (&w, &go);
+                t.spawn(move || {
+                    go.wait();
+                    for _ in 0..WALKS {
+                        w.record_walk(proc, 3, proc == 0);
+                    }
+                });
+            }
+        });
+        let s = w.snapshot();
+        assert_eq!(s.walks, 2 * WALKS);
+        assert_eq!(s.walk_ns, 6 * WALKS);
+        assert_eq!(s.local_walk_ns, 3 * WALKS);
+    }
+
     #[test]
     fn walk_stats_tally_and_locality() {
-        let w = WalkStats::new();
+        let w = WalkStats::new(2);
         w.record_walk(0, 320, true);
         w.record_walk(1, 5_000, false);
         w.record_populate(1, 80_000);

@@ -286,9 +286,15 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or `PROPTEST_CASES` when set (as the real crate reads
+    /// it); a block that names `cases` itself is not affected.
     fn default() -> Self {
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(256);
         Self {
-            cases: 256,
+            cases,
             max_shrink_iters: 1024,
             max_local_rejects: 65_536,
             verbose: 0,
