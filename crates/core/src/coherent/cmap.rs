@@ -7,6 +7,7 @@ use parking_lot::{Mutex, RwLock};
 
 use numa_machine::{AtomicProcSet, ProcSet, Vpn};
 
+use crate::coherent::cpage::Cpage;
 use crate::hash::FastMap;
 use crate::ids::{CpageId, Rights};
 
@@ -17,8 +18,13 @@ use crate::ids::{CpageId, Rights};
 /// pointer to the coherent page, an access rights field, and a bit vector
 /// called the reference mask" (§2.3).
 pub struct CmapEntry {
-    /// The coherent page this virtual page maps to.
+    /// The name of the coherent page this virtual page maps to
+    /// (`page.id()`).
     pub cpage: CpageId,
+    /// The "pointer to the coherent page": the handle a fault locks the
+    /// page through, so nothing between a fault and its resolution looks
+    /// the page up by name.
+    pub page: Arc<Cpage>,
     /// The rights the virtual memory system granted (virtual-to-coherent
     /// level). The protocol may restrict the physical mapping further.
     pub rights: Rights,
@@ -32,9 +38,10 @@ pub struct CmapEntry {
 impl CmapEntry {
     /// Creates an entry with an empty reference mask, sized for a machine
     /// of `nprocs` processors.
-    pub fn new(cpage: CpageId, rights: Rights, nprocs: usize) -> Self {
+    pub fn new(page: Arc<Cpage>, rights: Rights, nprocs: usize) -> Self {
         Self {
-            cpage,
+            cpage: page.id(),
+            page,
             rights,
             refmask: AtomicProcSet::with_capacity(nprocs),
         }
@@ -228,8 +235,8 @@ impl Cmap {
     }
 
     /// An empty entry for `vpn`-insertion, sized for this machine.
-    pub fn make_entry(&self, cpage: CpageId, rights: Rights) -> CmapEntry {
-        CmapEntry::new(cpage, rights, self.nprocs)
+    pub fn make_entry(&self, page: Arc<Cpage>, rights: Rights) -> CmapEntry {
+        CmapEntry::new(page, rights, self.nprocs)
     }
 
     #[inline]
@@ -281,39 +288,43 @@ impl Cmap {
 
     /// Posts a message: it is enqueued on the private queue of every
     /// processor in its (current) target set.
-    pub fn post(&self, msg: Arc<CmapMsg>) {
+    pub fn post(&self, msg: &Arc<CmapMsg>) {
         for p in msg.pending().iter() {
-            let mut q = self.queues[p].lock();
-            q.push(Arc::clone(&msg));
-            // Compact messages this target has already applied, so a
-            // queue that is never drained (idle processor) stays short.
-            q.retain(|m| m.pending_for_proc(p));
+            self.queues[p].lock().push(Arc::clone(msg));
         }
     }
 
-    /// The messages still pending for processor `p`.
-    ///
-    /// Non-destructive: the caller applies each change to its own
-    /// Pmap/ATC and then acks, which removes `p` from the target set; the
-    /// next call compacts acknowledged messages out of the queue. Only
-    /// `p`'s private queue is locked, so targets never contend with
-    /// initiators posting to other processors.
+    /// The messages still pending for processor `p`: a non-destructive
+    /// peek (tests and reports). Only the target's own drain,
+    /// [`Cmap::pending_for_into`], removes anything.
     pub fn pending_for(&self, p: usize) -> Vec<Arc<CmapMsg>> {
-        let mut out = Vec::new();
-        self.pending_for_into(p, &mut out);
-        out
+        let q = self.queues[p].lock();
+        q.iter()
+            .filter(|m| m.pending_for_proc(p))
+            .cloned()
+            .collect()
     }
 
-    /// [`Cmap::pending_for`] into a caller-owned buffer (cleared first),
-    /// so the fault path's steady state drains without allocating.
+    /// The drain: *takes* everything queued for processor `p` by swapping
+    /// the locked queue with `out`, the caller's empty buffer. The caller
+    /// applies and acknowledges every message it took — only `p`'s drain
+    /// ever acks for `p`, so all of them are still pending. The two
+    /// buffers trade capacities, so the steady state never allocates.
+    ///
+    /// The queue mutex is taken even when the queue turns out empty: the
+    /// activate-then-drain / post-then-check handshake ([`ActiveSpace`])
+    /// rests on this acquisition ordering the drain against a racing
+    /// `post`, so an unlocked emptiness test may not replace it.
+    ///
+    /// [`ActiveSpace`]: crate::coherent::signal::ActiveSpace
     pub fn pending_for_into(&self, p: usize, out: &mut Vec<Arc<CmapMsg>>) {
-        out.clear();
+        debug_assert!(out.is_empty(), "a drain hands in an empty buffer");
         let mut q = self.queues[p].lock();
-        if q.is_empty() {
-            return;
+        if !q.is_empty() {
+            std::mem::swap(&mut *q, out);
         }
-        q.retain(|m| m.pending_for_proc(p));
-        out.extend(q.iter().cloned());
+        drop(q);
+        debug_assert!(out.iter().all(|m| m.pending_for_proc(p)));
     }
 
     /// Number of distinct unacknowledged messages (tests and reporting).
@@ -339,10 +350,11 @@ impl Default for Cmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coherent::cpage::CpageTable;
 
     #[test]
     fn refmask_bits() {
-        let e = CmapEntry::new(CpageId(0), Rights::RW, 16);
+        let e = CmapEntry::new(CpageTable::new().alloc(0), Rights::RW, 16);
         assert!(e.refs().is_empty());
         e.set_ref(3);
         e.set_ref(7);
@@ -353,7 +365,7 @@ mod tests {
 
     #[test]
     fn refmask_holds_big_machine_ids() {
-        let e = CmapEntry::new(CpageId(0), Rights::RW, 256);
+        let e = CmapEntry::new(CpageTable::new().alloc(0), Rights::RW, 256);
         e.set_ref(0);
         e.set_ref(200);
         assert_eq!(e.refs().iter().collect::<Vec<_>>(), vec![0, 200]);
@@ -372,43 +384,75 @@ mod tests {
         assert!(!m.has_pending());
     }
 
+    /// What `UserCtx::drain_messages` does with a queue: take it, ack
+    /// everything taken.
+    fn drain(c: &Cmap, p: usize, buf: &mut Vec<Arc<CmapMsg>>) -> Vec<Vpn> {
+        c.pending_for_into(p, buf);
+        buf.drain(..)
+            .map(|m| {
+                assert!(m.pending_for_proc(p));
+                m.ack(p, 1);
+                m.vpn
+            })
+            .collect()
+    }
+
     #[test]
     fn queue_post_pending_compact() {
         let c = Cmap::new();
         let m1 = CmapMsg::new(1, Directive::Invalidate, &ProcSet::from_mask(0b01));
         let m2 = CmapMsg::new(2, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
-        c.post(Arc::clone(&m1));
-        c.post(Arc::clone(&m2));
+        c.post(&m1);
+        c.post(&m2);
         assert_eq!(c.queue_len(), 2);
 
-        // A message for two targets reaches both private queues.
-        let pending0 = c.pending_for(0);
-        assert_eq!(pending0.len(), 2);
-        let pending1 = c.pending_for(1);
-        assert_eq!(pending1.len(), 1);
-        assert_eq!(pending1[0].vpn, 2);
+        // A message for two targets reaches both private queues, and
+        // peeking never removes.
+        for _ in 0..2 {
+            assert_eq!(c.pending_for(0).len(), 2);
+            let pending1 = c.pending_for(1);
+            assert_eq!(pending1.len(), 1);
+            assert_eq!(pending1[0].vpn, 2);
+        }
 
-        // Queries are non-destructive until the target acks.
-        assert_eq!(c.pending_for(0).len(), 2);
-        assert_eq!(c.pending_for(1).len(), 1);
-
-        // Acked messages are compacted away by the next query/post.
-        m1.ack(0, 1);
-        m2.ack(0, 1);
+        // A drain takes its own queue whole, once, and leaves the other
+        // target's alone.
+        let mut buf = Vec::new();
+        assert_eq!(drain(&c, 0, &mut buf), vec![1, 2]);
         assert!(c.pending_for(0).is_empty());
-        m2.ack(1, 1);
-        c.post(CmapMsg::new(
-            3,
-            Directive::Invalidate,
-            &ProcSet::from_mask(0b1),
-        ));
+        assert!(
+            drain(&c, 0, &mut buf).is_empty(),
+            "nothing is delivered twice"
+        );
+        assert_eq!(c.pending_for(1).len(), 1);
         assert_eq!(c.queue_len(), 1);
+        assert_eq!(drain(&c, 1, &mut buf), vec![2]);
+        assert_eq!(c.queue_len(), 0);
+    }
+
+    /// The drain and the queue trade buffers, so neither grows: after
+    /// warm-up both capacities stay where two rounds left them.
+    #[test]
+    fn drain_ping_pongs_bounded_capacities() {
+        let c = Cmap::new();
+        let mut buf = Vec::new();
+        for round in 0..10_000u64 {
+            let m = CmapMsg::new(round, Directive::Invalidate, &ProcSet::from_mask(0b11));
+            c.post(&m);
+            for p in 0..2 {
+                assert_eq!(drain(&c, p, &mut buf), vec![round]);
+            }
+            assert!(buf.capacity() <= 4, "scratch grew to {}", buf.capacity());
+            for q in c.queues.iter() {
+                assert!(q.lock().capacity() <= 4, "queue grew");
+            }
+        }
     }
 
     #[test]
     fn posted_message_skips_non_targets() {
         let c = Cmap::new();
-        c.post(CmapMsg::new(
+        c.post(&CmapMsg::new(
             4,
             Directive::Invalidate,
             &ProcSet::from_mask(0b100),
@@ -424,7 +468,7 @@ mod tests {
     fn messages_reach_targets_beyond_64() {
         let c = Cmap::with_shards(DEFAULT_SHARDS, 128);
         let m = CmapMsg::new(7, Directive::Invalidate, &ProcSet::single(100));
-        c.post(Arc::clone(&m));
+        c.post(&m);
         assert!(c.pending_for(0).is_empty());
         let q = c.pending_for(100);
         assert_eq!(q.len(), 1);
@@ -437,9 +481,8 @@ mod tests {
     fn acked_messages_are_compacted_not_delivered() {
         let c = Cmap::new();
         let m = CmapMsg::new(9, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
-        c.post(Arc::clone(&m));
-        // Target 1 somehow applied the change before draining (e.g. the
-        // mapping was torn down); its queue must not re-deliver.
+        c.post(&m);
+        // A peek reports what is still owed, not what sits in the queue.
         m.ack(1, 10);
         assert!(c.pending_for(1).is_empty());
         assert_eq!(c.pending_for(0).len(), 1);
@@ -448,10 +491,12 @@ mod tests {
     #[test]
     fn insert_race_returns_existing() {
         let c = Cmap::new();
-        let a = c.insert(9, c.make_entry(CpageId(1), Rights::RO));
-        let b = c.insert(9, c.make_entry(CpageId(2), Rights::RW));
+        let t = CpageTable::new();
+        let a = c.insert(9, c.make_entry(t.alloc(0), Rights::RO));
+        let b = c.insert(9, c.make_entry(t.alloc(0), Rights::RW));
         assert!(Arc::ptr_eq(&a, &b), "second insert must not replace");
-        assert_eq!(b.cpage, CpageId(1));
+        assert_eq!(b.cpage, CpageId(0));
+        assert_eq!(b.page.id(), b.cpage);
         assert!(c.remove(9).is_some());
         assert!(c.entry(9).is_none());
     }
@@ -460,9 +505,10 @@ mod tests {
     fn sharding_is_transparent() {
         for shards in [1usize, 4, 16] {
             let c = Cmap::with_shards(shards, 64);
+            let t = CpageTable::new();
             assert_eq!(c.nshards(), shards);
             for vpn in 0..40u64 {
-                c.insert(vpn, c.make_entry(CpageId(vpn), Rights::RW));
+                c.insert(vpn, c.make_entry(t.alloc(0), Rights::RW));
             }
             let mut snap = c.snapshot();
             snap.sort_by_key(|(v, _)| *v);

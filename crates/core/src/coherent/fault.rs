@@ -70,9 +70,9 @@ impl Kernel {
         // Cmap lookup, charged at the space's home node (§3.3: "the Cpage
         // fault handler searches the Cmap for an entry that maps the
         // faulting virtual address").
-        let space = Arc::clone(ctx.space());
-        self.charge_refs(ctx, space.home(), costs.cmap_lookup_refs);
-        let entry = match space.cmap().entry(vpn) {
+        let home = ctx.space().home();
+        self.charge_refs(ctx, home, costs.cmap_lookup_refs);
+        let entry = match ctx.space().cmap().entry(vpn) {
             Some(e) => e,
             // "Otherwise, the fault is passed to the virtual memory fault
             // handler."
@@ -86,18 +86,16 @@ impl Kernel {
             return Err(KernelError::Access(AccessErr::Protection(va)));
         }
 
-        let cpage = self
-            .cpages
-            .get(entry.cpage)
-            .expect("cmap entry points at a missing cpage");
-        let mut g = self.lock_cpage(ctx, &cpage);
+        // The entry just fetched holds the page: no lookup by name.
+        let cpage: &Cpage = &entry.page;
+        let mut g = self.lock_cpage(ctx, cpage);
         g.faults += 1;
         self.charge_refs(ctx, cpage.home(), costs.cpage_touch_refs);
 
         let resolution = if write {
-            self.write_fault(ctx, &cpage, &mut g, &entry, vpn)?
+            self.write_fault(ctx, cpage, &mut g, &entry, vpn)?
         } else {
-            self.read_fault(ctx, &cpage, &mut g, &entry, vpn)?
+            self.read_fault(ctx, cpage, &mut g, &entry, vpn)?
         };
         drop(g);
         // The FaultEnd carries the begin time, so an exporter can render
@@ -128,27 +126,25 @@ impl Kernel {
             va,
             0,
         );
-        let space = Arc::clone(ctx.space());
+        let space = ctx.space();
         let vpn = space.vpn_of(va);
         let region = space
             .region_for(vpn)
             .ok_or(KernelError::Access(AccessErr::BusError(va)))?;
         // First touch homes the page's metadata on the touching node.
-        let cpage_id =
-            region
-                .object
-                .cpage_for(region.object_page(vpn), &self.cpages, ctx.core.id());
-        let entry = space
-            .cmap()
-            .insert(vpn, space.cmap().make_entry(cpage_id, region.rights));
+        let page = region
+            .object
+            .cpage_for(region.object_page(vpn), &self.cpages, ctx.core.id());
+        let cmap = space.cmap();
+        let entry = cmap.insert(vpn, cmap.make_entry(Arc::clone(page), region.rights));
         // Record the binding so protocol shootdowns reach every address
         // space this page is mapped in (§3.1).
-        let cpage = self.cpages.get(cpage_id).expect("fresh cpage exists");
-        let mut g = self.lock_cpage(ctx, &cpage);
         let binding = (space.id(), vpn);
+        let mut g = self.lock_cpage(ctx, &entry.page);
         if !g.bindings.contains(&binding) {
             g.bindings.push(binding);
         }
+        drop(g);
         Ok(entry)
     }
 

@@ -20,10 +20,10 @@
 //! bit-identical to one without the subsystem.
 
 use platinum_faults::FaultSite;
-use platinum_ptable::PtablePlacement;
+use platinum_ptable::{PtableConfig, PtablePlacement};
 use platinum_trace::EventKind;
 
-use numa_machine::{AccessKind, PhysPage, ProcSet};
+use numa_machine::{AccessKind, PhysPage, ProcCore, ProcSet};
 
 use crate::kernel::Kernel;
 use crate::user::UserCtx;
@@ -85,6 +85,9 @@ impl Kernel {
     /// their entry when their own mapping was shot down earlier, so
     /// there is nothing to stale.
     ///
+    /// Takes the initiator's core and fabric configuration rather than its
+    /// whole context, so `space` may be borrowed from that context.
+    ///
     /// A fault plan may drop the stale mark in transit
     /// ([`FaultSite::PtableInval`]): the initiator waits out an ack
     /// timeout (exponential backoff) and rewrites it, and when the
@@ -94,15 +97,15 @@ impl Kernel {
     /// a replica, so the escalation is self-healing and timing-only.
     pub(crate) fn ptable_invalidate(
         &self,
-        ctx: &mut UserCtx,
+        core: &mut ProcCore,
+        cfg: PtableConfig,
         space: &AddressSpace,
         targets: &ProcSet,
     ) {
-        let cfg = ctx.ptable;
         if !cfg.accounting || !cfg.placement.replicates() {
             return;
         }
-        let me = ctx.core.id();
+        let me = core.id();
         let holders = space.replica().holders().intersect(targets).without(me);
         if holders.is_empty() {
             return;
@@ -110,7 +113,7 @@ impl Kernel {
         let plan = self.fault_plan();
         let space_id = u64::from(space.id().0);
         let stale = holders.iter().count() as u64;
-        let begin = ctx.core.vtime();
+        let begin = core.vtime();
         let mut attempt = 0u32;
         loop {
             if let Some(plan) = plan {
@@ -122,7 +125,7 @@ impl Kernel {
                     }
                     self.record(
                         me,
-                        ctx.core.vtime(),
+                        core.vtime(),
                         EventKind::FaultRecovery,
                         FaultSite::PtableInval as u8,
                         space_id,
@@ -130,33 +133,33 @@ impl Kernel {
                     );
                     return;
                 }
-                if plan.should_inject(FaultSite::PtableInval, ctx.core.vtime(), space_id, attempt) {
+                if plan.should_inject(FaultSite::PtableInval, core.vtime(), space_id, attempt) {
                     // Lost in transit: the holders keep walking their
                     // stale replicas until the initiator times out and
                     // rewrites the mark.
                     self.record(
                         me,
-                        ctx.core.vtime(),
+                        core.vtime(),
                         EventKind::PtInvalDrop,
                         attempt.min(255) as u8,
                         space_id,
                         stale,
                     );
-                    ctx.core.charge(plan.ack_timeout_ns(attempt + 1));
+                    core.charge(plan.ack_timeout_ns(attempt + 1));
                     attempt += 1;
                     continue;
                 }
             }
             // Delivered: the stale mark, one write into the message at
             // the space's home.
-            let t0 = ctx.core.vtime();
-            ctx.core.charge_kernel_ref(space.home(), AccessKind::Write);
-            self.walk_stats.record_inval(me, ctx.core.vtime() - t0);
-            self.record(me, ctx.core.vtime(), EventKind::PtInval, 0, space_id, stale);
+            let t0 = core.vtime();
+            core.charge_kernel_ref(space.home(), AccessKind::Write);
+            self.walk_stats.record_inval(me, core.vtime() - t0);
+            self.record(me, core.vtime(), EventKind::PtInval, 0, space_id, stale);
             if attempt > 0 {
                 self.record(
                     me,
-                    ctx.core.vtime(),
+                    core.vtime(),
                     EventKind::FaultRecovery,
                     FaultSite::PtableInval as u8,
                     space_id,

@@ -68,10 +68,7 @@ impl Kernel {
             let Some(entry) = space.cmap().remove(vpn) else {
                 continue; // never touched in this space
             };
-            let Some(cpage) = self.cpages.get(entry.cpage) else {
-                continue;
-            };
-            items.push((vpn, entry, cpage));
+            items.push((vpn, entry));
         }
         // Take the page locks in page-id order — two concurrent
         // multi-page initiators must not acquire in conflicting orders —
@@ -79,14 +76,14 @@ impl Kernel {
         // teardown charges. Every guard is held until the flush, so no
         // fault can observe the half-torn region.
         let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_unstable_by_key(|&i| items[i].2.id());
+        order.sort_unstable_by_key(|&i| items[i].1.cpage);
         let mut guards: Vec<Option<MutexGuard<CpageInner>>> = Vec::new();
         guards.resize_with(items.len(), || None);
         for &i in &order {
-            guards[i] = Some(self.lock_cpage(ctx, &items[i].2));
+            guards[i] = Some(self.lock_cpage(ctx, &items[i].1.page));
         }
         let mut batch = ctx.take_batch();
-        for (i, (vpn, entry, cpage)) in items.iter().enumerate() {
+        for (i, (vpn, entry)) in items.iter().enumerate() {
             let g = guards[i].as_mut().expect("locked above");
             g.bindings.retain(|&(a, v)| !(a == space.id() && v == *vpn));
             // Invalidate every translation installed through this
@@ -98,7 +95,7 @@ impl Kernel {
                 self.batch_post_space(
                     ctx,
                     &mut batch,
-                    cpage.id(),
+                    entry.cpage,
                     &space,
                     *vpn,
                     Directive::Invalidate,

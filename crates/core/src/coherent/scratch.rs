@@ -21,9 +21,10 @@ use crate::coherent::shootdown::ShootdownBatch;
 use numa_machine::{PhysPage, ProcSet, Vpn};
 
 /// Upper bound on pooled messages per processor. The steady state cycles
-/// through two entries (the queue's retain-compaction holds the previous
-/// message until the next post); the headroom covers multi-binding pages
-/// and batched multi-page shootdowns without growing the pool forever.
+/// one entry: a drain takes its queue and drops every message it
+/// acknowledged, so by the next post nothing but the pool holds the
+/// previous one. The headroom covers multi-binding pages and batched
+/// multi-page shootdowns without growing the pool forever.
 const MSG_POOL_CAP: usize = 32;
 
 /// One processor's reusable slow-path buffers.
@@ -43,8 +44,8 @@ impl FaultScratch {
     /// Produces a shootdown message, reusing a pooled one when possible.
     ///
     /// A pooled message is reusable exactly when this processor holds the
-    /// only reference (`Arc::get_mut` succeeds): every target queue has
-    /// compacted its clone away and no waiter still watches it, so the
+    /// only reference (`Arc::get_mut` succeeds): every target has drained
+    /// and dropped its clone and no waiter still watches it, so the
     /// acknowledged message can be rewritten in place. Otherwise a fresh
     /// message is allocated and remembered for next time.
     pub(crate) fn alloc_msg(

@@ -44,6 +44,7 @@ use crate::hostprof::HostPhase;
 use crate::ids::CpageId;
 use crate::kernel::{Kernel, ShootdownMode};
 use crate::user::UserCtx;
+use crate::vm::space::AddressSpace;
 
 /// What a shootdown did, for statistics and the §4 micro-benchmarks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -162,15 +163,17 @@ impl Kernel {
 
         for bi in 0..g.bindings.len() {
             let (as_id, vpn) = g.bindings[bi];
-            // The faulting space is almost always the bound one; skip the
-            // registry on that path.
-            let space = if as_id == ctx.space().id() {
-                Arc::clone(ctx.space())
+            // The faulting space is almost always the bound one: borrow
+            // it from the context. Only a foreign binding pays the
+            // registry lookup and owns a handle.
+            let foreign;
+            let space: &AddressSpace = if as_id == ctx.space.id() {
+                &ctx.space
+            } else if let Ok(s) = self.space(as_id) {
+                foreign = s;
+                &foreign
             } else {
-                match self.space(as_id) {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                }
+                continue;
             };
             let Some(refs) = space.cmap().refs_of(vpn) else {
                 continue;
@@ -180,9 +183,13 @@ impl Kernel {
                 continue;
             }
             all_targets.insert_all(&targets);
-            let msg = ctx.alloc_msg(vpn, directive.clone(), &targets);
-            self.charge_refs_at(ctx, space.home(), costs.post_msg_refs, AccessKind::Write);
-            space.cmap().post(Arc::clone(&msg));
+            let msg = ctx.scratch.alloc_msg(vpn, directive.clone(), &targets);
+            ctx.core.charge_word_block(
+                PhysPage::new(space.home(), 0),
+                AccessKind::Write,
+                u64::from(costs.post_msg_refs),
+            );
+            space.cmap().post(&msg);
 
             // Interrupt the targets that have the space active; the rest
             // will apply the change on activation. The activity word's
@@ -232,7 +239,7 @@ impl Kernel {
             // per-node translation replicas of this space. The
             // invalidations piggyback on the IPI round just posted (one
             // branch under the centralized default).
-            self.ptable_invalidate(ctx, &space, &targets);
+            self.ptable_invalidate(&mut ctx.core, ctx.ptable, space, &targets);
         }
 
         self.finish_post(ctx, batch, page, &directive, &all_targets);
@@ -249,7 +256,7 @@ impl Kernel {
         ctx: &mut UserCtx,
         batch: &mut ShootdownBatch,
         page: CpageId,
-        space: &crate::vm::space::AddressSpace,
+        space: &AddressSpace,
         vpn: u64,
         directive: Directive,
         targets: &ProcSet,
@@ -257,8 +264,8 @@ impl Kernel {
         let span = self.hostprof.begin();
         let me = ctx.core.id();
         batch.dropped.clear();
-        let msg = ctx.alloc_msg(vpn, directive.clone(), targets);
-        space.cmap().post(Arc::clone(&msg));
+        let msg = ctx.scratch.alloc_msg(vpn, directive.clone(), targets);
+        space.cmap().post(&msg);
         let mut awaited = ProcSet::empty();
         for p in targets.iter() {
             if self.slots[p].active.is_active(space.id().0) {
@@ -276,7 +283,7 @@ impl Kernel {
         batch.posted.push((msg, awaited));
         // As in `batch_post`: stale the per-node translation replicas of
         // the unmapped space, riding the IPI round just posted.
-        self.ptable_invalidate(ctx, space, targets);
+        self.ptable_invalidate(&mut ctx.core, ctx.ptable, space, targets);
         self.finish_post(ctx, batch, page, &directive, targets);
         self.hostprof.end(HostPhase::Shootdown, span);
     }
@@ -442,18 +449,6 @@ impl Kernel {
             );
         }
         escalated
-    }
-
-    /// Charges `n` modelled kernel references of `kind` at `module`.
-    pub(crate) fn charge_refs_at(
-        &self,
-        ctx: &mut UserCtx,
-        module: usize,
-        n: u32,
-        kind: AccessKind,
-    ) {
-        ctx.core
-            .charge_word_block(PhysPage::new(module, 0), kind, u64::from(n));
     }
 }
 

@@ -121,7 +121,10 @@ impl LoadedSignal {
 /// `set_active` before the initiator's `is_active` load, so the
 /// initiator sees the target as active and interrupts it; otherwise the
 /// drain runs after the post and finds the message in the queue. Either
-/// way the directive is never missed.
+/// way the directive is never missed. The argument names the queue mutex,
+/// so a drain acquires it even when the queue turns out to be empty
+/// (`Cmap::pending_for_into`): an unlocked emptiness test would take the
+/// drain out of the ordering the argument rests on.
 #[derive(Debug, Default)]
 pub struct ActiveSpace {
     word: AtomicU64,
@@ -177,6 +180,20 @@ mod tests {
         assert!(s.load().epoch(), "clearing one flag leaves the other");
         assert!(s.clear_epoch());
         assert!(!s.load().has_action());
+    }
+
+    /// The mirror of the `clear_transfer` half above: each mutator masks
+    /// its own flag only (the exemplar this follows had `clear_writer`
+    /// clearing `NO_READER`).
+    #[test]
+    fn epoch_mutators_leave_transfer() {
+        let s = AtomicSignal::new();
+        s.set_transfer();
+        assert!(!s.set_epoch());
+        assert!(s.load().transfer(), "set_epoch leaves TRANSFER");
+        assert!(s.clear_epoch());
+        assert!(s.load().transfer(), "clear_epoch leaves TRANSFER");
+        assert!(!s.load().epoch());
     }
 
     #[test]

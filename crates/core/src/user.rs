@@ -9,14 +9,14 @@ use numa_machine::{
 use platinum_ptable::{PtableConfig, PtablePlacement};
 use platinum_trace::EventKind;
 
-use crate::coherent::cmap::{CmapMsg, Directive};
+use crate::coherent::cmap::Directive;
 use crate::coherent::scratch::FaultScratch;
 use crate::coherent::shootdown::ShootdownBatch;
 use crate::error::{KernelError, Result};
 use crate::ids::ThreadId;
 use crate::kernel::Kernel;
 use crate::pmap::Pmap;
-use crate::thread::ThreadState;
+use crate::thread::{ThreadCell, ThreadState};
 use crate::vm::space::AddressSpace;
 
 /// A kernel thread's execution context on one processor.
@@ -45,7 +45,8 @@ pub struct UserCtx {
     /// the ATC-miss path tests one local flag instead of chasing the
     /// kernel config.
     pub(crate) ptable: PtableConfig,
-    thread: ThreadId,
+    /// The thread's registry cell; lifecycle changes are stores on it.
+    thread: Arc<ThreadCell>,
     /// Reusable slow-path buffers; see [`FaultScratch`].
     pub(crate) scratch: FaultScratch,
     /// The other processors' contexts (slot `p` = processor `p`) while
@@ -78,7 +79,7 @@ impl UserCtx {
 
     /// The thread's global name (§1.1: threads are globally named).
     pub fn thread_id(&self) -> ThreadId {
-        self.thread
+        self.thread.id
     }
 
     /// The kernel this context belongs to.
@@ -140,18 +141,14 @@ impl UserCtx {
     /// (§3.1's activity optimization).
     pub fn suspend(&mut self) {
         self.deactivate_space();
-        self.kernel
-            .threads
-            .set_state(self.thread, ThreadState::Suspended);
+        self.thread.set_state(ThreadState::Suspended);
     }
 
     /// Resumes a [`UserCtx::suspend`]ed thread, applying any mapping
     /// changes that arrived while it was suspended.
     pub fn resume(&mut self) {
         self.activate_space();
-        self.kernel
-            .threads
-            .set_state(self.thread, ThreadState::Running);
+        self.thread.set_state(ThreadState::Running);
     }
 
     /// Switches the thread to a different address space.
@@ -160,7 +157,7 @@ impl UserCtx {
         self.space = space;
         self.asid = self.space.asid();
         self.activate_space();
-        self.kernel.threads.set_space(self.thread, self.space.id());
+        self.thread.set_space(self.space.id());
     }
 
     /// Moves the thread to another processor (the explicit thread
@@ -199,7 +196,7 @@ impl UserCtx {
             .occupied
             .store(false, Ordering::Release);
         self.activate_space();
-        self.kernel.threads.set_proc(self.thread, new_proc);
+        self.thread.set_proc(new_proc);
         Ok(())
     }
 
@@ -211,6 +208,8 @@ impl UserCtx {
     pub(crate) fn drain_messages(&mut self) {
         let me = self.core.id();
         let space_id = self.space.id();
+        // Take everything queued for this processor; each message is
+        // applied and acknowledged below, then dropped.
         let mut msgs = std::mem::take(&mut self.scratch.drained);
         self.space.cmap().pending_for_into(me, &mut msgs);
         if msgs.is_empty() {
@@ -278,16 +277,6 @@ impl UserCtx {
     /// Returns the (flushed) batch so its buffers are reused.
     pub(crate) fn put_batch(&mut self, batch: ShootdownBatch) {
         self.scratch.batch = batch;
-    }
-
-    /// Produces a shootdown message from the per-processor pool.
-    pub(crate) fn alloc_msg(
-        &mut self,
-        vpn: Vpn,
-        directive: Directive,
-        targets: &ProcSet,
-    ) -> Arc<CmapMsg> {
-        self.scratch.alloc_msg(vpn, directive, targets)
     }
 
     /// Services the IPI doorbell — and nothing else: no access-counter
@@ -709,9 +698,7 @@ impl Mem for UserCtx {
 impl Drop for UserCtx {
     fn drop(&mut self) {
         self.deactivate_space();
-        self.kernel
-            .threads
-            .set_state(self.thread, ThreadState::Terminated);
+        self.thread.set_state(ThreadState::Terminated);
         self.kernel.slots[self.core.id()]
             .occupied
             .store(false, Ordering::Release);

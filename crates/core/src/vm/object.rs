@@ -1,8 +1,8 @@
 //! Memory objects: the unit of sharing between address spaces.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use crate::coherent::cpage::CpageTable;
+use crate::coherent::cpage::{Cpage, CpageTable};
 use crate::ids::{CpageId, ObjId};
 
 /// A memory object: "an abstraction of an ordered list of memory pages. A
@@ -18,7 +18,7 @@ pub struct MemoryObject {
     /// for the home of its coherent pages.
     home: usize,
     /// Lazily-created coherent pages, one slot per object page.
-    pages: Box<[OnceLock<CpageId>]>,
+    pages: Box<[OnceLock<Arc<Cpage>>]>,
 }
 
 impl MemoryObject {
@@ -55,14 +55,14 @@ impl MemoryObject {
     ///
     /// Panics if `idx` is out of range; the caller validates ranges when
     /// binding.
-    pub fn cpage_for(&self, idx: usize, table: &CpageTable, home: usize) -> CpageId {
-        *self.pages[idx].get_or_init(|| table.alloc(home).id())
+    pub fn cpage_for(&self, idx: usize, table: &CpageTable, home: usize) -> &Arc<Cpage> {
+        self.pages[idx].get_or_init(|| table.alloc(home))
     }
 
     /// The coherent page backing object page `idx`, if it has ever been
     /// touched.
     pub fn existing_cpage(&self, idx: usize) -> Option<CpageId> {
-        self.pages.get(idx).and_then(|p| p.get().copied())
+        self.pages.get(idx).and_then(|p| p.get().map(|c| c.id()))
     }
 
     /// All coherent pages that have been created for this object.
@@ -70,7 +70,7 @@ impl MemoryObject {
         self.pages
             .iter()
             .enumerate()
-            .filter_map(|(i, p)| p.get().map(|c| (i, *c)))
+            .filter_map(|(i, p)| p.get().map(|c| (i, c.id())))
             .collect()
     }
 }
@@ -85,10 +85,10 @@ mod tests {
         let obj = MemoryObject::new(ObjId(0), 1, 4);
         assert_eq!(obj.len_pages(), 4);
         assert_eq!(obj.existing_cpage(2), None);
-        let c = obj.cpage_for(2, &table, 3);
+        let c = obj.cpage_for(2, &table, 3).id();
         assert_eq!(obj.existing_cpage(2), Some(c));
         // Idempotent: a second fault gets the same page.
-        assert_eq!(obj.cpage_for(2, &table, 5), c);
+        assert_eq!(obj.cpage_for(2, &table, 5).id(), c);
         assert_eq!(table.len(), 1);
         assert_eq!(table.get(c).unwrap().home(), 3);
         assert_eq!(obj.touched_cpages(), vec![(2, c)]);
@@ -96,14 +96,13 @@ mod tests {
 
     #[test]
     fn concurrent_first_touch_creates_one_page() {
-        use std::sync::Arc;
         let table = Arc::new(CpageTable::new());
         let obj = Arc::new(MemoryObject::new(ObjId(0), 0, 1));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let t = Arc::clone(&table);
             let o = Arc::clone(&obj);
-            handles.push(std::thread::spawn(move || o.cpage_for(0, &t, 0)));
+            handles.push(std::thread::spawn(move || o.cpage_for(0, &t, 0).id()));
         }
         let ids: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(ids.windows(2).all(|w| w[0] == w[1]));

@@ -296,6 +296,9 @@ mod tests {
         let r2 = s2.region_for(8).unwrap();
         let c1 = r1.object.cpage_for(r1.object_page(1), &table, 0);
         let c2 = r2.object.cpage_for(r2.object_page(8), &table, 1);
-        assert_eq!(c1, c2, "same object page must be the same coherent page");
+        assert!(
+            Arc::ptr_eq(c1, c2),
+            "same object page must be the same coherent page"
+        );
     }
 }

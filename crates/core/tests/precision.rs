@@ -282,3 +282,67 @@ fn switch_space_updates_registry_and_protects_old_mappings() {
     ctx.switch_space(s1);
     assert_eq!(ctx.read(va1), 123);
 }
+
+/// The registry reads a thread's cell, which its context writes with
+/// plain stores: every change is visible through `thread_info` at once,
+/// and a reader racing the owner only ever sees a state the owner set.
+#[test]
+fn thread_cell_is_read_through_the_registry_while_its_owner_writes() {
+    let kernel = Kernel::boot(machine(3), KernelConfig::default());
+    let s1 = kernel.create_space();
+    let s2 = kernel.create_space();
+    let mut ctx = kernel.attach(Arc::clone(&s1), 0, 0).unwrap();
+    let id = ctx.thread_id();
+    let info = || kernel.thread_info(id).unwrap();
+
+    ctx.suspend();
+    assert_eq!(info().state, ThreadState::Suspended);
+    ctx.resume();
+    assert_eq!(info().state, ThreadState::Running);
+    ctx.migrate(2).unwrap();
+    ctx.switch_space(Arc::clone(&s2));
+    let seen = info();
+    assert_eq!(
+        (seen.proc, seen.space, seen.state, seen.migrations),
+        (2, s2.id(), ThreadState::Running, 1)
+    );
+
+    // The reader starts first and stops only after the last toggle, so
+    // its reads overlap the owner's stores.
+    let started = AtomicBool::new(false);
+    let done = AtomicBool::new(false);
+    let reads = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut reads = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let seen = info();
+                assert!(
+                    matches!(seen.state, ThreadState::Running | ThreadState::Suspended),
+                    "toggling between two states showed {:?}",
+                    seen.state
+                );
+                assert_eq!((seen.proc, seen.space, seen.migrations), (2, s2.id(), 1));
+                reads += 1;
+                started.store(true, Ordering::Release);
+            }
+            reads
+        });
+        while !started.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        for _ in 0..100_000 {
+            ctx.suspend();
+            ctx.resume();
+        }
+        done.store(true, Ordering::Release);
+        reader.join().unwrap()
+    });
+    assert!(reads > 0);
+
+    drop(ctx);
+    let seen = info();
+    assert_eq!(
+        (seen.proc, seen.space, seen.state, seen.migrations),
+        (2, s2.id(), ThreadState::Terminated, 1)
+    );
+}

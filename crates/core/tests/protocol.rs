@@ -509,6 +509,16 @@ fn two_address_spaces_share_one_object_coherently() {
     b.resume();
     assert_eq!(b.read(va2), 78);
 
+    // Each space's own Cmap entry holds the one coherent page, and the
+    // by-name lookup agrees with the handle.
+    let e1 = s1.cmap().entry(s1.vpn_of(va1)).unwrap();
+    let e2 = s2.cmap().entry(s2.vpn_of(va2)).unwrap();
+    assert!(Arc::ptr_eq(&e1.page, &e2.page));
+    assert_eq!(e1.page.id(), e1.cpage);
+    for (s, va) in [(&s1, va1), (&s2, va2)] {
+        assert!(Arc::ptr_eq(&kernel.cpage_for_va(s, va).unwrap(), &e1.page));
+    }
+
     // And the read-only space cannot write.
     assert!(b.try_write(va2, 1).is_err());
 }

@@ -155,14 +155,16 @@ fn replay_phase(sim: &Sim, ph: &Phase) -> PhaseOutcome {
     let mut post = vec![0u64; ph.ops.len()];
     let mut workers: Vec<Option<WorkerStats>> = vec![None; ph.workers];
     let mut block_buf: Vec<u32> = Vec::new();
-    for (i, rec) in ph.ops.iter().enumerate() {
+    let mut i = 0;
+    while i < ph.ops.len() {
+        let rec = ph.ops[i];
         let p = rec.proc as usize;
-        post[i] = match rec.op {
+        match rec.op {
             Op::Attach => {
                 let ctx = sim.attach(p).expect("replay claims a free processor");
-                let t = ctx.vtime();
+                post[i] = ctx.vtime();
                 procs.adopt(ctx);
-                t
+                i += 1;
             }
             Op::Detach => {
                 let mut ctx = procs.release(p);
@@ -172,13 +174,27 @@ fn replay_phase(sim: &Sim, ph: &Phase) -> PhaseOutcome {
                     vtime_ns: ctx.vtime(),
                     counters: ctx.counters(),
                 });
-                ctx.vtime()
+                post[i] = ctx.vtime();
+                i += 1;
             }
-            op => procs.run(p, |ctx| {
-                exec(ctx, op, &post, &mut block_buf);
-                ctx.vtime()
-            }),
-        };
+            _ => {
+                // One executor step for the whole run of ops this
+                // processor performs before anyone else does anything —
+                // the hand-off is paid per run, not per op.
+                let run = ph.ops[i..]
+                    .iter()
+                    .take_while(|r| r.proc == rec.proc && !matches!(r.op, Op::Attach | Op::Detach))
+                    .count();
+                procs.run(p, |ctx| {
+                    for j in i..i + run {
+                        let (done, rest) = post.split_at_mut(j);
+                        exec(ctx, ph.ops[j].op, done, &mut block_buf);
+                        rest[0] = ctx.vtime();
+                    }
+                });
+                i += run;
+            }
+        }
     }
     let workers = workers
         .into_iter()
