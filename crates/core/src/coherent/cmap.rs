@@ -81,6 +81,18 @@ pub enum Directive {
     RestrictToRead,
 }
 
+impl Directive {
+    /// The directive's code byte in `ShootdownInit` / `ShootdownAck`
+    /// trace events.
+    pub fn code(&self) -> u8 {
+        match self {
+            Directive::Invalidate => 0,
+            Directive::InvalidateModules(_) => 1,
+            Directive::RestrictToRead => 2,
+        }
+    }
+}
+
 /// A Cmap message: "describes a change made to a virtual address space
 /// that affects virtual-to-physical mappings held by two or more
 /// processors" (§2.3).
@@ -162,26 +174,15 @@ impl CmapMsg {
     }
 }
 
-/// Default number of directory shards. Power of two; tuned so sixteen
-/// faulting processors rarely collide on a shard lock.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// One directory shard: a lock over the VPN-to-entry map it stripes.
-type Shard = RwLock<FastMap<Vpn, Arc<CmapEntry>>>;
-
 /// The per-address-space Cmap: the virtual-to-coherent page table plus the
 /// queues of recent mapping-change messages (§2.3).
 ///
-/// The directory is sharded by virtual page number so concurrent faults on
-/// different pages take different locks; consecutive pages land on
-/// different shards. Messages are delivered to a private queue per target
-/// processor, so a shootdown target drains its own queue without
-/// contending with initiators posting to other processors.
+/// Messages are delivered to a private queue per target processor, so a
+/// shootdown target drains its own queue without contending with
+/// initiators posting to other processors.
 pub struct Cmap {
-    /// Virtual-to-coherent entries, created lazily on first fault,
-    /// striped over `shards.len()` (a power of two) independent maps.
-    shards: Box<[Shard]>,
-    shard_mask: usize,
+    /// Virtual-to-coherent entries, created lazily on first fault.
+    entries: RwLock<FastMap<Vpn, Arc<CmapEntry>>>,
     /// "A queue of Cmap messages describing recent changes to the address
     /// space" — one per target processor. A message for several targets is
     /// enqueued on each target's queue; queue `p` only ever holds messages
@@ -193,40 +194,18 @@ pub struct Cmap {
 }
 
 impl Cmap {
-    /// An empty Cmap with the default shard count, sized for a 64-processor
-    /// machine (tests and tools; the kernel threads the real count through
-    /// [`Cmap::with_shards`]).
-    pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS, 64)
-    }
-
-    /// An empty Cmap with `shards` directory shards serving a machine of
-    /// `nprocs` processors.
+    /// An empty Cmap serving a machine of `nprocs` processors.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is not a nonzero power of two or `nprocs` is 0.
-    pub fn with_shards(shards: usize, nprocs: usize) -> Self {
-        assert!(
-            shards.is_power_of_two() && shards > 0,
-            "Cmap shard count must be a nonzero power of two"
-        );
+    /// Panics if `nprocs` is 0.
+    pub fn new(nprocs: usize) -> Self {
         assert!(nprocs > 0, "Cmap needs at least one processor queue");
-        let mut s = Vec::with_capacity(shards);
-        s.resize_with(shards, || RwLock::new(FastMap::default()));
-        let mut q = Vec::with_capacity(nprocs);
-        q.resize_with(nprocs, || Mutex::new(Vec::new()));
         Self {
-            shards: s.into_boxed_slice(),
-            shard_mask: shards - 1,
-            queues: q.into_boxed_slice(),
+            entries: RwLock::new(FastMap::default()),
+            queues: (0..nprocs).map(|_| Mutex::new(Vec::new())).collect(),
             nprocs,
         }
-    }
-
-    /// The number of directory shards.
-    pub fn nshards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The processor count this Cmap was sized for.
@@ -239,27 +218,22 @@ impl Cmap {
         CmapEntry::new(page, rights, self.nprocs)
     }
 
-    #[inline]
-    fn shard(&self, vpn: Vpn) -> &RwLock<FastMap<Vpn, Arc<CmapEntry>>> {
-        &self.shards[(vpn as usize) & self.shard_mask]
-    }
-
     /// Looks up the entry for `vpn`.
     pub fn entry(&self, vpn: Vpn) -> Option<Arc<CmapEntry>> {
-        self.shard(vpn).read().get(&vpn).cloned()
+        self.entries.read().get(&vpn).cloned()
     }
 
     /// The reference mask of the entry for `vpn`, read without an Arc
     /// round-trip — the shootdown post path only needs the mask.
     pub fn refs_of(&self, vpn: Vpn) -> Option<ProcSet> {
-        self.shard(vpn).read().get(&vpn).map(|e| e.refs())
+        self.entries.read().get(&vpn).map(|e| e.refs())
     }
 
-    /// Runs `f` on the entry for `vpn`, if present, under the shard read
+    /// Runs `f` on the entry for `vpn`, if present, under the read
     /// lock — the message-apply path's `clear_ref` without cloning the
     /// entry handle.
     pub fn with_entry(&self, vpn: Vpn, f: impl FnOnce(&CmapEntry)) {
-        if let Some(e) = self.shard(vpn).read().get(&vpn) {
+        if let Some(e) = self.entries.read().get(&vpn) {
             f(e);
         }
     }
@@ -267,23 +241,19 @@ impl Cmap {
     /// Inserts an entry for `vpn`, returning the entry actually in the
     /// table (the existing one if another processor raced the insert).
     pub fn insert(&self, vpn: Vpn, entry: CmapEntry) -> Arc<CmapEntry> {
-        let mut map = self.shard(vpn).write();
+        let mut map = self.entries.write();
         Arc::clone(map.entry(vpn).or_insert_with(|| Arc::new(entry)))
     }
 
     /// Removes and returns the entry for `vpn` (unmap).
     pub fn remove(&self, vpn: Vpn) -> Option<Arc<CmapEntry>> {
-        self.shard(vpn).write().remove(&vpn)
+        self.entries.write().remove(&vpn)
     }
 
     /// All (vpn, entry) pairs; report and teardown support.
     pub fn snapshot(&self) -> Vec<(Vpn, Arc<CmapEntry>)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let map = shard.read();
-            out.extend(map.iter().map(|(v, e)| (*v, Arc::clone(e))));
-        }
-        out
+        let map = self.entries.read();
+        map.iter().map(|(v, e)| (*v, Arc::clone(e))).collect()
     }
 
     /// Posts a message: it is enqueued on the private queue of every
@@ -316,7 +286,7 @@ impl Cmap {
     /// rests on this acquisition ordering the drain against a racing
     /// `post`, so an unlocked emptiness test may not replace it.
     ///
-    /// [`ActiveSpace`]: crate::coherent::signal::ActiveSpace
+    /// [`ActiveSpace`]: crate::coherent::active::ActiveSpace
     pub fn pending_for_into(&self, p: usize, out: &mut Vec<Arc<CmapMsg>>) {
         debug_assert!(out.is_empty(), "a drain hands in an empty buffer");
         let mut q = self.queues[p].lock();
@@ -338,12 +308,6 @@ impl Cmap {
             }
         }
         seen.len()
-    }
-}
-
-impl Default for Cmap {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -399,7 +363,7 @@ mod tests {
 
     #[test]
     fn queue_post_pending_compact() {
-        let c = Cmap::new();
+        let c = Cmap::new(64);
         let m1 = CmapMsg::new(1, Directive::Invalidate, &ProcSet::from_mask(0b01));
         let m2 = CmapMsg::new(2, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
         c.post(&m1);
@@ -434,7 +398,7 @@ mod tests {
     /// warm-up both capacities stay where two rounds left them.
     #[test]
     fn drain_ping_pongs_bounded_capacities() {
-        let c = Cmap::new();
+        let c = Cmap::new(64);
         let mut buf = Vec::new();
         for round in 0..10_000u64 {
             let m = CmapMsg::new(round, Directive::Invalidate, &ProcSet::from_mask(0b11));
@@ -451,7 +415,7 @@ mod tests {
 
     #[test]
     fn posted_message_skips_non_targets() {
-        let c = Cmap::new();
+        let c = Cmap::new(64);
         c.post(&CmapMsg::new(
             4,
             Directive::Invalidate,
@@ -466,20 +430,33 @@ mod tests {
 
     #[test]
     fn messages_reach_targets_beyond_64() {
-        let c = Cmap::with_shards(DEFAULT_SHARDS, 128);
-        let m = CmapMsg::new(7, Directive::Invalidate, &ProcSet::single(100));
+        let c = Cmap::new(128);
+        let m = CmapMsg::new(7, Directive::Invalidate, &ProcSet::single(127));
         c.post(&m);
         assert!(c.pending_for(0).is_empty());
-        let q = c.pending_for(100);
+        let q = c.pending_for(127);
         assert_eq!(q.len(), 1);
-        m.ack(100, 9);
-        assert!(c.pending_for(100).is_empty());
+        m.ack(127, 9);
+        assert!(c.pending_for(127).is_empty());
         assert_eq!(m.ack_time(), 9);
+    }
+
+    /// A target the machine does not have is a bug in the caller: the
+    /// post fails loudly instead of dropping the message.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn post_to_a_processor_the_cmap_was_not_sized_for_panics() {
+        let c = Cmap::new(128);
+        c.post(&CmapMsg::new(
+            7,
+            Directive::Invalidate,
+            &ProcSet::single(128),
+        ));
     }
 
     #[test]
     fn acked_messages_are_compacted_not_delivered() {
-        let c = Cmap::new();
+        let c = Cmap::new(64);
         let m = CmapMsg::new(9, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
         c.post(&m);
         // A peek reports what is still owed, not what sits in the queue.
@@ -490,7 +467,7 @@ mod tests {
 
     #[test]
     fn insert_race_returns_existing() {
-        let c = Cmap::new();
+        let c = Cmap::new(64);
         let t = CpageTable::new();
         let a = c.insert(9, c.make_entry(t.alloc(0), Rights::RO));
         let b = c.insert(9, c.make_entry(t.alloc(0), Rights::RW));
@@ -499,33 +476,5 @@ mod tests {
         assert_eq!(b.page.id(), b.cpage);
         assert!(c.remove(9).is_some());
         assert!(c.entry(9).is_none());
-    }
-
-    #[test]
-    fn sharding_is_transparent() {
-        for shards in [1usize, 4, 16] {
-            let c = Cmap::with_shards(shards, 64);
-            let t = CpageTable::new();
-            assert_eq!(c.nshards(), shards);
-            for vpn in 0..40u64 {
-                c.insert(vpn, c.make_entry(t.alloc(0), Rights::RW));
-            }
-            let mut snap = c.snapshot();
-            snap.sort_by_key(|(v, _)| *v);
-            assert_eq!(snap.len(), 40);
-            for (i, (vpn, e)) in snap.iter().enumerate() {
-                assert_eq!(*vpn, i as u64);
-                assert_eq!(e.cpage, CpageId(i as u64));
-            }
-            assert!(c.entry(17).is_some());
-            assert!(c.remove(17).is_some());
-            assert!(c.entry(17).is_none());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_shard_count_panics() {
-        let _ = Cmap::with_shards(12, 16);
     }
 }

@@ -211,21 +211,12 @@ pub struct Cpage {
     /// the paper's fault times differ with kernel-data locality, §4).
     home: usize,
     inner: Mutex<CpageInner>,
-    /// Lock-free slow-path flags: transfer-in-flight and directory-update
-    /// epoch, letting a migration's block transfer overlap the targets'
-    /// directory updates (see [`crate::coherent::signal`]).
-    signal: crate::coherent::signal::AtomicSignal,
 }
 
 impl Cpage {
     /// The page's identity.
     pub fn id(&self) -> CpageId {
         self.id
-    }
-
-    /// The page's slow-path synchronization flags.
-    pub fn signal(&self) -> &crate::coherent::signal::AtomicSignal {
-        &self.signal
     }
 
     /// The node homing the page's metadata.
@@ -271,7 +262,6 @@ impl CpageTable {
             id,
             home,
             inner: Mutex::new(CpageInner::new()),
-            signal: crate::coherent::signal::AtomicSignal::new(),
         });
         pages.push(std::sync::Arc::clone(&page));
         page

@@ -141,14 +141,7 @@ impl Kernel {
         self.batch_flush(ctx, &mut batch);
         ctx.put_batch(batch);
         drop(guards);
-        self.record(
-            ctx.core.id(),
-            ctx.core.vtime(),
-            EventKind::DefrostRun,
-            0,
-            examined,
-            thawed,
-        );
+        ctx.record(EventKind::DefrostRun, 0, examined, thawed);
     }
 
     /// Thaws one coherent page: invalidates every translation so the next
@@ -206,7 +199,7 @@ impl Kernel {
         // the next fault consults the policy with the old invalidation
         // history (thawing itself is not an invalidation).
         g.state = CpState::Present1;
-        self.record(me, ctx.core.vtime(), EventKind::Thaw, 0, cpage.id().0, 0);
+        ctx.record(EventKind::Thaw, 0, cpage.id().0, 0);
         debug_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
         true
     }

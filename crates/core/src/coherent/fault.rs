@@ -49,14 +49,7 @@ impl Kernel {
         let begin = ctx.core.vtime();
         ctx.core.charge(costs.fault_fixed_ns);
         ctx.core.counters_mut().faults += 1;
-        self.record(
-            ctx.core.id(),
-            begin,
-            EventKind::FaultBegin,
-            u8::from(write),
-            va,
-            0,
-        );
+        ctx.record_at(begin, EventKind::FaultBegin, u8::from(write), va, 0);
         // A fault is a kernel entry: give the defrost daemon its chance
         // to run (its clock interrupt, in the paper's terms) before any
         // page locks are taken.
@@ -102,14 +95,7 @@ impl Kernel {
         // the fault as an interval on the processor's track. Error paths
         // (protection, out of memory) leave the interval open: the
         // thread is dead, not resumed.
-        self.record(
-            ctx.core.id(),
-            ctx.core.vtime(),
-            EventKind::FaultEnd,
-            resolution as u8,
-            cpage.id().0,
-            begin,
-        );
+        ctx.record(EventKind::FaultEnd, resolution as u8, cpage.id().0, begin);
         Ok(())
     }
 
@@ -118,14 +104,7 @@ impl Kernel {
     fn vm_fault(&self, ctx: &mut UserCtx, va: Va) -> Result<Arc<CmapEntry>> {
         let costs = &self.config().costs;
         ctx.core.charge(costs.vm_fault_ns);
-        self.record(
-            ctx.core.id(),
-            ctx.core.vtime(),
-            EventKind::VmFault,
-            0,
-            va,
-            0,
-        );
+        ctx.record(EventKind::VmFault, 0, va, 0);
         let space = ctx.space();
         let vpn = space.vpn_of(va);
         let region = space
@@ -211,14 +190,7 @@ impl Kernel {
                         let pp = g.copies[0];
                         self.freeze_if_needed(ctx, cpage, g, freeze);
                         g.remote_map_mask.insert(me);
-                        self.record(
-                            me,
-                            ctx.core.vtime(),
-                            EventKind::RemoteMap,
-                            0,
-                            cpage.id().0,
-                            pp.module_id() as u64,
-                        );
+                        ctx.record(EventKind::RemoteMap, 0, cpage.id().0, pp.module_id() as u64);
                         self.map_page(ctx, entry, vpn, pp, false, g);
                         Ok(FaultResolution::RemoteMapped)
                     }
@@ -233,9 +205,7 @@ impl Kernel {
     /// once the fault resolved against a valid copy.
     fn record_read_recovery(&self, ctx: &UserCtx, cpage: &Cpage, begin: Option<u64>) {
         if let Some(b) = begin {
-            self.record(
-                ctx.core.id(),
-                ctx.core.vtime(),
+            ctx.record(
                 EventKind::FaultRecovery,
                 FaultSite::FrameRead as u8,
                 cpage.id().0,
@@ -269,14 +239,7 @@ impl Kernel {
         let me = ctx.core.id();
         *recover_begin = Some(ctx.core.vtime());
         ctx.core.charge(plan.retry_ns());
-        self.record(
-            me,
-            ctx.core.vtime(),
-            EventKind::MemError,
-            0,
-            cpage.id().0,
-            pp.module_id() as u64,
-        );
+        ctx.record(EventKind::MemError, 0, cpage.id().0, pp.module_id() as u64);
         if g.copies.len() > 1 {
             // Other copies exist: drop the corrupt replica. The
             // module-selective shootdown removes every translation into
@@ -294,9 +257,7 @@ impl Kernel {
         let mut attempt = 1u32;
         while plan.should_inject(FaultSite::FrameRead, ctx.core.vtime(), key, attempt) {
             ctx.core.charge(plan.retry_ns());
-            self.record(
-                me,
-                ctx.core.vtime(),
+            ctx.record(
                 EventKind::MemError,
                 attempt.min(255) as u8,
                 cpage.id().0,
@@ -314,8 +275,7 @@ impl Kernel {
             .last_invalidation
             .map(|t| info.now.saturating_sub(t))
             .unwrap_or(u64::MAX);
-        self.record(
-            ctx.core.id(),
+        ctx.record_at(
             info.now,
             EventKind::PolicyDecision,
             action_code(action),
@@ -356,7 +316,7 @@ impl Kernel {
             // access rather than by the defrost daemon).
             g.frozen = false;
             g.thaws += 1;
-            self.record(me, ctx.core.vtime(), EventKind::Thaw, 1, cpage.id().0, 0);
+            ctx.record(EventKind::Thaw, 1, cpage.id().0, 0);
         }
         // "The handler then performs a block transfer from another
         // physical copy" (§3.3) — any copy. Spreading requesters across
@@ -374,9 +334,7 @@ impl Kernel {
             CpState::Present1
         };
         g.replications += 1;
-        self.record(
-            me,
-            ctx.core.vtime(),
+        ctx.record(
             EventKind::Replicate,
             0,
             cpage.id().0,
@@ -424,14 +382,7 @@ impl Kernel {
                     if escalated {
                         self.freeze_degraded(ctx, cpage, g);
                     }
-                    self.record(
-                        me,
-                        ctx.core.vtime(),
-                        EventKind::Invalidate,
-                        0,
-                        cpage.id().0,
-                        me as u64,
-                    );
+                    ctx.record(EventKind::Invalidate, 0, cpage.id().0, me as u64);
                     self.map_page(ctx, entry, vpn, local_pp, true, g);
                     Ok(FaultResolution::LocalHit)
                 }
@@ -474,9 +425,7 @@ impl Kernel {
                     let dying = g.copies_mask.without(survivor.module_id());
                     escalated = self.invalidate_copies(ctx, cpage, g, &dying)?;
                     g.last_invalidation = Some(ctx.core.vtime());
-                    self.record(
-                        me,
-                        ctx.core.vtime(),
+                    ctx.record(
                         EventKind::Invalidate,
                         0,
                         cpage.id().0,
@@ -490,14 +439,7 @@ impl Kernel {
                     self.freeze_degraded(ctx, cpage, g);
                 }
                 g.remote_map_mask.insert(me);
-                self.record(
-                    me,
-                    ctx.core.vtime(),
-                    EventKind::RemoteMap,
-                    1,
-                    cpage.id().0,
-                    pp.module_id() as u64,
-                );
+                ctx.record(EventKind::RemoteMap, 1, cpage.id().0, pp.module_id() as u64);
                 self.map_page(ctx, entry, vpn, pp, true, g);
                 Ok(FaultResolution::RemoteMapped)
             }
@@ -505,10 +447,13 @@ impl Kernel {
     }
 
     /// Migrates the page's single copy to the faulting processor's node:
-    /// copy the data here, invalidate every other translation, reclaim
-    /// the old copies. `write` faults leave the page modified and mapped
-    /// writable; read migrations (the migrate-only baseline chasing a
-    /// read) leave a single read-only copy.
+    /// invalidate every other translation, wait for the acknowledgments,
+    /// copy the data here, reclaim the old copies — the copy follows the
+    /// acks (§3.1: the initiator blocks until every interrupted target has
+    /// applied the change), so no translation to a source frame is usable
+    /// while the engine reads it. `write` faults leave the page modified
+    /// and mapped writable; read migrations (the migrate-only baseline
+    /// chasing a read) leave a single read-only copy.
     fn migrate_here(
         &self,
         ctx: &mut UserCtx,
@@ -519,10 +464,10 @@ impl Kernel {
         write: bool,
     ) -> Result<FaultResolution> {
         let me = ctx.core.id();
-        // Copy sources are stable: either read-only replicas or a single
-        // modified copy whose writers we are about to invalidate — and no
-        // writer can race us while we hold the page lock, because
-        // granting write access requires this lock.
+        // The copy source is stable: the shootdown below leaves no
+        // translation to it before the engine reads it, and no writer can
+        // appear meanwhile, because granting write access requires the
+        // page lock we hold.
         let src = g.copies[0];
         let pp = self.alloc_frame(ctx, me, cpage, &g.copies_mask)?;
         // Invalidate every translation to the old copies, ours included.
@@ -537,29 +482,13 @@ impl Kernel {
             Directive::Invalidate,
             &everyone_else,
         );
-        cpage.signal().set_epoch();
         if ctx.pmap.remove(ctx.space().id(), vpn).is_some() {
             let asid = ctx.space().asid();
             ctx.core.atc().invalidate(asid, vpn);
         }
-        // Overlap the block transfer with the targets' own Pmap updates
-        // when no awaited target holds a writable translation (readers
-        // cannot tear the source); otherwise wait the writers out first.
-        // The virtual-time charges are identical either way — the ack
-        // wait is a real-time handshake that charges nothing — so the
-        // overlap is pure host-time overlap.
-        let out;
-        let src = if !g.writer_mask.intersects(&batch.awaited()) {
-            cpage.signal().set_transfer();
-            let src = self.copy_page(ctx, cpage, g, src, pp);
-            cpage.signal().clear_transfer();
-            out = self.batch_flush(ctx, &mut batch);
-            src
-        } else {
-            out = self.batch_flush(ctx, &mut batch);
-            self.copy_page(ctx, cpage, g, src, pp)
-        };
+        let out = self.batch_flush(ctx, &mut batch);
         ctx.put_batch(batch);
+        let src = self.copy_page(ctx, cpage, g, src, pp);
         self.reclaim_copies(ctx, cpage, g, &dying)?;
         g.writer_mask.clear();
         g.remote_map_mask.clear();
@@ -574,7 +503,7 @@ impl Kernel {
         if g.frozen {
             g.frozen = false;
             g.thaws += 1;
-            self.record(me, ctx.core.vtime(), EventKind::Thaw, 1, cpage.id().0, 0);
+            ctx.record(EventKind::Thaw, 1, cpage.id().0, 0);
         }
         if out.escalated {
             // A shootdown target exhausted its ack-retry budget: fall
@@ -582,24 +511,9 @@ impl Kernel {
             // further faults remote-map instead of moving it again.
             self.freeze_degraded(ctx, cpage, g);
         }
-        self.record(
-            me,
-            ctx.core.vtime(),
-            EventKind::Migrate,
-            0,
-            cpage.id().0,
-            src.module_id() as u64,
-        );
-        self.record(
-            me,
-            ctx.core.vtime(),
-            EventKind::Invalidate,
-            0,
-            cpage.id().0,
-            me as u64,
-        );
+        ctx.record(EventKind::Migrate, 0, cpage.id().0, src.module_id() as u64);
+        ctx.record(EventKind::Invalidate, 0, cpage.id().0, me as u64);
         self.map_page(ctx, entry, vpn, pp, write, g);
-        cpage.signal().clear_epoch();
         Ok(FaultResolution::Migrated)
     }
 
@@ -639,10 +553,6 @@ impl Kernel {
         g: &mut CpageInner,
         mask: &ProcSet,
     ) -> Result<()> {
-        // A transfer sourced from this directory must never overlap frame
-        // reclamation: the copy engine could read a frame that is already
-        // back in the free pool.
-        debug_assert!(!cpage.signal().load().transfer());
         let mut dying = std::mem::take(&mut ctx.scratch.dying);
         dying.clear();
         dying.extend(
@@ -661,14 +571,7 @@ impl Kernel {
             self.machine()
                 .module(pp.module_id())
                 .free_frame(pp.frame_id());
-            self.record(
-                ctx.core.id(),
-                ctx.core.vtime(),
-                EventKind::FrameFree,
-                0,
-                cpage.id().0,
-                pp.module_id() as u64,
-            );
+            ctx.record(EventKind::FrameFree, 0, cpage.id().0, pp.module_id() as u64);
         }
         dying.clear();
         ctx.scratch.dying = dying;
@@ -686,14 +589,7 @@ impl Kernel {
         }
         g.frozen = true;
         g.freezes += 1;
-        self.record(
-            ctx.core.id(),
-            ctx.core.vtime(),
-            EventKind::Freeze,
-            2,
-            cpage.id().0,
-            0,
-        );
+        ctx.record(EventKind::Freeze, 2, cpage.id().0, 0);
         self.defrost.enroll(cpage.id());
     }
 
@@ -709,7 +605,7 @@ impl Kernel {
                 .last_invalidation
                 .map(|t| now.saturating_sub(t))
                 .unwrap_or(u64::MAX);
-            self.record(ctx.core.id(), now, EventKind::Freeze, 0, cpage.id().0, age);
+            ctx.record_at(now, EventKind::Freeze, 0, cpage.id().0, age);
             self.defrost.enroll(cpage.id());
         }
     }
@@ -785,7 +681,6 @@ impl Kernel {
             ctx.core.block_transfer(src, dst);
             return src;
         };
-        let me = ctx.core.id();
         let mut begin: Option<u64> = None;
         let mut first_site: Option<FaultSite> = None;
         let mut attempt = 0u32;
@@ -798,9 +693,7 @@ impl Kernel {
                 begin.get_or_insert(ctx.core.vtime());
                 first_site.get_or_insert(FaultSite::FrameRead);
                 ctx.core.charge(plan.retry_ns());
-                self.record(
-                    me,
-                    ctx.core.vtime(),
+                ctx.record(
                     EventKind::MemError,
                     attempt.min(255) as u8,
                     cpage.id().0,
@@ -820,9 +713,7 @@ impl Kernel {
                 begin.get_or_insert(ctx.core.vtime());
                 first_site.get_or_insert(FaultSite::BlockTransfer);
                 ctx.core.failed_block_transfer(src, dst, 50);
-                self.record(
-                    me,
-                    ctx.core.vtime(),
+                ctx.record(
                     EventKind::TransferFault,
                     attempt.min(255) as u8,
                     cpage.id().0,
@@ -833,14 +724,7 @@ impl Kernel {
             }
             ctx.core.block_transfer(src, dst);
             if let (Some(b), Some(site)) = (begin, first_site) {
-                self.record(
-                    me,
-                    ctx.core.vtime(),
-                    EventKind::FaultRecovery,
-                    site as u8,
-                    cpage.id().0,
-                    b,
-                );
+                ctx.record(EventKind::FaultRecovery, site as u8, cpage.id().0, b);
             }
             return src;
         }
@@ -904,9 +788,7 @@ impl Kernel {
                     // The module refuses the allocation; fall back to the
                     // next-best module in the ring.
                     recover_begin.get_or_insert(ctx.core.vtime());
-                    self.record(
-                        ctx.core.id(),
-                        ctx.core.vtime(),
+                    ctx.record(
                         EventKind::AllocFault,
                         i.min(255) as u8,
                         cpage.id().0,
@@ -924,9 +806,7 @@ impl Kernel {
                             probe.probes as u64,
                         );
                         if let Some(b) = recover_begin {
-                            self.record(
-                                ctx.core.id(),
-                                ctx.core.vtime(),
+                            ctx.record(
                                 EventKind::FaultRecovery,
                                 FaultSite::FrameAlloc as u8,
                                 cpage.id().0,

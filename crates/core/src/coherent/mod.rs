@@ -1,6 +1,8 @@
 //! The coherent memory system: the middle layer of PLATINUM memory
 //! management (§2).
 //!
+//! * [`active`] — the per-processor active-space word that gates
+//!   shootdown interrupts (§3.1),
 //! * [`cpage`] — coherent pages, their four-state protocol, and the
 //!   directory of physical copies (the Cpage system of §2.3),
 //! * [`cmap`] — per-space Cmap entries, reference masks, and the
@@ -10,15 +12,14 @@
 //! * `shootdown` — the NUMA shootdown mechanism (§3.1),
 //! * `ptable` — the kernel side of the translation fabric: replica
 //!   population on faults and replica invalidation on shootdowns,
-//! * [`signal`] — lock-free slow-path synchronization flags,
 //! * `scratch` — per-processor allocation-free slow-path pools,
 //! * [`defrost`] — the defrost daemon (§4.2).
 
+pub mod active;
 pub mod cmap;
 pub mod cpage;
 pub mod defrost;
 pub mod policy;
-pub mod signal;
 
 mod fault;
 pub(crate) mod ptable;

@@ -59,14 +59,7 @@ impl Kernel {
         );
         let ns = ctx.core.vtime() - t0;
         self.walk_stats.record_populate(me, ns);
-        self.record(
-            me,
-            ctx.core.vtime(),
-            EventKind::PtPopulate,
-            cfg.placement as u8,
-            space_id,
-            ns,
-        );
+        ctx.record(EventKind::PtPopulate, cfg.placement as u8, space_id, ns);
     }
 
     /// Marks the translation-replica entries staled by a mapping change,
@@ -123,9 +116,8 @@ impl Kernel {
                     for h in holders.iter() {
                         space.replica().drop_holder(h);
                     }
-                    self.record(
-                        me,
-                        core.vtime(),
+                    self.record_on(
+                        core,
                         EventKind::FaultRecovery,
                         FaultSite::PtableInval as u8,
                         space_id,
@@ -137,9 +129,8 @@ impl Kernel {
                     // Lost in transit: the holders keep walking their
                     // stale replicas until the initiator times out and
                     // rewrites the mark.
-                    self.record(
-                        me,
-                        core.vtime(),
+                    self.record_on(
+                        core,
                         EventKind::PtInvalDrop,
                         attempt.min(255) as u8,
                         space_id,
@@ -155,11 +146,10 @@ impl Kernel {
             let t0 = core.vtime();
             core.charge_kernel_ref(space.home(), AccessKind::Write);
             self.walk_stats.record_inval(me, core.vtime() - t0);
-            self.record(me, core.vtime(), EventKind::PtInval, 0, space_id, stale);
+            self.record_on(core, EventKind::PtInval, 0, space_id, stale);
             if attempt > 0 {
-                self.record(
-                    me,
-                    core.vtime(),
+                self.record_on(
+                    core,
                     EventKind::FaultRecovery,
                     FaultSite::PtableInval as u8,
                     space_id,

@@ -145,14 +145,7 @@ impl Kernel {
                 self.machine()
                     .module(pp.module_id())
                     .free_frame(pp.frame_id());
-                self.record(
-                    ctx.core.id(),
-                    ctx.core.vtime(),
-                    EventKind::FrameFree,
-                    0,
-                    cpage_id.0,
-                    pp.module_id() as u64,
-                );
+                ctx.record(EventKind::FrameFree, 0, cpage_id.0, pp.module_id() as u64);
             }
             g.state = CpState::Empty;
             g.writer_mask.clear();
@@ -211,23 +204,8 @@ impl Kernel {
             if g.copies.len() == 1 {
                 g.state = CpState::Present1;
             }
-            let now = ctx.core.vtime();
-            self.record(
-                ctx.core.id(),
-                now,
-                EventKind::FrameFree,
-                0,
-                id.0,
-                node as u64,
-            );
-            self.record(
-                ctx.core.id(),
-                now,
-                EventKind::ReplicaEvict,
-                0,
-                id.0,
-                node as u64,
-            );
+            ctx.record(EventKind::FrameFree, 0, id.0, node as u64);
+            ctx.record(EventKind::ReplicaEvict, 0, id.0, node as u64);
             debug_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
             return true;
         }

@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use numa_machine::{AccessKind, PhysPage, ProcSet};
+use numa_machine::{AccessKind, PhysPage, ProcCore, ProcSet};
 
 use platinum_faults::FaultSite;
 use platinum_trace::EventKind;
@@ -95,13 +95,6 @@ pub(crate) struct ShootdownBatch {
 }
 
 impl ShootdownBatch {
-    /// Union of the active-target sets the flush will wait on.
-    pub(crate) fn awaited(&self) -> ProcSet {
-        self.posted
-            .iter()
-            .fold(ProcSet::empty(), |acc, (_, a)| acc.union(a))
-    }
-
     /// Resets the accounting and buffers for reuse, keeping capacity.
     fn clear(&mut self) {
         self.posted.clear();
@@ -189,52 +182,7 @@ impl Kernel {
                 AccessKind::Write,
                 u64::from(costs.post_msg_refs),
             );
-            space.cmap().post(&msg);
-
-            // Interrupt the targets that have the space active; the rest
-            // will apply the change on activation. The activity word's
-            // ordering pairs this check against concurrent
-            // (de)activation: whoever sees the other's effect first, the
-            // message is never missed.
-            let mut awaited = ProcSet::empty();
-            if mach_mode {
-                // Mach comparator: every processor with the space active
-                // is interrupted and stalled, referenced or not.
-                for p in 0..self.machine().nprocs() {
-                    if p == me {
-                        continue;
-                    }
-                    if self.slots[p].active.is_active(as_id.0) {
-                        ctx.core
-                            .charge(self.machine().cfg().timing.ipi_ns + costs.mach_stall_extra_ns);
-                        self.record(me, ctx.core.vtime(), EventKind::Ipi, 0, page.0, p as u64);
-                        batch.ipis += 1;
-                        if targets.contains(p) {
-                            awaited.insert(p);
-                            if self.ipi_lost(ctx.core.vtime(), p) {
-                                batch.dropped.push(p);
-                                continue;
-                            }
-                        }
-                        self.machine().post_ipi(p);
-                    }
-                }
-            } else {
-                for p in targets.iter() {
-                    if self.slots[p].active.is_active(as_id.0) {
-                        ctx.core.charge(self.machine().cfg().timing.ipi_ns);
-                        self.record(me, ctx.core.vtime(), EventKind::Ipi, 0, page.0, p as u64);
-                        batch.ipis += 1;
-                        awaited.insert(p);
-                        if self.ipi_lost(ctx.core.vtime(), p) {
-                            batch.dropped.push(p);
-                            continue;
-                        }
-                        self.machine().post_ipi(p);
-                    }
-                }
-            }
-            batch.posted.push((msg, awaited));
+            self.post_binding(&mut ctx.core, batch, page, space, msg, &targets, mach_mode);
             // Replicated page tables: the mapping change also stales the
             // per-node translation replicas of this space. The
             // invalidations piggyback on the IPI round just posted (one
@@ -262,30 +210,70 @@ impl Kernel {
         targets: &ProcSet,
     ) {
         let span = self.hostprof.begin();
-        let me = ctx.core.id();
         batch.dropped.clear();
         let msg = ctx.scratch.alloc_msg(vpn, directive.clone(), targets);
-        space.cmap().post(&msg);
-        let mut awaited = ProcSet::empty();
-        for p in targets.iter() {
-            if self.slots[p].active.is_active(space.id().0) {
-                ctx.core.charge(self.machine().cfg().timing.ipi_ns);
-                self.record(me, ctx.core.vtime(), EventKind::Ipi, 0, page.0, p as u64);
-                batch.ipis += 1;
-                awaited.insert(p);
-                if self.ipi_lost(ctx.core.vtime(), p) {
-                    batch.dropped.push(p);
-                    continue;
-                }
-                self.machine().post_ipi(p);
-            }
-        }
-        batch.posted.push((msg, awaited));
+        self.post_binding(&mut ctx.core, batch, page, space, msg, targets, false);
         // As in `batch_post`: stale the per-node translation replicas of
         // the unmapped space, riding the IPI round just posted.
         self.ptable_invalidate(&mut ctx.core, ctx.ptable, space, targets);
         self.finish_post(ctx, batch, page, &directive, targets);
         self.hostprof.end(HostPhase::Shootdown, span);
+    }
+
+    /// One binding's share of a post: enqueues `msg` on `space`'s queues,
+    /// interrupts the targets that have the space active — the rest apply
+    /// the change on activation — and files the message with the set the
+    /// flush must wait on. The activity word's ordering pairs the check
+    /// against concurrent (de)activation: whoever sees the other's effect
+    /// first, the message is never missed.
+    ///
+    /// With `mach_stall` (the Mach comparator) every processor with the
+    /// space active is interrupted and stalled, referenced or not; only
+    /// the real targets are awaited.
+    ///
+    /// Takes the initiator's core rather than its whole context, so
+    /// `space` may be borrowed from that context.
+    #[allow(clippy::too_many_arguments)]
+    fn post_binding(
+        &self,
+        core: &mut ProcCore,
+        batch: &mut ShootdownBatch,
+        page: CpageId,
+        space: &AddressSpace,
+        msg: Arc<CmapMsg>,
+        targets: &ProcSet,
+        mach_stall: bool,
+    ) {
+        space.cmap().post(&msg);
+        let ipi_ns = self.machine().cfg().timing.ipi_ns;
+        let everyone_else;
+        let (rung, stall_ns) = if mach_stall {
+            everyone_else = ProcSet::full(self.machine().nprocs()).without(core.id());
+            (
+                &everyone_else,
+                ipi_ns + self.config().costs.mach_stall_extra_ns,
+            )
+        } else {
+            (targets, ipi_ns)
+        };
+        let mut awaited = ProcSet::empty();
+        for p in rung.iter() {
+            if !self.slots[p].active.is_active(space.id().0) {
+                continue;
+            }
+            core.charge(stall_ns);
+            self.record_on(core, EventKind::Ipi, 0, page.0, p as u64);
+            batch.ipis += 1;
+            if targets.contains(p) {
+                awaited.insert(p);
+                if self.ipi_lost(core.vtime(), p) {
+                    batch.dropped.push(p);
+                    continue;
+                }
+            }
+            self.machine().post_ipi(p);
+        }
+        batch.posted.push((msg, awaited));
     }
 
     /// Shared tail of a per-page post: the `ShootdownInit` record and the
@@ -304,16 +292,9 @@ impl Kernel {
         // Counted per shootdown page, like the IPIs above are counted per
         // interrupt: the ShootdownInit count is the number of shootdown
         // operations initiated, whether or not any target needed work.
-        let code = match directive {
-            Directive::Invalidate => 0,
-            Directive::InvalidateModules(_) => 1,
-            Directive::RestrictToRead => 2,
-        };
-        self.record(
-            ctx.core.id(),
-            ctx.core.vtime(),
+        ctx.record(
             EventKind::ShootdownInit,
-            code,
+            directive.code(),
             page.0,
             all_targets.count() as u64,
         );
@@ -408,7 +389,6 @@ impl Kernel {
             debug_assert!(dropped.is_empty(), "drops require an installed plan");
             return false;
         };
-        let me = ctx.core.id();
         let ipi_ns = self.machine().cfg().timing.ipi_ns;
         let mut escalated = false;
         for &p in dropped {
@@ -417,9 +397,7 @@ impl Kernel {
             loop {
                 // The ack never arrives; the initiator times out...
                 ctx.core.charge(plan.ack_timeout_ns(attempt));
-                self.record(
-                    me,
-                    ctx.core.vtime(),
+                ctx.record(
                     EventKind::ShootdownTimeout,
                     attempt.min(255) as u8,
                     page,
@@ -427,7 +405,7 @@ impl Kernel {
                 );
                 // ...and resends the interrupt (code 1 = retry).
                 ctx.core.charge(ipi_ns);
-                self.record(me, ctx.core.vtime(), EventKind::Ipi, 1, page, p as u64);
+                ctx.record(EventKind::Ipi, 1, page, p as u64);
                 if attempt >= plan.max_retries() {
                     escalated = true;
                     break;
@@ -439,9 +417,7 @@ impl Kernel {
                 attempt += 1;
             }
             self.machine().post_ipi(p);
-            self.record(
-                me,
-                ctx.core.vtime(),
+            ctx.record(
                 EventKind::FaultRecovery,
                 FaultSite::ShootdownAck as u8,
                 page,

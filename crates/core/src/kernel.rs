@@ -10,11 +10,11 @@ use platinum_faults::FaultPlan;
 use platinum_ptable::{PtableConfig, WalkSnapshot, WalkStats};
 use platinum_trace::{EventKind, Tracer};
 
+use crate::coherent::active::ActiveSpace;
 use crate::coherent::cpage::{Cpage, CpageInner, CpageTable};
 use crate::coherent::defrost::DefrostState;
 use crate::coherent::policy::{PlacementPolicy, PlatinumPolicy};
 use crate::coherent::reclaim::ReclaimState;
-use crate::coherent::signal::ActiveSpace;
 use crate::costs::KernelCosts;
 use crate::error::{KernelError, Result};
 use crate::hostprof::HostProf;
@@ -49,10 +49,6 @@ pub struct KernelConfig {
     pub t2_defrost_ns: u64,
     /// Shootdown mechanism.
     pub shootdown: ShootdownMode,
-    /// Number of directory shards in each address space's Cmap (a nonzero
-    /// power of two). Purely a host-side concurrency knob: protocol
-    /// behaviour is identical at any shard count.
-    pub cmap_shards: usize,
     /// The placement policy the kernel runs — the installed object
     /// itself, so what was configured is what [`Kernel::policy`] returns.
     /// Anything in the family converts: `PolicyKind::MigrateOnly.into()`,
@@ -76,7 +72,6 @@ impl Default for KernelConfig {
             costs: KernelCosts::default(),
             t2_defrost_ns: 1_000_000_000,
             shootdown: ShootdownMode::PerProcessorPmap,
-            cmap_shards: crate::coherent::cmap::DEFAULT_SHARDS,
             policy: Arc::new(PlatinumPolicy::paper_default()),
             faults: None,
             ptable: PtableConfig::default(),
@@ -221,7 +216,6 @@ impl Kernel {
             id,
             home,
             self.machine.cfg().page_shift,
-            self.cfg.cmap_shards,
             self.machine.nprocs(),
         ));
         spaces.push(Arc::clone(&space));
@@ -333,15 +327,33 @@ impl Kernel {
     /// here, which is what guarantees that the counters and the trace
     /// agree event for event.
     ///
-    /// Public so instrumented tiers above the kernel (the server workload
-    /// driver's per-request records) flow through the same choke point as
-    /// the protocol's own events.
+    /// Public for instrumented tiers above the kernel (the server workload
+    /// driver's per-request records), which flow through the same choke
+    /// point as the protocol's own events; `proc` must be the processor
+    /// the calling thread drives. The kernel itself records through
+    /// [`Kernel::record_on`] and [`UserCtx::record`], which take the id
+    /// from the core the caller holds.
     #[inline]
     pub fn record(&self, proc: usize, vtime: u64, kind: EventKind, code: u8, page: u64, arg: u64) {
         self.stats.record(proc, kind);
         if let Some(t) = self.machine.tracer() {
             t.emit(proc, vtime, kind, code, page, arg);
         }
+    }
+
+    /// Records an event on the processor that owns `core`, at its current
+    /// clock. Holding the core is what makes the recorder its stripe's
+    /// only writer ([`KernelStats::record`]).
+    #[inline]
+    pub(crate) fn record_on(
+        &self,
+        core: &ProcCore,
+        kind: EventKind,
+        code: u8,
+        page: u64,
+        arg: u64,
+    ) {
+        self.record(core.id(), core.vtime(), kind, code, page, arg);
     }
 
     /// Builds the post-mortem memory-management report (§4.2).
@@ -381,14 +393,7 @@ impl Kernel {
             if let Some(mut g) = page.try_lock() {
                 ctx.core.charge(waited_ns);
                 g.lock_wait_ns += waited_ns;
-                self.record(
-                    ctx.core.id(),
-                    ctx.core.vtime(),
-                    EventKind::LockWait,
-                    0,
-                    page.id().0,
-                    waited_ns,
-                );
+                ctx.record(EventKind::LockWait, 0, page.id().0, waited_ns);
                 return g;
             }
         }

@@ -138,6 +138,44 @@ mod tests {
         assert_eq!(procs.run(64, |ctx| ctx.read(va)), 7);
     }
 
+    /// A migration copies after its acknowledgments: every read-mapped
+    /// peer has dropped its translation to the source frame before the
+    /// transfer engine reads it, and the copy carries the last write.
+    #[test]
+    fn migration_copies_after_its_acks() {
+        use platinum_trace::{EventKind, TraceConfig, Tracer};
+
+        let (kernel, space, va) = boot(3);
+        let tracer = Tracer::new(TraceConfig::default());
+        assert!(kernel.install_tracer(Arc::clone(&tracer)));
+        let mut procs = Lockstep::new(3);
+        for p in 0..3 {
+            procs.adopt(kernel.attach(Arc::clone(&space), p, 0).unwrap());
+        }
+        // Processor 1 writes; processor 2's read replicates the page and
+        // restricts 1 to read-only, so no awaited target is a writer.
+        procs.run(1, |ctx| ctx.write(va, 5));
+        procs.run(2, |ctx| ctx.read(va));
+        let before = tracer.snapshot().events.len();
+        procs.run(0, |ctx| ctx.write(va + 4, 7));
+
+        let trace = tracer.snapshot();
+        let fault = &trace.events[before..];
+        assert_eq!(trace.count(EventKind::Migrate), 1, "the write must migrate");
+        let transfer = fault
+            .iter()
+            .position(|e| e.kind == EventKind::BlockTransfer)
+            .expect("a migration transfers the page");
+        assert_eq!(fault[transfer].proc, 0);
+        let ackers: Vec<u16> = fault[..transfer]
+            .iter()
+            .filter(|e| e.kind == EventKind::ShootdownAck)
+            .map(|e| e.proc)
+            .collect();
+        assert_eq!(ackers, [1, 2], "both peers ack before the copy starts");
+        assert_eq!(procs.run(0, |ctx| (ctx.read(va), ctx.read(va + 4))), (5, 7));
+    }
+
     /// A live target nobody drives must fail loudly, not spin forever.
     #[test]
     #[should_panic(expected = "processor 2 is an awaited shootdown target")]

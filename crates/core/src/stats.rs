@@ -58,10 +58,11 @@ impl KernelStats {
     /// Counts one event of `kind`, recorded by processor `proc`.
     ///
     /// Each stripe has exactly one writer: no two processors share a
-    /// stripe, every record call passes the calling processor's own id
-    /// (shootdown initiators record IPIs under their own id, not the
-    /// target's), and a processor is driven by one thread at a time
-    /// (`Kernel::attach` enforces exclusivity). A plain load+store
+    /// stripe, the kernel records only through the core the caller holds
+    /// (`UserCtx::record`, `Kernel::record_on` — shootdown initiators
+    /// record IPIs under their own id, not the target's), and a
+    /// processor is driven by one thread at a time (`Kernel::attach`
+    /// enforces exclusivity). A plain load+store
     /// therefore cannot lose updates, and it compiles to an ordinary add
     /// instead of a locked read-modify-write — this is the hottest
     /// instruction in the fault path's instrumentation.

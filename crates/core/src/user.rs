@@ -55,6 +55,12 @@ pub struct UserCtx {
     pub(crate) peers: Option<Vec<Option<Box<UserCtx>>>>,
 }
 
+// A context moves to the host thread that drives it.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<UserCtx>();
+};
+
 impl UserCtx {
     pub(crate) fn new(kernel: Arc<Kernel>, core: ProcCore, space: Arc<AddressSpace>) -> Self {
         let page_shift = kernel.machine().cfg().page_shift;
@@ -100,6 +106,21 @@ impl UserCtx {
     /// Direct access to the processor core (harness/instrumentation use).
     pub fn core(&self) -> &ProcCore {
         &self.core
+    }
+
+    /// Records a kernel event on this context's processor at its current
+    /// clock.
+    #[inline]
+    pub(crate) fn record(&self, kind: EventKind, code: u8, page: u64, arg: u64) {
+        self.kernel.record_on(&self.core, kind, code, page, arg);
+    }
+
+    /// [`UserCtx::record`] with an explicit timestamp: events that close an
+    /// interval or report a decision carry the time it was taken.
+    #[inline]
+    pub(crate) fn record_at(&self, vtime: u64, kind: EventKind, code: u8, page: u64, arg: u64) {
+        self.kernel
+            .record(self.core.id(), vtime, kind, code, page, arg);
     }
 
     // ----- Address-space activity (§3.1) ---------------------------------
@@ -222,11 +243,6 @@ impl UserCtx {
         self.core.counters_mut().ipis_handled += msgs.len() as u64;
         let apply_ns = self.kernel.config().costs.apply_msg_ns;
         for m in &msgs {
-            let code = match m.directive {
-                Directive::Invalidate => 0,
-                Directive::InvalidateModules(_) => 1,
-                Directive::RestrictToRead => 2,
-            };
             match &m.directive {
                 Directive::Invalidate => {
                     if self.pmap.remove(space_id, m.vpn).is_some() {
@@ -253,14 +269,7 @@ impl UserCtx {
             }
             self.core.charge(apply_ns);
             m.ack(me, self.core.vtime());
-            self.kernel.record(
-                me,
-                self.core.vtime(),
-                EventKind::ShootdownAck,
-                code,
-                m.vpn,
-                0,
-            );
+            self.record(EventKind::ShootdownAck, m.directive.code(), m.vpn, 0);
         }
         msgs.clear();
         self.scratch.drained = msgs;
@@ -430,9 +439,7 @@ impl UserCtx {
                         );
                         let ns = self.core.vtime() - t0;
                         self.kernel.walk_stats.record_populate(me, ns);
-                        self.kernel.record(
-                            me,
-                            self.core.vtime(),
+                        self.record(
                             EventKind::PtPopulate,
                             cfg.placement as u8,
                             u64::from(self.space.id().0),
@@ -448,14 +455,7 @@ impl UserCtx {
                 .charge_word_block(PhysPage::new(target, 0), AccessKind::Read, refs);
             let ns = self.core.vtime() - t0;
             self.kernel.walk_stats.record_walk(me, ns, target == me);
-            self.kernel.record(
-                me,
-                self.core.vtime(),
-                EventKind::PtWalk,
-                cfg.placement as u8,
-                vpn,
-                ns,
-            );
+            self.record(EventKind::PtWalk, cfg.placement as u8, vpn, ns);
         }
         self.kernel
             .hostprof
@@ -653,8 +653,7 @@ impl Mem for UserCtx {
         } else {
             EventKind::LockRelease
         };
-        self.kernel
-            .record(self.core.id(), self.core.vtime(), kind, 0, va, 0);
+        self.record(kind, 0, va, 0);
     }
 
     fn read_block(&mut self, va: Va, dst: &mut [u32]) {

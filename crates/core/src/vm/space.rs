@@ -70,19 +70,13 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    pub(crate) fn new(
-        id: AsId,
-        home: usize,
-        page_shift: u32,
-        cmap_shards: usize,
-        nprocs: usize,
-    ) -> Self {
+    pub(crate) fn new(id: AsId, home: usize, page_shift: u32, nprocs: usize) -> Self {
         Self {
             id,
             home,
             page_shift,
             regions: RwLock::new(Vec::new()),
-            cmap: Cmap::with_shards(cmap_shards, nprocs),
+            cmap: Cmap::new(nprocs),
             replica: PmapReplica::new(home, nprocs),
             // Leave page 0 unmapped so null-ish addresses fault.
             next_free_vpn: AtomicU64::new(1),
@@ -216,7 +210,7 @@ mod tests {
     }
 
     fn space() -> AddressSpace {
-        AddressSpace::new(AsId(1), 0, 12, 16, 16)
+        AddressSpace::new(AsId(1), 0, 12, 16)
     }
 
     #[test]
@@ -288,8 +282,8 @@ mod tests {
         // unit of data- or code-sharing between address spaces" (§1.1).
         let table = CpageTable::new();
         let o = obj(2);
-        let s1 = AddressSpace::new(AsId(1), 0, 12, 16, 16);
-        let s2 = AddressSpace::new(AsId(2), 1, 12, 16, 16);
+        let s1 = AddressSpace::new(AsId(1), 0, 12, 16);
+        let s2 = AddressSpace::new(AsId(2), 1, 12, 16);
         s1.map_at(Arc::clone(&o), 0, 2, 0x1000, Rights::RW).unwrap();
         s2.map_at(Arc::clone(&o), 0, 2, 0x8000, Rights::RO).unwrap();
         let r1 = s1.region_for(1).unwrap();

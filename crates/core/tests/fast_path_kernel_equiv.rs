@@ -1,14 +1,12 @@
-//! Kernel-level equivalence of the host fast path and the sharded Cmap.
-//!
-//! Two properties the hot-path overhaul must preserve:
+//! Kernel-level equivalence of the host fast path, and a free-running
+//! stress of the directory.
 //!
 //! 1. With `MachineConfig::fast_path` off, every observable — virtual
 //!    times, access counters, kernel event counts, values read, the
 //!    final Cmap directory — is bit-identical to a fast-path run of the
 //!    same single-threaded schedule.
-//! 2. The Cmap shard count is transparent: a concurrent read-mostly
-//!    stress run leaves the same final directory state (and the same
-//!    per-page protocol timeline) at 1 shard as at 16.
+//! 2. Eight free-running threads racing read faults leave the one final
+//!    directory state every schedule must reach.
 
 use std::sync::Arc;
 
@@ -53,17 +51,12 @@ fn directory_of(space: &platinum::AddressSpace) -> Vec<(u64, u64, Rights, ProcSe
 /// replication (everyone reads everything), hot loops (ATC hits),
 /// invalidating writes and atomics against suspended peers (lazy
 /// message application), plus error paths (misaligned, unmapped).
-fn run_scripted(
-    fast_path: bool,
-    cmap_shards: usize,
-    faults: Option<Arc<FaultPlan>>,
-) -> Observation {
+fn run_scripted(fast_path: bool, faults: Option<Arc<FaultPlan>>) -> Observation {
     const P: usize = 4;
     const PAGES: usize = 8;
     let kernel = Kernel::boot(
         machine(P, fast_path),
         KernelConfig {
-            cmap_shards,
             faults,
             ..KernelConfig::default()
         },
@@ -135,8 +128,8 @@ fn run_scripted(
 
 #[test]
 fn fast_path_run_is_bit_identical_to_reference_run() {
-    let fast = run_scripted(true, 16, None);
-    let slow = run_scripted(false, 16, None);
+    let fast = run_scripted(true, None);
+    let slow = run_scripted(false, None);
     assert_eq!(fast.values, slow.values, "observed values diverged");
     assert_eq!(fast.vtimes, slow.vtimes, "virtual times diverged");
     assert_eq!(fast.counters, slow.counters, "access counters diverged");
@@ -150,13 +143,6 @@ fn fast_path_run_is_bit_identical_to_reference_run() {
     );
 }
 
-#[test]
-fn cmap_shard_count_is_transparent_in_a_scripted_run() {
-    let one = run_scripted(true, 1, None);
-    let many = run_scripted(true, 16, None);
-    assert_eq!(one, many, "shard count changed an observable");
-}
-
 /// Fault injection lives entirely on the kernel slow path and keys its
 /// decisions off virtual time, which the two translation paths agree on
 /// by construction — so the bit-for-bit equivalence must survive an
@@ -164,8 +150,8 @@ fn cmap_shard_count_is_transparent_in_a_scripted_run() {
 #[test]
 fn fast_path_equivalence_holds_under_injection() {
     let plan = Arc::new(FaultPlan::chaos(42, 60_000));
-    let fast = run_scripted(true, 16, Some(Arc::clone(&plan)));
-    let slow = run_scripted(false, 16, Some(plan));
+    let fast = run_scripted(true, Some(Arc::clone(&plan)));
+    let slow = run_scripted(false, Some(plan));
     assert_eq!(fast.values, slow.values, "observed values diverged");
     assert_eq!(fast.vtimes, slow.vtimes, "virtual times diverged");
     assert_eq!(fast.counters, slow.counters, "access counters diverged");
@@ -185,25 +171,19 @@ fn fast_path_equivalence_holds_under_injection() {
     );
 }
 
-/// Concurrent stress: eight threads race read faults over 32 pages under
-/// AlwaysReplicate (a deterministic final state: every processor ends
-/// with a local replica of every page). Compares the 1-shard and
-/// 16-shard directories and the per-page protocol timeline recorded by
-/// the tracer.
-type StressOutcome = (
-    Vec<(u64, Rights, ProcSet)>,
-    Vec<(u64, usize)>,
-    StatsSnapshot,
-);
-
-fn run_stress(cmap_shards: usize) -> StressOutcome {
+/// Concurrent stress: eight free-running threads race read faults over
+/// 32 pages under AlwaysReplicate. Which thread first-touches a page, and
+/// how many lose that race into `vm_fault`, is the host scheduler's
+/// choice; asserted here is only what every schedule yields — each
+/// processor ends with a local replica of every page.
+#[test]
+fn concurrent_read_faults_converge_on_the_schedule_invariant_state() {
     const P: usize = 8;
     const PAGES: usize = 32;
     let kernel = Kernel::boot(
         machine(P, true),
         KernelConfig {
             policy: Arc::new(AlwaysReplicate),
-            cmap_shards,
             ..KernelConfig::default()
         },
     );
@@ -232,50 +212,39 @@ fn run_stress(cmap_shards: usize) -> StressOutcome {
         }
     });
 
-    let trace = tracer.snapshot();
-    let mut replicated: Vec<(u64, usize)> = (0..PAGES as u64)
-        .map(|pg| {
-            let page_id = kernel
-                .cpage_for_va(&space, va + pg * page_bytes)
-                .unwrap()
-                .id()
-                .0;
-            let n = trace
-                .of_kind(EventKind::Replicate)
-                .filter(|e| e.page == page_id)
-                .count();
-            (pg, n)
-        })
-        .collect();
-    replicated.sort();
     // Cpage ids are allocated in first-fault order, which racing threads
-    // decide; the schedule-invariant directory state is (vpn, rights,
-    // refmask), with the ids merely required to be distinct.
+    // decide: the ids are merely required to be distinct.
     let dir = directory_of(&space);
-    let distinct: std::collections::HashSet<u64> = dir.iter().map(|&(_, id, ..)| id).collect();
-    assert_eq!(distinct.len(), dir.len(), "duplicate cpage ids");
-    (
-        dir.into_iter()
-            .map(|(vpn, _, rights, refs)| (vpn, rights, refs))
-            .collect(),
-        replicated,
-        kernel.stats().snapshot(),
-    )
-}
-
-#[test]
-fn sharded_cmap_stress_matches_single_lock_directory() {
-    let (dir1, timeline1, stats1) = run_stress(1);
-    let (dir16, timeline16, stats16) = run_stress(16);
-    assert_eq!(dir1, dir16, "final directory state depends on shard count");
-    assert_eq!(
-        timeline1, timeline16,
-        "per-page replication timeline depends on shard count"
-    );
-    assert_eq!(stats1, stats16, "kernel event counts depend on shard count");
-    // And the state is the deterministic one the policy promises: every
-    // page replicated to each of the 7 non-first-toucher processors.
-    for &(pg, n) in &timeline1 {
-        assert_eq!(n, 7, "page {pg} must be replicated 7 times, got {n}");
+    let ids: std::collections::HashSet<u64> = dir.iter().map(|&(_, id, ..)| id).collect();
+    assert_eq!(ids.len(), PAGES, "duplicate cpage ids");
+    let first_vpn = space.vpn_of(va);
+    for (i, (vpn, _, rights, refs)) in dir.iter().enumerate() {
+        assert_eq!(*vpn, first_vpn + i as u64);
+        assert_eq!(*rights, Rights::RO);
+        assert_eq!(
+            *refs,
+            ProcSet::full(P),
+            "vpn {vpn}: a processor holds no translation"
+        );
     }
+    // Every page replicated to each of the 7 non-first-toucher processors.
+    let trace = tracer.snapshot();
+    for &id in &ids {
+        let n = trace
+            .of_kind(EventKind::Replicate)
+            .filter(|e| e.page == id)
+            .count();
+        assert_eq!(n, P - 1, "cpage {id} must be replicated 7 times");
+    }
+    let stats = kernel.stats().snapshot();
+    assert_eq!(
+        stats.faults,
+        (P * PAGES) as u64,
+        "one fault per processor and page"
+    );
+    assert_eq!(stats.replications, ((P - 1) * PAGES) as u64);
+    assert!(
+        stats.vm_faults >= PAGES as u64,
+        "every page is first-touched"
+    );
 }

@@ -111,15 +111,14 @@ pub struct ProcCore {
     /// word charge, fast path and slow. Purely a host-side memoization:
     /// `reserve_with` is result-identical to `reserve`.
     cursor: BucketCursor,
-    /// Cached `&machine.shared(id)`, so the per-access IPI poll skips
-    /// the `Arc` walk and bounds check. Valid for the core's lifetime:
-    /// the `Arc<Machine>` above keeps the (immovable) shared array alive.
-    shared: *const ProcShared,
 }
 
-// SAFETY: `shared` points into the `Machine` owned by the core's own
-// `Arc`, which moves with it; `ProcShared` itself is `Sync` (atomics).
-unsafe impl Send for ProcCore {}
+// A core moves to the host thread that drives it; it is `Send` through
+// its fields alone (`Atc`'s impl covers the frame handles).
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ProcCore>();
+};
 
 /// The outcome of a [`ProcCore::fast_path`] probe.
 pub enum FastPath<'a> {
@@ -161,7 +160,6 @@ impl ProcCore {
             .map(|to| topo.service_time(id, to))
             .collect();
         let fast_enabled = machine.cfg().fast_path;
-        let shared = machine.shared(id) as *const ProcShared;
         Self {
             machine,
             id,
@@ -174,7 +172,6 @@ impl ProcCore {
             svc,
             fast_enabled,
             cursor: BucketCursor::default(),
-            shared,
         }
     }
 
@@ -260,9 +257,7 @@ impl ProcCore {
     /// Whether this processor's IPI doorbell is rung, consuming it.
     #[inline(always)]
     pub fn take_ipi(&self) -> bool {
-        // SAFETY: `shared` was resolved from `self.machine` at
-        // construction and that Arc keeps the array alive and in place.
-        unsafe { (*self.shared).take_ipi() }
+        self.machine.shared(self.id).take_ipi()
     }
 
     /// Publishes the clock and reports whether the skew window requires
@@ -339,14 +334,21 @@ impl ProcCore {
         let queue_delay = start - self.vtime;
         self.vtime = start + latency;
         self.counters.queue_delay_ns += queue_delay;
-        match (local, kind) {
-            (true, AccessKind::Read) => self.counters.local_reads += 1,
-            (true, AccessKind::Write) => self.counters.local_writes += 1,
-            (true, AccessKind::Atomic) => self.counters.local_atomics += 1,
-            (false, AccessKind::Read) => self.counters.remote_reads += 1,
-            (false, AccessKind::Write) => self.counters.remote_writes += 1,
-            (false, AccessKind::Atomic) => self.counters.remote_atomics += 1,
-        }
+        self.count(local, kind, 1);
+    }
+
+    /// Counts `n` word accesses of `kind`, on or off this processor's node.
+    #[inline]
+    fn count(&mut self, local: bool, kind: AccessKind, n: u64) {
+        let c = &mut self.counters;
+        *match (local, kind) {
+            (true, AccessKind::Read) => &mut c.local_reads,
+            (true, AccessKind::Write) => &mut c.local_writes,
+            (true, AccessKind::Atomic) => &mut c.local_atomics,
+            (false, AccessKind::Read) => &mut c.remote_reads,
+            (false, AccessKind::Write) => &mut c.remote_writes,
+            (false, AccessKind::Atomic) => &mut c.remote_atomics,
+        } += n;
     }
 
     /// Installs an ATC translation with a resolved frame handle, so hits
@@ -407,14 +409,7 @@ impl ProcCore {
         let start = module.reserve_with(&mut self.cursor, self.vtime, service);
         self.counters.queue_delay_ns += start - self.vtime;
         self.vtime = start + latency;
-        match (local, kind) {
-            (true, AccessKind::Read) => self.counters.local_reads += 1,
-            (true, AccessKind::Write) => self.counters.local_writes += 1,
-            (true, AccessKind::Atomic) => self.counters.local_atomics += 1,
-            (false, AccessKind::Read) => self.counters.remote_reads += 1,
-            (false, AccessKind::Write) => self.counters.remote_writes += 1,
-            (false, AccessKind::Atomic) => self.counters.remote_atomics += 1,
-        }
+        self.count(local, kind, 1);
         FastPath::Hit(frame)
     }
 
@@ -474,14 +469,7 @@ impl ProcCore {
             remaining -= chunk;
         }
         self.counters.queue_delay_ns += queue_delay;
-        match (local, kind) {
-            (true, AccessKind::Read) => self.counters.local_reads += n,
-            (true, AccessKind::Write) => self.counters.local_writes += n,
-            (true, AccessKind::Atomic) => self.counters.local_atomics += n,
-            (false, AccessKind::Read) => self.counters.remote_reads += n,
-            (false, AccessKind::Write) => self.counters.remote_writes += n,
-            (false, AccessKind::Atomic) => self.counters.remote_atomics += n,
-        }
+        self.count(local, kind, n);
     }
 
     /// The resolved word latency this processor pays against the module
@@ -514,24 +502,8 @@ impl ProcCore {
     pub fn block_transfer(&mut self, src: PhysPage, dst: PhysPage) {
         assert_ne!(src, dst, "block transfer onto itself");
         let words = self.machine.cfg().words_per_page() as u64;
-        let t = &self.machine.cfg().timing;
-        let duration = words * t.block_word_ns;
-        let bus_occupancy = duration * t.block_bus_fraction_pct / 100;
-
-        let src_mod = self.machine.module(src.module_id());
-        let dst_mod = self.machine.module(dst.module_id());
-        // The engine starts when both modules' engines are free and the
-        // initiator is ready; the serialization horizon is capped so
-        // loosely-coupled clocks cannot queue behind far-future
-        // reservations (see `MemoryModule::reserve_block`).
-        let cap = 4 * duration;
-        let s1 = src_mod.reserve_block(self.vtime, bus_occupancy, cap);
-        let ready = if src.module_id() != dst.module_id() {
-            dst_mod.reserve_block(s1, bus_occupancy, cap)
-        } else {
-            s1
-        };
-        self.counters.queue_delay_ns += ready - self.vtime;
+        let duration = words * self.machine.cfg().timing.block_word_ns;
+        let ready = self.reserve_engines(src, dst, duration);
         if let Some(t) = self.machine.tracer() {
             use platinum_trace::EventKind;
             let route = (src.module_id() as u64) << 32 | dst.module_id() as u64;
@@ -558,6 +530,32 @@ impl ProcCore {
         dst_frame.copy_from(src_frame);
     }
 
+    /// Books the source's and the destination's transfer engines for a run
+    /// of `duration` ns at the configured bus share, counts the queueing
+    /// delay, and returns when the transfer may start: when both engines
+    /// are free and the initiator is ready. The serialization horizon is
+    /// capped at four whole-page transfers so loosely-coupled clocks
+    /// cannot queue behind far-future reservations (see
+    /// `MemoryModule::reserve_block`).
+    fn reserve_engines(&mut self, src: PhysPage, dst: PhysPage, duration: u64) -> u64 {
+        let cfg = self.machine.cfg();
+        let bus_occupancy = duration * cfg.timing.block_bus_fraction_pct / 100;
+        let cap = 4 * cfg.words_per_page() as u64 * cfg.timing.block_word_ns;
+        let s1 = self
+            .machine
+            .module(src.module_id())
+            .reserve_block(self.vtime, bus_occupancy, cap);
+        let ready = if src.module_id() != dst.module_id() {
+            self.machine
+                .module(dst.module_id())
+                .reserve_block(s1, bus_occupancy, cap)
+        } else {
+            s1
+        };
+        self.counters.queue_delay_ns += ready - self.vtime;
+        ready
+    }
+
     /// A block transfer that fails `fraction_pct`% of the way through
     /// (fault injection): the engines are occupied and the initiator
     /// charged for the partial copy, a word prefix actually lands in the
@@ -572,23 +570,11 @@ impl ProcCore {
         assert_ne!(src, dst, "block transfer onto itself");
         assert!(fraction_pct <= 100, "fraction is a percentage");
         let words = self.machine.cfg().words_per_page() as u64;
-        let t = &self.machine.cfg().timing;
         let copied = words * fraction_pct / 100;
-        let duration = copied * t.block_word_ns;
-        let bus_occupancy = duration * t.block_bus_fraction_pct / 100;
-
-        let src_mod = self.machine.module(src.module_id());
-        let dst_mod = self.machine.module(dst.module_id());
         // Same queueing discipline as a successful transfer, for the
         // shorter duration the engine actually ran.
-        let cap = 4 * words * t.block_word_ns;
-        let s1 = src_mod.reserve_block(self.vtime, bus_occupancy, cap);
-        let ready = if src.module_id() != dst.module_id() {
-            dst_mod.reserve_block(s1, bus_occupancy, cap)
-        } else {
-            s1
-        };
-        self.counters.queue_delay_ns += ready - self.vtime;
+        let duration = copied * self.machine.cfg().timing.block_word_ns;
+        let ready = self.reserve_engines(src, dst, duration);
         self.vtime = ready + duration;
         self.counters.block_words += copied;
 

@@ -104,6 +104,15 @@ impl UmaCtx {
         (word_idx / self.machine.cfg().words_per_line()) as u64
     }
 
+    /// One charged bus transaction: reserves the shared bus for
+    /// `service_ns`, counts the queueing delay, and sets the clock to the
+    /// transaction's start plus `latency_ns`.
+    fn bus(&mut self, service_ns: u64, latency_ns: u64) {
+        let start = self.machine.bus_reserve(self.vtime, service_ns);
+        self.counters.queue_delay_ns += start - self.vtime;
+        self.vtime = start + latency_ns;
+    }
+
     fn read_impl(&mut self, va: Va, charge: bool) -> u32 {
         if charge {
             self.tick();
@@ -118,12 +127,13 @@ impl UmaCtx {
                 self.counters.local_reads += 1;
             }
         } else {
-            // Miss: a bus transaction fetches the line.
-            let start = self.machine.bus_reserve(self.vtime, t.bus_line_service_ns);
+            // Miss: a bus transaction fetches the line (and occupies the
+            // bus even when the spin read itself is uncharged).
             if charge {
-                self.counters.queue_delay_ns += start - self.vtime;
-                self.vtime = start + t.miss_ns;
+                self.bus(t.bus_line_service_ns, t.miss_ns);
                 self.counters.remote_reads += 1;
+            } else {
+                self.machine.bus_reserve(self.vtime, t.bus_line_service_ns);
             }
             self.cache.fill(line, version);
         }
@@ -189,9 +199,7 @@ impl Mem for UmaCtx {
         if self.cache.resident(line) {
             self.cache.fill(line, version);
         }
-        let start = self.machine.bus_reserve(self.vtime, t.bus_word_service_ns);
-        self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + t.write_ns;
+        self.bus(t.bus_word_service_ns, t.write_ns);
         self.counters.remote_writes += 1;
     }
 
@@ -199,9 +207,7 @@ impl Mem for UmaCtx {
         self.tick();
         let idx = self.word_index(va);
         let t = self.machine.cfg().timing.clone();
-        let start = self.machine.bus_reserve(self.vtime, t.atomic_ns);
-        self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + t.atomic_ns;
+        self.bus(t.atomic_ns, t.atomic_ns);
         self.counters.remote_atomics += 1;
         let old = self.machine.word(idx).fetch_add(delta, Ordering::AcqRel);
         self.machine.bump_line_version(idx);
@@ -212,9 +218,7 @@ impl Mem for UmaCtx {
         self.tick();
         let idx = self.word_index(va);
         let t = self.machine.cfg().timing.clone();
-        let start = self.machine.bus_reserve(self.vtime, t.atomic_ns);
-        self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + t.atomic_ns;
+        self.bus(t.atomic_ns, t.atomic_ns);
         self.counters.remote_atomics += 1;
         let r = self.machine.word(idx).compare_exchange(
             current,
@@ -232,9 +236,7 @@ impl Mem for UmaCtx {
         self.tick();
         let idx = self.word_index(va);
         let t = self.machine.cfg().timing.clone();
-        let start = self.machine.bus_reserve(self.vtime, t.atomic_ns);
-        self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + t.atomic_ns;
+        self.bus(t.atomic_ns, t.atomic_ns);
         self.counters.remote_atomics += 1;
         let old = self.machine.word(idx).swap(val, Ordering::AcqRel);
         self.machine.bump_line_version(idx);
@@ -254,11 +256,7 @@ impl Mem for UmaCtx {
         // A burst transfer arbitrates for the bus once and streams the
         // lines, instead of paying one bus transaction per word as the
         // word-at-a-time default would.
-        let start = self
-            .machine
-            .bus_reserve(self.vtime, lines * t.bus_line_service_ns);
-        self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + lines * t.miss_ns;
+        self.bus(lines * t.bus_line_service_ns, lines * t.miss_ns);
         self.counters.remote_reads += dst.len() as u64;
         for (i, w) in dst.iter_mut().enumerate() {
             *w = self.machine.word(idx + i).load(Ordering::Acquire);
@@ -296,11 +294,7 @@ impl Mem for UmaCtx {
             }
             line_start += wpl;
         }
-        let start = self
-            .machine
-            .bus_reserve(self.vtime, src.len() as u64 * t.bus_word_service_ns);
-        self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + lines * t.write_ns;
+        self.bus(src.len() as u64 * t.bus_word_service_ns, lines * t.write_ns);
         self.counters.remote_writes += src.len() as u64;
     }
 }

@@ -6,8 +6,7 @@
 //! * [`Mutex`] / [`MutexGuard`] with non-poisoning `lock` and
 //!   `try_lock -> Option`,
 //! * [`RwLock`] / [`RwLockReadGuard`] / [`RwLockWriteGuard`],
-//! * [`Condvar`] with `wait(&mut MutexGuard)` / `notify_one` /
-//!   `notify_all`.
+//! * [`Condvar`] with `wait(&mut MutexGuard)` / `notify_one`.
 //!
 //! Semantics match parking_lot where the workspace depends on them:
 //! poisoning is ignored (a panicking holder does not poison the lock for
@@ -94,12 +93,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&**self, f)
-    }
-}
-
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
@@ -141,12 +134,6 @@ impl Condvar {
         // parking_lot reports whether a thread was woken; std does not
         // expose that, so conservatively claim one was.
         true
-    }
-
-    /// Wakes all waiting threads.
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
     }
 }
 
@@ -192,28 +179,6 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(TryLockError::Poisoned(e)) => Some(RwLockReadGuard {
-                inner: e.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts exclusive write access without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { inner: g }),
-            Err(TryLockError::Poisoned(e)) => Some(RwLockWriteGuard {
-                inner: e.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
         }
     }
 
@@ -283,11 +248,9 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-        let r = l.read();
-        assert!(l.try_write().is_none());
-        assert!(l.try_read().is_some());
-        drop(r);
-        assert!(l.try_write().is_some());
+        // Readers share.
+        let (r1, r2) = (l.read(), l.read());
+        assert_eq!(r1.len() + r2.len(), 6);
     }
 
     #[test]
