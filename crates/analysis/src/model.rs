@@ -16,7 +16,7 @@
 //! T_b = 1100 ns, F ≈ 0.5 ms) the coefficients are the paper's 107 and
 //! 0.24, giving Table 1.
 
-use numa_machine::TimingConfig;
+use numa_machine::{TimingConfig, BLOCK_WORD_NS};
 
 /// The machine parameters of the model.
 #[derive(Clone, Copy, Debug)]
@@ -76,13 +76,13 @@ impl CostModel {
         }
     }
 
-    /// Builds the model from a machine timing configuration and a
-    /// measured fixed overhead.
+    /// Builds the model from a machine's word latencies, the machine-wide
+    /// block-transfer rate and a measured fixed overhead.
     pub fn from_timing(t: &TimingConfig, overhead_ns: f64) -> Self {
         Self {
             t_local_ns: t.local_read_ns as f64,
             t_remote_ns: t.remote_read_ns as f64,
-            t_block_ns: t.block_word_ns as f64,
+            t_block_ns: BLOCK_WORD_NS as f64,
             overhead_ns,
         }
     }

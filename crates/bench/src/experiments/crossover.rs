@@ -11,7 +11,7 @@
 //! reference. `--procs P` (2) sets the number of processors taking
 //! turns, `--ops N` (40) the operations each performs.
 
-use numa_machine::{MachineConfig, Mem};
+use numa_machine::{Mem, TimingConfig};
 use platinum::Lockstep;
 use platinum_analysis::model::{g_round_robin, CostModel};
 use platinum_analysis::report::Table;
@@ -121,8 +121,7 @@ pub(crate) fn run(run: &mut Run) {
     // Predicted crossover from the simulator's own constants. The fixed
     // overhead here is the §4 write-miss/migration fixed cost (~0.26 ms
     // measured by sec4_microbench).
-    let timing = MachineConfig::default().timing;
-    let own = CostModel::from_timing(&timing, 260_000.0);
+    let own = CostModel::from_timing(&TimingConfig::default(), 260_000.0);
     let paper = CostModel::paper_published();
     println!(
         "empirical crossover density: {}",

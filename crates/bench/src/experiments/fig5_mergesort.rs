@@ -14,7 +14,7 @@
 //! processor's share of the keys no longer fits the comparator's cache:
 //! the paper's explanation starts from a cache too small for the data.
 
-use numa_machine::uma::UmaConfig;
+use numa_machine::uma::CACHE_BYTES;
 use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
 use platinum_apps::harness::{run_mergesort_platinum, run_mergesort_uma};
 use platinum_apps::mergesort::SortConfig;
@@ -78,7 +78,7 @@ pub(crate) fn run(run: &mut Run) {
     say!(run, "final speedups: PLATINUM {pf:.2}, Sequent {uf:.2}");
     run.artifact(series_artifact("fig5_mergesort", &series));
 
-    let cache_keys = UmaConfig::default().cache_bytes / 4;
+    let cache_keys = CACHE_BYTES / 4;
     let widest = procs.last().copied().unwrap_or(1);
     if n / widest <= cache_keys {
         run.skip(

@@ -21,6 +21,7 @@ use platinum_trace::EventKind;
 
 use crate::coherent::cmap::Directive;
 use crate::coherent::cpage::{CpState, CpageInner};
+use crate::costs;
 use crate::error::{KernelError, Result};
 use crate::ids::CpageId;
 use crate::kernel::Kernel;
@@ -115,7 +116,7 @@ impl Kernel {
     ///
     /// [`ShootdownBatch`]: crate::coherent::shootdown::ShootdownBatch
     pub fn run_defrost(&self, ctx: &mut UserCtx) {
-        ctx.core.charge(self.config().costs.defrost_run_ns);
+        ctx.core.charge(costs::DEFROST_RUN_NS);
         let list = self.defrost.take();
         let examined = list.len() as u64;
         let mut thawed = 0u64;

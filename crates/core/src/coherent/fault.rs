@@ -8,12 +8,13 @@
 use std::sync::Arc;
 
 use numa_machine::{AccessErr, AccessKind, PhysPage, ProcSet, Va};
-use platinum_faults::FaultSite;
+use platinum_faults::{FaultPlan, FaultSite};
 use platinum_trace::{EventKind, FaultResolution};
 
 use crate::coherent::cmap::{CmapEntry, Directive};
 use crate::coherent::cpage::{CpState, Cpage, CpageInner};
 use crate::coherent::policy::{FaultAction, FaultInfo};
+use crate::costs;
 use crate::error::{KernelError, Result};
 use crate::hostprof::HostPhase;
 use crate::ids::CpageId;
@@ -45,9 +46,8 @@ impl Kernel {
     }
 
     fn coherent_fault_inner(&self, ctx: &mut UserCtx, va: Va, write: bool) -> Result<()> {
-        let costs = &self.config().costs;
         let begin = ctx.core.vtime();
-        ctx.core.charge(costs.fault_fixed_ns);
+        ctx.core.charge(costs::FAULT_FIXED_NS);
         ctx.core.counters_mut().faults += 1;
         ctx.record_at(begin, EventKind::FaultBegin, u8::from(write), va, 0);
         // A fault is a kernel entry: give the defrost daemon its chance
@@ -64,7 +64,7 @@ impl Kernel {
         // fault handler searches the Cmap for an entry that maps the
         // faulting virtual address").
         let home = ctx.space().home();
-        self.charge_refs(ctx, home, costs.cmap_lookup_refs);
+        self.charge_refs(ctx, home, costs::CMAP_LOOKUP_REFS);
         let entry = match ctx.space().cmap().entry(vpn) {
             Some(e) => e,
             // "Otherwise, the fault is passed to the virtual memory fault
@@ -83,7 +83,7 @@ impl Kernel {
         let cpage: &Cpage = &entry.page;
         let mut g = self.lock_cpage(ctx, cpage);
         g.faults += 1;
-        self.charge_refs(ctx, cpage.home(), costs.cpage_touch_refs);
+        self.charge_refs(ctx, cpage.home(), costs::CPAGE_TOUCH_REFS);
 
         let resolution = if write {
             self.write_fault(ctx, cpage, &mut g, &entry, vpn)?
@@ -102,8 +102,7 @@ impl Kernel {
     /// The virtual-memory layer: resolves `va` to a region, creates the
     /// coherent page on first touch, and installs the Cmap entry.
     fn vm_fault(&self, ctx: &mut UserCtx, va: Va) -> Result<Arc<CmapEntry>> {
-        let costs = &self.config().costs;
-        ctx.core.charge(costs.vm_fault_ns);
+        ctx.core.charge(costs::VM_FAULT_NS);
         ctx.record(EventKind::VmFault, 0, va, 0);
         let space = ctx.space();
         let vpn = space.vpn_of(va);
@@ -238,7 +237,7 @@ impl Kernel {
         }
         let me = ctx.core.id();
         *recover_begin = Some(ctx.core.vtime());
-        ctx.core.charge(plan.retry_ns());
+        ctx.core.charge(FaultPlan::RETRY_NS);
         ctx.record(EventKind::MemError, 0, cpage.id().0, pp.module_id() as u64);
         if g.copies.len() > 1 {
             // Other copies exist: drop the corrupt replica. The
@@ -256,7 +255,7 @@ impl Kernel {
         // frame until a read sticks (forced at the retry budget).
         let mut attempt = 1u32;
         while plan.should_inject(FaultSite::FrameRead, ctx.core.vtime(), key, attempt) {
-            ctx.core.charge(plan.retry_ns());
+            ctx.core.charge(FaultPlan::RETRY_NS);
             ctx.record(
                 EventKind::MemError,
                 attempt.min(255) as u8,
@@ -627,7 +626,7 @@ impl Kernel {
     ) {
         let span = self.hostprof.begin();
         let me = ctx.core.id();
-        self.charge_refs_local(ctx, self.config().costs.map_refs);
+        self.charge_refs_local(ctx, costs::MAP_REFS);
         ctx.pmap
             .enter(ctx.space.id(), vpn, crate::pmap::PmapEntry { pp, writable });
         let asid = ctx.space.asid();
@@ -692,7 +691,7 @@ impl Kernel {
                 // one (forced good at the retry budget).
                 begin.get_or_insert(ctx.core.vtime());
                 first_site.get_or_insert(FaultSite::FrameRead);
-                ctx.core.charge(plan.retry_ns());
+                ctx.core.charge(FaultPlan::RETRY_NS);
                 ctx.record(
                     EventKind::MemError,
                     attempt.min(255) as u8,

@@ -8,10 +8,9 @@
 //! are [`MigrateOnly`] (single-copy chasing), [`ReplicateOnly`] (read
 //! replication without migration), [`LocalFirstTouch`] (static placement on
 //! the first toucher's module), and [`RemoteAlways`] (every page deliberately
-//! homed off-node — the all-remote floor). [`NeverReplicate`] (the historical
-//! name for static placement), [`AlwaysReplicate`] (coherency at any price),
-//! and [`AceStyle`] (Bolosky et al.'s IBM ACE policy discussed in §8) remain
-//! for the existing harnesses.
+//! homed off-node — the all-remote floor). [`AlwaysReplicate`] (coherency at
+//! any price) and [`AceStyle`] (Bolosky et al.'s IBM ACE policy discussed in
+//! §8) remain for the existing harnesses.
 
 use std::sync::Arc;
 
@@ -233,24 +232,6 @@ impl PlacementPolicy for RemoteAlways {
     }
 }
 
-/// Static placement: never replicate or migrate; always map the existing
-/// copy remotely. First touch decides where a page lives.
-///
-/// The historical spelling of [`LocalFirstTouch`], kept for the existing
-/// harnesses and figures.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NeverReplicate;
-
-impl PlacementPolicy for NeverReplicate {
-    fn decide(&self, _info: &FaultInfo) -> FaultAction {
-        FaultAction::RemoteMap { freeze: false }
-    }
-
-    fn name(&self) -> &'static str {
-        "never-replicate"
-    }
-}
-
 /// Always replicate/migrate, regardless of interference history — the
 /// behaviour of software caching without the remote-access escape hatch
 /// (Li's shared virtual memory, discussed in §1).
@@ -319,7 +300,8 @@ pub enum PolicyKind {
     LocalFirstTouch,
     /// Deliberately off-node placement, no movement (Figure 1 "remote").
     RemoteAlways,
-    /// Static placement (the historical Uniform System baseline name).
+    /// Static placement under its Uniform System baseline name: builds
+    /// [`LocalFirstTouch`].
     NeverReplicate,
     /// Replicate/migrate unconditionally (software-caching baseline).
     AlwaysReplicate,
@@ -349,9 +331,8 @@ impl PolicyKind {
             }),
             PolicyKind::MigrateOnly => Arc::new(MigrateOnly),
             PolicyKind::ReplicateOnly => Arc::new(ReplicateOnly),
-            PolicyKind::LocalFirstTouch => Arc::new(LocalFirstTouch),
+            PolicyKind::LocalFirstTouch | PolicyKind::NeverReplicate => Arc::new(LocalFirstTouch),
             PolicyKind::RemoteAlways => Arc::new(RemoteAlways),
-            PolicyKind::NeverReplicate => Arc::new(NeverReplicate),
             PolicyKind::AlwaysReplicate => Arc::new(AlwaysReplicate),
             PolicyKind::AceStyle => Arc::new(AceStyle::default()),
         }
@@ -399,7 +380,6 @@ policy_into_arc!(
     ReplicateOnly,
     LocalFirstTouch,
     RemoteAlways,
-    NeverReplicate,
     AlwaysReplicate,
     AceStyle
 );
@@ -495,7 +475,9 @@ mod tests {
     #[test]
     fn never_and_always() {
         assert_eq!(
-            NeverReplicate.decide(&info(0, None, false)),
+            PolicyKind::NeverReplicate
+                .build()
+                .decide(&info(0, None, false)),
             FaultAction::RemoteMap { freeze: false }
         );
         assert_eq!(
@@ -583,8 +565,7 @@ mod tests {
             let spelled = kind.build().name().to_string();
             let parsed: PolicyKind = spelled.parse().expect("kebab name parses");
             // Parsing the built policy's name lands on an equivalent kind
-            // (NeverReplicate and LocalFirstTouch share behaviour but keep
-            // distinct spellings).
+            // (NeverReplicate builds LocalFirstTouch).
             assert_eq!(parsed.build().name(), kind.build().name());
         }
         assert!("no-such-policy".parse::<PolicyKind>().is_err());

@@ -19,8 +19,8 @@
 //! hook in this module is a single branch and the kernel is
 //! bit-identical to one without the subsystem.
 
-use platinum_faults::FaultSite;
-use platinum_ptable::{PtableConfig, PtablePlacement};
+use platinum_faults::{FaultPlan, FaultSite};
+use platinum_ptable::{PtableConfig, PtablePlacement, POPULATE_REFS};
 use platinum_trace::EventKind;
 
 use numa_machine::{AccessKind, PhysPage, ProcCore, ProcSet};
@@ -36,9 +36,9 @@ impl Kernel {
     /// the fault handler is already paying a kernel entry, so the
     /// replica is built here rather than on the miss path.
     ///
-    /// Charges the configured populate cost against the space's home
-    /// node (the copy is read from the canonical tables there) and
-    /// records one `PtPopulate` event.
+    /// Charges [`POPULATE_REFS`] reads against the space's home node (the
+    /// copy is read from the canonical tables there) and records one
+    /// `PtPopulate` event.
     #[inline]
     pub(crate) fn ptable_populate_on_fault(&self, ctx: &mut UserCtx) {
         let cfg = ctx.ptable;
@@ -55,7 +55,7 @@ impl Kernel {
         ctx.core.charge_word_block(
             PhysPage::new(home, 0),
             AccessKind::Read,
-            u64::from(cfg.populate_refs),
+            u64::from(POPULATE_REFS),
         );
         let ns = ctx.core.vtime() - t0;
         self.walk_stats.record_populate(me, ns);
@@ -110,7 +110,7 @@ impl Kernel {
         let mut attempt = 0u32;
         loop {
             if let Some(plan) = plan {
-                if attempt >= plan.max_retries() {
+                if attempt >= FaultPlan::MAX_RETRIES {
                     // Retry budget exhausted: stop rewriting the mark
                     // and drop the staled replicas instead.
                     for h in holders.iter() {
@@ -136,7 +136,7 @@ impl Kernel {
                         space_id,
                         stale,
                     );
-                    core.charge(plan.ack_timeout_ns(attempt + 1));
+                    core.charge(FaultPlan::ack_timeout_ns(attempt + 1));
                     attempt += 1;
                     continue;
                 }

@@ -18,6 +18,7 @@ use platinum_trace::EventKind;
 
 use crate::coherent::cmap::Directive;
 use crate::coherent::cpage::{CpState, CpageInner};
+use crate::costs;
 use crate::error::{KernelError, Result};
 use crate::ids::{CpageId, ObjId};
 use crate::kernel::Kernel;
@@ -108,7 +109,7 @@ impl Kernel {
             }
             g.writer_mask.clear();
             g.remote_map_mask.clear();
-            self.charge_refs(ctx, space.home(), self.config().costs.post_msg_refs);
+            self.charge_refs(ctx, space.home(), costs::POST_MSG_REFS);
         }
         self.batch_flush(ctx, &mut batch);
         ctx.put_batch(batch);

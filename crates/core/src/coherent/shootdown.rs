@@ -33,13 +33,14 @@
 
 use std::sync::Arc;
 
-use numa_machine::{AccessKind, PhysPage, ProcCore, ProcSet};
+use numa_machine::{AccessKind, PhysPage, ProcCore, ProcSet, IPI_NS};
 
-use platinum_faults::FaultSite;
+use platinum_faults::{FaultPlan, FaultSite};
 use platinum_trace::EventKind;
 
 use crate::coherent::cmap::{CmapMsg, Directive};
 use crate::coherent::cpage::CpageInner;
+use crate::costs;
 use crate::hostprof::HostPhase;
 use crate::ids::CpageId;
 use crate::kernel::{Kernel, ShootdownMode};
@@ -148,7 +149,6 @@ impl Kernel {
     ) {
         let span = self.hostprof.begin();
         let me = ctx.core.id();
-        let costs = &self.config().costs;
         let mach_mode = self.config().shootdown == ShootdownMode::SharedPmapStall;
 
         let mut all_targets = ProcSet::empty();
@@ -180,7 +180,7 @@ impl Kernel {
             ctx.core.charge_word_block(
                 PhysPage::new(space.home(), 0),
                 AccessKind::Write,
-                u64::from(costs.post_msg_refs),
+                u64::from(costs::POST_MSG_REFS),
             );
             self.post_binding(&mut ctx.core, batch, page, space, msg, &targets, mach_mode);
             // Replicated page tables: the mapping change also stales the
@@ -245,16 +245,12 @@ impl Kernel {
         mach_stall: bool,
     ) {
         space.cmap().post(&msg);
-        let ipi_ns = self.machine().cfg().timing.ipi_ns;
         let everyone_else;
         let (rung, stall_ns) = if mach_stall {
             everyone_else = ProcSet::full(self.machine().nprocs()).without(core.id());
-            (
-                &everyone_else,
-                ipi_ns + self.config().costs.mach_stall_extra_ns,
-            )
+            (&everyone_else, IPI_NS + costs::MACH_STALL_EXTRA_NS)
         } else {
-            (targets, ipi_ns)
+            (targets, IPI_NS)
         };
         let mut awaited = ProcSet::empty();
         for p in rung.iter() {
@@ -377,8 +373,9 @@ impl Kernel {
     /// silent target the initiator waits out an ack timeout (exponential
     /// backoff), resends the interrupt, and repeats until a resend gets
     /// through or the retry budget is exhausted — at which point delivery
-    /// is forced (the plan injects nothing at or past `max_retries`, so
-    /// the protocol stays live) and the ladder reports escalation.
+    /// is forced (the plan injects nothing at or past
+    /// [`FaultPlan::MAX_RETRIES`], so the protocol stays live) and the
+    /// ladder reports escalation.
     pub(crate) fn resolve_dropped_acks(
         &self,
         ctx: &mut UserCtx,
@@ -389,14 +386,13 @@ impl Kernel {
             debug_assert!(dropped.is_empty(), "drops require an installed plan");
             return false;
         };
-        let ipi_ns = self.machine().cfg().timing.ipi_ns;
         let mut escalated = false;
         for &p in dropped {
             let begin = ctx.core.vtime();
             let mut attempt = 1u32;
             loop {
                 // The ack never arrives; the initiator times out...
-                ctx.core.charge(plan.ack_timeout_ns(attempt));
+                ctx.core.charge(FaultPlan::ack_timeout_ns(attempt));
                 ctx.record(
                     EventKind::ShootdownTimeout,
                     attempt.min(255) as u8,
@@ -404,9 +400,9 @@ impl Kernel {
                     p as u64,
                 );
                 // ...and resends the interrupt (code 1 = retry).
-                ctx.core.charge(ipi_ns);
+                ctx.core.charge(IPI_NS);
                 ctx.record(EventKind::Ipi, 1, page, p as u64);
-                if attempt >= plan.max_retries() {
+                if attempt >= FaultPlan::MAX_RETRIES {
                     escalated = true;
                     break;
                 }
@@ -432,7 +428,7 @@ impl Kernel {
 mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    use numa_machine::{procs_in_mask, AccessCounters, Machine, MachineConfig, Mem};
+    use numa_machine::{AccessCounters, Machine, MachineConfig, Mem};
     use parking_lot::MutexGuard;
     use platinum_trace::{TraceConfig, Tracer};
     use proptest::prelude::*;
@@ -567,7 +563,7 @@ mod tests {
                 }
             }
         }
-        for p in procs_in_mask(sc.suspended) {
+        for p in ProcSet::from_mask(sc.suspended).iter() {
             ctxs[p].as_mut().unwrap().suspend();
         }
 
@@ -679,7 +675,7 @@ mod tests {
         };
 
         // Suspended targets apply the queued directives on resume.
-        for p in procs_in_mask(sc.suspended) {
+        for p in ProcSet::from_mask(sc.suspended).iter() {
             ctxs[p].as_mut().unwrap().resume();
         }
 

@@ -15,7 +15,6 @@ use crate::coherent::cpage::{Cpage, CpageInner, CpageTable};
 use crate::coherent::defrost::DefrostState;
 use crate::coherent::policy::{PlacementPolicy, PlatinumPolicy};
 use crate::coherent::reclaim::ReclaimState;
-use crate::costs::KernelCosts;
 use crate::error::{KernelError, Result};
 use crate::hostprof::HostProf;
 use crate::ids::{AsId, ObjId, PortId, ThreadId};
@@ -43,8 +42,6 @@ pub enum ShootdownMode {
 /// Kernel configuration.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
-    /// The cost model.
-    pub costs: KernelCosts,
     /// Defrost daemon period t2 (§4.2; the paper sets 1 s).
     pub t2_defrost_ns: u64,
     /// Shootdown mechanism.
@@ -69,7 +66,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         Self {
-            costs: KernelCosts::default(),
             t2_defrost_ns: 1_000_000_000,
             shootdown: ShootdownMode::PerProcessorPmap,
             policy: Arc::new(PlatinumPolicy::paper_default()),

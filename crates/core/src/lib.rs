@@ -69,9 +69,8 @@ pub use coherent::cpage::{CpState, Cpage, CpageInner};
 pub use coherent::policy::PolicyKind;
 pub use coherent::policy::{
     AceStyle, AlwaysReplicate, FaultAction, FaultInfo, LocalFirstTouch, MigrateOnly,
-    NeverReplicate, PlacementPolicy, PlatinumPolicy, RemoteAlways, ReplicateOnly,
+    PlacementPolicy, PlatinumPolicy, RemoteAlways, ReplicateOnly,
 };
-pub use costs::KernelCosts;
 pub use error::{KernelError, Result};
 pub use ids::{AsId, CpageId, ObjId, PortId, Rights, ThreadId};
 pub use kernel::{Kernel, KernelConfig, ShootdownMode};

@@ -14,8 +14,10 @@
 
 use std::collections::VecDeque;
 
+use numa_machine::BLOCK_WORD_NS;
 use parking_lot::{Condvar, Mutex};
 
+use crate::costs;
 use crate::ids::PortId;
 use crate::user::UserCtx;
 
@@ -69,12 +71,10 @@ impl UserCtx {
     /// Sends `data` to `port`. Never blocks (queues are unbounded, as in
     /// the paper's model).
     pub fn port_send(&mut self, port: &Port, data: &[u32]) {
-        let costs = &self.kernel.config().costs;
-        let block_word_ns = self.kernel.machine().cfg().timing.block_word_ns;
         // Fixed kernel overhead plus the copy into kernel memory at the
         // block-transfer rate.
         self.core
-            .charge(costs.port_op_ns + data.len() as u64 * block_word_ns);
+            .charge(costs::PORT_OP_NS + data.len() as u64 * BLOCK_WORD_NS);
         let msg = Message {
             data: data.to_vec(),
             sent_at: self.core.vtime(),
@@ -90,8 +90,6 @@ impl UserCtx {
     /// shootdown initiators never wait on it; mapping changes are applied
     /// on reactivation (§3.1).
     pub fn port_recv(&mut self, port: &Port) -> Vec<u32> {
-        let costs_port_op = self.kernel.config().costs.port_op_ns;
-        let block_word_ns = self.kernel.machine().cfg().timing.block_word_ns;
         let msg = self.block_in_kernel(|| {
             let mut q = port.queue.lock();
             loop {
@@ -104,17 +102,16 @@ impl UserCtx {
         // Causality: the receive completes no earlier than the send.
         self.core.advance_to(msg.sent_at);
         self.core
-            .charge(costs_port_op + msg.data.len() as u64 * block_word_ns);
+            .charge(costs::PORT_OP_NS + msg.data.len() as u64 * BLOCK_WORD_NS);
         msg.data
     }
 
     /// Receives a message if one is queued, without blocking.
     pub fn port_try_recv(&mut self, port: &Port) -> Option<Vec<u32>> {
         let m = port.queue.lock().pop_front()?;
-        let block_word_ns = self.kernel.machine().cfg().timing.block_word_ns;
         self.core.advance_to(m.sent_at);
         self.core
-            .charge(self.kernel.config().costs.port_op_ns + m.data.len() as u64 * block_word_ns);
+            .charge(costs::PORT_OP_NS + m.data.len() as u64 * BLOCK_WORD_NS);
         Some(m.data)
     }
 }

@@ -6,12 +6,13 @@ use std::sync::Arc;
 use numa_machine::{
     AccessErr, AccessKind, FastPath, Frame, Mem, PhysPage, ProcCore, ProcSet, Va, Vpn,
 };
-use platinum_ptable::{PtableConfig, PtablePlacement};
+use platinum_ptable::{PtableConfig, PtablePlacement, POPULATE_REFS, WALK_REFS};
 use platinum_trace::EventKind;
 
 use crate::coherent::cmap::Directive;
 use crate::coherent::scratch::FaultScratch;
 use crate::coherent::shootdown::ShootdownBatch;
+use crate::costs;
 use crate::error::{KernelError, Result};
 use crate::ids::ThreadId;
 use crate::kernel::Kernel;
@@ -211,7 +212,7 @@ impl UserCtx {
         }
         self.core.atc().flush_all();
         let old = self.core.id();
-        let vtime = self.core.vtime() + self.kernel.config().costs.thread_migrate_ns;
+        let vtime = self.core.vtime() + costs::THREAD_MIGRATE_NS;
         self.core = ProcCore::new(Arc::clone(self.kernel.machine()), new_proc, vtime);
         self.kernel.slots[old]
             .occupied
@@ -241,7 +242,6 @@ impl UserCtx {
         // One count per message applied: deterministic however a batched
         // initiator's posts group into doorbell services.
         self.core.counters_mut().ipis_handled += msgs.len() as u64;
-        let apply_ns = self.kernel.config().costs.apply_msg_ns;
         for m in &msgs {
             match &m.directive {
                 Directive::Invalidate => {
@@ -267,7 +267,7 @@ impl UserCtx {
                     self.core.atc().restrict_to_read(self.space.asid(), m.vpn);
                 }
             }
-            self.core.charge(apply_ns);
+            self.core.charge(costs::APPLY_MSG_NS);
             m.ack(me, self.core.vtime());
             self.record(EventKind::ShootdownAck, m.directive.code(), m.vpn, 0);
         }
@@ -418,7 +418,7 @@ impl UserCtx {
         let cfg = self.ptable;
         let span = self.kernel.hostprof.begin();
         let me = self.core.id();
-        let refs = u64::from(cfg.walk_refs());
+        let refs = u64::from(WALK_REFS);
         if cfg.placement == PtablePlacement::Centralized {
             let home = self.space.home();
             let ns = refs * self.core.word_latency_to(home, AccessKind::Read);
@@ -435,7 +435,7 @@ impl UserCtx {
                         self.core.charge_word_block(
                             PhysPage::new(home, 0),
                             AccessKind::Read,
-                            u64::from(cfg.populate_refs),
+                            u64::from(POPULATE_REFS),
                         );
                         let ns = self.core.vtime() - t0;
                         self.kernel.walk_stats.record_populate(me, ns);

@@ -269,3 +269,22 @@ fn alloc_denied_everywhere_is_out_of_memory() {
         other => panic!("expected OutOfMemory, got {other:?}"),
     }
 }
+
+/// The deny mask names modules 0-63: on a machine with more processors, a
+/// module past bit 63 is never denied (and does not alias module 0), so
+/// processor 64's first touch lands on its own module.
+#[test]
+fn deny_mask_leaves_modules_past_64_alone() {
+    let plan = Arc::new(FaultPlan::new(3).with_alloc_deny_mask(1));
+    let kernel = kernel_with_plan(65, plan);
+    let space = kernel.create_space();
+    let object = kernel.create_object(1);
+    let va = space.map_anywhere(object, Rights::RW).unwrap();
+    let mut ctx = kernel.attach(Arc::clone(&space), 64, 0).unwrap();
+    ctx.write(va, 64);
+    let page = kernel.cpage_for_va(&space, va).unwrap();
+    let g = page.lock();
+    assert_eq!(g.copies.len(), 1);
+    assert_eq!(g.copies[0].module_id(), 64, "first touch stays local");
+    assert_eq!(kernel.stats().snapshot().alloc_faults, 0, "nothing refused");
+}

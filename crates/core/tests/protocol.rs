@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
 use platinum::{
-    AceStyle, AlwaysReplicate, CpState, Kernel, KernelConfig, NeverReplicate, PlacementPolicy,
+    AceStyle, AlwaysReplicate, CpState, Kernel, KernelConfig, LocalFirstTouch, PlacementPolicy,
     PlatinumPolicy, PolicyKind, Rights, UserCtx,
 };
 
@@ -349,7 +349,7 @@ fn thaw_on_access_variant_replicates_after_t1() {
 
 #[test]
 fn never_replicate_remote_maps() {
-    let (kernel, va, mut ctxs) = setup_with_policy(3, Arc::new(NeverReplicate));
+    let (kernel, va, mut ctxs) = setup_with_policy(3, Arc::new(LocalFirstTouch));
     ctxs[0].write(va, 42);
     assert_eq!(ctxs[1].read(va), 42);
     assert_eq!(ctxs[2].read(va), 42);
@@ -368,7 +368,7 @@ fn never_replicate_remote_maps() {
 
 #[test]
 fn never_replicate_remote_write_keeps_placement() {
-    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(NeverReplicate));
+    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(LocalFirstTouch));
     ctxs[0].write(va, 1);
     ctxs[0].suspend();
     ctxs[1].write(va, 2);

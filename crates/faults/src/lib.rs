@@ -11,10 +11,10 @@
 //! sequence.
 //!
 //! Liveness is guaranteed by construction: once `attempt` reaches the
-//! plan's retry budget, [`FaultPlan::should_inject`] always answers
-//! `false`, so every bounded-retry loop in the kernel terminates with a
-//! forced success (possibly after escalating to a degraded mode such as
-//! freezing the page).
+//! retry budget [`FaultPlan::MAX_RETRIES`], [`FaultPlan::should_inject`]
+//! always answers `false`, so every bounded-retry loop in the kernel
+//! terminates with a forced success (possibly after escalating to a
+//! degraded mode such as freezing the page).
 
 #![warn(missing_docs)]
 
@@ -86,29 +86,29 @@ pub struct FaultPlan {
     seed: u64,
     /// Per-site injection probability, parts per million.
     rates_ppm: [u32; FaultSite::COUNT],
-    /// Injection is forced off once `attempt` reaches this, bounding
-    /// every retry ladder.
-    max_retries: u32,
-    /// Base timeout before a missing shootdown ack is retried; doubles
-    /// per attempt (capped) as backoff.
-    ack_timeout_ns: u64,
-    /// Cost of one re-read of a flaky frame word.
-    retry_ns: u64,
     /// Modules that refuse every allocation while the plan is installed
     /// (deterministic pressure for tests; independent of the rates).
     alloc_deny_mask: u64,
 }
 
 impl FaultPlan {
+    /// The retry budget: injection is forced off once `attempt` reaches
+    /// this, bounding every retry ladder.
+    pub const MAX_RETRIES: u32 = 3;
+
+    /// Base timeout before a missing shootdown ack is retried, ns; doubles
+    /// per attempt (capped) as backoff.
+    pub const ACK_TIMEOUT_NS: u64 = 20_000;
+
+    /// The modelled cost of one re-read of a flaky frame, ns.
+    pub const RETRY_NS: u64 = 2_000;
+
     /// A plan that injects nothing (all rates zero) — useful as a base
     /// for the `with_*` builders.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             rates_ppm: [0; FaultSite::COUNT],
-            max_retries: 3,
-            ack_timeout_ns: 20_000,
-            retry_ns: 2_000,
             alloc_deny_mask: 0,
         }
     }
@@ -133,19 +133,9 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the retry budget after which injection is forced off.
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Sets the base ack timeout (ns) for the shootdown retry ladder.
-    pub fn with_ack_timeout_ns(mut self, ns: u64) -> Self {
-        self.ack_timeout_ns = ns;
-        self
-    }
-
-    /// Marks a set of modules (bitmask) as refusing every allocation.
+    /// Marks a set of modules (bitmask: bit `m` is module `m`) as refusing
+    /// every allocation. The mask names modules 0-63; a module past bit 63
+    /// is never denied.
     pub fn with_alloc_deny_mask(mut self, mask: u64) -> Self {
         self.alloc_deny_mask = mask;
         self
@@ -156,31 +146,16 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The injection rate for `site`, parts per million.
-    pub fn rate_ppm(&self, site: FaultSite) -> u32 {
-        self.rates_ppm[site as usize]
-    }
-
-    /// The retry budget: `should_inject` answers `false` for any
-    /// `attempt >= max_retries()`.
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
-    }
-
     /// The timeout charged before retry number `attempt` of a missing
-    /// shootdown ack: exponential backoff, capped at 8x the base.
-    pub fn ack_timeout_ns(&self, attempt: u32) -> u64 {
-        self.ack_timeout_ns << attempt.saturating_sub(1).min(3)
-    }
-
-    /// The modelled cost of one re-read of a flaky frame.
-    pub fn retry_ns(&self) -> u64 {
-        self.retry_ns
+    /// shootdown ack: exponential backoff from [`FaultPlan::ACK_TIMEOUT_NS`],
+    /// capped at 8x the base.
+    pub fn ack_timeout_ns(attempt: u32) -> u64 {
+        Self::ACK_TIMEOUT_NS << attempt.saturating_sub(1).min(3)
     }
 
     /// Whether `module` refuses every allocation under this plan.
     pub fn alloc_denied(&self, module: usize) -> bool {
-        self.alloc_deny_mask & (1u64 << module) != 0
+        module < 64 && self.alloc_deny_mask >> module & 1 != 0
     }
 
     /// The injection decision: a pure function of the plan and the
@@ -190,7 +165,7 @@ impl FaultPlan {
     /// past the retry budget is forced to succeed.
     pub fn should_inject(&self, site: FaultSite, vtime: u64, key: u64, attempt: u32) -> bool {
         let rate = self.rates_ppm[site as usize];
-        if rate == 0 || attempt >= self.max_retries {
+        if rate == 0 || attempt >= Self::MAX_RETRIES {
             return false;
         }
         let h = mix(self.seed, site as u64, vtime, key, u64::from(attempt));
@@ -259,7 +234,8 @@ mod tests {
 
     #[test]
     fn retry_budget_forces_success() {
-        let p = FaultPlan::chaos(3, 1_000_000).with_max_retries(3);
+        let p = FaultPlan::chaos(3, 1_000_000);
+        assert_eq!(FaultPlan::MAX_RETRIES, 3);
         for v in 0..100u64 {
             assert!(p.should_inject(FaultSite::BlockTransfer, v, 0, 0));
             assert!(p.should_inject(FaultSite::BlockTransfer, v, 0, 2));
@@ -270,11 +246,10 @@ mod tests {
 
     #[test]
     fn backoff_caps() {
-        let p = FaultPlan::new(0).with_ack_timeout_ns(1_000);
-        assert_eq!(p.ack_timeout_ns(1), 1_000);
-        assert_eq!(p.ack_timeout_ns(2), 2_000);
-        assert_eq!(p.ack_timeout_ns(4), 8_000);
-        assert_eq!(p.ack_timeout_ns(40), 8_000, "backoff is capped");
+        assert_eq!(FaultPlan::ack_timeout_ns(1), 20_000);
+        assert_eq!(FaultPlan::ack_timeout_ns(2), 40_000);
+        assert_eq!(FaultPlan::ack_timeout_ns(4), 160_000);
+        assert_eq!(FaultPlan::ack_timeout_ns(40), 160_000, "backoff is capped");
     }
 
     #[test]
@@ -283,5 +258,11 @@ mod tests {
         assert!(p.alloc_denied(0));
         assert!(!p.alloc_denied(1));
         assert!(p.alloc_denied(2));
+        // Modules past the mask's 64 bits are never denied, and module 64
+        // does not alias module 0.
+        assert!(!p.alloc_denied(64));
+        assert!(!FaultPlan::new(0)
+            .with_alloc_deny_mask(u64::MAX)
+            .alloc_denied(4095));
     }
 }

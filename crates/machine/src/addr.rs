@@ -16,8 +16,8 @@ pub type Vpn = u64;
 /// A processor (equivalently, node) identifier.
 ///
 /// Processors and memory modules are paired one-to-one per node, as on the
-/// Butterfly. At most 64 processors are supported so that processor sets
-/// fit in a `u64` bitmask, like the reference masks of §2.3.
+/// Butterfly. Sets of processors, like the reference masks of §2.3, are
+/// [`crate::ProcSet`]s.
 pub type ProcId = usize;
 
 /// The identity of a physical page frame: a (memory module, frame index)
@@ -87,21 +87,6 @@ impl fmt::Display for AccessErr {
 
 impl std::error::Error for AccessErr {}
 
-/// Returns the set bits of `mask` as processor ids.
-pub fn procs_in_mask(mask: u64) -> impl Iterator<Item = ProcId> {
-    (0..64).filter(move |p| mask & (1u64 << p) != 0)
-}
-
-/// Returns the bitmask with only `proc`'s bit set.
-///
-/// # Panics
-///
-/// Panics if `proc >= 64`; processor sets are `u64` bitmasks.
-pub fn proc_bit(proc: ProcId) -> u64 {
-    assert!(proc < 64, "processor id {proc} out of bitmask range");
-    1u64 << proc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,19 +97,6 @@ mod tests {
         assert_eq!(pp.module_id(), 3);
         assert_eq!(pp.frame_id(), 17);
         assert_eq!(format!("{pp:?}"), "pp(3:17)");
-    }
-
-    #[test]
-    fn mask_iteration() {
-        let mask = proc_bit(0) | proc_bit(5) | proc_bit(63);
-        let procs: Vec<_> = procs_in_mask(mask).collect();
-        assert_eq!(procs, vec![0, 5, 63]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bitmask range")]
-    fn proc_bit_overflow_panics() {
-        let _ = proc_bit(64);
     }
 
     #[test]

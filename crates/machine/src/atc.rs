@@ -4,6 +4,10 @@ use crate::addr::{PhysPage, Vpn};
 use crate::frame::Frame;
 use crate::module::MemoryModule;
 
+/// Entries in each processor's address translation cache: the MC68851's
+/// on-chip ATC held 64.
+pub const ATC_ENTRIES: usize = 64;
+
 /// One cached translation, with its resolved frame handle embedded and
 /// the whole entry aligned to a cache line, so a probe touches exactly
 /// one line.

@@ -2,13 +2,28 @@
 
 use crate::topology::Topology;
 
-/// Latency and occupancy parameters of the simulated machine.
+/// Time for the block-transfer engine to move one 32-bit word, ns (§4.1:
+/// a 4 KB page in about 1.1 ms). Machine-wide, as on the Butterfly Plus:
+/// no topology scales it.
+pub const BLOCK_WORD_NS: u64 = 1100;
+
+/// Percentage of each involved node's memory-bus bandwidth a block
+/// transfer consumes (§7: 75% on both nodes).
+pub const BLOCK_BUS_FRACTION_PCT: u64 = 75;
+
+/// Cost to deliver an interprocessor interrupt to one target and have it
+/// run the Cmap synchronization handler, ns. The paper deduces roughly
+/// 7 us per interrupted processor (§4). Machine-wide: the kernel charges
+/// it per target whatever the distance.
+pub const IPI_NS: u64 = 7000;
+
+/// Word latencies and memory-module service times of the paper's machine,
+/// the inputs [`Topology::flat`] and [`Topology::hier2`] build their
+/// distance classes from.
 ///
 /// Defaults are the figures the paper publishes for the 16-processor BBN
 /// Butterfly Plus (§4, §4.1): a local 32-bit reference costs about 320 ns,
-/// a remote read about 5000 ns ("write operations are faster"), and the
-/// block-transfer engine moves one word in about 1100 ns while consuming
-/// 75% of the local memory bus bandwidth on both nodes involved (§7).
+/// a remote read about 5000 ns ("write operations are faster").
 #[derive(Clone, Debug)]
 pub struct TimingConfig {
     /// Latency of a local 32-bit read, in nanoseconds.
@@ -26,20 +41,11 @@ pub struct TimingConfig {
     /// Latency of a remote atomic read-modify-write (the Butterfly's
     /// remote atomic 32-bit operations).
     pub remote_atomic_ns: u64,
-    /// Time for the block-transfer engine to move one 32-bit word.
-    pub block_word_ns: u64,
-    /// Percentage (0-100) of each involved node's memory-bus bandwidth
-    /// consumed by a block transfer (§7: 75% on both nodes).
-    pub block_bus_fraction_pct: u64,
     /// Memory-module occupancy per local access (service time for the
     /// contention model).
     pub module_service_local_ns: u64,
     /// Memory-module occupancy per remote access.
     pub module_service_remote_ns: u64,
-    /// Cost to deliver an interprocessor interrupt to one target and have
-    /// it run the Cmap synchronization handler. The paper deduces roughly
-    /// 7 us per interrupted processor (§4).
-    pub ipi_ns: u64,
 }
 
 impl Default for TimingConfig {
@@ -51,35 +57,8 @@ impl Default for TimingConfig {
             remote_write_ns: 2500,
             local_atomic_ns: 640,
             remote_atomic_ns: 6000,
-            block_word_ns: 1100,
-            block_bus_fraction_pct: 75,
             module_service_local_ns: 320,
             module_service_remote_ns: 600,
-            ipi_ns: 7000,
-        }
-    }
-}
-
-impl TimingConfig {
-    /// Latency of one word access of the given locality and kind.
-    pub fn word_latency(&self, local: bool, kind: crate::proc::AccessKind) -> u64 {
-        use crate::proc::AccessKind;
-        match (local, kind) {
-            (true, AccessKind::Read) => self.local_read_ns,
-            (true, AccessKind::Write) => self.local_write_ns,
-            (true, AccessKind::Atomic) => self.local_atomic_ns,
-            (false, AccessKind::Read) => self.remote_read_ns,
-            (false, AccessKind::Write) => self.remote_write_ns,
-            (false, AccessKind::Atomic) => self.remote_atomic_ns,
-        }
-    }
-
-    /// Memory-module occupancy of one access of the given locality.
-    pub fn service_time(&self, local: bool) -> u64 {
-        if local {
-            self.module_service_local_ns
-        } else {
-            self.module_service_remote_ns
         }
     }
 }
@@ -96,15 +75,9 @@ pub struct MachineConfig {
     /// log2 of the page size in bytes (default 12, i.e. 4 KB, the paper's
     /// default page size).
     pub page_shift: u32,
-    /// Number of entries in each processor's address translation cache.
-    /// The MC68851's on-chip ATC held 64 entries.
-    pub atc_entries: usize,
-    /// Latency and occupancy parameters. When `topology` is `None`, these
-    /// flat local/remote figures are the whole timing model.
-    pub timing: TimingConfig,
     /// Machine description for hierarchical or asymmetric interconnects.
     /// `None` (the default) charges through [`Topology::flat`] built from
-    /// `timing`, which is bit-identical to the historical flat model.
+    /// [`TimingConfig::default`]: the paper's Butterfly.
     pub topology: Option<Topology>,
     /// If set, conservative virtual-time coupling: a processor whose clock
     /// runs more than this many nanoseconds ahead of the slowest running
@@ -136,8 +109,6 @@ impl Default for MachineConfig {
             nodes: 16,
             frames_per_node: 1024,
             page_shift: 12,
-            atc_entries: 64,
-            timing: TimingConfig::default(),
             topology: None,
             skew_window_ns: Some(2_000_000),
             contention_bucket_ns: 100_000,
@@ -184,15 +155,6 @@ impl MachineConfig {
         if self.frames_per_node == 0 {
             return Err("frames_per_node must be nonzero".to_string());
         }
-        if !self.atc_entries.is_power_of_two() {
-            return Err(format!(
-                "atc_entries must be a power of two, got {}",
-                self.atc_entries
-            ));
-        }
-        if self.timing.block_bus_fraction_pct > 100 {
-            return Err("block_bus_fraction_pct must be <= 100".to_string());
-        }
         if self.contention_bucket_ns == 0 {
             return Err("contention_bucket_ns must be nonzero".to_string());
         }
@@ -210,8 +172,8 @@ mod tests {
         let t = TimingConfig::default();
         assert_eq!(t.local_read_ns, 320);
         assert_eq!(t.remote_read_ns, 5000);
-        assert_eq!(t.block_word_ns, 1100);
-        assert_eq!(t.block_bus_fraction_pct, 75);
+        assert_eq!(BLOCK_WORD_NS, 1100);
+        assert_eq!(BLOCK_BUS_FRACTION_PCT, 75);
         let c = MachineConfig::default();
         assert_eq!(c.page_bytes(), 4096);
         assert_eq!(c.words_per_page(), 1024);
@@ -221,12 +183,13 @@ mod tests {
 
     #[test]
     fn latency_table() {
-        let t = TimingConfig::default();
-        assert_eq!(t.word_latency(true, AccessKind::Read), 320);
-        assert_eq!(t.word_latency(false, AccessKind::Read), 5000);
-        assert_eq!(t.word_latency(false, AccessKind::Write), 2500);
-        assert_eq!(t.word_latency(false, AccessKind::Atomic), 6000);
-        assert!(t.service_time(true) < t.service_time(false));
+        // Node 0 against itself and against node 1 of the default machine.
+        let t = Topology::flat(2, &TimingConfig::default());
+        assert_eq!(t.word_latency(0, 0, AccessKind::Read), 320);
+        assert_eq!(t.word_latency(0, 1, AccessKind::Read), 5000);
+        assert_eq!(t.word_latency(0, 1, AccessKind::Write), 2500);
+        assert_eq!(t.word_latency(0, 1, AccessKind::Atomic), 6000);
+        assert!(t.service_time(0, 0) < t.service_time(0, 1));
     }
 
     #[test]
@@ -241,25 +204,20 @@ mod tests {
         c.nodes = 65; // beyond the old u64-mask cap: now a valid machine
         assert!(c.validate().is_ok());
         c.nodes = 16;
-        c.atc_entries = 48;
-        assert!(c.validate().is_err());
-        c.atc_entries = 64;
         c.page_shift = 2;
         assert!(c.validate().is_err());
         c.page_shift = 12;
         c.frames_per_node = 0;
         assert!(c.validate().is_err());
-        c.frames_per_node = 8;
-        c.timing.block_bus_fraction_pct = 150;
-        assert!(c.validate().is_err());
     }
 
     #[test]
     fn topology_node_count_must_match() {
+        let t = TimingConfig::default();
         let mut c = MachineConfig::with_nodes(16);
-        c.topology = Some(Topology::flat(8, &c.timing));
+        c.topology = Some(Topology::flat(8, &t));
         assert!(c.validate().is_err());
-        c.topology = Some(Topology::hier2(16, 2, &c.timing));
+        c.topology = Some(Topology::hier2(16, 2, &t));
         c.validate().expect("matching topology validates");
     }
 }

@@ -49,9 +49,9 @@ pub mod uma;
 
 mod machine;
 
-pub use addr::{proc_bit, procs_in_mask, AccessErr, PhysPage, ProcId, Va, Vpn};
-pub use atc::{Atc, AtcStats};
-pub use config::{MachineConfig, TimingConfig};
+pub use addr::{AccessErr, PhysPage, ProcId, Va, Vpn};
+pub use atc::{Atc, AtcStats, ATC_ENTRIES};
+pub use config::{MachineConfig, TimingConfig, BLOCK_BUS_FRACTION_PCT, BLOCK_WORD_NS, IPI_NS};
 pub use contention::{BucketCursor, BucketedResource};
 pub use frame::Frame;
 pub use machine::Machine;

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 use platinum_trace::Tracer;
 
 use crate::addr::{PhysPage, ProcId};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, TimingConfig};
 use crate::frame::Frame;
 use crate::module::MemoryModule;
 use crate::proc::{ProcShared, IDLE};
@@ -21,9 +21,9 @@ use crate::topology::Topology;
 /// on top (the `platinum` crate).
 pub struct Machine {
     cfg: MachineConfig,
-    /// The resolved machine description: `cfg.topology`, or the flat
-    /// Butterfly built from `cfg.timing` when none was given. Every
-    /// latency charge routes through this.
+    /// The resolved machine description: `cfg.topology`, or the paper's
+    /// flat Butterfly when none was given. Every word latency and module
+    /// service time routes through this.
     topology: Topology,
     modules: Box<[MemoryModule]>,
     shared: Box<[ProcShared]>,
@@ -42,7 +42,7 @@ impl Machine {
         let topology = cfg
             .topology
             .clone()
-            .unwrap_or_else(|| Topology::flat(cfg.nodes, &cfg.timing));
+            .unwrap_or_else(|| Topology::flat(cfg.nodes, &TimingConfig::default()));
         let words = cfg.words_per_page();
         let modules = (0..cfg.nodes)
             .map(|n| MemoryModule::new(n, cfg.frames_per_node, words, cfg.contention_bucket_ns))
@@ -90,18 +90,11 @@ impl Machine {
         &self.cfg
     }
 
-    /// The resolved machine description (defaults to the flat Butterfly
-    /// built from `cfg.timing`).
+    /// The resolved machine description (defaults to the paper's flat
+    /// Butterfly).
     #[inline]
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// Cost charged to `from` for interrupting `to` (the per-processor
-    /// IPI figure of §4, looked up through the topology).
-    #[inline]
-    pub fn ipi_cost(&self, from: usize, to: usize) -> u64 {
-        self.topology.ipi_cost(from, to)
     }
 
     /// The number of processors (== nodes == memory modules).

@@ -4,7 +4,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::addr::{PhysPage, ProcId, Vpn};
-use crate::atc::{Atc, AtcStats};
+use crate::atc::{Atc, ATC_ENTRIES};
+use crate::config::{BLOCK_BUS_FRACTION_PCT, BLOCK_WORD_NS};
 use crate::contention::BucketCursor;
 use crate::frame::Frame;
 use crate::machine::Machine;
@@ -144,7 +145,7 @@ impl ProcCore {
     /// Panics if `id` is not a valid processor of `machine`.
     pub fn new(machine: Arc<Machine>, id: ProcId, start: u64) -> Self {
         assert!(id < machine.nprocs(), "processor {id} out of range");
-        let atc = Atc::new(machine.cfg().atc_entries);
+        let atc = Atc::new(ATC_ENTRIES);
         machine.shared(id).publish(start);
         let topo = machine.topology();
         let lat = (0..machine.nprocs())
@@ -236,11 +237,6 @@ impl ProcCore {
         c.atc_hits = s.hits;
         c.atc_misses = s.misses;
         c
-    }
-
-    /// The ATC's hit/miss counters, without requiring `&mut self`.
-    pub fn atc_stats(&self) -> AtcStats {
-        self.atc.stats()
     }
 
     /// Whether the machine's configuration enables the access fast path.
@@ -493,8 +489,8 @@ impl ProcCore {
 
     /// Performs a page-sized block transfer from `src` to `dst`: copies
     /// the data and charges the block-transfer engine's timing, occupying
-    /// 75% (configurable) of both modules' bus bandwidth for the duration
-    /// (§7).
+    /// [`BLOCK_BUS_FRACTION_PCT`] of both modules' bus bandwidth for the
+    /// duration (§7).
     ///
     /// # Panics
     ///
@@ -502,7 +498,7 @@ impl ProcCore {
     pub fn block_transfer(&mut self, src: PhysPage, dst: PhysPage) {
         assert_ne!(src, dst, "block transfer onto itself");
         let words = self.machine.cfg().words_per_page() as u64;
-        let duration = words * self.machine.cfg().timing.block_word_ns;
+        let duration = words * BLOCK_WORD_NS;
         let ready = self.reserve_engines(src, dst, duration);
         if let Some(t) = self.machine.tracer() {
             use platinum_trace::EventKind;
@@ -531,16 +527,15 @@ impl ProcCore {
     }
 
     /// Books the source's and the destination's transfer engines for a run
-    /// of `duration` ns at the configured bus share, counts the queueing
+    /// of `duration` ns at the block-transfer bus share, counts the queueing
     /// delay, and returns when the transfer may start: when both engines
     /// are free and the initiator is ready. The serialization horizon is
     /// capped at four whole-page transfers so loosely-coupled clocks
     /// cannot queue behind far-future reservations (see
     /// `MemoryModule::reserve_block`).
     fn reserve_engines(&mut self, src: PhysPage, dst: PhysPage, duration: u64) -> u64 {
-        let cfg = self.machine.cfg();
-        let bus_occupancy = duration * cfg.timing.block_bus_fraction_pct / 100;
-        let cap = 4 * cfg.words_per_page() as u64 * cfg.timing.block_word_ns;
+        let bus_occupancy = duration * BLOCK_BUS_FRACTION_PCT / 100;
+        let cap = 4 * self.machine.cfg().words_per_page() as u64 * BLOCK_WORD_NS;
         let s1 = self
             .machine
             .module(src.module_id())
@@ -573,7 +568,7 @@ impl ProcCore {
         let copied = words * fraction_pct / 100;
         // Same queueing discipline as a successful transfer, for the
         // shorter duration the engine actually ran.
-        let duration = copied * self.machine.cfg().timing.block_word_ns;
+        let duration = copied * BLOCK_WORD_NS;
         let ready = self.reserve_engines(src, dst, duration);
         self.vtime = ready + duration;
         self.counters.block_words += copied;
@@ -790,9 +785,8 @@ mod tests {
         }
 
         fn block_transfer(&mut self, src: usize, dst: usize) {
-            let t = &self.m.cfg().timing;
-            let duration = self.m.cfg().words_per_page() as u64 * t.block_word_ns;
-            let occupancy = duration * t.block_bus_fraction_pct / 100;
+            let duration = self.m.cfg().words_per_page() as u64 * BLOCK_WORD_NS;
+            let occupancy = duration * BLOCK_BUS_FRACTION_PCT / 100;
             let s1 = self
                 .m
                 .module(src)
@@ -932,7 +926,7 @@ mod tests {
             skew_window_ns: None,
             ..MachineConfig::default()
         };
-        cfg.topology = Some(Topology::hier2(4, 1, &cfg.timing));
+        cfg.topology = Some(Topology::hier2(4, 1, &TimingConfig::default()));
         let m = Machine::new(cfg).unwrap();
         let mut core = ProcCore::new(Arc::clone(&m), 0, 0);
         core.charge_word_access(PhysPage::new(1, 0), AccessKind::Read);
@@ -951,9 +945,6 @@ mod tests {
         assert_eq!(fast.vtime(), 10_000);
         // Counters still classify by on/off node, not by hop count.
         assert_eq!(fast.counters().remote_reads, 1);
-        let t = TimingConfig::default();
-        assert_eq!(m.ipi_cost(0, 1), t.ipi_ns);
-        assert_eq!(m.ipi_cost(0, 2), 2 * t.ipi_ns);
     }
 
     #[test]

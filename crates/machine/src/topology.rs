@@ -7,17 +7,18 @@
 //! with a full distance matrix, and at p ≥ 64 the flat split stops being a
 //! model at all. A [`Topology`] generalizes the description: every ordered
 //! `(from, to)` node pair is assigned a small *distance class*, and each
-//! class carries its own word/atomic/IPI latencies and memory-module
-//! service time ([`LinkTiming`]). Asymmetric links (a ≠ cost of the
-//! reverse direction) are expressible because the class matrix is indexed
-//! by ordered pair.
+//! class carries its own word/atomic latencies and memory-module service
+//! time ([`LinkTiming`]). Asymmetric links (a ≠ cost of the reverse
+//! direction) are expressible because the class matrix is indexed by
+//! ordered pair. Block transfers and interprocessor interrupts are
+//! machine-wide figures ([`crate::BLOCK_WORD_NS`], [`crate::IPI_NS`]), as
+//! on the paper's machine: no distance class scales them.
 //!
 //! Three constructors cover the design space:
 //!
 //! * [`Topology::flat`] — the paper's machine: class 0 for `from == to`,
 //!   class 1 otherwise, timings lifted verbatim from a [`TimingConfig`].
-//!   This is the default everywhere and is *bit-identical* to the old
-//!   `word_latency(local, kind)` charging (asserted by unit tests and the
+//!   This is the default everywhere (asserted by a unit test and the
 //!   kernel's equivalence suites).
 //! * [`Topology::hier2`] — a 2-socket × N-die hierarchy with four classes:
 //!   self, same-die, same-socket-cross-die (1.5× remote), and
@@ -39,8 +40,6 @@ pub struct LinkTiming {
     pub atomic_ns: u64,
     /// Memory-module occupancy per access arriving over this link.
     pub service_ns: u64,
-    /// Delivering one interprocessor interrupt across this link.
-    pub ipi_ns: u64,
 }
 
 impl LinkTiming {
@@ -51,13 +50,11 @@ impl LinkTiming {
             write_ns: t.local_write_ns,
             atomic_ns: t.local_atomic_ns,
             service_ns: t.module_service_local_ns,
-            ipi_ns: t.ipi_ns,
         }
     }
 
-    /// The remote-access timings of `t`, scaled by `num/den` (IPI cost
-    /// scales with the same factor; integer arithmetic, so scaled
-    /// topologies stay deterministic).
+    /// The remote-access timings of `t`, scaled by `num/den` (integer
+    /// arithmetic, so scaled topologies stay deterministic).
     pub fn remote_scaled(t: &TimingConfig, num: u64, den: u64) -> Self {
         let s = |ns: u64| ns * num / den;
         Self {
@@ -65,7 +62,6 @@ impl LinkTiming {
             write_ns: s(t.remote_write_ns),
             atomic_ns: s(t.remote_atomic_ns),
             service_ns: s(t.module_service_remote_ns),
-            ipi_ns: s(t.ipi_ns),
         }
     }
 
@@ -83,9 +79,8 @@ impl LinkTiming {
 /// A machine description: node count, a distance-class matrix over ordered
 /// node pairs, and per-class timings.
 ///
-/// All latency charging in the simulator routes through this type; see
-/// the module docs for the constructors and the flat-equivalence
-/// guarantee.
+/// Every word latency and module service time the simulator charges
+/// routes through this type; see the module docs for the constructors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     nodes: usize,
@@ -98,9 +93,7 @@ pub struct Topology {
 
 impl Topology {
     /// The paper's flat Butterfly: class 0 on-node, class 1 through the
-    /// switch, timings lifted verbatim from `t`. Charging through this
-    /// topology is bit-identical to `t.word_latency(local, kind)` /
-    /// `t.service_time(local)` / `t.ipi_ns`.
+    /// switch, timings lifted verbatim from `t`.
     pub fn flat(nodes: usize, t: &TimingConfig) -> Self {
         Self::build(
             nodes,
@@ -249,12 +242,6 @@ impl Topology {
         self.link(from, to).service_ns
     }
 
-    /// Cost charged to `from` for interrupting `to`.
-    #[inline]
-    pub fn ipi_cost(&self, from: usize, to: usize) -> u64 {
-        self.link(from, to).ipi_ns
-    }
-
     /// Checks internal consistency against a machine of `nodes` nodes.
     pub fn validate(&self, nodes: usize) -> Result<(), String> {
         if self.nodes != nodes {
@@ -280,16 +267,25 @@ mod tests {
         let topo = Topology::flat(16, &t);
         for from in 0..16 {
             for to in 0..16 {
-                let local = from == to;
-                for kind in [AccessKind::Read, AccessKind::Write, AccessKind::Atomic] {
-                    assert_eq!(
-                        topo.word_latency(from, to, kind),
-                        t.word_latency(local, kind),
-                        "({from},{to},{kind:?})"
-                    );
-                }
-                assert_eq!(topo.service_time(from, to), t.service_time(local));
-                assert_eq!(topo.ipi_cost(from, to), t.ipi_ns);
+                let (read, write, atomic, service) = if from == to {
+                    (
+                        t.local_read_ns,
+                        t.local_write_ns,
+                        t.local_atomic_ns,
+                        t.module_service_local_ns,
+                    )
+                } else {
+                    (
+                        t.remote_read_ns,
+                        t.remote_write_ns,
+                        t.remote_atomic_ns,
+                        t.module_service_remote_ns,
+                    )
+                };
+                assert_eq!(topo.word_latency(from, to, AccessKind::Read), read);
+                assert_eq!(topo.word_latency(from, to, AccessKind::Write), write);
+                assert_eq!(topo.word_latency(from, to, AccessKind::Atomic), atomic);
+                assert_eq!(topo.service_time(from, to), service, "({from},{to})");
             }
         }
         assert_eq!(topo.name(), "flat");
@@ -311,8 +307,6 @@ mod tests {
         assert_eq!(cross_socket, 2 * t.remote_read_ns);
         // Local access is unchanged by the hierarchy.
         assert_eq!(topo.word_latency(5, 5, AccessKind::Write), t.local_write_ns);
-        // IPIs get more expensive with distance too.
-        assert!(topo.ipi_cost(0, 8) > topo.ipi_cost(0, 1));
     }
 
     #[test]

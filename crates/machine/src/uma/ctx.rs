@@ -7,7 +7,10 @@ use crate::addr::Va;
 use crate::mem_iface::Mem;
 use crate::stats::AccessCounters;
 
-use super::{TagCache, UmaMachine};
+use super::{
+    TagCache, UmaMachine, ATOMIC_NS, BUS_LINE_SERVICE_NS, BUS_WORD_SERVICE_NS, CACHE_BYTES, HIT_NS,
+    LINE_BYTES, MISS_NS, SKEW_WINDOW_NS, WORDS_PER_LINE, WRITE_NS,
+};
 
 /// One simulated processor of the UMA comparator, implementing [`Mem`].
 ///
@@ -32,13 +35,12 @@ impl UmaCtx {
     /// Panics if `id` is out of range for the machine.
     pub fn new(machine: Arc<UmaMachine>, id: usize) -> Self {
         assert!(id < machine.cfg().procs, "processor {id} out of range");
-        let lines = machine.cfg().cache_bytes / machine.cfg().line_bytes;
         machine.publish(id, 0);
         Self {
             machine,
             id,
             vtime: 0,
-            cache: TagCache::new(lines),
+            cache: TagCache::new(CACHE_BYTES / LINE_BYTES),
             counters: AccessCounters::default(),
             accesses: 0,
             waiting: false,
@@ -55,9 +57,6 @@ impl UmaCtx {
             return;
         }
         self.accesses = 0;
-        let Some(window) = self.machine.cfg().skew_window_ns else {
-            return;
-        };
         if self.waiting {
             self.machine.publish(self.id, u64::MAX);
             return;
@@ -65,7 +64,7 @@ impl UmaCtx {
         self.machine.publish(self.id, self.vtime);
         loop {
             let min = self.machine.min_running_vtime();
-            if min == u64::MAX || self.vtime <= min.saturating_add(window) {
+            if min == u64::MAX || self.vtime <= min.saturating_add(SKEW_WINDOW_NS) {
                 break;
             }
             std::thread::yield_now();
@@ -101,7 +100,7 @@ impl UmaCtx {
 
     #[inline]
     fn line_of(&self, word_idx: usize) -> u64 {
-        (word_idx / self.machine.cfg().words_per_line()) as u64
+        (word_idx / WORDS_PER_LINE) as u64
     }
 
     /// One charged bus transaction: reserves the shared bus for
@@ -120,20 +119,19 @@ impl UmaCtx {
         let idx = self.word_index(va);
         let line = self.line_of(idx);
         let version = self.machine.line_version(idx);
-        let t = self.machine.cfg().timing.clone();
         if self.cache.probe(line, version) {
             if charge {
-                self.vtime += t.hit_ns;
+                self.vtime += HIT_NS;
                 self.counters.local_reads += 1;
             }
         } else {
             // Miss: a bus transaction fetches the line (and occupies the
             // bus even when the spin read itself is uncharged).
             if charge {
-                self.bus(t.bus_line_service_ns, t.miss_ns);
+                self.bus(BUS_LINE_SERVICE_NS, MISS_NS);
                 self.counters.remote_reads += 1;
             } else {
-                self.machine.bus_reserve(self.vtime, t.bus_line_service_ns);
+                self.machine.bus_reserve(self.vtime, BUS_LINE_SERVICE_NS);
             }
             self.cache.fill(line, version);
         }
@@ -191,7 +189,6 @@ impl Mem for UmaCtx {
         self.tick();
         let idx = self.word_index(va);
         let line = self.line_of(idx);
-        let t = self.machine.cfg().timing.clone();
         // Write-through: the word goes over the bus to memory; other
         // caches are invalidated by the version bump.
         self.machine.word(idx).store(val, Ordering::Release);
@@ -199,15 +196,14 @@ impl Mem for UmaCtx {
         if self.cache.resident(line) {
             self.cache.fill(line, version);
         }
-        self.bus(t.bus_word_service_ns, t.write_ns);
+        self.bus(BUS_WORD_SERVICE_NS, WRITE_NS);
         self.counters.remote_writes += 1;
     }
 
     fn fetch_add(&mut self, va: Va, delta: u32) -> u32 {
         self.tick();
         let idx = self.word_index(va);
-        let t = self.machine.cfg().timing.clone();
-        self.bus(t.atomic_ns, t.atomic_ns);
+        self.bus(ATOMIC_NS, ATOMIC_NS);
         self.counters.remote_atomics += 1;
         let old = self.machine.word(idx).fetch_add(delta, Ordering::AcqRel);
         self.machine.bump_line_version(idx);
@@ -217,8 +213,7 @@ impl Mem for UmaCtx {
     fn compare_exchange(&mut self, va: Va, current: u32, new: u32) -> Result<u32, u32> {
         self.tick();
         let idx = self.word_index(va);
-        let t = self.machine.cfg().timing.clone();
-        self.bus(t.atomic_ns, t.atomic_ns);
+        self.bus(ATOMIC_NS, ATOMIC_NS);
         self.counters.remote_atomics += 1;
         let r = self.machine.word(idx).compare_exchange(
             current,
@@ -235,8 +230,7 @@ impl Mem for UmaCtx {
     fn swap(&mut self, va: Va, val: u32) -> u32 {
         self.tick();
         let idx = self.word_index(va);
-        let t = self.machine.cfg().timing.clone();
-        self.bus(t.atomic_ns, t.atomic_ns);
+        self.bus(ATOMIC_NS, ATOMIC_NS);
         self.counters.remote_atomics += 1;
         let old = self.machine.word(idx).swap(val, Ordering::AcqRel);
         self.machine.bump_line_version(idx);
@@ -250,23 +244,21 @@ impl Mem for UmaCtx {
         self.tick();
         let idx = self.word_index(va);
         let _ = self.word_index(va + 4 * (dst.len() as u64 - 1));
-        let t = self.machine.cfg().timing.clone();
-        let wpl = self.machine.cfg().words_per_line();
-        let lines = (idx % wpl + dst.len()).div_ceil(wpl) as u64;
+        let lines = (idx % WORDS_PER_LINE + dst.len()).div_ceil(WORDS_PER_LINE) as u64;
         // A burst transfer arbitrates for the bus once and streams the
         // lines, instead of paying one bus transaction per word as the
         // word-at-a-time default would.
-        self.bus(lines * t.bus_line_service_ns, lines * t.miss_ns);
+        self.bus(lines * BUS_LINE_SERVICE_NS, lines * MISS_NS);
         self.counters.remote_reads += dst.len() as u64;
         for (i, w) in dst.iter_mut().enumerate() {
             *w = self.machine.word(idx + i).load(Ordering::Acquire);
         }
         // The stream leaves its lines resident, as per-word reads would.
-        let mut line_start = idx - idx % wpl;
+        let mut line_start = idx - idx % WORDS_PER_LINE;
         while line_start < idx + dst.len() {
             let version = self.machine.line_version(line_start);
             self.cache.fill(self.line_of(line_start), version);
-            line_start += wpl;
+            line_start += WORDS_PER_LINE;
         }
     }
 
@@ -277,24 +269,22 @@ impl Mem for UmaCtx {
         self.tick();
         let idx = self.word_index(va);
         let _ = self.word_index(va + 4 * (src.len() as u64 - 1));
-        let t = self.machine.cfg().timing.clone();
-        let wpl = self.machine.cfg().words_per_line();
-        let lines = (idx % wpl + src.len()).div_ceil(wpl) as u64;
+        let lines = (idx % WORDS_PER_LINE + src.len()).div_ceil(WORDS_PER_LINE) as u64;
         for (i, &w) in src.iter().enumerate() {
             self.machine.word(idx + i).store(w, Ordering::Release);
         }
         // One version bump per touched line invalidates every other
         // cache's copy; our own copy is refreshed below.
-        let mut line_start = idx - idx % wpl;
+        let mut line_start = idx - idx % WORDS_PER_LINE;
         while line_start < idx + src.len() {
             let version = self.machine.bump_line_version(line_start);
             let line = self.line_of(line_start);
             if self.cache.resident(line) {
                 self.cache.fill(line, version);
             }
-            line_start += wpl;
+            line_start += WORDS_PER_LINE;
         }
-        self.bus(src.len() as u64 * t.bus_word_service_ns, lines * t.write_ns);
+        self.bus(src.len() as u64 * BUS_WORD_SERVICE_NS, lines * WRITE_NS);
         self.counters.remote_writes += src.len() as u64;
     }
 }
@@ -315,7 +305,6 @@ mod tests {
         let m = UmaMachine::new(UmaConfig {
             procs: 2,
             mem_words: 4096,
-            ..UmaConfig::default()
         })
         .unwrap();
         UmaCtx::new(m, 0)
@@ -349,7 +338,6 @@ mod tests {
         let m = UmaMachine::new(UmaConfig {
             procs: 2,
             mem_words: 4096,
-            ..UmaConfig::default()
         })
         .unwrap();
         let mut a = UmaCtx::new(Arc::clone(&m), 0);
@@ -369,7 +357,6 @@ mod tests {
         let m = UmaMachine::new(UmaConfig {
             procs: 2,
             mem_words: 4096,
-            ..UmaConfig::default()
         })
         .unwrap();
         let mut a = UmaCtx::new(Arc::clone(&m), 0);
@@ -388,9 +375,8 @@ mod tests {
         let t0 = c.vtime();
         c.write_block(0, &data);
         let write_cost = c.vtime() - t0;
-        let t = c.machine().cfg().timing.clone();
         assert!(
-            write_cost < 64 * t.write_ns,
+            write_cost < 64 * WRITE_NS,
             "burst write must beat 64 write-throughs: {write_cost}"
         );
         let mut out = vec![0u32; 64];
@@ -398,13 +384,13 @@ mod tests {
         c.read_block(0, &mut out);
         assert_eq!(out, data);
         assert!(
-            c.vtime() - t1 < 64 * t.miss_ns,
+            c.vtime() - t1 < 64 * MISS_NS,
             "burst read must beat 64 line misses"
         );
         // The stream leaves its lines resident: the next read is a hit.
         let before = c.vtime();
         let _ = c.read(0);
-        assert_eq!(c.vtime() - before, t.hit_ns);
+        assert_eq!(c.vtime() - before, HIT_NS);
     }
 
     #[test]
@@ -412,7 +398,6 @@ mod tests {
         let m = UmaMachine::new(UmaConfig {
             procs: 2,
             mem_words: 4096,
-            ..UmaConfig::default()
         })
         .unwrap();
         let mut a = UmaCtx::new(Arc::clone(&m), 0);

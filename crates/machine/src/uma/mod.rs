@@ -24,90 +24,59 @@ use std::sync::Arc;
 use crate::addr::Va;
 use crate::contention::BucketedResource;
 
-/// Timing parameters of the UMA comparator.
-///
-/// Defaults approximate a Sequent Symmetry model A: a cache hit is fast, a
-/// miss is a full bus transaction fetching a 16-byte line, and every write
-/// goes through to memory over the bus (write-through).
-#[derive(Clone, Debug)]
-pub struct UmaTiming {
-    /// Latency of a cache hit.
-    pub hit_ns: u64,
-    /// Latency of a read miss (line fetch), excluding bus queueing.
-    pub miss_ns: u64,
-    /// Bus occupancy of a line fetch.
-    pub bus_line_service_ns: u64,
-    /// Latency of a write as seen by the processor (write buffer).
-    pub write_ns: u64,
-    /// Bus occupancy of a written-through word.
-    pub bus_word_service_ns: u64,
-    /// Latency and bus occupancy of an atomic (locked) operation.
-    pub atomic_ns: u64,
-}
+// Timing of a Sequent Symmetry model A: a cache hit is fast, a miss is a
+// full bus transaction fetching a 16-byte line, and every write goes
+// through to memory over the bus (write-through).
 
-impl Default for UmaTiming {
-    fn default() -> Self {
-        Self {
-            hit_ns: 150,
-            miss_ns: 2000,
-            bus_line_service_ns: 1500,
-            write_ns: 800,
-            bus_word_service_ns: 800,
-            atomic_ns: 2400,
-        }
-    }
-}
+/// Latency of a cache hit, ns.
+pub(crate) const HIT_NS: u64 = 150;
+/// Latency of a read miss (line fetch), excluding bus queueing, ns.
+pub(crate) const MISS_NS: u64 = 2000;
+/// Bus occupancy of a line fetch, ns.
+pub(crate) const BUS_LINE_SERVICE_NS: u64 = 1500;
+/// Latency of a write as seen by the processor (write buffer), ns.
+pub(crate) const WRITE_NS: u64 = 800;
+/// Bus occupancy of a written-through word, ns.
+pub(crate) const BUS_WORD_SERVICE_NS: u64 = 800;
+/// Latency and bus occupancy of an atomic (locked) operation, ns.
+pub(crate) const ATOMIC_NS: u64 = 2400;
+
+/// Private cache capacity per processor, in bytes (model A: 8 KB).
+pub const CACHE_BYTES: usize = 8 * 1024;
+/// Cache line size in bytes.
+pub(crate) const LINE_BYTES: usize = 16;
+/// 32-bit words per cache line.
+pub(crate) const WORDS_PER_LINE: usize = LINE_BYTES / 4;
+
+/// Virtual-clock coupling window, ns, as on the NUMA machine: a processor
+/// more than this far ahead of the slowest running processor stalls. The
+/// bus contention model needs it: its bucketed accounting assumes clocks
+/// stay within the ring's span of each other.
+pub(crate) const SKEW_WINDOW_NS: u64 = 2_000_000;
 
 /// Configuration of the UMA comparator machine.
 #[derive(Clone, Debug)]
 pub struct UmaConfig {
     /// Number of processors sharing the bus.
     pub procs: usize,
-    /// Private cache capacity per processor, in bytes (Sequent model A:
-    /// 8 KB).
-    pub cache_bytes: usize,
-    /// Cache line size in bytes.
-    pub line_bytes: usize,
     /// Total shared memory, in 32-bit words.
     pub mem_words: usize,
-    /// Timing parameters.
-    pub timing: UmaTiming,
-    /// Virtual-clock coupling window, as on the NUMA machine: a processor
-    /// more than this far ahead of the slowest running processor stalls.
-    /// Required for the bus contention model, whose bucketed accounting
-    /// assumes clocks stay within the ring's span of each other.
-    pub skew_window_ns: Option<u64>,
 }
 
 impl Default for UmaConfig {
     fn default() -> Self {
         Self {
             procs: 16,
-            cache_bytes: 8 * 1024,
-            line_bytes: 16,
             mem_words: 1 << 22,
-            timing: UmaTiming::default(),
-            skew_window_ns: Some(2_000_000),
         }
     }
 }
 
 impl UmaConfig {
-    /// Words per cache line.
-    pub fn words_per_line(&self) -> usize {
-        self.line_bytes / 4
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.procs == 0 {
             return Err("procs must be nonzero".into());
-        }
-        if !self.line_bytes.is_power_of_two() || self.line_bytes < 4 {
-            return Err("line_bytes must be a power of two >= 4".into());
-        }
-        if !self.cache_bytes.is_multiple_of(self.line_bytes) || self.cache_bytes == 0 {
-            return Err("cache_bytes must be a nonzero multiple of line_bytes".into());
         }
         if self.mem_words == 0 {
             return Err("mem_words must be nonzero".into());
@@ -138,7 +107,7 @@ impl UmaMachine {
         cfg.validate()?;
         let mut memory = Vec::with_capacity(cfg.mem_words);
         memory.resize_with(cfg.mem_words, || AtomicU32::new(0));
-        let nlines = cfg.mem_words.div_ceil(cfg.words_per_line());
+        let nlines = cfg.mem_words.div_ceil(WORDS_PER_LINE);
         let mut versions = Vec::with_capacity(nlines);
         versions.resize_with(nlines, || AtomicU64::new(0));
         let published = (0..cfg.procs)
@@ -183,12 +152,12 @@ impl UmaMachine {
 
     #[inline]
     pub(crate) fn line_version(&self, word_idx: usize) -> u64 {
-        self.line_versions[word_idx / self.cfg.words_per_line()].load(Ordering::Relaxed)
+        self.line_versions[word_idx / WORDS_PER_LINE].load(Ordering::Relaxed)
     }
 
     #[inline]
     pub(crate) fn bump_line_version(&self, word_idx: usize) -> u64 {
-        self.line_versions[word_idx / self.cfg.words_per_line()].fetch_add(1, Ordering::Relaxed) + 1
+        self.line_versions[word_idx / WORDS_PER_LINE].fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Reserves `service_ns` of the shared bus at virtual time `now`;
@@ -217,13 +186,10 @@ mod tests {
     #[test]
     fn config_validation() {
         UmaConfig::default().validate().unwrap();
-        let mut c = UmaConfig {
-            line_bytes: 12,
+        let c = UmaConfig {
+            procs: 0,
             ..UmaConfig::default()
         };
-        assert!(c.validate().is_err());
-        c.line_bytes = 16;
-        c.procs = 0;
         assert!(c.validate().is_err());
     }
 

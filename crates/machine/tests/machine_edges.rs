@@ -84,7 +84,6 @@ fn uma_ctx_publishes_idle_on_drop_and_while_waiting() {
     let m = UmaMachine::new(UmaConfig {
         procs: 2,
         mem_words: 1 << 12,
-        ..UmaConfig::default()
     })
     .unwrap();
     {
@@ -112,7 +111,6 @@ fn uma_read_spin_is_uncharged_but_sees_fresh_data() {
     let m = UmaMachine::new(UmaConfig {
         procs: 2,
         mem_words: 1 << 10,
-        ..UmaConfig::default()
     })
     .unwrap();
     let mut a = UmaCtx::new(Arc::clone(&m), 0);

@@ -18,8 +18,9 @@
 //!   pre-translation-fabric kernel; walks are still *accounted* (into
 //!   [`WalkStats`], outside all equivalence-compared state) so even the
 //!   baseline has a defined walk locality.
-//! * [`PtableConfig`] — the walk cost model: table depth, references per
-//!   level, replica populate cost.
+//! * [`PtableConfig`] — the placement, plus whether walks are accounted at
+//!   all; the walk cost model itself is two constants, [`WALK_REFS`] and
+//!   [`POPULATE_REFS`].
 //! * [`PmapReplica`] — the per-space replica directory: which nodes hold a
 //!   local copy of the space's translation structures. Kept coherent by an
 //!   invalidate-only protocol piggybacked on the kernel's shootdown
@@ -125,23 +126,21 @@ impl FromStr for PtablePlacement {
     }
 }
 
-/// The translation-fabric configuration: a placement plus the walk cost
-/// model. Installed through `KernelConfig::ptable` /
-/// `SimBuilder::ptable(...)`.
+/// Memory references issued by one full page-table walk: a four-level
+/// radix table, one reference per level.
+pub const WALK_REFS: u32 = 4;
+
+/// References against the home node's table when a node populates its
+/// replica (copying the upper levels; leaf entries fill lazily on later
+/// walks, so this is small).
+pub const POPULATE_REFS: u32 = 16;
+
+/// The translation-fabric configuration. Installed through
+/// `KernelConfig::ptable` / `SimBuilder::ptable(...)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PtableConfig {
     /// Where translation structures live.
     pub placement: PtablePlacement,
-    /// Depth of the simulated multi-level table (references per walk is
-    /// `levels * refs_per_level`). Four levels models a modern radix
-    /// table; the MC68851's three-level table is `levels: 3`.
-    pub levels: u32,
-    /// Memory references issued per table level.
-    pub refs_per_level: u32,
-    /// References against the home node's table when a node populates its
-    /// replica (copying the upper levels; leaf entries fill lazily on
-    /// later walks, so this is small).
-    pub populate_refs: u32,
     /// When `false`, even the `Centralized` accounting path is skipped —
     /// the kernel behaves exactly as before the translation fabric
     /// existed. Used by the bit-identity regression suite to prove the
@@ -153,16 +152,13 @@ impl Default for PtableConfig {
     fn default() -> Self {
         Self {
             placement: PtablePlacement::Centralized,
-            levels: 4,
-            refs_per_level: 1,
-            populate_refs: 16,
             accounting: true,
         }
     }
 }
 
 impl PtableConfig {
-    /// A configuration using `placement` with the default cost model.
+    /// A configuration using `placement`, accounted.
     pub fn with_placement(placement: PtablePlacement) -> Self {
         Self {
             placement,
@@ -176,12 +172,6 @@ impl PtableConfig {
             accounting: false,
             ..Self::default()
         }
-    }
-
-    /// Memory references issued by one full walk.
-    #[inline]
-    pub fn walk_refs(&self) -> u32 {
-        self.levels * self.refs_per_level
     }
 }
 
@@ -424,7 +414,7 @@ mod tests {
         assert!(!cfg.placement.charges());
         assert!(!cfg.placement.replicates());
         assert!(cfg.accounting);
-        assert_eq!(cfg.walk_refs(), 4);
+        assert_eq!(WALK_REFS, 4);
         assert!(!PtableConfig::off().accounting);
     }
 

@@ -28,11 +28,6 @@ impl RunStats {
         self.workers.iter().map(|w| w.vtime_ns).max().unwrap_or(0)
     }
 
-    /// The run's execution time in milliseconds.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed_ns() as f64 / 1e6
-    }
-
     /// All workers' counters summed.
     pub fn merged_counters(&self) -> AccessCounters {
         let mut total = AccessCounters::default();

@@ -68,12 +68,7 @@ where
 /// Builds a UMA comparator machine with `procs` processors and enough
 /// memory for `mem_words` words.
 pub fn uma_machine(procs: usize, mem_words: usize) -> Arc<UmaMachine> {
-    UmaMachine::new(UmaConfig {
-        procs,
-        mem_words,
-        ..UmaConfig::default()
-    })
-    .expect("valid UMA config")
+    UmaMachine::new(UmaConfig { procs, mem_words }).expect("valid UMA config")
 }
 
 #[cfg(test)]

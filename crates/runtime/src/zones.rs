@@ -109,11 +109,6 @@ impl Zone {
         }
         va
     }
-
-    /// Allocates one full page.
-    pub fn alloc_page(&mut self) -> Va {
-        self.alloc_page_aligned(self.page_words)
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use platinum_repro::kernel::trace::{EventKind, TraceConfig, Tracer};
 use platinum_repro::kernel::{
-    AceStyle, AlwaysReplicate, Kernel, NeverReplicate, PlacementPolicy, PlatinumPolicy, Rights,
+    AceStyle, AlwaysReplicate, Kernel, LocalFirstTouch, PlacementPolicy, PlatinumPolicy, Rights,
     UserCtx,
 };
 use platinum_repro::machine::{MachineConfig, Mem};
@@ -58,7 +58,7 @@ fn policy_strategy() -> impl Strategy<Value = usize> {
 fn build_policy(which: usize) -> Arc<dyn PlacementPolicy> {
     match which {
         0 => Arc::new(PlatinumPolicy::paper_default()),
-        1 => Arc::new(NeverReplicate),
+        1 => Arc::new(LocalFirstTouch),
         2 => Arc::new(AlwaysReplicate),
         _ => Arc::new(AceStyle::default()),
     }
