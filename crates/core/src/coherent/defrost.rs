@@ -72,8 +72,10 @@ impl DefrostState {
     }
 
     /// Claims a daemon activation if `now` has crossed the next run time.
-    /// Returns whether the caller should run the daemon.
-    fn claim(&self, now: u64) -> bool {
+    /// Returns whether the caller should run the daemon
+    /// ([`Kernel::run_defrost`]); both kernel entries, a fault and the
+    /// periodic tick, ask.
+    pub(crate) fn claim(&self, now: u64) -> bool {
         let next = self.next_run.load(Ordering::Relaxed);
         if now < next {
             return false;
@@ -95,15 +97,6 @@ impl DefrostState {
 }
 
 impl Kernel {
-    /// Runs the defrost daemon on `ctx`'s processor if its period has
-    /// elapsed. Called from the kernel entry path.
-    pub(crate) fn maybe_defrost(&self, ctx: &mut UserCtx) {
-        if !self.defrost.claim(ctx.core.vtime()) {
-            return;
-        }
-        self.run_defrost(ctx);
-    }
-
     /// Unconditionally runs one defrost pass: thaws every enrolled page
     /// by invalidating all mappings to it.
     ///

@@ -53,7 +53,9 @@ impl Kernel {
         // A fault is a kernel entry: give the defrost daemon its chance
         // to run (its clock interrupt, in the paper's terms) before any
         // page locks are taken.
-        self.maybe_defrost(ctx);
+        if self.defrost.claim(ctx.core.vtime()) {
+            self.run_defrost(ctx);
+        }
         // Under the replicate-on-fault placement, the kernel builds this
         // node's translation replica while it is already in the fault
         // handler (one branch otherwise).

@@ -347,8 +347,12 @@ impl UserCtx {
             std::hint::spin_loop();
             std::thread::yield_now();
         }
-        let kernel = Arc::clone(&self.kernel);
-        kernel.maybe_defrost(self);
+        // Claim first: the `Arc` round trip is paid only by the one
+        // access per period that runs the daemon.
+        if self.kernel.defrost.claim(self.core.vtime()) {
+            let kernel = Arc::clone(&self.kernel);
+            kernel.run_defrost(self);
+        }
     }
 
     // ----- Translation and data access ------------------------------------

@@ -22,6 +22,9 @@ struct AtcEntry {
     handle: FrameHandle,
 }
 
+// A hit reads one line: the tag, the handle and the charge all in it.
+const _: () = assert!(std::mem::size_of::<AtcEntry>() == 64);
+
 const INVALID: AtcEntry = AtcEntry {
     valid: false,
     asid: 0,
@@ -34,10 +37,11 @@ const INVALID: AtcEntry = AtcEntry {
     handle: FrameHandle::NULL,
 };
 
-/// A resolved pointer to a translation's frame and home module, cached
-/// alongside the ATC entry so a hit can reach storage without walking
-/// `Machine::frame_data` (an Arc deref plus two slice indexes) on every
-/// access.
+/// A resolved pointer to a translation's frame and home module, and the
+/// installing processor's word latencies and service time against that
+/// module, cached in the ATC entry so a hit reaches storage and books its
+/// time without `Machine::frame_data` or the processor's timing rows.
+/// `Topology::validate` refuses a class that does not fit 32 bits.
 ///
 /// The pointers are borrowed from the [`crate::Machine`] that owns the
 /// frame. They stay valid for the machine's whole lifetime: a frame's
@@ -49,10 +53,14 @@ const INVALID: AtcEntry = AtcEntry {
 /// processor core that installed it, which holds an `Arc<Machine>` keeping
 /// the storage alive.
 #[derive(Clone, Copy)]
-pub struct FrameHandle {
+pub(crate) struct FrameHandle {
     pub(crate) frame: *const Frame,
     pub(crate) module: *const MemoryModule,
     pub(crate) local: bool,
+    /// Word latency by [`crate::AccessKind`], ns.
+    pub(crate) latency: [u32; 3],
+    /// Module service time per access, ns.
+    pub(crate) service: u32,
 }
 
 impl FrameHandle {
@@ -60,12 +68,14 @@ impl FrameHandle {
         frame: std::ptr::null(),
         module: std::ptr::null(),
         local: false,
+        latency: [0; 3],
+        service: 0,
     };
 
     /// Whether the handle carries no resolved pointers (the entry was
     /// installed through the plain [`Atc::insert`] path).
     #[inline]
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         self.frame.is_null()
     }
 }
@@ -105,10 +115,11 @@ impl AtcStats {
 /// access, as in the real MMU); misses are refilled from the per-processor
 /// Pmap by the kernel, which charges the walk.
 ///
-/// Alongside each entry the cache can hold a [`FrameHandle`] — resolved
-/// frame/module pointers installed by [`Atc::insert_with_refs`] — so the
-/// owning processor's access fast path reaches storage without consulting
-/// the machine. Handles are slaved to their entry: any operation that
+/// Alongside each entry the cache can hold a frame handle — resolved
+/// frame/module pointers and the access charge, installed by
+/// [`crate::ProcCore::atc_insert`] — so the owning processor's access fast
+/// path reaches storage and books its time without consulting the
+/// machine. Handles are slaved to their entry: any operation that
 /// invalidates or replaces an entry makes its handle unreachable (lookups
 /// check entry validity first) or nulls it.
 pub struct Atc {
@@ -156,14 +167,8 @@ impl Atc {
     /// writes. A miss returns `None`; the caller refills from the Pmap.
     #[inline]
     pub fn lookup(&mut self, asid: u32, vpn: Vpn) -> Option<(PhysPage, bool)> {
-        let e = &self.entries[self.slot(asid, vpn)];
-        if e.valid && e.asid == asid && e.vpn == vpn {
-            self.hits += 1;
-            Some((e.pp, e.writable))
-        } else {
-            self.misses += 1;
-            None
-        }
+        self.lookup_with_handle(asid, vpn)
+            .map(|(pp, writable, _)| (pp, writable))
     }
 
     /// Looks up the translation for (`asid`, `vpn`) and returns the cached
@@ -173,7 +178,7 @@ impl Atc {
     /// be null when the entry was installed without resolved pointers, in
     /// which case the caller falls back to resolving through the machine.
     #[inline(always)]
-    pub fn lookup_with_handle(
+    pub(crate) fn lookup_with_handle(
         &mut self,
         asid: u32,
         vpn: Vpn,
@@ -192,7 +197,7 @@ impl Atc {
     ///
     /// The slot's frame handle is nulled: fast-path hits on this entry
     /// fall back to resolving the frame through the machine. Use
-    /// [`Atc::insert_with_refs`] to install a resolved handle.
+    /// [`crate::ProcCore::atc_insert`] to install a resolved handle.
     pub fn insert(&mut self, asid: u32, vpn: Vpn, pp: PhysPage, writable: bool) {
         self.entries[self.slot(asid, vpn)] = AtcEntry {
             valid: true,
@@ -204,22 +209,19 @@ impl Atc {
         };
     }
 
-    /// Installs a translation together with resolved frame/module
-    /// references, evicting whatever shared its slot.
+    /// Installs a translation together with its resolved handle, evicting
+    /// whatever shared its slot.
     ///
-    /// `frame` and `module` must be the storage backing `pp` on the machine
-    /// the owning processor belongs to; `local` is whether `pp` lives on
-    /// the processor's own node.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_with_refs(
+    /// The handle's pointers must be the storage backing `pp` on the
+    /// machine the owning processor belongs to, and its charge that
+    /// processor's timing against `pp`'s node.
+    pub(crate) fn insert_with_handle(
         &mut self,
         asid: u32,
         vpn: Vpn,
         pp: PhysPage,
         writable: bool,
-        frame: &Frame,
-        module: &MemoryModule,
-        local: bool,
+        handle: FrameHandle,
     ) {
         self.entries[self.slot(asid, vpn)] = AtcEntry {
             valid: true,
@@ -227,11 +229,7 @@ impl Atc {
             vpn,
             pp,
             writable,
-            handle: FrameHandle {
-                frame: frame as *const Frame,
-                module: module as *const MemoryModule,
-                local,
-            },
+            handle,
         };
     }
 
@@ -350,13 +348,21 @@ mod tests {
         assert_eq!((pp, w), (PhysPage::new(0, 0), true));
         assert!(h.is_null());
 
-        // insert_with_refs resolves the handle.
-        atc.insert_with_refs(1, 3, PhysPage::new(0, 0), true, &frame, &module, true);
+        // insert_with_handle installs the handle and its charge.
+        let handle = FrameHandle {
+            frame: &frame,
+            module: &module,
+            local: true,
+            latency: [320, 330, 640],
+            service: 300,
+        };
+        atc.insert_with_handle(1, 3, PhysPage::new(0, 0), true, handle);
         let (_, _, h) = atc.lookup_with_handle(1, 3).expect("resident");
         assert!(!h.is_null());
         assert!(std::ptr::eq(h.frame, &frame));
         assert!(std::ptr::eq(h.module, &module));
         assert!(h.local);
+        assert_eq!((h.latency, h.service), ([320, 330, 640], 300));
 
         // Invalidation hides the handle with the entry.
         atc.invalidate(1, 3);

@@ -140,13 +140,6 @@ pub struct BucketCursor {
     span: u64,
     /// The memoized bucket's index (`start / span`).
     bucket: u64,
-    /// The memoized bucket's ring slot (`bucket % BUCKETS`), kept beside
-    /// the index because the in-bucket hit is measurably slower deriving
-    /// it (+0.9 % on `ref_stream`, 0/6 pairs).
-    slot: usize,
-    /// The memoized bucket's generation tag, pre-shifted into the slot
-    /// word's epoch field (`(bucket / BUCKETS) << LOAD_BITS`).
-    epoch_bits: u64,
 }
 
 /// A contended resource (a memory module's bus, the UMA machine's shared
@@ -184,34 +177,47 @@ impl BucketedResource {
 
     /// The resource's one state transition: adds `service_ns` to
     /// `bucket`'s load and returns the delay the bucket imposes. Every
-    /// booking entry point ends here (or in `reserve_with`'s in-bucket
-    /// hit, which is this transition's common case restated).
+    /// booking entry point ends here.
+    ///
+    /// Both candidate priors are computed — the load this bucket's
+    /// generation already holds, and the previous bucket's overflow a
+    /// fresh bucket inherits as backlog — and one is *selected*: about
+    /// half of all bookings on a 16-module machine are a module's first
+    /// in its bucket, a branch on that is a coin toss, and the extra
+    /// load hits a line a booking nearby has just touched. The one
+    /// branch left is the far-behind laggard, which is rare.
     ///
     /// A relaxed load and a relaxed store, nothing lock-prefixed: exact
     /// in any schedule driven by one host thread; under free-running
     /// threads a racing booking may be lost, as `reserve_with` has
     /// allowed since PR 2.
-    #[inline]
+    #[inline(always)]
     fn book(&self, bucket: u64, service_ns: u64) -> u64 {
         debug_assert!(service_ns <= LOAD_MASK);
         let epoch = bucket / BUCKETS as u64;
         let cell = &self.slots[(bucket as usize) % BUCKETS];
         let cur = cell.load(Ordering::Relaxed);
-        let load = cur & LOAD_MASK;
-        let prior = match (cur >> LOAD_BITS).cmp(&epoch) {
-            // Same generation, already seeded (or the very first bucket,
-            // which has no predecessor): queue behind the existing load.
-            std::cmp::Ordering::Equal if load != 0 || bucket == 0 => load,
-            // A still-empty bucket of this generation (including the
-            // all-zero initial state), or the first request of this
-            // generation around the ring: inherit the previous bucket's
-            // overflow as backlog so saturation carries.
-            std::cmp::Ordering::Equal | std::cmp::Ordering::Less => self.overflow_of(bucket - 1),
+        if cur >> LOAD_BITS > epoch {
             // The bucket already belongs to a future generation: this
             // requester is far behind every other clock; its access
             // would long since have completed.
-            std::cmp::Ordering::Greater => return 0,
+            return 0;
+        }
+        // Bucket 0 has no predecessor: `bucket - 1` wraps to a
+        // generation no 24-bit epoch field can hold, so its overflow
+        // reads 0.
+        let carry = self
+            .load_of(bucket.wrapping_sub(1))
+            .saturating_sub(self.bucket_ns);
+        // A seeded bucket of this generation queues behind its load; an
+        // empty one (including the all-zero initial state) or a stale
+        // generation inherits the carry, so saturation accumulates.
+        let load = if cur >> LOAD_BITS == epoch {
+            cur & LOAD_MASK
+        } else {
+            0
         };
+        let prior = if load != 0 { load } else { carry };
         let booked = prior + service_ns;
         cell.store(
             (epoch << LOAD_BITS) | booked.min(LOAD_MASK),
@@ -220,14 +226,9 @@ impl BucketedResource {
         booked.saturating_sub(self.bucket_ns)
     }
 
-    /// The service overflow (load beyond capacity) of `bucket`, or 0 when
-    /// the slot holds another generation.
-    fn overflow_of(&self, bucket: u64) -> u64 {
-        self.load_of(bucket).saturating_sub(self.bucket_ns)
-    }
-
     /// The load booked in `bucket`, or 0 when the slot holds another
     /// generation.
+    #[inline(always)]
     fn load_of(&self, bucket: u64) -> u64 {
         let cur = self.slots[(bucket as usize) % BUCKETS].load(Ordering::Relaxed);
         if cur >> LOAD_BITS == bucket / BUCKETS as u64 {
@@ -252,8 +253,6 @@ impl BucketedResource {
             start: bucket * self.bucket_ns,
             span: self.bucket_ns,
             bucket,
-            slot: (bucket as usize) % BUCKETS,
-            epoch_bits: (bucket / BUCKETS as u64) << LOAD_BITS,
         };
         now - cursor.start
     }
@@ -266,25 +265,11 @@ impl BucketedResource {
     /// division — the most expensive instruction in an uncontended
     /// reservation — is redundant for hundreds of consecutive calls. The
     /// cursor skips it while `now` stays inside the memoized bucket, and
-    /// the common in-bucket case (same generation, already-seeded
-    /// bucket, no saturation clamp) books with the cursor's precomputed
-    /// generation tag. Every other case (fresh bucket's backlog
-    /// inheritance, generation change, clamp) is `book` on the bucket
-    /// the cursor already names, so the returned delay and the slot
-    /// contents are identical to `reserve`, call for call.
+    /// `book` runs on the bucket the cursor names, so the returned delay
+    /// and the slot contents are identical to `reserve`, call for call.
     #[inline(always)]
     pub fn reserve_with(&self, cursor: &mut BucketCursor, now: u64, service_ns: u64) -> u64 {
-        debug_assert!(service_ns <= LOAD_MASK);
         self.seek(cursor, now);
-        let cell = &self.slots[cursor.slot];
-        let cur = cell.load(Ordering::Relaxed);
-        // A generation mismatch leaves epoch bits set in `load`,
-        // pushing it past LOAD_MASK and into `book`.
-        let load = cur ^ cursor.epoch_bits;
-        if load != 0 && load <= LOAD_MASK - service_ns {
-            cell.store(cur + service_ns, Ordering::Relaxed);
-            return (load + service_ns).saturating_sub(self.bucket_ns);
-        }
         self.book(cursor.bucket, service_ns)
     }
 
@@ -317,8 +302,9 @@ impl BucketedResource {
 }
 
 /// The compare-and-swap implementation this module shipped until PR 21,
-/// unchanged (only `bucket_into`, which booked nothing, is dropped): the
-/// oracle the relaxed load + store transition is proved equal to in every
+/// unchanged (only `bucket_into`, which booked nothing, is dropped, and
+/// the cursor's pre-shifted generation field is renamed): the oracle the
+/// relaxed load + store transition is proved equal to in every
 /// single-threaded schedule.
 #[cfg(test)]
 mod cas_oracle {
@@ -340,7 +326,7 @@ mod cas_oracle {
         slot: usize,
         /// The memoized bucket's generation tag, pre-shifted into the slot
         /// word's epoch field (`(bucket / BUCKETS) << LOAD_BITS`).
-        epoch_bits: u64,
+        generation_tag: u64,
     }
 
     /// A contended resource (a memory module's bus, the UMA machine's shared
@@ -465,7 +451,7 @@ mod cas_oracle {
                 let cur = cell.load(Ordering::Relaxed);
                 // A generation mismatch leaves epoch bits set in `load`,
                 // pushing it past LOAD_MASK and into the fallback.
-                let load = cur ^ cursor.epoch_bits;
+                let load = cur ^ cursor.generation_tag;
                 if load != 0 && load <= LOAD_MASK - service_ns {
                     cell.store(cur + service_ns, Ordering::Relaxed);
                     return (load + service_ns).saturating_sub(self.bucket_ns);
@@ -477,7 +463,7 @@ mod cas_oracle {
                 start: bucket * self.bucket_ns,
                 span: self.bucket_ns,
                 slot: (bucket as usize) % BUCKETS,
-                epoch_bits: (bucket / BUCKETS as u64) << LOAD_BITS,
+                generation_tag: (bucket / BUCKETS as u64) << LOAD_BITS,
             };
             self.reserve(now, service_ns)
         }
@@ -701,7 +687,7 @@ mod tests {
     #[test]
     fn cursor_survives_saturation_clamp() {
         // Drive a bucket's load to the LOAD_MASK clamp; the cursor path
-        // must keep matching the reference (it falls back rather than
+        // must keep matching the reference (it clamps rather than
         // blindly adding into the clamped value).
         let with = BucketedResource::new(10);
         let without = BucketedResource::new(10);

@@ -94,11 +94,6 @@ impl MemoryModule {
         self.node
     }
 
-    /// The number of frames in the module.
-    pub fn nframes(&self) -> usize {
-        self.owners.len()
-    }
-
     /// The number of currently allocated frames.
     pub fn frames_allocated(&self) -> usize {
         self.allocated.load(Ordering::Relaxed) as usize

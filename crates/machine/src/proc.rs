@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::addr::{PhysPage, ProcId, Vpn};
-use crate::atc::{Atc, ATC_ENTRIES};
+use crate::atc::{Atc, FrameHandle, ATC_ENTRIES};
 use crate::config::{BLOCK_BUS_FRACTION_PCT, BLOCK_WORD_NS};
 use crate::contention::BucketCursor;
 use crate::frame::Frame;
@@ -57,12 +57,6 @@ impl ProcShared {
         self.ipi_pending.store(true, Ordering::Release);
     }
 
-    /// Whether an IPI is pending (without consuming it).
-    #[inline]
-    pub fn ipi_pending(&self) -> bool {
-        self.ipi_pending.load(Ordering::Relaxed)
-    }
-
     /// Consumes the doorbell, returning whether it was rung.
     #[inline(always)]
     pub fn take_ipi(&self) -> bool {
@@ -90,7 +84,10 @@ pub struct ProcCore {
     id: ProcId,
     vtime: u64,
     atc: Atc,
+    /// Every counter but the word references, kept by `[local][kind]` in
+    /// `refs` (one indexed add per access) and filled in by `counters()`.
     counters: AccessCounters,
+    refs: [[u64; 3]; 2],
     accesses_since_publish: u32,
     /// Whether the processor is spin-waiting in a synchronization
     /// primitive; waiting processors publish [`IDLE`] so the skew window
@@ -98,12 +95,12 @@ pub struct ProcCore {
     waiting: bool,
     /// Per-destination word latencies, `lat[to] = [read, write, atomic]`,
     /// resolved from the machine's [`crate::Topology`] at construction so
-    /// every charge is one array index — no `Arc<Machine>` → config chase
-    /// and no distance-class lookup on the fast path. The topology is
-    /// immutable after boot, so the rows never drift.
-    lat: Box<[[u64; 3]]>,
+    /// every charge is one array index, and copied by `atc_insert` into
+    /// the entry a fast-path hit charges from. The topology is immutable
+    /// after boot, so the rows never drift.
+    lat: Box<[[u32; 3]]>,
     /// Per-destination memory-module service times, same resolution.
-    svc: Box<[u64]>,
+    svc: Box<[u32]>,
     /// Cached `MachineConfig::fast_path`.
     fast_enabled: bool,
     /// The contention bucket the clock is in, memoized once for every
@@ -148,17 +145,15 @@ impl ProcCore {
         let atc = Atc::new(ATC_ENTRIES);
         machine.shared(id).publish(start);
         let topo = machine.topology();
+        let narrow = |ns: u64| u32::try_from(ns).expect("Topology::validate bounds every class");
         let lat = (0..machine.nprocs())
             .map(|to| {
-                [
-                    topo.word_latency(id, to, AccessKind::Read),
-                    topo.word_latency(id, to, AccessKind::Write),
-                    topo.word_latency(id, to, AccessKind::Atomic),
-                ]
+                let link = topo.link(id, to);
+                [link.read_ns, link.write_ns, link.atomic_ns].map(narrow)
             })
             .collect();
         let svc = (0..machine.nprocs())
-            .map(|to| topo.service_time(id, to))
+            .map(|to| narrow(topo.service_time(id, to)))
             .collect();
         let fast_enabled = machine.cfg().fast_path;
         Self {
@@ -167,6 +162,7 @@ impl ProcCore {
             vtime: start,
             atc,
             counters: AccessCounters::default(),
+            refs: [[0; 3]; 2],
             accesses_since_publish: 0,
             waiting: false,
             lat,
@@ -232,11 +228,20 @@ impl ProcCore {
 
     /// The processor's access counters so far.
     pub fn counters(&self) -> AccessCounters {
-        let mut c = self.counters.clone();
+        let [[remote_reads, remote_writes, remote_atomics], [local_reads, local_writes, local_atomics]] =
+            self.refs;
         let s = self.atc.stats();
-        c.atc_hits = s.hits;
-        c.atc_misses = s.misses;
-        c
+        AccessCounters {
+            local_reads,
+            remote_reads,
+            local_writes,
+            remote_writes,
+            local_atomics,
+            remote_atomics,
+            atc_hits: s.hits,
+            atc_misses: s.misses,
+            ..self.counters.clone()
+        }
     }
 
     /// Whether the machine's configuration enables the access fast path.
@@ -246,6 +251,8 @@ impl ProcCore {
     }
 
     /// Mutable access to the counters, for the kernel to record faults.
+    /// The word-reference and ATC counts are not kept here: writes to
+    /// them are overwritten by [`ProcCore::counters`].
     pub fn counters_mut(&mut self) -> &mut AccessCounters {
         &mut self.counters
     }
@@ -323,8 +330,8 @@ impl ProcCore {
     /// caller performs the actual data movement on the frame.
     pub fn charge_word_access(&mut self, pp: PhysPage, kind: AccessKind) {
         let local = pp.module_id() == self.id;
-        let latency = self.lat[pp.module_id()][kind as usize];
-        let service = self.svc[pp.module_id()];
+        let latency = u64::from(self.lat[pp.module_id()][kind as usize]);
+        let service = u64::from(self.svc[pp.module_id()]);
         let module = self.machine.module(pp.module_id());
         let start = module.reserve_with(&mut self.cursor, self.vtime, service);
         let queue_delay = start - self.vtime;
@@ -334,36 +341,35 @@ impl ProcCore {
     }
 
     /// Counts `n` word accesses of `kind`, on or off this processor's node.
-    #[inline]
+    #[inline(always)]
     fn count(&mut self, local: bool, kind: AccessKind, n: u64) {
-        let c = &mut self.counters;
-        *match (local, kind) {
-            (true, AccessKind::Read) => &mut c.local_reads,
-            (true, AccessKind::Write) => &mut c.local_writes,
-            (true, AccessKind::Atomic) => &mut c.local_atomics,
-            (false, AccessKind::Read) => &mut c.remote_reads,
-            (false, AccessKind::Write) => &mut c.remote_writes,
-            (false, AccessKind::Atomic) => &mut c.remote_atomics,
-        } += n;
+        self.refs[usize::from(local)][kind as usize] += n;
     }
 
     /// Installs an ATC translation with a resolved frame handle, so hits
-    /// on it can take the access fast path.
+    /// on it can take the access fast path. The handle carries this
+    /// processor's latencies and service time against `pp`'s node.
     ///
     /// Functionally identical to `core.atc().insert(..)`; the only
-    /// difference is host-side (the cached pointers).
+    /// difference is host-side (the cached pointers and charge).
     pub fn atc_insert(&mut self, asid: u32, vpn: Vpn, pp: PhysPage, writable: bool) {
-        let local = pp.module_id() == self.id;
-        let module = self.machine.module(pp.module_id());
-        let frame = module.frame(pp.frame_id());
-        self.atc
-            .insert_with_refs(asid, vpn, pp, writable, frame, module, local);
+        let to = pp.module_id();
+        let module = self.machine.module(to);
+        let handle = FrameHandle {
+            frame: module.frame(pp.frame_id()),
+            module,
+            local: to == self.id,
+            latency: self.lat[to],
+            service: self.svc[to],
+        };
+        self.atc.insert_with_handle(asid, vpn, pp, writable, handle);
     }
 
     /// The single-word access fast path: one ATC probe that, on a hit with
-    /// sufficient rights, charges the access through the entry's cached
-    /// frame handle and hands the frame straight back — no machine table
-    /// walk, no kernel involvement.
+    /// sufficient rights, charges the access from the probed entry's own
+    /// cache line — its frame handle carries the latency and the service
+    /// time — and hands the frame straight back: no machine table walk, no
+    /// timing-row lookup, no kernel involvement.
     ///
     /// Every observable effect (virtual time, queue-delay and access
     /// counters, ATC hit/miss counts, module reservations) is identical to
@@ -399,13 +405,10 @@ impl ProcCore {
         // retags the inverted page table), and `self.machine` keeps them
         // alive for at least the returned borrow's lifetime.
         let (frame, module) = unsafe { (&*h.frame, &*h.module) };
-        let local = h.local;
-        let latency = self.lat[pp.module_id()][kind as usize];
-        let service = self.svc[pp.module_id()];
-        let start = module.reserve_with(&mut self.cursor, self.vtime, service);
+        let start = module.reserve_with(&mut self.cursor, self.vtime, u64::from(h.service));
         self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + latency;
-        self.count(local, kind, 1);
+        self.vtime = start + u64::from(h.latency[kind as usize]);
+        self.count(h.local, kind, 1);
         FastPath::Hit(frame)
     }
 
@@ -439,8 +442,8 @@ impl ProcCore {
             return;
         }
         let local = pp.module_id() == self.id;
-        let latency = self.lat[pp.module_id()][kind as usize];
-        let service = self.svc[pp.module_id()];
+        let latency = u64::from(self.lat[pp.module_id()][kind as usize]);
+        let service = u64::from(self.svc[pp.module_id()]);
         let bucket_ns = self.machine.cfg().contention_bucket_ns;
         let module = self.machine.module(pp.module_id());
         let step = latency.max(1);
@@ -475,7 +478,7 @@ impl ProcCore {
     /// movement.
     #[inline]
     pub fn word_latency_to(&self, to: usize, kind: AccessKind) -> u64 {
-        self.lat[to][kind as usize]
+        u64::from(self.lat[to][kind as usize])
     }
 
     /// Charges a kernel data-structure reference homed on `module`.

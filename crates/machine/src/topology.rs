@@ -242,7 +242,9 @@ impl Topology {
         self.link(from, to).service_ns
     }
 
-    /// Checks internal consistency against a machine of `nodes` nodes.
+    /// Checks internal consistency against a machine of `nodes` nodes, and
+    /// that every class's latencies and service time fit the 32-bit
+    /// fields an ATC entry carries them in.
     pub fn validate(&self, nodes: usize) -> Result<(), String> {
         if self.nodes != nodes {
             return Err(format!(
@@ -250,7 +252,15 @@ impl Topology {
                 self.nodes
             ));
         }
-        Ok(())
+        let fits = |c: &LinkTiming| {
+            [c.read_ns, c.write_ns, c.atomic_ns, c.service_ns]
+                .iter()
+                .all(|&ns| u32::try_from(ns).is_ok())
+        };
+        match self.classes.iter().position(|c| !fits(c)) {
+            Some(i) => Err(format!("link class {i}: a time exceeds u32::MAX ns")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -328,6 +338,37 @@ mod tests {
         assert!(Topology::from_matrix(2, vec![0, 1, 1], vec![]).is_err());
         assert!(Topology::from_matrix(2, vec![0, 9, 0, 0], vec![LinkTiming::local(&t)]).is_err());
         assert!(Topology::from_matrix(0, vec![], vec![LinkTiming::local(&t)]).is_err());
+    }
+
+    /// A class whose latency or service does not fit the ATC entry's
+    /// 32-bit charge fields makes the machine refuse to boot; a service
+    /// past the contention slot's 40-bit load field used to corrupt the
+    /// slot's generation bits in release builds.
+    #[test]
+    fn classes_that_overflow_the_entry_are_rejected() {
+        use crate::{Machine, MachineConfig};
+        let t = TimingConfig::default();
+        let boot = |edit: fn(&mut LinkTiming)| {
+            let mut far = LinkTiming::remote_scaled(&t, 1, 1);
+            edit(&mut far);
+            let topo = Topology::from_matrix(2, vec![0, 1, 1, 0], vec![LinkTiming::local(&t), far])
+                .expect("well-formed matrix");
+            Machine::new(MachineConfig {
+                topology: Some(topo),
+                ..MachineConfig::with_nodes(2)
+            })
+            .map(|_| ())
+        };
+        assert!(boot(|c| c.read_ns = u64::from(u32::MAX)).is_ok());
+        for edit in [
+            (|c| c.read_ns = 1 << 32) as fn(&mut LinkTiming),
+            |c| c.write_ns = 1 << 32,
+            |c| c.atomic_ns = u64::MAX,
+            |c| c.service_ns = 1 << 41,
+        ] {
+            let e = boot(edit).expect_err("class must be refused");
+            assert!(e.contains("link class 1"), "{e}");
+        }
     }
 
     #[test]

@@ -1,16 +1,26 @@
 //! Property test: the translation fast path is observationally identical
 //! to the reference charging path.
 //!
-//! For any random page table (local/remote placement, rights, handle or
-//! no handle) and any random access sequence, replaying the sequence
-//! through [`ProcCore::fast_path`] must produce the same operation
-//! results, the same final virtual time, the same access counters
-//! (including ATC hit/miss counts) and the same memory contents as the
-//! reference `Atc::lookup` + `charge_word_access` + `frame_data` steps.
+//! For any random page table (placement, rights, handle or no handle) and
+//! any random access sequence, replaying the sequence through
+//! [`ProcCore::fast_path`] must produce the same operation results, the
+//! same final virtual time, the same access counters (including ATC
+//! hit/miss counts) and the same memory contents as the reference
+//! `Atc::lookup` + `charge_word_access` + `frame_data` steps.
+//!
+//! Two machines: the paper's flat 2-node Butterfly, and a 4-node machine
+//! with an asymmetric class matrix in which every class has its own read,
+//! write and atomic latency and a service time that saturates the
+//! (narrowed) contention bucket, so queueing delays, bucket rolls and
+//! backlog inheritance are all in play. That pins the charge a
+//! handle-carrying ATC entry embeds, the per-kind reference counts and
+//! the booking transition against the reference path.
 
 use std::sync::Arc;
 
-use numa_machine::{AccessKind, FastPath, Machine, MachineConfig, PhysPage, ProcCore};
+use numa_machine::{
+    AccessKind, FastPath, LinkTiming, Machine, MachineConfig, PhysPage, ProcCore, Topology,
+};
 use proptest::prelude::*;
 
 fn machine(fast_path: bool) -> Arc<Machine> {
@@ -24,6 +34,49 @@ fn machine(fast_path: bool) -> Arc<Machine> {
     .expect("valid config")
 }
 
+/// Four nodes, four classes, `class[from * 4 + to]` asymmetric (0 → 1 is
+/// class 1, 1 → 0 class 3). Every service time exceeds some latency of
+/// its class, and a bucket serves 20 us, so a lone processor's stream
+/// overloads its buckets.
+fn asymmetric() -> Arc<Machine> {
+    let class = |read_ns, write_ns, atomic_ns, service_ns| LinkTiming {
+        read_ns,
+        write_ns,
+        atomic_ns,
+        service_ns,
+    };
+    let topology = Topology::from_matrix(
+        4,
+        vec![0, 1, 2, 3, 3, 0, 1, 2, 1, 2, 0, 3, 2, 3, 1, 0],
+        vec![
+            class(300, 250, 600, 900),
+            class(4000, 2100, 5200, 2600),
+            class(7300, 3900, 9100, 6100),
+            class(1500, 1700, 2900, 4700),
+        ],
+    )
+    .expect("well-formed matrix");
+    Machine::new(MachineConfig {
+        nodes: 4,
+        frames_per_node: 16,
+        topology: Some(topology),
+        skew_window_ns: None,
+        contention_bucket_ns: 20_000,
+        ..MachineConfig::default()
+    })
+    .expect("valid config")
+}
+
+/// One machine per core, so the shared modules' contention cannot
+/// couple the two cores' clocks.
+fn machines(asymmetric_machine: bool) -> (Arc<Machine>, Arc<Machine>) {
+    if asymmetric_machine {
+        (asymmetric(), asymmetric())
+    } else {
+        (machine(true), machine(true))
+    }
+}
+
 const ASID: u32 = 7;
 /// Mapped virtual pages; the op generator also probes two unmapped vpns.
 const NPAGES: u64 = 8;
@@ -32,9 +85,10 @@ const NPAGES: u64 = 8;
 /// alternates between handle-carrying inserts and plain ATC inserts
 /// (the latter exercises the null-handle fallback inside `fast_path`).
 fn install(fast: &mut ProcCore, slow: &mut ProcCore, pages: &[(u8, bool, bool)]) -> Vec<PhysPage> {
+    let nodes = fast.machine().nprocs();
     let mut pps = Vec::new();
     for (vpn, &(node, writable, with_handle)) in pages.iter().enumerate() {
-        let pp = PhysPage::new(node as usize % 2, vpn);
+        let pp = PhysPage::new(node as usize % nodes, vpn);
         if with_handle {
             fast.atc_insert(ASID, vpn as u64, pp, writable);
         } else {
@@ -46,13 +100,15 @@ fn install(fast: &mut ProcCore, slow: &mut ProcCore, pages: &[(u8, bool, bool)])
     pps
 }
 
+// The shim's default case count (256) scales with `PROPTEST_CASES`; CI's
+// `determinism` job runs these at 10x.
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
     #[test]
     fn fast_path_is_observationally_identical(
+        asymmetric_machine in any::<bool>(),
+        proc in 0usize..4,
         pages in prop::collection::vec(
-            (0u8..2, any::<bool>(), any::<bool>()),
+            (0u8..4, any::<bool>(), any::<bool>()),
             NPAGES as usize..NPAGES as usize + 1,
         ),
         ops in prop::collection::vec(
@@ -60,13 +116,11 @@ proptest! {
             1..200,
         ),
     ) {
-        // Each core runs alone on its own machine, so the shared-module
-        // contention model cannot couple their clocks.
-        let mf = machine(true);
-        let ms = machine(true);
-        let mut fast = ProcCore::new(Arc::clone(&mf), 0, 0);
-        let mut slow = ProcCore::new(Arc::clone(&ms), 0, 0);
-        install(&mut fast, &mut slow, &pages);
+        let (mf, ms) = machines(asymmetric_machine);
+        let proc = proc % mf.nprocs();
+        let mut fast = ProcCore::new(Arc::clone(&mf), proc, 0);
+        let mut slow = ProcCore::new(Arc::clone(&ms), proc, 0);
+        let pps = install(&mut fast, &mut slow, &pages);
         let wpp = mf.cfg().words_per_page();
 
         for &(vpn, op, val) in &ops {
@@ -116,8 +170,7 @@ proptest! {
 
         prop_assert_eq!(fast.vtime(), slow.vtime(), "virtual time diverged");
         prop_assert_eq!(fast.counters(), slow.counters(), "counters diverged");
-        for vpn in 0..NPAGES {
-            let pp = PhysPage::new(pages[vpn as usize].0 as usize % 2, vpn as usize);
+        for &pp in &pps {
             for w in 0..wpp {
                 prop_assert_eq!(mf.frame_data(pp).load(w), ms.frame_data(pp).load(w));
             }
@@ -126,14 +179,14 @@ proptest! {
 
     #[test]
     fn fast_probe_charges_nothing(
+        asymmetric_machine in any::<bool>(),
         pages in prop::collection::vec(
-            (0u8..2, any::<bool>(), any::<bool>()),
+            (0u8..4, any::<bool>(), any::<bool>()),
             NPAGES as usize..NPAGES as usize + 1,
         ),
         probes in prop::collection::vec((0u64..NPAGES + 2, any::<bool>()), 1..50),
     ) {
-        let mf = machine(true);
-        let ms = machine(true);
+        let (mf, ms) = machines(asymmetric_machine);
         let mut fast = ProcCore::new(Arc::clone(&mf), 0, 0);
         let mut slow = ProcCore::new(Arc::clone(&ms), 0, 0);
         install(&mut fast, &mut slow, &pages);
@@ -152,6 +205,38 @@ proptest! {
         prop_assert_eq!(fast.vtime(), 0);
         prop_assert_eq!(fast.counters(), slow.counters());
         prop_assert_eq!(fast.counters().total_refs(), 0);
+    }
+}
+
+/// The asymmetric machine really queues, and every kind of every class
+/// is charged from the entry exactly as the reference path charges it:
+/// each processor hammers a handle-carrying entry on every node, thirty
+/// accesses of all three kinds at a time, and the classes whose service
+/// outruns their latency overflow their buckets.
+#[test]
+fn saturated_asymmetric_machine_charges_like_the_reference() {
+    for proc in 0..4 {
+        let (mf, ms) = machines(true);
+        let mut fast = ProcCore::new(Arc::clone(&mf), proc, 0);
+        let mut slow = ProcCore::new(Arc::clone(&ms), proc, 0);
+        let pages: Vec<_> = (0..4).map(|node| (node, true, true)).collect();
+        install(&mut fast, &mut slow, &pages);
+        for i in 0..600u64 {
+            let vpn = i / 30 % 4;
+            let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Atomic][(i % 3) as usize];
+            assert!(matches!(
+                fast.fast_path(ASID, vpn, kind != AccessKind::Read, kind),
+                FastPath::Hit(_)
+            ));
+            let (pp, _) = slow.atc().lookup(ASID, vpn).expect("resident");
+            slow.charge_word_access(pp, kind);
+            assert_eq!(fast.vtime(), slow.vtime(), "processor {proc}, access {i}");
+        }
+        let (cf, cs) = (fast.counters(), slow.counters());
+        assert_eq!(cf, cs, "processor {proc}");
+        assert!(cf.queue_delay_ns > 0, "processor {proc} must queue");
+        assert_eq!(cf.local_reads + cf.local_writes + cf.local_atomics, 150);
+        assert_eq!(cf.remote_reads + cf.remote_writes + cf.remote_atomics, 450);
     }
 }
 

@@ -8,6 +8,8 @@
 
 use std::io::{self, Read, Write};
 
+use numa_machine::MachineConfig;
+
 /// Magic bytes opening every trace file.
 pub const MAGIC: &[u8; 4] = b"PLRT";
 /// Format version written and accepted by this build.
@@ -184,9 +186,19 @@ impl RefTrace {
         if version != u64::from(VERSION) {
             return Err(bad(&format!("unsupported trace version {version}")));
         }
-        let nodes = get_u64(r)? as usize;
-        let frames_per_node = get_u64(r)? as usize;
-        let page_shift = get_u64(r)? as u32;
+        let nodes = usize::try_from(get_u64(r)?).map_err(|_| bad("node count overflows usize"))?;
+        let frames_per_node =
+            usize::try_from(get_u64(r)?).map_err(|_| bad("frame count overflows usize"))?;
+        let page_shift = u32::try_from(get_u64(r)?).map_err(|_| bad("page shift overflows u32"))?;
+        // Replay boots exactly this machine: refuse one it cannot build.
+        MachineConfig {
+            nodes,
+            frames_per_node,
+            page_shift,
+            ..MachineConfig::default()
+        }
+        .validate()
+        .map_err(|e| bad(&format!("unbootable machine: {e}")))?;
         let nzones = get_u64(r)? as usize;
         let mut zones = Vec::with_capacity(nzones.min(1 << 20));
         for _ in 0..nzones {
@@ -205,6 +217,11 @@ impl RefTrace {
             let workers = get_u64(r)? as usize;
             if workers > 64 {
                 return Err(bad("worker count exceeds the 64-processor limit"));
+            }
+            if workers > nodes {
+                return Err(bad(&format!(
+                    "phase has {workers} workers on a {nodes}-node machine"
+                )));
             }
             let mut final_vtimes = Vec::with_capacity(workers);
             for _ in 0..workers {
@@ -540,6 +557,43 @@ mod tests {
         // A second bracket for an already detached processor.
         let again = |proc| [Op::Attach, Op::Detach].map(|op| Rec { proc, op });
         has(complaint(|ops| ops.extend(again(1))), "attaches twice");
+    }
+
+    /// Each header names a machine replay cannot boot, or one too small
+    /// for the sample's 2-worker phase; decoding must refuse all of them
+    /// rather than hand replay a trace that panics.
+    #[test]
+    fn rejects_unbootable_headers() {
+        /// The sample's encoding under another header; the fields are
+        /// written as the varints they are on disk, so a value no `u32`
+        /// holds can be expressed.
+        fn with_header(nodes: u64, frames_per_node: u64, page_shift: u64) -> Vec<u8> {
+            let mut body = Vec::new();
+            sample().write_to(&mut body).unwrap();
+            let mut buf = MAGIC.to_vec();
+            for v in [u64::from(VERSION), nodes, frames_per_node, page_shift] {
+                put_u64(&mut buf, v).unwrap();
+            }
+            // The sample's own header: magic, version 1, 4 nodes, 4096
+            // frames (two varint bytes), page shift 12.
+            buf.extend_from_slice(&body[9..]);
+            buf
+        }
+        let decode = |buf: Vec<u8>| RefTrace::read_from(&mut buf.as_slice());
+        assert_eq!(decode(with_header(4, 4096, 12)).unwrap(), sample());
+        for (buf, want) in [
+            (with_header(1, 4096, 12), "2 workers on a 1-node machine"),
+            (with_header(4, 4096, 2), "page_shift"),
+            (with_header(4, 0, 12), "frames_per_node"),
+            (
+                with_header(4, 4096, (1 << 32) + 12),
+                "page shift overflows u32",
+            ),
+        ] {
+            let e = decode(buf).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains(want), "{want:?} not in {e}");
+        }
     }
 
     #[test]
