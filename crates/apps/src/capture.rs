@@ -19,7 +19,6 @@
 use platinum::StatsSnapshot;
 use platinum_reftrace::{Capture, RefTrace, ReplayOptions};
 use platinum_runtime::measure::RunStats;
-use platinum_server::{KvConfig, KvTable, TrafficConfig, Workload};
 
 use crate::gauss::{Gauss, GaussConfig};
 use crate::harness::AppRun;
@@ -110,46 +109,6 @@ pub fn record_neural(
     (CapturedRun::seal(cap, run, kernel_stats, 0), error)
 }
 
-/// Records the key-value server workload on `p` of `nodes` processors:
-/// a striped populate phase and a measured serve phase in which each
-/// worker paces its own open-loop arrival schedule with `advance_to`
-/// (recorded, so a replay reproduces the idle gaps exactly). The live
-/// checksum is the post-serve table audit, which also asserts no slot
-/// was torn.
-pub fn record_kv(
-    nodes: usize,
-    p: usize,
-    kcfg: KvConfig,
-    traffic: &TrafficConfig,
-    opts: &ReplayOptions,
-) -> CapturedRun {
-    let keys = kcfg.keys;
-    let mut cap = Capture::new(nodes, opts);
-    let kv = KvTable::stage(kcfg, &mut cap);
-    let schedules = traffic.per_proc_schedules(p);
-
-    cap.run_phase("populate", p, |tid, ctx| {
-        kv.populate(ctx, tid, p)
-            .expect("recorded populate cannot fail")
-    });
-    let (_, run) = cap.run_phase("serve", p, |tid, ctx| {
-        use numa_machine::Mem;
-        for req in &schedules[tid] {
-            if ctx.vtime() < req.arrival_ns {
-                ctx.advance_to(req.arrival_ns);
-            }
-            kv.execute(ctx, req).expect("recorded request cannot fail");
-        }
-    });
-
-    let kernel_stats = cap.stats_snapshot();
-    let (audits, _) = cap.sim().run(1, |_, ctx| {
-        kv.verify(ctx).expect("live access cannot fail unfaulted")
-    });
-    assert_eq!(audits[0].occupied, keys, "keys lost from the table");
-    CapturedRun::seal(cap, run, kernel_stats, audits[0].checksum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,48 +151,6 @@ mod tests {
         let captured = record_mergesort(4, 4, &cfg, &ReplayOptions::default());
         let out = replay(&captured.trace, PolicyKind::Platinum);
         assert_eq!(out.measured_elapsed_ns(), captured.live.elapsed_ns);
-    }
-
-    #[test]
-    fn kv_capture_replays_bit_identically() {
-        let traffic = TrafficConfig {
-            keys: 1 << 9,
-            requests_per_proc: 200,
-            mean_interarrival_ns: 10_000,
-            ..TrafficConfig::default()
-        };
-        let captured = record_kv(
-            4,
-            4,
-            KvConfig::for_keys(1 << 9, 4),
-            &traffic,
-            &ReplayOptions::default(),
-        );
-        let out = replay(&captured.trace, PolicyKind::Platinum);
-        assert_eq!(
-            out.measured_elapsed_ns(),
-            captured.live.elapsed_ns,
-            "serve-phase vtime drifted"
-        );
-        let last = out.phases.last().unwrap();
-        for (a, b) in captured.live.run.workers.iter().zip(&last.stats.workers) {
-            assert_eq!(a.vtime_ns, b.vtime_ns, "proc {} vtime drifted", a.proc);
-            assert_eq!(a.counters, b.counters, "proc {} counters drifted", a.proc);
-        }
-        assert_eq!(
-            out.kernel, captured.live.kernel_stats,
-            "kernel stats drifted"
-        );
-        // The same stream priced under a different policy still replays.
-        // (No ordering assertion at this tiny scale: PLATINUM pays
-        // page-copy costs that per-word remote latency can undercut;
-        // the policy-spread check lives in policy_matrix at real sizes.)
-        let remote = replay(&captured.trace, PolicyKind::RemoteAlways);
-        assert_ne!(
-            remote.measured_elapsed_ns(),
-            0,
-            "remote-always replay must execute the serve phase"
-        );
     }
 
     #[test]

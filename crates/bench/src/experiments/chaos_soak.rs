@@ -33,9 +33,11 @@
 //!
 //! The one named check fails on a correctness failure, an unrecovered
 //! or malformed span, or a soak that injected nothing (which would make
-//! the "survived chaos" claim vacuous); a hang exits 2 from the watchdog.
+//! the "survived chaos" claim vacuous); a hang exits 2 from the watchdog,
+//! and a run that panics (a torn kv slot, mergesort's verification)
+//! re-raises its panic.
 
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,6 +58,8 @@ use crate::run::{Artifact, Run};
 /// Runs `f` on a watchdog thread; exits the process if it does not
 /// finish within `timeout`. Liveness is part of the contract: every
 /// recovery ladder is bounded, so no fault plan may hang an application.
+/// A run that panics drops its sender before the timeout; its panic is
+/// re-raised here, since it is a correctness failure, not a hang.
 fn with_watchdog<R: Send + 'static>(
     what: &str,
     timeout: Duration,
@@ -70,7 +74,10 @@ fn with_watchdog<R: Send + 'static>(
             handle.join().expect("application thread panicked");
             r
         }
-        Err(_) => {
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("a run that sent nothing panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => {
             eprintln!("LIVENESS FAILURE: {what} still running after {timeout:?}");
             std::process::exit(2);
         }
@@ -229,7 +236,7 @@ fn soak_apps(
         total_recovered += run.kernel_stats.fault_recoveries;
 
         // Mergesort verifies the sorted output internally (panics — and
-        // fails the watchdog join — if any key is out of order or lost).
+        // the watchdog re-raises it — if any key is out of order or lost).
         let run = {
             let (cfg, plan) = (sort_cfg.clone(), Arc::clone(&plan));
             with_watchdog(&format!("mergesort (seed {seed})"), timeout, move || {
@@ -364,4 +371,17 @@ pub(crate) fn run(run: &mut Run) {
 
     println!("\n{failures} failures");
     run.check("every_run_correct_and_live_under_injection", failures == 0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A run that panics is a failure with its own message, not a
+    /// liveness failure after the timeout.
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn a_panicking_run_is_not_a_hang() {
+        with_watchdog("boom", Duration::from_secs(60), || panic!("boom"));
+    }
 }

@@ -1,38 +1,41 @@
-//! The Figure-1-style policy matrix: capture each application's
-//! reference stream once under PLATINUM, then replay it under the five
-//! placement policies and tabulate per-policy virtual time,
+//! The Figure-1-style policy matrix: price one reference stream under
+//! the five placement policies and tabulate per-policy virtual time,
 //! remote-reference ratio, and freeze/defrost counts.
 //!
-//! One execution + five replays per application — the comparison is over
-//! *identical* reference streams, so differences are attributable to the
-//! policy alone. The PLATINUM replay doubles as a self-check: it must
-//! reproduce the live capture run bit for bit, and on gauss the Fig. 1
-//! ordering (coherent < local-only < remote-only) is a named check.
+//! The comparison is over *identical* reference streams, so differences
+//! are attributable to the policy alone. The three applications get
+//! there by capture and replay: each runs once under PLATINUM while its
+//! stream is recorded, then the trace is replayed under every policy. The
+//! PLATINUM replay doubles as a self-check: it must reproduce the live
+//! capture run bit for bit, and on gauss the Fig. 1 ordering (coherent <
+//! local-only < remote-only) is a named check. The key-value store needs
+//! no capture: the open-loop driver runs each request to completion on
+//! one host thread, so one machine per policy driving the same merged
+//! schedule executes the same requests in the same order by construction.
 //!
 //! `--nodes N` (4), `--procs P` (4), `--n N` (gauss matrix, 96),
-//! `--sort-n N` (2048), `--epochs E` (3), `--apps a,b,c`
-//! (gauss,mergesort,neural; `kv` adds the server workload), `--workload
-//! W` (run only that workload — `--workload kv` sweeps the key-value
-//! store alone), `--topology T` (flat; `hier2`/`hier2x4` read the
-//! comparison on a hierarchical machine — pair with `--nodes 64 --procs
-//! 64`), `--kv-keys N` (4096), `--kv-requests N` (requests per
-//! processor, 6000), `--kv-gap-ns N` (5000: a saturating arrival rate, so
-//! per-policy elapsed reflects service cost, not idle pacing). The text
-//! report is a Markdown table; the artifact carries the same rows plus
-//! the named checks.
+//! `--sort-n N` (2048), `--epochs E` (3), `--workload a,b,c`
+//! (gauss,mergesort,neural; `kv` is the server workload — `--workload kv`
+//! sweeps the key-value store alone), `--topology T` (flat;
+//! `hier2`/`hier2x4` read the comparison on a hierarchical machine — pair
+//! with `--nodes 64 --procs 64`), `--kv-keys N` (4096), `--kv-requests N`
+//! (requests per processor, 12000), `--kv-gap-ns N` (5000: a saturating
+//! arrival rate, so per-policy elapsed reflects service cost, not idle
+//! pacing). The text report is a Markdown table; the artifact carries the
+//! same rows plus the named checks.
 
 use std::fmt::Write as _;
 
+use numa_machine::MachineConfig;
 use platinum::trace::json::Value;
 use platinum::{PolicyKind, PtableConfig, PtablePlacement};
-use platinum_apps::capture::{
-    record_gauss, record_kv, record_mergesort, record_neural, CapturedRun,
-};
+use platinum_apps::capture::{record_gauss, record_mergesort, record_neural, CapturedRun};
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::mergesort::SortConfig;
 use platinum_apps::neural::NeuralConfig;
-use platinum_reftrace::{ReplayOptions, ReplayOutcome};
-use platinum_server::{KvConfig, TrafficConfig};
+use platinum_reftrace::ReplayOptions;
+use platinum_runtime::sim::SimBuilder;
+use platinum_server::{run_open_loop, DriverReport, KvConfig, KvTable, Request, TrafficConfig};
 
 use crate::args::topology;
 use crate::run::{Artifact, Run};
@@ -48,31 +51,48 @@ struct Row {
     replications: u64,
     migrations: u64,
     remote_maps: u64,
-    /// PLATINUM rows only: replay reproduced the live run exactly.
+    /// PLATINUM rows of a replayed trace only: replay reproduced the
+    /// live run exactly.
     bit_identical: Option<bool>,
-    /// PLATINUM rows only: elapsed time of the same trace replayed with
+    /// PLATINUM rows only: elapsed time of the same stream run with
     /// replicated page tables (`PtablePlacement::ReplicatedOnFault`)
     /// instead of the centralized default — the replicated-vs-centralized
     /// page-table comparison over an identical reference stream.
     ptable_replicated_ns: Option<u64>,
 }
 
-/// Replays `captured` under every Fig. 1 policy — the five replays are
-/// independent machines, so each gets its own host thread — and returns
-/// the rows, asserting that the PLATINUM replay reproduces the live run
-/// bit for bit.
-fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
-    let mut rows = Vec::new();
-    let outs: Vec<ReplayOutcome> = std::thread::scope(|s| {
+/// `f(kind)` for every Fig. 1 policy, in `FIG1_SET` order. Each call
+/// boots its own machine, so each gets its own host thread.
+fn per_policy<R: Send>(f: impl Fn(PolicyKind) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|s| {
         let handles: Vec<_> = PolicyKind::FIG1_SET
             .into_iter()
-            .map(|kind| s.spawn(move || opts.replay(&captured.trace, kind)))
+            .map(|kind| s.spawn(move || f(kind)))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("replay thread panicked"))
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
-    });
+    })
+}
+
+/// `opts` with replicated page tables.
+fn replicated(opts: &ReplayOptions) -> ReplayOptions {
+    ReplayOptions {
+        ptable: Some(PtableConfig::with_placement(
+            PtablePlacement::ReplicatedOnFault,
+        )),
+        ..opts.clone()
+    }
+}
+
+/// Replays `captured` under every Fig. 1 policy and returns the rows,
+/// asserting that the PLATINUM replay reproduces the live run bit for
+/// bit.
+fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
+    let mut rows = Vec::new();
+    let outs = per_policy(|kind| opts.replay(&captured.trace, kind));
     for (kind, out) in PolicyKind::FIG1_SET.into_iter().zip(outs) {
         let last = out.phases.last().expect("trace has a measured phase");
         let bit_identical = if kind == PolicyKind::Platinum {
@@ -100,12 +120,7 @@ fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
         // here; what must hold is replay determinism — two replicated
         // replays agree bit for bit — asserted by running it twice.
         let ptable_replicated_ns = if kind == PolicyKind::Platinum {
-            let replicated = ReplayOptions {
-                ptable: Some(PtableConfig::with_placement(
-                    PtablePlacement::ReplicatedOnFault,
-                )),
-                ..opts.clone()
-            };
+            let replicated = replicated(opts);
             let a = replicated.replay(&captured.trace, kind);
             let b = replicated.replay(&captured.trace, kind);
             let deterministic = a.phases.iter().zip(&b.phases).all(|(x, y)| {
@@ -140,6 +155,78 @@ fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
         });
     }
     rows
+}
+
+/// Drives `schedule` through a fresh kv table on a `kind` machine booted
+/// as a capture boots one (4096 frames per node, no skew window, the
+/// topology and page-table fabric `opts` names); returns the driver's
+/// report and the quiesced table's checksum.
+fn kv_run(
+    nodes: usize,
+    procs: usize,
+    kcfg: &KvConfig,
+    schedule: &[Request],
+    opts: &ReplayOptions,
+    kind: PolicyKind,
+) -> (DriverReport, u64) {
+    let mut mc = MachineConfig::with_nodes(nodes);
+    mc.frames_per_node = 4096;
+    mc.skew_window_ns = None;
+    let mut b = SimBuilder::nodes(nodes).machine_config(mc).policy(kind);
+    if let Some(t) = &opts.topology {
+        b = b.topology(t.clone());
+    }
+    if let Some(p) = opts.ptable {
+        b = b.ptable(p);
+    }
+    let mut sim = b.build();
+    let kv = KvTable::stage(kcfg.clone(), &mut sim);
+    let report = run_open_loop(&sim, &kv, procs, schedule);
+    let audit = sim
+        .spawn(0, |ctx| kv.verify(ctx))
+        .expect("processor 0 free after the driver")
+        .expect("quiesced table verifies");
+    assert_eq!(audit.occupied, kcfg.keys, "keys lost from the table");
+    (report, audit.checksum)
+}
+
+/// The kv rows: one open-loop run per Fig. 1 policy over the same merged
+/// schedule, and PLATINUM once more on replicated page tables.
+fn kv_sweep(
+    nodes: usize,
+    procs: usize,
+    kcfg: &KvConfig,
+    traffic: &TrafficConfig,
+    opts: &ReplayOptions,
+) -> Vec<Row> {
+    let schedule = traffic.schedule(procs);
+    let runs = per_policy(|kind| kv_run(nodes, procs, kcfg, &schedule, opts, kind));
+    // Placement moves data, never changes it: every policy must leave
+    // the table the same requests produce.
+    let checksum = runs[0].1;
+    assert!(
+        runs.iter().all(|(_, c)| *c == checksum),
+        "kv: two policies left different tables"
+    );
+    let platinum = PolicyKind::Platinum;
+    let (replicated, _) = kv_run(nodes, procs, kcfg, &schedule, &replicated(opts), platinum);
+    PolicyKind::FIG1_SET
+        .into_iter()
+        .zip(runs)
+        .map(|(kind, (rep, _))| Row {
+            app: "kv".to_string(),
+            policy: kind.name(),
+            elapsed_ns: rep.elapsed_ns,
+            remote_ratio: rep.counters.remote_fraction(),
+            freezes: rep.protocol.freezes,
+            defrost_runs: rep.protocol.defrost_runs,
+            replications: rep.protocol.replications,
+            migrations: rep.protocol.migrations,
+            remote_maps: rep.protocol.remote_maps,
+            bit_identical: None,
+            ptable_replicated_ns: (kind == platinum).then_some(replicated.elapsed_ns),
+        })
+        .collect()
 }
 
 fn elapsed_of(rows: &[Row], app: &str, kind: PolicyKind) -> u64 {
@@ -217,8 +304,8 @@ fn artifact(rows: &[Row], nodes: usize, procs: usize, topology: &str, checks: Va
     ])
 }
 
-/// Captures the requested apps, sweeps the Fig. 1 policies over each
-/// trace, prints the table, and records the bit-identity and ordering
+/// Prices each requested workload's reference stream under the Fig. 1
+/// policies, prints the table, and records the bit-identity and ordering
 /// self-checks.
 pub(crate) fn run(run: &mut Run) {
     let args = &mut run.args;
@@ -228,23 +315,21 @@ pub(crate) fn run(run: &mut Run) {
     let sort_n = args.get_or("--sort-n", 2048usize);
     let epochs = args.get_or("--epochs", 3usize);
     let kv_keys = args.get_or("--kv-keys", 4096u64);
-    let kv_requests = args.get_or("--kv-requests", 6000usize);
+    let kv_requests = args.get_or("--kv-requests", 12_000usize);
     let kv_gap_ns = args.get_or("--kv-gap-ns", 5_000u64);
-    let only: Option<Vec<String>> = args.list("--workload");
-    let listed = args.list("--apps");
-    let apps = only
-        .or(listed)
+    let apps: Vec<String> = args
+        .list("--workload")
         .unwrap_or_else(|| ["gauss", "mergesort", "neural"].map(String::from).to_vec());
     for app in &apps {
         assert!(
             ["gauss", "mergesort", "neural", "kv"].contains(&app.as_str()),
-            "unknown app {app:?} (expected gauss, mergesort, neural, kv)"
+            "unknown workload {app:?} (expected gauss, mergesort, neural, kv)"
         );
     }
     // An explicit machine description: `--topology hier2 --nodes 64`
     // reads the same policy comparison on a big hierarchical machine.
-    // Capture and every replay boot from this one value, so the
-    // PLATINUM bit-identity self-check still holds.
+    // Capture, every replay and every kv run boot from this one value, so
+    // the PLATINUM bit-identity self-check still holds.
     let topo_name: Option<String> = args.get("--topology");
     let opts = ReplayOptions {
         topology: topo_name.as_deref().map(|name| topology(name, nodes)),
@@ -254,41 +339,47 @@ pub(crate) fn run(run: &mut Run) {
 
     let mut rows = Vec::new();
     for app in apps.iter().map(String::as_str) {
-        let captured = match app {
-            "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), &opts),
-            "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(sort_n), &opts),
-            "neural" => record_neural(nodes, procs, &NeuralConfig::with_epochs(epochs), &opts).0,
-            "kv" => record_kv(
-                nodes,
-                procs,
-                KvConfig::for_keys(kv_keys, 8),
-                &TrafficConfig {
-                    keys: kv_keys,
-                    requests_per_proc: kv_requests,
-                    mean_interarrival_ns: kv_gap_ns,
-                    // Read-heavy, no bursts: at matrix scale the table
-                    // is only ~64 pages, so the default 20%+ write mix
-                    // makes every page write-hot and no placement can
-                    // replicate profitably. A 2% update rate keeps the
-                    // hot pages read-mostly — the regime where the
-                    // placement policies actually separate.
-                    write_pct: 2,
-                    burst_every: 0,
-                    ..TrafficConfig::default()
-                },
-                &opts,
-            ),
-            other => unreachable!("app {other:?} was checked at parse time"),
-        };
-        say!(
-            run,
-            "captured {app}: {} ops, live PLATINUM time {:.3} ms, \
-             remote refs {:.1}%",
-            captured.trace.total_ops(),
-            captured.live.elapsed_ns as f64 / 1e6,
-            captured.live.run.merged_counters().remote_fraction() * 100.0,
-        );
-        rows.extend(sweep(app, &captured, &opts));
+        if app == "kv" {
+            let traffic = TrafficConfig {
+                keys: kv_keys,
+                requests_per_proc: kv_requests,
+                mean_interarrival_ns: kv_gap_ns,
+                // Read-heavy, no bursts: at matrix scale the table is
+                // only ~64 pages, so the default 20%+ write mix makes
+                // every page write-hot and no placement can replicate
+                // profitably. A 2% update rate keeps the hot pages
+                // read-mostly — the regime where the placement policies
+                // actually separate.
+                write_pct: 2,
+                burst_every: 0,
+                ..TrafficConfig::default()
+            };
+            say!(
+                run,
+                "driving kv: {} requests open loop under each policy",
+                procs * kv_requests,
+            );
+            let kcfg = KvConfig::for_keys(kv_keys, 8);
+            rows.extend(kv_sweep(nodes, procs, &kcfg, &traffic, &opts));
+        } else {
+            let captured = match app {
+                "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), &opts),
+                "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(sort_n), &opts),
+                "neural" => {
+                    record_neural(nodes, procs, &NeuralConfig::with_epochs(epochs), &opts).0
+                }
+                other => unreachable!("workload {other:?} was checked at parse time"),
+            };
+            say!(
+                run,
+                "captured {app}: {} ops, live PLATINUM time {:.3} ms, \
+                 remote refs {:.1}%",
+                captured.trace.total_ops(),
+                captured.live.elapsed_ns as f64 / 1e6,
+                captured.live.run.merged_counters().remote_fraction() * 100.0,
+            );
+            rows.extend(sweep(app, &captured, &opts));
+        }
 
         if app == "kv" && opts.topology.is_none() {
             // The serve phase arrives faster than any policy can serve

@@ -6,26 +6,22 @@
 //! merged-arrival order, `skew_window_ns: None` — see
 //! `platinum_server::drive`), so every number in the artifact is a pure
 //! function of the configuration: the `--check` gate holds the [`EXACT`]
-//! keys of each workload equal to a committed baseline's. `--mode closed`
-//! switches to the concurrent saturation driver, whose numbers are
-//! host-schedule dependent and never checked.
+//! keys of each workload equal to a committed baseline's.
 //!
 //! `--workload kv|flow|both` (both), `--nodes N` (8), `--shards N` (64),
 //! `--keys N` (262144), `--requests-per-proc N` (131072), `--theta T`
 //! (0.99), `--write-pct W` (10), `--seed S` (24301), `--mean-gap-ns G`
-//! (4000000), `--mode open|closed` (open). Defaults drive ≥1M requests
-//! through the KV store (8 procs × 128Ki). The CI smoke job runs a
-//! reduced geometry against `results/BENCH_server_baseline.json`;
-//! regenerate that baseline with the exact flags recorded in its
-//! `config` object.
+//! (4000000). Defaults drive ≥1M requests through the KV store (8 procs
+//! × 128Ki). The CI smoke job runs a reduced geometry against
+//! `results/BENCH_server_baseline.json`; regenerate that baseline with
+//! the exact flags recorded in its `config` object.
 
 use numa_machine::MachineConfig;
 use platinum::trace::json::Value;
 use platinum_analysis::report::Table;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{
-    run_closed_loop, run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable,
-    ServerPhase, TrafficConfig, Workload,
+    run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable, TrafficConfig, Workload,
 };
 
 use crate::check::Exact;
@@ -52,7 +48,6 @@ struct BenchConfig {
     nodes: usize,
     shards: usize,
     traffic: TrafficConfig,
-    mode: ServerPhase,
 }
 
 /// One workload's measured numbers plus its state checksum.
@@ -73,16 +68,7 @@ fn boot(nodes: usize) -> Sim {
 }
 
 fn drive<W: Workload>(sim: &Sim, w: &W, cfg: &BenchConfig) -> DriverReport {
-    match cfg.mode {
-        ServerPhase::OpenLoop => {
-            let schedule = cfg.traffic.schedule(cfg.nodes);
-            run_open_loop(sim, w, cfg.nodes, &schedule)
-        }
-        ServerPhase::ClosedLoop => {
-            let per_proc = cfg.traffic.per_proc_schedules(cfg.nodes);
-            run_closed_loop(sim, w, &per_proc)
-        }
-    }
+    run_open_loop(sim, w, cfg.nodes, &cfg.traffic.schedule(cfg.nodes))
 }
 
 fn run_kv(cfg: &BenchConfig) -> WorkloadResult {
@@ -182,16 +168,6 @@ fn artifact(cfg: &BenchConfig, results: &[WorkloadResult]) -> Value {
     Value::obj(vec![
         ("bench", Value::str("server_bench")),
         (
-            "mode",
-            Value::Str(
-                match cfg.mode {
-                    ServerPhase::OpenLoop => "open",
-                    ServerPhase::ClosedLoop => "closed",
-                }
-                .to_string(),
-            ),
-        ),
-        (
             "config",
             Value::obj(vec![
                 ("nodes", n(cfg.nodes as u64)),
@@ -250,11 +226,6 @@ pub(crate) fn run(run: &mut Run) {
         "unknown workload {workload:?} (expected kv, flow, both)"
     );
     let nodes = args.get_or("--nodes", 8usize);
-    let mode = match args.get_or("--mode", "open".to_string()).as_str() {
-        "open" => ServerPhase::OpenLoop,
-        "closed" => ServerPhase::ClosedLoop,
-        other => panic!("unknown mode {other:?} (expected open or closed)"),
-    };
     let cfg = BenchConfig {
         nodes,
         shards: args.get_or("--shards", 64usize),
@@ -277,23 +248,14 @@ pub(crate) fn run(run: &mut Run) {
             mean_interarrival_ns: args.get_or("--mean-gap-ns", 4_000_000u64),
             ..TrafficConfig::default()
         },
-        mode,
     };
-    // Only the deterministic driver's numbers can be held to a baseline.
-    run.start(match cfg.mode {
-        ServerPhase::OpenLoop => Artifact::Exact(&EXACT),
-        ServerPhase::ClosedLoop => Artifact::Json,
-    });
+    run.start(Artifact::Exact(&EXACT));
 
     say!(
         run,
-        "Server tier: {} requests per workload, {} procs, {} mode\n",
+        "Server tier: {} requests per workload, {} procs, open loop (deterministic)\n",
         cfg.nodes * cfg.traffic.requests_per_proc,
         cfg.nodes,
-        match cfg.mode {
-            ServerPhase::OpenLoop => "open-loop (deterministic)",
-            ServerPhase::ClosedLoop => "closed-loop (saturation)",
-        }
     );
 
     let mut results = Vec::new();

@@ -166,7 +166,14 @@ fn ptable_ablation_gate_is_exact() {
 #[test]
 fn policy_matrix_json_parses_and_replay_is_bit_identical() {
     let cwd = scratch("policy_matrix");
-    let args = ["policy_matrix", "--n", "48", "--apps", "gauss", "--json"];
+    let args = [
+        "policy_matrix",
+        "--n",
+        "48",
+        "--workload",
+        "gauss",
+        "--json",
+    ];
     let out = repro(&cwd, &args);
     assert_eq!(out.status, 0, "{}", out.stderr);
     let v = json::parse(&out.stdout).expect("--json prints the artifact and nothing else");
@@ -176,6 +183,32 @@ fn policy_matrix_json_parses_and_replay_is_bit_identical() {
         .find(|r| r.get("policy").and_then(Value::as_str) == Some("PLATINUM"))
         .expect("a PLATINUM row");
     assert_eq!(platinum.get("bit_identical"), Some(&Value::Bool(true)));
+}
+
+/// The kv matrix at its default size: one machine per policy drives the
+/// same open-loop schedule on one host thread, so two runs print the same
+/// artifact, and §6's bounded-damage checks hold.
+#[test]
+fn policy_matrix_kv_is_deterministic_and_green() {
+    let cwd = scratch("policy_matrix_kv");
+    let args = ["policy_matrix", "--workload", "kv", "--json"];
+    let first = repro(&cwd, &args);
+    assert_eq!(first.status, 0, "{}{}", first.stdout, first.stderr);
+    assert_eq!(repro(&cwd, &args).stdout, first.stdout, "two runs differ");
+    let v = json::parse(&first.stdout).expect("--json prints the artifact and nothing else");
+    let rows = v.get("rows").and_then(Value::as_arr).expect("rows");
+    assert_eq!(rows.len(), 5);
+    assert!(rows
+        .iter()
+        .all(|r| r.get("app").and_then(Value::as_str) == Some("kv")));
+    let checks = v.get("checks").expect("checks");
+    for name in [
+        "kv_policy_spread",
+        "kv_freeze_bounds_coherent_near_remote_floor",
+        "kv_freeze_beats_naive_replication",
+    ] {
+        assert_eq!(checks.get(name), Some(&Value::Bool(true)), "{name}");
+    }
 }
 
 #[test]
@@ -203,6 +236,15 @@ fn unread_arguments_are_rejected_before_boot() {
     let out = repro(&cwd, &["fig1_gauss", "--out", "--quick"]);
     assert_ne!(out.status, 0);
     assert!(out.stderr.contains("--out needs a value"), "{}", out.stderr);
+
+    // One choice, one flag: `--apps` was once read beside `--workload`
+    // and silently dropped.
+    let out = repro(
+        &cwd,
+        &["policy_matrix", "--workload", "kv", "--apps", "gauss"],
+    );
+    assert_eq!(out.status, 2, "{}", out.stderr);
+    assert!(out.stderr.contains("\"--apps\""), "{}", out.stderr);
 
     assert_eq!(repro(&cwd, &["no_such_experiment"]).status, 2);
     assert_eq!(repro(&cwd, &[]).status, 2);
@@ -247,7 +289,7 @@ const SMALLEST: [&str; 15] = [
     "trace_report --n 24 --procs 2",
     "ablations --ace --procs 2",
     "scaled_speedup --base-n 16 --max-procs 2",
-    "policy_matrix --n 16 --apps gauss",
+    "policy_matrix --n 16 --workload gauss",
     "server_bench --nodes 2 --shards 2 --keys 64 --requests-per-proc 16",
     "ptable_ablation --procs 2 --pings 50 --kv-keys 64 --kv-requests 8",
     "host_throughput --procs 2 --ops 1000 --rounds 100",

@@ -1,7 +1,6 @@
-//! The request driver: deterministic open-loop measurement and a
-//! concurrent closed-loop saturation mode.
+//! The request driver: deterministic open-loop measurement.
 //!
-//! # Why the open-loop driver is deterministic
+//! # Why the driver is deterministic
 //!
 //! The driver executes the merged arrival schedule on one host thread: a
 //! [`Lockstep`] executor owns every worker's context, each request runs
@@ -13,23 +12,16 @@
 //! table contents are bit-identical (DESIGN.md §10 has the argument; the
 //! reference-trace replayer rests on the same executor at per-operation
 //! granularity). The simulation must be booted with `skew_window_ns:
-//! None`, as the capture engine does — the skew throttle is a liveness
-//! aid for free-running workers and would add host-dependent kernel
-//! entries.
+//! None` — the skew throttle is a liveness aid for free-running workers
+//! and would add host-dependent kernel entries.
 //!
 //! Virtual time still *overlaps* between processors — each worker's
 //! clock advances independently, arrivals pace it, and a backlogged
 //! worker's completions lag its arrivals — so open-loop latency
 //! (completion minus scheduled arrival) includes queueing delay, which
 //! is the number a server operator actually experiences.
-//!
-//! The closed-loop mode runs the workers genuinely concurrently (next
-//! request issues the moment the previous completes). It saturates the
-//! protocol with real cross-processor races, at the price of
-//! host-schedule-dependent results: use it for stress and ceiling
-//! numbers, never for baseline checks.
 
-use numa_machine::Mem as _;
+use numa_machine::{AccessCounters, Mem as _};
 use platinum::{StatsSnapshot, UserCtx};
 use platinum_runtime::sim::Sim;
 use platinum_runtime::Lockstep;
@@ -41,8 +33,7 @@ use crate::ServerMem;
 
 /// A server workload the driver can run: populate once, then execute
 /// requests. Implementations are written against [`ServerMem`], so the
-/// same workload runs live (`UserCtx`), recorded
-/// (`RecordingCtx`), and in unit tests (`FlatMem`).
+/// same workload runs live (`UserCtx`) and in unit tests (`FlatMem`).
 pub trait Workload: Sync {
     /// Builds this worker's partition of the initial state.
     fn populate<M: ServerMem>(
@@ -92,6 +83,8 @@ pub struct DriverReport {
     /// Kernel protocol counters over the measured phase only
     /// (after minus before).
     pub protocol: StatsSnapshot,
+    /// Every worker's access counters over the measured phase, summed.
+    pub counters: AccessCounters,
 }
 
 impl DriverReport {
@@ -114,15 +107,6 @@ impl DriverReport {
     }
 }
 
-/// Which driver produced a report (stamped into artifacts).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerPhase {
-    /// Deterministic serialized open loop.
-    OpenLoop,
-    /// Concurrent closed loop (host-schedule dependent).
-    ClosedLoop,
-}
-
 /// Upper bound on per-request retries before the driver declares the
 /// fault plan unrecoverable. The injection hash is keyed by attempt, so
 /// honest transient plans converge in a handful of tries.
@@ -140,44 +124,16 @@ fn attach_all(sim: &Sim, procs: usize) -> Lockstep {
     workers
 }
 
-/// Per-worker measurement accumulator.
-struct Acc {
-    all: Histogram,
-    read: Histogram,
-    write: Histogram,
-    per_shard: Vec<u64>,
-    requests: u64,
-    reads: u64,
-    writes: u64,
-    retries: u64,
-}
-
-impl Acc {
-    fn new(shards: usize) -> Self {
-        Acc {
-            all: Histogram::new(),
-            read: Histogram::new(),
-            write: Histogram::new(),
-            per_shard: vec![0; shards],
-            requests: 0,
-            reads: 0,
-            writes: 0,
-            retries: 0,
-        }
-    }
-}
-
 /// Executes one request against `w`, retrying surfaced recoverable
-/// errors, and accounts it with latency measured from `since` — the
-/// scheduled arrival for the open loop (queueing included), the issue
-/// time for the closed loop (pure service time).
-fn serve<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, since: u64, acc: &mut Acc) {
+/// errors, and accounts it in `rep` with latency measured from its
+/// scheduled arrival (queueing included).
+fn serve<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, rep: &mut DriverReport) {
     let mut attempts = 0u32;
     loop {
         match w.execute(ctx, req) {
             Ok(()) => break,
             Err(e) => {
-                acc.retries += 1;
+                rep.retries += 1;
                 attempts += 1;
                 assert!(
                     attempts < MAX_ATTEMPTS,
@@ -189,18 +145,19 @@ fn serve<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, since: u64, acc: 
         }
     }
     let done = ctx.vtime();
-    let latency = done - since;
+    let latency = done - req.arrival_ns;
     let class = w.class(req);
-    acc.all.record(latency);
+    rep.latency.record(latency);
     if class == 1 {
-        acc.write.record(latency);
-        acc.writes += 1;
+        rep.write_latency.record(latency);
+        rep.writes += 1;
     } else {
-        acc.read.record(latency);
-        acc.reads += 1;
+        rep.read_latency.record(latency);
+        rep.reads += 1;
     }
-    acc.per_shard[w.shard_of(req.key)] += 1;
-    acc.requests += 1;
+    rep.per_shard[w.shard_of(req.key)] += 1;
+    rep.per_proc[req.proc] += 1;
+    rep.requests += 1;
     // Per-request record through the kernel's choke point: counted in
     // the aggregate stats and visible to an installed tracer.
     ctx.kernel().record(
@@ -213,55 +170,9 @@ fn serve<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, since: u64, acc: 
     );
 }
 
-fn merge_report(
-    accs: Vec<Acc>,
-    vtimes: Vec<u64>,
-    shards: usize,
-    protocol: StatsSnapshot,
-) -> DriverReport {
-    let mut rep = DriverReport {
-        requests: 0,
-        reads: 0,
-        writes: 0,
-        retries: 0,
-        elapsed_ns: vtimes.iter().copied().max().unwrap_or(0),
-        latency: Histogram::new(),
-        read_latency: Histogram::new(),
-        write_latency: Histogram::new(),
-        per_shard: vec![0; shards],
-        per_proc: Vec::with_capacity(accs.len()),
-        protocol,
-    };
-    for acc in accs {
-        rep.requests += acc.requests;
-        rep.reads += acc.reads;
-        rep.writes += acc.writes;
-        rep.retries += acc.retries;
-        rep.latency.merge(&acc.all);
-        rep.read_latency.merge(&acc.read);
-        rep.write_latency.merge(&acc.write);
-        for (t, s) in rep.per_shard.iter_mut().zip(&acc.per_shard) {
-            *t += s;
-        }
-        rep.per_proc.push(acc.requests);
-    }
-    rep
-}
-
-/// Builds `w`'s initial state: one serialized turn per worker, so each
-/// worker first-touches its own partition.
-fn populate<W: Workload>(sim: &Sim, w: &W, procs: usize) {
-    let mut workers = attach_all(sim, procs);
-    for t in 0..procs {
-        workers.run(t, |ctx| {
-            w.populate(ctx, t, procs)
-                .expect("populate phase must not hit injected-fault residue")
-        });
-    }
-}
-
-/// Populates `w` (one serialized turn per worker) and then executes the
-/// merged open-loop `schedule` deterministically. The populate and measured
+/// Populates `w` (one serialized turn per worker, so each worker
+/// first-touches its own partition) and then executes the merged
+/// open-loop `schedule` deterministically. The populate and measured
 /// phases each attach fresh contexts with clocks at zero, mirroring the
 /// phase structure of every other harness in the repository.
 ///
@@ -275,13 +186,33 @@ pub fn run_open_loop<W: Workload>(
 ) -> DriverReport {
     assert!(
         sim.machine.cfg().skew_window_ns.is_none(),
-        "deterministic driver needs skew_window_ns: None (as the capture engine boots)"
+        "deterministic driver needs skew_window_ns: None"
     );
-    populate(sim, w, procs);
+    let mut workers = attach_all(sim, procs);
+    for t in 0..procs {
+        workers.run(t, |ctx| {
+            w.populate(ctx, t, procs)
+                .expect("populate phase must not hit injected-fault residue")
+        });
+    }
+    drop(workers);
 
     let before = sim.kernel.stats().snapshot();
     let mut workers = attach_all(sim, procs);
-    let mut accs: Vec<Acc> = (0..procs).map(|_| Acc::new(w.shards())).collect();
+    let mut rep = DriverReport {
+        requests: 0,
+        reads: 0,
+        writes: 0,
+        retries: 0,
+        elapsed_ns: 0,
+        latency: Histogram::new(),
+        read_latency: Histogram::new(),
+        write_latency: Histogram::new(),
+        per_shard: vec![0; w.shards()],
+        per_proc: vec![0; procs],
+        protocol: StatsSnapshot::default(),
+        counters: AccessCounters::default(),
+    };
     for req in schedule {
         workers.run(req.proc, |ctx| {
             if ctx.vtime() < req.arrival_ns {
@@ -289,33 +220,14 @@ pub fn run_open_loop<W: Workload>(
                 // skips this and the excess shows up as queueing latency.
                 ctx.advance_to(req.arrival_ns);
             }
-            serve(ctx, w, req, req.arrival_ns, &mut accs[req.proc])
+            serve(ctx, w, req, &mut rep)
         });
     }
-    let vtimes = (0..procs).map(|p| workers.release(p).vtime()).collect();
-    let protocol = sim.kernel.stats().snapshot().delta(&before);
-    merge_report(accs, vtimes, w.shards(), protocol)
-}
-
-/// Populates `w` and then runs every worker concurrently through its
-/// own request list back to back, ignoring arrival pacing: each request
-/// issues the moment the previous completes, so the measured latency is
-/// pure service time at saturation. Host-schedule dependent — never
-/// compare against a committed baseline.
-pub fn run_closed_loop<W: Workload>(sim: &Sim, w: &W, per_proc: &[Vec<Request>]) -> DriverReport {
-    let procs = per_proc.len();
-    populate(sim, w, procs);
-
-    let before = sim.kernel.stats().snapshot();
-    let (outs, run) = sim.run(procs, |p, ctx| {
-        let mut acc = Acc::new(w.shards());
-        for req in &per_proc[p] {
-            let issued = ctx.vtime();
-            serve(ctx, w, req, issued, &mut acc);
-        }
-        acc
-    });
-    let protocol = sim.kernel.stats().snapshot().delta(&before);
-    let vtimes = run.workers.iter().map(|w| w.vtime_ns).collect();
-    merge_report(outs, vtimes, w.shards(), protocol)
+    for p in 0..procs {
+        let ctx = workers.release(p);
+        rep.elapsed_ns = rep.elapsed_ns.max(ctx.vtime());
+        rep.counters.merge(&ctx.counters());
+    }
+    rep.protocol = sim.kernel.stats().snapshot().delta(&before);
+    rep
 }

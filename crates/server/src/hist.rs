@@ -3,8 +3,8 @@
 //! HDR-style layout: values below 8 get exact buckets; above that, each
 //! power-of-two range is split into 8 linear sub-buckets, so relative
 //! quantile error is bounded by 12.5% while the whole table stays at
-//! 512 counters. All arithmetic is integral — recording, merging, and
-//! quantile extraction are bit-deterministic, which lets `server_bench`
+//! 512 counters. All arithmetic is integral — recording and quantile
+//! extraction are bit-deterministic, which lets `server_bench`
 //! commit exact p50/p99/p999 numbers as its baseline.
 
 /// Sub-bucket resolution: 2^3 linear buckets per power of two.
@@ -12,7 +12,7 @@ const SUB_BITS: u32 = 3;
 /// 61 major ranges × 8 sub-buckets + the 8 exact low buckets.
 const BUCKETS: usize = 512;
 
-/// A mergeable latency histogram.
+/// A latency histogram.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -65,16 +65,6 @@ impl Histogram {
         self.count += 1;
         self.sum += v;
         self.max = self.max.max(v);
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 
     /// Recorded values.
@@ -172,17 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_order_and_merge() {
+    fn quantiles_are_ordered() {
         let mut a = Histogram::new();
-        let mut b = Histogram::new();
         for v in 1..=1000u64 {
-            if v % 2 == 0 {
-                a.record(v * 100);
-            } else {
-                b.record(v * 100);
-            }
+            a.record(v * 100);
         }
-        a.merge(&b);
         assert_eq!(a.count(), 1000);
         let (p50, p99, p999) = (a.p50(), a.p99(), a.p999());
         assert!(p50 <= p99 && p99 <= p999 && p999 <= a.max());

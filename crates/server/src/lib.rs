@@ -20,17 +20,14 @@
 //! * [`drive`] — the measurement harness: a serialized, deterministic
 //!   open-loop driver (same executor as the reftrace replay engine: one
 //!   host thread, one kernel entry at a time in a fixed global order,
-//!   reproduces the run exactly), a concurrent closed-loop mode for
-//!   saturation tests, and per-request virtual-time latency accounting
-//!   ([`hist`]).
+//!   reproduces the run exactly) with per-request virtual-time latency
+//!   accounting ([`hist`]).
 //!
 //! Workloads are written against [`ServerMem`], a small extension of the
 //! portable [`Mem`] interface that exposes the kernel's *fallible*
 //! access path, so the same workload code composes with the fault
 //! injection machinery (a `platinum::UserCtx` surfaces injected-fault
-//! residuals as `Err`, which the driver retries and counts) and with the
-//! reference-trace recorder (a `RecordingCtx` records the panicking
-//! path, as every other recorded application does).
+//! residuals as `Err`, which the driver retries and counts).
 
 #![warn(missing_docs)]
 
@@ -44,7 +41,7 @@ pub mod rng;
 pub mod traffic;
 pub mod zipf;
 
-pub use drive::{run_closed_loop, run_open_loop, DriverReport, ServerPhase, Workload};
+pub use drive::{run_open_loop, DriverReport, Workload};
 pub use flow::{FlowConfig, FlowTables};
 pub use hist::Histogram;
 pub use kv::{KvAudit, KvConfig, KvTable};
@@ -57,11 +54,11 @@ pub use zipf::Zipf;
 /// path.
 ///
 /// The defaults wrap the panicking [`Mem`] accessors, which is correct
-/// for every backend without a recoverable error path (the flat test
-/// memory, the reference-trace recorder). The `platinum::UserCtx`
-/// implementation forwards to `try_read`/`try_write` instead, so an
-/// injected fault that exhausts its recovery ladder surfaces to the
-/// request driver as an `Err` to retry rather than a panic.
+/// for a backend without a recoverable error path (the flat test
+/// memory). The `platinum::UserCtx` implementation forwards to
+/// `try_read`/`try_write` instead, so an injected fault that exhausts its
+/// recovery ladder surfaces to the request driver as an `Err` to retry
+/// rather than a panic.
 pub trait ServerMem: Mem {
     /// Reads the word at `va`, surfacing recoverable failures.
     fn try_load(&mut self, va: Va) -> platinum::Result<u32> {
@@ -84,11 +81,6 @@ impl ServerMem for platinum::UserCtx {
         self.try_write(va, val)
     }
 }
-
-/// Recorded runs use the panicking defaults: the recorder serializes
-/// every operation through its gate, and a recoverable error during a
-/// capture would leave a hole in the trace anyway.
-impl ServerMem for platinum_reftrace::RecordingCtx {}
 
 /// Test backend (no recoverable error path).
 impl ServerMem for numa_machine::mem_iface::test_support::FlatMem {}

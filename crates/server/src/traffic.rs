@@ -11,8 +11,7 @@
 //! is exactly the signal a placement policy is judged on.
 //!
 //! The merged schedule (all processors, arrival order) is what the
-//! serialized driver executes; per-processor schedules feed the
-//! closed-loop saturation mode and the reference-trace recorder.
+//! serialized driver executes.
 
 use crate::rng::{mix, Rng};
 use crate::zipf::Zipf;
@@ -130,22 +129,14 @@ impl TrafficConfig {
         out
     }
 
-    /// All processors' schedules, separately (closed-loop mode and the
-    /// capture runner consume them per worker).
-    pub fn per_proc_schedules(&self, procs: usize) -> Vec<Vec<Request>> {
-        let zipf = Zipf::new(self.keys, self.theta);
-        (0..procs).map(|p| self.proc_schedule(&zipf, p)).collect()
-    }
-
     /// The merged schedule: every processor's stream interleaved by
     /// arrival time (ties broken by processor index), `serial`
     /// re-stamped to the merged position. This is the total order the
     /// serialized open-loop driver executes in.
     pub fn schedule(&self, procs: usize) -> Vec<Request> {
-        let mut all: Vec<Request> = self
-            .per_proc_schedules(procs)
-            .into_iter()
-            .flatten()
+        let zipf = Zipf::new(self.keys, self.theta);
+        let mut all: Vec<Request> = (0..procs)
+            .flat_map(|p| self.proc_schedule(&zipf, p))
             .collect();
         all.sort_by_key(|r| (r.arrival_ns, r.proc, r.serial));
         for (i, r) in all.iter_mut().enumerate() {
