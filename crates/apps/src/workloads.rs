@@ -58,21 +58,16 @@ pub fn round_robin<M: Mem>(
     for op in 0..cfg.ops_per_proc {
         let my_turn = (op * p + tid) as u32;
         turn.await_at_least(m, my_turn);
-        operation(m, base, cfg, op);
+        operation_for_benchmarks(m, base, cfg, op);
         m.compute(cfg.compute_ns_per_op);
         turn.advance(m);
     }
 }
 
-/// The operation `f`: `refs_per_op` references spread across the
+/// The §4.1 operation `f`: `refs_per_op` references spread across the
 /// structure. The first reference is always a write (the §4.1 operation
 /// mutates `X`, which is what makes the page migratory); of the rest,
-/// `write_pct`% are writes.
-fn operation<M: Mem>(m: &mut M, base: Va, cfg: &SharingConfig, op: usize) {
-    operation_for_benchmarks(m, base, cfg, op)
-}
-
-/// The bare §4.1 operation, exposed for harnesses that supply their own
+/// `write_pct`% are writes. Public for harnesses that supply their own
 /// turn-taking.
 pub fn operation_for_benchmarks<M: Mem>(m: &mut M, base: Va, cfg: &SharingConfig, op: usize) {
     let stride = (cfg.struct_words / cfg.refs_per_op.max(1)).max(1);
@@ -86,39 +81,6 @@ pub fn operation_for_benchmarks<M: Mem>(m: &mut M, base: Va, cfg: &SharingConfig
             acc = acc.wrapping_add(m.read(va));
         }
     }
-}
-
-/// A purely private workload: each processor sweeps its own region.
-/// Baseline for overhead measurements — the coherent memory system
-/// should add (almost) nothing here.
-pub fn private_sweep<M: Mem>(m: &mut M, base: Va, words: usize, rounds: usize) -> u32 {
-    let mut acc = 0u32;
-    for r in 0..rounds {
-        for w in 0..words {
-            let va = base + 4 * w as u64;
-            if r % 2 == 0 {
-                m.write(va, (r + w) as u32);
-            } else {
-                acc = acc.wrapping_add(m.read(va));
-            }
-        }
-    }
-    acc
-}
-
-/// A read-shared workload: every processor repeatedly reads the same
-/// region (which PLATINUM should replicate once per node, after which
-/// all traffic is local).
-pub fn read_shared<M: Mem>(m: &mut M, base: Va, words: usize, rounds: usize) -> u32 {
-    let mut acc = 0u32;
-    let mut buf = vec![0u32; words];
-    for _ in 0..rounds {
-        m.read_block(base, &mut buf);
-        for &v in &buf {
-            acc = acc.wrapping_add(v);
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -136,7 +98,7 @@ mod tests {
             ..Default::default()
         };
         let t0 = m.vtime();
-        operation(&mut m, 0x1000, &cfg, 0);
+        operation_for_benchmarks(&mut m, 0x1000, &cfg, 0);
         // FlatMem charges 320 per read/write: exactly 16 references.
         assert_eq!(m.vtime() - t0, 16 * 320);
     }
@@ -150,27 +112,12 @@ mod tests {
             write_pct: 0,
             ..Default::default()
         };
-        operation(&mut m, 0x0, &cfg, 0);
+        operation_for_benchmarks(&mut m, 0x0, &cfg, 0);
         assert_eq!(m.words.len(), 1, "0% writes still writes the mutation ref");
         cfg.write_pct = 100;
         m.words.clear();
-        operation(&mut m, 0x0, &cfg, 0);
+        operation_for_benchmarks(&mut m, 0x0, &cfg, 0);
         assert!(m.words.len() > 100, "100% writes must write everywhere");
-    }
-
-    #[test]
-    fn private_sweep_accumulates() {
-        let mut m = FlatMem::new(0, 1);
-        let acc = private_sweep(&mut m, 0x1000, 8, 2);
-        // Round 0 writes (0+w), round 1 reads them back.
-        assert_eq!(acc, (0..8).sum::<u32>());
-    }
-
-    #[test]
-    fn read_shared_sums() {
-        let mut m = FlatMem::new(0, 1);
-        m.write_block(0x1000, &[1, 2, 3, 4]);
-        assert_eq!(read_shared(&mut m, 0x1000, 4, 3), 30);
     }
 
     #[test]

@@ -34,7 +34,6 @@ use platinum_apps::gauss::GaussConfig;
 use platinum_apps::mergesort::SortConfig;
 use platinum_apps::neural::NeuralConfig;
 use platinum_reftrace::ReplayOptions;
-use platinum_runtime::sim::SimBuilder;
 use platinum_server::{run_open_loop, DriverReport, KvConfig, KvTable, Request, TrafficConfig};
 
 use crate::args::topology;
@@ -158,9 +157,10 @@ fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
 }
 
 /// Drives `schedule` through a fresh kv table on a `kind` machine booted
-/// as a capture boots one (4096 frames per node, no skew window, the
-/// topology and page-table fabric `opts` names); returns the driver's
-/// report and the quiesced table's checksum.
+/// as a capture boots one ([`ReplayOptions::boot`]: 4096 frames per node,
+/// the default page, no skew window, the topology and page-table fabric
+/// `opts` names); returns the driver's report and the quiesced table's
+/// checksum.
 fn kv_run(
     nodes: usize,
     procs: usize,
@@ -169,17 +169,8 @@ fn kv_run(
     opts: &ReplayOptions,
     kind: PolicyKind,
 ) -> (DriverReport, u64) {
-    let mut mc = MachineConfig::with_nodes(nodes);
-    mc.frames_per_node = 4096;
-    mc.skew_window_ns = None;
-    let mut b = SimBuilder::nodes(nodes).machine_config(mc).policy(kind);
-    if let Some(t) = &opts.topology {
-        b = b.topology(t.clone());
-    }
-    if let Some(p) = opts.ptable {
-        b = b.ptable(p);
-    }
-    let mut sim = b.build();
+    let page_shift = MachineConfig::default().page_shift;
+    let mut sim = opts.boot(nodes, 4096, page_shift, kind);
     let kv = KvTable::stage(kcfg.clone(), &mut sim);
     let report = run_open_loop(&sim, &kv, procs, schedule);
     let audit = sim

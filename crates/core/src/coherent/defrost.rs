@@ -20,7 +20,8 @@ use numa_machine::{ProcSet, Va};
 use platinum_trace::EventKind;
 
 use crate::coherent::cmap::Directive;
-use crate::coherent::cpage::{CpState, CpageInner};
+use crate::coherent::cpage::{CpState, Cpage, CpageInner};
+use crate::coherent::shootdown::ShootdownBatch;
 use crate::costs;
 use crate::error::{KernelError, Result};
 use crate::ids::CpageId;
@@ -113,21 +114,13 @@ impl Kernel {
         let list = self.defrost.take();
         let examined = list.len() as u64;
         let mut thawed = 0u64;
-        // Lock in page-id order (concurrent multi-page initiators must
-        // not acquire in conflicting orders), thaw in enrollment order —
-        // the order a page-at-a-time daemon charges. Guards are held
-        // until the flush so no fault sees a half-thawed batch.
+        // Thaw in enrollment order — the order a page-at-a-time daemon
+        // charges — with every guard held until the flush, so no fault
+        // sees a half-thawed batch.
         let pages: Vec<_> = list.iter().filter_map(|&id| self.cpages.get(id)).collect();
-        let mut order: Vec<usize> = (0..pages.len()).collect();
-        order.sort_unstable_by_key(|&i| pages[i].id());
-        let mut guards: Vec<Option<parking_lot::MutexGuard<CpageInner>>> = Vec::new();
-        guards.resize_with(pages.len(), || None);
-        for &i in &order {
-            guards[i] = Some(self.lock_cpage(ctx, &pages[i]));
-        }
+        let mut guards = self.lock_in_id_order(ctx, pages.iter().map(|p| &**p));
         let mut batch = ctx.take_batch();
-        for (i, cpage) in pages.iter().enumerate() {
-            let g = guards[i].as_mut().expect("locked above");
+        for (cpage, g) in pages.iter().zip(&mut guards) {
             if self.thaw_locked(ctx, &mut batch, cpage, g) {
                 thawed += 1;
             }
@@ -160,8 +153,8 @@ impl Kernel {
     fn thaw_locked(
         &self,
         ctx: &mut UserCtx,
-        batch: &mut crate::coherent::shootdown::ShootdownBatch,
-        cpage: &crate::coherent::cpage::Cpage,
+        batch: &mut ShootdownBatch,
+        cpage: &Cpage,
         g: &mut CpageInner,
     ) -> bool {
         if !g.frozen {
@@ -173,29 +166,50 @@ impl Kernel {
         // Invalidate all mappings, the initiator's included.
         let everyone = ProcSet::full(self.machine().nprocs());
         self.batch_post(ctx, batch, cpage.id(), g, Directive::Invalidate, &everyone);
-        let me = ctx.core.id();
-        for &(as_id, vpn) in &g.bindings {
-            if ctx.space().id() == as_id && ctx.pmap.remove(as_id, vpn).is_some() {
-                let asid = ctx.space().asid();
-                ctx.core.atc().invalidate(asid, vpn);
-                if let Ok(space) = self.space(as_id) {
-                    if let Some(e) = space.cmap().entry(vpn) {
-                        e.clear_ref(me);
-                    }
-                }
-            }
-        }
-        g.frozen = false;
-        g.thaws += 1;
+        self.thaw(ctx, cpage.id(), g, 0);
         g.writer_mask.clear();
         g.remote_map_mask.clear();
         // One copy, no writable mappings: the page re-enters present1 and
         // the next fault consults the policy with the old invalidation
         // history (thawing itself is not an invalidation).
         g.state = CpState::Present1;
-        ctx.record(EventKind::Thaw, 0, cpage.id().0, 0);
         debug_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
         true
+    }
+
+    /// Freezes the page and enrolls it with the defrost daemon, unless it
+    /// is frozen already or not modified (a frozen page is always in the
+    /// modified state, §4.2). `code` says why in the `Freeze` event: 0, the
+    /// policy saw write-sharing interference (`arg` is its age); 2, a
+    /// shootdown escalated — a target exhausted its ack-retry budget, so
+    /// the kernel stops moving the page and falls back to the paper's
+    /// degraded mode until the daemon thaws it.
+    pub(crate) fn freeze(
+        &self,
+        ctx: &UserCtx,
+        page: CpageId,
+        g: &mut CpageInner,
+        code: u8,
+        arg: u64,
+    ) {
+        if g.frozen || g.state != CpState::Modified {
+            return;
+        }
+        g.frozen = true;
+        g.freezes += 1;
+        ctx.record(EventKind::Freeze, code, page.0, arg);
+        self.defrost.enroll(page);
+    }
+
+    /// Clears the page's frozen mark, if set. `code` says who thawed it in
+    /// the `Thaw` event: 0, the defrost daemon or an explicit thaw; 1, an
+    /// access under the thaw-on-access variant.
+    pub(crate) fn thaw(&self, ctx: &UserCtx, page: CpageId, g: &mut CpageInner, code: u8) {
+        if g.frozen {
+            g.frozen = false;
+            g.thaws += 1;
+            ctx.record(EventKind::Thaw, code, page.0, 0);
+        }
     }
 
     /// Explicitly thaws the page backing `va` in `ctx`'s address space —

@@ -17,9 +17,17 @@ use crate::coherent::policy::{FaultAction, FaultInfo};
 use crate::costs;
 use crate::error::{KernelError, Result};
 use crate::hostprof::HostPhase;
-use crate::ids::CpageId;
 use crate::kernel::Kernel;
 use crate::user::UserCtx;
+
+/// Nanoseconds from the page's last protocol invalidation to `now`;
+/// `u64::MAX` when it was never invalidated. The `arg` of the
+/// `PolicyDecision` and policy `Freeze` events.
+fn invalidation_age(g: &CpageInner, now: u64) -> u64 {
+    g.last_invalidation
+        .map(|t| now.saturating_sub(t))
+        .unwrap_or(u64::MAX)
+}
 
 /// Encodes a policy decision for the `PolicyDecision` event's code byte.
 fn action_code(action: FaultAction) -> u8 {
@@ -87,7 +95,14 @@ impl Kernel {
         g.faults += 1;
         self.charge_refs(ctx, cpage.home(), costs::CPAGE_TOUCH_REFS);
 
-        let resolution = if write {
+        let resolution = if g.state == CpState::Empty {
+            let state = if write {
+                CpState::Modified
+            } else {
+                CpState::Present1
+            };
+            self.first_touch(ctx, cpage, &mut g, &entry, vpn, state)?
+        } else if write {
             self.write_fault(ctx, cpage, &mut g, &entry, vpn)?
         } else {
             self.read_fault(ctx, cpage, &mut g, &entry, vpn)?
@@ -128,6 +143,53 @@ impl Kernel {
         Ok(entry)
     }
 
+    /// The page's first backing frame: allocate and zero-fill it where the
+    /// policy homes first touches (locally for every policy in the paper;
+    /// off-node for the remote-placement baseline), and map it — writable
+    /// when the fault leaves the page in `state` modified.
+    fn first_touch(
+        &self,
+        ctx: &mut UserCtx,
+        cpage: &Cpage,
+        g: &mut CpageInner,
+        entry: &CmapEntry,
+        vpn: u64,
+        state: CpState,
+    ) -> Result<FaultResolution> {
+        let home = self
+            .policy()
+            .place_first_touch(ctx.core.id(), vpn, self.machine().nprocs());
+        let pp = self.alloc_frame(ctx, home, cpage, &ProcSet::empty())?;
+        self.zero_fill(ctx, pp);
+        g.add_copy(pp);
+        g.state = state;
+        self.map_page(ctx, entry, vpn, pp, state == CpState::Modified, g);
+        Ok(FaultResolution::FirstTouch)
+    }
+
+    /// Consults the placement policy about a miss with no usable local
+    /// copy and records the decision: which action the policy chose and
+    /// (in `arg`) the age of the interference history it consulted.
+    fn consult(&self, ctx: &UserCtx, cpage: &Cpage, g: &CpageInner, write: bool) -> FaultAction {
+        let info = FaultInfo {
+            now: ctx.core.vtime(),
+            last_invalidation: g.last_invalidation,
+            frozen: g.frozen,
+            migrations: g.migrations,
+            state: g.state,
+            write,
+        };
+        let action = self.policy().decide(&info);
+        ctx.record_at(
+            info.now,
+            EventKind::PolicyDecision,
+            action_code(action),
+            cpage.id().0,
+            invalidation_age(g, info.now),
+        );
+        action
+    }
+
     // ------------------------------------------------------------------
     // Read faults
     // ------------------------------------------------------------------
@@ -148,7 +210,7 @@ impl Kernel {
         let mut recover_begin: Option<u64> = None;
         if g.has_copy_on(me) {
             let pp = self.ipt_find(ctx, me, cpage)?;
-            if !self.transient_read_error(ctx, cpage, g, pp, &mut recover_begin)? {
+            if !self.transient_read_error(ctx, cpage, g, pp, &mut recover_begin) {
                 self.record_read_recovery(ctx, cpage, recover_begin);
                 self.map_page(ctx, entry, vpn, pp, false, g);
                 return Ok(FaultResolution::LocalHit);
@@ -158,44 +220,19 @@ impl Kernel {
             // valid directory copy.
         }
 
-        let res = match g.state {
-            CpState::Empty => {
-                // First backing page: allocate and zero-fill where the
-                // policy homes first touches (locally for every policy in
-                // the paper; off-node for the remote-placement baseline).
-                let home = self
-                    .policy()
-                    .place_first_touch(me, vpn, self.machine().nprocs());
-                let pp = self.alloc_frame(ctx, home, cpage, &ProcSet::empty())?;
-                self.zero_fill(ctx, pp);
-                g.add_copy(pp);
-                g.state = CpState::Present1;
-                self.map_page(ctx, entry, vpn, pp, false, g);
-                Ok(FaultResolution::FirstTouch)
-            }
-            CpState::Present1 | CpState::PresentPlus | CpState::Modified => {
-                let info = FaultInfo {
-                    now: ctx.core.vtime(),
-                    last_invalidation: g.last_invalidation,
-                    frozen: g.frozen,
-                    migrations: g.migrations,
-                    state: g.state,
-                    write: false,
-                };
-                let action = self.policy().decide(&info);
-                self.record_decision(ctx, cpage.id(), &info, action);
-                match action {
-                    FaultAction::Replicate => self.replicate_here(ctx, cpage, g, entry, vpn),
-                    FaultAction::Migrate => self.migrate_here(ctx, cpage, g, entry, vpn, false),
-                    FaultAction::RemoteMap { freeze } => {
-                        let pp = g.copies[0];
-                        self.freeze_if_needed(ctx, cpage, g, freeze);
-                        g.remote_map_mask.insert(me);
-                        ctx.record(EventKind::RemoteMap, 0, cpage.id().0, pp.module_id() as u64);
-                        self.map_page(ctx, entry, vpn, pp, false, g);
-                        Ok(FaultResolution::RemoteMapped)
-                    }
+        let res = match self.consult(ctx, cpage, g, false) {
+            FaultAction::Replicate => self.replicate_here(ctx, cpage, g, entry, vpn),
+            FaultAction::Migrate => self.migrate_here(ctx, cpage, g, entry, vpn, false),
+            FaultAction::RemoteMap { freeze } => {
+                let pp = g.copies[0];
+                if freeze {
+                    let age = invalidation_age(g, ctx.core.vtime());
+                    self.freeze(ctx, cpage.id(), g, 0, age);
                 }
+                g.remote_map_mask.insert(me);
+                ctx.record(EventKind::RemoteMap, 0, cpage.id().0, pp.module_id() as u64);
+                self.map_page(ctx, entry, vpn, pp, false, g);
+                Ok(FaultResolution::RemoteMapped)
             }
         };
         self.record_read_recovery(ctx, cpage, recover_begin);
@@ -229,13 +266,13 @@ impl Kernel {
         g: &mut CpageInner,
         pp: PhysPage,
         recover_begin: &mut Option<u64>,
-    ) -> Result<bool> {
+    ) -> bool {
         let Some(plan) = self.fault_plan() else {
-            return Ok(false);
+            return false;
         };
         let key = (pp.module_id() as u64) << 32 | pp.frame_id() as u64;
         if !plan.should_inject(FaultSite::FrameRead, ctx.core.vtime(), key, 0) {
-            return Ok(false);
+            return false;
         }
         let me = ctx.core.id();
         *recover_begin = Some(ctx.core.vtime());
@@ -244,14 +281,12 @@ impl Kernel {
         if g.copies.len() > 1 {
             // Other copies exist: drop the corrupt replica. The
             // module-selective shootdown removes every translation into
-            // the dead frame; ours is excluded and handled inline.
-            let mine = ProcSet::single(me);
-            self.drop_own_mapping_into(ctx, g, &mine);
-            self.invalidate_copies(ctx, cpage, g, &mine)?;
+            // the dead frame, ours included.
+            self.invalidate_copies(ctx, cpage, g, &ProcSet::single(me));
             if g.copies.len() == 1 {
                 g.state = CpState::Present1;
             }
-            return Ok(true);
+            return true;
         }
         // Sole copy: nowhere else to recover from; re-read the flaky
         // frame until a read sticks (forced at the retry budget).
@@ -266,23 +301,7 @@ impl Kernel {
             );
             attempt += 1;
         }
-        Ok(false)
-    }
-
-    /// Records the `PolicyDecision` event: which action the policy chose
-    /// and (in `arg`) the age of the interference history it consulted.
-    fn record_decision(&self, ctx: &UserCtx, page: CpageId, info: &FaultInfo, action: FaultAction) {
-        let age = info
-            .last_invalidation
-            .map(|t| info.now.saturating_sub(t))
-            .unwrap_or(u64::MAX);
-        ctx.record_at(
-            info.now,
-            EventKind::PolicyDecision,
-            action_code(action),
-            page.0,
-            age,
-        );
+        false
     }
 
     /// Replicates the page onto the faulting processor's node for a read:
@@ -300,25 +319,20 @@ impl Kernel {
         if g.state == CpState::Modified {
             // "The handler uses the shootdown mechanism to restrict all
             // virtual-to-physical translations for the Cpage to read-only
-            // access" (§3.3).
+            // access" (§3.3). With no other writer there is nobody to
+            // interrupt, and only our own translations are restricted.
             let writers = g.writer_mask.without(me);
-            if !writers.is_empty() {
+            if writers.is_empty() {
+                ctx.apply_own(&g.bindings, &Directive::RestrictToRead);
+            } else {
                 self.shootdown(ctx, cpage.id(), g, Directive::RestrictToRead, &writers);
             }
-            // Restrict own writable mapping, if any.
-            ctx.pmap.restrict_to_read(ctx.space().id(), vpn);
-            let asid = ctx.space().asid();
-            ctx.core.atc().restrict_to_read(asid, vpn);
             g.writer_mask.clear();
             g.state = CpState::Present1;
         }
-        if g.frozen {
-            // Thaw-on-access variant of the policy (code 1 = thawed by an
-            // access rather than by the defrost daemon).
-            g.frozen = false;
-            g.thaws += 1;
-            ctx.record(EventKind::Thaw, 1, cpage.id().0, 0);
-        }
+        // Thaw-on-access variant of the policy (code 1 = thawed by an
+        // access rather than by the defrost daemon).
+        self.thaw(ctx, cpage.id(), g, 1);
         // "The handler then performs a block transfer from another
         // physical copy" (§3.3) — any copy. Spreading requesters across
         // the existing copies turns a broadcast (every processor reading
@@ -377,11 +391,11 @@ impl Kernel {
                     // Local copy survives; invalidate and reclaim every
                     // other replica (§3.3).
                     let dying = g.copies_mask.without(me);
-                    let escalated = self.invalidate_copies(ctx, cpage, g, &dying)?;
+                    let escalated = self.invalidate_copies(ctx, cpage, g, &dying);
                     g.state = CpState::Modified;
                     g.last_invalidation = Some(ctx.core.vtime());
                     if escalated {
-                        self.freeze_degraded(ctx, cpage, g);
+                        self.freeze(ctx, cpage.id(), g, 2, 0);
                     }
                     ctx.record(EventKind::Invalidate, 0, cpage.id().0, me as u64);
                     self.map_page(ctx, entry, vpn, local_pp, true, g);
@@ -391,29 +405,7 @@ impl Kernel {
         }
 
         // No local copy.
-        if g.state == CpState::Empty {
-            let home = self
-                .policy()
-                .place_first_touch(me, vpn, self.machine().nprocs());
-            let pp = self.alloc_frame(ctx, home, cpage, &ProcSet::empty())?;
-            self.zero_fill(ctx, pp);
-            g.add_copy(pp);
-            g.state = CpState::Modified;
-            self.map_page(ctx, entry, vpn, pp, true, g);
-            return Ok(FaultResolution::FirstTouch);
-        }
-
-        let info = FaultInfo {
-            now: ctx.core.vtime(),
-            last_invalidation: g.last_invalidation,
-            frozen: g.frozen,
-            migrations: g.migrations,
-            state: g.state,
-            write: true,
-        };
-        let action = self.policy().decide(&info);
-        self.record_decision(ctx, cpage.id(), &info, action);
-        match action {
+        match self.consult(ctx, cpage, g, true) {
             FaultAction::Replicate | FaultAction::Migrate => {
                 self.migrate_here(ctx, cpage, g, entry, vpn, true)
             }
@@ -424,7 +416,7 @@ impl Kernel {
                 if g.state == CpState::PresentPlus {
                     let survivor = g.copies[0];
                     let dying = g.copies_mask.without(survivor.module_id());
-                    escalated = self.invalidate_copies(ctx, cpage, g, &dying)?;
+                    escalated = self.invalidate_copies(ctx, cpage, g, &dying);
                     g.last_invalidation = Some(ctx.core.vtime());
                     ctx.record(
                         EventKind::Invalidate,
@@ -435,9 +427,12 @@ impl Kernel {
                 }
                 let pp = g.copies[0];
                 g.state = CpState::Modified;
-                self.freeze_if_needed(ctx, cpage, g, freeze);
+                if freeze {
+                    let age = invalidation_age(g, ctx.core.vtime());
+                    self.freeze(ctx, cpage.id(), g, 0, age);
+                }
                 if escalated {
-                    self.freeze_degraded(ctx, cpage, g);
+                    self.freeze(ctx, cpage.id(), g, 2, 0);
                 }
                 g.remote_map_mask.insert(me);
                 ctx.record(EventKind::RemoteMap, 1, cpage.id().0, pp.module_id() as u64);
@@ -473,24 +468,10 @@ impl Kernel {
         let pp = self.alloc_frame(ctx, me, cpage, &g.copies_mask)?;
         // Invalidate every translation to the old copies, ours included.
         let dying = g.copies_mask.clone();
-        let everyone_else = ProcSet::full(self.machine().nprocs()).without(me);
-        let mut batch = ctx.take_batch();
-        self.batch_post(
-            ctx,
-            &mut batch,
-            cpage.id(),
-            g,
-            Directive::Invalidate,
-            &everyone_else,
-        );
-        if ctx.pmap.remove(ctx.space().id(), vpn).is_some() {
-            let asid = ctx.space().asid();
-            ctx.core.atc().invalidate(asid, vpn);
-        }
-        let out = self.batch_flush(ctx, &mut batch);
-        ctx.put_batch(batch);
+        let everyone = ProcSet::full(self.machine().nprocs());
+        let out = self.shootdown(ctx, cpage.id(), g, Directive::Invalidate, &everyone);
         let src = self.copy_page(ctx, cpage, g, src, pp);
-        self.reclaim_copies(ctx, cpage, g, &dying)?;
+        self.reclaim_copies(ctx, cpage, g, &dying);
         g.writer_mask.clear();
         g.remote_map_mask.clear();
         g.add_copy(pp);
@@ -501,16 +482,12 @@ impl Kernel {
         };
         g.last_invalidation = Some(ctx.core.vtime());
         g.migrations += 1;
-        if g.frozen {
-            g.frozen = false;
-            g.thaws += 1;
-            ctx.record(EventKind::Thaw, 1, cpage.id().0, 0);
-        }
+        self.thaw(ctx, cpage.id(), g, 1);
         if out.escalated {
             // A shootdown target exhausted its ack-retry budget: fall
             // back to the paper's degraded mode and freeze the page so
             // further faults remote-map instead of moving it again.
-            self.freeze_degraded(ctx, cpage, g);
+            self.freeze(ctx, cpage.id(), g, 2, 0);
         }
         ctx.record(EventKind::Migrate, 0, cpage.id().0, src.module_id() as u64);
         ctx.record(EventKind::Invalidate, 0, cpage.id().0, me as u64);
@@ -530,7 +507,7 @@ impl Kernel {
         cpage: &Cpage,
         g: &mut CpageInner,
         dying: &ProcSet,
-    ) -> Result<bool> {
+    ) -> bool {
         // Target processors on the dying modules plus any processor known
         // to hold a remote mapping (§3.1: the target set "is restricted to
         // those that are actually using a mapping for this Cpage").
@@ -542,18 +519,12 @@ impl Kernel {
             Directive::InvalidateModules(dying.clone()),
             &filter,
         );
-        self.reclaim_copies(ctx, cpage, g, dying)?;
-        Ok(out.escalated)
+        self.reclaim_copies(ctx, cpage, g, dying);
+        out.escalated
     }
 
     /// Frees every directory copy on the modules in `mask`.
-    fn reclaim_copies(
-        &self,
-        ctx: &mut UserCtx,
-        cpage: &Cpage,
-        g: &mut CpageInner,
-        mask: &ProcSet,
-    ) -> Result<()> {
+    fn reclaim_copies(&self, ctx: &mut UserCtx, cpage: &Cpage, g: &mut CpageInner, mask: &ProcSet) {
         let mut dying = std::mem::take(&mut ctx.scratch.dying);
         dying.clear();
         dying.extend(
@@ -563,52 +534,10 @@ impl Kernel {
                 .filter(|pp| mask.contains(pp.module_id())),
         );
         for &pp in &dying {
-            g.remove_copy_on(pp.module_id());
-            // "Freeing a physical page uses one remote memory read and one
-            // write" (§4).
-            ctx.core.charge_kernel_ref(pp.module_id(), AccessKind::Read);
-            ctx.core
-                .charge_kernel_ref(pp.module_id(), AccessKind::Write);
-            self.machine()
-                .module(pp.module_id())
-                .free_frame(pp.frame_id());
-            ctx.record(EventKind::FrameFree, 0, cpage.id().0, pp.module_id() as u64);
+            self.free_copy(ctx, cpage.id(), g, pp.module_id());
         }
         dying.clear();
         ctx.scratch.dying = dying;
-        Ok(())
-    }
-
-    /// Freezes the page because a shootdown escalated: a target exhausted
-    /// its ack-retry budget, so the kernel stops moving the page around
-    /// and falls back to the paper's degraded mode (remote references to
-    /// a single pinned copy) until the defrost daemon thaws it. Code 2 in
-    /// the `Freeze` event distinguishes escalation from a policy freeze.
-    fn freeze_degraded(&self, ctx: &mut UserCtx, cpage: &Cpage, g: &mut CpageInner) {
-        if g.frozen || g.state != CpState::Modified {
-            return;
-        }
-        g.frozen = true;
-        g.freezes += 1;
-        ctx.record(EventKind::Freeze, 2, cpage.id().0, 0);
-        self.defrost.enroll(cpage.id());
-    }
-
-    /// Marks the page frozen and enrolls it with the defrost daemon, when
-    /// the policy asked for a freeze and the state allows it (a frozen
-    /// page is always in the modified state, §4.2).
-    fn freeze_if_needed(&self, ctx: &mut UserCtx, cpage: &Cpage, g: &mut CpageInner, freeze: bool) {
-        if freeze && !g.frozen && g.state == CpState::Modified {
-            g.frozen = true;
-            g.freezes += 1;
-            let now = ctx.core.vtime();
-            let age = g
-                .last_invalidation
-                .map(|t| now.saturating_sub(t))
-                .unwrap_or(u64::MAX);
-            ctx.record_at(now, EventKind::Freeze, 0, cpage.id().0, age);
-            self.defrost.enroll(cpage.id());
-        }
     }
 
     // ------------------------------------------------------------------

@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use numa_machine::{AccessKind, ProcSet, Va};
-use parking_lot::MutexGuard;
 use platinum_trace::EventKind;
 
 use crate::coherent::cmap::Directive;
@@ -71,21 +70,12 @@ impl Kernel {
             };
             items.push((vpn, entry));
         }
-        // Take the page locks in page-id order — two concurrent
-        // multi-page initiators must not acquire in conflicting orders —
-        // but process in region order, which is what a page-at-a-time
+        // Process in region order, which is what a page-at-a-time
         // teardown charges. Every guard is held until the flush, so no
         // fault can observe the half-torn region.
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_unstable_by_key(|&i| items[i].1.cpage);
-        let mut guards: Vec<Option<MutexGuard<CpageInner>>> = Vec::new();
-        guards.resize_with(items.len(), || None);
-        for &i in &order {
-            guards[i] = Some(self.lock_cpage(ctx, &items[i].1.page));
-        }
+        let mut guards = self.lock_in_id_order(ctx, items.iter().map(|(_, e)| &*e.page));
         let mut batch = ctx.take_batch();
-        for (i, (vpn, entry)) in items.iter().enumerate() {
-            let g = guards[i].as_mut().expect("locked above");
+        for ((vpn, entry), g) in items.iter().zip(&mut guards) {
             g.bindings.retain(|&(a, v)| !(a == space.id() && v == *vpn));
             // Invalidate every translation installed through this
             // binding. Message-based, like any mapping restriction; the
@@ -103,10 +93,7 @@ impl Kernel {
                     &targets,
                 );
             }
-            if ctx.pmap.remove(space.id(), *vpn).is_some() {
-                let asid = space.asid();
-                ctx.core.atc().invalidate(asid, *vpn);
-            }
+            ctx.apply(*vpn, &Directive::Invalidate);
             g.writer_mask.clear();
             g.remote_map_mask.clear();
             self.charge_refs(ctx, space.home(), costs::POST_MSG_REFS);
@@ -137,16 +124,8 @@ impl Kernel {
                 continue;
             };
             let mut g = self.lock_cpage(ctx, &cpage);
-            let copies: Vec<_> = g.copies.clone();
-            for pp in copies {
-                g.remove_copy_on(pp.module_id());
-                ctx.core.charge_kernel_ref(pp.module_id(), AccessKind::Read);
-                ctx.core
-                    .charge_kernel_ref(pp.module_id(), AccessKind::Write);
-                self.machine()
-                    .module(pp.module_id())
-                    .free_frame(pp.frame_id());
-                ctx.record(EventKind::FrameFree, 0, cpage_id.0, pp.module_id() as u64);
+            for pp in g.copies.clone() {
+                self.free_copy(ctx, cpage_id, &mut g, pp.module_id());
             }
             g.state = CpState::Empty;
             g.writer_mask.clear();
@@ -189,23 +168,11 @@ impl Kernel {
             let victim = ProcSet::single(node);
             let filter = victim.union(&g.remote_map_mask);
             let id = cpage.id();
-            self.shootdown(
-                ctx,
-                id,
-                &g,
-                Directive::InvalidateModules(victim.clone()),
-                &filter,
-            );
-            // Our own translation may point at the dying copy.
-            self.drop_own_mapping_into(ctx, &g, &victim);
-            let pp = g.remove_copy_on(node);
-            ctx.core.charge_kernel_ref(node, AccessKind::Read);
-            ctx.core.charge_kernel_ref(node, AccessKind::Write);
-            self.machine().module(node).free_frame(pp.frame_id());
+            self.shootdown(ctx, id, &g, Directive::InvalidateModules(victim), &filter);
+            self.free_copy(ctx, id, &mut g, node);
             if g.copies.len() == 1 {
                 g.state = CpState::Present1;
             }
-            ctx.record(EventKind::FrameFree, 0, id.0, node as u64);
             ctx.record(EventKind::ReplicaEvict, 0, id.0, node as u64);
             debug_assert!(g.check_invariants().is_ok(), "{:?}", g.check_invariants());
             return true;
@@ -213,34 +180,19 @@ impl Kernel {
         false
     }
 
-    /// Removes the calling processor's own translations that point into
-    /// the module set (the shootdown mechanism excludes the initiator).
-    pub(crate) fn drop_own_mapping_into(
+    /// Frees the page's directory copy on `module`. "Freeing a physical
+    /// page uses one remote memory read and one write" (§4).
+    pub(crate) fn free_copy(
         &self,
         ctx: &mut UserCtx,
-        g: &crate::coherent::cpage::CpageInner,
-        modules: &ProcSet,
+        page: CpageId,
+        g: &mut CpageInner,
+        module: usize,
     ) {
-        let me_space = ctx.space().id();
-        let asid = ctx.space().asid();
-        for &(as_id, vpn) in &g.bindings {
-            if as_id != me_space {
-                continue;
-            }
-            let points_in = ctx
-                .pmap
-                .lookup(as_id, vpn)
-                .map(|e| modules.contains(e.pp.module_id()))
-                .unwrap_or(false);
-            if points_in {
-                ctx.pmap.remove(as_id, vpn);
-                ctx.core.atc().invalidate(asid, vpn);
-                if let Ok(space) = self.space(as_id) {
-                    if let Some(e) = space.cmap().entry(vpn) {
-                        e.clear_ref(ctx.core.id());
-                    }
-                }
-            }
-        }
+        let pp = g.remove_copy_on(module);
+        ctx.core.charge_kernel_ref(module, AccessKind::Read);
+        ctx.core.charge_kernel_ref(module, AccessKind::Write);
+        self.machine().module(module).free_frame(pp.frame_id());
+        ctx.record(EventKind::FrameFree, 0, page.0, module as u64);
     }
 }

@@ -110,8 +110,9 @@ impl ShootdownBatch {
 impl Kernel {
     /// Initiates a shootdown for the coherent page whose inner state is
     /// `g`, posting `directive` to every address space the page is bound
-    /// in. Only processors in `filter` are targeted; the initiator is
-    /// always excluded and handles its own mappings inline.
+    /// in. Only processors in `filter` are targeted; the initiator applies
+    /// the directive to its own translations in its active space as it
+    /// posts (see [`Kernel::batch_post`]).
     ///
     /// Blocks (polling its own IPI doorbell, so concurrent initiators
     /// cannot deadlock) until every *active* target acknowledged. After
@@ -138,6 +139,12 @@ impl Kernel {
     /// dropped-ack recovery ladder — everything a sequential shootdown
     /// does except the acknowledgment wait, which [`Kernel::batch_flush`]
     /// performs once for the whole batch.
+    ///
+    /// The initiator is never interrupted by its own post. In its active
+    /// space it applies the directive to every translation of the page it
+    /// holds, here, with the handler its targets run ([`UserCtx::apply`]);
+    /// in any other space it is an ordinary target whose message waits in
+    /// that space's queue until it activates the space.
     pub(crate) fn batch_post(
         &self,
         ctx: &mut UserCtx,
@@ -153,14 +160,16 @@ impl Kernel {
 
         let mut all_targets = ProcSet::empty();
         batch.dropped.clear();
+        ctx.apply_own(&g.bindings, &directive);
 
         for bi in 0..g.bindings.len() {
             let (as_id, vpn) = g.bindings[bi];
+            let own = as_id == ctx.space.id();
             // The faulting space is almost always the bound one: borrow
             // it from the context. Only a foreign binding pays the
             // registry lookup and owns a handle.
             let foreign;
-            let space: &AddressSpace = if as_id == ctx.space.id() {
+            let space: &AddressSpace = if own {
                 &ctx.space
             } else if let Ok(s) = self.space(as_id) {
                 foreign = s;
@@ -171,7 +180,10 @@ impl Kernel {
             let Some(refs) = space.cmap().refs_of(vpn) else {
                 continue;
             };
-            let targets = refs.intersect(filter).without(me);
+            let mut targets = refs.intersect(filter);
+            if own {
+                targets.remove(me);
+            }
             if targets.is_empty() {
                 continue;
             }

@@ -394,6 +394,28 @@ impl Kernel {
             }
         }
     }
+
+    /// Locks every page of a multi-page operation in page-id order — two
+    /// concurrent multi-page initiators must not acquire in conflicting
+    /// orders — and returns the guards in the order `pages` named them.
+    pub(crate) fn lock_in_id_order<'a>(
+        &self,
+        ctx: &mut UserCtx,
+        pages: impl Iterator<Item = &'a Cpage>,
+    ) -> Vec<MutexGuard<'a, CpageInner>> {
+        let pages: Vec<&Cpage> = pages.collect();
+        let mut order: Vec<usize> = (0..pages.len()).collect();
+        order.sort_unstable_by_key(|&i| pages[i].id());
+        let mut guards: Vec<Option<MutexGuard<CpageInner>>> = Vec::new();
+        guards.resize_with(pages.len(), || None);
+        for i in order {
+            guards[i] = Some(self.lock_cpage(ctx, pages[i]));
+        }
+        guards
+            .into_iter()
+            .map(|g| g.expect("locked above"))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -332,14 +332,6 @@ impl MemoryReport {
     pub fn ever_frozen(&self) -> Vec<&CpageReport> {
         self.pages.iter().filter(|p| p.freezes > 0).collect()
     }
-
-    /// The `n` pages with the highest fault-handler contention.
-    pub fn most_contended(&self, n: usize) -> Vec<&CpageReport> {
-        let mut v: Vec<&CpageReport> = self.pages.iter().collect();
-        v.sort_by_key(|p| std::cmp::Reverse(p.lock_wait_ns));
-        v.truncate(n);
-        v
-    }
 }
 
 impl fmt::Display for MemoryReport {
@@ -460,7 +452,6 @@ mod tests {
         assert_eq!(r.pages.len(), 1);
         assert_eq!(r.pages[0].faults, 7);
         assert_eq!(r.ever_frozen().len(), 1);
-        assert_eq!(r.most_contended(5).len(), 1);
         assert!(r.to_string().contains("cp0"));
         assert!(r.to_string().contains("frames materialised        3\n"));
     }

@@ -14,7 +14,7 @@ use crate::coherent::scratch::FaultScratch;
 use crate::coherent::shootdown::ShootdownBatch;
 use crate::costs;
 use crate::error::{KernelError, Result};
-use crate::ids::ThreadId;
+use crate::ids::{AsId, ThreadId};
 use crate::kernel::Kernel;
 use crate::pmap::Pmap;
 use crate::thread::{ThreadCell, ThreadState};
@@ -229,7 +229,6 @@ impl UserCtx {
     /// then acknowledges them.
     pub(crate) fn drain_messages(&mut self) {
         let me = self.core.id();
-        let space_id = self.space.id();
         // Take everything queued for this processor; each message is
         // applied and acknowledged below, then dropped.
         let mut msgs = std::mem::take(&mut self.scratch.drained);
@@ -243,30 +242,7 @@ impl UserCtx {
         // initiator's posts group into doorbell services.
         self.core.counters_mut().ipis_handled += msgs.len() as u64;
         for m in &msgs {
-            match &m.directive {
-                Directive::Invalidate => {
-                    if self.pmap.remove(space_id, m.vpn).is_some() {
-                        self.space.cmap().with_entry(m.vpn, |e| e.clear_ref(me));
-                    }
-                    self.core.atc().invalidate(self.space.asid(), m.vpn);
-                }
-                Directive::InvalidateModules(modules) => {
-                    let points_into = self
-                        .pmap
-                        .lookup(space_id, m.vpn)
-                        .map(|e| modules.contains(e.pp.module_id()))
-                        .unwrap_or(false);
-                    if points_into {
-                        self.pmap.remove(space_id, m.vpn);
-                        self.space.cmap().with_entry(m.vpn, |e| e.clear_ref(me));
-                        self.core.atc().invalidate(self.space.asid(), m.vpn);
-                    }
-                }
-                Directive::RestrictToRead => {
-                    self.pmap.restrict_to_read(space_id, m.vpn);
-                    self.core.atc().restrict_to_read(self.space.asid(), m.vpn);
-                }
-            }
+            self.apply(m.vpn, &m.directive);
             self.core.charge(costs::APPLY_MSG_NS);
             m.ack(me, self.core.vtime());
             self.record(EventKind::ShootdownAck, m.directive.code(), m.vpn, 0);
@@ -276,6 +252,51 @@ impl UserCtx {
         self.kernel
             .hostprof
             .end(crate::hostprof::HostPhase::Directory, span);
+    }
+
+    /// Applies one directive to this processor's translation of `vpn` in
+    /// the active space: Pmap, ATC and the Cmap entry's reference bit. The
+    /// one body of a mapping change — a target runs it per drained
+    /// message, a shootdown initiator on its own translations as it posts.
+    pub(crate) fn apply(&mut self, vpn: Vpn, directive: &Directive) {
+        let me = self.core.id();
+        let space_id = self.space.id();
+        match directive {
+            Directive::Invalidate => {
+                if self.pmap.remove(space_id, vpn).is_some() {
+                    self.space.cmap().with_entry(vpn, |e| e.clear_ref(me));
+                }
+                self.core.atc().invalidate(self.asid, vpn);
+            }
+            Directive::InvalidateModules(modules) => {
+                let points_into = self
+                    .pmap
+                    .lookup(space_id, vpn)
+                    .map(|e| modules.contains(e.pp.module_id()))
+                    .unwrap_or(false);
+                if points_into {
+                    self.pmap.remove(space_id, vpn);
+                    self.space.cmap().with_entry(vpn, |e| e.clear_ref(me));
+                    self.core.atc().invalidate(self.asid, vpn);
+                }
+            }
+            Directive::RestrictToRead => {
+                self.pmap.restrict_to_read(space_id, vpn);
+                self.core.atc().restrict_to_read(self.asid, vpn);
+            }
+        }
+    }
+
+    /// Applies `directive` to every translation of a page this processor
+    /// holds in its active space, `bindings` being the page's binding list.
+    /// A binding in another space is left to that space's message queue.
+    pub(crate) fn apply_own(&mut self, bindings: &[(AsId, Vpn)], directive: &Directive) {
+        let space_id = self.space.id();
+        for &(as_id, vpn) in bindings {
+            if as_id == space_id {
+                self.apply(vpn, directive);
+            }
+        }
     }
 
     /// Hands out the processor's shootdown batch for one operation.

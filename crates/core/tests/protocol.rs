@@ -624,3 +624,122 @@ fn post_mortem_report_shows_frozen_pages() {
         "report must flag frozen pages:\n{text}"
     );
 }
+
+/// One object mapped three times (`a`, `b`, `c`) in one space under
+/// thaw-on-access, on two nodes, left with the page frozen on node 0:
+/// processor 1 holds a remote writable translation through `a` and a
+/// remote read-only one through `b`, `c` is untouched, processor 0 is
+/// suspended, and processor 1's freeze window has expired.
+fn aliased_frozen_page() -> (Arc<Kernel>, [u64; 3], Vec<UserCtx>) {
+    let kernel = Kernel::boot(
+        machine(2),
+        KernelConfig {
+            policy: PolicyKind::PlatinumThawOnAccess.into(),
+            ..KernelConfig::default()
+        },
+    );
+    let space = kernel.create_space();
+    let object = kernel.create_object(1);
+    let vas = [(); 3].map(|_| space.map_anywhere(Arc::clone(&object), Rights::RW).unwrap());
+    let [a, b, _] = vas;
+    let mut ctxs: Vec<UserCtx> = (0..2)
+        .map(|p| kernel.attach(Arc::clone(&space), p, 0).unwrap())
+        .collect();
+    ctxs[1].write(a, 1);
+    ctxs[1].suspend();
+    ctxs[0].write(a, 2); // migrates the page to node 0
+    ctxs[0].suspend();
+    ctxs[1].resume();
+    ctxs[1].write(a, 3); // the invalidation is recent: freeze, map remotely
+    assert_eq!(ctxs[1].read(b), 3);
+    let page = kernel.cpage_for_va(ctxs[1].space(), a).unwrap();
+    {
+        let g = page.lock();
+        assert!(g.frozen);
+        assert_eq!(g.copies[0].module_id(), 0);
+    }
+    ctxs[1].compute(20_000_000);
+    (kernel, vas, ctxs)
+}
+
+/// A migration removes every translation its initiator holds to the old
+/// copy, not just the one it faulted through: a read through an alias
+/// must not return the freed frame's stale word.
+#[test]
+fn migration_invalidates_the_initiators_aliases() {
+    let (kernel, [a, b, _], mut ctxs) = aliased_frozen_page();
+    ctxs[1].write(b, 4);
+    let page = kernel.cpage_for_va(ctxs[1].space(), b).unwrap();
+    {
+        let g = page.lock();
+        assert!(!g.frozen, "the access thawed the page");
+        assert_eq!(g.copies.len(), 1);
+        assert_eq!(g.copies[0].module_id(), 1, "the write migrated the page");
+    }
+    assert_eq!(
+        ctxs[1].read(a),
+        4,
+        "read through a translation to a freed frame"
+    );
+}
+
+/// A replication restricts every writable translation its initiator
+/// holds, not just the one it faulted through: a write through an alias
+/// must fault and invalidate the new replica.
+#[test]
+fn replication_restricts_the_initiators_aliases() {
+    let (kernel, [a, _, c], mut ctxs) = aliased_frozen_page();
+    assert_eq!(ctxs[1].read(c), 3);
+    assert_eq!(state_of(&kernel, &ctxs[1], c), CpState::PresentPlus);
+    let faults = ctxs[1].counters().faults;
+    ctxs[1].write(a, 9);
+    assert_eq!(
+        ctxs[1].counters().faults,
+        faults + 1,
+        "a write through a translation the replication restricted"
+    );
+    assert_eq!(state_of(&kernel, &ctxs[1], a), CpState::Modified);
+    assert_eq!(ctxs[1].read(c), 9, "read a stale replica");
+}
+
+/// A thaw run by a processor active in one space reaches its own
+/// translation in another: the directive waits in that space's queue and
+/// is applied when the processor switches back.
+#[test]
+fn a_thaw_reaches_the_initiators_other_space() {
+    let kernel = Kernel::boot(machine(2), KernelConfig::default());
+    let object = kernel.create_object(1);
+    let s1 = kernel.create_space();
+    let s2 = kernel.create_space();
+    let va1 = s1.map_anywhere(Arc::clone(&object), Rights::RW).unwrap();
+    let va2 = s2.map_anywhere(object, Rights::RW).unwrap();
+    let mut p0 = kernel.attach(Arc::clone(&s2), 0, 0).unwrap();
+    let mut p1 = kernel.attach(Arc::clone(&s1), 1, 0).unwrap();
+    p0.write(va2, 1);
+    p0.suspend();
+    p1.write(va1, 2); // migrates the page to node 1
+    p1.suspend();
+    p0.resume();
+    p0.write(va2, 3); // frozen on node 1, mapped writable in s2
+    let page = kernel.cpage_for_va(&s2, va2).unwrap();
+    assert!(page.lock().frozen);
+
+    // Past t2, a fault in s1 runs the defrost daemon, then replicates.
+    p0.switch_space(Arc::clone(&s1));
+    p0.compute(kernel.config().t2_defrost_ns);
+    assert_eq!(p0.read(va1), 3);
+    assert_eq!(page.lock().thaws, 1);
+
+    p0.switch_space(Arc::clone(&s2));
+    let faults = p0.counters().faults;
+    p0.write(va2, 4);
+    assert_eq!(
+        p0.counters().faults,
+        faults + 1,
+        "a write through a translation the thaw invalidated"
+    );
+    assert_eq!(page.lock().state, CpState::Modified);
+    p0.switch_space(s1);
+    assert_eq!(p0.read(va1), 4, "read a stale replica");
+    p1.resume();
+}

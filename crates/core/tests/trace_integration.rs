@@ -223,3 +223,30 @@ fn install_tracer_is_first_wins() {
         CpState::Modified
     );
 }
+
+/// The tracer accepts every processor a valid machine has: on a 65-node
+/// machine, processor 64's first write is recorded on its own track.
+#[test]
+fn tracer_records_processors_beyond_64() {
+    let machine = Machine::new(MachineConfig {
+        nodes: 65,
+        frames_per_node: 4,
+        skew_window_ns: None,
+        ..MachineConfig::default()
+    })
+    .unwrap();
+    let kernel = Kernel::boot(machine, KernelConfig::default());
+    let tracer = Tracer::new(TraceConfig::default());
+    assert!(kernel.install_tracer(Arc::clone(&tracer)));
+    let space = kernel.create_space();
+    let va = space
+        .map_anywhere(kernel.create_object(1), Rights::RW)
+        .unwrap();
+    let mut ctx = kernel.attach(space, 64, 0).unwrap();
+    ctx.write(va, 1);
+    assert_eq!(ctx.read(va), 1);
+    let trace = tracer.snapshot();
+    assert!(trace.count(EventKind::FaultBegin) >= 1);
+    assert!(trace.events.iter().all(|e| e.proc == 64));
+    assert_eq!(trace.nprocs(), 65);
+}

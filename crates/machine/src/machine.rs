@@ -152,17 +152,6 @@ impl Machine {
             .unwrap_or(IDLE)
     }
 
-    /// The maximum published virtual clock over running processors, or 0.
-    /// Harnesses use this as "the machine's clock" for reporting.
-    pub fn max_running_vtime(&self) -> u64 {
-        self.shared
-            .iter()
-            .map(|s| s.published_vtime())
-            .filter(|&v| v != IDLE)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total frames allocated across all modules.
     pub fn frames_allocated(&self) -> usize {
         self.modules.iter().map(|m| m.frames_allocated()).sum()
@@ -207,7 +196,6 @@ mod tests {
     fn vtime_aggregates() {
         let m = Machine::new(MachineConfig::with_nodes(3)).unwrap();
         assert_eq!(m.min_running_vtime(), IDLE, "all idle at start");
-        assert_eq!(m.max_running_vtime(), 0);
     }
 
     #[test]

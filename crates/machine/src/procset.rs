@@ -82,12 +82,6 @@ impl ProcSet {
         }
     }
 
-    /// The members below 64, as a bitmask (higher members are ignored).
-    #[inline]
-    pub fn low_mask(&self) -> u64 {
-        self.w0
-    }
-
     /// Number of words this set stores.
     #[inline]
     fn words(&self) -> usize {
@@ -497,8 +491,7 @@ mod tests {
         let f = ProcSet::full(130);
         assert_eq!(f.count(), 130);
         assert!(f.contains(0) && f.contains(129) && !f.contains(130));
-        let small = ProcSet::full(64);
-        assert_eq!(small.low_mask(), u64::MAX);
+        assert_eq!(ProcSet::full(64), ProcSet::from_mask(u64::MAX));
 
         let a: ProcSet = [1usize, 70, 129].into_iter().collect();
         let b: ProcSet = [1usize, 129, 200].into_iter().collect();

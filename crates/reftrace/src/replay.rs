@@ -60,17 +60,9 @@ impl ReplayOutcome {
     /// Fraction of charged references served by remote memory, summed
     /// over the last (measured) phase's workers.
     pub fn measured_remote_ratio(&self) -> f64 {
-        let Some(last) = self.phases.last() else {
-            return 0.0;
-        };
-        let c = last.stats.merged_counters();
-        let remote = c.remote_reads + c.remote_writes + c.remote_atomics;
-        let total = c.total_refs();
-        if total == 0 {
-            0.0
-        } else {
-            remote as f64 / total as f64
-        }
+        self.phases
+            .last()
+            .map_or(0.0, |p| p.stats.merged_counters().remote_fraction())
     }
 }
 
@@ -112,7 +104,7 @@ impl ReplayOptions {
     /// Boots the machine a capture runs on and every replay of it
     /// rebuilds: virtual-clock skew window disabled (serialized execution
     /// needs no throttle), these options' topology and page-table fabric.
-    pub(crate) fn boot(
+    pub fn boot(
         &self,
         nodes: usize,
         frames_per_node: usize,

@@ -36,22 +36,6 @@ impl RunStats {
         }
         total
     }
-
-    /// Load imbalance: max worker time over mean worker time (1.0 =
-    /// perfectly balanced).
-    pub fn imbalance(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 1.0;
-        }
-        let max = self.elapsed_ns() as f64;
-        let mean =
-            self.workers.iter().map(|w| w.vtime_ns as f64).sum::<f64>() / self.workers.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 /// Speedup of a parallel time against a serial baseline.
@@ -80,7 +64,6 @@ mod tests {
             workers: vec![w(0, 100), w(1, 250), w(2, 180)],
         };
         assert_eq!(r.elapsed_ns(), 250);
-        assert!((r.imbalance() - 250.0 / (530.0 / 3.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -93,6 +76,5 @@ mod tests {
     fn empty_run() {
         let r = RunStats { workers: vec![] };
         assert_eq!(r.elapsed_ns(), 0);
-        assert_eq!(r.imbalance(), 1.0);
     }
 }

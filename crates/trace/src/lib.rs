@@ -53,7 +53,7 @@ pub mod json;
 pub mod timeline;
 
 pub use event::{EventKind, FaultResolution, TraceEvent};
-pub use tracer::{Trace, TraceConfig, Tracer, MAX_PROCS};
+pub use tracer::{Trace, TraceConfig, Tracer};
 
 use std::sync::{Arc, OnceLock};
 

@@ -6,9 +6,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::event::{EventKind, TraceEvent};
 use crate::ring::Ring;
 
-/// Upper bound on simulated processors (the machine layer's directory
-/// masks are `u64` bitmasks, so configurations never exceed this).
-pub const MAX_PROCS: usize = 64;
+/// Rings per lazily allocated chunk of the ring table.
+const CHUNK: usize = 256;
+
+/// `CHUNK` processors' rings, each allocated on its processor's first emit.
+type Chunk = Box<[OnceLock<Ring>]>;
 
 /// Runtime tracer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -29,13 +31,16 @@ impl Default for TraceConfig {
 /// Collects events from every simulated processor.
 ///
 /// Emitting is lock-free (see [`crate::ring`]); rings are allocated
-/// lazily the first time a processor emits. `emit` may be called
-/// concurrently for *different* processors; per processor, the
-/// simulator's one-driving-thread model provides the single producer
-/// the ring requires.
+/// lazily the first time a processor emits, so the tracer accepts every
+/// processor id an event can carry (`u16`) and pays only for those that
+/// emit. `emit` may be called concurrently for *different* processors;
+/// per processor, the simulator's one-driving-thread model provides the
+/// single producer the ring requires.
 pub struct Tracer {
     cfg: TraceConfig,
-    rings: [OnceLock<Ring>; MAX_PROCS],
+    /// Processor `p`'s ring is `rings[p / CHUNK][p % CHUNK]`; a chunk
+    /// comes into being with its first emitting processor.
+    rings: Box<[OnceLock<Chunk>]>,
     seq: AtomicU64,
     current_phase: AtomicU64,
     phases: Mutex<Vec<String>>,
@@ -46,7 +51,9 @@ impl Tracer {
     pub fn new(cfg: TraceConfig) -> Arc<Tracer> {
         Arc::new(Tracer {
             cfg,
-            rings: std::array::from_fn(|_| OnceLock::new()),
+            rings: (0..=u16::MAX as usize / CHUNK)
+                .map(|_| OnceLock::new())
+                .collect(),
             seq: AtomicU64::new(0),
             current_phase: AtomicU64::new(0),
             phases: Mutex::new(vec!["run".to_string()]),
@@ -57,10 +64,12 @@ impl Tracer {
     ///
     /// # Panics
     ///
-    /// Panics if `proc >= MAX_PROCS`.
+    /// Panics if `proc` does not fit an event's `u16` processor field.
     #[inline]
     pub fn emit(&self, proc: usize, vtime: u64, kind: EventKind, code: u8, page: u64, arg: u64) {
-        let ring = self.rings[proc].get_or_init(|| Ring::new(self.cfg.capacity_per_proc));
+        let chunk =
+            self.rings[proc / CHUNK].get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
+        let ring = chunk[proc % CHUNK].get_or_init(|| Ring::new(self.cfg.capacity_per_proc));
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let phase = self.current_phase.load(Ordering::Relaxed) as u16;
         ring.push(TraceEvent {
@@ -99,12 +108,11 @@ impl Tracer {
     pub fn snapshot(&self) -> Trace {
         let mut events = Vec::new();
         let mut dropped = 0;
-        for ring in &self.rings {
-            if let Some(ring) = ring.get() {
-                let (mut evs, d) = ring.snapshot();
-                events.append(&mut evs);
-                dropped += d;
-            }
+        let chunks = self.rings.iter().filter_map(OnceLock::get);
+        for ring in chunks.flat_map(|c| c.iter().filter_map(OnceLock::get)) {
+            let (mut evs, d) = ring.snapshot();
+            events.append(&mut evs);
+            dropped += d;
         }
         events.sort_by_key(|e| e.seq);
         let phases = self
