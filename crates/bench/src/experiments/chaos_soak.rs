@@ -51,7 +51,7 @@ use platinum_apps::harness::{
 use platinum_apps::mergesort::SortConfig;
 use platinum_apps::neural::NeuralConfig;
 use platinum_runtime::sim::SimBuilder;
-use platinum_server::{run_open_loop, KvAudit, KvConfig, KvTable, TrafficConfig};
+use platinum_server::{run_open_loop, KvAudit, KvConfig, KvTable, Request, TrafficConfig};
 
 use crate::run::{Artifact, Run};
 
@@ -89,7 +89,7 @@ fn injected(s: &StatsSnapshot) -> u64 {
 }
 
 /// One live open-loop KV run, optionally under a fault plan: boots a
-/// fresh simulation, lays the table out, drives the full schedule
+/// fresh simulation, lays out a table of `keys` keys, drives `schedule`
 /// through the serialized driver (which retries requests whose fallible
 /// accesses surface injected-fault residue), and sweeps the quiesced
 /// table. The sweep is the correctness oracle: it asserts no slot is
@@ -100,7 +100,8 @@ fn injected(s: &StatsSnapshot) -> u64 {
 fn kv_soak_run(
     nodes: usize,
     procs: usize,
-    traffic: &TrafficConfig,
+    keys: u64,
+    schedule: &[Request],
     plan: Option<Arc<FaultPlan>>,
     ptable: PtableConfig,
 ) -> (KvAudit, StatsSnapshot, u64) {
@@ -111,9 +112,8 @@ fn kv_soak_run(
         b = b.faults(plan);
     }
     let mut sim = b.build();
-    let kv = KvTable::stage(KvConfig::for_keys(traffic.keys, 8), &mut sim);
-    let schedule = traffic.schedule(procs);
-    let report = run_open_loop(&sim, &kv, procs, &schedule);
+    let kv = KvTable::stage(KvConfig::for_keys(keys, 8), &mut sim);
+    let report = run_open_loop(&sim, &kv, procs, schedule);
     let audit = sim
         .spawn(0, |ctx| {
             let mut attempts = 0u32;
@@ -144,15 +144,17 @@ fn soak_kv(
     traffic: &TrafficConfig,
     ptable: PtableConfig,
 ) -> (u64, u64, usize) {
+    let keys = traffic.keys;
+    let schedule: Arc<[Request]> = traffic.schedule(procs).into();
     let reference = {
-        let traffic = traffic.clone();
+        let schedule = Arc::clone(&schedule);
         with_watchdog("kv (fault-free reference)", timeout, move || {
-            kv_soak_run(nodes, procs, &traffic, None, ptable)
+            kv_soak_run(nodes, procs, keys, &schedule, None, ptable)
         })
         .0
     };
     assert_eq!(
-        reference.occupied, traffic.keys,
+        reference.occupied, keys,
         "reference run lost keys — the workload itself is broken"
     );
     println!(
@@ -166,9 +168,9 @@ fn soak_kv(
     for seed in 0..seeds {
         let plan = Arc::new(FaultPlan::chaos(seed, ppm));
         let (audit, stats, retries) = {
-            let (traffic, plan) = (traffic.clone(), Arc::clone(&plan));
+            let (schedule, plan) = (Arc::clone(&schedule), Arc::clone(&plan));
             with_watchdog(&format!("kv (seed {seed})"), timeout, move || {
-                kv_soak_run(nodes, procs, &traffic, Some(plan), ptable)
+                kv_soak_run(nodes, procs, keys, &schedule, Some(plan), ptable)
             })
         };
         let ok = audit.occupied == reference.occupied && audit.checksum == reference.checksum;

@@ -21,7 +21,7 @@ use platinum::trace::json::Value;
 use platinum_analysis::report::Table;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{
-    run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable, TrafficConfig, Workload,
+    run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable, Request, TrafficConfig,
 };
 
 use crate::check::Exact;
@@ -67,14 +67,10 @@ fn boot(nodes: usize) -> Sim {
     SimBuilder::nodes(nodes).machine_config(mcfg).build()
 }
 
-fn drive<W: Workload>(sim: &Sim, w: &W, cfg: &BenchConfig) -> DriverReport {
-    run_open_loop(sim, w, cfg.nodes, &cfg.traffic.schedule(cfg.nodes))
-}
-
-fn run_kv(cfg: &BenchConfig) -> WorkloadResult {
+fn run_kv(cfg: &BenchConfig, schedule: &[Request]) -> WorkloadResult {
     let mut sim = boot(cfg.nodes);
     let kv = KvTable::stage(KvConfig::for_keys(cfg.traffic.keys, cfg.shards), &mut sim);
-    let report = drive(&sim, &kv, cfg);
+    let report = run_open_loop(&sim, &kv, cfg.nodes, schedule);
     let audit = sim
         .spawn(0, |ctx| kv.verify(ctx))
         .expect("processor 0 free after the driver")
@@ -87,10 +83,10 @@ fn run_kv(cfg: &BenchConfig) -> WorkloadResult {
     }
 }
 
-fn run_flow(cfg: &BenchConfig) -> WorkloadResult {
+fn run_flow(cfg: &BenchConfig, schedule: &[Request]) -> WorkloadResult {
     let mut sim = boot(cfg.nodes);
     let ft = FlowTables::stage(FlowConfig::default(), &mut sim);
-    let report = drive(&sim, &ft, cfg);
+    let report = run_open_loop(&sim, &ft, cfg.nodes, schedule);
     let checksum = sim
         .spawn(0, |ctx| ft.checksum(ctx))
         .expect("processor 0 free after the driver")
@@ -258,14 +254,16 @@ pub(crate) fn run(run: &mut Run) {
         cfg.nodes,
     );
 
+    // Both workloads execute the one request stream.
+    let schedule = cfg.traffic.schedule(cfg.nodes);
     let mut results = Vec::new();
     if workload == "kv" || workload == "both" {
         run.phase("kv");
-        results.push(run_kv(&cfg));
+        results.push(run_kv(&cfg, &schedule));
     }
     if workload == "flow" || workload == "both" {
         run.phase("flow");
-        results.push(run_flow(&cfg));
+        results.push(run_flow(&cfg, &schedule));
     }
 
     say!(run, "{}", table(&results));

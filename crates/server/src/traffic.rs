@@ -76,73 +76,107 @@ pub struct Request {
     /// Write (update) rather than read (lookup).
     pub write: bool,
     /// Position in the merged arrival order (stamped by
-    /// [`TrafficConfig::schedule`]; per-processor position before the
-    /// merge). Doubles as the value-version a write installs.
+    /// [`TrafficConfig::schedule`]). Doubles as the value-version a
+    /// write installs.
     pub serial: u64,
 }
 
-impl TrafficConfig {
-    /// The drift-rotated key for a popularity `rank` at `arrival_ns`:
-    /// the whole ranking slides `drift_step` keys forward each period,
-    /// so yesterday's cold keys become today's hot ones.
-    fn key_at(&self, rank: u64, arrival_ns: u64) -> u64 {
-        if self.drift_period_ns == 0 {
-            return rank;
-        }
-        let epoch = arrival_ns / self.drift_period_ns;
-        (rank + epoch.wrapping_mul(self.drift_step)) % self.keys
-    }
+/// One processor's arrival schedule, generated lazily: the loop state
+/// of its stream plus the request at its head. A pure function of
+/// `(config, proc)`.
+struct Stream {
+    rng: Rng,
+    /// Requests generated so far, the head included.
+    generated: u64,
+    arrival: u64,
+    burst_left: u64,
+    /// The arrival time at which the next drift epoch begins (0 until
+    /// the first request computes its epoch).
+    drift_edge: u64,
+    /// `epoch · drift_step mod keys` for the current drift epoch.
+    offset: u64,
+    head: Request,
+}
 
-    /// One processor's arrival schedule, in arrival order. Pure
-    /// function of `(self, proc)`; `serial` numbers the requests within
-    /// this processor's stream.
-    pub fn proc_schedule(&self, zipf: &Zipf, proc: usize) -> Vec<Request> {
-        assert_eq!(
-            zipf.n(),
-            self.keys,
-            "sampler sized for a different key space"
-        );
-        let mut rng = Rng::new(mix(self.seed, proc as u64 + 1));
-        let mut out = Vec::with_capacity(self.requests_per_proc);
-        let mut arrival = 0u64;
-        let mut burst_left = 0u64;
-        for i in 0..self.requests_per_proc as u64 {
-            arrival += rng.below(2 * self.mean_interarrival_ns + 1);
-            let write = if burst_left > 0 {
-                burst_left -= 1;
-                true
-            } else if self.burst_every > 0 && i > 0 && i % self.burst_every == 0 {
-                burst_left = self.burst_len.saturating_sub(1);
-                true
-            } else {
-                rng.below(100) < self.write_pct as u64
-            };
-            let rank = zipf.sample(&mut rng);
-            out.push(Request {
+impl Stream {
+    fn new(cfg: &TrafficConfig, proc: usize) -> Self {
+        Stream {
+            rng: Rng::new(mix(cfg.seed, proc as u64 + 1)),
+            generated: 0,
+            arrival: 0,
+            burst_left: 0,
+            drift_edge: 0,
+            offset: 0,
+            head: Request {
                 proc,
-                arrival_ns: arrival,
-                key: self.key_at(rank, arrival),
-                write,
-                serial: i,
-            });
+                arrival_ns: 0,
+                key: 0,
+                write: false,
+                serial: 0,
+            },
         }
-        out
     }
 
+    /// Generates the next request into `head` and returns its arrival
+    /// time, or `u64::MAX` once the stream is exhausted.
+    fn advance(&mut self, cfg: &TrafficConfig, zipf: &Zipf) -> u64 {
+        let i = self.generated;
+        if i == cfg.requests_per_proc as u64 {
+            return u64::MAX;
+        }
+        self.generated += 1;
+        self.arrival += self.rng.below(2 * cfg.mean_interarrival_ns + 1);
+        let write = if self.burst_left > 0 {
+            self.burst_left -= 1;
+            true
+        } else if cfg.burst_every > 0 && i > 0 && i.is_multiple_of(cfg.burst_every) {
+            self.burst_left = cfg.burst_len.saturating_sub(1);
+            true
+        } else {
+            self.rng.below(100) < cfg.write_pct as u64
+        };
+        let rank = zipf.sample(&mut self.rng);
+        // The hot set slides `drift_step` keys forward each drift
+        // period, so yesterday's cold keys become today's hot ones.
+        // Arrivals never decrease, so the division runs once per epoch.
+        if self.arrival >= self.drift_edge && cfg.drift_period_ns > 0 {
+            let epoch = self.arrival / cfg.drift_period_ns;
+            self.offset = epoch.wrapping_mul(cfg.drift_step) % cfg.keys;
+            self.drift_edge = (epoch + 1).saturating_mul(cfg.drift_period_ns);
+        }
+        let key = rank + self.offset;
+        self.head.arrival_ns = self.arrival;
+        self.head.key = if key >= cfg.keys { key - cfg.keys } else { key };
+        self.head.write = write;
+        self.arrival
+    }
+}
+
+impl TrafficConfig {
     /// The merged schedule: every processor's stream interleaved by
-    /// arrival time (ties broken by processor index), `serial`
-    /// re-stamped to the merged position. This is the total order the
-    /// serialized open-loop driver executes in.
+    /// arrival time (ties broken by processor index, then stream
+    /// order), `serial` stamped with the merged position. This is the
+    /// total order the serialized open-loop driver executes in.
     pub fn schedule(&self, procs: usize) -> Vec<Request> {
         let zipf = Zipf::new(self.keys, self.theta);
-        let mut all: Vec<Request> = (0..procs)
-            .flat_map(|p| self.proc_schedule(&zipf, p))
-            .collect();
-        all.sort_by_key(|r| (r.arrival_ns, r.proc, r.serial));
-        for (i, r) in all.iter_mut().enumerate() {
-            r.serial = i as u64;
+        let mut streams: Vec<Stream> = (0..procs).map(|p| Stream::new(self, p)).collect();
+        let mut heads: Vec<u64> = streams.iter_mut().map(|s| s.advance(self, &zipf)).collect();
+        let total = procs * self.requests_per_proc;
+        let mut out = Vec::with_capacity(total);
+        for serial in 0..total as u64 {
+            // A select, not a branch: which head is earliest is data.
+            let (mut p, mut lowest) = (0, heads[0]);
+            for (q, &at) in heads.iter().enumerate().skip(1) {
+                p = if at < lowest { q } else { p };
+                lowest = lowest.min(at);
+            }
+            out.push(Request {
+                serial,
+                ..streams[p].head
+            });
+            heads[p] = streams[p].advance(self, &zipf);
         }
-        all
+        out
     }
 }
 
@@ -182,8 +216,7 @@ mod tests {
             burst_len: 10,
             ..small()
         };
-        let zipf = Zipf::new(cfg.keys, cfg.theta);
-        let s = cfg.proc_schedule(&zipf, 0);
+        let s = cfg.schedule(1);
         let writes = s.iter().filter(|r| r.write).count();
         // Only bursts write: 2000/100 - 1 = 19 bursts of 10.
         assert_eq!(writes, 19 * 10);
@@ -195,17 +228,21 @@ mod tests {
 
     #[test]
     fn drift_rotates_the_hot_set() {
+        // At θ = 40 every draw is rank 0 (rank 1 weighs 2^-40), so each
+        // key is the epoch's offset: `epoch · step mod keys`. Gaps of up
+        // to 50 periods cross several epochs at once and wrap the key
+        // space many times over.
         let cfg = TrafficConfig {
+            theta: 40.0,
             drift_period_ns: 1_000,
             drift_step: 100,
             ..small()
         };
-        assert_eq!(cfg.key_at(5, 0), 5);
-        assert_eq!(cfg.key_at(5, 1_000), 105);
-        assert_eq!(cfg.key_at(5, 2_500), 205);
-        // Wraps around the key space.
-        let near_end = cfg.key_at(1_020, 1_000);
-        assert!(near_end < cfg.keys);
+        let s = cfg.schedule(1);
+        assert!(s.last().unwrap().arrival_ns / 1_000 * 100 > 10 * cfg.keys);
+        for r in &s {
+            assert_eq!(r.key, r.arrival_ns / 1_000 * 100 % cfg.keys, "{r:?}");
+        }
     }
 
     #[test]
@@ -214,8 +251,7 @@ mod tests {
             requests_per_proc: 50_000,
             ..small()
         };
-        let zipf = Zipf::new(cfg.keys, cfg.theta);
-        let s = cfg.proc_schedule(&zipf, 0);
+        let s = cfg.schedule(1);
         let mean = s.last().unwrap().arrival_ns / s.len() as u64;
         let want = cfg.mean_interarrival_ns;
         assert!(

@@ -3,11 +3,19 @@
 //! Key popularity in server workloads is classically modeled as
 //! Zipf(θ): the r-th most popular key is requested with probability
 //! proportional to `1/r^θ` (θ ≈ 0.99 is the YCSB convention). The
-//! sampler precomputes the cumulative weights once and answers each
-//! draw with a binary search — O(log n) per request, no rejection
-//! loops, and every arithmetic operation is either an integer op or an
-//! exactly-rounded IEEE f64 op, so the sampled stream is bit-identical
-//! across hosts.
+//! sampler precomputes the cumulative weights once, plus a guide table
+//! that maps an equal-width slice of `[0, total)` to the first rank
+//! whose cumulative weight exceeds the slice's start. A draw starts at
+//! its slice's guide entry and walks to the answer — O(1) expected per
+//! request, no rejection loops, and every arithmetic operation is either
+//! an integer op or an exactly-rounded IEEE f64 op, so the sampled
+//! stream is bit-identical across hosts.
+//!
+//! The walk's result cannot depend on how the guide entries rounded:
+//! `cum` never decreases, so stepping back while `cum[j-1] > u` and
+//! forward while `cum[j] <= u` ends, from *any* starting rank, at the
+//! first rank whose cumulative weight exceeds `u`. A badly rounded
+//! entry only lengthens the walk.
 //!
 //! That last property is why `powf`/`ln` from libm are **not** used:
 //! their results are implementation-defined in the last bits and differ
@@ -71,11 +79,20 @@ pub fn det_pow(x: f64, y: f64) -> f64 {
     det_exp2(y * det_log2(x))
 }
 
+/// Guide-table entries per rank. At 4 a draw's walk from its guide
+/// entry averages about an eighth of a step.
+const GUIDE_PER_RANK: usize = 4;
+
 /// A Zipf(θ) sampler over ranks `0..n` (rank 0 is the hottest).
 #[derive(Clone, Debug)]
 pub struct Zipf {
     /// `cum[r]` = sum of weights of ranks `0..=r`.
     cum: Vec<f64>,
+    /// `guide[b]` = the first rank whose `cum` exceeds `b·total/G`, for
+    /// `G = guide.len()` equal slices of `[0, total)`.
+    guide: Vec<u32>,
+    /// `G / total`: scales a draw to its slice.
+    scale: f64,
 }
 
 impl Zipf {
@@ -85,9 +102,11 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `theta` is negative.
+    /// Panics if `n` is zero or above `u32::MAX`, or `theta` is
+    /// negative.
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "empty key space");
+        assert!(n <= u32::MAX as u64, "too many ranks for u32 guide entries");
         assert!(theta >= 0.0, "negative skew");
         let mut cum = Vec::with_capacity(n as usize);
         let mut total = 0.0f64;
@@ -103,7 +122,22 @@ impl Zipf {
             total += w;
             cum.push(total);
         }
-        Zipf { cum }
+        let g = GUIDE_PER_RANK * cum.len();
+        let width = total / g as f64;
+        let mut guide = Vec::with_capacity(g);
+        let mut r = 0usize;
+        for b in 0..g {
+            let start = b as f64 * width;
+            while r + 1 < cum.len() && cum[r] <= start {
+                r += 1;
+            }
+            guide.push(r as u32);
+        }
+        Zipf {
+            cum,
+            guide,
+            scale: g as f64 / total,
+        }
     }
 
     /// The number of ranks.
@@ -127,9 +161,22 @@ impl Zipf {
     /// Draws a rank: hottest ranks most likely.
     pub fn sample(&self, rng: &mut Rng) -> u64 {
         let total = *self.cum.last().expect("nonempty");
-        let u = rng.unit() * total;
-        // First rank whose cumulative weight exceeds the draw.
-        self.cum.partition_point(|&c| c <= u) as u64
+        self.rank_of(rng.unit() * total)
+    }
+
+    /// The first rank whose cumulative weight exceeds `u`, for `u` in
+    /// `[0, total)`: a walk from `u`'s guide entry (see the module
+    /// docs for why rounding cannot change where it ends).
+    pub(crate) fn rank_of(&self, u: f64) -> u64 {
+        let b = ((u * self.scale) as usize).min(self.guide.len() - 1);
+        let mut j = self.guide[b] as usize;
+        while j > 0 && self.cum[j - 1] > u {
+            j -= 1;
+        }
+        while self.cum[j] <= u {
+            j += 1;
+        }
+        j as u64
     }
 }
 
@@ -179,6 +226,29 @@ mod tests {
         let z = Zipf::new(257, 0.8);
         let sum: f64 = (0..257).map(|r| z.prob(r)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    /// The guide walk lands where a binary search of the CDF does, on
+    /// every boundary: each `cum[j]` and its neighbouring floats, zero,
+    /// and the largest draw below `total`.
+    #[test]
+    fn rank_of_matches_binary_search_at_every_boundary() {
+        for n in [1u64, 2, 3, 17, 1000, 8192] {
+            for theta in [0.0, 0.5, 0.99, 1.0, 1.5] {
+                let z = Zipf::new(n, theta);
+                let total = *z.cum.last().unwrap();
+                let probes = z
+                    .cum
+                    .iter()
+                    .flat_map(|&c| [c.next_down(), c, c.next_up()])
+                    .chain([0.0, total.next_down()])
+                    .filter(|u| (0.0..total).contains(u));
+                for u in probes {
+                    let want = z.cum.partition_point(|&c| c <= u) as u64;
+                    assert_eq!(z.rank_of(u), want, "n {n}, theta {theta}, u {u:e}");
+                }
+            }
+        }
     }
 
     #[test]
