@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
+use numa_machine::uma::{UmaConfig, UmaMachine};
 use platinum::{FaultPlan, StatsSnapshot};
 use platinum_runtime::measure::RunStats;
-use platinum_runtime::par::uma_machine;
 use platinum_runtime::sim::{Sim, SimBuilder};
 
 use crate::gauss::{Gauss, GaussAnecdote, GaussConfig};
@@ -242,7 +242,11 @@ pub fn run_mergesort_uma(procs: usize, p: usize, cfg: &SortConfig) -> AppRun {
     // headroom. The comparator zero-fills all of its memory at boot, so
     // what the sort never touches is host time and resident memory (and,
     // in blocks this size, allocator fragmentation) for nothing.
-    let mut machine = uma_machine(procs, 2 * cfg.n + (1 << 10));
+    let mut machine = UmaMachine::new(UmaConfig {
+        procs,
+        mem_words: 2 * cfg.n + (1 << 10),
+    })
+    .expect("valid UMA config");
     let sort = Sort::stage(&mut machine, cfg, p);
     sort.init(&mut machine);
     let run = sort.measured(&mut machine);

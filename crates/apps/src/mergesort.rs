@@ -328,6 +328,7 @@ impl<'a> Sort<'a> {
 mod tests {
     use super::*;
     use numa_machine::mem_iface::test_support::FlatMem;
+    use numa_machine::uma::{UmaConfig, UmaMachine};
 
     #[test]
     fn single_thread_sorts() {
@@ -349,7 +350,11 @@ mod tests {
     #[test]
     fn uma_staging_packs_arrays_and_barrier_back_to_back() {
         let cfg = SortConfig::with_n(1000);
-        let mut uma = platinum_runtime::par::uma_machine(2, 4096);
+        let mut uma = UmaMachine::new(UmaConfig {
+            procs: 2,
+            mem_words: 4096,
+        })
+        .unwrap();
         let sort = Sort::stage(&mut uma, &cfg, 2);
         assert_eq!((sort.lay.a, sort.lay.b), (0, 4 * 1000));
         assert_eq!(sort.barrier.va(), 4 * 2001, "generation word");

@@ -6,6 +6,7 @@
 //! Every comparison of numbers runs at `p = 1`, where no host scheduling
 //! enters and every number is exact.
 
+use numa_machine::uma::{UmaConfig, UmaMachine};
 use platinum::{PolicyKind, StatsSnapshot};
 use platinum_apps::capture::{record_gauss, record_mergesort, record_neural, CapturedRun};
 use platinum_apps::gauss::{self, Gauss, GaussConfig};
@@ -16,7 +17,6 @@ use platinum_apps::harness::{
 use platinum_apps::mergesort::{Sort, SortConfig};
 use platinum_apps::neural::NeuralConfig;
 use platinum_reftrace::{replay, Capture, ReplayOptions};
-use platinum_runtime::par::uma_machine;
 use platinum_runtime::sim::SimBuilder;
 use platinum_runtime::Stage;
 
@@ -41,7 +41,11 @@ fn apps_verify_on<S: Stage>(stage: &mut S) {
 #[test]
 fn one_staging_runs_on_all_three_stages() {
     apps_verify_on(&mut SimBuilder::nodes(NODES).build());
-    apps_verify_on(&mut uma_machine(NODES, 1 << 12));
+    let uma = UmaMachine::new(UmaConfig {
+        procs: NODES,
+        mem_words: 1 << 12,
+    });
+    apps_verify_on(&mut uma.unwrap());
 
     let mut cap = Capture::new(NODES, &ReplayOptions::default());
     apps_verify_on(&mut cap);
@@ -169,7 +173,7 @@ fn every_runner_reports_what_it_did_before_the_stagings_were_unified() {
     // only while the arrays and the barrier words sit where a hand-packed
     // layout put them (words 0, n, 2n, 2n + 1).
     let uma = run_mergesort_uma(NODES, 1, &s);
-    assert_pinned("mergesort uma", &uma, (38_505_200, 1, 10_241, 0, 0));
+    assert_pinned("mergesort uma", &uma, (31_302_600, 1, 10_241, 0, 0));
     assert_eq!(uma.kernel_stats, StatsSnapshot::default());
 
     let (neural, error) = run_neural(NODES, 1, &NeuralConfig::with_epochs(2));

@@ -10,7 +10,13 @@
 //!
 //! `--epochs E` (40) sets the training length, `--max-procs P` (10) the
 //! sweep's end. The artifact is the speedup series.
+//!
+//! Two checks: pages freeze at every p ≥ 2, and the least-squares slope
+//! lies in [0.35, 0.65] — ½ with the ±15 % of known deviation 3. The
+//! slope is the steady state's, in which frozen pages are thawed every
+//! t2 and freeze again; it applies once the serial run lasts at least t2.
 
+use platinum::KernelConfig;
 use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
 use platinum_apps::harness::run_neural;
 use platinum_apps::neural::NeuralConfig;
@@ -41,6 +47,7 @@ pub(crate) fn run(run: &mut Run) {
     let mut series = Series::new("recurrent backprop");
     let mut t1 = 0u64;
     let mut speedups = Vec::new();
+    let mut freezes = Vec::new();
     for p in 1..=max_procs {
         let (app, err) = run_neural(max_procs.max(p), p, &cfg);
         if p == 1 {
@@ -50,6 +57,7 @@ pub(crate) fn run(run: &mut Run) {
         speedups.push((p as f64, s));
         series.push(p as f64, s);
         let counters = app.run.merged_counters();
+        freezes.push(app.kernel_stats.freezes);
         table.row(vec![
             p.to_string(),
             format!("{:.1}", app.elapsed_ns as f64 / 1e6),
@@ -76,4 +84,27 @@ pub(crate) fn run(run: &mut Run) {
         run,
         "incremental-processor contribution (slope): {slope:.2}  (paper: ~0.5)"
     );
+
+    let names = ["pages_freeze_at_every_p", "slope_near_one_half"];
+    if max_procs < 2 {
+        for name in names {
+            run.skip(name, "the sweep has no p >= 2; raise --max-procs");
+        }
+        return;
+    }
+    run.check(names[0], freezes[1..].iter().all(|&f| f > 0));
+    let t2 = KernelConfig::default().t2_defrost_ns;
+    if t1 < t2 {
+        run.skip(
+            names[1],
+            format!(
+                "the serial run ({} ms) ends before t2 = {} ms, so no page reaches the \
+                 freeze/thaw steady state; raise --epochs",
+                t1 / 1_000_000,
+                t2 / 1_000_000
+            ),
+        );
+    } else {
+        run.check(names[1], (0.35..=0.65).contains(&slope));
+    }
 }

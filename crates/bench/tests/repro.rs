@@ -1,6 +1,7 @@
 //! Drives the built `repro` binary: the golden texts, the two exact
-//! gates as CI runs them, the artifact codec, the flag grammar, and a
-//! smallest configuration of every experiment.
+//! gates as CI runs them, the artifact codec, the flag grammar, a
+//! smallest configuration of every experiment, and (ignored, for CI's
+//! `paper` job) every paper experiment at its default size.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -313,11 +314,49 @@ fn every_listed_experiment_runs_at_its_smallest_size() {
     for mut args in smallest {
         let out = repro(&cwd, &args);
         assert_eq!(out.status, 0, "{args:?}: {}{}", out.stdout, out.stderr);
+        // A check this size skips must run live at paper size.
+        assert!(
+            !out.stdout.contains("SKIPPED") || PAPER.contains(&args[0]),
+            "{args:?} skips a check no paper-size run makes: {}",
+            out.stdout
+        );
         // A flag nobody reads stops every experiment before it prints.
         args.push("--no-such-flag");
         let typo = repro(&cwd, &args);
         assert_eq!(typo.status, 2, "{args:?}: {}", typo.stderr);
         assert_eq!(typo.stdout, "", "{args:?} ran before rejecting the flag");
+    }
+    assert_eq!(files_in(&cwd), Vec::<String>::new());
+}
+
+/// The experiments that reproduce the paper's figures, tables and
+/// claims, plus `policy_matrix` (whose Fig. 1 checks its smallest size
+/// skips), each run at its default size.
+const PAPER: [&str; 10] = [
+    "fig1_gauss",
+    "fig5_mergesort",
+    "fig6_neural",
+    "ablations",
+    "anecdote_freeze",
+    "scaled_speedup",
+    "crossover",
+    "table1_smin",
+    "sec4_microbench",
+    "policy_matrix",
+];
+
+/// Every paper claim is a live check at paper size: each experiment
+/// exits 0 with every check run and passed. About 40 s in release.
+#[test]
+#[ignore = "paper size; run in release with --ignored"]
+fn every_paper_experiment_passes_at_paper_size() {
+    let cwd = scratch("paper");
+    for name in PAPER {
+        let out = repro(&cwd, &[name]);
+        assert_eq!(out.status, 0, "{name}: {}{}", out.stdout, out.stderr);
+        for verdict in ["FAIL", "SKIPPED"] {
+            assert!(!out.stdout.contains(verdict), "{name}: {}", out.stdout);
+        }
     }
     assert_eq!(files_in(&cwd), Vec::<String>::new());
 }

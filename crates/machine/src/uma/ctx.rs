@@ -236,57 +236,6 @@ impl Mem for UmaCtx {
         self.machine.bump_line_version(idx);
         old
     }
-
-    fn read_block(&mut self, va: Va, dst: &mut [u32]) {
-        if dst.is_empty() {
-            return;
-        }
-        self.tick();
-        let idx = self.word_index(va);
-        let _ = self.word_index(va + 4 * (dst.len() as u64 - 1));
-        let lines = (idx % WORDS_PER_LINE + dst.len()).div_ceil(WORDS_PER_LINE) as u64;
-        // A burst transfer arbitrates for the bus once and streams the
-        // lines, instead of paying one bus transaction per word as the
-        // word-at-a-time default would.
-        self.bus(lines * BUS_LINE_SERVICE_NS, lines * MISS_NS);
-        self.counters.remote_reads += dst.len() as u64;
-        for (i, w) in dst.iter_mut().enumerate() {
-            *w = self.machine.word(idx + i).load(Ordering::Acquire);
-        }
-        // The stream leaves its lines resident, as per-word reads would.
-        let mut line_start = idx - idx % WORDS_PER_LINE;
-        while line_start < idx + dst.len() {
-            let version = self.machine.line_version(line_start);
-            self.cache.fill(self.line_of(line_start), version);
-            line_start += WORDS_PER_LINE;
-        }
-    }
-
-    fn write_block(&mut self, va: Va, src: &[u32]) {
-        if src.is_empty() {
-            return;
-        }
-        self.tick();
-        let idx = self.word_index(va);
-        let _ = self.word_index(va + 4 * (src.len() as u64 - 1));
-        let lines = (idx % WORDS_PER_LINE + src.len()).div_ceil(WORDS_PER_LINE) as u64;
-        for (i, &w) in src.iter().enumerate() {
-            self.machine.word(idx + i).store(w, Ordering::Release);
-        }
-        // One version bump per touched line invalidates every other
-        // cache's copy; our own copy is refreshed below.
-        let mut line_start = idx - idx % WORDS_PER_LINE;
-        while line_start < idx + src.len() {
-            let version = self.machine.bump_line_version(line_start);
-            let line = self.line_of(line_start);
-            if self.cache.resident(line) {
-                self.cache.fill(line, version);
-            }
-            line_start += WORDS_PER_LINE;
-        }
-        self.bus(src.len() as u64 * BUS_WORD_SERVICE_NS, lines * WRITE_NS);
-        self.counters.remote_writes += src.len() as u64;
-    }
 }
 
 impl Drop for UmaCtx {
@@ -368,29 +317,48 @@ mod tests {
         assert_eq!(a.swap(0, 9), 5);
     }
 
+    /// The Symmetry model A has no block-transfer engine: a block copy
+    /// is the processor's own loop, a line fill per miss and one
+    /// write-through per word, and a lone stream never queues behind
+    /// itself.
     #[test]
-    fn block_transfer_charges_bus_once() {
-        let mut c = ctx();
-        let data: Vec<u32> = (0..64).map(|i| i * 3 + 1).collect();
-        let t0 = c.vtime();
-        c.write_block(0, &data);
-        let write_cost = c.vtime() - t0;
-        assert!(
-            write_cost < 64 * WRITE_NS,
-            "burst write must beat 64 write-throughs: {write_cost}"
-        );
-        let mut out = vec![0u32; 64];
-        let t1 = c.vtime();
-        c.read_block(0, &mut out);
-        assert_eq!(out, data);
-        assert!(
-            c.vtime() - t1 < 64 * MISS_NS,
-            "burst read must beat 64 line misses"
-        );
-        // The stream leaves its lines resident: the next read is a hit.
-        let before = c.vtime();
-        let _ = c.read(0);
-        assert_eq!(c.vtime() - before, HIT_NS);
+    fn a_block_copy_costs_its_word_loop() {
+        let fresh = || {
+            let m = UmaMachine::new(UmaConfig {
+                procs: 1,
+                mem_words: 4096,
+            })
+            .unwrap();
+            UmaCtx::new(m, 0)
+        };
+        for n in [64usize, 4096] {
+            let data: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
+            let (mut block, mut words) = (fresh(), fresh());
+
+            block.write_block(0, &data);
+            for (i, &w) in data.iter().enumerate() {
+                words.write(4 * i as u64, w);
+            }
+            assert_eq!(block.vtime(), words.vtime(), "{n}-word write");
+            assert_eq!(block.counters(), words.counters(), "{n}-word write");
+
+            let mut out = vec![0u32; n];
+            block.read_block(0, &mut out);
+            assert_eq!(out, data);
+            for (i, &w) in data.iter().enumerate() {
+                assert_eq!(words.read(4 * i as u64), w);
+            }
+            assert_eq!(block.vtime(), words.vtime(), "{n}-word read");
+            assert_eq!(block.counters(), words.counters(), "{n}-word read");
+            assert_eq!(block.counters().queue_delay_ns, 0, "{n} words queued");
+
+            // The copy leaves its last lines resident: the next read hits.
+            let last = 4 * (n as u64 - 1);
+            let (b0, w0) = (block.vtime(), words.vtime());
+            let _ = (block.read(last), words.read(last));
+            assert_eq!(block.vtime() - b0, HIT_NS);
+            assert_eq!(words.vtime() - w0, HIT_NS);
+        }
     }
 
     #[test]

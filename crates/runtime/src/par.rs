@@ -1,17 +1,12 @@
 //! Parallel spawn helpers: one worker thread per simulated processor.
 
-use std::sync::Arc;
-
-use numa_machine::uma::{UmaConfig, UmaCtx, UmaMachine};
-use numa_machine::Mem;
-
 use crate::measure::{RunStats, WorkerStats};
 
 /// The one worker pool: `n` scoped OS threads, worker `i` running
 /// `attach(i)`, then `f(i, &mut ctx)`, then `detach(i, ctx)`; results and
 /// per-worker statistics come back in worker order. Every way of running
 /// an application phase — on the kernel ([`crate::Sim::run`]), on the
-/// UMA comparator ([`run_uma_workers`]), under the reference-trace
+/// UMA comparator (its [`crate::Stage`] impl), under the reference-trace
 /// recorder — is this loop with its own attach and detach steps.
 ///
 /// # Panics
@@ -45,36 +40,11 @@ where
     (results, RunStats { workers })
 }
 
-/// Runs `f(worker_index, ctx)` on `n` processors of a UMA comparator
-/// machine (Figure 5's Sequent Symmetry stand-in).
-pub fn run_uma_workers<F, R>(machine: &Arc<UmaMachine>, n: usize, f: F) -> (Vec<R>, RunStats)
-where
-    F: Fn(usize, &mut UmaCtx) -> R + Sync,
-    R: Send,
-{
-    assert!(n >= 1 && n <= machine.cfg().procs);
-    pool(
-        n,
-        |p| UmaCtx::new(Arc::clone(machine), p),
-        f,
-        |proc, ctx| WorkerStats {
-            proc,
-            vtime_ns: ctx.vtime(),
-            counters: ctx.counters(),
-        },
-    )
-}
-
-/// Builds a UMA comparator machine with `procs` processors and enough
-/// memory for `mem_words` words.
-pub fn uma_machine(procs: usize, mem_words: usize) -> Arc<UmaMachine> {
-    UmaMachine::new(UmaConfig { procs, mem_words }).expect("valid UMA config")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::SimBuilder;
+    use numa_machine::Mem;
 
     #[test]
     fn harness_runs_workers() {
@@ -145,17 +115,5 @@ mod tests {
             |i, _| assert_ne!(i, 1, "worker 1 fails"),
             idle_stats,
         );
-    }
-
-    #[test]
-    fn uma_workers_run() {
-        let m = uma_machine(3, 1 << 16);
-        let base = m.alloc_words(4);
-        let (_, stats) = run_uma_workers(&m, 3, |i, ctx| {
-            ctx.write(base + 4 * i as u64, i as u32);
-            ctx.read(base + 4 * i as u64)
-        });
-        assert_eq!(stats.workers.len(), 3);
-        assert!(stats.elapsed_ns() > 0);
     }
 }

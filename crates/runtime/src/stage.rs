@@ -15,8 +15,8 @@ use numa_machine::uma::{UmaCtx, UmaMachine};
 use numa_machine::Mem;
 use platinum::UserCtx;
 
-use crate::measure::RunStats;
-use crate::par::run_uma_workers;
+use crate::measure::{RunStats, WorkerStats};
+use crate::par::pool;
 use crate::sim::Sim;
 use crate::zones::Zone;
 
@@ -82,6 +82,39 @@ impl Stage for Arc<UmaMachine> {
         F: Fn(usize, &mut UmaCtx) -> R + Sync,
         R: Send,
     {
-        run_uma_workers(self, n, f)
+        assert!(n >= 1 && n <= self.cfg().procs);
+        pool(
+            n,
+            |p| UmaCtx::new(Arc::clone(self), p),
+            f,
+            |proc, ctx| WorkerStats {
+                proc,
+                vtime_ns: ctx.vtime(),
+                counters: ctx.counters(),
+            },
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use numa_machine::uma::UmaConfig;
+
+    use super::*;
+
+    #[test]
+    fn uma_workers_run() {
+        let mut m = UmaMachine::new(UmaConfig {
+            procs: 3,
+            mem_words: 1 << 16,
+        })
+        .unwrap();
+        let base = m.alloc_words(4);
+        let (_, stats) = m.phase("", 3, |i, ctx| {
+            ctx.write(base + 4 * i as u64, i as u32);
+            ctx.read(base + 4 * i as u64)
+        });
+        assert_eq!(stats.workers.len(), 3);
+        assert!(stats.elapsed_ns() > 0);
     }
 }
