@@ -39,16 +39,17 @@ use platinum_runtime::sync::{Barrier, EventCount};
 use platinum_runtime::zones::Zone;
 use platinum_runtime::Stage;
 
+/// Modelled computation per eliminated element, ns. On the 16.67 MHz
+/// MC68020 an integer multiply alone takes ~2.6 us; with the subtract,
+/// indexing, and loop overhead an eliminated element costs about 3 us of
+/// CPU work.
+pub const COMPUTE_NS_PER_ELEM: u64 = 3000;
+
 /// Problem configuration.
 #[derive(Clone, Debug)]
 pub struct GaussConfig {
     /// Matrix dimension (the paper uses 800).
     pub n: usize,
-    /// Modelled computation per eliminated element, ns. On the 16.67 MHz
-    /// MC68020 an integer multiply alone takes ~2.6 us; with the
-    /// subtract, indexing, and loop overhead an eliminated element costs
-    /// about 3 us of CPU work.
-    pub compute_ns_per_elem: u64,
     /// Seed for the initial matrix contents.
     pub seed: u64,
 }
@@ -56,7 +57,7 @@ pub struct GaussConfig {
 impl GaussConfig {
     /// The default configuration at matrix dimension `n` — the one way
     /// every harness and benchmark derives a sized problem, so the seed
-    /// and compute model stay single-sourced here.
+    /// stays single-sourced here.
     pub fn with_n(n: usize) -> Self {
         Self {
             n,
@@ -69,7 +70,6 @@ impl Default for GaussConfig {
     fn default() -> Self {
         Self {
             n: 800,
-            compute_ns_per_elem: 3000,
             seed: 0x5EED_1234,
         }
     }
@@ -181,14 +181,7 @@ pub fn init_scattered_rows<M: Mem>(
 /// `k + 1`; the owner of row `k + 1` advances `ec` as soon as it has
 /// updated that row, pipelining rounds exactly as the coarse-grain
 /// implementation in the paper.
-pub fn run_shared<M: Mem>(
-    m: &mut M,
-    lay: &GaussLayout,
-    cfg: &GaussConfig,
-    ec: &EventCount,
-    tid: usize,
-    p: usize,
-) {
+pub fn run_shared<M: Mem>(m: &mut M, lay: &GaussLayout, ec: &EventCount, tid: usize, p: usize) {
     let n = lay.n;
     let mut pivot = vec![0u32; n];
     let mut row_buf = vec![0u32; n];
@@ -208,7 +201,7 @@ pub fn run_shared<M: Mem>(
             m.read_block(lay.elem(k, k), &mut pivot[..width]);
             m.read_block(lay.elem(i, k), &mut row_buf[..width]);
             eliminate(&mut row_buf[..width], &pivot[..width]);
-            m.compute(cfg.compute_ns_per_elem * width as u64);
+            m.compute(COMPUTE_NS_PER_ELEM * width as u64);
             m.write_block(lay.elem(i, k), &row_buf[..width]);
             if i == k + 1 {
                 ec.advance(m);
@@ -238,11 +231,9 @@ fn eliminate(row: &mut [u32], pivot: &[u32]) {
 /// dramatically increased the execution time and became a bottleneck
 /// with five or more processors". Thawing (the defrost daemon) or
 /// separated allocation recovers the performance.
-#[allow(clippy::too_many_arguments)] // mirrors run_shared + the anecdote's two extra knobs
 pub fn run_shared_anecdote<M: Mem>(
     m: &mut M,
     lay: &GaussLayout,
-    cfg: &GaussConfig,
     ec: &EventCount,
     tid: usize,
     p: usize,
@@ -271,7 +262,7 @@ pub fn run_shared_anecdote<M: Mem>(
                 j += 1;
             }
             eliminate(&mut row_buf[..width], &pivot[..width]);
-            m.compute(cfg.compute_ns_per_elem * width as u64);
+            m.compute(COMPUTE_NS_PER_ELEM * width as u64);
             m.write_block(lay.elem(i, k), &row_buf[..width]);
             if i == k + 1 {
                 ec.advance(m);
@@ -288,7 +279,6 @@ pub fn run_shared_anecdote<M: Mem>(
 pub fn run_message_passing(
     ctx: &mut UserCtx,
     lay: &GaussLayout,
-    cfg: &GaussConfig,
     ports: &[Arc<Port>],
     tid: usize,
     p: usize,
@@ -338,7 +328,7 @@ pub fn run_message_passing(
         for i in (k + 1..n).filter(|r| owns(tid, p, *r)) {
             ctx.read_block(lay.elem(i, k), &mut row_buf[..width]);
             eliminate(&mut row_buf[..width], &pivot[..width]);
-            ctx.compute(cfg.compute_ns_per_elem * width as u64);
+            ctx.compute(COMPUTE_NS_PER_ELEM * width as u64);
             ctx.write_block(lay.elem(i, k), &row_buf[..width]);
         }
     }
@@ -406,7 +396,7 @@ impl<'a> Gauss<'a> {
     /// The measured pass: the elimination phase, as in LeBlanc's studies.
     pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
         let (_, run) = stage.phase("measured", self.p, |tid, ctx| {
-            run_shared(ctx, &self.lay, self.cfg, &self.ec, tid, self.p)
+            run_shared(ctx, &self.lay, &self.ec, tid, self.p)
         });
         run
     }
@@ -416,7 +406,7 @@ impl<'a> Gauss<'a> {
     pub fn measured_message_passing(&self, sim: &Sim) -> RunStats {
         let ports: Vec<Arc<Port>> = (0..self.p).map(|_| sim.kernel.create_port()).collect();
         let (_, run) = sim.run(self.p, |tid, ctx| {
-            run_message_passing(ctx, &self.lay, self.cfg, &ports, tid, self.p)
+            run_message_passing(ctx, &self.lay, &ports, tid, self.p)
         });
         run
     }
@@ -475,7 +465,7 @@ impl<'a> GaussAnecdote<'a> {
     pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
         let (g, msize_va, start) = (&self.gauss, self.msize_va, &self.start);
         let (_, run) = stage.phase("measured", g.p, |tid, ctx| {
-            run_shared_anecdote(ctx, &g.lay, g.cfg, &g.ec, tid, g.p, msize_va, start)
+            run_shared_anecdote(ctx, &g.lay, &g.ec, tid, g.p, msize_va, start)
         });
         run
     }
@@ -567,11 +557,7 @@ mod tests {
         let a = reference_checksum(&cfg);
         let b = reference_checksum(&cfg);
         assert_eq!(a, b);
-        let other = reference_checksum(&GaussConfig {
-            n: 24,
-            seed: 1,
-            ..Default::default()
-        });
+        let other = reference_checksum(&GaussConfig { n: 24, seed: 1 });
         assert_ne!(a, other);
         // The perf ledger's seed-1 `paper_apps` input.
         let ledger = GaussConfig {

@@ -25,22 +25,23 @@ use platinum_runtime::sync::Barrier;
 use platinum_runtime::zones::Zone;
 use platinum_runtime::Stage;
 
+/// Modelled comparison/copy cost per output element during a merge, ns.
+pub const MERGE_NS_PER_ELEM: u64 = 4000;
+/// Modelled cost per comparison in the local sort phase, ns.
+pub const SORT_NS_PER_CMP: u64 = 2000;
+
 /// Problem configuration.
 #[derive(Clone, Debug)]
 pub struct SortConfig {
     /// Number of 32-bit keys; must be a multiple of the thread count.
     pub n: usize,
-    /// Modelled comparison/copy cost per output element during a merge.
-    pub compute_ns_per_elem: u64,
-    /// Modelled cost per comparison in the local sort phase.
-    pub compute_ns_per_cmp: u64,
     /// Seed for the input permutation.
     pub seed: u64,
 }
 
 impl SortConfig {
-    /// The default configuration at `n` keys — seed and compute model
-    /// stay single-sourced in [`Default`].
+    /// The default configuration at `n` keys — the seed stays
+    /// single-sourced in [`Default`].
     pub fn with_n(n: usize) -> Self {
         Self {
             n,
@@ -53,8 +54,6 @@ impl Default for SortConfig {
     fn default() -> Self {
         Self {
             n: 1 << 18,
-            compute_ns_per_elem: 4000,
-            compute_ns_per_cmp: 2000,
             seed: 0xC0FF_EE11,
         }
     }
@@ -112,14 +111,7 @@ pub fn init_segment<M: Mem>(m: &mut M, lay: &SortLayout, cfg: &SortConfig, tid: 
 ///
 /// `p` must be a power of two and divide `lay.n`. All `p` threads must
 /// call this with the same shared `barrier`.
-pub fn run<M: Mem>(
-    m: &mut M,
-    lay: &SortLayout,
-    cfg: &SortConfig,
-    barrier: &Barrier,
-    tid: usize,
-    p: usize,
-) {
+pub fn run<M: Mem>(m: &mut M, lay: &SortLayout, barrier: &Barrier, tid: usize, p: usize) {
     assert!(p.is_power_of_two(), "thread count must be a power of two");
     assert!(lay.n.is_multiple_of(p), "n must divide evenly");
     let seg = lay.n / p;
@@ -142,7 +134,7 @@ pub fn run<M: Mem>(
             // the traffic of the partial partitioning steps.
             buf.sort_unstable();
         }
-        m.compute(cfg.compute_ns_per_cmp * seg as u64);
+        m.compute(SORT_NS_PER_CMP * seg as u64);
         m.write_block(seg_va, &buf);
     }
     barrier.wait(m);
@@ -159,7 +151,7 @@ pub fn run<M: Mem>(
         if tid.is_multiple_of(stride) {
             let run = seg << (l - 1);
             let left = tid * seg;
-            merge_runs(m, cfg, src, dst, left, run);
+            merge_runs(m, src, dst, left, run);
         }
         barrier.wait(m);
         std::mem::swap(&mut src, &mut dst);
@@ -170,7 +162,7 @@ pub fn run<M: Mem>(
 /// `dst[left..left+2run]`, streaming through chunk buffers so the access
 /// pattern (and therefore the paging/caching behaviour) is the linear
 /// scan of a real merge.
-fn merge_runs<M: Mem>(m: &mut M, cfg: &SortConfig, src: Va, dst: Va, left: usize, run: usize) {
+fn merge_runs<M: Mem>(m: &mut M, src: Va, dst: Va, left: usize, run: usize) {
     const CHUNK: usize = 256;
     let mut a_buf = [0u32; CHUNK];
     let mut b_buf = [0u32; CHUNK];
@@ -219,7 +211,7 @@ fn merge_runs<M: Mem>(m: &mut M, cfg: &SortConfig, src: Va, dst: Va, left: usize
                 break;
             }
         }
-        m.compute(cfg.compute_ns_per_elem * out.len() as u64);
+        m.compute(MERGE_NS_PER_ELEM * out.len() as u64);
         m.write_block(dst + 4 * (left + written) as u64, &out);
         written += out.len();
     }
@@ -305,7 +297,7 @@ impl<'a> Sort<'a> {
     /// The measured pass: local sorts, then the merge tree.
     pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
         let (_, stats) = stage.phase("measured", self.p, |tid, ctx| {
-            run(ctx, &self.lay, self.cfg, &self.barrier, tid, self.p)
+            run(ctx, &self.lay, &self.barrier, tid, self.p)
         });
         stats
     }
@@ -341,7 +333,7 @@ mod tests {
         let lay = SortLayout::alloc(&mut zone, cfg.n);
         let barrier = Barrier::new(zone.alloc_words(1), zone.alloc_words(1), 1);
         init_segment(&mut m, &lay, &cfg, 0, 1);
-        run(&mut m, &lay, &cfg, &barrier, 0, 1);
+        run(&mut m, &lay, &barrier, 0, 1);
         verify(&mut m, &lay, &cfg, 1).unwrap();
     }
 
@@ -388,8 +380,7 @@ mod tests {
         let right: Vec<u32> = (0..300).map(|i| i * 2 + 1).collect();
         m.write_block(0x1000, &left);
         m.write_block(0x1000 + 4 * 300, &right);
-        let cfg = SortConfig::default();
-        merge_runs(&mut m, &cfg, 0x1000, 0x8000, 0, 300);
+        merge_runs(&mut m, 0x1000, 0x8000, 0, 300);
         let mut out = vec![0u32; 600];
         m.read_block(0x8000, &mut out);
         let expect: Vec<u32> = (0..600).collect();
@@ -404,8 +395,7 @@ mod tests {
         let right: Vec<u32> = (1000..1064).collect();
         m.write_block(0x1000, &left);
         m.write_block(0x1000 + 4 * 64, &right);
-        let cfg = SortConfig::default();
-        merge_runs(&mut m, &cfg, 0x1000, 0x8000, 0, 64);
+        merge_runs(&mut m, 0x1000, 0x8000, 0, 64);
         let mut out = vec![0u32; 128];
         m.read_block(0x8000, &mut out);
         assert!(out.windows(2).all(|w| w[0] <= w[1]));

@@ -39,40 +39,32 @@ pub const PATTERNS: usize = 16;
 /// One in Q16 fixed point.
 const ONE: i32 = 1 << 16;
 
+/// Learning rate in Q16.
+pub const ETA_Q16: i32 = ONE / 2;
+/// Modelled cost of one multiply-accumulate, ns. The original simulator
+/// did floating-point arithmetic; on the 16.67 MHz MC68020 with
+/// coprocessor support an FP multiply-add lands around 5 us.
+pub const MAC_NS: u64 = 9000;
+/// Modelled cost of one activation-function evaluation, ns.
+pub const ACT_NS: u64 = 15000;
+
 /// Simulator configuration.
 #[derive(Clone, Debug)]
 pub struct NeuralConfig {
     /// Training epochs (sweeps over all patterns).
     pub epochs: usize,
-    /// Learning rate in Q16.
-    pub eta_q16: i32,
-    /// Modelled cost of one multiply-accumulate. The original simulator
-    /// did floating-point arithmetic; on the 16.67 MHz MC68020 with
-    /// coprocessor support an FP multiply-add lands around 5 us.
-    pub compute_ns_per_mac: u64,
-    /// Modelled cost of one activation-function evaluation.
-    pub compute_ns_per_act: u64,
 }
 
 impl NeuralConfig {
-    /// The default configuration trained for `epochs` — learning rate
-    /// and compute model stay single-sourced in [`Default`].
+    /// The configuration trained for `epochs`.
     pub fn with_epochs(epochs: usize) -> Self {
-        Self {
-            epochs,
-            ..Default::default()
-        }
+        Self { epochs }
     }
 }
 
 impl Default for NeuralConfig {
     fn default() -> Self {
-        Self {
-            epochs: 40,
-            eta_q16: ONE / 2,
-            compute_ns_per_mac: 9000,
-            compute_ns_per_act: 15000,
-        }
+        Self::with_epochs(40)
     }
 }
 
@@ -244,20 +236,13 @@ pub fn owns_unit(tid: usize, p: usize, u: usize) -> bool {
 pub fn train<M: Mem>(m: &mut M, lay: &NeuralLayout, cfg: &NeuralConfig, tid: usize, p: usize) {
     for _epoch in 0..cfg.epochs {
         for pat in 0..PATTERNS {
-            step_pattern(m, lay, cfg, tid, p, pat);
+            step_pattern(m, lay, tid, p, pat);
         }
     }
 }
 
 /// One pattern presentation for the units owned by `tid`.
-fn step_pattern<M: Mem>(
-    m: &mut M,
-    lay: &NeuralLayout,
-    cfg: &NeuralConfig,
-    tid: usize,
-    p: usize,
-    pat: usize,
-) {
+fn step_pattern<M: Mem>(m: &mut M, lay: &NeuralLayout, tid: usize, p: usize, pat: usize) {
     // Load input activations for owned input units.
     for i in (0..INPUTS).filter(|u| owns_unit(tid, p, *u)) {
         let v = read_q(m, lay.patterns, pat * INPUTS + i);
@@ -270,11 +255,11 @@ fn step_pattern<M: Mem>(
             let x = m.read(lay.act(i)) as i32;
             let w = m.read(lay.w1(i, h)) as i32;
             net = net.wrapping_add(qmul(w, x));
-            m.compute(cfg.compute_ns_per_mac);
+            m.compute(MAC_NS);
         }
         m.write(lay.act(INPUTS + h), sigmoid(net) as u32);
         m.write(lay.delta(INPUTS + h), dsigmoid(net) as u32);
-        m.compute(cfg.compute_ns_per_act);
+        m.compute(ACT_NS);
     }
     // Forward + delta + weight update: output.
     for o in (0..OUTPUTS).filter(|u| owns_unit(tid, p, INPUTS + HIDDEN + *u)) {
@@ -283,11 +268,11 @@ fn step_pattern<M: Mem>(
             let a = m.read(lay.act(INPUTS + h)) as i32;
             let w = m.read(lay.w2(h, o)) as i32;
             net = net.wrapping_add(qmul(w, a));
-            m.compute(cfg.compute_ns_per_mac);
+            m.compute(MAC_NS);
         }
         let out = sigmoid(net);
         m.write(lay.act(INPUTS + HIDDEN + o), out as u32);
-        m.compute(cfg.compute_ns_per_act);
+        m.compute(ACT_NS);
         let target = if o == pat { ONE } else { 0 };
         let delta = qmul(target.wrapping_sub(out), dsigmoid(net));
         m.write(lay.delta(INPUTS + HIDDEN + o), delta as u32);
@@ -296,8 +281,8 @@ fn step_pattern<M: Mem>(
             let a = m.read(lay.act(INPUTS + h)) as i32;
             let va = lay.w2(h, o);
             let w = m.read(va) as i32;
-            m.write(va, w.wrapping_add(qmul(cfg.eta_q16, qmul(delta, a))) as u32);
-            m.compute(2 * cfg.compute_ns_per_mac);
+            m.write(va, w.wrapping_add(qmul(ETA_Q16, qmul(delta, a))) as u32);
+            m.compute(2 * MAC_NS);
         }
     }
     // Backward: hidden deltas and first-layer weight updates.
@@ -310,15 +295,15 @@ fn step_pattern<M: Mem>(
             // backpropagation.
             let w = m.read(lay.w2(h, o)) as i32;
             err = err.wrapping_add(qmul(w, d));
-            m.compute(cfg.compute_ns_per_mac);
+            m.compute(MAC_NS);
         }
         let dh = qmul(err, m.read(lay.delta(INPUTS + h)) as i32);
         for i in 0..INPUTS {
             let x = m.read(lay.act(i)) as i32;
             let va = lay.w1(i, h);
             let w = m.read(va) as i32;
-            m.write(va, w.wrapping_add(qmul(cfg.eta_q16, qmul(dh, x))) as u32);
-            m.compute(2 * cfg.compute_ns_per_mac);
+            m.write(va, w.wrapping_add(qmul(ETA_Q16, qmul(dh, x))) as u32);
+            m.compute(2 * MAC_NS);
         }
     }
 }
@@ -437,10 +422,7 @@ mod tests {
     fn training_reduces_error_single_proc() {
         let (mut m, lay) = setup();
         let before = total_error(&mut m, &lay);
-        let cfg = NeuralConfig {
-            epochs: 60,
-            ..Default::default()
-        };
+        let cfg = NeuralConfig::with_epochs(60);
         train(&mut m, &lay, &cfg, 0, 1);
         let after = total_error(&mut m, &lay);
         assert!(

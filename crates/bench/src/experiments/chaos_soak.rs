@@ -84,10 +84,6 @@ fn with_watchdog<R: Send + 'static>(
     }
 }
 
-fn injected(s: &StatsSnapshot) -> u64 {
-    s.mem_errors + s.shootdown_timeouts + s.transfer_faults + s.alloc_faults + s.pt_inval_drops
-}
-
 /// One live open-loop KV run, optionally under a fault plan: boots a
 /// fresh simulation, lays out a table of `keys` keys, drives `schedule`
 /// through the serialized driver (which retries requests whose fallible
@@ -182,7 +178,7 @@ fn soak_kv(
             );
             failures += 1;
         }
-        let ki = injected(&stats);
+        let ki = stats.injected_faults();
         total_injected += ki;
         total_recovered += stats.fault_recoveries;
         println!(
@@ -233,7 +229,7 @@ fn soak_apps(
             );
             failures += 1;
         }
-        let gi = injected(&run.kernel_stats);
+        let gi = run.kernel_stats.injected_faults();
         total_injected += gi;
         total_recovered += run.kernel_stats.fault_recoveries;
 
@@ -245,7 +241,7 @@ fn soak_apps(
                 run_mergesort_faulty(nodes, procs, &cfg, Some(plan))
             })
         };
-        let si = injected(&run.kernel_stats);
+        let si = run.kernel_stats.injected_faults();
         total_injected += si;
         total_recovered += run.kernel_stats.fault_recoveries;
 
@@ -259,7 +255,7 @@ fn soak_apps(
             eprintln!("CORRECTNESS FAILURE: neural seed {seed}: non-finite error {err}");
             failures += 1;
         }
-        let ni = injected(&run.kernel_stats);
+        let ni = run.kernel_stats.injected_faults();
         total_injected += ni;
         total_recovered += run.kernel_stats.fault_recoveries;
 

@@ -20,7 +20,7 @@
 
 use numa_machine::{MachineConfig, BLOCK_WORD_NS};
 use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
-use platinum_apps::gauss::GaussConfig;
+use platinum_apps::gauss::{GaussConfig, COMPUTE_NS_PER_ELEM};
 use platinum_apps::harness::{run_gauss, GaussStyle, PolicyKind};
 
 use crate::run::{Artifact, Run};
@@ -145,16 +145,7 @@ pub(crate) fn run(run: &mut Run) {
     // The paper's band: the slower time at most 15.3 / 13.5 of the faster.
     let within_band = |slow: u64, fast: u64| slow as f64 * 13.5 <= fast as f64 * 15.3;
     let widest = *procs.last().expect("at least one processor count");
-    let step_ns = n.div_ceil(widest) as u64 * n as u64 * cfg.compute_ns_per_elem;
-    let copy_ns = MachineConfig::default().words_per_page() as u64 * BLOCK_WORD_NS;
-    let premise = |what: &str| {
-        format!(
-            "at p={widest} the pivot row's page copy ({} us) is {what} a processor's \
-             elimination step ({} us); raise --n",
-            copy_ns / 1000,
-            step_ns / 1000
-        )
-    };
+    let (step_ns, copy_ns, premise) = step_vs_copy(n, widest);
     let [plat, us, mp] = [0, 1, 2].map(|si| &results[si]);
     let name = "message_passing_le_platinum_lt_uniform_system";
     if copy_ns < step_ns {
@@ -172,4 +163,24 @@ pub(crate) fn run(run: &mut Run) {
     } else {
         run.skip(name, premise("more than 13.3 % of"));
     }
+}
+
+/// A processor's first elimination step at matrix size `n` on `p`
+/// processors and the page copy that replicates the pivot row, ns, with
+/// the skip reason of a check whose premise the copy is `what` the step
+/// fails. The Gaussian-elimination checks hold only while the step
+/// outlasts the copy: below that, replicating dominates every processor
+/// count.
+pub(crate) fn step_vs_copy(n: usize, p: usize) -> (u64, u64, impl Fn(&str) -> String) {
+    let step_ns = n.div_ceil(p) as u64 * n as u64 * COMPUTE_NS_PER_ELEM;
+    let copy_ns = MachineConfig::default().words_per_page() as u64 * BLOCK_WORD_NS;
+    let premise = move |what: &str| {
+        format!(
+            "at p={p} the pivot row's page copy ({} us) is {what} a processor's \
+             elimination step ({} us); raise --n",
+            copy_ns / 1000,
+            step_ns / 1000
+        )
+    };
+    (step_ns, copy_ns, premise)
 }

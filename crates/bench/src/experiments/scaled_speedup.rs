@@ -11,7 +11,8 @@
 //! with scaled speedup (Gustafson-style: the matrix grows with p so each
 //! processor keeps the same share of rows), on Gaussian elimination under
 //! PLATINUM. Scaled efficiency should hold up better — coarse granularity
-//! is preserved.
+//! is preserved: the check `scaled_efficiency_holds_better` holds it to
+//! that at the widest p.
 //!
 //! `--base-n N` (128) is the p = 1 matrix; `--max-procs P` (8) ends the
 //! comparison.
@@ -140,6 +141,8 @@ pub(crate) fn run(run: &mut Run) {
         ps.push(p);
         p *= 2;
     }
+    // (fixed, scaled) efficiency at the last p.
+    let mut widest = (0.0, 0.0);
     for &p in &ps {
         // Fixed-size efficiency: T1 / (p * Tp).
         let tp = run_gauss(
@@ -170,6 +173,7 @@ pub(crate) fn run(run: &mut Run) {
         )
         .elapsed_ns as f64;
         let scaled_eff = t1_scaled / (p as f64 * tp_scaled) * 100.0;
+        widest = (fixed_eff, scaled_eff);
 
         table.row(vec![
             p.to_string(),
@@ -185,4 +189,13 @@ pub(crate) fn run(run: &mut Run) {
         "scaled efficiency should decay more slowly than fixed-size efficiency:\n\
          growing problems keep the data-access granularity coarse (§4.1)."
     );
+    let name = "scaled_efficiency_holds_better";
+    if ps.len() > 1 {
+        run.check(name, widest.1 > widest.0);
+    } else {
+        run.skip(
+            name,
+            "at p = 1 both efficiencies are 100 %; raise --max-procs",
+        );
+    }
 }

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use platinum::trace::json::{self, Value};
-use platinum::trace::{chrome, TraceConfig, Tracer};
+use platinum::trace::{chrome, Tracer};
 
 use crate::args::Args;
 use crate::check::{check_exact, Exact};
@@ -115,7 +115,7 @@ impl Run {
     pub(crate) fn tracer(&mut self) -> Arc<Tracer> {
         Arc::clone(
             self.tracer
-                .get_or_insert_with(|| platinum::trace::install_global(TraceConfig::default())),
+                .get_or_insert_with(platinum::trace::install_global),
         )
     }
 

@@ -442,7 +442,7 @@ mod tests {
 
     use numa_machine::{AccessCounters, Machine, MachineConfig, Mem};
     use parking_lot::MutexGuard;
-    use platinum_trace::{TraceConfig, Tracer};
+    use platinum_trace::Tracer;
     use proptest::prelude::*;
 
     use super::*;
@@ -554,7 +554,7 @@ mod tests {
                 ..KernelConfig::default()
             },
         );
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::new();
         assert!(kernel.install_tracer(Arc::clone(&tracer)));
         let space = kernel.create_space();
         let object = kernel.create_object(sc.pages);

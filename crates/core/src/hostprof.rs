@@ -60,11 +60,6 @@ impl HostProf {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Stops collecting (the buckets keep their totals).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
-    }
-
     /// Begins a span: `None` while disabled, so the off path never reads
     /// the host clock.
     #[inline(always)]
@@ -120,8 +115,5 @@ mod tests {
         p.end(HostPhase::Transfer, t);
         assert!(p.snapshot().transfer_ns > 0);
         assert_eq!(p.snapshot().fault_ns, 0);
-        p.disable();
-        let t = p.begin();
-        p.end(HostPhase::Transfer, t);
     }
 }

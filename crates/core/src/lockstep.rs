@@ -143,10 +143,10 @@ mod tests {
     /// transfer engine reads it, and the copy carries the last write.
     #[test]
     fn migration_copies_after_its_acks() {
-        use platinum_trace::{EventKind, TraceConfig, Tracer};
+        use platinum_trace::{EventKind, Tracer};
 
         let (kernel, space, va) = boot(3);
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::new();
         assert!(kernel.install_tracer(Arc::clone(&tracer)));
         let mut procs = Lockstep::new(3);
         for p in 0..3 {

@@ -62,11 +62,6 @@ impl Pmap {
         }
     }
 
-    /// Removes every translation of `space` (space teardown).
-    pub fn remove_space(&mut self, space: AsId) {
-        self.entries.retain(|(s, _), _| *s != space);
-    }
-
     /// The number of cached translations.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -112,20 +107,5 @@ mod tests {
         assert!(!p.lookup(AsId(0), 7).unwrap().writable);
         // Restricting an absent entry is a no-op.
         p.restrict_to_read(AsId(0), 99);
-    }
-
-    #[test]
-    fn remove_space_scopes() {
-        let mut p = Pmap::new();
-        let e = PmapEntry {
-            pp: PhysPage::new(0, 0),
-            writable: false,
-        };
-        p.enter(AsId(0), 1, e);
-        p.enter(AsId(0), 2, e);
-        p.enter(AsId(1), 1, e);
-        p.remove_space(AsId(0));
-        assert_eq!(p.len(), 1);
-        assert!(p.lookup(AsId(1), 1).is_some());
     }
 }

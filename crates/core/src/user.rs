@@ -606,10 +606,6 @@ impl Mem for UserCtx {
         self.core.advance_to(t);
     }
 
-    fn set_vtime(&mut self, t: u64) {
-        self.core.set_vtime(t);
-    }
-
     fn compute(&mut self, ns: u64) {
         self.core.charge_compute(ns);
     }

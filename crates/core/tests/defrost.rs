@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::trace::{EventKind, TraceConfig, Tracer};
+use platinum::trace::{EventKind, Tracer};
 use platinum::{Kernel, KernelConfig, Rights, UserCtx};
 
 fn machine_with(nodes: usize, skew: Option<u64>) -> Arc<Machine> {
@@ -58,7 +58,7 @@ fn empty_frozen_list_run_is_harmless() {
 #[test]
 fn daemon_skips_page_thawed_since_enrollment() {
     let (kernel, va, mut ctxs) = setup(2);
-    let tracer = Tracer::new(TraceConfig::default());
+    let tracer = Tracer::new();
     kernel.install_tracer(Arc::clone(&tracer));
     freeze_page(va, &mut ctxs);
     assert!(
@@ -200,7 +200,7 @@ fn t2_activation_ordering_under_skew_window() {
             ..KernelConfig::default()
         },
     );
-    let tracer = Tracer::new(TraceConfig::default());
+    let tracer = Tracer::new();
     kernel.install_tracer(Arc::clone(&tracer));
     let space = kernel.create_space();
     let object = kernel.create_object(1);

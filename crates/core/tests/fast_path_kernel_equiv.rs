@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use numa_machine::{AccessCounters, Machine, MachineConfig, Mem, ProcSet};
-use platinum::trace::{EventKind, TraceConfig, Tracer};
+use platinum::trace::{EventKind, Tracer};
 use platinum::{AlwaysReplicate, FaultPlan, Kernel, KernelConfig, Rights, StatsSnapshot, UserCtx};
 
 fn machine(nodes: usize, fast_path: bool) -> Arc<Machine> {
@@ -187,7 +187,7 @@ fn concurrent_read_faults_converge_on_the_schedule_invariant_state() {
             ..KernelConfig::default()
         },
     );
-    let tracer = Tracer::new(TraceConfig::default());
+    let tracer = Tracer::new();
     assert!(kernel.install_tracer(Arc::clone(&tracer)));
     let space = kernel.create_space();
     let object = kernel.create_object(PAGES);

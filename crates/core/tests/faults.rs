@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::trace::{EventKind, TraceConfig, TraceEvent, Tracer};
+use platinum::trace::{EventKind, TraceEvent, Tracer};
 use platinum::{FaultPlan, FaultSite, Kernel, KernelConfig, KernelError, Rights, UserCtx};
 
 fn machine(nodes: usize) -> Arc<Machine> {
@@ -31,7 +31,7 @@ fn kernel_with_plan(nodes: usize, plan: Arc<FaultPlan>) -> Arc<Kernel> {
 
 fn setup(nodes: usize, plan: Arc<FaultPlan>) -> (Arc<Kernel>, Arc<Tracer>, u64, Vec<UserCtx>) {
     let kernel = kernel_with_plan(nodes, plan);
-    let tracer = Tracer::new(TraceConfig::default());
+    let tracer = Tracer::new();
     assert!(kernel.install_tracer(Arc::clone(&tracer)));
     let space = kernel.create_space();
     let object = kernel.create_object(4);

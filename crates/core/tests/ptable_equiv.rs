@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use numa_machine::{AccessCounters, Machine, MachineConfig, Mem, ProcSet};
-use platinum::trace::{TraceConfig, TraceEvent, Tracer};
+use platinum::trace::{TraceEvent, Tracer};
 use platinum::{
     Kernel, KernelConfig, PtableConfig, PtablePlacement, Rights, StatsSnapshot, UserCtx,
 };
@@ -86,7 +86,7 @@ fn run_schedule(
             ..KernelConfig::default()
         },
     );
-    let tracer = Tracer::new(TraceConfig::default());
+    let tracer = Tracer::new();
     assert!(kernel.install_tracer(Arc::clone(&tracer)));
     let space = kernel.create_space();
     let object = kernel.create_object(pages);

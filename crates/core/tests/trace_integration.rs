@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::trace::{chrome, EventKind, FaultResolution, TraceConfig, Tracer};
+use platinum::trace::{chrome, EventKind, FaultResolution, Tracer};
 use platinum::{CpState, Kernel, KernelConfig, Rights, UserCtx};
 
 fn traced_setup(nodes: usize) -> (Arc<Kernel>, Arc<Tracer>, u64, Vec<UserCtx>) {
@@ -18,7 +18,7 @@ fn traced_setup(nodes: usize) -> (Arc<Kernel>, Arc<Tracer>, u64, Vec<UserCtx>) {
     })
     .unwrap();
     let kernel = Kernel::boot(machine, KernelConfig::default());
-    let tracer = Tracer::new(TraceConfig::default());
+    let tracer = Tracer::new();
     assert!(kernel.install_tracer(Arc::clone(&tracer)));
     let space = kernel.create_space();
     let object = kernel.create_object(4);
@@ -209,7 +209,7 @@ fn counters_work_without_tracer() {
 #[test]
 fn install_tracer_is_first_wins() {
     let (kernel, tracer, va, mut ctxs) = traced_setup(2);
-    let other = Tracer::new(TraceConfig::default());
+    let other = Tracer::new();
     assert!(!kernel.install_tracer(Arc::clone(&other)));
     ctxs[0].write(va, 1);
     assert!(tracer.emitted() > 0, "events go to the first tracer");
@@ -236,7 +236,7 @@ fn tracer_records_processors_beyond_64() {
     })
     .unwrap();
     let kernel = Kernel::boot(machine, KernelConfig::default());
-    let tracer = Tracer::new(TraceConfig::default());
+    let tracer = Tracer::new();
     assert!(kernel.install_tracer(Arc::clone(&tracer)));
     let space = kernel.create_space();
     let va = space

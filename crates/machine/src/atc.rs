@@ -89,18 +89,6 @@ pub struct AtcStats {
     pub misses: u64,
 }
 
-impl AtcStats {
-    /// Hits as a fraction of all lookups (0.0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A direct-mapped software model of the MC68851's address translation
 /// cache.
 ///
@@ -251,17 +239,6 @@ impl Atc {
         }
     }
 
-    /// Invalidates every translation belonging to `asid` (address-space
-    /// teardown).
-    pub fn flush_asid(&mut self, asid: u32) {
-        for e in self.entries.iter_mut() {
-            if e.valid && e.asid == asid {
-                e.valid = false;
-                e.handle = FrameHandle::NULL;
-            }
-        }
-    }
-
     /// Invalidates the entire cache.
     pub fn flush_all(&mut self) {
         for e in self.entries.iter_mut() {
@@ -291,7 +268,6 @@ mod tests {
         assert_eq!(atc.lookup(1, 100), Some((PhysPage::new(2, 5), false)));
         let s = atc.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -329,10 +305,8 @@ mod tests {
         let mut atc = Atc::new(8);
         atc.insert(1, 1, PhysPage::new(0, 0), false);
         atc.insert(2, 2, PhysPage::new(0, 1), false);
-        atc.flush_asid(1);
-        assert_eq!(atc.lookup(1, 1), None);
-        assert!(atc.lookup(2, 2).is_some());
         atc.flush_all();
+        assert_eq!(atc.lookup(1, 1), None);
         assert_eq!(atc.lookup(2, 2), None);
     }
 

@@ -17,6 +17,15 @@ pub const BLOCK_BUS_FRACTION_PCT: u64 = 75;
 /// it per target whatever the distance.
 pub const IPI_NS: u64 = 7000;
 
+/// Default virtual-clock coupling window, ns
+/// ([`MachineConfig::skew_window_ns`]); the UMA comparator's fixed one.
+pub const SKEW_WINDOW_NS: u64 = 2_000_000;
+
+/// Default width of the contention model's utilization buckets, ns
+/// ([`MachineConfig::contention_bucket_ns`]); the UMA comparator's bus
+/// books in the same buckets.
+pub const CONTENTION_BUCKET_NS: u64 = 100_000;
+
 /// Word latencies and memory-module service times of the paper's machine,
 /// the inputs [`Topology::flat`] and [`Topology::hier2`] build their
 /// distance classes from.
@@ -110,8 +119,8 @@ impl Default for MachineConfig {
             frames_per_node: 1024,
             page_shift: 12,
             topology: None,
-            skew_window_ns: Some(2_000_000),
-            contention_bucket_ns: 100_000,
+            skew_window_ns: Some(SKEW_WINDOW_NS),
+            contention_bucket_ns: CONTENTION_BUCKET_NS,
             fast_path: true,
         }
     }

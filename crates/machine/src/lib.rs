@@ -51,7 +51,10 @@ mod machine;
 
 pub use addr::{AccessErr, PhysPage, ProcId, Va, Vpn};
 pub use atc::{Atc, AtcStats, ATC_ENTRIES};
-pub use config::{MachineConfig, TimingConfig, BLOCK_BUS_FRACTION_PCT, BLOCK_WORD_NS, IPI_NS};
+pub use config::{
+    MachineConfig, TimingConfig, BLOCK_BUS_FRACTION_PCT, BLOCK_WORD_NS, CONTENTION_BUCKET_NS,
+    IPI_NS, SKEW_WINDOW_NS,
+};
 pub use contention::{BucketCursor, BucketedResource};
 pub use frame::Frame;
 pub use machine::Machine;

@@ -42,10 +42,6 @@ pub trait Mem {
     /// primitives to propagate release times to acquirers).
     fn advance_to(&mut self, t: u64);
 
-    /// Overwrites the clock; reserved for synchronization primitives that
-    /// model waiting analytically rather than charging spin iterations.
-    fn set_vtime(&mut self, t: u64);
-
     /// Charges `ns` nanoseconds of computation (non-memory work).
     fn compute(&mut self, ns: u64);
 
@@ -120,26 +116,6 @@ pub trait Mem {
             self.write(va + 4 * i as u64, w);
         }
     }
-
-    /// Convenience: reads the word at `va` as an `i32`.
-    fn read_i32(&mut self, va: Va) -> i32 {
-        self.read(va) as i32
-    }
-
-    /// Convenience: writes an `i32` to the word at `va`.
-    fn write_i32(&mut self, va: Va, val: i32) {
-        self.write(va, val as u32);
-    }
-
-    /// Convenience: reads the word at `va` as an `f32` (bit cast).
-    fn read_f32(&mut self, va: Va) -> f32 {
-        f32::from_bits(self.read(va))
-    }
-
-    /// Convenience: writes an `f32` to the word at `va` (bit cast).
-    fn write_f32(&mut self, va: Va, val: f32) {
-        self.write(va, val.to_bits());
-    }
 }
 
 /// Test support: a trivial flat-memory [`Mem`] with simple fixed costs,
@@ -186,9 +162,6 @@ pub mod test_support {
         }
         fn advance_to(&mut self, t: u64) {
             self.vtime = self.vtime.max(t);
-        }
-        fn set_vtime(&mut self, t: u64) {
-            self.vtime = t;
         }
         fn compute(&mut self, ns: u64) {
             self.vtime += ns;
@@ -243,15 +216,6 @@ mod tests {
         let mut out = [0u32; 3];
         m.read_block(0x100, &mut out);
         assert_eq!(out, [1, 2, 3]);
-    }
-
-    #[test]
-    fn typed_helpers() {
-        let mut m = FlatMem::new(0, 1);
-        m.write_i32(0, -5);
-        assert_eq!(m.read_i32(0), -5);
-        m.write_f32(4, 2.5);
-        assert_eq!(m.read_f32(4), 2.5);
     }
 
     #[test]

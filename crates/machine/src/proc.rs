@@ -219,13 +219,6 @@ impl ProcCore {
         }
     }
 
-    /// Overwrites the clock. Reserved for the run-time synchronization
-    /// primitives, which model waiting time analytically instead of
-    /// charging each spin iteration.
-    pub fn set_vtime(&mut self, t: u64) {
-        self.vtime = t;
-    }
-
     /// The processor's access counters so far.
     pub fn counters(&self) -> AccessCounters {
         let [[remote_reads, remote_writes, remote_atomics], [local_reads, local_writes, local_atomics]] =
@@ -878,7 +871,7 @@ mod tests {
         for (i, step) in script.iter().enumerate() {
             match *step {
                 At(t) => {
-                    core.set_vtime(t);
+                    core.vtime = t;
                     reference.vtime = t;
                 }
                 Kernel(module, kind) => {
@@ -968,8 +961,6 @@ mod tests {
         assert_eq!(core.vtime(), 100, "advance_to never goes backwards");
         core.advance_to(500);
         assert_eq!(core.vtime(), 500);
-        core.set_vtime(200);
-        assert_eq!(core.vtime(), 200, "set_vtime may go backwards");
     }
 
     #[test]

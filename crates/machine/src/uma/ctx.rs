@@ -4,12 +4,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::addr::Va;
+use crate::config::SKEW_WINDOW_NS;
 use crate::mem_iface::Mem;
 use crate::stats::AccessCounters;
 
 use super::{
     TagCache, UmaMachine, ATOMIC_NS, BUS_LINE_SERVICE_NS, BUS_WORD_SERVICE_NS, CACHE_BYTES, HIT_NS,
-    LINE_BYTES, MISS_NS, SKEW_WINDOW_NS, WORDS_PER_LINE, WRITE_NS,
+    LINE_BYTES, MISS_NS, WORDS_PER_LINE, WRITE_NS,
 };
 
 /// One simulated processor of the UMA comparator, implementing [`Mem`].
@@ -49,7 +50,9 @@ impl UmaCtx {
 
     /// Clock-coupling bookkeeping, run on every access: publish the
     /// clock periodically and respect the skew window (as the NUMA
-    /// machine's processors do).
+    /// machine's processors do). The bus needs it: its bucketed
+    /// accounting assumes clocks stay within the ring's span of each
+    /// other.
     #[inline]
     fn tick(&mut self) {
         self.accesses += 1;
@@ -156,10 +159,6 @@ impl Mem for UmaCtx {
         if t > self.vtime {
             self.vtime = t;
         }
-    }
-
-    fn set_vtime(&mut self, t: u64) {
-        self.vtime = t;
     }
 
     fn compute(&mut self, ns: u64) {

@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::addr::Va;
+use crate::config::CONTENTION_BUCKET_NS;
 use crate::contention::BucketedResource;
 
 // Timing of a Sequent Symmetry model A: a cache hit is fast, a miss is a
@@ -47,12 +48,6 @@ pub const CACHE_BYTES: usize = 8 * 1024;
 pub(crate) const LINE_BYTES: usize = 16;
 /// 32-bit words per cache line.
 pub(crate) const WORDS_PER_LINE: usize = LINE_BYTES / 4;
-
-/// Virtual-clock coupling window, ns, as on the NUMA machine: a processor
-/// more than this far ahead of the slowest running processor stalls. The
-/// bus contention model needs it: its bucketed accounting assumes clocks
-/// stay within the ring's span of each other.
-pub(crate) const SKEW_WINDOW_NS: u64 = 2_000_000;
 
 /// Configuration of the UMA comparator machine.
 #[derive(Clone, Debug)]
@@ -118,7 +113,7 @@ impl UmaMachine {
             cfg,
             memory: memory.into_boxed_slice(),
             line_versions: versions.into_boxed_slice(),
-            bus: BucketedResource::new(100_000),
+            bus: BucketedResource::new(CONTENTION_BUCKET_NS),
             alloc_next: AtomicU64::new(0),
             published,
         }))

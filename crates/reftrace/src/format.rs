@@ -78,11 +78,6 @@ pub enum Op {
         /// Captured target time, ns.
         t: u64,
     },
-    /// `set_vtime` to an absolute captured time.
-    SetVtime {
-        /// Captured clock value, ns.
-        t: u64,
-    },
     /// A `poll` kernel entry (IPI service + defrost opportunity).
     Poll,
     /// Entering a spin wait (clock freezes).
@@ -249,19 +244,6 @@ impl RefTrace {
             phases,
         })
     }
-
-    /// Writes the trace to `path` (buffered).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        let mut w = io::BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()
-    }
-
-    /// Reads a trace from `path` (buffered).
-    pub fn load(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        let mut r = io::BufReader::new(std::fs::File::open(path)?);
-        Self::read_from(&mut r)
-    }
 }
 
 /// Rejects a phase the replayer cannot execute: every op must run on a
@@ -344,7 +326,7 @@ const T_WRITE_BLOCK: u8 = 7;
 const T_COMPUTE: u8 = 8;
 const T_ADVANCE_DEP: u8 = 9;
 const T_ADVANCE_ABS: u8 = 10;
-const T_SET_VTIME: u8 = 11;
+// 11 stays unused: taking it would give old encodings a new meaning.
 const T_POLL: u8 = 12;
 const T_BEGIN_WAIT: u8 = 13;
 const T_END_WAIT: u8 = 14;
@@ -364,7 +346,6 @@ fn put_rec<W: Write>(w: &mut W, rec: &Rec) -> io::Result<()> {
         Op::Compute { ns } => (T_COMPUTE, Some(ns), None),
         Op::AdvanceDep { seq } => (T_ADVANCE_DEP, Some(seq), None),
         Op::AdvanceAbs { t } => (T_ADVANCE_ABS, Some(t), None),
-        Op::SetVtime { t } => (T_SET_VTIME, Some(t), None),
         Op::Poll => (T_POLL, None, None),
         Op::BeginWait => (T_BEGIN_WAIT, None, None),
         Op::EndWait => (T_END_WAIT, None, None),
@@ -403,7 +384,6 @@ fn get_rec<R: Read>(r: &mut R) -> io::Result<Rec> {
         T_COMPUTE => Op::Compute { ns: get_u64(r)? },
         T_ADVANCE_DEP => Op::AdvanceDep { seq: get_u64(r)? },
         T_ADVANCE_ABS => Op::AdvanceAbs { t: get_u64(r)? },
-        T_SET_VTIME => Op::SetVtime { t: get_u64(r)? },
         T_POLL => Op::Poll,
         T_BEGIN_WAIT => Op::BeginWait,
         T_END_WAIT => Op::EndWait,

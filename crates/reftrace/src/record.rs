@@ -261,10 +261,6 @@ impl Mem for RecordingCtx {
         st.push(ctx.proc_id() as u8, op, ctx.vtime());
     }
 
-    fn set_vtime(&mut self, t: u64) {
-        self.op(Op::SetVtime { t }, |c| c.set_vtime(t));
-    }
-
     fn compute(&mut self, ns: u64) {
         self.op(Op::Compute { ns }, |c| c.compute(ns));
     }

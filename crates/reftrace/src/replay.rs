@@ -227,7 +227,6 @@ fn exec(ctx: &mut UserCtx, op: Op, post: &[u64], block_buf: &mut Vec<u32>) {
         Op::Compute { ns } => ctx.compute(ns),
         Op::AdvanceDep { seq } => ctx.advance_to(post[seq as usize]),
         Op::AdvanceAbs { t } => ctx.advance_to(t),
-        Op::SetVtime { t } => ctx.set_vtime(t),
         Op::Poll => ctx.poll(),
         Op::BeginWait => ctx.begin_wait(),
         Op::EndWait => ctx.end_wait(),

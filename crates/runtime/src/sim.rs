@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem, Topology};
-use platinum::trace::{TraceConfig, Tracer};
+use platinum::trace::Tracer;
 use platinum::{
     AddressSpace, FaultPlan, Kernel, KernelConfig, PlacementPolicy, PtableConfig, Rights,
     ShootdownMode, UserCtx,
@@ -158,7 +158,7 @@ impl SimBuilder {
         let machine = Machine::new(mcfg).expect("valid machine config");
         let kernel = Kernel::boot(Arc::clone(&machine), self.kernel);
         if self.trace.is_some() {
-            kernel.install_tracer(Tracer::new(TraceConfig::default()));
+            kernel.install_tracer(Tracer::new());
         }
         let space = kernel.create_space();
         Sim {

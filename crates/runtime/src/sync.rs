@@ -264,7 +264,7 @@ mod tests {
         let mut a = FlatMem::new(0, 2);
         let l = SpinLock::new(0x0);
         l.acquire(&mut a);
-        a.set_vtime(1_000_000);
+        a.advance_to(1_000_000);
         l.release(&mut a);
 
         let mut b = FlatMem::new(1, 2);
@@ -291,7 +291,7 @@ mod tests {
         let mut m = FlatMem::new(0, 1);
         let ec = EventCount::new(0x8);
         assert_eq!(ec.advance(&mut m), 1);
-        m.set_vtime(5_000);
+        m.advance_to(5_000);
         assert_eq!(ec.advance(&mut m), 2);
         let mut w = FlatMem::new(1, 2);
         w.words.insert(0x8, 2); // already satisfied in w's view

@@ -4,9 +4,9 @@
 //! patterns):
 //!
 //! * **Table zone** — one page-aligned open-addressing slot array per
-//!   shard. A slot is `2 + value_words` words: a tag word (`key + 1`,
+//!   shard. A slot is `2 + VALUE_WORDS` words: a tag word (`key + 1`,
 //!   0 = empty), a version word (the serial of the last write), and the
-//!   value. With the default 6-word values a 4 KB page holds 128 slots,
+//!   value. With 6-word values a 4 KB page holds 128 slots,
 //!   so hot keys and cold keys share pages — the false-sharing terrain
 //!   a page-granular coherence protocol actually faces in a server.
 //! * **Lock zone** — one spin lock per shard, each on its own page
@@ -34,6 +34,11 @@ use crate::rng::mix;
 use crate::traffic::Request;
 use crate::ServerMem;
 
+/// Value payload words per slot.
+pub const VALUE_WORDS: usize = 6;
+/// Words per slot: tag, version, value.
+const SLOT_WORDS: usize = 2 + VALUE_WORDS;
+
 /// Table geometry.
 #[derive(Clone, Debug)]
 pub struct KvConfig {
@@ -42,32 +47,24 @@ pub struct KvConfig {
     /// Shard count (locks, slot arrays, and throughput accounting).
     pub shards: usize,
     /// Slots per shard; power of two, with headroom over `keys/shards`.
-    pub slots_per_shard: usize,
-    /// Value payload words per slot.
-    pub value_words: usize,
+    slots_per_shard: usize,
 }
 
 impl KvConfig {
-    /// A geometry for `keys` keys over `shards` shards: 6-word values
-    /// and ~75% maximum fill rounded up to a power of two.
+    /// A geometry for `keys` keys over `shards` shards: ~75% maximum
+    /// fill rounded up to a power of two.
     pub fn for_keys(keys: u64, shards: usize) -> Self {
         let per_shard = (keys as usize).div_ceil(shards);
         KvConfig {
             keys,
             shards,
             slots_per_shard: (per_shard * 4 / 3).max(8).next_power_of_two(),
-            value_words: 6,
         }
-    }
-
-    /// Words per slot (tag + version + value).
-    pub fn slot_words(&self) -> usize {
-        2 + self.value_words
     }
 
     /// Pages needed for the table zone (each shard page-aligned).
     pub fn table_pages(&self, page_words: usize) -> usize {
-        let shard_words = self.slots_per_shard * self.slot_words();
+        let shard_words = self.slots_per_shard * SLOT_WORDS;
         self.shards * shard_words.div_ceil(page_words)
     }
 
@@ -106,7 +103,7 @@ impl KvTable {
     /// Size the zones with [`KvConfig::table_pages`] and
     /// [`KvConfig::lock_pages`].
     pub fn layout(cfg: KvConfig, data: &mut Zone, lock_zone: &mut Zone) -> Self {
-        let shard_words = cfg.slots_per_shard * cfg.slot_words();
+        let shard_words = cfg.slots_per_shard * SLOT_WORDS;
         let shard_base = (0..cfg.shards)
             .map(|_| data.alloc_page_aligned(shard_words))
             .collect();
@@ -140,7 +137,7 @@ impl KvTable {
 
     /// Address of slot `idx` of `shard`.
     fn slot_va(&self, shard: usize, idx: usize) -> Va {
-        self.shard_base[shard] + 4 * (idx * self.cfg.slot_words()) as u64
+        self.shard_base[shard] + 4 * (idx * SLOT_WORDS) as u64
     }
 
     /// First value word a write with `serial` installs for `key`.
@@ -173,7 +170,6 @@ impl KvTable {
     /// caller partitions keys between workers, so no lock is taken.
     pub fn insert<M: ServerMem>(&self, m: &mut M, key: u64) -> platinum::Result<()> {
         let tag = (key + 1) as u32;
-        let words = self.cfg.value_words;
         self.probe(m, key, |m, va, t| {
             if t != 0 {
                 assert_ne!(t, tag, "duplicate insert of key {key}");
@@ -182,7 +178,7 @@ impl KvTable {
             m.try_store(va, tag)?;
             m.try_store(va + 4, 0)?;
             let base = Self::value_base(key, 0);
-            for i in 0..words {
+            for i in 0..VALUE_WORDS {
                 m.try_store(va + 4 * (2 + i) as u64, base.wrapping_add(i as u32))?;
             }
             Ok(Some(()))
@@ -217,14 +213,13 @@ impl KvTable {
     /// populated keys, so a miss is a table bug.
     pub fn get<M: ServerMem>(&self, m: &mut M, key: u64) -> platinum::Result<u32> {
         let tag = (key + 1) as u32;
-        let words = self.cfg.value_words;
         self.probe(m, key, |m, va, t| {
             assert_ne!(t, 0, "key {key} missing from the table");
             if t != tag {
                 return Ok(None);
             }
             let mut fold = m.try_load(va + 4)?;
-            for i in 0..words {
+            for i in 0..VALUE_WORDS {
                 fold = fold.wrapping_add(m.try_load(va + 4 * (2 + i) as u64)?);
             }
             Ok(Some(fold))
@@ -236,7 +231,6 @@ impl KvTable {
     pub fn put<M: ServerMem>(&self, m: &mut M, key: u64, serial: u64) -> platinum::Result<()> {
         let shard = self.shard_of(key);
         let tag = (key + 1) as u32;
-        let words = self.cfg.value_words;
         self.locks[shard].with(m, |m| {
             self.probe(m, key, |m, va, t| {
                 assert_ne!(t, 0, "key {key} missing from the table");
@@ -245,7 +239,7 @@ impl KvTable {
                 }
                 m.try_store(va + 4, serial as u32)?;
                 let base = Self::value_base(key, serial);
-                for i in 0..words {
+                for i in 0..VALUE_WORDS {
                     m.try_store(va + 4 * (2 + i) as u64, base.wrapping_add(i as u32))?;
                 }
                 Ok(Some(()))
@@ -283,7 +277,7 @@ impl KvTable {
                 let serial = m.try_load(va + 4)? as u64;
                 let base = Self::value_base(key, serial);
                 let mut slot_sum = 0u64;
-                for i in 0..self.cfg.value_words {
+                for i in 0..VALUE_WORDS {
                     let w = m.try_load(va + 4 * (2 + i) as u64)?;
                     assert_eq!(
                         w,

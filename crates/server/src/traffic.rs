@@ -16,6 +16,11 @@
 use crate::rng::{mix, Rng};
 use crate::zipf::Zipf;
 
+/// Length of each write burst, in requests.
+pub const BURST_LEN: u64 = 32;
+/// How far the hot set moves per drift period, in keys.
+pub const DRIFT_STEP: u64 = 997;
+
 /// Generator parameters. Everything is in virtual nanoseconds and
 /// per-processor terms; the whole stream is a pure function of this
 /// struct, so two identically-configured generators agree bit for bit.
@@ -32,15 +37,11 @@ pub struct TrafficConfig {
     /// Percentage of non-burst requests that are writes (0..=100).
     pub write_pct: u32,
     /// Every `burst_every`-th request per processor opens a write burst
-    /// (0 disables bursts).
+    /// of [`BURST_LEN`] requests (0 disables bursts).
     pub burst_every: u64,
-    /// Length of each write burst, in requests.
-    pub burst_len: u64,
     /// Period of hot-set drift in virtual ns (0 disables drift): every
-    /// period, the popularity ranking rotates by `drift_step` keys.
+    /// period, the popularity ranking rotates by [`DRIFT_STEP`] keys.
     pub drift_period_ns: u64,
-    /// How far the hot set moves per drift period.
-    pub drift_step: u64,
     /// Mean per-processor interarrival gap, virtual ns (arrivals are
     /// uniform on `[0, 2 * mean]`, so the mean is exact without any
     /// transcendental sampling).
@@ -56,9 +57,7 @@ impl Default for TrafficConfig {
             theta: 0.99,
             write_pct: 10,
             burst_every: 256,
-            burst_len: 32,
             drift_period_ns: 250_000_000,
-            drift_step: 997,
             mean_interarrival_ns: 25_000,
         }
     }
@@ -93,7 +92,7 @@ struct Stream {
     /// The arrival time at which the next drift epoch begins (0 until
     /// the first request computes its epoch).
     drift_edge: u64,
-    /// `epoch · drift_step mod keys` for the current drift epoch.
+    /// `epoch · DRIFT_STEP mod keys` for the current drift epoch.
     offset: u64,
     head: Request,
 }
@@ -130,18 +129,18 @@ impl Stream {
             self.burst_left -= 1;
             true
         } else if cfg.burst_every > 0 && i > 0 && i.is_multiple_of(cfg.burst_every) {
-            self.burst_left = cfg.burst_len.saturating_sub(1);
+            self.burst_left = BURST_LEN - 1;
             true
         } else {
             self.rng.below(100) < cfg.write_pct as u64
         };
         let rank = zipf.sample(&mut self.rng);
-        // The hot set slides `drift_step` keys forward each drift
+        // The hot set slides `DRIFT_STEP` keys forward each drift
         // period, so yesterday's cold keys become today's hot ones.
         // Arrivals never decrease, so the division runs once per epoch.
         if self.arrival >= self.drift_edge && cfg.drift_period_ns > 0 {
             let epoch = self.arrival / cfg.drift_period_ns;
-            self.offset = epoch.wrapping_mul(cfg.drift_step) % cfg.keys;
+            self.offset = epoch.wrapping_mul(DRIFT_STEP) % cfg.keys;
             self.drift_edge = (epoch + 1).saturating_mul(cfg.drift_period_ns);
         }
         let key = rank + self.offset;
@@ -213,35 +212,34 @@ mod tests {
         let cfg = TrafficConfig {
             write_pct: 0,
             burst_every: 100,
-            burst_len: 10,
             ..small()
         };
         let s = cfg.schedule(1);
         let writes = s.iter().filter(|r| r.write).count();
-        // Only bursts write: 2000/100 - 1 = 19 bursts of 10.
-        assert_eq!(writes, 19 * 10);
-        // Bursts are contiguous runs of exactly burst_len writes.
-        let first = s.iter().position(|r| r.write).unwrap();
-        assert!(s[first..first + 10].iter().all(|r| r.write));
-        assert!(!s[first + 10].write);
+        // Only bursts write: 2000/100 - 1 = 19 bursts of BURST_LEN.
+        assert_eq!(writes, 19 * BURST_LEN as usize);
+        // Bursts are contiguous runs of exactly BURST_LEN writes.
+        let (first, len) = (s.iter().position(|r| r.write).unwrap(), BURST_LEN as usize);
+        assert!(s[first..first + len].iter().all(|r| r.write));
+        assert!(!s[first + len].write);
     }
 
     #[test]
     fn drift_rotates_the_hot_set() {
         // At θ = 40 every draw is rank 0 (rank 1 weighs 2^-40), so each
-        // key is the epoch's offset: `epoch · step mod keys`. Gaps of up
-        // to 50 periods cross several epochs at once and wrap the key
-        // space many times over.
+        // key is the epoch's offset: `epoch · DRIFT_STEP mod keys`. Gaps
+        // of up to 50 periods cross several epochs at once and wrap the
+        // key space many times over.
         let cfg = TrafficConfig {
             theta: 40.0,
             drift_period_ns: 1_000,
-            drift_step: 100,
             ..small()
         };
         let s = cfg.schedule(1);
-        assert!(s.last().unwrap().arrival_ns / 1_000 * 100 > 10 * cfg.keys);
+        let key = |r: &Request| r.arrival_ns / 1_000 * DRIFT_STEP % cfg.keys;
+        assert!(s.last().unwrap().arrival_ns / 1_000 * DRIFT_STEP > 10 * cfg.keys);
         for r in &s {
-            assert_eq!(r.key, r.arrival_ns / 1_000 * 100 % cfg.keys, "{r:?}");
+            assert_eq!(r.key, key(r), "{r:?}");
         }
     }
 

@@ -37,7 +37,6 @@ fn config_from(seed: u64, theta_i: usize, write_pct: u32, bursts: bool) -> Traff
         theta: [0.0, 0.75, 0.99][theta_i],
         write_pct,
         burst_every: if bursts { 64 } else { 0 },
-        burst_len: 8,
         ..TrafficConfig::default()
     }
 }

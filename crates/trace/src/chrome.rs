@@ -119,12 +119,10 @@ fn micros(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{json, EventKind, FaultResolution, TraceConfig, Tracer};
+    use crate::{json, EventKind, FaultResolution, Tracer};
 
     fn sample_trace() -> Trace {
-        let t = Tracer::new(TraceConfig {
-            capacity_per_proc: 256,
-        });
+        let t = Tracer::new();
         t.emit(0, 1_000, EventKind::FaultBegin, 1, 0x4000, 0);
         t.emit(0, 9_500, EventKind::Invalidate, 2, 7, 1);
         t.emit(0, 12_345, EventKind::Freeze, 0, 7, 5_000);
@@ -203,7 +201,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid_json() {
-        let t = Tracer::new(TraceConfig::default());
+        let t = Tracer::new();
         let s = chrome_trace_string(&t.snapshot());
         let v = json::parse(&s).expect("valid JSON");
         assert_eq!(v.get("traceEvents"), Some(&json::Value::Arr(vec![])));

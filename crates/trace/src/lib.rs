@@ -38,7 +38,7 @@
 //! # Quickstart
 //!
 //! ```ignore
-//! let tracer = platinum_trace::install_global(TraceConfig::default());
+//! let tracer = platinum_trace::install_global();
 //! // ... boot a kernel (it picks up the global tracer) and run ...
 //! let trace = tracer.snapshot();
 //! std::fs::write("out.json", platinum_trace::chrome::chrome_trace_string(&trace))?;
@@ -53,7 +53,7 @@ pub mod json;
 pub mod timeline;
 
 pub use event::{EventKind, FaultResolution, TraceEvent};
-pub use tracer::{Trace, TraceConfig, Tracer};
+pub use tracer::{Trace, Tracer, CAPACITY_PER_PROC};
 
 use std::sync::{Arc, OnceLock};
 
@@ -63,10 +63,9 @@ static GLOBAL: OnceLock<Arc<Tracer>> = OnceLock::new();
 ///
 /// Kernels and machines built *after* this call pick the tracer up
 /// automatically, so binaries can enable tracing without threading a
-/// handle through every constructor. The first installation wins; `cfg`
-/// is ignored if a global tracer already exists.
-pub fn install_global(cfg: TraceConfig) -> Arc<Tracer> {
-    GLOBAL.get_or_init(|| Tracer::new(cfg)).clone()
+/// handle through every constructor. The first installation wins.
+pub fn install_global() -> Arc<Tracer> {
+    GLOBAL.get_or_init(Tracer::new).clone()
 }
 
 /// The process-global tracer, if one was installed.

@@ -124,11 +124,11 @@ fn detail(e: &TraceEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceConfig, Tracer};
+    use crate::Tracer;
 
     #[test]
     fn spans_match_freeze_to_thaw() {
-        let t = Tracer::new(TraceConfig::default());
+        let t = Tracer::new();
         t.emit(0, 100, EventKind::Freeze, 0, 9, 50);
         t.emit(
             1,
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn timeline_renders_each_event() {
-        let t = Tracer::new(TraceConfig::default());
+        let t = Tracer::new();
         t.emit(0, 1_000, EventKind::Freeze, 0, 3, 10);
         t.emit(1, 2_000, EventKind::Thaw, 0, 3, 0);
         let s = page_timeline(&t.snapshot(), 3);

@@ -12,21 +12,9 @@ const CHUNK: usize = 256;
 /// `CHUNK` processors' rings, each allocated on its processor's first emit.
 type Chunk = Box<[OnceLock<Ring>]>;
 
-/// Runtime tracer configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceConfig {
-    /// Events retained per processor before the ring overwrites the
-    /// oldest (each event is 40 bytes).
-    pub capacity_per_proc: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            capacity_per_proc: 1 << 16,
-        }
-    }
-}
+/// Events retained per processor before the ring overwrites the oldest
+/// (each event is 40 bytes).
+pub const CAPACITY_PER_PROC: usize = 1 << 16;
 
 /// Collects events from every simulated processor.
 ///
@@ -37,7 +25,6 @@ impl Default for TraceConfig {
 /// per processor, the simulator's one-driving-thread model provides the
 /// single producer the ring requires.
 pub struct Tracer {
-    cfg: TraceConfig,
     /// Processor `p`'s ring is `rings[p / CHUNK][p % CHUNK]`; a chunk
     /// comes into being with its first emitting processor.
     rings: Box<[OnceLock<Chunk>]>,
@@ -48,9 +35,8 @@ pub struct Tracer {
 
 impl Tracer {
     /// A fresh tracer with one implicit phase named `"run"`.
-    pub fn new(cfg: TraceConfig) -> Arc<Tracer> {
+    pub fn new() -> Arc<Tracer> {
         Arc::new(Tracer {
-            cfg,
             rings: (0..=u16::MAX as usize / CHUNK)
                 .map(|_| OnceLock::new())
                 .collect(),
@@ -69,7 +55,7 @@ impl Tracer {
     pub fn emit(&self, proc: usize, vtime: u64, kind: EventKind, code: u8, page: u64, arg: u64) {
         let chunk =
             self.rings[proc / CHUNK].get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
-        let ring = chunk[proc % CHUNK].get_or_init(|| Ring::new(self.cfg.capacity_per_proc));
+        let ring = chunk[proc % CHUNK].get_or_init(|| Ring::new(CAPACITY_PER_PROC));
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let phase = self.current_phase.load(Ordering::Relaxed) as u16;
         ring.push(TraceEvent {
@@ -133,8 +119,8 @@ impl Tracer {
 pub struct Trace {
     /// All surviving events, ordered by global sequence number.
     pub events: Vec<TraceEvent>,
-    /// Events lost to ring wraparound (raise
-    /// [`TraceConfig::capacity_per_proc`] if nonzero).
+    /// Events lost to ring wraparound (more than
+    /// [`CAPACITY_PER_PROC`] events on one processor).
     pub dropped: u64,
     /// Phase names; [`TraceEvent::phase`] indexes this.
     pub phases: Vec<String>,
@@ -188,9 +174,7 @@ mod tests {
 
     #[test]
     fn emit_snapshot_phases() {
-        let t = Tracer::new(TraceConfig {
-            capacity_per_proc: 16,
-        });
+        let t = Tracer::new();
         t.emit(0, 10, EventKind::FaultBegin, 1, 0x1000, 0);
         t.emit(1, 20, EventKind::Freeze, 0, 5, 0);
         let p = t.begin_phase("second-case");
@@ -211,7 +195,7 @@ mod tests {
 
     #[test]
     fn concurrent_emit_from_distinct_procs() {
-        let t = Tracer::new(TraceConfig::default());
+        let t = Tracer::new();
         std::thread::scope(|s| {
             for p in 0..4 {
                 let t = &t;

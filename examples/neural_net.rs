@@ -12,10 +12,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let procs: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
     let epochs: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
-    let cfg = NeuralConfig {
-        epochs,
-        ..Default::default()
-    };
+    let cfg = NeuralConfig::with_epochs(epochs);
 
     println!(
         "recurrent backprop encoder: 40 units, 16 patterns, {procs} processors, {epochs} epochs\n"

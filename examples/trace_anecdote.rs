@@ -9,12 +9,12 @@
 use platinum_repro::apps::gauss::GaussConfig;
 use platinum_repro::apps::harness::run_gauss_anecdote;
 use platinum_repro::kernel::trace::timeline::{frozen_spans, page_timeline};
-use platinum_repro::kernel::trace::{install_global, EventKind, TraceConfig};
+use platinum_repro::kernel::trace::{install_global, EventKind};
 
 fn main() {
     // The tracer is process-global so the harness's kernels (built
     // internally) pick it up when they boot.
-    let tracer = install_global(TraceConfig::default());
+    let tracer = install_global();
 
     let cfg = GaussConfig {
         n: 120,

@@ -98,10 +98,7 @@ fn mergesort_sorts_on_both_machines_and_platinum_speeds_up() {
 
 #[test]
 fn neural_freezes_pages_and_still_learns() {
-    let cfg = NeuralConfig {
-        epochs: 30,
-        ..Default::default()
-    };
+    let cfg = NeuralConfig::with_epochs(30);
     let (run, err) = run_neural(4, 4, &cfg);
     assert!(
         run.kernel_stats.freezes > 0,

@@ -21,11 +21,7 @@ proptest! {
         seed in any::<u64>(),
         style_sel in 0usize..3,
     ) {
-        let cfg = GaussConfig {
-            n,
-            seed,
-            ..Default::default()
-        };
+        let cfg = GaussConfig { n, seed };
         let style = match style_sel {
             0 => GaussStyle::Shared(PolicyKind::Platinum),
             1 => GaussStyle::UniformSystem,
@@ -46,7 +42,6 @@ proptest! {
         let cfg = SortConfig {
             n: 1 << log_n,
             seed,
-            ..Default::default()
         };
         let p = 1usize << log_p;
         // The runner verifies sortedness + permutation internally and

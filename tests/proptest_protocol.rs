@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use platinum_repro::kernel::trace::{EventKind, TraceConfig, Tracer};
+use platinum_repro::kernel::trace::{EventKind, Tracer};
 use platinum_repro::kernel::{
     AceStyle, AlwaysReplicate, Kernel, LocalFirstTouch, PlacementPolicy, PlatinumPolicy, Rights,
     UserCtx,
@@ -247,7 +247,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
         let mut fx = Fixture::new(which_policy);
-        let tracer = Tracer::new(TraceConfig::default());
+        let tracer = Tracer::new();
         prop_assert!(fx.kernel.install_tracer(Arc::clone(&tracer)));
         for op in &ops {
             match *op {
