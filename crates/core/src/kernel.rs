@@ -376,9 +376,7 @@ impl Kernel {
         let mut waited_ns = 0u64;
         let mut spins = 0u32;
         loop {
-            if ctx.core.take_ipi() {
-                ctx.drain_messages();
-            }
+            ctx.service_ipis();
             std::hint::spin_loop();
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(8) {

@@ -3,8 +3,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use numa_machine::skew::IDLE;
 use numa_machine::{
-    AccessErr, AccessKind, FastPath, Frame, Mem, PhysPage, ProcCore, ProcSet, Va, Vpn,
+    AccessErr, AccessKind, FastPath, Frame, Mem, Pacer, PhysPage, ProcCore, ProcSet, Va, Vpn,
 };
 use platinum_ptable::{PtableConfig, PtablePlacement, POPULATE_REFS, WALK_REFS};
 use platinum_trace::EventKind;
@@ -36,6 +37,8 @@ use crate::vm::space::AddressSpace;
 pub struct UserCtx {
     pub(crate) kernel: Arc<Kernel>,
     pub(crate) core: ProcCore,
+    /// The processor's side of the machine's skew window.
+    pacer: Pacer,
     pub(crate) space: Arc<AddressSpace>,
     pub(crate) pmap: Pmap,
     page_shift: u32,
@@ -68,9 +71,11 @@ impl UserCtx {
         let thread = kernel.threads.register(core.id(), space.id());
         let asid = space.asid();
         let ptable = kernel.config().ptable;
+        let pacer = Pacer::new(core.id());
         let mut ctx = Self {
             kernel,
             core,
+            pacer,
             space,
             pmap: Pmap::new(),
             page_shift,
@@ -129,22 +134,23 @@ impl UserCtx {
     /// Marks the current space active on this processor and applies any
     /// mapping changes that arrived while it was inactive. "Each processor
     /// is responsible for making these changes before running any thread
-    /// in that address space" (§2.3).
+    /// in that address space" (§2.3). The clock goes to the skew window.
     fn activate_space(&mut self) {
         let id = self.space.id();
         self.kernel.slots[self.core.id()].active.set_active(id.0);
         self.drain_messages();
-        self.core.wake();
+        let skew = self.kernel.machine().skew();
+        skew.post(self.core.id(), self.core.vtime());
     }
 
     /// Marks the current space inactive (the thread is blocking in the
     /// kernel or terminating) and acknowledges outstanding changes so no
-    /// initiator waits on a blocked processor.
+    /// initiator waits on a blocked processor, which posts itself idle.
     fn deactivate_space(&mut self) {
         let id = self.space.id();
         self.kernel.slots[self.core.id()].active.clear_active(id.0);
         self.drain_messages();
-        self.core.set_idle();
+        self.kernel.machine().skew().post(self.core.id(), IDLE);
     }
 
     /// Blocks "in the kernel": deactivates, runs `wait` (which may park
@@ -214,6 +220,7 @@ impl UserCtx {
         let old = self.core.id();
         let vtime = self.core.vtime() + costs::THREAD_MIGRATE_NS;
         self.core = ProcCore::new(Arc::clone(self.kernel.machine()), new_proc, vtime);
+        self.pacer = Pacer::new(new_proc);
         self.kernel.slots[old]
             .occupied
             .store(false, Ordering::Release);
@@ -227,7 +234,7 @@ impl UserCtx {
     /// The Cmap synchronization handler: applies pending mapping-change
     /// messages for the active space to this processor's Pmap and ATC,
     /// then acknowledges them.
-    pub(crate) fn drain_messages(&mut self) {
+    fn drain_messages(&mut self) {
         let me = self.core.id();
         // Take everything queued for this processor; each message is
         // applied and acknowledged below, then dropped.
@@ -315,6 +322,7 @@ impl UserCtx {
     /// kernel-entry schedule (the reference-trace recorder's gate wait,
     /// the lockstep executor draining an awaited target inline) call
     /// this instead of touching memory.
+    #[inline(always)]
     pub fn service_ipis(&mut self) {
         if self.core.take_ipi() {
             self.drain_messages();
@@ -347,24 +355,23 @@ impl UserCtx {
     }
 
     /// Kernel entry bookkeeping performed on every access: service the
-    /// IPI doorbell, keep the virtual clock published, respect the skew
+    /// IPI doorbell, keep the virtual clock posted, respect the skew
     /// window, and run the defrost daemon when its period elapses.
     #[inline]
     pub(crate) fn enter(&mut self) {
-        if self.core.take_ipi() {
-            self.drain_messages();
-        }
-        if self.core.tick() {
+        self.service_ipis();
+        if self.pacer.tick() {
             self.slow_tick();
         }
     }
 
     #[cold]
     fn slow_tick(&mut self) {
-        while self.core.should_throttle() {
-            if self.core.take_ipi() {
-                self.drain_messages();
-            }
+        while self
+            .pacer
+            .should_throttle(self.kernel.machine().skew(), self.core.vtime())
+        {
+            self.service_ipis();
             std::hint::spin_loop();
             std::thread::yield_now();
         }
@@ -661,11 +668,12 @@ impl Mem for UserCtx {
     }
 
     fn begin_wait(&mut self) {
-        self.core.begin_wait();
+        self.pacer.begin_wait(self.kernel.machine().skew());
     }
 
     fn end_wait(&mut self) {
-        self.core.end_wait();
+        self.pacer
+            .end_wait(self.kernel.machine().skew(), self.core.vtime());
     }
 
     fn trace_lock(&mut self, va: Va, acquire: bool) {

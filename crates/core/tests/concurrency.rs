@@ -299,3 +299,31 @@ fn freeze_then_quiet_period_then_replication_recovers() {
         "replication must resume after the thaw"
     );
 }
+
+#[test]
+fn a_context_posts_its_clock_only_while_it_runs() {
+    // One thread, exact decisions: processor 0 sits 6 ms ahead of a
+    // context at 0 (5 ms window, 0.15 ms migration), which holds it exactly
+    // while that context runs — attached, resumed, out of its spin-wait —
+    // and not once it is suspended, waiting, migrated away or dropped.
+    let m = machine(3);
+    let kernel = Kernel::boot(Arc::clone(&m), KernelConfig::default());
+    let space = kernel.create_space();
+    let ahead = 6_000_000;
+    let _a = kernel.attach(Arc::clone(&space), 0, ahead).unwrap();
+    assert!(!m.skew().holds(ahead), "alone, processor 0 runs free");
+    let mut b = kernel.attach(Arc::clone(&space), 1, 0).unwrap();
+    assert!(m.skew().holds(ahead), "attached at 0");
+    b.suspend();
+    assert!(!m.skew().holds(ahead), "suspended");
+    b.resume();
+    assert!(m.skew().holds(ahead), "resumed");
+    b.begin_wait();
+    assert!(!m.skew().holds(ahead), "spin-waiting");
+    b.end_wait();
+    assert!(m.skew().holds(ahead), "out of the wait");
+    b.migrate(2).unwrap();
+    assert!(m.skew().holds(ahead), "running on processor 2");
+    drop(b);
+    assert!(!m.skew().holds(ahead), "neither processor 1 nor 2 runs");
+}

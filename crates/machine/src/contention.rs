@@ -169,12 +169,6 @@ impl BucketedResource {
         }
     }
 
-    /// Reserves `service_ns` of the resource at virtual time `now`;
-    /// returns the queueing delay the requester suffers.
-    pub fn reserve(&self, now: u64, service_ns: u64) -> u64 {
-        self.book(self.bucket_div.div(now), service_ns)
-    }
-
     /// The resource's one state transition: adds `service_ns` to
     /// `bucket`'s load and returns the delay the bucket imposes. Every
     /// booking entry point ends here.
@@ -257,16 +251,16 @@ impl BucketedResource {
         now - cursor.start
     }
 
-    /// Like [`BucketedResource::reserve`], but with a caller-held cursor
-    /// memoizing the current bucket, for per-access hot paths.
+    /// Reserves `service_ns` of the resource at virtual time `now`;
+    /// returns the queueing delay. `cursor` memoizes the clock's bucket:
     ///
     /// A virtual clock advances by tens to thousands of nanoseconds per
     /// access while a bucket spans 100 us, so the `now / bucket_ns`
     /// division — the most expensive instruction in an uncontended
     /// reservation — is redundant for hundreds of consecutive calls. The
     /// cursor skips it while `now` stays inside the memoized bucket, and
-    /// `book` runs on the bucket the cursor names, so the returned delay
-    /// and the slot contents are identical to `reserve`, call for call.
+    /// `book` runs on the bucket the cursor names, so the delay and the
+    /// slots are what a fresh cursor gives, call for call.
     #[inline(always)]
     pub fn reserve_with(&self, cursor: &mut BucketCursor, now: u64, service_ns: u64) -> u64 {
         self.seek(cursor, now);
@@ -509,6 +503,11 @@ mod cas_oracle {
 mod tests {
     use super::*;
 
+    /// A booking through a fresh cursor: the bucket by division, every time.
+    fn reserve(r: &BucketedResource, now: u64, service_ns: u64) -> u64 {
+        r.reserve_with(&mut BucketCursor::default(), now, service_ns)
+    }
+
     #[test]
     fn divider_matches_hardware_division() {
         // Every divisor class (1, powers of two, round-down magics,
@@ -548,7 +547,7 @@ mod tests {
         let r = BucketedResource::new(100_000);
         let mut t = 0u64;
         for _ in 0..100 {
-            let d = r.reserve(t, 600);
+            let d = reserve(&r, t, 600);
             assert_eq!(d, 0, "self-paced stream must not self-queue");
             t += 5000; // latency outpaces service
         }
@@ -558,11 +557,11 @@ mod tests {
     fn below_saturation_is_free_beyond_it_queues() {
         let r = BucketedResource::new(1000);
         // The bucket absorbs its own width of service for free...
-        assert_eq!(r.reserve(0, 600), 0);
-        assert_eq!(r.reserve(0, 400), 0);
+        assert_eq!(reserve(&r, 0, 600), 0);
+        assert_eq!(reserve(&r, 0, 400), 0);
         // ...after which every nanosecond of service queues.
-        assert_eq!(r.reserve(0, 600), 600);
-        assert_eq!(r.reserve(0, 600), 1200);
+        assert_eq!(reserve(&r, 0, 600), 600);
+        assert_eq!(reserve(&r, 0, 600), 1200);
         assert_eq!(r.load_at(0), 2200);
     }
 
@@ -571,13 +570,13 @@ mod tests {
         let r = BucketedResource::new(1000);
         // Overload bucket 0 with 5000 ns of work.
         for _ in 0..5 {
-            let _ = r.reserve(0, 1000);
+            let _ = reserve(&r, 0, 1000);
         }
         // The first request of bucket 1 inherits 4000 ns of backlog.
-        let d = r.reserve(1000, 100);
+        let d = reserve(&r, 1000, 100);
         assert_eq!(d, 3100); // 4000 backlog + 100 service - 1000 capacity
                              // And bucket 2 inherits what bucket 1 could not serve.
-        let d = r.reserve(2000, 100);
+        let d = reserve(&r, 2000, 100);
         assert!(d > 2000, "saturation must accumulate: {d}");
     }
 
@@ -586,7 +585,7 @@ mod tests {
         let r = BucketedResource::new(100_000);
         let mut total = 0u64;
         for _ in 0..300 {
-            total += r.reserve(50_000, 600);
+            total += reserve(&r, 50_000, 600);
         }
         // 300 x 600 ns = 180 us demanded of a 100 us bucket: the 80 us
         // of overflow must be charged, amplified by each later arrival
@@ -605,10 +604,10 @@ mod tests {
         let r = BucketedResource::new(100_000);
         let mut delayed = 0u64;
         for i in 0..100 {
-            delayed += r.reserve(i * 1000, 700); // actor A walks the bucket
+            delayed += reserve(&r, i * 1000, 700); // actor A walks the bucket
         }
         for i in 0..100 {
-            delayed += r.reserve(i * 1000, 700); // actor B follows
+            delayed += reserve(&r, i * 1000, 700); // actor B follows
         }
         assert!(delayed > 30_000, "40% overload must surface: {delayed}");
     }
@@ -618,20 +617,20 @@ mod tests {
         let r = BucketedResource::new(100_000);
         // A fast clock reserves work at t = 2 ms.
         for _ in 0..50 {
-            let _ = r.reserve(2_000_000, 600);
+            let _ = reserve(&r, 2_000_000, 600);
         }
         // A slow clock at t = 0 is unaffected (different bucket).
-        assert_eq!(r.reserve(0, 600), 0);
+        assert_eq!(reserve(&r, 0, 600), 0);
     }
 
     #[test]
     fn stale_epochs_reset() {
         let r = BucketedResource::new(100);
-        let _ = r.reserve(0, 90);
+        let _ = reserve(&r, 0, 90);
         assert_eq!(r.load_at(0), 90);
         // Same slot, one full ring later: stale load is discarded.
         let ring = 100 * BUCKETS as u64;
-        assert_eq!(r.reserve(ring, 50), 0);
+        assert_eq!(reserve(&r, ring, 50), 0);
         assert_eq!(r.load_at(ring), 50);
     }
 
@@ -643,10 +642,10 @@ mod tests {
         assert_eq!(d, 0);
         // Traffic shortly after queues behind the occupancy (the span
         // fills its buckets to capacity).
-        let d2 = r.reserve(150_000, 600);
+        let d2 = reserve(&r, 150_000, 600);
         assert!(d2 > 0, "must queue behind the block transfer: {d2}");
         // Traffic after the occupancy ends is free.
-        let d3 = r.reserve(1_000_000, 600);
+        let d3 = reserve(&r, 1_000_000, 600);
         assert_eq!(d3, 0);
     }
 
@@ -671,7 +670,7 @@ mod tests {
         for &(now, service) in &schedule {
             assert_eq!(
                 with.reserve_with(&mut cursor, now, service),
-                without.reserve(now, service),
+                reserve(&without, now, service),
                 "delay diverged at now={now} service={service}"
             );
         }
@@ -696,7 +695,7 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(
                 with.reserve_with(&mut cursor, 5, big),
-                without.reserve(5, big)
+                reserve(&without, 5, big)
             );
         }
         assert_eq!(with.load_at(5), LOAD_MASK);
@@ -708,9 +707,9 @@ mod tests {
         let r = BucketedResource::new(100);
         let ring = 100 * BUCKETS as u64;
         // Someone reserves far in the future (same slot, later epoch).
-        let _ = r.reserve(ring * 5, 90);
+        let _ = reserve(&r, ring * 5, 90);
         // A very late clock hitting that slot pays nothing.
-        assert_eq!(r.reserve(0, 60), 0);
+        assert_eq!(reserve(&r, 0, 60), 0);
     }
 
     /// Two cursor policies for the implementation under test: one
@@ -785,8 +784,8 @@ mod tests {
                 };
                 let (got_shared, got_private, want) = match entry {
                     0 => (
-                        shared.resources[r].reserve(now, service),
-                        private.resources[r].reserve(now, service),
+                        reserve(&shared.resources[r], now, service),
+                        reserve(&private.resources[r], now, service),
                         oracle[r].reserve(now, service),
                     ),
                     1 | 2 => (
@@ -881,7 +880,7 @@ mod tests {
                         let now = (i / 64) * WIDTH + x % (4 * WIDTH) + (x >> 60 & 1) * ring;
                         let service = x % MAX_SERVICE + 1;
                         let delay = match x >> 32 & 3 {
-                            0 => r.reserve(now, service),
+                            0 => reserve(r, now, service),
                             1 | 2 => r.reserve_with(&mut cursor, now, service),
                             _ => r.reserve_span(now, service),
                         };

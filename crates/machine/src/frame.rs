@@ -133,7 +133,7 @@ impl Frame {
 
     /// Copies the first `words` words of `src` into this frame — the
     /// state a block transfer leaves behind when the engine fails
-    /// mid-copy (fault injection). The destination is not yet published
+    /// mid-copy (fault injection). The destination is not yet mapped
     /// anywhere, so the torn prefix is never observable; the retry
     /// overwrites it whole-page.
     ///

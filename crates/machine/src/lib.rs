@@ -12,8 +12,8 @@
 //! * an interconnect with per-module contention accounting and a microcoded
 //!   *block-transfer engine* that consumes 75% of the bus bandwidth of both
 //!   nodes involved (§7),
-//! * per-processor *virtual clocks* charged from the paper's published
-//!   latencies (320 ns local reference, ~5000 ns remote read, 1100 ns per
+//! * per-processor *virtual clocks* charged from the latencies the paper
+//!   reports (320 ns local reference, ~5000 ns remote read, 1100 ns per
 //!   word of block transfer), and
 //! * interprocessor interrupt lines used by the kernel's shootdown
 //!   mechanism (§3.1).
@@ -43,6 +43,7 @@ pub mod mem_iface;
 pub mod module;
 pub mod proc;
 pub mod procset;
+pub mod skew;
 pub mod stats;
 pub mod topology;
 pub mod uma;
@@ -60,7 +61,8 @@ pub use frame::Frame;
 pub use machine::Machine;
 pub use mem_iface::Mem;
 pub use module::MemoryModule;
-pub use proc::{AccessKind, FastPath, ProcCore, ProcShared};
+pub use proc::{AccessKind, FastPath, ProcCore};
 pub use procset::{AtomicProcSet, ProcSet};
+pub use skew::{Pacer, SkewWindow};
 pub use stats::AccessCounters;
 pub use topology::{LinkTiming, Topology};

@@ -1,5 +1,6 @@
 //! The machine: modules, processor signalling state, and global queries.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use platinum_trace::Tracer;
@@ -8,7 +9,7 @@ use crate::addr::{PhysPage, ProcId};
 use crate::config::{MachineConfig, TimingConfig};
 use crate::frame::Frame;
 use crate::module::MemoryModule;
-use crate::proc::{ProcShared, IDLE};
+use crate::skew::SkewWindow;
 use crate::topology::Topology;
 
 /// A simulated NUMA multiprocessor: one processor and one memory module
@@ -26,7 +27,9 @@ pub struct Machine {
     /// service time routes through this.
     topology: Topology,
     modules: Box<[MemoryModule]>,
-    shared: Box<[ProcShared]>,
+    /// Per-processor IPI doorbells, rung by [`Machine::post_ipi`].
+    doorbells: Box<[AtomicBool]>,
+    skew: SkewWindow,
     /// Protocol-event tracer, installed at most once per machine. Every
     /// layer above (kernel, runtime) emits through this single registry
     /// so one timeline covers hardware and kernel events.
@@ -48,10 +51,8 @@ impl Machine {
             .map(|n| MemoryModule::new(n, cfg.frames_per_node, words, cfg.contention_bucket_ns))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let shared = (0..cfg.nodes)
-            .map(|_| ProcShared::new())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let doorbells = (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect();
+        let skew = SkewWindow::new(cfg.nodes, cfg.skew_window_ns);
         let tracer = OnceLock::new();
         // A process-global tracer (platinum_trace::install_global) is
         // picked up automatically, so harnesses can enable tracing
@@ -63,7 +64,8 @@ impl Machine {
             cfg,
             topology,
             modules,
-            shared,
+            doorbells,
+            skew,
             tracer,
         }))
     }
@@ -113,14 +115,10 @@ impl Machine {
         &self.modules[m]
     }
 
-    /// The signalling state of processor `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
+    /// The skew window coupling the processors' clocks.
     #[inline]
-    pub fn shared(&self, p: ProcId) -> &ProcShared {
-        &self.shared[p]
+    pub fn skew(&self) -> &SkewWindow {
+        &self.skew
     }
 
     /// The storage of physical page `pp`.
@@ -139,17 +137,15 @@ impl Machine {
     ///
     /// Panics if `target` is out of range.
     pub fn post_ipi(&self, target: ProcId) {
-        self.shared[target].post_ipi();
+        self.doorbells[target].store(true, Ordering::Release);
     }
 
-    /// The minimum published virtual clock over all *running* processors,
-    /// or [`IDLE`] if none are running. Used by the skew window.
-    pub fn min_running_vtime(&self) -> u64 {
-        self.shared
-            .iter()
-            .map(|s| s.published_vtime())
-            .min()
-            .unwrap_or(IDLE)
+    /// Whether processor `p`'s doorbell is rung, consuming it.
+    #[inline(always)]
+    pub fn take_ipi(&self, p: ProcId) -> bool {
+        // A relaxed load keeps the RMW off the path when none is pending.
+        let bell = &self.doorbells[p];
+        bell.load(Ordering::Relaxed) && bell.swap(false, Ordering::Acquire)
     }
 
     /// Total frames allocated across all modules.
@@ -195,7 +191,12 @@ mod tests {
     #[test]
     fn vtime_aggregates() {
         let m = Machine::new(MachineConfig::with_nodes(3)).unwrap();
-        assert_eq!(m.min_running_vtime(), IDLE, "all idle at start");
+        assert!(!m.skew().holds(u64::MAX - 1), "all idle at start");
+        m.skew().post(2, 0);
+        assert!(
+            m.skew().holds(crate::SKEW_WINDOW_NS + 1),
+            "the default window"
+        );
     }
 
     #[test]

@@ -203,20 +203,13 @@ impl MemoryModule {
     }
 
     /// Reserves `service_ns` of the module's bus at virtual time `now`,
-    /// returning the start time assigned to this request.
+    /// returning the start time assigned to this request; `cursor` is the
+    /// caller's memo of its clock's bucket (`BucketedResource::reserve_with`).
     ///
     /// The returned start minus `now` is the queueing delay the requester
     /// experiences; this is the per-module serialization that makes memory
     /// contention visible, the effect §7 argues replication exists to
     /// relieve.
-    pub fn reserve(&self, now: u64, service_ns: u64) -> u64 {
-        now + self.bus.reserve(now, service_ns)
-    }
-
-    /// [`Self::reserve`] with a caller-owned [`BucketCursor`] memoizing
-    /// the clock's current contention bucket. Identical result; the
-    /// cursor merely keeps the bucket-index division off the per-access
-    /// hot path (see `BucketedResource::reserve_with`).
     #[inline(always)]
     pub fn reserve_with(&self, cursor: &mut BucketCursor, now: u64, service_ns: u64) -> u64 {
         now + self.bus.reserve_with(cursor, now, service_ns)
@@ -397,16 +390,17 @@ mod tests {
     #[test]
     fn reserve_serializes_under_overload() {
         let m = MemoryModule::new(0, 1, 8, 100_000);
+        let reserve = |now, service| m.reserve_with(&mut BucketCursor::default(), now, service);
         // Below the bucket's service capacity requests pass freely...
-        assert_eq!(m.reserve(0, 600), 0);
-        assert_eq!(m.reserve(0, 600), 0);
+        assert_eq!(reserve(0, 600), 0);
+        assert_eq!(reserve(0, 600), 0);
         // ...but overload queues: saturate the bucket, then measure.
         for _ in 0..200 {
-            let _ = m.reserve(0, 600);
+            let _ = reserve(0, 600);
         }
-        assert!(m.reserve(0, 600) > 0, "overloaded module must queue");
+        assert!(reserve(0, 600) > 0, "overloaded module must queue");
         // A request arriving much later sees no residue.
-        assert_eq!(m.reserve(10_000_000, 600), 10_000_000);
+        assert_eq!(reserve(10_000_000, 600), 10_000_000);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Simulated processors: shared signalling state and the thread-owned core.
+//! Simulated processors: the thread-owned core.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::addr::{PhysPage, ProcId, Vpn};
@@ -10,14 +9,6 @@ use crate::contention::BucketCursor;
 use crate::frame::Frame;
 use crate::machine::Machine;
 use crate::stats::AccessCounters;
-
-/// A processor's virtual clock value meaning "not currently running" —
-/// idle processors are excluded from the skew window's minimum.
-pub const IDLE: u64 = u64::MAX;
-
-/// Accesses between publications of a processor's virtual clock (read
-/// by the skew window and by observers).
-const PUBLISH_INTERVAL: u32 = 64;
 
 /// The kind of a single-word memory access, for the timing model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,55 +21,11 @@ pub enum AccessKind {
     Atomic,
 }
 
-/// Per-processor state that *other* processors may touch: the
-/// interprocessor-interrupt doorbell and the published virtual clock.
-///
-/// Everything else about a processor lives in [`ProcCore`], which is owned
-/// by the thread simulating that processor — mirroring the paper's
-/// insistence on private per-processor structures (§3.1).
-pub struct ProcShared {
-    /// Doorbell set by `Machine::post_ipi`; cleared by the owning thread.
-    ipi_pending: AtomicBool,
-    /// The processor's virtual clock as of its last publication, or
-    /// [`IDLE`] while the processor is blocked or not started.
-    published_vtime: AtomicU64,
-}
-
-impl ProcShared {
-    pub(crate) fn new() -> Self {
-        Self {
-            ipi_pending: AtomicBool::new(false),
-            published_vtime: AtomicU64::new(IDLE),
-        }
-    }
-
-    /// Rings the processor's IPI doorbell.
-    pub fn post_ipi(&self) {
-        self.ipi_pending.store(true, Ordering::Release);
-    }
-
-    /// Consumes the doorbell, returning whether it was rung.
-    #[inline(always)]
-    pub fn take_ipi(&self) -> bool {
-        // Fast path: a relaxed read avoids the RMW when no IPI is pending.
-        self.ipi_pending.load(Ordering::Relaxed) && self.ipi_pending.swap(false, Ordering::Acquire)
-    }
-
-    /// The last published virtual clock, or [`IDLE`].
-    pub fn published_vtime(&self) -> u64 {
-        self.published_vtime.load(Ordering::Relaxed)
-    }
-
-    fn publish(&self, vtime: u64) {
-        self.published_vtime.store(vtime, Ordering::Relaxed);
-    }
-}
-
 /// The thread-owned core of one simulated processor.
 ///
 /// Exactly one OS thread drives each `ProcCore`; it holds the processor's
 /// virtual clock, its private [`Atc`], and its access counters. All timing
-/// charges go through here.
+/// charges go through here; pacing host threads is [`crate::skew`]'s job.
 pub struct ProcCore {
     machine: Arc<Machine>,
     id: ProcId,
@@ -88,11 +35,6 @@ pub struct ProcCore {
     /// `refs` (one indexed add per access) and filled in by `counters()`.
     counters: AccessCounters,
     refs: [[u64; 3]; 2],
-    accesses_since_publish: u32,
-    /// Whether the processor is spin-waiting in a synchronization
-    /// primitive; waiting processors publish [`IDLE`] so the skew window
-    /// never throttles working processors against a frozen clock.
-    waiting: bool,
     /// Per-destination word latencies, `lat[to] = [read, write, atomic]`,
     /// resolved from the machine's [`crate::Topology`] at construction so
     /// every charge is one array index, and copied by `atc_insert` into
@@ -107,7 +49,7 @@ pub struct ProcCore {
     /// module (they share `contention_bucket_ns`, and the bucket depends
     /// on the clock alone), keeping the bucket-index division off every
     /// word charge, fast path and slow. Purely a host-side memoization:
-    /// `reserve_with` is result-identical to `reserve`.
+    /// `reserve_with` books what a fresh cursor would.
     cursor: BucketCursor,
 }
 
@@ -134,8 +76,7 @@ pub enum FastPath<'a> {
 }
 
 impl ProcCore {
-    /// Creates the core for processor `id` and marks it running at
-    /// virtual time `start`.
+    /// Creates the core for processor `id` with its clock at `start`.
     ///
     /// # Panics
     ///
@@ -143,7 +84,6 @@ impl ProcCore {
     pub fn new(machine: Arc<Machine>, id: ProcId, start: u64) -> Self {
         assert!(id < machine.nprocs(), "processor {id} out of range");
         let atc = Atc::new(ATC_ENTRIES);
-        machine.shared(id).publish(start);
         let topo = machine.topology();
         let narrow = |ns: u64| u32::try_from(ns).expect("Topology::validate bounds every class");
         let lat = (0..machine.nprocs())
@@ -163,8 +103,6 @@ impl ProcCore {
             atc,
             counters: AccessCounters::default(),
             refs: [[0; 3]; 2],
-            accesses_since_publish: 0,
-            waiting: false,
             lat,
             svc,
             fast_enabled,
@@ -253,69 +191,7 @@ impl ProcCore {
     /// Whether this processor's IPI doorbell is rung, consuming it.
     #[inline(always)]
     pub fn take_ipi(&self) -> bool {
-        self.machine.shared(self.id).take_ipi()
-    }
-
-    /// Publishes the clock and reports whether the skew window requires
-    /// this processor to stall.
-    ///
-    /// The caller (the kernel's access wrapper) is responsible for polling
-    /// IPIs while stalled; this method never blocks. A processor that is
-    /// spin-waiting ([`ProcCore::begin_wait`]) publishes [`IDLE`] and is
-    /// never throttled: its clock is frozen until the event it waits for
-    /// arrives, and throttling workers against a frozen clock would
-    /// deadlock the machine.
-    pub fn should_throttle(&mut self) -> bool {
-        let Some(window) = self.machine.cfg().skew_window_ns else {
-            return false;
-        };
-        if self.waiting {
-            self.machine.shared(self.id).publish(IDLE);
-            return false;
-        }
-        self.machine.shared(self.id).publish(self.vtime);
-        let min = self.machine.min_running_vtime();
-        min != IDLE && self.vtime > min.saturating_add(window)
-    }
-
-    /// Enters spin-wait mode: the processor stops holding the skew-window
-    /// minimum down (it still services IPIs through its accesses).
-    pub fn begin_wait(&mut self) {
-        self.waiting = true;
-        self.machine.shared(self.id).publish(IDLE);
-    }
-
-    /// Leaves spin-wait mode.
-    pub fn end_wait(&mut self) {
-        self.waiting = false;
-        let v = self.vtime;
-        self.machine.shared(self.id).publish(v);
-    }
-
-    /// Periodic publication bookkeeping; returns true every
-    /// `PUBLISH_INTERVAL` accesses so the caller can run the (slightly
-    /// more expensive) throttle check.
-    #[inline(always)]
-    pub fn tick(&mut self) -> bool {
-        self.accesses_since_publish += 1;
-        if self.accesses_since_publish >= PUBLISH_INTERVAL {
-            self.accesses_since_publish = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Marks the processor idle (blocked in the kernel or finished); idle
-    /// processors do not hold back the skew window.
-    pub fn set_idle(&self) {
-        self.machine.shared(self.id).publish(IDLE);
-    }
-
-    /// Marks the processor running again after [`Self::set_idle`].
-    pub fn wake(&mut self) {
-        let v = self.vtime;
-        self.machine.shared(self.id).publish(v);
+        self.machine.take_ipi(self.id)
     }
 
     /// Charges one word access to the memory holding `pp` and performs the
@@ -752,9 +628,9 @@ mod tests {
     }
 
     /// The slow path's charging as it was before the processor's cursor
-    /// served it, restated: every booking through the cursor-less
-    /// `MemoryModule::reserve`, the position in the bucket by `%`, the
-    /// chunk by an unconditional `div_ceil`.
+    /// served it, restated: every booking through a fresh cursor (the
+    /// division every time), the position in the bucket by `%`, the chunk
+    /// by an unconditional `div_ceil`.
     struct Reference {
         m: Arc<Machine>,
         id: ProcId,
@@ -773,7 +649,11 @@ mod tests {
                 let into = self.vtime % bucket_ns;
                 let room = (bucket_ns - into).div_ceil(latency.max(1)).max(1);
                 let chunk = remaining.min(room);
-                let start = self.m.module(module).reserve(self.vtime, service * chunk);
+                let start = self.m.module(module).reserve_with(
+                    &mut BucketCursor::default(),
+                    self.vtime,
+                    service * chunk,
+                );
                 self.queue_delay_ns += start - self.vtime;
                 self.vtime = start + latency * chunk;
                 remaining -= chunk;
@@ -961,35 +841,5 @@ mod tests {
         assert_eq!(core.vtime(), 100, "advance_to never goes backwards");
         core.advance_to(500);
         assert_eq!(core.vtime(), 500);
-    }
-
-    #[test]
-    fn idle_and_wake_publication() {
-        let m = machine(2);
-        let mut core = ProcCore::new(Arc::clone(&m), 0, 42);
-        assert_eq!(m.shared(0).published_vtime(), 42);
-        core.set_idle();
-        assert_eq!(m.shared(0).published_vtime(), IDLE);
-        core.wake();
-        assert_eq!(m.shared(0).published_vtime(), 42);
-    }
-
-    #[test]
-    fn throttle_respects_window() {
-        let m = Machine::new(MachineConfig {
-            nodes: 2,
-            frames_per_node: 4,
-            skew_window_ns: Some(1000),
-            ..MachineConfig::default()
-        })
-        .unwrap();
-        let mut fast = ProcCore::new(Arc::clone(&m), 0, 0);
-        let _slow = ProcCore::new(Arc::clone(&m), 1, 0);
-        assert!(!fast.should_throttle());
-        fast.charge(5000);
-        assert!(fast.should_throttle(), "5 us ahead of a 1 us window");
-        // When the other processor goes idle the window no longer binds.
-        m.shared(1).publish(IDLE);
-        assert!(!fast.should_throttle());
     }
 }

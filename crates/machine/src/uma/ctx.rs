@@ -4,8 +4,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::addr::Va;
-use crate::config::SKEW_WINDOW_NS;
+use crate::contention::BucketCursor;
 use crate::mem_iface::Mem;
+use crate::skew::{Pacer, IDLE};
 use crate::stats::AccessCounters;
 
 use super::{
@@ -17,15 +18,17 @@ use super::{
 ///
 /// Owned by the thread that simulates the processor. Every access goes
 /// through the private tag cache and, on misses and writes, the shared
-/// bus, accumulating virtual time the same way the NUMA machine does.
+/// bus, accumulating virtual time the same way the NUMA machine does, and
+/// is paced against the other processors by the machine's skew window.
 pub struct UmaCtx {
     machine: Arc<UmaMachine>,
     id: usize,
     vtime: u64,
     cache: TagCache,
     counters: AccessCounters,
-    accesses: u32,
-    waiting: bool,
+    pacer: Pacer,
+    /// This processor's memo of its clock's bus bucket.
+    cursor: BucketCursor,
 }
 
 impl UmaCtx {
@@ -36,42 +39,32 @@ impl UmaCtx {
     /// Panics if `id` is out of range for the machine.
     pub fn new(machine: Arc<UmaMachine>, id: usize) -> Self {
         assert!(id < machine.cfg().procs, "processor {id} out of range");
-        machine.publish(id, 0);
+        machine.skew.post(id, 0);
         Self {
             machine,
             id,
             vtime: 0,
             cache: TagCache::new(CACHE_BYTES / LINE_BYTES),
             counters: AccessCounters::default(),
-            accesses: 0,
-            waiting: false,
+            pacer: Pacer::new(id),
+            cursor: BucketCursor::default(),
         }
     }
 
-    /// Clock-coupling bookkeeping, run on every access: publish the
-    /// clock periodically and respect the skew window (as the NUMA
-    /// machine's processors do). The bus needs it: its bucketed
-    /// accounting assumes clocks stay within the ring's span of each
-    /// other.
+    /// Clock-coupling bookkeeping, run on every access: every so many
+    /// accesses, post the clock and hold while the skew window says so.
     #[inline]
     fn tick(&mut self) {
-        self.accesses += 1;
-        if self.accesses < 64 {
-            return;
-        }
-        self.accesses = 0;
-        if self.waiting {
-            self.machine.publish(self.id, u64::MAX);
-            return;
-        }
-        self.machine.publish(self.id, self.vtime);
-        loop {
-            let min = self.machine.min_running_vtime();
-            if min == u64::MAX || self.vtime <= min.saturating_add(SKEW_WINDOW_NS) {
-                break;
+        if self.pacer.tick() {
+            while self.held() {
+                std::thread::yield_now();
             }
-            std::thread::yield_now();
         }
+    }
+
+    /// Posts the clock; whether the skew window holds this processor.
+    pub(crate) fn held(&self) -> bool {
+        self.pacer.should_throttle(&self.machine.skew, self.vtime)
     }
 
     /// The machine this processor belongs to.
@@ -110,9 +103,12 @@ impl UmaCtx {
     /// `service_ns`, counts the queueing delay, and sets the clock to the
     /// transaction's start plus `latency_ns`.
     fn bus(&mut self, service_ns: u64, latency_ns: u64) {
-        let start = self.machine.bus_reserve(self.vtime, service_ns);
-        self.counters.queue_delay_ns += start - self.vtime;
-        self.vtime = start + latency_ns;
+        let delay = self
+            .machine
+            .bus
+            .reserve_with(&mut self.cursor, self.vtime, service_ns);
+        self.counters.queue_delay_ns += delay;
+        self.vtime += delay + latency_ns;
     }
 
     fn read_impl(&mut self, va: Va, charge: bool) -> u32 {
@@ -134,7 +130,9 @@ impl UmaCtx {
                 self.bus(BUS_LINE_SERVICE_NS, MISS_NS);
                 self.counters.remote_reads += 1;
             } else {
-                self.machine.bus_reserve(self.vtime, BUS_LINE_SERVICE_NS);
+                self.machine
+                    .bus
+                    .reserve_with(&mut self.cursor, self.vtime, BUS_LINE_SERVICE_NS);
             }
             self.cache.fill(line, version);
         }
@@ -167,13 +165,11 @@ impl Mem for UmaCtx {
     }
 
     fn begin_wait(&mut self) {
-        self.waiting = true;
-        self.machine.publish(self.id, u64::MAX);
+        self.pacer.begin_wait(&self.machine.skew);
     }
 
     fn end_wait(&mut self) {
-        self.waiting = false;
-        self.machine.publish(self.id, self.vtime);
+        self.pacer.end_wait(&self.machine.skew, self.vtime);
     }
 
     fn read(&mut self, va: Va) -> u32 {
@@ -240,7 +236,7 @@ impl Mem for UmaCtx {
 impl Drop for UmaCtx {
     fn drop(&mut self) {
         // A finished processor must not hold the skew window's minimum.
-        self.machine.publish(self.id, u64::MAX);
+        self.machine.skew.post(self.id, IDLE);
     }
 }
 

@@ -22,8 +22,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::addr::Va;
-use crate::config::CONTENTION_BUCKET_NS;
+use crate::config::{CONTENTION_BUCKET_NS, SKEW_WINDOW_NS};
 use crate::contention::BucketedResource;
+use crate::skew::SkewWindow;
 
 // Timing of a Sequent Symmetry model A: a cache hit is fast, a miss is a
 // full bus transaction fetching a 16-byte line, and every write goes
@@ -81,7 +82,7 @@ impl UmaConfig {
 }
 
 /// The shared part of the UMA machine: memory, per-line write versions
-/// (for snoop approximation), and the bus.
+/// (for snoop approximation), the bus, and the skew window.
 pub struct UmaMachine {
     cfg: UmaConfig,
     memory: Box<[AtomicU32]>,
@@ -89,11 +90,11 @@ pub struct UmaMachine {
     /// write so that other caches' copies of the line stop hitting
     /// (write-invalidate snooping, approximated).
     line_versions: Box<[AtomicU64]>,
+    /// The shared bus; each [`UmaCtx`] books it through its own cursor.
     bus: BucketedResource,
     alloc_next: AtomicU64,
-    /// Per-processor published clocks (`u64::MAX` = idle), for the skew
-    /// window.
-    published: Box<[AtomicU64]>,
+    /// Paces the threads as the Butterfly's are: the bus needs it.
+    skew: SkewWindow,
 }
 
 impl UmaMachine {
@@ -105,17 +106,14 @@ impl UmaMachine {
         let nlines = cfg.mem_words.div_ceil(WORDS_PER_LINE);
         let mut versions = Vec::with_capacity(nlines);
         versions.resize_with(nlines, || AtomicU64::new(0));
-        let published = (0..cfg.procs)
-            .map(|_| AtomicU64::new(u64::MAX))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let skew = SkewWindow::new(cfg.procs, Some(SKEW_WINDOW_NS));
         Ok(Arc::new(Self {
             cfg,
             memory: memory.into_boxed_slice(),
             line_versions: versions.into_boxed_slice(),
             bus: BucketedResource::new(CONTENTION_BUCKET_NS),
             alloc_next: AtomicU64::new(0),
-            published,
+            skew,
         }))
     }
 
@@ -153,24 +151,6 @@ impl UmaMachine {
     #[inline]
     pub(crate) fn bump_line_version(&self, word_idx: usize) -> u64 {
         self.line_versions[word_idx / WORDS_PER_LINE].fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Reserves `service_ns` of the shared bus at virtual time `now`;
-    /// returns the assigned start time.
-    pub(crate) fn bus_reserve(&self, now: u64, service_ns: u64) -> u64 {
-        now + self.bus.reserve(now, service_ns)
-    }
-
-    pub(crate) fn publish(&self, proc: usize, vtime: u64) {
-        self.published[proc].store(vtime, Ordering::Relaxed);
-    }
-
-    pub(crate) fn min_running_vtime(&self) -> u64 {
-        self.published
-            .iter()
-            .map(|p| p.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(u64::MAX)
     }
 }
 
@@ -215,13 +195,15 @@ mod tests {
     #[test]
     fn bus_queues_under_overload() {
         let m = UmaMachine::new(UmaConfig::default()).unwrap();
+        let mut cursor = crate::BucketCursor::default();
+        let mut delay = || m.bus.reserve_with(&mut cursor, 0, 600);
         // Below bucket capacity: free.
-        assert_eq!(m.bus_reserve(0, 600), 0);
+        assert_eq!(delay(), 0);
         // Saturate the bucket: later requests queue.
         for _ in 0..200 {
-            let _ = m.bus_reserve(0, 600);
+            let _ = delay();
         }
-        assert!(m.bus_reserve(0, 600) > 0);
+        assert!(delay() > 0);
     }
 
     #[test]

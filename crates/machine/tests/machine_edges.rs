@@ -2,8 +2,11 @@
 
 use std::sync::Arc;
 
+use numa_machine::skew::IDLE;
 use numa_machine::uma::{UmaConfig, UmaCtx, UmaMachine};
-use numa_machine::{AccessKind, FastPath, Frame, Machine, MachineConfig, Mem, PhysPage, ProcCore};
+use numa_machine::{
+    AccessKind, FastPath, Frame, Machine, MachineConfig, Mem, Pacer, PhysPage, ProcCore,
+};
 
 fn machine(nodes: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -125,7 +128,7 @@ fn uma_read_spin_is_uncharged_but_sees_fresh_data() {
 fn skew_window_couples_numa_clocks() {
     // With the window on, a runaway processor stalls (in real time)
     // until the other catches up; verify by running both and checking
-    // final clock spread stays within the window + one publish interval.
+    // final clock spread stays within the window + one posting interval.
     let m = Machine::new(MachineConfig {
         nodes: 2,
         frames_per_node: 16,
@@ -133,40 +136,32 @@ fn skew_window_couples_numa_clocks() {
         ..MachineConfig::default()
     })
     .unwrap();
+    // Both processors run from 0 before either thread starts, as a
+    // context's activation posts its clock.
+    m.skew().post(0, 0);
+    m.skew().post(1, 0);
     let spread = std::thread::scope(|s| {
-        let m1 = Arc::clone(&m);
-        let fast = s.spawn(move || {
-            let mut c = ProcCore::new(m1, 0, 0);
-            for _ in 0..40_000 {
-                c.charge_word_access(PhysPage::new(0, 0), AccessKind::Read);
-                if c.tick() {
-                    while c.should_throttle() {
-                        std::thread::yield_now();
+        // The slow processor does extra "compute" per access.
+        let run = |p: usize, compute: u64| {
+            let m = Arc::clone(&m);
+            s.spawn(move || {
+                let mut c = ProcCore::new(Arc::clone(&m), p, 0);
+                let mut pacer = Pacer::new(p);
+                for _ in 0..40_000 {
+                    c.charge_word_access(PhysPage::new(p, 0), AccessKind::Read);
+                    c.charge(compute);
+                    if pacer.tick() {
+                        while pacer.should_throttle(m.skew(), c.vtime()) {
+                            std::thread::yield_now();
+                        }
                     }
                 }
-            }
-            c.set_idle();
-            c.vtime()
-        });
-        let m2 = Arc::clone(&m);
-        let slow = s.spawn(move || {
-            let mut c = ProcCore::new(m2, 1, 0);
-            for _ in 0..40_000 {
-                c.charge_word_access(PhysPage::new(1, 0), AccessKind::Read);
-                // The slow processor does extra "compute" per access.
-                c.charge(320);
-                if c.tick() {
-                    while c.should_throttle() {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            c.set_idle();
-            c.vtime()
-        });
-        let f = fast.join().unwrap();
-        let sl = slow.join().unwrap();
-        (f, sl)
+                m.skew().post(p, IDLE);
+                c.vtime()
+            })
+        };
+        let (fast, slow) = (run(0, 0), run(1, 320));
+        (fast.join().unwrap(), slow.join().unwrap())
     });
     // Both did 40k accesses: fast at 320 ns each (12.8 ms), slow at
     // 640 ns each (25.6 ms). Unthrottled, fast would finish at 12.8 ms;

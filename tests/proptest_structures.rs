@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use platinum_repro::analysis::model::{g_round_robin, CostModel, SMin};
-use platinum_repro::machine::contention::BucketedResource;
+use platinum_repro::machine::contention::{BucketCursor, BucketedResource};
 use platinum_repro::machine::module::MemoryModule;
 use platinum_repro::machine::{Atc, PhysPage};
 use platinum_repro::runtime::zones::Zone;
@@ -137,7 +137,7 @@ proptest! {
         service in 1u64..5_000,
     ) {
         let r = BucketedResource::new(100_000);
-        prop_assert_eq!(r.reserve(t, service), 0, "first request must be free");
+        prop_assert_eq!(r.reserve_with(&mut BucketCursor::default(), t, service), 0, "first request must be free");
     }
 
     #[test]
@@ -151,7 +151,7 @@ proptest! {
         let mut total_service = 0u64;
         let mut total_delay = 0u64;
         for &(t, s) in &requests {
-            total_delay += r.reserve(t, s);
+            total_delay += r.reserve_with(&mut BucketCursor::default(), t, s);
             total_service += s;
         }
         // Each request's delay is bounded by the backlog, which is
