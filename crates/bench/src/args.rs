@@ -6,6 +6,9 @@
 //! a typo, a repeated flag, a stray word — and print the set the
 //! experiment actually accepts, derived from its reads.
 
+use std::fmt::Debug;
+use std::ops::RangeBounds;
+
 use numa_machine::{TimingConfig, Topology};
 
 /// The arguments after the experiment's name that no read has consumed
@@ -68,6 +71,23 @@ impl Args {
         T::Err: std::fmt::Display,
     {
         self.get(name).unwrap_or(default)
+    }
+
+    /// A count such as `--procs 8`, checked against `range` at the read,
+    /// so an out-of-range machine size stops before anything boots.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a usage message naming the flag when the value lies
+    /// outside `range` (or, as [`Args::get`], is missing or unparsable).
+    pub(crate) fn count(
+        &mut self,
+        name: &'static str,
+        range: impl RangeBounds<usize> + Debug,
+    ) -> Option<usize> {
+        let n = self.get(name)?;
+        assert!(range.contains(&n), "{name} must be in {range:?} (got {n})");
+        Some(n)
     }
 
     /// A comma-separated list such as `--procs 16,64`, each item parsed;
@@ -146,6 +166,15 @@ mod tests {
             a.accepted(),
             ["--full", "--quick", "--n", "--t1", "--m", "--procs", "--sizes"]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "--procs must be in 1..=2 (got 4)")]
+    fn a_count_outside_its_range_panics() {
+        let mut a = args(&["--nodes", "2", "--procs", "4"]);
+        assert_eq!(a.count("--nodes", 1..), Some(2));
+        assert_eq!(a.count("--max-procs", 1..), None);
+        let _ = a.count("--procs", 1..=2);
     }
 
     #[test]

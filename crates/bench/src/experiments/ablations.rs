@@ -51,7 +51,7 @@ pub(crate) fn run(run: &mut Run) {
     let chosen = studies.map(|(flag, ..)| run.args.flag(flag));
     let all = !chosen.contains(&true);
     let n = run.args.get_or("--n", 300usize);
-    let procs: Option<usize> = run.args.get("--procs");
+    let procs = run.args.count("--procs", 1..);
     run.start(Artifact::None);
     for ((_, default_procs, study), chosen) in studies.into_iter().zip(chosen) {
         if all || chosen {

@@ -28,7 +28,7 @@ use crate::run::{Artifact, Run};
 
 pub(crate) fn run(run: &mut Run) {
     let n = run.args.get_or("--n", 300usize);
-    let p = run.args.get_or("--procs", 8usize);
+    let p = run.args.count("--procs", 1..).unwrap_or(8);
     run.start(Artifact::None);
     let cfg = GaussConfig::with_n(n);
 

@@ -13,23 +13,24 @@
 //! that fired must be paired with at least one fault→recovery span whose
 //! begin time precedes its end time.
 //!
-//! `--seeds N` (8), `--nodes N` (4), `--procs P` (= nodes), `--ppm R`
-//! (25000 per fault site), `--timeout-secs T` (120, the watchdog).
+//! `--seeds N` (8), `--nodes N` (4), `--procs P` (= nodes, at most
+//! nodes). Every fault site fires at 25000 ppm, and a run that outlasts
+//! the 120 s watchdog is a hang.
 //! `--workload apps` (default) soaks the three scientific applications.
 //! `--workload kv` soaks the server tier's key-value store instead: a
 //! fault-free run fixes the reference table audit, then every seed's
 //! chaos run must reproduce that audit exactly — the table sweep both
 //! asserts no slot is torn (a half-applied update breaks the value's
 //! arithmetic progression) and checksums the contents, so a lost or
-//! duplicated update diverges. It takes `--kv-keys N` (1024),
-//! `--kv-requests N` (1024 per processor) and `--kv-gap-ns G` (10000).
+//! duplicated update diverges. It takes `--kv-keys N` (1024) and
+//! `--kv-requests N` (1024 per processor), at a 10 µs mean gap.
 //!
-//! `--ptable` selects the page-table placement for the kv workload
-//! (default `replicated_on_fault`, so the soak exercises the dropped
-//! ptable-invalidation fault site: replica invalidations piggyback on
-//! shootdown rounds, and a dropped one walks the same retry ladder as a
-//! dropped shootdown ack). Replica invalidation is timing-only, so the
-//! audit must still match the fault-free reference bit for bit.
+//! The kv workload runs on `replicated_on_fault` page tables, so the
+//! soak exercises the dropped ptable-invalidation fault site: replica
+//! invalidations piggyback on shootdown rounds, and a dropped one walks
+//! the same retry ladder as a dropped shootdown ack. Replica
+//! invalidation is timing-only, so the audit must still match the
+//! fault-free reference bit for bit.
 //!
 //! The one named check fails on a correctness failure, an unrecovered
 //! or malformed span, or a soak that injected nothing (which would make
@@ -272,10 +273,10 @@ pub(crate) fn run(run: &mut Run) {
     let args = &mut run.args;
     let workload = args.get_or("--workload", "apps".to_string());
     let seeds = args.get_or("--seeds", 8u64);
-    let nodes = args.get_or("--nodes", 4usize);
-    let procs = args.get_or("--procs", nodes);
-    let ppm = args.get_or("--ppm", 25_000u32);
-    let timeout = Duration::from_secs(args.get_or("--timeout-secs", 120u64));
+    let nodes = args.count("--nodes", 1..).unwrap_or(4);
+    let procs = args.count("--procs", 1..=nodes).unwrap_or(nodes);
+    let ppm = 25_000;
+    let timeout = Duration::from_secs(120);
     // The kv workload's own flags are read only for it, so under `apps`
     // they are rejected rather than ignored.
     let kv = match workload.as_str() {
@@ -283,19 +284,16 @@ pub(crate) fn run(run: &mut Run) {
         // Small enough that every seed finishes in seconds on one host
         // core, big enough that each run takes thousands of
         // lock-protected multi-word updates through the fault sites.
-        // Replicated page tables by default so the soak reaches the
-        // dropped-ptable-invalidation site; --ptable centralized
-        // recovers the pre-fabric configuration.
+        // Replicated page tables so the soak reaches the
+        // dropped-ptable-invalidation site.
         "kv" => Some((
             TrafficConfig {
                 keys: args.get_or("--kv-keys", 1u64 << 10),
                 requests_per_proc: args.get_or("--kv-requests", 1024usize),
-                mean_interarrival_ns: args.get_or("--kv-gap-ns", 10_000u64),
+                mean_interarrival_ns: 10_000,
                 ..TrafficConfig::default()
             },
-            PtableConfig::with_placement(
-                args.get_or("--ptable", PtablePlacement::ReplicatedOnFault),
-            ),
+            PtableConfig::with_placement(PtablePlacement::ReplicatedOnFault),
         )),
         other => panic!("unknown workload {other:?} (expected apps or kv)"),
     };
@@ -316,7 +314,7 @@ pub(crate) fn run(run: &mut Run) {
 
     println!("\ninjected faults: {total_injected}, recovery spans: {total_recovered}");
     if total_injected == 0 {
-        eprintln!("soak injected no faults — raise --ppm or --seeds; nothing was exercised");
+        eprintln!("soak injected no faults — raise --seeds; nothing was exercised");
         failures += 1;
     }
 

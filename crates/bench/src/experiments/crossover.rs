@@ -65,7 +65,7 @@ fn run_once(policy: PolicyKind, p: usize, cfg: &SharingConfig) -> u64 {
 }
 
 pub(crate) fn run(run: &mut Run) {
-    let p = run.args.get_or("--procs", 2usize);
+    let p = run.args.count("--procs", 2..).unwrap_or(2);
     let ops = run.args.get_or("--ops", 40usize);
     run.start(Artifact::None);
     let s_words = 1024u64;

@@ -28,7 +28,7 @@ use crate::run::{Artifact, Run};
 pub(crate) fn run(run: &mut Run) {
     let quick = run.args.flag("--quick");
     let n = run.args.get_or("--n", if quick { 400 } else { 800 });
-    let max_procs = run.args.get_or("--max-procs", 16usize);
+    let max_procs = run.args.count("--max-procs", 1..).unwrap_or(16);
     run.start(Artifact::Json);
     let procs: Vec<usize> = if quick {
         [1usize, 2, 4, 8, 16]

@@ -23,7 +23,7 @@ use crate::run::{Artifact, Run};
 
 pub(crate) fn run(run: &mut Run) {
     let n = run.args.get_or("--n", 1usize << 18);
-    let max_procs = run.args.get_or("--max-procs", 16usize);
+    let max_procs = run.args.count("--max-procs", 1..).unwrap_or(16);
     run.start(Artifact::Json);
     let procs: Vec<usize> = [1usize, 2, 4, 8, 16]
         .into_iter()

@@ -24,7 +24,7 @@ use platinum_apps::neural::NeuralConfig;
 use crate::run::{Artifact, Run};
 
 pub(crate) fn run(run: &mut Run) {
-    let max_procs = run.args.get_or("--max-procs", 10usize);
+    let max_procs = run.args.count("--max-procs", 1..).unwrap_or(10);
     let cfg = NeuralConfig::with_epochs(run.args.get_or("--epochs", 40usize));
     run.start(Artifact::Json);
 

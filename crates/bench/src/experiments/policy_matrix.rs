@@ -13,16 +13,17 @@
 //! one host thread, so one machine per policy driving the same merged
 //! schedule executes the same requests in the same order by construction.
 //!
-//! `--nodes N` (4), `--procs P` (4), `--n N` (gauss matrix, 96),
-//! `--sort-n N` (2048), `--epochs E` (3), `--workload a,b,c`
+//! `--nodes N` (4), `--procs P` (4, at most nodes), `--n N` (gauss
+//! matrix, 96), `--epochs E` (3), `--workload a,b,c`
 //! (gauss,mergesort,neural; `kv` is the server workload — `--workload kv`
 //! sweeps the key-value store alone), `--topology T` (flat;
 //! `hier2`/`hier2x4` read the comparison on a hierarchical machine — pair
 //! with `--nodes 64 --procs 64`), `--kv-keys N` (4096), `--kv-requests N`
-//! (requests per processor, 12000), `--kv-gap-ns N` (5000: a saturating
-//! arrival rate, so per-policy elapsed reflects service cost, not idle
-//! pacing). The text report is a Markdown table; the artifact carries the
-//! same rows plus the named checks.
+//! (requests per processor, 12000). Merge sort sorts 2048 keys; kv
+//! requests arrive every 5 µs on average, a saturating rate, so
+//! per-policy elapsed reflects service cost, not idle pacing. The text
+//! report is a Markdown table; the artifact carries the same rows plus
+//! the named checks.
 
 use std::fmt::Write as _;
 
@@ -300,14 +301,12 @@ fn artifact(rows: &[Row], nodes: usize, procs: usize, topology: &str, checks: Va
 /// self-checks.
 pub(crate) fn run(run: &mut Run) {
     let args = &mut run.args;
-    let nodes = args.get_or("--nodes", 4usize);
-    let procs = args.get_or("--procs", 4usize).min(nodes);
+    let nodes = args.count("--nodes", 1..).unwrap_or(4);
+    let procs = args.count("--procs", 1..=nodes).unwrap_or(nodes.min(4));
     let n = args.get_or("--n", 96usize);
-    let sort_n = args.get_or("--sort-n", 2048usize);
     let epochs = args.get_or("--epochs", 3usize);
     let kv_keys = args.get_or("--kv-keys", 4096u64);
     let kv_requests = args.get_or("--kv-requests", 12_000usize);
-    let kv_gap_ns = args.get_or("--kv-gap-ns", 5_000u64);
     let apps: Vec<String> = args
         .list("--workload")
         .unwrap_or_else(|| ["gauss", "mergesort", "neural"].map(String::from).to_vec());
@@ -334,7 +333,7 @@ pub(crate) fn run(run: &mut Run) {
             let traffic = TrafficConfig {
                 keys: kv_keys,
                 requests_per_proc: kv_requests,
-                mean_interarrival_ns: kv_gap_ns,
+                mean_interarrival_ns: 5_000,
                 // Read-heavy, no bursts: at matrix scale the table is
                 // only ~64 pages, so the default 20%+ write mix makes
                 // every page write-hot and no placement can replicate
@@ -355,7 +354,7 @@ pub(crate) fn run(run: &mut Run) {
         } else {
             let captured = match app {
                 "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), &opts),
-                "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(sort_n), &opts),
+                "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(2048), &opts),
                 "neural" => {
                     record_neural(nodes, procs, &NeuralConfig::with_epochs(epochs), &opts).0
                 }

@@ -22,30 +22,29 @@
 //! the page, so every reference walks *and* every migration invalidates
 //! a replica entry) and `kv` (the server tier's open-loop key-value
 //! store: a large read-mostly table whose misses spread over many
-//! pages). Both drive the simulation from a single host thread, so
-//! every virtual-time metric is exact and `--check` holds the [`EXACT`]
-//! keys of each cell equal to a committed baseline's.
+//! pages). Both drive the simulation from a single host thread, so the
+//! whole artifact is exact: CI `cmp`s the `--procs 16,64 --topology
+//! hier2` artifact against `results/BENCH_ptable_baseline.json` (so does
+//! `tests/repro.rs`'s golden table).
 //!
 //! Per cell the artifact reports the walk tally (walks, populates,
 //! invalidations and their virtual-time costs), **walk locality** — the
 //! fraction of walk virtual time served on-node — **fabric_ns** (total
-//! translation-fabric protocol time: walks + populates + invalidations),
-//! the workload's elapsed virtual time, and host-side Mops/s (unchecked;
-//! host throughput is not deterministic).
+//! translation-fabric protocol time: walks + populates + invalidations)
+//! and the workload's elapsed virtual time. The fabric's host cost is
+//! `host_throughput`'s `walk` bucket, not a column here.
 //!
-//! `--procs` (16,64), `--topology` (hier2), `--placements a,b,c` (all
-//! four), `--workloads` (fault_heavy,kv), `--pings N` (2000), `--kv-keys
-//! N` (2048), `--kv-requests N` (192 per processor), `--kv-gap-ns G`
-//! (5000).
+//! `--procs` (16,64), `--topology` (hier2), `--pings N` (2000),
+//! `--kv-keys N` (2048), `--kv-requests N` (192 per processor). Every
+//! run sweeps all four placements over both workloads; the kv traffic
+//! arrives every 5 µs on average.
 //!
-//! With both `centralized` and `replicated_on_fault` in the sweep, the
-//! run self-checks the fabric's reason to exist: at every (p, workload)
-//! cell, replicate-on-fault must hold at least 1.2x the centralized
-//! placement's walk locality, and on the fault-heavy workload at p >= 64
-//! it must also spend measurably less total fabric time than the
-//! centralized accounting says the same walks would have cost.
-
-use std::time::Instant;
+//! The run self-checks the fabric's reason to exist: at every (p,
+//! workload) cell, replicate-on-fault must hold at least 1.2x the
+//! centralized placement's walk locality, and on the fault-heavy
+//! workload at p >= 64 it must also spend measurably less total fabric
+//! time than the centralized accounting says the same walks would have
+//! cost.
 
 use numa_machine::{MachineConfig, Topology};
 use platinum::trace::json::Value;
@@ -55,17 +54,8 @@ use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
 
 use crate::args::machines;
-use crate::check::Exact;
 use crate::micro::fault_heavy;
 use crate::run::{Artifact, Run};
-
-/// What `--check` compares, per cell: virtual-time metrics are exact
-/// functions of the configuration (`host_mops` is not).
-const EXACT: Exact = Exact {
-    sections: "cells",
-    id: "key",
-    keys: &["elapsed_ns", "walks", "walk_ns", "fabric_ns"],
-};
 
 /// Boots one cell's machine: `procs` nodes under `topo`, the given
 /// page-table placement, and (for the ping-pong) a never-freeze policy
@@ -101,9 +91,6 @@ struct Cell {
     elapsed_ns: u64,
     /// The fabric's walk tally over the whole run (exact).
     walks: WalkSnapshot,
-    /// Host-side throughput (unchecked; host clocks are not
-    /// deterministic).
-    host_mops: f64,
 }
 
 impl Cell {
@@ -118,33 +105,27 @@ impl Cell {
 }
 
 /// The server tier's open-loop key-value store under the deterministic
-/// serialized driver. Returns (elapsed vtime, host seconds, requests).
-fn kv(sim: &mut Sim, procs: usize, traffic: &TrafficConfig) -> (u64, f64, u64) {
+/// serialized driver. Returns (elapsed vtime, requests).
+fn kv(sim: &mut Sim, procs: usize, traffic: &TrafficConfig) -> (u64, u64) {
     let kv = KvTable::stage(KvConfig::for_keys(traffic.keys, 8), sim);
     let schedule = traffic.schedule(procs);
-    let start = Instant::now();
     let report = run_open_loop(sim, &kv, procs, &schedule);
-    let secs = start.elapsed().as_secs_f64();
-    (report.elapsed_ns, secs, report.requests)
+    (report.elapsed_ns, report.requests)
 }
 
-fn run_sweep(
-    machines: &[Topology],
-    placements: &[PtablePlacement],
-    workloads: &[&'static str],
-    pings: u64,
-    traffic: &TrafficConfig,
-) -> Vec<Cell> {
+/// The two workloads, in sweep order.
+const WORKLOADS: [&str; 2] = ["fault_heavy", "kv"];
+
+fn run_sweep(machines: &[Topology], pings: u64, traffic: &TrafficConfig) -> Vec<Cell> {
     let mut cells = Vec::new();
     for topo in machines {
         let p = topo.nodes();
-        for &placement in placements {
-            for &w in workloads {
+        for placement in PtablePlacement::ALL {
+            for w in WORKLOADS {
                 let never_freeze = w == "fault_heavy";
                 let mut sim = boot(p, topo, placement, never_freeze);
-                let (elapsed_ns, secs, ops) = if never_freeze {
-                    let (elapsed_ns, secs) = fault_heavy(&sim, p, pings);
-                    (elapsed_ns, secs, pings)
+                let (elapsed_ns, ops) = if never_freeze {
+                    (fault_heavy(&sim, p, pings).0, pings)
                 } else {
                     kv(&mut sim, p, traffic)
                 };
@@ -155,7 +136,6 @@ fn run_sweep(
                     ops,
                     elapsed_ns,
                     walks: sim.kernel.walk_snapshot(),
-                    host_mops: ops as f64 / 1e6 / secs,
                 };
                 eprintln!("  {} done", cell.key());
                 cells.push(cell);
@@ -170,23 +150,19 @@ fn find<'c>(
     workload: &str,
     procs: usize,
     placement: PtablePlacement,
-) -> Option<&'c Cell> {
+) -> &'c Cell {
     cells
         .iter()
         .find(|c| c.workload == workload && c.procs == procs && c.placement == placement)
+        .expect("the sweep runs every cell")
 }
 
-/// The fabric's reason to exist, checked from the sweep's own numbers
-/// wherever both ends of the comparison ran.
-fn self_checks(run: &mut Run, cells: &[Cell], ps: &[usize], workloads: &[&'static str]) {
+/// The fabric's reason to exist, checked from the sweep's own numbers.
+fn self_checks(run: &mut Run, cells: &[Cell], ps: &[usize]) {
     for &p in ps {
-        for &w in workloads {
-            let (Some(central), Some(repl)) = (
-                find(cells, w, p, PtablePlacement::Centralized),
-                find(cells, w, p, PtablePlacement::ReplicatedOnFault),
-            ) else {
-                continue;
-            };
+        for w in WORKLOADS {
+            let central = find(cells, w, p, PtablePlacement::Centralized);
+            let repl = find(cells, w, p, PtablePlacement::ReplicatedOnFault);
             // Replicated walks must be on-node: at least 1.2x the
             // centralized placement's walk locality (in practice the gap
             // is far wider — centralized locality decays like 1/p).
@@ -214,10 +190,7 @@ fn artifact(topo: &str, cells: &[Cell], checks: Value) -> Value {
     Value::obj(vec![
         ("bench", Value::str("ptable_ablation")),
         ("topology", Value::str(topo)),
-        (
-            "unit",
-            Value::str("virtual ns (exact); host Mops/s (unchecked)"),
-        ),
+        ("unit", Value::str("virtual ns (exact)")),
         (
             "cells",
             Value::Arr(
@@ -241,7 +214,6 @@ fn artifact(topo: &str, cells: &[Cell], checks: Value) -> Value {
                             ("invals", Value::Int(w.invals)),
                             ("inval_ns", Value::Int(w.inval_ns)),
                             ("fabric_ns", Value::Int(w.fabric_ns())),
-                            ("host_mops", Value::Num(c.host_mops)),
                         ])
                     })
                     .collect(),
@@ -256,34 +228,19 @@ pub(crate) fn run(run: &mut Run) {
     let ps = args.list("--procs").unwrap_or_else(|| vec![16usize, 64]);
     let topo = args.get_or("--topology", "hier2".to_string());
     let machines = machines(&topo, &ps);
-    let placements = args
-        .list("--placements")
-        .unwrap_or_else(|| PtablePlacement::ALL.to_vec());
-    let workloads: Vec<&'static str> =
-        args.list::<String>("--workloads")
-            .map_or(vec!["fault_heavy", "kv"], |names| {
-                names
-                    .iter()
-                    .map(|w| match w.as_str() {
-                        "fault_heavy" => "fault_heavy",
-                        "kv" => "kv",
-                        other => panic!("unknown workload {other:?} (expected fault_heavy, kv)"),
-                    })
-                    .collect()
-            });
     let pings = args.get_or("--pings", 2_000u64);
     let traffic = TrafficConfig {
         keys: args.get_or("--kv-keys", 2_048u64),
         requests_per_proc: args.get_or("--kv-requests", 192usize),
-        mean_interarrival_ns: args.get_or("--kv-gap-ns", 5_000u64),
+        mean_interarrival_ns: 5_000,
         write_pct: 2,
         burst_every: 0,
         ..TrafficConfig::default()
     };
-    run.start(Artifact::Exact(&EXACT));
+    run.start(Artifact::Json);
 
     say!(run, "Page-table placement ablation ({topo} topology)\n");
-    let cells = run_sweep(&machines, &placements, &workloads, pings, &traffic);
+    let cells = run_sweep(&machines, pings, &traffic);
 
     let mut table = Table::new(vec![
         "workload",
@@ -296,7 +253,6 @@ pub(crate) fn run(run: &mut Run) {
         "inval (ms)",
         "fabric (ms)",
         "vtime (ms)",
-        "host Mops/s",
     ]);
     for c in &cells {
         table.row(vec![
@@ -310,10 +266,9 @@ pub(crate) fn run(run: &mut Run) {
             format!("{:.3}", c.walks.inval_ns as f64 / 1e6),
             format!("{:.3}", c.walks.fabric_ns() as f64 / 1e6),
             format!("{:.3}", c.elapsed_ns as f64 / 1e6),
-            format!("{:.2}", c.host_mops),
         ]);
     }
     say!(run, "{table}");
-    self_checks(run, &cells, &ps, &workloads);
+    self_checks(run, &cells, &ps);
     run.artifact(artifact(&topo, &cells, run.checks_value()));
 }

@@ -107,12 +107,13 @@ pub(crate) fn run(run: &mut Run) {
     // Each mode reads only its own flags, so the other mode's are
     // rejected rather than ignored.
     if let Some(ps) = run.args.list::<usize>("--procs") {
+        assert!(!ps.contains(&0), "--procs entries must be at least 1");
         let topo_name = run.args.get_or("--topology", "flat".to_string());
         let machines: Vec<Topology> = ps.iter().map(|&p| topology(&topo_name, p)).collect();
         run.start(Artifact::Json);
         return procs_sweep(run, &topo_name, &machines, base_n);
     }
-    let max_procs = run.args.get_or("--max-procs", 8usize);
+    let max_procs = run.args.count("--max-procs", 1..).unwrap_or(8);
     run.start(Artifact::None);
 
     println!("fixed-size vs scaled-problem efficiency, Gaussian elimination on PLATINUM");

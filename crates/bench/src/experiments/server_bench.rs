@@ -5,16 +5,16 @@
 //! The open-loop driver is deterministic (serialized kernel entries in
 //! merged-arrival order, `skew_window_ns: None` — see
 //! `platinum_server::drive`), so every number in the artifact is a pure
-//! function of the configuration: the `--check` gate holds the [`EXACT`]
-//! keys of each workload equal to a committed baseline's.
+//! function of the configuration: CI writes the artifact at a reduced
+//! geometry and `cmp`s it against `results/BENCH_server_baseline.json`
+//! (so does `tests/repro.rs`'s golden table).
 //!
 //! `--workload kv|flow|both` (both), `--nodes N` (8), `--shards N` (64),
-//! `--keys N` (262144), `--requests-per-proc N` (131072), `--theta T`
-//! (0.99), `--write-pct W` (10), `--seed S` (24301), `--mean-gap-ns G`
-//! (4000000). Defaults drive ≥1M requests through the KV store (8 procs
-//! × 128Ki). The CI smoke job runs a reduced geometry against
-//! `results/BENCH_server_baseline.json`; regenerate that baseline with
-//! the exact flags recorded in its `config` object.
+//! `--keys N` (262144), `--requests-per-proc N` (131072). Defaults drive
+//! ≥1M requests through the KV store (8 procs × 128Ki). The traffic's
+//! seed, skew (θ = 0.99), write share (10 %) and mean gap (4 ms) are
+//! fixed; the artifact's `config` object records them with the flags,
+//! so a baseline regenerates from its own `config`.
 
 use numa_machine::MachineConfig;
 use platinum::trace::json::Value;
@@ -24,25 +24,7 @@ use platinum_server::{
     run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable, Request, TrafficConfig,
 };
 
-use crate::check::Exact;
 use crate::run::{Artifact, Run};
-
-/// What `--check` compares, per workload: all exact integers under the
-/// deterministic open-loop driver.
-const EXACT: Exact = Exact {
-    sections: "workloads",
-    id: "name",
-    keys: &[
-        "requests",
-        "elapsed_ns",
-        "p50_ns",
-        "p99_ns",
-        "p999_ns",
-        "checksum",
-        "latency_sum_ns",
-        "retries",
-    ],
-};
 
 struct BenchConfig {
     nodes: usize,
@@ -221,12 +203,11 @@ pub(crate) fn run(run: &mut Run) {
         ["kv", "flow", "both"].contains(&workload.as_str()),
         "unknown workload {workload:?} (expected kv, flow, both)"
     );
-    let nodes = args.get_or("--nodes", 8usize);
     let cfg = BenchConfig {
-        nodes,
+        nodes: args.count("--nodes", 1..).unwrap_or(8),
         shards: args.get_or("--shards", 64usize),
         traffic: TrafficConfig {
-            seed: args.get_or("--seed", 24_301u64),
+            seed: 24_301,
             // 256Ki keys → a 16 MB table, right at the per-node frame
             // pool: the measured regime mixes coherence traffic (write
             // invalidations on hot pages) with mild replacement
@@ -234,18 +215,18 @@ pub(crate) fn run(run: &mut Run) {
             // frame thrash, or shrink it for a fully-replicable table.
             keys: args.get_or("--keys", 1u64 << 18),
             requests_per_proc: args.get_or("--requests-per-proc", 1usize << 17),
-            theta: args.get_or("--theta", 0.99f64),
-            write_pct: args.get_or("--write-pct", 10u32),
+            theta: 0.99,
+            write_pct: 10,
             // The simulated machine serves a faulting request in roughly
             // a millisecond (a page copy is ~1 ms of virtual time), so
             // the default arrival rate sits below saturation: p50 then
             // reflects service time and the tail reflects write-burst
             // queueing, rather than every number measuring pure backlog.
-            mean_interarrival_ns: args.get_or("--mean-gap-ns", 4_000_000u64),
+            mean_interarrival_ns: 4_000_000,
             ..TrafficConfig::default()
         },
     };
-    run.start(Artifact::Exact(&EXACT));
+    run.start(Artifact::Json);
 
     say!(
         run,

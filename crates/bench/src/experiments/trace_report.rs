@@ -26,7 +26,7 @@ use crate::run::{Artifact, Run};
 
 pub(crate) fn run(run: &mut Run) {
     let n = run.args.get_or("--n", 120usize);
-    let p = run.args.get_or("--procs", 8usize);
+    let p = run.args.count("--procs", 1..).unwrap_or(8);
     run.start(Artifact::Json);
     let tracer = run.tracer();
 

@@ -7,10 +7,9 @@
 //! experiment is a module under `experiments/` exposing one plain
 //! `fn(&mut Run)`, and [`repro`] dispatches to it. What every experiment
 //! needs around its measurement lives once, in `run` (shared flags,
-//! tracer, named checks, artifact, `--check`, exit status), `args` (the
-//! flag grammar) and `check` (the exact-baseline comparison); `micro` is
-//! the §4 measurement fixture. Host time is measured by `benchmark/`
-//! (perf_ledger), not here.
+//! tracer, named checks, artifact, exit status) and `args` (the flag
+//! grammar); `micro` is the §4 measurement fixture. Host time is
+//! measured by `benchmark/` (perf_ledger), not here.
 
 #![warn(missing_docs)]
 
@@ -27,7 +26,6 @@ macro_rules! say {
 }
 
 mod args;
-mod check;
 mod micro;
 mod run;
 

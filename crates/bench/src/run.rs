@@ -3,30 +3,29 @@
 //! [`Run`] owns — once — what every experiment needs around its
 //! measurement: the flags all of them share, the tracer (installed
 //! before any machine boots, flushed as a Chrome trace at the end), the
-//! named self-checks, the JSON artifact and its `--check` comparison,
-//! and the exit status. An experiment is a plain `fn(&mut Run)`: it reads
-//! its own flags from [`Run::args`], calls [`Run::start`], measures, and
-//! hands back checks and an artifact.
+//! named self-checks, the JSON artifact and the exit status. An
+//! experiment is a plain `fn(&mut Run)`: it reads its own flags from
+//! [`Run::args`], calls [`Run::start`], measures, and hands back checks
+//! and an artifact.
 //!
 //! | flag | meaning |
 //! |---|---|
 //! | `--trace PATH` | record protocol events; write a Chrome `trace_event` file (Perfetto) |
 //! | `--out PATH` | write the JSON artifact there (nothing is written without it) |
 //! | `--json` | print the artifact on stdout instead of the text report |
-//! | `--check --baseline PATH` | exact artifacts only: every exact key must equal the baseline's |
 //!
-//! Exit status: 0, 1 when a named check or the baseline comparison
-//! fails, 2 for an argument no read consumed.
+//! Exit status: 0, 1 when a named check fails, 2 for an argument no
+//! read consumed. Whether an exact artifact still equals its committed
+//! record is a test's question (`tests/repro.rs`), not the binary's.
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use platinum::trace::json::{self, Value};
+use platinum::trace::json::Value;
 use platinum::trace::{chrome, Tracer};
 
 use crate::args::Args;
-use crate::check::{check_exact, Exact};
 
 /// What an experiment hands back besides its text report; decides which
 /// of the shared flags it accepts.
@@ -35,8 +34,6 @@ pub(crate) enum Artifact {
     None,
     /// A JSON artifact: also `--out` and `--json`.
     Json,
-    /// A JSON artifact whose exact part `--check --baseline` compares.
-    Exact(&'static Exact),
 }
 
 /// One experiment invocation. See the module docs.
@@ -53,9 +50,6 @@ pub(crate) struct Run {
     json_stdout: bool,
     out: Option<String>,
     trace: Option<String>,
-    /// `--check`: the baseline's path and parsed contents, and what to
-    /// compare.
-    baseline: Option<(String, Value, &'static Exact)>,
     tracer: Option<Arc<Tracer>>,
     /// Named self-checks in the order recorded; `Err` is a skip reason.
     checks: Vec<(String, Result<bool, String>)>,
@@ -73,21 +67,6 @@ impl Run {
         if self.declared {
             self.out = self.args.get("--out");
             self.json_stdout = self.args.flag("--json");
-        }
-        if let Artifact::Exact(exact) = artifact {
-            let check = self.args.flag("--check");
-            let path: Option<String> = self.args.get("--baseline");
-            assert_eq!(
-                check,
-                path.is_some(),
-                "--check and --baseline PATH go together"
-            );
-            if let Some(path) = path {
-                let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-                let baseline = json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-                self.baseline = Some((path, baseline, exact));
-            }
         }
         if let Some(arg) = self.args.leftover() {
             eprintln!(
@@ -155,7 +134,7 @@ impl Run {
     }
 
     /// Everything after the experiment returns: check verdicts, the
-    /// artifact, the trace file, the baseline comparison, the status.
+    /// artifact, the trace file, the status.
     pub(crate) fn finish(self) -> ExitCode {
         assert!(self.started, "{} never called Run::start", self.experiment);
         assert_eq!(
@@ -177,13 +156,12 @@ impl Run {
             };
             say!(self, "check {name}: {verdict}");
         }
-        let body = self.artifact.as_ref().map(Value::to_json);
-        if let Some(body) = &body {
+        if let Some(body) = self.artifact.as_ref().map(Value::to_json) {
             if self.json_stdout {
                 println!("{body}");
             }
             if let Some(path) = &self.out {
-                write_file(path, body);
+                write_file(path, &body);
                 eprintln!("artifact written to {path}");
             }
         }
@@ -195,24 +173,6 @@ impl Run {
                 trace.events.len(),
                 trace.dropped
             );
-        }
-        if let Some((path, baseline, exact)) = &self.baseline {
-            // Compare what was written, as read back: two parsed values.
-            let body = body.expect("an exact experiment hands over its artifact");
-            let artifact = json::parse(&body).expect("the writer emits what the reader accepts");
-            let (lines, exact_ok) = check_exact(&artifact, baseline, exact);
-            for line in lines {
-                say!(self, "{line}");
-            }
-            if exact_ok {
-                say!(
-                    self,
-                    "baseline check passed: every exact value equals {path}"
-                );
-            } else {
-                eprintln!("{} diverged from {path}", self.experiment);
-            }
-            ok &= exact_ok;
         }
         ExitCode::from(u8::from(!ok))
     }

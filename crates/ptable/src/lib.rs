@@ -74,7 +74,7 @@ impl PtablePlacement {
         PtablePlacement::ReplicatedOnFault,
     ];
 
-    /// A short stable name used by reports, traces, and `--ptable` flags.
+    /// A short stable name used by reports and traces.
     pub fn name(self) -> &'static str {
         match self {
             PtablePlacement::Centralized => "centralized",
@@ -84,7 +84,7 @@ impl PtablePlacement {
         }
     }
 
-    /// Looks up a placement by CLI name (the `--ptable` flag).
+    /// Looks up a placement by its [`PtablePlacement::name`].
     pub fn by_name(name: &str) -> Option<PtablePlacement> {
         PtablePlacement::ALL.into_iter().find(|p| p.name() == name)
     }

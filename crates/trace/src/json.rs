@@ -1,8 +1,8 @@
 //! The workspace's one JSON codec: a [`Value`] tree, a writer and a
 //! strict reader (dependency-free).
 //!
-//! Experiment artifacts, the figure series and the `--check` gate all go
-//! through it; the Chrome exporter streams its millions of events with
+//! Experiment artifacts, the figure series and the tests that read
+//! artifacts back all go through it; the Chrome exporter streams its millions of events with
 //! `write!` but shares [`escape`]. It lives in this crate because this is
 //! the one every other crate already sits above.
 //!
