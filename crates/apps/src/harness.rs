@@ -117,27 +117,22 @@ pub fn run_gauss_faulty(
 }
 
 /// A profiled application run: the run itself plus where the kernel's
-/// *host* time went during the measured phase — the raw material of the
-/// protocol-cost-vs-machine-size sweeps.
+/// *host* time went during the measured phase.
 #[derive(Clone, Debug)]
 pub struct ProfiledRun {
     /// The application run (PLATINUM policy).
     pub run: AppRun,
     /// Host-time phase profile of the measured pass.
     pub prof: platinum::hostprof::HostProfSnapshot,
-    /// Host wall-clock seconds of the measured pass.
-    pub host_secs: f64,
-    /// Charged memory references in the measured pass, for per-op
-    /// normalization of the profile.
-    pub ops: u64,
 }
 
 /// Runs shared-memory Gaussian elimination under PLATINUM with the
 /// kernel's host phase profiler enabled during the measured pass, on an
-/// optional machine description. The sweep entry point
-/// (`scaled_speedup --procs`): the profiler's per-span clock reads make
-/// this marginally slower than [`run_gauss`], so the unprofiled runners
-/// stay the source of every checked timing figure.
+/// optional machine description. `benchmark/`'s `paper_apps` workload
+/// reads its profile into the `core.prof_*` metrics; the profiler's
+/// per-span clock reads make this marginally slower than [`run_gauss`],
+/// so the unprofiled runners stay the source of every checked timing
+/// figure.
 pub fn run_gauss_profiled(
     nodes: usize,
     p: usize,
@@ -147,8 +142,9 @@ pub fn run_gauss_profiled(
     let mut b = SimBuilder::nodes(nodes)
         // 512 rather than the default 4096 is a model input, not a
         // host-memory budget (frames materialise on first use): the
-        // inverted-page-table hash is `% frames_per_node`, and the
-        // published `--procs` sweeps were taken with it.
+        // inverted-page-table hash is `% frames_per_node`, and
+        // `benchmark/`'s `paper_apps` `core.prof_*` readings and
+        // tests/staging.rs's pinned profiled run were taken with it.
         .frames_per_node(512)
         .policy(PolicyKind::Platinum);
     if let Some(t) = topo {
@@ -159,18 +155,13 @@ pub fn run_gauss_profiled(
     g.init(&mut h);
 
     h.kernel.host_prof().enable();
-    let t0 = std::time::Instant::now();
     let run = g.measured(&mut h);
-    let host_secs = t0.elapsed().as_secs_f64();
     let prof = h.kernel.host_prof().snapshot();
 
     let checksum = g.checksum(&mut h);
-    let ops = run.merged_counters().total_refs();
     ProfiledRun {
         run: AppRun::live(&h, run, checksum),
         prof,
-        host_secs,
-        ops,
     }
 }
 

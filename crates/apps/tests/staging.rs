@@ -161,7 +161,7 @@ fn every_runner_reports_what_it_did_before_the_stagings_were_unified() {
         &profiled.run,
         (101_132_640, SUM, 44_319, 80, 160),
     );
-    assert_eq!(profiled.ops, 65_680);
+    assert_eq!(profiled.run.run.merged_counters().total_refs(), 65_680);
 
     let s = SortConfig::with_n(1 << 10);
     assert_pinned(

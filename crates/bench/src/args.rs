@@ -7,7 +7,7 @@
 //! experiment actually accepts, derived from its reads.
 
 use std::fmt::Debug;
-use std::ops::RangeBounds;
+use std::ops::{RangeBounds, RangeInclusive};
 
 use numa_machine::{TimingConfig, Topology};
 
@@ -73,8 +73,9 @@ impl Args {
         self.get(name).unwrap_or(default)
     }
 
-    /// A count such as `--procs 8`, checked against `range` at the read,
-    /// so an out-of-range machine size stops before anything boots.
+    /// A count such as `--procs 8` or `--keys 64`, checked against
+    /// `range` at the read, so an out-of-range machine or problem size
+    /// stops before anything boots.
     ///
     /// # Panics
     ///
@@ -119,6 +120,11 @@ impl Args {
         &self.read
     }
 }
+
+/// The range of a key-space size (`--keys`, `--kv-keys`): the Zipf
+/// sampler of `platinum_server` needs at least one key and ranks them
+/// with `u32`s.
+pub(crate) const KEYS: RangeInclusive<usize> = 1..=u32::MAX as usize;
 
 /// `--topology NAME` → the machine description for `nodes` nodes.
 ///

@@ -54,6 +54,7 @@ use platinum_apps::neural::NeuralConfig;
 use platinum_runtime::sim::SimBuilder;
 use platinum_server::{run_open_loop, KvAudit, KvConfig, KvTable, Request, TrafficConfig};
 
+use crate::args::KEYS;
 use crate::run::{Artifact, Run};
 
 /// Runs `f` on a watchdog thread; exits the process if it does not
@@ -288,7 +289,7 @@ pub(crate) fn run(run: &mut Run) {
         // dropped-ptable-invalidation site.
         "kv" => Some((
             TrafficConfig {
-                keys: args.get_or("--kv-keys", 1u64 << 10),
+                keys: args.count("--kv-keys", KEYS).map_or(1 << 10, |k| k as u64),
                 requests_per_proc: args.get_or("--kv-requests", 1024usize),
                 mean_interarrival_ns: 10_000,
                 ..TrafficConfig::default()

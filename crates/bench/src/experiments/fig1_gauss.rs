@@ -27,7 +27,10 @@ use crate::run::{Artifact, Run};
 
 pub(crate) fn run(run: &mut Run) {
     let quick = run.args.flag("--quick");
-    let n = run.args.get_or("--n", if quick { 400 } else { 800 });
+    let n = run
+        .args
+        .count("--n", 2..)
+        .unwrap_or(if quick { 400 } else { 800 });
     let max_procs = run.args.count("--max-procs", 1..).unwrap_or(16);
     run.start(Artifact::Json);
     let procs: Vec<usize> = if quick {

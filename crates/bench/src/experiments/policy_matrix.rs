@@ -37,7 +37,7 @@ use platinum_apps::neural::NeuralConfig;
 use platinum_reftrace::ReplayOptions;
 use platinum_server::{run_open_loop, DriverReport, KvConfig, KvTable, Request, TrafficConfig};
 
-use crate::args::topology;
+use crate::args::{topology, KEYS};
 use crate::run::{Artifact, Run};
 
 /// One cell row of the matrix: an (app, policy) pair.
@@ -305,7 +305,7 @@ pub(crate) fn run(run: &mut Run) {
     let procs = args.count("--procs", 1..=nodes).unwrap_or(nodes.min(4));
     let n = args.get_or("--n", 96usize);
     let epochs = args.get_or("--epochs", 3usize);
-    let kv_keys = args.get_or("--kv-keys", 4096u64);
+    let kv_keys = args.count("--kv-keys", KEYS).map_or(4096, |k| k as u64);
     let kv_requests = args.get_or("--kv-requests", 12_000usize);
     let apps: Vec<String> = args
         .list("--workload")

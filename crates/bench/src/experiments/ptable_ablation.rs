@@ -32,7 +32,7 @@
 //! fraction of walk virtual time served on-node — **fabric_ns** (total
 //! translation-fabric protocol time: walks + populates + invalidations)
 //! and the workload's elapsed virtual time. The fabric's host cost is
-//! `host_throughput`'s `walk` bucket, not a column here.
+//! `benchmark/`'s `core.prof_walk_ns`, not a column here.
 //!
 //! `--procs` (16,64), `--topology` (hier2), `--pings N` (2000),
 //! `--kv-keys N` (2048), `--kv-requests N` (192 per processor). Every
@@ -53,7 +53,7 @@ use platinum_analysis::report::Table;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
 
-use crate::args::machines;
+use crate::args::{machines, KEYS};
 use crate::micro::fault_heavy;
 use crate::run::{Artifact, Run};
 
@@ -125,7 +125,7 @@ fn run_sweep(machines: &[Topology], pings: u64, traffic: &TrafficConfig) -> Vec<
                 let never_freeze = w == "fault_heavy";
                 let mut sim = boot(p, topo, placement, never_freeze);
                 let (elapsed_ns, ops) = if never_freeze {
-                    (fault_heavy(&sim, p, pings).0, pings)
+                    (fault_heavy(&sim, p, pings), pings)
                 } else {
                     kv(&mut sim, p, traffic)
                 };
@@ -230,7 +230,7 @@ pub(crate) fn run(run: &mut Run) {
     let machines = machines(&topo, &ps);
     let pings = args.get_or("--pings", 2_000u64);
     let traffic = TrafficConfig {
-        keys: args.get_or("--kv-keys", 2_048u64),
+        keys: args.count("--kv-keys", KEYS).map_or(2_048, |k| k as u64),
         requests_per_proc: args.get_or("--kv-requests", 192usize),
         mean_interarrival_ns: 5_000,
         write_pct: 2,

@@ -16,23 +16,11 @@
 //!
 //! `--base-n N` (128) is the p = 1 matrix; `--max-procs P` (8) ends the
 //! comparison.
-//!
-//! `--procs 16,32,..` switches to the machine-size sweep: each listed
-//! processor count runs the *scaled* problem (n grows as p^(1/3),
-//! constant work per processor) on its own p-node machine under
-//! `--topology` (flat), with the kernel's host phase profiler on, and
-//! the artifact carries per-p simulated throughput and
-//! `host_phase_ns_per_op` — how the protocol's host cost scales with
-//! machine size on a real application, the companion curve to
-//! `host_throughput`'s microbenchmark view.
 
-use numa_machine::Topology;
-use platinum::trace::json::Value;
 use platinum_analysis::report::Table;
 use platinum_apps::gauss::GaussConfig;
-use platinum_apps::harness::{run_gauss, run_gauss_profiled, GaussStyle, PolicyKind};
+use platinum_apps::harness::{run_gauss, GaussStyle, PolicyKind};
 
-use crate::args::topology;
 use crate::run::{Artifact, Run};
 
 /// Scaled problem size: n(p) = base_n * p^(1/3) keeps work per
@@ -41,78 +29,8 @@ fn scaled_n(base_n: usize, p: usize) -> usize {
     ((base_n as f64) * (p as f64).powf(1.0 / 3.0)).round() as usize
 }
 
-fn procs_sweep(run: &mut Run, topo_name: &str, machines: &[Topology], base_n: usize) {
-    say!(
-        run,
-        "scaled-problem Gaussian elimination vs machine size ({topo_name} topology)\n"
-    );
-    let mut table = Table::new(vec![
-        "p",
-        "n",
-        "vtime (ms)",
-        "sim Mref/s",
-        "fault ns/op",
-        "shootdown ns/op",
-        "transfer ns/op",
-        "directory ns/op",
-    ]);
-    let mut entries = Vec::new();
-    for topo in machines {
-        let p = topo.nodes();
-        let n = scaled_n(base_n, p);
-        let r = run_gauss_profiled(p, p, &GaussConfig::with_n(n), Some(topo));
-        let per_op = |ns: u64| ns as f64 / r.ops.max(1) as f64;
-        let sim_mips = r.ops as f64 / 1e6 / r.host_secs.max(1e-9);
-        table.row(vec![
-            p.to_string(),
-            n.to_string(),
-            format!("{:.3}", r.run.elapsed_ns as f64 / 1e6),
-            format!("{sim_mips:.2}"),
-            format!("{:.0}", per_op(r.prof.fault_ns)),
-            format!("{:.0}", per_op(r.prof.shootdown_ns)),
-            format!("{:.0}", per_op(r.prof.transfer_ns)),
-            format!("{:.0}", per_op(r.prof.directory_ns)),
-        ]);
-        entries.push(Value::obj(vec![
-            ("procs", Value::Num(p as f64)),
-            ("n", Value::Num(n as f64)),
-            ("elapsed_ns", Value::Num(r.run.elapsed_ns as f64)),
-            ("ops", Value::Num(r.ops as f64)),
-            ("sim_mips", Value::Num(sim_mips)),
-            (
-                "host_phase_ns_per_op",
-                Value::obj(vec![
-                    ("fault", Value::Num(per_op(r.prof.fault_ns))),
-                    ("shootdown", Value::Num(per_op(r.prof.shootdown_ns))),
-                    ("transfer", Value::Num(per_op(r.prof.transfer_ns))),
-                    ("directory", Value::Num(per_op(r.prof.directory_ns))),
-                ]),
-            ),
-        ]));
-        eprintln!("  p={p} done");
-    }
-    say!(run, "{table}");
-
-    run.artifact(Value::obj(vec![
-        ("bench", Value::str("scaled_speedup")),
-        ("mode", Value::str("procs_sweep")),
-        ("topology", Value::str(topo_name)),
-        ("base_n", Value::Num(base_n as f64)),
-        ("sweep", Value::Arr(entries)),
-    ]));
-}
-
 pub(crate) fn run(run: &mut Run) {
     let base_n = run.args.get_or("--base-n", 128usize);
-    // Each mode reads only its own flags, so the other mode's are
-    // rejected rather than ignored.
-    if let Some(ps) = run.args.list::<usize>("--procs") {
-        assert!(!ps.contains(&0), "--procs entries must be at least 1");
-        let topo_name = run.args.get_or("--topology", "flat".to_string());
-        let machines: Vec<Topology> = ps.iter().map(|&p| topology(&topo_name, p)).collect();
-        run.start(Artifact::Json);
-        return procs_sweep(run, &topo_name, &machines, base_n);
-    }
     let max_procs = run.args.count("--max-procs", 1..).unwrap_or(8);
     run.start(Artifact::None);
 

@@ -24,6 +24,7 @@ use platinum_server::{
     run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable, Request, TrafficConfig,
 };
 
+use crate::args::KEYS;
 use crate::run::{Artifact, Run};
 
 struct BenchConfig {
@@ -205,7 +206,7 @@ pub(crate) fn run(run: &mut Run) {
     );
     let cfg = BenchConfig {
         nodes: args.count("--nodes", 1..).unwrap_or(8),
-        shards: args.get_or("--shards", 64usize),
+        shards: args.count("--shards", 1..).unwrap_or(64),
         traffic: TrafficConfig {
             seed: 24_301,
             // 256Ki keys → a 16 MB table, right at the per-node frame
@@ -213,7 +214,7 @@ pub(crate) fn run(run: &mut Run) {
             // invalidations on hot pages) with mild replacement
             // pressure. Push --keys well past the pool to study pure
             // frame thrash, or shrink it for a fully-replicable table.
-            keys: args.get_or("--keys", 1u64 << 18),
+            keys: args.count("--keys", KEYS).map_or(1 << 18, |k| k as u64),
             requests_per_proc: args.get_or("--requests-per-proc", 1usize << 17),
             theta: 0.99,
             write_pct: 10,

@@ -37,7 +37,6 @@ mod experiments {
     pub(crate) mod fig1_gauss;
     pub(crate) mod fig5_mergesort;
     pub(crate) mod fig6_neural;
-    pub(crate) mod host_throughput;
     pub(crate) mod policy_matrix;
     pub(crate) mod ptable_ablation;
     pub(crate) mod scaled_speedup;
@@ -54,7 +53,7 @@ use run::Run;
 type Experiment = (&'static str, &'static str, fn(&mut Run));
 
 #[rustfmt::skip]
-const EXPERIMENTS: [Experiment; 15] = [
+const EXPERIMENTS: [Experiment; 14] = [
     ("fig1_gauss", "Figure 1: Gaussian elimination speedup under three programming systems", fig1_gauss::run),
     ("table1_smin", "Table 1: inequality (2), the minimum page size for which migration pays", table1_smin::run),
     ("sec4_microbench", "§4: basic operation costs on the 16-processor machine", sec4_microbench::run),
@@ -64,11 +63,10 @@ const EXPERIMENTS: [Experiment; 15] = [
     ("anecdote_freeze", "§4.2: the accidentally frozen page and the value of thawing", anecdote_freeze::run),
     ("trace_report", "§4.2: the frozen-page diagnosis, read off the event timeline", trace_report::run),
     ("ablations", "§4.1/§4.2/§8: t1, t2, post-freeze variant, ACE-style policy, page size", ablations::run),
-    ("scaled_speedup", "§4.1: fixed-size vs scaled-problem efficiency; --procs: machine-size sweep", scaled_speedup::run),
+    ("scaled_speedup", "§4.1: fixed-size vs scaled-problem efficiency", scaled_speedup::run),
     ("policy_matrix", "Fig. 1's comparison as a matrix: one captured trace under five policies", policy_matrix::run),
     ("server_bench", "server tier: kv store and flow tables under open-loop traffic (exact)", server_bench::run),
     ("ptable_ablation", "page-table placement: walk locality and fabric time (exact)", ptable_ablation::run),
-    ("host_throughput", "host cost against machine size: simulated Mrefs per host second", host_throughput::run),
     ("chaos_soak", "apps or kv under seeded fault plans: correct, live, every fault recovered", chaos_soak::run),
 ];
 

@@ -242,22 +242,38 @@ fn unread_arguments_are_rejected_before_boot() {
     assert!(out.stderr.contains("\"--apps\""), "{}", out.stderr);
 
     // `repro` compares nothing with a committed file (the golden table
-    // does), and a value no caller sets is a constant: both are unread.
+    // does), a value no caller sets is a constant, and host time is
+    // `benchmark/`'s: none of these is an experiment or a flag.
     for gone in [
         &[&SERVER_CI[..], &["--check"]].concat()[..],
         &["ptable_ablation", "--placements", "centralized"],
+        &["host_throughput"],
+        &["scaled_speedup", "--procs", "16"],
     ] {
         let out = repro(&cwd, gone);
         assert_eq!(out.status, 2, "{gone:?}: {}", out.stderr);
         assert_eq!(out.stdout, "", "{gone:?} ran");
     }
 
-    // A machine size out of range is a usage error at its read, before
-    // anything boots: not a panic deep in the simulator, not a clamp.
+    // A machine or problem size out of range is a usage error at its
+    // read, before anything boots or prints: not a panic deep in the
+    // simulator, not a clamp, not a degenerate run.
     for (args, flag) in [
         (&["fig1_gauss", "--max-procs", "0"][..], "--max-procs"),
         (&["crossover", "--procs", "1"], "--procs"),
         (&["chaos_soak", "--nodes", "2", "--procs", "4"], "--procs"),
+        (&["server_bench", "--shards", "0"], "--shards"),
+        (&["server_bench", "--keys", "0"], "--keys"),
+        (
+            &["policy_matrix", "--workload", "kv", "--kv-keys", "0"],
+            "--kv-keys",
+        ),
+        (&["ptable_ablation", "--kv-keys", "0"], "--kv-keys"),
+        (
+            &["chaos_soak", "--workload", "kv", "--kv-keys", "0"],
+            "--kv-keys",
+        ),
+        (&["fig1_gauss", "--n", "0"], "--n"),
     ] {
         let out = repro(&cwd, args);
         assert_ne!(out.status, 0, "{args:?}");
@@ -277,16 +293,18 @@ fn unread_arguments_are_rejected_before_boot() {
 #[test]
 fn trace_works_where_it_was_ignored() {
     let cwd = scratch("trace");
-    let args = ["--procs", "4", "--mix", "fault_heavy", "--rounds", "300"];
-    let args = [&["host_throughput"][..], &args, &["--trace", "T.json"]].concat();
-    let out = repro(&cwd, &args);
+    let args = "ptable_ablation --procs 4 --pings 300 --kv-keys 64 --kv-requests 8 --trace T.json";
+    let out = repro(&cwd, &args.split(' ').collect::<Vec<_>>());
     assert_eq!(out.status, 0, "{}", out.stderr);
     let trace = read_json(cwd.join("T.json").to_str().unwrap());
     let events = trace.get("traceEvents").and_then(Value::as_arr).unwrap();
     let migrations = events
         .iter()
         .filter(|e| e.get("name").and_then(Value::as_str) == Some("migrate"));
-    assert!(migrations.count() >= 299, "every ping migrates the page");
+    assert!(
+        migrations.count() >= 4 * 299,
+        "under each of the four placements, every ping after the first migrates the page"
+    );
     // No --out: the trace is the only file written.
     assert_eq!(files_in(&cwd), ["T.json"]);
 }
@@ -301,7 +319,7 @@ fn nothing_is_written_without_out() {
 }
 
 /// The smallest configuration of every experiment.
-const SMALLEST: [&str; 15] = [
+const SMALLEST: [&str; 14] = [
     "fig1_gauss --n 16 --max-procs 2",
     "table1_smin --raw --overhead-ns 480000",
     "sec4_microbench",
@@ -315,7 +333,6 @@ const SMALLEST: [&str; 15] = [
     "policy_matrix --n 16 --workload gauss",
     "server_bench --nodes 2 --shards 2 --keys 64 --requests-per-proc 16",
     "ptable_ablation --procs 2 --pings 50 --kv-keys 64 --kv-requests 8",
-    "host_throughput --procs 2 --ops 1000 --rounds 100",
     "chaos_soak --seeds 1",
 ];
 

@@ -2,10 +2,10 @@
 //!
 //! The simulator's virtual clock says what the *modelled* machine spends;
 //! this module says where the *host* spends wall-clock while serving it,
-//! bucketed by slow-path phase. It exists for the throughput benchmarks
-//! (`host_throughput` reports the buckets per mix) and costs one relaxed
-//! load and a predictable branch per instrumented span while disabled, so
-//! it stays compiled into release kernels.
+//! bucketed by slow-path phase. It exists for `benchmark/` (perf_ledger),
+//! which reports the buckets per fault as `core.prof_*`, and costs one
+//! relaxed load and a predictable branch per instrumented span while
+//! disabled, so it stays compiled into release kernels.
 //!
 //! The buckets overlap deliberately: `fault` spans the whole coherent
 //! fault handler, while `shootdown`, `transfer`, and `directory` time the

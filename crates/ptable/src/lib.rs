@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use numa_machine::{AtomicProcSet, ProcId, ProcSet};
@@ -84,11 +83,6 @@ impl PtablePlacement {
         }
     }
 
-    /// Looks up a placement by its [`PtablePlacement::name`].
-    pub fn by_name(name: &str) -> Option<PtablePlacement> {
-        PtablePlacement::ALL.into_iter().find(|p| p.name() == name)
-    }
-
     /// Whether this placement charges walks real virtual time (everything
     /// except `Centralized`, which only accounts).
     #[inline]
@@ -110,19 +104,6 @@ impl PtablePlacement {
 impl fmt::Display for PtablePlacement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for PtablePlacement {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        PtablePlacement::by_name(s).ok_or_else(|| {
-            format!(
-                "unknown ptable placement {s:?} (expected one of: {})",
-                PtablePlacement::ALL.map(|p| p.name()).join(", ")
-            )
-        })
     }
 }
 
@@ -396,16 +377,6 @@ impl WalkSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn placement_names_round_trip() {
-        for p in PtablePlacement::ALL {
-            assert_eq!(PtablePlacement::by_name(p.name()), Some(p));
-            assert_eq!(p.name().parse::<PtablePlacement>().unwrap(), p);
-        }
-        assert!(PtablePlacement::by_name("torus").is_none());
-        assert!("torus".parse::<PtablePlacement>().is_err());
-    }
 
     #[test]
     fn default_is_centralized_and_free() {
