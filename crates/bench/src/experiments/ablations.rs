@@ -24,7 +24,6 @@
 //! comparison for the reader to judge.
 
 use numa_machine::MachineConfig;
-use platinum::PlatinumPolicy;
 use platinum_analysis::report::Table;
 use platinum_apps::gauss::{Gauss, GaussConfig, COMPUTE_NS_PER_ELEM};
 use platinum_apps::harness::{run_gauss, run_gauss_anecdote, GaussStyle, PolicyKind};
@@ -68,10 +67,7 @@ fn t1_sweep(run: &mut Run, n: usize, p: usize) {
     let mut elapsed = Vec::new();
     for t1_ms in [1u64, 10, 30, 100] {
         let mut h = SimBuilder::nodes(16.max(p))
-            .policy(PlatinumPolicy {
-                t1_ns: t1_ms * 1_000_000,
-                thaw_on_access: false,
-            })
+            .freeze_ns(t1_ms * 1_000_000)
             .build();
         let (ns, freezes) = run_gauss_with_harness(&mut h, p, &cfg);
         elapsed.push(ns);

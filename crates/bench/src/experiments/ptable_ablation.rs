@@ -34,21 +34,30 @@
 //! and the workload's elapsed virtual time. The fabric's host cost is
 //! `benchmark/`'s `core.prof_walk_ns`, not a column here.
 //!
-//! `--procs` (16,64), `--topology` (hier2), `--pings N` (2000),
+//! `--procs` (16,64), `--topology` (hier2), `--pings N` (see below),
 //! `--kv-keys N` (2048), `--kv-requests N` (192 per processor). Every
 //! run sweeps all four placements over both workloads; the kv traffic
 //! arrives every 5 µs on average.
 //!
-//! The run self-checks the fabric's reason to exist: at every (p,
-//! workload) cell, replicate-on-fault must hold at least 1.2x the
-//! centralized placement's walk locality, and on the fault-heavy
-//! workload at p >= 64 it must also spend measurably less total fabric
-//! time than the centralized accounting says the same walks would have
-//! cost.
+//! **Pings scale with p².** Without `--pings`, a p-processor machine
+//! runs `2000 · max(p, 64)² / 64²` pings: 2000 up to p = 64, 8000 at
+//! 128, 32 000 at 256, so every node writes about p/2 times once
+//! p > 64. The p >= 64 fabric check below needs it. Replicate-on-fault
+//! pays a fixed cost per node (its replica populate and its first walk,
+//! both charged against the home node). After that a write costs it
+//! about 6.5 µs (an on-node walk plus a replica invalidation), where the
+//! centralized accounting charges about 32 µs (a remote walk). The
+//! fixed cost grows faster than p: on `hier2` the whole machine's came
+//! to 0.03 s at p = 64, 0.09 s at 128 and 0.28 s at 256. So a fixed
+//! 2000 pings stops repaying it past p = 64: the check failed at p = 128
+//! and 256, and p = 256 still failed at 8000 pings. With p²-scaled
+//! pings it passes on `flat`, `hier2` and `hier2x4` at p = 128 and 256,
+//! the replicated fabric costing about half the centralized one. An
+//! explicit `--pings` applies to every machine of the sweep.
 
 use numa_machine::{MachineConfig, Topology};
 use platinum::trace::json::Value;
-use platinum::{PlatinumPolicy, PtableConfig, PtablePlacement, WalkSnapshot};
+use platinum::{PolicyKind, PtableConfig, PtablePlacement, WalkSnapshot};
 use platinum_analysis::report::Table;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
@@ -73,10 +82,7 @@ fn boot(procs: usize, topo: &Topology, placement: PtablePlacement, never_freeze:
         .topology(topo.clone())
         .ptable(PtableConfig::with_placement(placement));
     if never_freeze {
-        b = b.policy(PlatinumPolicy {
-            t1_ns: 0,
-            ..PlatinumPolicy::paper_default()
-        });
+        b = b.policy(PolicyKind::AlwaysReplicate);
     }
     b.build()
 }
@@ -116,10 +122,18 @@ fn kv(sim: &mut Sim, procs: usize, traffic: &TrafficConfig) -> (u64, u64) {
 /// The two workloads, in sweep order.
 const WORKLOADS: [&str; 2] = ["fault_heavy", "kv"];
 
-fn run_sweep(machines: &[Topology], pings: u64, traffic: &TrafficConfig) -> Vec<Cell> {
+/// The fault-heavy pings a p-processor machine runs without `--pings`:
+/// 2000 up to p = 64, then growing with p² (see the module doc).
+fn default_pings(p: usize) -> u64 {
+    let p = p.max(64) as u64;
+    2_000 * p * p / (64 * 64)
+}
+
+fn run_sweep(machines: &[Topology], pings: Option<u64>, traffic: &TrafficConfig) -> Vec<Cell> {
     let mut cells = Vec::new();
     for topo in machines {
         let p = topo.nodes();
+        let pings = pings.unwrap_or_else(|| default_pings(p));
         for placement in PtablePlacement::ALL {
             for w in WORKLOADS {
                 let never_freeze = w == "fault_heavy";
@@ -228,7 +242,7 @@ pub(crate) fn run(run: &mut Run) {
     let ps = args.list("--procs").unwrap_or_else(|| vec![16usize, 64]);
     let topo = args.get_or("--topology", "hier2".to_string());
     let machines = machines(&topo, &ps);
-    let pings = args.get_or("--pings", 2_000u64);
+    let pings = args.get("--pings");
     let traffic = TrafficConfig {
         keys: args.count("--kv-keys", KEYS).map_or(2_048, |k| k as u64),
         requests_per_proc: args.get_or("--kv-requests", 192usize),

@@ -179,7 +179,7 @@ impl Kernel {
             state: g.state,
             write,
         };
-        let action = self.policy().decide(&info);
+        let action = self.policy().decide(&info, self.config().t1_freeze_ns);
         ctx.record_at(
             info.now,
             EventKind::PolicyDecision,

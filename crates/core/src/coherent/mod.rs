@@ -7,7 +7,7 @@
 //!   directory of physical copies (the Cpage system of §2.3),
 //! * [`cmap`] — per-space Cmap entries, reference masks, and the
 //!   shootdown message queues (the Cmap system of §2.3),
-//! * [`policy`] — the replication policy family (§4.2),
+//! * [`policy`] — the replication policy family, [`policy::PolicyKind`] (§4.2),
 //! * `fault` — the coherent page fault handler (§3.3),
 //! * `shootdown` — the NUMA shootdown mechanism (§3.1),
 //! * `ptable` — the kernel side of the translation fabric: replica

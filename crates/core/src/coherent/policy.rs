@@ -1,18 +1,18 @@
 //! Placement policies: where pages live, when they move, when they freeze.
 //!
 //! "PLATINUM is designed to support experimentation with a family of
-//! policies" (§4.2). The [`PlacementPolicy`] trait is that seam: it decides
-//! how a coherency miss is serviced ([`PlacementPolicy::decide`]) and where
-//! a first touch places a fresh page ([`PlacementPolicy::place_first_touch`]).
-//! The paper's interim policy is [`PlatinumPolicy`]; the Figure 1 baselines
-//! are [`MigrateOnly`] (single-copy chasing), [`ReplicateOnly`] (read
-//! replication without migration), [`LocalFirstTouch`] (static placement on
-//! the first toucher's module), and [`RemoteAlways`] (every page deliberately
-//! homed off-node — the all-remote floor). [`AlwaysReplicate`] (coherency at
-//! any price) and [`AceStyle`] (Bolosky et al.'s IBM ACE policy discussed in
+//! policies" (§4.2). [`PolicyKind`] is that family: it decides how a
+//! coherency miss is serviced ([`PolicyKind::decide`]) and where a first
+//! touch places a fresh page ([`PolicyKind::place_first_touch`]). The
+//! paper's interim policy is [`PolicyKind::Platinum`]; the Figure 1
+//! baselines are [`PolicyKind::MigrateOnly`] (single-copy chasing),
+//! [`PolicyKind::ReplicateOnly`] (read replication without migration),
+//! [`PolicyKind::LocalFirstTouch`] (static placement on the first
+//! toucher's module), and [`PolicyKind::RemoteAlways`] (every page
+//! deliberately homed off-node — the all-remote floor).
+//! [`PolicyKind::AlwaysReplicate`] (coherency at any price) and
+//! [`PolicyKind::AceStyle`] (Bolosky et al.'s IBM ACE policy discussed in
 //! §8) remain for the existing harnesses.
-
-use std::sync::Arc;
 
 use crate::coherent::cpage::CpState;
 
@@ -56,256 +56,53 @@ pub enum FaultAction {
     },
 }
 
-/// A page placement policy: how coherency misses are serviced and where
-/// first touches land.
-pub trait PlacementPolicy: Send + Sync {
-    /// Decides how to service a miss that has no usable local copy.
-    fn decide(&self, info: &FaultInfo) -> FaultAction;
+/// Migrations an [`PolicyKind::AceStyle`] page may make before it is
+/// frozen in place for good.
+pub const ACE_MAX_MIGRATIONS: u32 = 2;
 
-    /// Picks the module that receives a page's very first physical copy.
-    /// `faulter` is the touching processor's module, `vpn` the page's
-    /// virtual page number, and `nodes` the machine size. The default —
-    /// used by every policy in the paper — is local first touch.
-    fn place_first_touch(&self, faulter: usize, _vpn: u64, _nodes: usize) -> usize {
-        faulter
-    }
-
-    /// Whether a *frozen* page whose freeze window has expired may be
-    /// thawed directly by an attempted access, rather than waiting for
-    /// the defrost daemon. §4.2 describes both variants and reports no
-    /// significant difference between them.
-    fn thaw_on_access(&self) -> bool {
-        false
-    }
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
-
-impl std::fmt::Debug for dyn PlacementPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The paper's interim policy (§4.2): replicate or migrate if the most
-/// recent protocol invalidation is at least `t1` in the past, otherwise
-/// freeze the page.
-#[derive(Clone, Debug)]
-pub struct PlatinumPolicy {
-    /// The interference window, ns. The paper sets 10 ms and reports
-    /// insensitivity from 10 ms up to about 100 ms.
-    pub t1_ns: u64,
-    /// Which post-freeze variant to use (§4.2): `false` keeps creating
-    /// remote mappings until the defrost daemon thaws the page (the
-    /// paper's default); `true` lets an access replicate-and-thaw once
-    /// `t1` has expired.
-    pub thaw_on_access: bool,
-}
-
-impl PlatinumPolicy {
-    /// The paper's configuration: t1 = 10 ms, defrost-only thawing.
-    pub fn paper_default() -> Self {
-        Self {
-            t1_ns: 10_000_000,
-            thaw_on_access: false,
-        }
-    }
-}
-
-impl Default for PlatinumPolicy {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-impl PlacementPolicy for PlatinumPolicy {
-    fn decide(&self, info: &FaultInfo) -> FaultAction {
-        let recently_invalidated = match info.last_invalidation {
-            Some(t) => info.now.saturating_sub(t) < self.t1_ns,
-            None => false,
-        };
-        if info.frozen {
-            if self.thaw_on_access && !recently_invalidated {
-                // Alternative policy: the access thaws the page.
-                return FaultAction::Replicate;
-            }
-            // Default policy: remain frozen until the defrost daemon
-            // explicitly thaws the page.
-            return FaultAction::RemoteMap { freeze: true };
-        }
-        if recently_invalidated {
-            // Active write-sharing: running the protocol would cost more
-            // than remote access. Freeze.
-            FaultAction::RemoteMap { freeze: true }
-        } else {
-            FaultAction::Replicate
-        }
-    }
-
-    fn thaw_on_access(&self) -> bool {
-        self.thaw_on_access
-    }
-
-    fn name(&self) -> &'static str {
-        "platinum"
-    }
-}
-
-/// Single-copy migration: every miss moves the page's one copy to the
-/// faulting module, reads included. No replication, no freezing — the
-/// page ping-pongs between sharers, paying a block transfer plus a
-/// shootdown per move. One of the Figure 1 baselines.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MigrateOnly;
-
-impl PlacementPolicy for MigrateOnly {
-    fn decide(&self, _info: &FaultInfo) -> FaultAction {
-        FaultAction::Migrate
-    }
-
-    fn name(&self) -> &'static str {
-        "migrate-only"
-    }
-}
-
-/// Read replication without migration: read misses replicate freely, but a
-/// write miss never moves the page — the writer maps the existing copy
-/// remotely. (Writes to widely-read pages still collapse the copy set:
-/// that is the coherency protocol, not the policy.)
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplicateOnly;
-
-impl PlacementPolicy for ReplicateOnly {
-    fn decide(&self, info: &FaultInfo) -> FaultAction {
-        if info.write {
-            FaultAction::RemoteMap { freeze: false }
-        } else {
-            FaultAction::Replicate
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "replicate-only"
-    }
-}
-
-/// Static placement, local first touch: a page lives wherever it was first
-/// touched and never moves; later sharers map it remotely. This is the
-/// behaviour a carefully-written Uniform System program gets from static
-/// data scattering (the "local" memory curve of Figure 1).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LocalFirstTouch;
-
-impl PlacementPolicy for LocalFirstTouch {
-    fn decide(&self, _info: &FaultInfo) -> FaultAction {
-        FaultAction::RemoteMap { freeze: false }
-    }
-
-    fn name(&self) -> &'static str {
-        "local-first-touch"
-    }
-}
-
-/// The all-remote floor: first touches are deliberately homed on a module
-/// *other than* the toucher's, and pages never move, so essentially every
-/// reference is a remote reference (Figure 1's "remote" curve — the cost
-/// of ignoring locality altogether).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RemoteAlways;
-
-impl PlacementPolicy for RemoteAlways {
-    fn decide(&self, _info: &FaultInfo) -> FaultAction {
-        FaultAction::RemoteMap { freeze: false }
-    }
-
-    fn place_first_touch(&self, faulter: usize, vpn: u64, nodes: usize) -> usize {
-        if nodes <= 1 {
-            return faulter;
-        }
-        // Spread over every module except the faulter's own.
-        (faulter + 1 + (vpn as usize % (nodes - 1))) % nodes
-    }
-
-    fn name(&self) -> &'static str {
-        "remote-always"
-    }
-}
-
-/// Always replicate/migrate, regardless of interference history — the
-/// behaviour of software caching without the remote-access escape hatch
-/// (Li's shared virtual memory, discussed in §1).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AlwaysReplicate;
-
-impl PlacementPolicy for AlwaysReplicate {
-    fn decide(&self, _info: &FaultInfo) -> FaultAction {
-        FaultAction::Replicate
-    }
-
-    fn name(&self) -> &'static str {
-        "always-replicate"
-    }
-}
-
-/// Bolosky et al.'s ACE policy (§8): writable pages are never replicated
-/// and may migrate only `max_migrations` times before being frozen in
-/// place; read-only pages replicate freely.
-#[derive(Clone, Copy, Debug)]
-pub struct AceStyle {
-    /// Migrations permitted before the page is frozen for good.
-    pub max_migrations: u32,
-}
-
-impl Default for AceStyle {
-    fn default() -> Self {
-        Self { max_migrations: 2 }
-    }
-}
-
-impl PlacementPolicy for AceStyle {
-    fn decide(&self, info: &FaultInfo) -> FaultAction {
-        if info.write || info.state == CpState::Modified {
-            // A writable page: migrate a bounded number of times, then
-            // freeze in place permanently (no defrost in ACE).
-            if info.frozen || info.migrations >= self.max_migrations {
-                FaultAction::RemoteMap { freeze: true }
-            } else {
-                FaultAction::Replicate
-            }
-        } else {
-            FaultAction::Replicate
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "ace-style"
-    }
-}
-
-/// Which placement policy to boot the kernel with: a nameable,
-/// `Copy`-able selector over the policy family, used by the harnesses,
-/// the benchmark binaries, `KernelConfig`, and `SimBuilder`.
+/// The placement policy the kernel runs: a nameable, `Copy`-able member of
+/// the policy family, used by the harnesses, the benchmark binaries,
+/// `KernelConfig`, and `SimBuilder`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// The paper's interim policy (t1 = 10 ms, defrost-only thawing).
+    /// The paper's interim policy (§4.2): replicate or migrate if the most
+    /// recent protocol invalidation is at least t1 in the past, otherwise
+    /// freeze the page. A frozen page stays remote-mapped until the
+    /// defrost daemon thaws it.
     Platinum,
-    /// The §4.2 alternative: accesses may thaw expired frozen pages.
+    /// The §4.2 alternative: an access to a frozen page replicates (and
+    /// so thaws) it once t1 has expired.
     PlatinumThawOnAccess,
-    /// Single-copy migration, reads included (Figure 1 baseline).
+    /// Single-copy migration: every miss moves the page's one copy to the
+    /// faulting module, reads included. No replication, no freezing — the
+    /// page ping-pongs between sharers, paying a block transfer plus a
+    /// shootdown per move. One of the Figure 1 baselines.
     MigrateOnly,
-    /// Read replication without migration (Figure 1 baseline).
+    /// Read replication without migration: read misses replicate freely,
+    /// but a write miss never moves the page — the writer maps the
+    /// existing copy remotely. (Writes to widely-read pages still collapse
+    /// the copy set: that is the coherency protocol, not the policy.)
     ReplicateOnly,
-    /// Static placement on the first toucher's module (Figure 1 "local").
+    /// Static placement, local first touch: a page lives wherever it was
+    /// first touched and never moves; later sharers map it remotely. This
+    /// is the behaviour a carefully-written Uniform System program gets
+    /// from static data scattering (the "local" memory curve of Figure 1).
     LocalFirstTouch,
-    /// Deliberately off-node placement, no movement (Figure 1 "remote").
+    /// The all-remote floor: first touches are deliberately homed on a
+    /// module *other than* the toucher's, and pages never move, so
+    /// essentially every reference is a remote reference (Figure 1's
+    /// "remote" curve — the cost of ignoring locality altogether).
     RemoteAlways,
-    /// Static placement under its Uniform System baseline name: builds
-    /// [`LocalFirstTouch`].
+    /// [`PolicyKind::LocalFirstTouch`] under its Uniform System baseline
+    /// name: it decides and places exactly as that variant does.
     NeverReplicate,
-    /// Replicate/migrate unconditionally (software-caching baseline).
+    /// Always replicate/migrate, regardless of interference history — the
+    /// behaviour of software caching without the remote-access escape
+    /// hatch (Li's shared virtual memory, discussed in §1).
     AlwaysReplicate,
-    /// Bolosky et al.'s ACE policy (§8).
+    /// Bolosky et al.'s ACE policy (§8): writable pages are never
+    /// replicated and may migrate only [`ACE_MAX_MIGRATIONS`] times before
+    /// being frozen in place; read-only pages replicate freely.
     AceStyle,
 }
 
@@ -321,24 +118,76 @@ impl PolicyKind {
         PolicyKind::RemoteAlways,
     ];
 
-    /// Instantiates the policy.
-    pub fn build(self) -> Arc<dyn PlacementPolicy> {
+    /// Decides how to service a miss that has no usable local copy.
+    /// `t1_ns` is the kernel's interference window; only the two PLATINUM
+    /// variants consult it.
+    pub fn decide(self, info: &FaultInfo, t1_ns: u64) -> FaultAction {
         match self {
-            PolicyKind::Platinum => Arc::new(PlatinumPolicy::paper_default()),
-            PolicyKind::PlatinumThawOnAccess => Arc::new(PlatinumPolicy {
-                t1_ns: 10_000_000,
-                thaw_on_access: true,
-            }),
-            PolicyKind::MigrateOnly => Arc::new(MigrateOnly),
-            PolicyKind::ReplicateOnly => Arc::new(ReplicateOnly),
-            PolicyKind::LocalFirstTouch | PolicyKind::NeverReplicate => Arc::new(LocalFirstTouch),
-            PolicyKind::RemoteAlways => Arc::new(RemoteAlways),
-            PolicyKind::AlwaysReplicate => Arc::new(AlwaysReplicate),
-            PolicyKind::AceStyle => Arc::new(AceStyle::default()),
+            PolicyKind::Platinum | PolicyKind::PlatinumThawOnAccess => {
+                let recently_invalidated = match info.last_invalidation {
+                    Some(t) => info.now.saturating_sub(t) < t1_ns,
+                    None => false,
+                };
+                if info.frozen {
+                    if self == PolicyKind::PlatinumThawOnAccess && !recently_invalidated {
+                        // Alternative policy: the access thaws the page.
+                        return FaultAction::Replicate;
+                    }
+                    // Default policy: remain frozen until the defrost
+                    // daemon explicitly thaws the page.
+                    return FaultAction::RemoteMap { freeze: true };
+                }
+                if recently_invalidated {
+                    // Active write-sharing: running the protocol would
+                    // cost more than remote access. Freeze.
+                    FaultAction::RemoteMap { freeze: true }
+                } else {
+                    FaultAction::Replicate
+                }
+            }
+            PolicyKind::MigrateOnly => FaultAction::Migrate,
+            PolicyKind::ReplicateOnly => {
+                if info.write {
+                    FaultAction::RemoteMap { freeze: false }
+                } else {
+                    FaultAction::Replicate
+                }
+            }
+            PolicyKind::LocalFirstTouch | PolicyKind::NeverReplicate | PolicyKind::RemoteAlways => {
+                FaultAction::RemoteMap { freeze: false }
+            }
+            PolicyKind::AlwaysReplicate => FaultAction::Replicate,
+            PolicyKind::AceStyle => {
+                if info.write || info.state == CpState::Modified {
+                    // A writable page: migrate a bounded number of times,
+                    // then freeze in place permanently (no defrost in ACE).
+                    if info.frozen || info.migrations >= ACE_MAX_MIGRATIONS {
+                        FaultAction::RemoteMap { freeze: true }
+                    } else {
+                        FaultAction::Replicate
+                    }
+                } else {
+                    FaultAction::Replicate
+                }
+            }
         }
     }
 
-    /// Harness display name.
+    /// Picks the module that receives a page's very first physical copy.
+    /// `faulter` is the touching processor's module, `vpn` the page's
+    /// virtual page number, and `nodes` the machine size. Every policy in
+    /// the paper places locally; [`PolicyKind::RemoteAlways`] spreads
+    /// pages over every module except the faulter's own.
+    pub fn place_first_touch(self, faulter: usize, vpn: u64, nodes: usize) -> usize {
+        match self {
+            PolicyKind::RemoteAlways if nodes > 1 => {
+                (faulter + 1 + (vpn as usize % (nodes - 1))) % nodes
+            }
+            _ => faulter,
+        }
+    }
+
+    /// Display name for reports.
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Platinum => "PLATINUM",
@@ -354,59 +203,12 @@ impl PolicyKind {
     }
 }
 
-impl From<PolicyKind> for Arc<dyn PlacementPolicy> {
-    fn from(kind: PolicyKind) -> Self {
-        kind.build()
-    }
-}
-
-/// Every policy object converts into what [`crate::KernelConfig::policy`]
-/// holds, so a setter taking `impl Into<Arc<dyn PlacementPolicy>>` accepts
-/// a [`PolicyKind`], a policy value, or an already-shared object alike.
-/// (A blanket impl over `P: PlacementPolicy` is ruled out by coherence;
-/// a policy defined elsewhere writes the same three lines.)
-macro_rules! policy_into_arc {
-    ($($policy:ty),*) => {$(
-        impl From<$policy> for Arc<dyn PlacementPolicy> {
-            fn from(policy: $policy) -> Self {
-                Arc::new(policy)
-            }
-        }
-    )*};
-}
-policy_into_arc!(
-    PlatinumPolicy,
-    MigrateOnly,
-    ReplicateOnly,
-    LocalFirstTouch,
-    RemoteAlways,
-    AlwaysReplicate,
-    AceStyle
-);
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    /// Parses the kebab-case selector used by the benchmark binaries.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "platinum" => Ok(PolicyKind::Platinum),
-            "platinum-thaw" | "thaw-on-access" => Ok(PolicyKind::PlatinumThawOnAccess),
-            "migrate-only" => Ok(PolicyKind::MigrateOnly),
-            "replicate-only" => Ok(PolicyKind::ReplicateOnly),
-            "local-first-touch" | "local" => Ok(PolicyKind::LocalFirstTouch),
-            "remote-always" | "remote" => Ok(PolicyKind::RemoteAlways),
-            "never-replicate" => Ok(PolicyKind::NeverReplicate),
-            "always-replicate" => Ok(PolicyKind::AlwaysReplicate),
-            "ace-style" | "ace" => Ok(PolicyKind::AceStyle),
-            other => Err(format!("unknown policy kind: {other}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's t1 = 10 ms, the kernel's default.
+    const T1: u64 = 10_000_000;
 
     fn info(now: u64, last_inval: Option<u64>, frozen: bool) -> FaultInfo {
         FaultInfo {
@@ -421,53 +223,58 @@ mod tests {
 
     #[test]
     fn platinum_replicates_quiet_pages() {
-        let p = PlatinumPolicy::paper_default();
+        let p = PolicyKind::Platinum;
         assert_eq!(
-            p.decide(&info(50_000_000, None, false)),
+            p.decide(&info(50_000_000, None, false), T1),
             FaultAction::Replicate
         );
         // Invalidation 20 ms ago: outside t1 = 10 ms.
         assert_eq!(
-            p.decide(&info(50_000_000, Some(30_000_000), false)),
+            p.decide(&info(50_000_000, Some(30_000_000), false), T1),
             FaultAction::Replicate
+        );
+        // ... but inside a 30 ms window.
+        assert_eq!(
+            p.decide(&info(50_000_000, Some(30_000_000), false), 30_000_000),
+            FaultAction::RemoteMap { freeze: true }
         );
     }
 
     #[test]
     fn platinum_freezes_interfering_pages() {
-        let p = PlatinumPolicy::paper_default();
+        let p = PolicyKind::Platinum;
         // Invalidation 2 ms ago: inside t1.
         assert_eq!(
-            p.decide(&info(50_000_000, Some(48_000_000), false)),
+            p.decide(&info(50_000_000, Some(48_000_000), false), T1),
             FaultAction::RemoteMap { freeze: true }
+        );
+        // t1 = 0 never freezes: it decides as always-replicate does.
+        assert_eq!(
+            p.decide(&info(50_000_000, Some(50_000_000), false), 0),
+            FaultAction::Replicate
         );
     }
 
     #[test]
     fn platinum_default_stays_frozen_until_defrost() {
-        let p = PlatinumPolicy::paper_default();
         // Frozen long ago, window long expired — still remote-mapped.
         assert_eq!(
-            p.decide(&info(500_000_000, Some(10_000_000), true)),
+            PolicyKind::Platinum.decide(&info(500_000_000, Some(10_000_000), true), T1),
             FaultAction::RemoteMap { freeze: true }
         );
-        assert!(!p.thaw_on_access());
     }
 
     #[test]
     fn platinum_thaw_on_access_variant() {
-        let p = PlatinumPolicy {
-            t1_ns: 10_000_000,
-            thaw_on_access: true,
-        };
+        let p = PolicyKind::PlatinumThawOnAccess;
         // Window expired: the access may thaw.
         assert_eq!(
-            p.decide(&info(500_000_000, Some(10_000_000), true)),
+            p.decide(&info(500_000_000, Some(10_000_000), true), T1),
             FaultAction::Replicate
         );
         // Window not expired: stays frozen.
         assert_eq!(
-            p.decide(&info(15_000_000, Some(10_000_000), true)),
+            p.decide(&info(15_000_000, Some(10_000_000), true), T1),
             FaultAction::RemoteMap { freeze: true }
         );
     }
@@ -475,51 +282,50 @@ mod tests {
     #[test]
     fn never_and_always() {
         assert_eq!(
-            PolicyKind::NeverReplicate
-                .build()
-                .decide(&info(0, None, false)),
+            PolicyKind::NeverReplicate.decide(&info(0, None, false), T1),
             FaultAction::RemoteMap { freeze: false }
         );
+        assert_eq!(PolicyKind::NeverReplicate.place_first_touch(5, 99, 8), 5);
         assert_eq!(
-            AlwaysReplicate.decide(&info(0, Some(0), false)),
+            PolicyKind::AlwaysReplicate.decide(&info(0, Some(0), false), T1),
             FaultAction::Replicate
         );
     }
 
     #[test]
     fn migrate_only_always_migrates() {
-        let p = MigrateOnly;
-        assert_eq!(p.decide(&info(0, None, false)), FaultAction::Migrate);
+        let p = PolicyKind::MigrateOnly;
+        assert_eq!(p.decide(&info(0, None, false), T1), FaultAction::Migrate);
         let mut i = info(50_000_000, Some(49_000_000), true);
         i.write = true;
         // Even frozen, recently-invalidated pages migrate (and thaw).
-        assert_eq!(p.decide(&i), FaultAction::Migrate);
+        assert_eq!(p.decide(&i, T1), FaultAction::Migrate);
         // First touches stay local.
         assert_eq!(p.place_first_touch(3, 17, 8), 3);
     }
 
     #[test]
     fn replicate_only_never_moves_for_writes() {
-        let p = ReplicateOnly;
-        assert_eq!(p.decide(&info(0, None, false)), FaultAction::Replicate);
+        let p = PolicyKind::ReplicateOnly;
+        assert_eq!(p.decide(&info(0, None, false), T1), FaultAction::Replicate);
         let mut i = info(0, None, false);
         i.write = true;
-        assert_eq!(p.decide(&i), FaultAction::RemoteMap { freeze: false });
+        assert_eq!(p.decide(&i, T1), FaultAction::RemoteMap { freeze: false });
     }
 
     #[test]
     fn local_first_touch_is_static() {
-        let p = LocalFirstTouch;
+        let p = PolicyKind::LocalFirstTouch;
         let mut i = info(0, None, false);
-        assert_eq!(p.decide(&i), FaultAction::RemoteMap { freeze: false });
+        assert_eq!(p.decide(&i, T1), FaultAction::RemoteMap { freeze: false });
         i.write = true;
-        assert_eq!(p.decide(&i), FaultAction::RemoteMap { freeze: false });
+        assert_eq!(p.decide(&i, T1), FaultAction::RemoteMap { freeze: false });
         assert_eq!(p.place_first_touch(5, 99, 8), 5);
     }
 
     #[test]
     fn remote_always_places_off_node() {
-        let p = RemoteAlways;
+        let p = PolicyKind::RemoteAlways;
         for faulter in 0..8 {
             for vpn in 0..64u64 {
                 let home = p.place_first_touch(faulter, vpn, 8);
@@ -530,45 +336,25 @@ mod tests {
         // Uniprocessor degenerate case: nowhere else to go.
         assert_eq!(p.place_first_touch(0, 7, 1), 0);
         assert_eq!(
-            p.decide(&info(0, None, false)),
+            p.decide(&info(0, None, false), T1),
             FaultAction::RemoteMap { freeze: false }
         );
     }
 
     #[test]
     fn ace_bounds_migrations() {
-        let p = AceStyle { max_migrations: 2 };
+        let p = PolicyKind::AceStyle;
         let mut i = info(0, None, false);
         i.write = true;
         i.migrations = 0;
-        assert_eq!(p.decide(&i), FaultAction::Replicate);
-        i.migrations = 2;
-        assert_eq!(p.decide(&i), FaultAction::RemoteMap { freeze: true });
+        assert_eq!(p.decide(&i, T1), FaultAction::Replicate);
+        i.migrations = ACE_MAX_MIGRATIONS;
+        assert_eq!(p.decide(&i, T1), FaultAction::RemoteMap { freeze: true });
         // Read-only data replicates freely.
         i.write = false;
         i.state = CpState::Present1;
         i.migrations = 100;
-        assert_eq!(p.decide(&i), FaultAction::Replicate);
-    }
-
-    #[test]
-    fn kind_round_trips_through_parse() {
-        for kind in [
-            PolicyKind::Platinum,
-            PolicyKind::MigrateOnly,
-            PolicyKind::ReplicateOnly,
-            PolicyKind::LocalFirstTouch,
-            PolicyKind::RemoteAlways,
-            PolicyKind::NeverReplicate,
-            PolicyKind::AlwaysReplicate,
-        ] {
-            let spelled = kind.build().name().to_string();
-            let parsed: PolicyKind = spelled.parse().expect("kebab name parses");
-            // Parsing the built policy's name lands on an equivalent kind
-            // (NeverReplicate builds LocalFirstTouch).
-            assert_eq!(parsed.build().name(), kind.build().name());
-        }
-        assert!("no-such-policy".parse::<PolicyKind>().is_err());
+        assert_eq!(p.decide(&i, T1), FaultAction::Replicate);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use platinum_trace::{EventKind, Tracer};
 use crate::coherent::active::ActiveSpace;
 use crate::coherent::cpage::{Cpage, CpageInner, CpageTable};
 use crate::coherent::defrost::DefrostState;
-use crate::coherent::policy::{PlacementPolicy, PlatinumPolicy};
+use crate::coherent::policy::PolicyKind;
 use crate::coherent::reclaim::ReclaimState;
 use crate::error::{KernelError, Result};
 use crate::hostprof::HostProf;
@@ -42,16 +42,17 @@ pub enum ShootdownMode {
 /// Kernel configuration.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
+    /// Freeze window t1 (§4.2; the paper sets 10 ms and reports
+    /// insensitivity from 10 ms up to about 100 ms): a miss on a page
+    /// invalidated less than t1 ago freezes it under the PLATINUM
+    /// policies.
+    pub t1_freeze_ns: u64,
     /// Defrost daemon period t2 (§4.2; the paper sets 1 s).
     pub t2_defrost_ns: u64,
     /// Shootdown mechanism.
     pub shootdown: ShootdownMode,
-    /// The placement policy the kernel runs — the installed object
-    /// itself, so what was configured is what [`Kernel::policy`] returns.
-    /// Anything in the family converts: `PolicyKind::MigrateOnly.into()`,
-    /// `AceStyle { max_migrations: 5 }.into()`, or an `Arc` of a policy
-    /// defined elsewhere.
-    pub policy: Arc<dyn PlacementPolicy>,
+    /// The placement policy the kernel runs.
+    pub policy: PolicyKind,
     /// Deterministic fault-injection plan, if any. With `None` (the
     /// default) every injection hook is a single pointer test and the
     /// kernel behaves bit-identically to a build without the subsystem.
@@ -66,9 +67,10 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         Self {
+            t1_freeze_ns: 10_000_000,
             t2_defrost_ns: 1_000_000_000,
             shootdown: ShootdownMode::PerProcessorPmap,
-            policy: Arc::new(PlatinumPolicy::paper_default()),
+            policy: PolicyKind::Platinum,
             faults: None,
             ptable: PtableConfig::default(),
         }
@@ -163,8 +165,8 @@ impl Kernel {
     }
 
     /// The active placement policy.
-    pub fn policy(&self) -> &dyn PlacementPolicy {
-        self.cfg.policy.as_ref()
+    pub fn policy(&self) -> PolicyKind {
+        self.cfg.policy
     }
 
     /// The installed fault-injection plan, if any. `None` on healthy
@@ -474,8 +476,9 @@ mod tests {
     #[test]
     fn default_config() {
         let k = kernel();
+        assert_eq!(k.config().t1_freeze_ns, 10_000_000);
         assert_eq!(k.config().t2_defrost_ns, 1_000_000_000);
         assert_eq!(k.config().shootdown, ShootdownMode::PerProcessorPmap);
-        assert_eq!(k.policy().name(), "platinum");
+        assert_eq!(k.policy(), PolicyKind::Platinum);
     }
 }

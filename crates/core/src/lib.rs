@@ -20,8 +20,10 @@
 //!    NUMA-specific option of *remote mapping* — the ability to disable
 //!    caching block-by-block when fine-grain write-sharing would make the
 //!    protocol more expensive than remote access. Includes the
-//!    replication [`coherent::policy`] family, the freeze/defrost
-//!    machinery, and the shootdown mechanism.
+//!    replication policy family ([`PolicyKind`], the one policy type;
+//!    the kernel runs `KernelConfig::policy` with the freeze window
+//!    `KernelConfig::t1_freeze_ns`), the freeze/defrost machinery, and
+//!    the shootdown mechanism.
 //! 3. **Physical map** ([`pmap`]): per-processor, per-space translation
 //!    caches backing the hardware ATC.
 //!
@@ -66,11 +68,7 @@ mod lockstep;
 mod user;
 
 pub use coherent::cpage::{CpState, Cpage, CpageInner};
-pub use coherent::policy::PolicyKind;
-pub use coherent::policy::{
-    AceStyle, AlwaysReplicate, FaultAction, FaultInfo, LocalFirstTouch, MigrateOnly,
-    PlacementPolicy, PlatinumPolicy, RemoteAlways, ReplicateOnly,
-};
+pub use coherent::policy::{FaultAction, FaultInfo, PolicyKind, ACE_MAX_MIGRATIONS};
 pub use error::{KernelError, Result};
 pub use ids::{AsId, CpageId, ObjId, PortId, Rights, ThreadId};
 pub use kernel::{Kernel, KernelConfig, ShootdownMode};

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{Kernel, KernelConfig, PlatinumPolicy, Rights};
+use platinum::{Kernel, KernelConfig, PolicyKind, Rights};
 
 struct Counting;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -47,15 +47,12 @@ fn steady_state_fault_path_is_allocation_free() {
         ..MachineConfig::default()
     })
     .unwrap();
-    // t1 = 0: invalidations are never "recent", so the page migrates on
-    // every write fault and never freezes — the pure slow-path regime.
+    // Always-replicate: the page migrates on every write fault and never
+    // freezes — the pure slow-path regime.
     let kernel = Kernel::boot(
         machine,
         KernelConfig {
-            policy: Arc::new(PlatinumPolicy {
-                t1_ns: 0,
-                ..PlatinumPolicy::paper_default()
-            }),
+            policy: PolicyKind::AlwaysReplicate,
             ..KernelConfig::default()
         },
     );

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{AlwaysReplicate, Kernel, KernelConfig, Rights};
+use platinum::{Kernel, KernelConfig, PolicyKind, Rights};
 
 fn machine(nodes: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -149,7 +149,7 @@ fn always_replicate_is_coherent_under_contention() {
     let kernel = Kernel::boot(
         machine(THREADS),
         KernelConfig {
-            policy: Arc::new(AlwaysReplicate),
+            policy: PolicyKind::AlwaysReplicate,
             ..KernelConfig::default()
         },
     );

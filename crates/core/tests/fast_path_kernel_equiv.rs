@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use numa_machine::{AccessCounters, Machine, MachineConfig, Mem, ProcSet};
 use platinum::trace::{EventKind, Tracer};
-use platinum::{AlwaysReplicate, FaultPlan, Kernel, KernelConfig, Rights, StatsSnapshot, UserCtx};
+use platinum::{FaultPlan, Kernel, KernelConfig, PolicyKind, Rights, StatsSnapshot, UserCtx};
 
 fn machine(nodes: usize, fast_path: bool) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -172,7 +172,7 @@ fn fast_path_equivalence_holds_under_injection() {
 }
 
 /// Concurrent stress: eight free-running threads race read faults over
-/// 32 pages under AlwaysReplicate. Which thread first-touches a page, and
+/// 32 pages under always-replicate. Which thread first-touches a page, and
 /// how many lose that race into `vm_fault`, is the host scheduler's
 /// choice; asserted here is only what every schedule yields — each
 /// processor ends with a local replica of every page.
@@ -183,7 +183,7 @@ fn concurrent_read_faults_converge_on_the_schedule_invariant_state() {
     let kernel = Kernel::boot(
         machine(P, true),
         KernelConfig {
-            policy: Arc::new(AlwaysReplicate),
+            policy: PolicyKind::AlwaysReplicate,
             ..KernelConfig::default()
         },
     );

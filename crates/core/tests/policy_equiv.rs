@@ -1,20 +1,20 @@
-//! Property test: the PLATINUM policy behind the new [`PlacementPolicy`]
-//! trait decides exactly as the pre-refactor inline logic did.
+//! Property test: the PLATINUM policy, [`PolicyKind::Platinum`] and
+//! [`PolicyKind::PlatinumThawOnAccess`], decides exactly as the logic
+//! once inlined in the fault path did.
 //!
-//! The policy-lab refactor carved the replication decision out of the
-//! fault path into a trait object. The paper's numbers depend on the
-//! decision function staying *bit-identical* — a policy that freezes one
-//! fault earlier or later changes every virtual time downstream. This
-//! test transcribes the pre-refactor decision function verbatim and
-//! replays random fault streams through both, for both the paper-default
-//! and the thaw-on-access variants.
+//! The replication decision was carved out of the fault path into the
+//! policy module. The paper's numbers depend on the decision function
+//! staying *bit-identical* — a policy that freezes one fault earlier or
+//! later changes every virtual time downstream. This test transcribes the
+//! original inline decision function verbatim and replays random fault
+//! streams through both, for both the paper-default and the
+//! thaw-on-access variants, at the kernel's default freeze window.
 
-use platinum::{CpState, FaultAction, FaultInfo, PlacementPolicy, PlatinumPolicy};
+use platinum::{CpState, FaultAction, FaultInfo, KernelConfig, PolicyKind};
 use proptest::prelude::*;
 
-/// The §4.2 decision logic exactly as it was inlined before the
-/// `PlacementPolicy` trait existed (freeze window `t1_ns`, optional
-/// thaw-on-access variant).
+/// The §4.2 decision logic exactly as it was inlined in the fault path
+/// (freeze window `t1_ns`, optional thaw-on-access variant).
 fn legacy_decide(t1_ns: u64, thaw_on_access: bool, info: &FaultInfo) -> FaultAction {
     let recently_invalidated = match info.last_invalidation {
         Some(t) => info.now.saturating_sub(t) < t1_ns,
@@ -50,7 +50,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
-    fn platinum_trait_matches_prerefactor_inline_logic(
+    fn platinum_kind_matches_prerefactor_inline_logic(
         // Times near the t1 = 10 ms boundary are the interesting region;
         // the stream also crosses it from both sides.
         now in 0u64..40_000_000,
@@ -69,11 +69,14 @@ proptest! {
             state,
             write,
         };
-        let policy = PlatinumPolicy { thaw_on_access, ..PlatinumPolicy::paper_default() };
-        let t1 = PlatinumPolicy::paper_default().t1_ns;
-        let via_trait: &dyn PlacementPolicy = &policy;
+        let kind = if thaw_on_access {
+            PolicyKind::PlatinumThawOnAccess
+        } else {
+            PolicyKind::Platinum
+        };
+        let t1 = KernelConfig::default().t1_freeze_ns;
         prop_assert_eq!(
-            via_trait.decide(&info),
+            kind.decide(&info, t1),
             legacy_decide(t1, thaw_on_access, &info),
             "decision diverged for {:?} (thaw_on_access={})", info, thaw_on_access
         );
@@ -83,9 +86,9 @@ proptest! {
 /// The boundary cases the random stream might miss: exactly at the
 /// freeze window, one below, one above, and the no-history case.
 #[test]
-fn platinum_trait_matches_at_t1_boundary() {
-    let policy = PlatinumPolicy::paper_default();
-    let t1 = policy.t1_ns;
+fn platinum_kind_matches_at_t1_boundary() {
+    let t1 = KernelConfig::default().t1_freeze_ns;
+    assert_eq!(t1, 10_000_000, "the paper's t1 is 10 ms");
     for (now, last) in [
         (t1, Some(0)),
         (t1 - 1, Some(0)),
@@ -94,7 +97,12 @@ fn platinum_trait_matches_at_t1_boundary() {
         (u64::MAX, Some(u64::MAX)),
         (0, None),
     ] {
-        for frozen in [false, true] {
+        for (frozen, kind, thaw_on_access) in [
+            (false, PolicyKind::Platinum, false),
+            (true, PolicyKind::Platinum, false),
+            (false, PolicyKind::PlatinumThawOnAccess, true),
+            (true, PolicyKind::PlatinumThawOnAccess, true),
+        ] {
             let info = FaultInfo {
                 now,
                 last_invalidation: last,
@@ -104,9 +112,9 @@ fn platinum_trait_matches_at_t1_boundary() {
                 write: false,
             };
             assert_eq!(
-                policy.decide(&info),
-                legacy_decide(t1, false, &info),
-                "boundary case diverged: now={now} last={last:?} frozen={frozen}"
+                kind.decide(&info, t1),
+                legacy_decide(t1, thaw_on_access, &info),
+                "boundary case diverged: {kind:?} now={now} last={last:?} frozen={frozen}"
             );
         }
     }

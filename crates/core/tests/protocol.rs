@@ -10,10 +10,7 @@
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{
-    AceStyle, AlwaysReplicate, CpState, Kernel, KernelConfig, LocalFirstTouch, PlacementPolicy,
-    PlatinumPolicy, PolicyKind, Rights, UserCtx,
-};
+use platinum::{CpState, Kernel, KernelConfig, PolicyKind, Rights, UserCtx, ACE_MAX_MIGRATIONS};
 
 fn machine(nodes: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -25,10 +22,7 @@ fn machine(nodes: usize) -> Arc<Machine> {
     .unwrap()
 }
 
-fn setup_with_policy(
-    nodes: usize,
-    policy: Arc<dyn PlacementPolicy>,
-) -> (Arc<Kernel>, u64, Vec<UserCtx>) {
+fn setup_with_policy(nodes: usize, policy: PolicyKind) -> (Arc<Kernel>, u64, Vec<UserCtx>) {
     let kernel = Kernel::boot(
         machine(nodes),
         KernelConfig {
@@ -46,7 +40,7 @@ fn setup_with_policy(
 }
 
 fn setup(nodes: usize) -> (Arc<Kernel>, u64, Vec<UserCtx>) {
-    setup_with_policy(nodes, PolicyKind::Platinum.into())
+    setup_with_policy(nodes, PolicyKind::Platinum)
 }
 
 /// State snapshot helpers.
@@ -299,11 +293,7 @@ fn explicit_thaw() {
 
 #[test]
 fn thaw_on_access_variant_replicates_after_t1() {
-    let policy = PlatinumPolicy {
-        t1_ns: 10_000_000,
-        thaw_on_access: true,
-    };
-    let (kernel, va, mut ctxs) = setup_with_policy(3, Arc::new(policy));
+    let (kernel, va, mut ctxs) = setup_with_policy(3, PolicyKind::PlatinumThawOnAccess);
     ctxs[0].write(va, 1);
     ctxs[0].suspend();
     ctxs[1].write(va, 2);
@@ -349,7 +339,7 @@ fn thaw_on_access_variant_replicates_after_t1() {
 
 #[test]
 fn never_replicate_remote_maps() {
-    let (kernel, va, mut ctxs) = setup_with_policy(3, Arc::new(LocalFirstTouch));
+    let (kernel, va, mut ctxs) = setup_with_policy(3, PolicyKind::LocalFirstTouch);
     ctxs[0].write(va, 42);
     assert_eq!(ctxs[1].read(va), 42);
     assert_eq!(ctxs[2].read(va), 42);
@@ -368,7 +358,7 @@ fn never_replicate_remote_maps() {
 
 #[test]
 fn never_replicate_remote_write_keeps_placement() {
-    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(LocalFirstTouch));
+    let (kernel, va, mut ctxs) = setup_with_policy(2, PolicyKind::LocalFirstTouch);
     ctxs[0].write(va, 1);
     ctxs[0].suspend();
     ctxs[1].write(va, 2);
@@ -398,7 +388,7 @@ fn first_touch_zero_fills_a_recycled_frame() {
     let kernel = Kernel::boot(
         machine,
         KernelConfig {
-            policy: Arc::new(AlwaysReplicate),
+            policy: PolicyKind::AlwaysReplicate,
             ..KernelConfig::default()
         },
     );
@@ -425,7 +415,7 @@ fn first_touch_zero_fills_a_recycled_frame() {
 
 #[test]
 fn always_replicate_never_freezes() {
-    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(AlwaysReplicate));
+    let (kernel, va, mut ctxs) = setup_with_policy(2, PolicyKind::AlwaysReplicate);
     for round in 0..4u32 {
         ctxs[1].suspend();
         ctxs[0].resume();
@@ -446,7 +436,7 @@ fn always_replicate_never_freezes() {
 
 #[test]
 fn ace_style_bounds_migrations_then_freezes() {
-    let (kernel, va, mut ctxs) = setup_with_policy(2, Arc::new(AceStyle { max_migrations: 2 }));
+    let (kernel, va, mut ctxs) = setup_with_policy(2, PolicyKind::AceStyle);
     ctxs[0].write(va, 0);
     for round in 1..6u32 {
         let (a, b) = if round % 2 == 1 { (0, 1) } else { (1, 0) };
@@ -455,7 +445,11 @@ fn ace_style_bounds_migrations_then_freezes() {
         ctxs[b].write(va, round);
     }
     let s = kernel.stats().snapshot();
-    assert_eq!(s.migrations, 2, "ACE migrates at most max_migrations times");
+    assert_eq!(
+        s.migrations,
+        u64::from(ACE_MAX_MIGRATIONS),
+        "ACE migrates at most ACE_MAX_MIGRATIONS times"
+    );
     let page = kernel.cpage_for_va(ctxs[0].space(), va).unwrap();
     assert!(page.lock().frozen, "then freezes in place for good");
 }
@@ -634,7 +628,7 @@ fn aliased_frozen_page() -> (Arc<Kernel>, [u64; 3], Vec<UserCtx>) {
     let kernel = Kernel::boot(
         machine(2),
         KernelConfig {
-            policy: PolicyKind::PlatinumThawOnAccess.into(),
+            policy: PolicyKind::PlatinumThawOnAccess,
             ..KernelConfig::default()
         },
     );

@@ -27,8 +27,8 @@ use std::sync::Arc;
 use numa_machine::{Machine, MachineConfig, Mem, Topology};
 use platinum::trace::Tracer;
 use platinum::{
-    AddressSpace, FaultPlan, Kernel, KernelConfig, PlacementPolicy, PtableConfig, Rights,
-    ShootdownMode, UserCtx,
+    AddressSpace, FaultPlan, Kernel, KernelConfig, PolicyKind, PtableConfig, Rights, ShootdownMode,
+    UserCtx,
 };
 
 use crate::measure::{RunStats, WorkerStats};
@@ -93,12 +93,10 @@ impl SimBuilder {
         self
     }
 
-    /// Installs the placement policy: a [`platinum::PolicyKind`], a
-    /// policy value such as `AceStyle { max_migrations: 5 }`, or an
-    /// already-shared `Arc<dyn PlacementPolicy>`. The last call wins, and
-    /// `sim.kernel.policy()` is the object given here.
-    pub fn policy(mut self, policy: impl Into<Arc<dyn PlacementPolicy>>) -> Self {
-        self.kernel.policy = policy.into();
+    /// Installs the placement policy. The last call wins, and
+    /// `sim.kernel.policy()` is the kind given here.
+    pub fn policy(mut self, policy: PolicyKind) -> Self {
+        self.kernel.policy = policy;
         self
     }
 
@@ -106,6 +104,12 @@ impl SimBuilder {
     /// the Mach-style shared-Pmap comparator).
     pub fn shootdown(mut self, mode: ShootdownMode) -> Self {
         self.kernel.shootdown = mode;
+        self
+    }
+
+    /// Freeze window t1, in virtual nanoseconds.
+    pub fn freeze_ns(mut self, t1: u64) -> Self {
+        self.kernel.t1_freeze_ns = t1;
         self
     }
 
@@ -264,7 +268,7 @@ impl Sim {
 mod tests {
     use super::*;
     use numa_machine::Mem;
-    use platinum::{AceStyle, PolicyKind};
+    use platinum::PolicyKind;
 
     #[test]
     fn builder_boots_and_spawns() {
@@ -319,26 +323,42 @@ mod tests {
     }
 
     #[test]
+    fn builder_default_freeze_window_matches_paper() {
+        // §4.2: the freeze window t1 is 10 ms. The builder must boot
+        // with exactly that unless overridden.
+        let sim = SimBuilder::nodes(2).build();
+        assert_eq!(sim.kernel.config().t1_freeze_ns, 10_000_000);
+        let sim = SimBuilder::nodes(2).freeze_ns(30_000_000).build();
+        assert_eq!(sim.kernel.config().t1_freeze_ns, 30_000_000);
+    }
+
+    #[test]
     fn policy_setter_installs_what_it_is_given() {
-        for kind in PolicyKind::FIG1_SET {
+        let every = [
+            PolicyKind::Platinum,
+            PolicyKind::PlatinumThawOnAccess,
+            PolicyKind::MigrateOnly,
+            PolicyKind::ReplicateOnly,
+            PolicyKind::LocalFirstTouch,
+            PolicyKind::RemoteAlways,
+            PolicyKind::NeverReplicate,
+            PolicyKind::AlwaysReplicate,
+            PolicyKind::AceStyle,
+        ];
+        for kind in every {
             let sim = SimBuilder::nodes(2).policy(kind).build();
-            assert_eq!(sim.kernel.policy().name(), kind.build().name());
+            assert_eq!(sim.kernel.policy(), kind);
         }
-        // A policy object, and the last call wins in either order.
+        // The last call wins.
         let sim = SimBuilder::nodes(2)
             .policy(PolicyKind::RemoteAlways)
-            .policy(AceStyle { max_migrations: 5 })
+            .policy(PolicyKind::AceStyle)
             .build();
-        assert_eq!(sim.kernel.policy().name(), "ace-style");
-        let sim = SimBuilder::nodes(2)
-            .policy(AceStyle { max_migrations: 5 })
-            .policy(PolicyKind::RemoteAlways)
-            .build();
-        assert_eq!(sim.kernel.policy().name(), "remote-always");
+        assert_eq!(sim.kernel.policy(), PolicyKind::AceStyle);
         // No call at all: the paper's policy.
         assert_eq!(
-            SimBuilder::nodes(2).build().kernel.policy().name(),
-            "platinum"
+            SimBuilder::nodes(2).build().kernel.policy(),
+            PolicyKind::Platinum
         );
     }
 

@@ -12,10 +12,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use platinum_repro::kernel::trace::{EventKind, Tracer};
-use platinum_repro::kernel::{
-    AceStyle, AlwaysReplicate, Kernel, LocalFirstTouch, PlacementPolicy, PlatinumPolicy, Rights,
-    UserCtx,
-};
+use platinum_repro::kernel::{Kernel, PolicyKind, Rights, UserCtx};
 use platinum_repro::machine::{MachineConfig, Mem};
 use platinum_repro::runtime::sim::SimBuilder;
 
@@ -51,17 +48,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn policy_strategy() -> impl Strategy<Value = usize> {
-    0..4usize
-}
+const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::Platinum,
+    PolicyKind::LocalFirstTouch,
+    PolicyKind::AlwaysReplicate,
+    PolicyKind::AceStyle,
+];
 
-fn build_policy(which: usize) -> Arc<dyn PlacementPolicy> {
-    match which {
-        0 => Arc::new(PlatinumPolicy::paper_default()),
-        1 => Arc::new(LocalFirstTouch),
-        2 => Arc::new(AlwaysReplicate),
-        _ => Arc::new(AceStyle::default()),
-    }
+fn policy_strategy() -> impl Strategy<Value = PolicyKind> {
+    (0..POLICIES.len()).prop_map(|i| POLICIES[i])
 }
 
 struct Fixture {
@@ -72,7 +67,7 @@ struct Fixture {
 }
 
 impl Fixture {
-    fn new(which_policy: usize) -> Self {
+    fn new(policy: PolicyKind) -> Self {
         let sim = SimBuilder::nodes(PROCS)
             .machine_config(MachineConfig {
                 nodes: PROCS,
@@ -80,7 +75,7 @@ impl Fixture {
                 skew_window_ns: None,
                 ..MachineConfig::default()
             })
-            .policy(build_policy(which_policy))
+            .policy(policy)
             .build();
         let (kernel, space) = (sim.kernel, sim.space);
         let object = kernel.create_object(PAGES);
@@ -138,10 +133,10 @@ proptest! {
 
     #[test]
     fn protocol_matches_flat_memory_oracle(
-        which_policy in policy_strategy(),
+        policy in policy_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        let mut fx = Fixture::new(which_policy);
+        let mut fx = Fixture::new(policy);
         let mut oracle = vec![0u32; PAGES * WORDS_PER_PAGE as usize];
 
         for op in &ops {
@@ -188,10 +183,10 @@ proptest! {
 
     #[test]
     fn frames_are_conserved(
-        which_policy in policy_strategy(),
+        policy in policy_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..80),
     ) {
-        let mut fx = Fixture::new(which_policy);
+        let mut fx = Fixture::new(policy);
         for op in &ops {
             match *op {
                 Op::Read { proc, word } => {
@@ -239,14 +234,14 @@ proptest! {
     /// fault that began always ends on the same processor with its begin
     /// time in hand, and — for the paper's policy, which only freezes a
     /// page whose invalidation history is hot — every freeze is preceded
-    /// by an invalidation of that same page. (`AceStyle` deliberately
-    /// freezes without invalidating, so that clause is Platinum-only.)
+    /// by an invalidation of that same page. (ACE-style deliberately
+    /// freezes without invalidating, so that clause is PLATINUM-only.)
     #[test]
     fn trace_ordering_invariants(
-        which_policy in policy_strategy(),
+        policy in policy_strategy(),
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        let mut fx = Fixture::new(which_policy);
+        let mut fx = Fixture::new(policy);
         let tracer = Tracer::new();
         prop_assert!(fx.kernel.install_tracer(Arc::clone(&tracer)));
         for op in &ops {
@@ -291,10 +286,10 @@ proptest! {
                     let f = frozen.entry(e.page).or_insert(false);
                     prop_assert!(!*f, "page {} frozen twice with no thaw between", e.page);
                     *f = true;
-                    if which_policy == 0 {
+                    if policy == PolicyKind::Platinum {
                         prop_assert!(
                             invalidated.contains(&e.page),
-                            "PlatinumPolicy froze page {} with no prior invalidation",
+                            "PLATINUM froze page {} with no prior invalidation",
                             e.page
                         );
                     }
