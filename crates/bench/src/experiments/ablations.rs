@@ -23,8 +23,8 @@
 //! `larger_pages_slower_for_sub_page_rows`. `--variant` prints its
 //! comparison for the reader to judge.
 
+use crate::report::Table;
 use numa_machine::MachineConfig;
-use platinum_analysis::report::Table;
 use platinum_apps::gauss::{Gauss, GaussConfig, COMPUTE_NS_PER_ELEM};
 use platinum_apps::harness::{run_gauss, run_gauss_anecdote, GaussStyle, PolicyKind};
 use platinum_apps::neural::{Neural, NeuralConfig};

@@ -20,7 +20,7 @@
 //! co-located layout — applies once the frozen run outlasts t2 = 1 s;
 //! a smaller run ends before the defrost daemon first wakes.
 
-use platinum_analysis::report::Table;
+use crate::report::Table;
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::harness::run_gauss_anecdote;
 

@@ -11,10 +11,10 @@
 //! reference. `--procs P` (2) sets the number of processors taking
 //! turns, `--ops N` (40) the operations each performs.
 
+use crate::model::{g_round_robin, CostModel};
+use crate::report::Table;
 use numa_machine::{Mem, TimingConfig};
 use platinum::Lockstep;
-use platinum_analysis::model::{g_round_robin, CostModel};
-use platinum_analysis::report::Table;
 use platinum_apps::harness::PolicyKind;
 use platinum_apps::workloads::{operation_for_benchmarks, SharingConfig};
 use platinum_runtime::sim::SimBuilder;

@@ -18,8 +18,8 @@
 //! within the band of, a processor's share of one elimination step:
 //! below that the copy, not the elimination, is what the run measures.
 
+use crate::report::{ascii_chart, series_artifact, Series, Table};
 use numa_machine::{MachineConfig, BLOCK_WORD_NS};
-use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
 use platinum_apps::gauss::{GaussConfig, COMPUTE_NS_PER_ELEM};
 use platinum_apps::harness::{run_gauss, GaussStyle, PolicyKind};
 

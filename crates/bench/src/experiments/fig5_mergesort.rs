@@ -14,8 +14,8 @@
 //! processor's share of the keys no longer fits the comparator's cache:
 //! the paper's explanation starts from a cache too small for the data.
 
+use crate::report::{ascii_chart, series_artifact, Series, Table};
 use numa_machine::uma::CACHE_BYTES;
-use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
 use platinum_apps::harness::{run_mergesort_platinum, run_mergesort_uma};
 use platinum_apps::mergesort::SortConfig;
 

@@ -16,8 +16,8 @@
 //! slope is the steady state's, in which frozen pages are thawed every
 //! t2 and freeze again; it applies once the serial run lasts at least t2.
 
+use crate::report::{ascii_chart, series_artifact, Series, Table};
 use platinum::KernelConfig;
-use platinum_analysis::report::{ascii_chart, series_artifact, Series, Table};
 use platinum_apps::harness::run_neural;
 use platinum_apps::neural::NeuralConfig;
 

@@ -4,7 +4,7 @@
 //!
 //! Every ATC miss triggers a simulated multi-level page-table walk
 //! charged against the node homing the walked structures (see
-//! `platinum-ptable`). This benchmark sweeps where those structures
+//! `platinum::ptable`). This benchmark sweeps where those structures
 //! live:
 //!
 //!   * `centralized` — canonical tables on the space's home node; walks
@@ -55,10 +55,10 @@
 //! the replicated fabric costing about half the centralized one. An
 //! explicit `--pings` applies to every machine of the sweep.
 
+use crate::report::Table;
 use numa_machine::{MachineConfig, Topology};
 use platinum::trace::json::Value;
 use platinum::{PolicyKind, PtableConfig, PtablePlacement, WalkSnapshot};
-use platinum_analysis::report::Table;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
 

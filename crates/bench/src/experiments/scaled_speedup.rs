@@ -17,7 +17,7 @@
 //! `--base-n N` (128) is the p = 1 matrix; `--max-procs P` (8) ends the
 //! comparison.
 
-use platinum_analysis::report::Table;
+use crate::report::Table;
 use platinum_apps::gauss::GaussConfig;
 use platinum_apps::harness::{run_gauss, GaussStyle, PolicyKind};
 

@@ -15,8 +15,8 @@
 //!   Black et al. for the Mach shared-Pmap mechanism on an Encore
 //!   Multimax (modelled by the `SharedPmapStall` comparator).
 
+use crate::report::Table;
 use numa_machine::{Machine, MachineConfig, Mem, ProcCore};
-use platinum_analysis::report::Table;
 
 use crate::micro::{vcost, MicroBench};
 use crate::run::{Artifact, Run};

@@ -16,9 +16,9 @@
 //! fixed; the artifact's `config` object records them with the flags,
 //! so a baseline regenerates from its own `config`.
 
+use crate::report::Table;
 use numa_machine::MachineConfig;
 use platinum::trace::json::Value;
-use platinum_analysis::report::Table;
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_server::{
     run_open_loop, DriverReport, FlowConfig, FlowTables, KvConfig, KvTable, Request, TrafficConfig,

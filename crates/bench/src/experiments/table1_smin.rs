@@ -6,8 +6,8 @@
 //! Butterfly Plus latencies (`--overhead-ns N` then overrides the fixed
 //! overhead F).
 
-use platinum_analysis::model::{table1, CostModel, TABLE1_GS};
-use platinum_analysis::report::Table;
+use crate::model::{table1, CostModel, TABLE1_GS};
+use crate::report::Table;
 
 use crate::run::{Artifact, Run};
 

@@ -92,7 +92,7 @@ pub(crate) fn run(run: &mut Run) {
     );
     println!(
         "{}\n",
-        platinum_analysis::report::atc_summary(&app.run.merged_counters())
+        crate::report::atc_summary(&app.run.merged_counters())
     );
     println!("event totals:");
     for (kind, c) in totals {

@@ -8,8 +8,10 @@
 //! `fn(&mut Run)`, and [`repro`] dispatches to it. What every experiment
 //! needs around its measurement lives once, in `run` (shared flags,
 //! tracer, named checks, artifact, exit status) and `args` (the flag
-//! grammar); `micro` is the §4 measurement fixture. Host time is
-//! measured by `benchmark/` (perf_ledger), not here.
+//! grammar); `micro` is the §4 measurement fixture, `model` the §4.1
+//! analytic model and `report` the tables, charts and series every
+//! experiment prints. Host time is measured by `benchmark/`
+//! (perf_ledger), not here.
 
 #![warn(missing_docs)]
 
@@ -27,6 +29,8 @@ macro_rules! say {
 
 mod args;
 mod micro;
+mod model;
+mod report;
 mod run;
 
 mod experiments {

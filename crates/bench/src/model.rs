@@ -110,33 +110,11 @@ impl CostModel {
         }
     }
 
-    /// Whether migration pays for a page of `s_words` at density `rho`
-    /// and movement ratio `g`.
-    pub fn migration_pays(&self, s_words: u64, rho: f64, g: f64) -> bool {
-        match self.s_min(rho, g) {
-            SMin::Words(min) => s_words > min,
-            SMin::Never => false,
-        }
-    }
-
     /// The crossover density for a fixed page size: the ρ above which
     /// migration pays for a page of `s_words`.
     pub fn crossover_density(&self, s_words: u64, g: f64) -> f64 {
         // From s = coef·g / (ρ − ratio·g):  ρ* = coef·g/s + ratio·g.
         self.overhead_coefficient() * g / s_words as f64 + self.block_ratio() * g
-    }
-
-    /// Predicted cost of one operation (ρ·s references) under the
-    /// remote-access strategy, ns.
-    pub fn op_cost_remote(&self, s_words: u64, rho: f64) -> f64 {
-        rho * s_words as f64 * self.t_remote_ns
-    }
-
-    /// Predicted amortized cost of one operation under the migration
-    /// strategy, ns.
-    pub fn op_cost_migrate(&self, s_words: u64, rho: f64, g: f64) -> f64 {
-        g * (s_words as f64 * self.t_block_ns + self.overhead_ns)
-            + rho * s_words as f64 * self.t_local_ns
     }
 }
 
@@ -173,7 +151,33 @@ pub fn table1(model: &CostModel) -> Vec<(f64, [SMin; 3])> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The model's predictions, which only these tests read: whether
+    /// migration pays, and each strategy's cost per operation.
+    impl CostModel {
+        fn migration_pays(&self, s_words: u64, rho: f64, g: f64) -> bool {
+            match self.s_min(rho, g) {
+                SMin::Words(min) => s_words > min,
+                SMin::Never => false,
+            }
+        }
+
+        /// Predicted cost of one operation (ρ·s references) under the
+        /// remote-access strategy, ns.
+        fn op_cost_remote(&self, s_words: u64, rho: f64) -> f64 {
+            rho * s_words as f64 * self.t_remote_ns
+        }
+
+        /// Predicted amortized cost of one operation under the migration
+        /// strategy, ns.
+        fn op_cost_migrate(&self, s_words: u64, rho: f64, g: f64) -> f64 {
+            g * (s_words as f64 * self.t_block_ns + self.overhead_ns)
+                + rho * s_words as f64 * self.t_local_ns
+        }
+    }
 
     #[test]
     fn paper_coefficients() {
@@ -264,5 +268,48 @@ mod tests {
     fn smin_display() {
         assert_eq!(SMin::Words(141).to_string(), "141");
         assert_eq!(SMin::Never.to_string(), "never");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn smin_monotonic_in_density_and_g(
+            rho in 0.05f64..3.0,
+            g in 0.3f64..3.0,
+        ) {
+            let m = CostModel::paper();
+            // Larger density can only shrink (or keep) the minimum page size.
+            if let (SMin::Words(a), SMin::Words(b)) = (m.s_min(rho, g), m.s_min(rho + 0.2, g)) {
+                prop_assert!(b <= a, "S_min must fall as density rises: {a} -> {b}");
+            }
+            // Larger g (more data movements per saved remote op) can only
+            // grow it — or push it to "never".
+            match (m.s_min(rho, g), m.s_min(rho, g * 1.5)) {
+                (SMin::Words(a), SMin::Words(b)) => prop_assert!(b >= a),
+                (SMin::Never, SMin::Words(_)) => {
+                    prop_assert!(false, "never cannot become feasible as g grows")
+                }
+                _ => {}
+            }
+        }
+
+        #[test]
+        fn g_round_robin_decreases(p in 2usize..60) {
+            prop_assert!(g_round_robin(p + 1) < g_round_robin(p));
+            prop_assert!(g_round_robin(p) > 1.0);
+        }
+
+        #[test]
+        fn crossover_density_is_consistent_with_s_min(
+            s_exp in 6u32..14,
+            g in 0.3f64..2.5,
+        ) {
+            let m = CostModel::paper();
+            let s = 1u64 << s_exp;
+            let rho_star = m.crossover_density(s, g);
+            prop_assert!(m.migration_pays(s, rho_star * 1.05, g));
+            prop_assert!(!m.migration_pays(s, rho_star * 0.95, g));
+        }
     }
 }

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use platinum_trace::json::Value;
+use platinum::trace::json::Value;
 
 /// A simple right-aligned text table.
 #[derive(Clone, Debug)]
@@ -29,16 +29,6 @@ impl Table {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
-    }
-
-    /// The number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -215,8 +205,7 @@ mod tests {
         let mut t = Table::new(vec!["p", "speedup"]);
         t.row(vec!["1", "1.00"]);
         t.row(vec!["16", "13.50"]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[0].contains("speedup"));

@@ -4,8 +4,11 @@
 //! `paper` job) every paper experiment at its default size.
 
 use std::collections::BTreeSet;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use platinum::trace::json::{self, Value};
 
@@ -23,23 +26,70 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
+#[derive(Debug)]
 struct Output {
     status: i32,
     stdout: String,
     stderr: String,
 }
 
+/// How long one `repro` run may take: well above the slowest paper-size
+/// run (`fig1_gauss`, ~32 s in release on an idle 2-core box), so only a
+/// run that stopped making progress reaches it.
+const DEADLINE: Duration = Duration::from_secs(300);
+
 fn repro(cwd: &Path, args: &[&str]) -> Output {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+    repro_within(cwd, args, DEADLINE)
+}
+
+/// Runs `repro args` in `cwd`. A child still running at `deadline` is
+/// killed and reaped, and the calling test panics naming its arguments
+/// and the time it ran.
+///
+/// The child writes its stdout and stderr to files of its own under
+/// `CARGO_TARGET_TMPDIR`: a pipe nobody drains until exit blocks a child
+/// whose output outgrows it, and `cwd` must hold only what `repro`
+/// writes there itself.
+fn repro_within(cwd: &Path, args: &[&str], deadline: Duration) -> Output {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let logs = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-output");
+    std::fs::create_dir_all(&logs).expect("create the output dir");
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let log = |stream: &str| logs.join(format!("{}-{run}.{stream}", std::process::id()));
+    let (out_path, err_path) = (log("stdout"), log("stderr"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .current_dir(cwd)
         .env_remove("RUST_BACKTRACE")
-        .output()
+        .stdout(File::create(&out_path).expect("create the stdout file"))
+        .stderr(File::create(&err_path).expect("create the stderr file"))
+        .spawn()
         .expect("run repro");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll repro") {
+            break status;
+        }
+        if start.elapsed() >= deadline {
+            let _ = child.kill();
+            child.wait().expect("reap repro");
+            panic!(
+                "`repro {}` still running after {:.1?} (deadline {deadline:?}): killed",
+                args.join(" "),
+                start.elapsed()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let read = |path: &Path| {
+        let text = std::fs::read_to_string(path).expect("UTF-8 output");
+        std::fs::remove_file(path).expect("remove the output file");
+        text
+    };
     Output {
-        status: out.status.code().expect("repro exited"),
-        stdout: String::from_utf8(out.stdout).expect("UTF-8 stdout"),
-        stderr: String::from_utf8(out.stderr).expect("UTF-8 stderr"),
+        status: status.code().expect("repro exited"),
+        stdout: read(&out_path),
+        stderr: read(&err_path),
     }
 }
 
@@ -397,5 +447,28 @@ fn every_paper_experiment_passes_at_paper_size() {
             assert!(!out.stdout.contains(verdict), "{name}: {}", out.stdout);
         }
     }
+    assert_eq!(files_in(&cwd), Vec::<String>::new());
+}
+
+/// A run that outlives its deadline is killed, and the test fails naming
+/// it: a livelocked experiment cannot hang the suite.
+#[test]
+fn an_overrunning_run_is_killed_and_named() {
+    let cwd = scratch("deadline");
+    let start = Instant::now();
+    let panic = std::panic::catch_unwind(|| {
+        repro_within(&cwd, &["fig1_gauss"], Duration::from_millis(200))
+    })
+    .expect_err("a paper-size fig1_gauss cannot finish in 200 ms");
+    let message = panic.downcast_ref::<String>().expect("a formatted message");
+    assert!(
+        message.contains("`repro fig1_gauss` still running after"),
+        "{message}"
+    );
+    assert!(message.ends_with("killed"), "{message}");
+    assert!(
+        start.elapsed() < Duration::from_secs(20),
+        "the child was not killed"
+    );
     assert_eq!(files_in(&cwd), Vec::<String>::new());
 }

@@ -101,14 +101,12 @@ impl Kernel {
     /// Unconditionally runs one defrost pass: thaws every enrolled page
     /// by invalidating all mappings to it.
     ///
-    /// The pass is the flagship [`ShootdownBatch`] client: every frozen
+    /// The pass is the flagship `ShootdownBatch` client: every frozen
     /// page's invalidation directives are posted up front (with per-page
     /// charges and records identical to thawing the pages one at a time)
     /// and all acknowledgments are awaited in a single combined round, so
     /// the daemon pays one IPI round-trip latency for the whole list
     /// instead of one per page.
-    ///
-    /// [`ShootdownBatch`]: crate::coherent::shootdown::ShootdownBatch
     pub fn run_defrost(&self, ctx: &mut UserCtx) {
         ctx.core.charge(costs::DEFROST_RUN_NS);
         let list = self.defrost.take();

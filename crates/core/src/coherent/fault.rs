@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use numa_machine::{AccessErr, AccessKind, PhysPage, ProcSet, Va};
-use platinum_faults::{FaultPlan, FaultSite};
 use platinum_trace::{EventKind, FaultResolution};
 
 use crate::coherent::cmap::{CmapEntry, Directive};
@@ -16,6 +15,7 @@ use crate::coherent::cpage::{CpState, Cpage, CpageInner};
 use crate::coherent::policy::{FaultAction, FaultInfo};
 use crate::costs;
 use crate::error::{KernelError, Result};
+use crate::faults::{FaultPlan, FaultSite};
 use crate::hostprof::HostPhase;
 use crate::kernel::Kernel;
 use crate::user::UserCtx;
@@ -67,7 +67,7 @@ impl Kernel {
         // Under the replicate-on-fault placement, the kernel builds this
         // node's translation replica while it is already in the fault
         // handler (one branch otherwise).
-        self.ptable_populate_on_fault(ctx);
+        ctx.ptable_populate_on_fault();
 
         let vpn = ctx.space().vpn_of(va);
         // Cmap lookup, charged at the space's home node (§3.3: "the Cpage

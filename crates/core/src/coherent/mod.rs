@@ -10,8 +10,6 @@
 //! * [`policy`] — the replication policy family, [`policy::PolicyKind`] (§4.2),
 //! * `fault` — the coherent page fault handler (§3.3),
 //! * `shootdown` — the NUMA shootdown mechanism (§3.1),
-//! * `ptable` — the kernel side of the translation fabric: replica
-//!   population on faults and replica invalidation on shootdowns,
 //! * `scratch` — per-processor allocation-free slow-path pools,
 //! * [`defrost`] — the defrost daemon (§4.2).
 
@@ -22,7 +20,6 @@ pub mod defrost;
 pub mod policy;
 
 mod fault;
-pub(crate) mod ptable;
 pub(crate) mod reclaim;
 pub(crate) mod scratch;
 pub(crate) mod shootdown;

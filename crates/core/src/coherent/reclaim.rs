@@ -49,13 +49,11 @@ impl Kernel {
     ///
     /// Returns [`KernelError::Access`] when no region starts at `va`.
     ///
-    /// The whole region is shot down as one [coalesced batch]: every
+    /// The whole region is shot down as one coalesced batch: every
     /// page's invalidation directive is posted (with the same per-page
     /// charges, records, and doorbell interrupts as a page-at-a-time
     /// teardown, so the observable behaviour is identical), and the
     /// acknowledgment wait runs once at the end instead of once per page.
-    ///
-    /// [coalesced batch]: crate::coherent::shootdown::ShootdownBatch
     pub fn unmap(&self, ctx: &mut UserCtx, va: Va) -> Result<()> {
         let space = Arc::clone(ctx.space());
         let region = space.unmap_region(va).ok_or(KernelError::Access(

@@ -34,13 +34,12 @@
 use std::sync::Arc;
 
 use numa_machine::{AccessKind, PhysPage, ProcCore, ProcSet, IPI_NS};
-
-use platinum_faults::{FaultPlan, FaultSite};
 use platinum_trace::EventKind;
 
 use crate::coherent::cmap::{CmapMsg, Directive};
 use crate::coherent::cpage::CpageInner;
 use crate::costs;
+use crate::faults::{FaultPlan, FaultSite};
 use crate::hostprof::HostPhase;
 use crate::ids::CpageId;
 use crate::kernel::{Kernel, ShootdownMode};

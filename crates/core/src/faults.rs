@@ -16,8 +16,6 @@
 //! terminates with a forced success (possibly after escalating to a
 //! degraded mode such as freezing the page).
 
-#![warn(missing_docs)]
-
 use std::fmt;
 
 /// Where in the protocol a fault can be injected.

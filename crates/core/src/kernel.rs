@@ -6,8 +6,6 @@ use std::sync::Arc;
 use parking_lot::{MutexGuard, RwLock};
 
 use numa_machine::{Machine, ProcCore};
-use platinum_faults::FaultPlan;
-use platinum_ptable::{PtableConfig, WalkSnapshot, WalkStats};
 use platinum_trace::{EventKind, Tracer};
 
 use crate::coherent::active::ActiveSpace;
@@ -16,9 +14,11 @@ use crate::coherent::defrost::DefrostState;
 use crate::coherent::policy::PolicyKind;
 use crate::coherent::reclaim::ReclaimState;
 use crate::error::{KernelError, Result};
+use crate::faults::FaultPlan;
 use crate::hostprof::HostProf;
 use crate::ids::{AsId, ObjId, PortId, ThreadId};
 use crate::port::Port;
+use crate::ptable::{PtableConfig, WalkSnapshot};
 use crate::stats::{KernelStats, MemoryReport};
 use crate::thread::{ThreadInfo, ThreadTable};
 use crate::user::UserCtx;
@@ -114,11 +114,6 @@ pub struct Kernel {
     pub(crate) reclaim: ReclaimState,
     pub(crate) threads: ThreadTable,
     pub(crate) hostprof: HostProf,
-    /// Translation-fabric tallies (walk/populate/invalidation virtual
-    /// time). Held outside [`KernelStats`]: the centralized placement
-    /// *accounts* walks here without charging or recording them, so this
-    /// state is deliberately invisible to the equivalence suites.
-    pub(crate) walk_stats: WalkStats,
 }
 
 impl Kernel {
@@ -136,7 +131,6 @@ impl Kernel {
         let defrost = DefrostState::new(cfg.t2_defrost_ns);
         let reclaim = ReclaimState::new(machine.nprocs());
         let stats = KernelStats::new(machine.nprocs());
-        let walk_stats = WalkStats::new(machine.nprocs());
         Arc::new(Self {
             machine,
             cfg,
@@ -150,7 +144,6 @@ impl Kernel {
             reclaim,
             threads: ThreadTable::new(),
             hostprof: HostProf::default(),
-            walk_stats,
         })
     }
 
@@ -304,7 +297,7 @@ impl Kernel {
     /// tallies (virtual time, accounted per placement; see
     /// [`WalkSnapshot`] for the derived locality metrics).
     pub fn walk_snapshot(&self) -> WalkSnapshot {
-        self.walk_stats.snapshot()
+        self.stats.walk_snapshot()
     }
 
     /// Installs a protocol-event tracer (delegates to the machine, which
@@ -329,7 +322,7 @@ impl Kernel {
     /// driver's per-request records), which flow through the same choke
     /// point as the protocol's own events; `proc` must be the processor
     /// the calling thread drives. The kernel itself records through
-    /// [`Kernel::record_on`] and [`UserCtx::record`], which take the id
+    /// `Kernel::record_on` and `UserCtx::record`, which take the id
     /// from the core the caller holds.
     #[inline]
     pub fn record(&self, proc: usize, vtime: u64, kind: EventKind, code: u8, page: u64, arg: u64) {

@@ -27,6 +27,10 @@
 //! 3. **Physical map** ([`pmap`]): per-processor, per-space translation
 //!    caches backing the hardware ATC.
 //!
+//! Beside the layers sit the translation fabric ([`ptable`]: where page
+//! tables live, what a walk costs, which replicas a shootdown stales) and
+//! deterministic fault-injection plans ([`faults`]).
+//!
 //! # Using the kernel
 //!
 //! ```
@@ -54,11 +58,13 @@
 pub mod coherent;
 pub mod costs;
 pub mod error;
+pub mod faults;
 pub(crate) mod hash;
 pub mod hostprof;
 pub mod ids;
 pub mod pmap;
 pub mod port;
+pub mod ptable;
 pub mod stats;
 pub mod thread;
 pub mod vm;
@@ -70,22 +76,15 @@ mod user;
 pub use coherent::cpage::{CpState, Cpage, CpageInner};
 pub use coherent::policy::{FaultAction, FaultInfo, PolicyKind, ACE_MAX_MIGRATIONS};
 pub use error::{KernelError, Result};
+pub use faults::{FaultPlan, FaultSite};
 pub use ids::{AsId, CpageId, ObjId, PortId, Rights, ThreadId};
 pub use kernel::{Kernel, KernelConfig, ShootdownMode};
 pub use lockstep::Lockstep;
-/// Deterministic fault-injection plans (re-exported so downstream crates
-/// need not depend on `platinum-faults` directly).
-pub use platinum_faults as faults;
-pub use platinum_faults::{FaultPlan, FaultSite};
-/// The translation fabric: NUMA-charged page-table walks and per-node
-/// Pmap replicas (re-exported so downstream crates need not depend on
-/// `platinum-ptable` directly).
-pub use platinum_ptable as ptable;
-pub use platinum_ptable::{PtableConfig, PtablePlacement, WalkSnapshot};
 /// The protocol-event tracer (re-exported so downstream crates need not
 /// depend on `platinum-trace` directly).
 pub use platinum_trace as trace;
 pub use port::Port;
+pub use ptable::{PtableConfig, PtablePlacement, WalkSnapshot};
 pub use stats::{CpageReport, KernelStats, MemoryReport, StatsSnapshot};
 pub use thread::{ThreadInfo, ThreadState};
 pub use user::UserCtx;

@@ -15,34 +15,68 @@ use platinum_trace::EventKind;
 
 use crate::coherent::cpage::{CpState, CpageTable};
 use crate::ids::CpageId;
+use crate::ptable::WalkSnapshot;
 
-/// One processor's stripe of the kernel event counters, padded to its own
+/// One processor's stripe of the kernel's counters, padded to its own
 /// cache lines so recording processors never false-share.
 #[repr(align(128))]
 struct StatsStripe {
     counters: [AtomicU64; EventKind::COUNT],
+    /// The translation fabric's tallies, one slot per [`Tally`].
+    walk: [AtomicU64; Tally::COUNT],
 }
 
 impl Default for StatsStripe {
     fn default() -> Self {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            walk: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
 
+/// The translation fabric's tallies: a stripe slot each, summed into a
+/// [`WalkSnapshot`] field of the same meaning.
+#[derive(Clone, Copy)]
+enum Tally {
+    Walks,
+    WalkNs,
+    LocalWalkNs,
+    Populates,
+    PopulateNs,
+    Invals,
+    InvalNs,
+}
+
+impl Tally {
+    const COUNT: usize = 7;
+}
+
+/// `counter += by` for a stripe's one writer (see [`KernelStats::record`]).
+#[inline]
+fn add(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+}
+
 /// Machine-wide kernel event counters.
 ///
-/// One counter per [`EventKind`], incremented by [`Kernel::record`]
-/// (`crate::kernel`) — the same call that emits the event to the tracer,
-/// so counters and traces can never disagree: a count is exactly the
-/// number of events of that kind ever recorded.
+/// One counter per [`EventKind`], incremented by
+/// [`Kernel::record`](crate::Kernel::record) — the same call that emits
+/// the event to the tracer, so counters and traces can never disagree: a
+/// count is exactly the number of events of that kind ever recorded.
 ///
 /// Counters are striped per recording processor, one stripe for each
 /// processor of the machine (any size `MachineConfig::validate` admits):
 /// a record is one relaxed add on a processor-private cache line, and
 /// reads sum the stripes. This keeps the hot fault path free of
 /// cross-processor cache-line traffic.
+///
+/// The same stripes hold the translation fabric's walk, populate and
+/// invalidation tallies, read only by
+/// [`Kernel::walk_snapshot`](crate::Kernel::walk_snapshot): no
+/// [`StatsSnapshot`] field and no event count moves with them, so the
+/// centralized placement, which accounts its walks here without charging
+/// or recording them, stays bit-identical to an unaccounted kernel.
 pub struct KernelStats {
     stripes: Box<[StatsStripe]>,
 }
@@ -68,8 +102,58 @@ impl KernelStats {
     /// instruction in the fault path's instrumentation.
     #[inline]
     pub(crate) fn record(&self, proc: usize, kind: EventKind) {
-        let c = &self.stripes[proc].counters[kind as usize];
-        c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        add(&self.stripes[proc].counters[kind as usize], 1);
+    }
+
+    #[inline]
+    fn tally(&self, proc: usize, slot: Tally, by: u64) {
+        add(&self.stripes[proc].walk[slot as usize], by);
+    }
+
+    /// Tallies one page-table walk by `proc` costing `ns`, `local` when
+    /// the walked table lived on `proc`'s own node.
+    #[inline]
+    pub(crate) fn record_walk(&self, proc: usize, ns: u64, local: bool) {
+        self.tally(proc, Tally::Walks, 1);
+        self.tally(proc, Tally::WalkNs, ns);
+        if local {
+            self.tally(proc, Tally::LocalWalkNs, ns);
+        }
+    }
+
+    /// Tallies one translation-replica populate by `proc` costing `ns`.
+    #[inline]
+    pub(crate) fn record_populate(&self, proc: usize, ns: u64) {
+        self.tally(proc, Tally::Populates, 1);
+        self.tally(proc, Tally::PopulateNs, ns);
+    }
+
+    /// Tallies one replica invalidation issued by `proc` costing `ns`
+    /// (initiator-side: the protocol is invalidate-only, so this is the
+    /// whole data-plane cost).
+    #[inline]
+    pub(crate) fn record_inval(&self, proc: usize, ns: u64) {
+        self.tally(proc, Tally::Invals, 1);
+        self.tally(proc, Tally::InvalNs, ns);
+    }
+
+    /// The translation fabric's tallies, summed over the stripes.
+    pub(crate) fn walk_snapshot(&self) -> WalkSnapshot {
+        let sum = |slot: Tally| -> u64 {
+            self.stripes
+                .iter()
+                .map(|s| s.walk[slot as usize].load(Ordering::Relaxed))
+                .sum()
+        };
+        WalkSnapshot {
+            walks: sum(Tally::Walks),
+            walk_ns: sum(Tally::WalkNs),
+            local_walk_ns: sum(Tally::LocalWalkNs),
+            populates: sum(Tally::Populates),
+            populate_ns: sum(Tally::PopulateNs),
+            invals: sum(Tally::Invals),
+            inval_ns: sum(Tally::InvalNs),
+        }
     }
 
     /// The number of events of `kind` recorded so far (all processors).
@@ -400,9 +484,10 @@ mod tests {
     }
 
     /// Processors 0 and 64 recording flat out, released together: each
-    /// has a stripe of its own, so the total is exact. (With 64 stripes
-    /// indexed `proc & 63` the two raced on one plain load+store and
-    /// about half the increments were lost.)
+    /// has a stripe of its own, so the totals are exact — event counts
+    /// and walk tallies alike. (With 64 stripes indexed `proc & 63` the
+    /// two raced on one plain load+store and about half the increments
+    /// were lost.)
     #[test]
     fn processors_64_apart_do_not_share_a_stripe() {
         const EVENTS: u64 = 2_000_000;
@@ -415,11 +500,48 @@ mod tests {
                     go.wait();
                     for _ in 0..EVENTS {
                         s.record(proc, EventKind::FaultBegin);
+                        s.record_walk(proc, 3, proc == 0);
                     }
                 });
             }
         });
         assert_eq!(s.count(EventKind::FaultBegin), 2 * EVENTS);
+        let w = s.walk_snapshot();
+        assert_eq!(w.walks, 2 * EVENTS);
+        assert_eq!(w.walk_ns, 6 * EVENTS);
+        assert_eq!(w.local_walk_ns, 3 * EVENTS);
+    }
+
+    /// Two processors' walk, populate and invalidation tallies sum in
+    /// `walk_snapshot`, and none of them moves a `StatsSnapshot` field or
+    /// an event count: the centralized placement's accounting is
+    /// invisible to every equivalence-compared value.
+    #[test]
+    fn walk_stats_tally_and_locality() {
+        let s = KernelStats::new(2);
+        s.record_walk(0, 320, true);
+        s.record_walk(1, 5_000, false);
+        s.record_populate(1, 80_000);
+        s.record_inval(0, 5_000);
+        let w = s.walk_snapshot();
+        assert_eq!(w.walks, 2);
+        assert_eq!(w.walk_ns, 5_320);
+        assert_eq!(w.local_walk_ns, 320);
+        assert_eq!(w.populates, 1);
+        assert_eq!(w.populate_ns, 80_000);
+        assert_eq!(w.invals, 1);
+        assert_eq!(w.inval_ns, 5_000);
+        assert_eq!(w.fabric_ns(), 5_320 + 80_000 + 5_000);
+        assert!((w.walk_locality() - 320.0 / 5320.0).abs() < 1e-12);
+        assert_eq!(WalkSnapshot::default().walk_locality(), 1.0);
+        assert_eq!(w.delta(&w), WalkSnapshot::default());
+        assert_eq!(
+            WalkSnapshot::default().delta(&w),
+            WalkSnapshot::default(),
+            "saturates"
+        );
+        assert_eq!(s.snapshot(), StatsSnapshot::default());
+        assert!(EventKind::ALL.iter().all(|&k| s.count(k) == 0));
     }
 
     #[test]

@@ -7,7 +7,6 @@ use numa_machine::skew::IDLE;
 use numa_machine::{
     AccessErr, AccessKind, FastPath, Frame, Mem, Pacer, PhysPage, ProcCore, ProcSet, Va, Vpn,
 };
-use platinum_ptable::{PtableConfig, PtablePlacement, POPULATE_REFS, WALK_REFS};
 use platinum_trace::EventKind;
 
 use crate::coherent::cmap::Directive;
@@ -18,6 +17,7 @@ use crate::error::{KernelError, Result};
 use crate::ids::{AsId, ThreadId};
 use crate::kernel::Kernel;
 use crate::pmap::Pmap;
+use crate::ptable::PtableConfig;
 use crate::thread::{ThreadCell, ThreadState};
 use crate::vm::space::AddressSpace;
 
@@ -432,66 +432,6 @@ impl UserCtx {
             let kernel = Arc::clone(&self.kernel);
             kernel.coherent_fault(self, va, write)?;
         }
-    }
-
-    /// One simulated multi-level page-table walk on an ATC miss — the
-    /// translation fabric's charge point. Exactly one walk happens per
-    /// faulting access: the fault installs the ATC entry, so the retry
-    /// iteration hits.
-    ///
-    /// Under the centralized placement the walk is *accounted* but not
-    /// charged: pure arithmetic against the resolved latency to the
-    /// space's home, tallied outside every equivalence-compared
-    /// observable, which keeps the default bit-identical to a kernel
-    /// without the subsystem. The charged placements move the clock
-    /// through the contention-aware module path and record a `PtWalk`.
-    #[cold]
-    fn pt_walk(&mut self, vpn: Vpn) {
-        let cfg = self.ptable;
-        let span = self.kernel.hostprof.begin();
-        let me = self.core.id();
-        let refs = u64::from(WALK_REFS);
-        if cfg.placement == PtablePlacement::Centralized {
-            let home = self.space.home();
-            let ns = refs * self.core.word_latency_to(home, AccessKind::Read);
-            self.kernel.walk_stats.record_walk(me, ns, home == me);
-        } else {
-            let target = match cfg.placement {
-                PtablePlacement::Centralized => unreachable!("handled above"),
-                PtablePlacement::HomeNode => self.space.replica().home(),
-                PtablePlacement::ReplicatedAll => {
-                    // Every node earns a replica on its first walk.
-                    if self.space.replica().join(me) {
-                        let home = self.space.replica().home();
-                        let t0 = self.core.vtime();
-                        self.core.charge_word_block(
-                            PhysPage::new(home, 0),
-                            AccessKind::Read,
-                            u64::from(POPULATE_REFS),
-                        );
-                        let ns = self.core.vtime() - t0;
-                        self.kernel.walk_stats.record_populate(me, ns);
-                        self.record(
-                            EventKind::PtPopulate,
-                            cfg.placement as u8,
-                            u64::from(self.space.id().0),
-                            ns,
-                        );
-                    }
-                    me
-                }
-                PtablePlacement::ReplicatedOnFault => self.space.replica().walk_target(me),
-            };
-            let t0 = self.core.vtime();
-            self.core
-                .charge_word_block(PhysPage::new(target, 0), AccessKind::Read, refs);
-            let ns = self.core.vtime() - t0;
-            self.kernel.walk_stats.record_walk(me, ns, target == me);
-            self.record(EventKind::PtWalk, cfg.placement as u8, vpn, ns);
-        }
-        self.kernel
-            .hostprof
-            .end(crate::hostprof::HostPhase::Walk, span);
     }
 
     /// Continues translation after a [`ProcCore::fast_path`] probe came

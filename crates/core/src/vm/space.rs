@@ -6,11 +6,11 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use numa_machine::{Va, Vpn};
-use platinum_ptable::PmapReplica;
 
 use crate::coherent::cmap::Cmap;
 use crate::error::{KernelError, Result};
 use crate::ids::{AsId, Rights};
+use crate::ptable::PmapReplica;
 use crate::vm::object::MemoryObject;
 
 /// One binding of a range of object pages to a virtual address range.
@@ -77,7 +77,7 @@ impl AddressSpace {
             page_shift,
             regions: RwLock::new(Vec::new()),
             cmap: Cmap::new(nprocs),
-            replica: PmapReplica::new(home, nprocs),
+            replica: PmapReplica::new(nprocs),
             // Leave page 0 unmapped so null-ish addresses fault.
             next_free_vpn: AtomicU64::new(1),
         }
@@ -105,7 +105,7 @@ impl AddressSpace {
 
     /// The space's translation-replica directory: which nodes hold a
     /// populated per-node copy of its translation structures.
-    pub fn replica(&self) -> &PmapReplica {
+    pub(crate) fn replica(&self) -> &PmapReplica {
         &self.replica
     }
 

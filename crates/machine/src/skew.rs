@@ -64,7 +64,7 @@ impl Pacer {
         }
     }
 
-    /// Counts one access; true on every [`POST_INTERVAL`]th, when the
+    /// Counts one access; true on every `POST_INTERVAL`th, when the
     /// caller asks [`Pacer::should_throttle`].
     #[inline(always)]
     pub fn tick(&mut self) -> bool {

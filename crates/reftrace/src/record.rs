@@ -3,7 +3,7 @@
 //!
 //! [`Capture`] boots a PLATINUM simulation whose memory interface is
 //! wrapped by [`RecordingCtx`]: every [`Mem`] call first wins the global
-//! FIFO [`Gate`](crate::gate::Gate), then executes against the real
+//! FIFO [`Gate`], then executes against the real
 //! kernel, then appends one [`Rec`] to the phase's totally ordered op
 //! list. Serialization makes the recorded order *the* execution order, so
 //! replaying the list op by op reproduces the run exactly (see the crate

@@ -32,7 +32,7 @@
 /// | `ShootdownTimeout` | retry attempt | coherent page id | silent proc |
 /// | `TransferFault` | retry attempt | coherent page id | src module |
 /// | `AllocFault` | probe attempt | coherent page id | refusing module |
-/// | `FaultRecovery` | [`FaultSite`] | coherent page id | begin vtime (ns) |
+/// | `FaultRecovery` | `platinum::FaultSite` | coherent page id | begin vtime (ns) |
 /// | `ServerRequest` | 0=read 1=write 2=pipeline | request key | latency (ns) |
 /// | `PtWalk` | placement code | faulting vpn | walk cost (ns) |
 /// | `PtPopulate` | placement code | space id | populate cost (ns) |
@@ -276,7 +276,7 @@ impl FaultResolution {
 }
 
 /// One decoded trace event (the in-ring representation is five packed
-/// words; see [`crate::ring`]).
+/// words; see the `ring` module).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global sequence number: a total order consistent with each

@@ -166,7 +166,7 @@ const MAX_DEPTH: usize = 64;
 /// Parses one strict (RFC 8259) JSON document. Anything else — trailing
 /// garbage, an unterminated string, a bad or short escape, a raw control
 /// character in a string, a malformed number, nesting beyond
-/// [`MAX_DEPTH`] — is an `Err` naming the byte offset, never a panic.
+/// `MAX_DEPTH` — is an `Err` naming the byte offset, never a panic.
 pub fn parse(s: &str) -> Result<Value, String> {
     let mut r = Reader { s, i: 0 };
     let v = r.value(0)?;

@@ -9,7 +9,7 @@
 //! # Design
 //!
 //! * [`Tracer`] owns one fixed-capacity ring buffer per simulated
-//!   processor ([`ring::Ring`]). The thread driving a processor is the
+//!   processor (`ring::Ring`). The thread driving a processor is the
 //!   only writer to that processor's ring, so pushes are lock-free and
 //!   wait-free: five relaxed atomic word stores and one release length
 //!   store. When a ring is full the oldest events are overwritten and

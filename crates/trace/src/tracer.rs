@@ -18,7 +18,7 @@ pub const CAPACITY_PER_PROC: usize = 1 << 16;
 
 /// Collects events from every simulated processor.
 ///
-/// Emitting is lock-free (see [`crate::ring`]); rings are allocated
+/// Emitting is lock-free (see the `ring` module); rings are allocated
 /// lazily the first time a processor emits, so the tracer accepts every
 /// processor id an event can carry (`u16`) and pays only for those that
 /// emit. `emit` may be called concurrently for *different* processors;

@@ -1,4 +1,4 @@
-//! Offline stand-in for [`parking_lot`], backed by `std::sync`.
+//! Offline stand-in for `parking_lot`, backed by `std::sync`.
 //!
 //! This build environment has no access to a crate registry, so the
 //! workspace vendors the small API subset it actually uses:

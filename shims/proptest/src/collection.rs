@@ -5,7 +5,7 @@ use std::ops::Range;
 
 use crate::{Strategy, TestRng};
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: Range<usize>,

@@ -8,6 +8,5 @@
 
 pub use numa_machine as machine;
 pub use platinum as kernel;
-pub use platinum_analysis as analysis;
 pub use platinum_apps as apps;
 pub use platinum_runtime as runtime;

@@ -1,10 +1,8 @@
 //! Property-based tests on the core data structures: allocation zones,
-//! the ATC, the inverted page table, the contention model, and the §4.1
-//! analytic model.
+//! the ATC, the inverted page table and the contention model.
 
 use proptest::prelude::*;
 
-use platinum_repro::analysis::model::{g_round_robin, CostModel, SMin};
 use platinum_repro::machine::contention::{BucketCursor, BucketedResource};
 use platinum_repro::machine::module::MemoryModule;
 use platinum_repro::machine::{Atc, PhysPage};
@@ -157,44 +155,5 @@ proptest! {
         // Each request's delay is bounded by the backlog, which is
         // bounded by all service ever submitted before it.
         prop_assert!(total_delay <= total_service * requests.len() as u64);
-    }
-
-    #[test]
-    fn smin_monotonic_in_density_and_g(
-        rho in 0.05f64..3.0,
-        g in 0.3f64..3.0,
-    ) {
-        let m = CostModel::paper();
-        // Larger density can only shrink (or keep) the minimum page size.
-        if let (SMin::Words(a), SMin::Words(b)) = (m.s_min(rho, g), m.s_min(rho + 0.2, g)) {
-            prop_assert!(b <= a, "S_min must fall as density rises: {a} -> {b}");
-        }
-        // Larger g (more data movements per saved remote op) can only
-        // grow it — or push it to "never".
-        match (m.s_min(rho, g), m.s_min(rho, g * 1.5)) {
-            (SMin::Words(a), SMin::Words(b)) => prop_assert!(b >= a),
-            (SMin::Never, SMin::Words(_)) => {
-                prop_assert!(false, "never cannot become feasible as g grows")
-            }
-            _ => {}
-        }
-    }
-
-    #[test]
-    fn g_round_robin_decreases(p in 2usize..60) {
-        prop_assert!(g_round_robin(p + 1) < g_round_robin(p));
-        prop_assert!(g_round_robin(p) > 1.0);
-    }
-
-    #[test]
-    fn crossover_density_is_consistent_with_s_min(
-        s_exp in 6u32..14,
-        g in 0.3f64..2.5,
-    ) {
-        let m = CostModel::paper();
-        let s = 1u64 << s_exp;
-        let rho_star = m.crossover_density(s, g);
-        prop_assert!(m.migration_pays(s, rho_star * 1.05, g));
-        prop_assert!(!m.migration_pays(s, rho_star * 0.95, g));
     }
 }
