@@ -90,3 +90,34 @@ pub use thread::{ThreadInfo, ThreadState};
 pub use user::UserCtx;
 pub use vm::object::MemoryObject;
 pub use vm::space::{AddressSpace, Region};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Processors 0 and 64 walking flat out, released together: the walk
+    /// tallies are slots of each processor's own `KernelStats` stripe, so
+    /// the single-writer adds lose nothing. (With 64 stripes indexed
+    /// `proc & 63` the two would share one.)
+    #[test]
+    fn processors_64_apart_do_not_share_a_stripe() {
+        const WALKS: u64 = 1_000_000;
+        let s = KernelStats::new(65);
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|t| {
+            for proc in [0, 64] {
+                let (s, go) = (&s, &go);
+                t.spawn(move || {
+                    go.wait();
+                    for _ in 0..WALKS {
+                        s.record_walk(proc, 3, proc == 0);
+                    }
+                });
+            }
+        });
+        let w = s.walk_snapshot();
+        assert_eq!(w.walks, 2 * WALKS);
+        assert_eq!(w.walk_ns, 6 * WALKS);
+        assert_eq!(w.local_walk_ns, 3 * WALKS);
+    }
+}
