@@ -61,20 +61,18 @@ struct Row {
     ptable_replicated_ns: Option<u64>,
 }
 
-/// `f(kind)` for every Fig. 1 policy, in `FIG1_SET` order. Each call
-/// boots its own machine, so each gets its own host thread.
-fn per_policy<R: Send>(f: impl Fn(PolicyKind) -> R + Sync) -> Vec<R> {
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = PolicyKind::FIG1_SET
-            .into_iter()
-            .map(|kind| s.spawn(move || f(kind)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+/// `f(kind)` for every Fig. 1 policy, in `FIG1_SET` order, one machine
+/// after another on the calling thread: a processor's trace ring takes
+/// one producer, so machines sharing the tracer must not run at once.
+/// Each machine's events go under its own `--trace` phase.
+fn per_policy<R>(run: &Run, app: &str, mut f: impl FnMut(PolicyKind) -> R) -> Vec<R> {
+    PolicyKind::FIG1_SET
+        .into_iter()
+        .map(|kind| {
+            run.phase(&format!("{app} {}", kind.name()));
+            f(kind)
+        })
+        .collect()
 }
 
 /// `opts` with replicated page tables.
@@ -90,9 +88,9 @@ fn replicated(opts: &ReplayOptions) -> ReplayOptions {
 /// Replays `captured` under every Fig. 1 policy and returns the rows,
 /// asserting that the PLATINUM replay reproduces the live run bit for
 /// bit.
-fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
+fn sweep(run: &Run, app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
     let mut rows = Vec::new();
-    let outs = per_policy(|kind| opts.replay(&captured.trace, kind));
+    let outs = per_policy(run, app, |kind| opts.replay(&captured.trace, kind));
     for (kind, out) in PolicyKind::FIG1_SET.into_iter().zip(outs) {
         let last = out.phases.last().expect("trace has a measured phase");
         let bit_identical = if kind == PolicyKind::Platinum {
@@ -121,7 +119,10 @@ fn sweep(app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
         // replays agree bit for bit — asserted by running it twice.
         let ptable_replicated_ns = if kind == PolicyKind::Platinum {
             let replicated = replicated(opts);
+            let phase = format!("{app} {} replicated page tables", kind.name());
+            run.phase(&phase);
             let a = replicated.replay(&captured.trace, kind);
+            run.phase(&format!("{phase}, again"));
             let b = replicated.replay(&captured.trace, kind);
             let deterministic = a.phases.iter().zip(&b.phases).all(|(x, y)| {
                 x.stats
@@ -185,6 +186,7 @@ fn kv_run(
 /// The kv rows: one open-loop run per Fig. 1 policy over the same merged
 /// schedule, and PLATINUM once more on replicated page tables.
 fn kv_sweep(
+    run: &Run,
     nodes: usize,
     procs: usize,
     kcfg: &KvConfig,
@@ -192,7 +194,9 @@ fn kv_sweep(
     opts: &ReplayOptions,
 ) -> Vec<Row> {
     let schedule = traffic.schedule(procs);
-    let runs = per_policy(|kind| kv_run(nodes, procs, kcfg, &schedule, opts, kind));
+    let runs = per_policy(run, "kv", |kind| {
+        kv_run(nodes, procs, kcfg, &schedule, opts, kind)
+    });
     // Placement moves data, never changes it: every policy must leave
     // the table the same requests produce.
     let checksum = runs[0].1;
@@ -201,6 +205,7 @@ fn kv_sweep(
         "kv: two policies left different tables"
     );
     let platinum = PolicyKind::Platinum;
+    run.phase(&format!("kv {} replicated page tables", platinum.name()));
     let (replicated, _) = kv_run(nodes, procs, kcfg, &schedule, &replicated(opts), platinum);
     PolicyKind::FIG1_SET
         .into_iter()
@@ -350,8 +355,9 @@ pub(crate) fn run(run: &mut Run) {
                 procs * kv_requests,
             );
             let kcfg = KvConfig::for_keys(kv_keys, 8);
-            rows.extend(kv_sweep(nodes, procs, &kcfg, &traffic, &opts));
+            rows.extend(kv_sweep(run, nodes, procs, &kcfg, &traffic, &opts));
         } else {
+            run.phase(&format!("{app} capture"));
             let captured = match app {
                 "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), &opts),
                 "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(2048), &opts),
@@ -368,7 +374,7 @@ pub(crate) fn run(run: &mut Run) {
                 captured.live.elapsed_ns as f64 / 1e6,
                 captured.live.run.merged_counters().remote_fraction() * 100.0,
             );
-            rows.extend(sweep(app, &captured, &opts));
+            rows.extend(sweep(run, app, &captured, &opts));
         }
 
         if app == "kv" && opts.topology.is_none() {

@@ -1,6 +1,5 @@
 //! Cmap entries and the shootdown message queues (§2.3 of the paper).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -105,10 +104,6 @@ pub struct CmapMsg {
     /// itself after updating its Pmap ("it applies the change to its
     /// Pmap and removes itself from the target mask").
     pub targets: AtomicProcSet,
-    /// The maximum virtual time at which a target acknowledged; the
-    /// initiator advances its clock to this after the wait, which is how
-    /// shootdown latency propagates between processors in the simulation.
-    pub ack_vtime: AtomicU64,
 }
 
 impl CmapMsg {
@@ -118,7 +113,6 @@ impl CmapMsg {
             vpn,
             directive,
             targets: AtomicProcSet::from_set(targets),
-            ack_vtime: AtomicU64::new(0),
         })
     }
 
@@ -130,21 +124,18 @@ impl CmapMsg {
         self.vpn = vpn;
         self.directive = directive;
         self.targets.store_from(targets);
-        *self.ack_vtime.get_mut() = 0;
     }
 
-    /// Removes `p` from the targets, acknowledging the change at virtual
-    /// time `now`.
+    /// Acknowledges the change for `p`: the removal from the target mask
+    /// is the whole acknowledgment. It is a release, so everything `p`
+    /// did to its Pmap and ATC before acking happens-before the
+    /// initiator's observation that `p` is no longer pending. The
+    /// initiator's clock is not advanced to the target's: it was charged
+    /// the interrupt cost when it posted, and `Kernel::batch_flush` only
+    /// waits.
     #[inline]
-    pub fn ack(&self, p: usize, now: u64) {
-        self.ack_vtime.fetch_max(now, Ordering::AcqRel);
+    pub fn ack(&self, p: usize) {
         self.targets.remove(p);
-    }
-
-    /// The latest acknowledgment time seen so far.
-    #[inline]
-    pub fn ack_time(&self) -> u64 {
-        self.ack_vtime.load(Ordering::Acquire)
     }
 
     /// A snapshot of the processors that have not yet applied the change.
@@ -340,11 +331,10 @@ mod tests {
     #[test]
     fn message_ack_drains() {
         let m = CmapMsg::new(5, Directive::Invalidate, &ProcSet::from_mask(0b1011));
-        m.ack(0, 100);
-        m.ack(3, 250);
+        m.ack(0);
+        m.ack(3);
         assert_eq!(m.pending(), ProcSet::from_mask(0b0010));
-        assert_eq!(m.ack_time(), 250);
-        m.ack(1, 50);
+        m.ack(1);
         assert!(!m.has_pending());
     }
 
@@ -355,7 +345,7 @@ mod tests {
         buf.drain(..)
             .map(|m| {
                 assert!(m.pending_for_proc(p));
-                m.ack(p, 1);
+                m.ack(p);
                 m.vpn
             })
             .collect()
@@ -436,9 +426,9 @@ mod tests {
         assert!(c.pending_for(0).is_empty());
         let q = c.pending_for(127);
         assert_eq!(q.len(), 1);
-        m.ack(127, 9);
+        m.ack(127);
         assert!(c.pending_for(127).is_empty());
-        assert_eq!(m.ack_time(), 9);
+        assert!(!m.has_pending());
     }
 
     /// A target the machine does not have is a bug in the caller: the
@@ -460,7 +450,7 @@ mod tests {
         let m = CmapMsg::new(9, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
         c.post(&m);
         // A peek reports what is still owed, not what sits in the queue.
-        m.ack(1, 10);
+        m.ack(1);
         assert!(c.pending_for(1).is_empty());
         assert_eq!(c.pending_for(0).len(), 1);
     }

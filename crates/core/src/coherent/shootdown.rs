@@ -46,21 +46,14 @@ use crate::kernel::{Kernel, ShootdownMode};
 use crate::user::UserCtx;
 use crate::vm::space::AddressSpace;
 
-/// What a shootdown did, for statistics and the §4 micro-benchmarks.
+/// What a shootdown's caller needs to know afterwards. Its targets,
+/// interrupts and pages are in the event stream (`ShootdownInit`'s arg
+/// is the target count, one `Ipi` per interrupt).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShootdownOutcome {
-    /// Distinct processors that must eventually apply the change, summed
-    /// per page.
-    pub targets: u32,
-    /// Interprocessor interrupts actually sent (targets with the space
-    /// active, or in Mach mode every active processor).
-    pub ipis: u32,
-    /// Pages whose directives this operation posted (1 for a plain
-    /// shootdown; the batch clients post many).
-    pub pages: u32,
     /// Acknowledgment-wait rounds performed: 1 when any active target had
     /// to be awaited, else 0. A batch waits once for all its pages, so
-    /// `rounds < pages` is the coalescing win.
+    /// fewer rounds than pages is the coalescing win.
     pub rounds: u32,
     /// Whether an injected dropped-ack ladder exhausted its retry budget;
     /// callers that leave the page in the modified state react by
@@ -69,7 +62,7 @@ pub struct ShootdownOutcome {
 }
 
 /// An in-flight multi-page shootdown: the posted messages awaiting
-/// acknowledgment and the accumulated accounting.
+/// acknowledgment and whether any page's dropped-ack ladder escalated.
 ///
 /// One batch lives in each processor's [`FaultScratch`] and is taken with
 /// [`UserCtx::take_batch`] for the duration of an operation, so the
@@ -88,20 +81,14 @@ pub(crate) struct ShootdownBatch {
     /// Per-page scratch for targets whose IPI was dropped by fault
     /// injection; drained by the recovery ladder within each post.
     dropped: Vec<usize>,
-    targets: u32,
-    ipis: u32,
-    pages: u32,
     escalated: bool,
 }
 
 impl ShootdownBatch {
-    /// Resets the accounting and buffers for reuse, keeping capacity.
+    /// Resets the batch for reuse, keeping capacity.
     fn clear(&mut self) {
         self.posted.clear();
         self.dropped.clear();
-        self.targets = 0;
-        self.ipis = 0;
-        self.pages = 0;
         self.escalated = false;
     }
 }
@@ -270,7 +257,6 @@ impl Kernel {
             }
             core.charge(stall_ns);
             self.record_on(core, EventKind::Ipi, 0, page.0, p as u64);
-            batch.ipis += 1;
             if targets.contains(p) {
                 awaited.insert(p);
                 if self.ipi_lost(core.vtime(), p) {
@@ -305,8 +291,6 @@ impl Kernel {
             page.0,
             all_targets.count() as u64,
         );
-        batch.targets += all_targets.count() as u32;
-        batch.pages += 1;
 
         // Resolve any IPIs lost to fault injection before moving on: the
         // ladder ends with a forced delivery, so the flush's wait can
@@ -320,8 +304,8 @@ impl Kernel {
     }
 
     /// Completes the batch: waits until every awaited target acknowledged
-    /// every posted message, then returns the accumulated outcome and
-    /// resets the batch for reuse.
+    /// every posted message, then returns the outcome and resets the
+    /// batch for reuse.
     pub(crate) fn batch_flush(
         &self,
         ctx: &mut UserCtx,
@@ -357,9 +341,6 @@ impl Kernel {
             }
         }
         let out = ShootdownOutcome {
-            targets: batch.targets,
-            ipis: batch.ipis,
-            pages: batch.pages,
             rounds,
             escalated: batch.escalated,
         };
@@ -623,9 +604,6 @@ mod tests {
                         directive.clone(),
                         &ProcSet::full(sc.procs),
                     );
-                    sum.targets += out.targets;
-                    sum.ipis += out.ipis;
-                    sum.pages += out.pages;
                     sum.rounds += out.rounds;
                     sum.escalated |= out.escalated;
                 }
@@ -728,13 +706,13 @@ mod tests {
         );
         prop_assert_eq!(&bat.stats, &seq.stats, "kernel counters diverged: {:?}", sc);
         prop_assert_eq!(&bat.refs, &seq.refs, "directory refs diverged: {:?}", sc);
+        // The event multiset carries the per-page accounting: one
+        // `ShootdownInit` per page with its target count, one `Ipi` per
+        // interrupt sent.
         prop_assert_eq!(&bat.events, &seq.events, "trace events diverged: {:?}", sc);
-        // The per-page accounting must agree; the wait rounds are the
-        // one deliberate difference — a batch waits at most once.
-        prop_assert_eq!(bat.outcome.targets, seq.outcome.targets);
-        prop_assert_eq!(bat.outcome.ipis, seq.outcome.ipis);
-        prop_assert_eq!(bat.outcome.pages, seq.outcome.pages);
         prop_assert_eq!(bat.outcome.escalated, seq.outcome.escalated);
+        // The wait rounds are the one deliberate difference — a batch
+        // waits at most once.
         prop_assert!(bat.outcome.rounds <= 1, "a batch waits at most once");
         // One thread owning every context observes what service threads
         // observe. Only the wait rounds may differ: a service thread can

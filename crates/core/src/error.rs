@@ -4,7 +4,7 @@ use core::fmt;
 
 use numa_machine::{AccessErr, Va};
 
-use crate::ids::{AsId, ObjId, PortId};
+use crate::ids::{AsId, ObjId};
 
 /// An error returned by a kernel operation.
 ///
@@ -20,10 +20,6 @@ pub enum KernelError {
     OutOfMemory,
     /// The named address space does not exist.
     NoSuchSpace(AsId),
-    /// The named memory object does not exist.
-    NoSuchObject(ObjId),
-    /// The named port does not exist.
-    NoSuchPort(PortId),
     /// A mapping request overlapped an existing region.
     MappingConflict(Va),
     /// A mapping request referenced pages beyond the end of the object.
@@ -55,8 +51,6 @@ impl fmt::Display for KernelError {
             KernelError::Access(e) => write!(f, "access error: {e}"),
             KernelError::OutOfMemory => write!(f, "out of physical memory"),
             KernelError::NoSuchSpace(id) => write!(f, "no such address space: {id}"),
-            KernelError::NoSuchObject(id) => write!(f, "no such memory object: {id}"),
-            KernelError::NoSuchPort(id) => write!(f, "no such port: {id}"),
             KernelError::MappingConflict(va) => {
                 write!(f, "mapping conflicts with existing region at {va:#x}")
             }

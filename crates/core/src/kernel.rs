@@ -1,6 +1,6 @@
-//! The kernel object: registries, configuration, and processor slots.
+//! The kernel object: global names, configuration, and processor slots.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{MutexGuard, RwLock};
@@ -20,7 +20,6 @@ use crate::ids::{AsId, ObjId, PortId, ThreadId};
 use crate::port::Port;
 use crate::ptable::{PtableConfig, WalkSnapshot};
 use crate::stats::{KernelStats, MemoryReport};
-use crate::thread::{ThreadInfo, ThreadTable};
 use crate::user::UserCtx;
 use crate::vm::object::MemoryObject;
 use crate::vm::space::AddressSpace;
@@ -97,22 +96,25 @@ pub(crate) struct ProcSlot {
 
 /// The PLATINUM kernel.
 ///
-/// Owns the registries of the globally-named abstractions (§1.1: memory
-/// objects, address spaces, ports, threads), the coherent page table, the
+/// Names the globally-named abstractions (§1.1: memory objects, address
+/// spaces, ports, threads) from one counter per kind, in creation order,
+/// and owns the address-space registry, the coherent page table, the
 /// replication policy, and the defrost daemon state. All activity runs on
 /// user threads that enter the kernel through their [`UserCtx`].
 pub struct Kernel {
     machine: Arc<Machine>,
     cfg: KernelConfig,
     pub(crate) cpages: CpageTable,
-    objects: RwLock<Vec<Arc<MemoryObject>>>,
+    /// By-name access to address spaces: a shootdown resolves a foreign
+    /// binding through [`Kernel::space`].
     spaces: RwLock<Vec<Arc<AddressSpace>>>,
-    ports: RwLock<Vec<Arc<Port>>>,
+    next_object: AtomicU32,
+    next_port: AtomicU32,
+    next_thread: AtomicU32,
     pub(crate) slots: Box<[ProcSlot]>,
     pub(crate) stats: KernelStats,
     pub(crate) defrost: DefrostState,
     pub(crate) reclaim: ReclaimState,
-    pub(crate) threads: ThreadTable,
     pub(crate) hostprof: HostProf,
 }
 
@@ -135,14 +137,14 @@ impl Kernel {
             machine,
             cfg,
             cpages: CpageTable::new(),
-            objects: RwLock::new(Vec::new()),
             spaces: RwLock::new(Vec::new()),
-            ports: RwLock::new(Vec::new()),
+            next_object: AtomicU32::new(0),
+            next_port: AtomicU32::new(0),
+            next_thread: AtomicU32::new(0),
             slots,
             stats,
             defrost,
             reclaim,
-            threads: ThreadTable::new(),
             hostprof: HostProf::default(),
         })
     }
@@ -172,30 +174,15 @@ impl Kernel {
     /// Creates a memory object of `pages` pages, homing its metadata
     /// round-robin across nodes (kernel decentralization, §2.2).
     pub fn create_object(&self, pages: usize) -> Arc<MemoryObject> {
-        let mut objs = self.objects.write();
-        let id = ObjId(objs.len() as u32);
+        let id = ObjId(self.next_object.fetch_add(1, Ordering::Relaxed));
         let home = id.index() % self.machine.nprocs();
-        let obj = Arc::new(MemoryObject::new(id, home, pages));
-        objs.push(Arc::clone(&obj));
-        obj
+        Arc::new(MemoryObject::new(id, home, pages))
     }
 
     /// Creates a memory object homed on a specific node.
     pub fn create_object_homed(&self, pages: usize, home: usize) -> Arc<MemoryObject> {
-        let mut objs = self.objects.write();
-        let id = ObjId(objs.len() as u32);
-        let obj = Arc::new(MemoryObject::new(id, home % self.machine.nprocs(), pages));
-        objs.push(Arc::clone(&obj));
-        obj
-    }
-
-    /// Looks up a memory object by name.
-    pub fn object(&self, id: ObjId) -> Result<Arc<MemoryObject>> {
-        self.objects
-            .read()
-            .get(id.index())
-            .cloned()
-            .ok_or(KernelError::NoSuchObject(id))
+        let id = ObjId(self.next_object.fetch_add(1, Ordering::Relaxed));
+        Arc::new(MemoryObject::new(id, home % self.machine.nprocs(), pages))
     }
 
     /// Creates an address space, homing its metadata round-robin.
@@ -224,25 +211,14 @@ impl Kernel {
 
     /// Creates a port.
     pub fn create_port(&self) -> Arc<Port> {
-        let mut ports = self.ports.write();
-        let id = PortId(ports.len() as u32);
+        let id = PortId(self.next_port.fetch_add(1, Ordering::Relaxed));
         let home = id.index() % self.machine.nprocs();
-        let port = Arc::new(Port::new(id, home));
-        ports.push(Arc::clone(&port));
-        port
+        Arc::new(Port::new(id, home))
     }
 
-    /// Looks up a port by name.
-    pub fn port(&self, id: PortId) -> Result<Arc<Port>> {
-        self.ports
-            .read()
-            .get(id.index())
-            .cloned()
-            .ok_or(KernelError::NoSuchPort(id))
-    }
-
-    /// Binds a new thread to processor `proc`, executing in `space`.
-    /// Returns the user context the thread drives.
+    /// Binds a new thread to processor `proc`, executing in `space`, and
+    /// gives it the next global thread name. Returns the user context the
+    /// thread drives.
     ///
     /// At most one thread may be bound to a processor at a time (the
     /// simulator does not multiplex threads on a processor; see
@@ -262,17 +238,8 @@ impl Kernel {
             return Err(KernelError::ProcessorBusy(proc));
         }
         let core = ProcCore::new(Arc::clone(&self.machine), proc, start_vtime);
-        Ok(UserCtx::new(Arc::clone(self), core, space))
-    }
-
-    /// A snapshot of one thread's kernel state.
-    pub fn thread_info(&self, id: ThreadId) -> Option<ThreadInfo> {
-        self.threads.get(id)
-    }
-
-    /// Snapshots of every thread ever created.
-    pub fn thread_list(&self) -> Vec<ThreadInfo> {
-        self.threads.all()
+        let thread = ThreadId(self.next_thread.fetch_add(1, Ordering::Relaxed));
+        Ok(UserCtx::new(Arc::clone(self), core, space, thread))
     }
 
     /// The coherent page backing `va` in `space`, if that page has ever
@@ -432,24 +399,42 @@ mod tests {
         let k = kernel();
         let o = k.create_object(4);
         assert_eq!(o.id(), ObjId(0));
-        assert!(k.object(ObjId(0)).is_ok());
-        assert!(matches!(
-            k.object(ObjId(9)),
-            Err(KernelError::NoSuchObject(_))
-        ));
         let s = k.create_space();
         assert_eq!(s.id(), AsId(0));
-        assert!(k.space(AsId(0)).is_ok());
-        let p = k.create_port();
-        assert!(k.port(p.id()).is_ok());
+        assert!(Arc::ptr_eq(&k.space(AsId(0)).unwrap(), &s));
+        assert!(matches!(k.space(AsId(9)), Err(KernelError::NoSuchSpace(_))));
     }
 
+    /// Each kind is named from its own counter, in creation order, and
+    /// homed round-robin by that name.
     #[test]
     fn object_homes_round_robin() {
         let k = kernel();
-        let homes: Vec<usize> = (0..6).map(|_| k.create_object(1).home()).collect();
+        let objs: Vec<_> = (0..6).map(|_| k.create_object(1)).collect();
+        let homes: Vec<usize> = objs.iter().map(|o| o.home()).collect();
         assert_eq!(homes, vec![0, 1, 2, 3, 0, 1]);
-        assert_eq!(k.create_object_homed(1, 9).home(), 1, "wraps modulo nodes");
+        let ids: Vec<ObjId> = objs.iter().map(|o| o.id()).collect();
+        assert_eq!(ids, (0..6).map(ObjId).collect::<Vec<_>>());
+        let homed = k.create_object_homed(1, 9);
+        assert_eq!(homed.home(), 1, "wraps modulo nodes");
+        assert_eq!(homed.id(), ObjId(6), "a homed object takes the next name");
+
+        // Ports count from zero on their own, whatever objects exist.
+        let ports: Vec<_> = (0..5).map(|_| k.create_port()).collect();
+        let ids: Vec<PortId> = ports.iter().map(|p| p.id()).collect();
+        assert_eq!(ids, (0..5).map(PortId).collect::<Vec<_>>());
+        let homes: Vec<usize> = ports.iter().map(|p| p.home()).collect();
+        assert_eq!(homes, vec![0, 1, 2, 3, 0]);
+
+        // So do threads, one name per attach; a name outlives its
+        // context and is never reused.
+        let s = k.create_space();
+        let a = k.attach(Arc::clone(&s), 0, 0).unwrap();
+        let b = k.attach(Arc::clone(&s), 3, 0).unwrap();
+        assert_eq!((a.thread_id(), b.thread_id()), (ThreadId(0), ThreadId(1)));
+        drop(a);
+        let c = k.attach(s, 0, 0).unwrap();
+        assert_eq!(c.thread_id(), ThreadId(2));
     }
 
     #[test]

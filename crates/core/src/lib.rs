@@ -66,7 +66,6 @@ pub mod pmap;
 pub mod port;
 pub mod ptable;
 pub mod stats;
-pub mod thread;
 pub mod vm;
 
 mod kernel;
@@ -86,7 +85,6 @@ pub use platinum_trace as trace;
 pub use port::Port;
 pub use ptable::{PtableConfig, PtablePlacement, WalkSnapshot};
 pub use stats::{CpageReport, KernelStats, MemoryReport, StatsSnapshot};
-pub use thread::{ThreadInfo, ThreadState};
 pub use user::UserCtx;
 pub use vm::object::MemoryObject;
 pub use vm::space::{AddressSpace, Region};

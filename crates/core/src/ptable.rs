@@ -96,13 +96,6 @@ impl PtablePlacement {
         }
     }
 
-    /// Whether this placement charges walks real virtual time (everything
-    /// except `Centralized`, which only accounts).
-    #[inline]
-    pub fn charges(self) -> bool {
-        self != PtablePlacement::Centralized
-    }
-
     /// Whether this placement maintains per-node replicas (and therefore
     /// needs the invalidation protocol).
     #[inline]
@@ -459,7 +452,6 @@ mod tests {
     fn default_is_centralized_and_free() {
         let cfg = PtableConfig::default();
         assert_eq!(cfg.placement, PtablePlacement::Centralized);
-        assert!(!cfg.placement.charges());
         assert!(!cfg.placement.replicates());
         assert!(cfg.accounting);
         assert_eq!(WALK_REFS, 4);

@@ -18,7 +18,6 @@ use crate::ids::{AsId, ThreadId};
 use crate::kernel::Kernel;
 use crate::pmap::Pmap;
 use crate::ptable::PtableConfig;
-use crate::thread::{ThreadCell, ThreadState};
 use crate::vm::space::AddressSpace;
 
 /// A kernel thread's execution context on one processor.
@@ -49,8 +48,8 @@ pub struct UserCtx {
     /// the ATC-miss path tests one local flag instead of chasing the
     /// kernel config.
     pub(crate) ptable: PtableConfig,
-    /// The thread's registry cell; lifecycle changes are stores on it.
-    thread: Arc<ThreadCell>,
+    /// The thread's global name; it survives migration.
+    thread: ThreadId,
     /// Reusable slow-path buffers; see [`FaultScratch`].
     pub(crate) scratch: FaultScratch,
     /// The other processors' contexts (slot `p` = processor `p`) while
@@ -66,9 +65,13 @@ const _: () = {
 };
 
 impl UserCtx {
-    pub(crate) fn new(kernel: Arc<Kernel>, core: ProcCore, space: Arc<AddressSpace>) -> Self {
+    pub(crate) fn new(
+        kernel: Arc<Kernel>,
+        core: ProcCore,
+        space: Arc<AddressSpace>,
+        thread: ThreadId,
+    ) -> Self {
         let page_shift = kernel.machine().cfg().page_shift;
-        let thread = kernel.threads.register(core.id(), space.id());
         let asid = space.asid();
         let ptable = kernel.config().ptable;
         let pacer = Pacer::new(core.id());
@@ -91,7 +94,7 @@ impl UserCtx {
 
     /// The thread's global name (§1.1: threads are globally named).
     pub fn thread_id(&self) -> ThreadId {
-        self.thread.id
+        self.thread
     }
 
     /// The kernel this context belongs to.
@@ -169,14 +172,12 @@ impl UserCtx {
     /// (§3.1's activity optimization).
     pub fn suspend(&mut self) {
         self.deactivate_space();
-        self.thread.set_state(ThreadState::Suspended);
     }
 
     /// Resumes a [`UserCtx::suspend`]ed thread, applying any mapping
     /// changes that arrived while it was suspended.
     pub fn resume(&mut self) {
         self.activate_space();
-        self.thread.set_state(ThreadState::Running);
     }
 
     /// Switches the thread to a different address space.
@@ -185,7 +186,6 @@ impl UserCtx {
         self.space = space;
         self.asid = self.space.asid();
         self.activate_space();
-        self.thread.set_space(self.space.id());
     }
 
     /// Moves the thread to another processor (the explicit thread
@@ -225,7 +225,6 @@ impl UserCtx {
             .occupied
             .store(false, Ordering::Release);
         self.activate_space();
-        self.thread.set_proc(new_proc);
         Ok(())
     }
 
@@ -251,7 +250,7 @@ impl UserCtx {
         for m in &msgs {
             self.apply(m.vpn, &m.directive);
             self.core.charge(costs::APPLY_MSG_NS);
-            m.ack(me, self.core.vtime());
+            m.ack(me);
             self.record(EventKind::ShootdownAck, m.directive.code(), m.vpn, 0);
         }
         msgs.clear();
@@ -666,7 +665,6 @@ impl Mem for UserCtx {
 impl Drop for UserCtx {
     fn drop(&mut self) {
         self.deactivate_space();
-        self.thread.set_state(ThreadState::Terminated);
         self.kernel.slots[self.core.id()]
             .occupied
             .store(false, Ordering::Release);

@@ -1,11 +1,11 @@
 //! Precision tests: the shootdown mechanism's targeting claims (§3.1),
-//! port semantics, and the thread registry.
+//! port semantics, thread migration and address-space switches.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use numa_machine::{Machine, MachineConfig, Mem};
-use platinum::{AddressSpace, Kernel, KernelConfig, Rights, ShootdownMode, ThreadState, UserCtx};
+use platinum::{AddressSpace, Kernel, KernelConfig, Rights, ShootdownMode, UserCtx};
 
 fn machine(nodes: usize) -> Arc<Machine> {
     Machine::new(MachineConfig {
@@ -230,35 +230,27 @@ fn port_receive_advances_clock_past_send() {
     );
 }
 
+/// A migration moves the thread to its new processor under the same
+/// global name; every attach gets a fresh one.
 #[test]
-fn thread_registry_tracks_lifecycle_and_migration() {
+fn migration_moves_the_thread_and_keeps_its_name() {
     let kernel = Kernel::boot(machine(4), KernelConfig::default());
     let space = kernel.create_space();
     let id = {
         let mut ctx = kernel.attach(Arc::clone(&space), 0, 0).unwrap();
         let id = ctx.thread_id();
-        let info = kernel.thread_info(id).unwrap();
-        assert_eq!(info.proc, 0);
-        assert_eq!(info.state, ThreadState::Running);
-        assert_eq!(info.migrations, 0);
-
+        assert_eq!(ctx.core().id(), 0);
         ctx.suspend();
-        assert_eq!(
-            kernel.thread_info(id).unwrap().state,
-            ThreadState::Suspended
-        );
         ctx.resume();
 
         ctx.migrate(2).unwrap();
-        let info = kernel.thread_info(id).unwrap();
-        assert_eq!(info.proc, 2);
-        assert_eq!(info.migrations, 1);
+        assert_eq!(ctx.core().id(), 2);
+        assert_eq!(ctx.thread_id(), id, "a migration keeps the name");
+        // The old processor is free again, the new one taken.
+        assert!(kernel.attach(Arc::clone(&space), 0, 0).is_ok());
+        assert!(kernel.attach(Arc::clone(&space), 2, 0).is_err());
         id
     };
-    // Dropped: terminated, name still resolvable.
-    let info = kernel.thread_info(id).unwrap();
-    assert_eq!(info.state, ThreadState::Terminated);
-    assert_eq!(kernel.thread_list().len(), 1);
 
     // A second thread gets a fresh global name.
     let ctx2 = kernel.attach(space, 1, 0).unwrap();
@@ -266,7 +258,7 @@ fn thread_registry_tracks_lifecycle_and_migration() {
 }
 
 #[test]
-fn switch_space_updates_registry_and_protects_old_mappings() {
+fn switch_space_protects_old_mappings() {
     let kernel = Kernel::boot(machine(2), KernelConfig::default());
     let s1 = kernel.create_space();
     let s2 = kernel.create_space();
@@ -276,73 +268,9 @@ fn switch_space_updates_registry_and_protects_old_mappings() {
     let mut ctx = kernel.attach(Arc::clone(&s1), 0, 0).unwrap();
     ctx.write(va1, 123);
     ctx.switch_space(Arc::clone(&s2));
-    assert_eq!(kernel.thread_info(ctx.thread_id()).unwrap().space, s2.id());
+    assert_eq!(ctx.space().id(), s2.id());
     // va1 is not mapped in s2.
     assert!(ctx.try_read(va1).is_err());
     ctx.switch_space(s1);
     assert_eq!(ctx.read(va1), 123);
-}
-
-/// The registry reads a thread's cell, which its context writes with
-/// plain stores: every change is visible through `thread_info` at once,
-/// and a reader racing the owner only ever sees a state the owner set.
-#[test]
-fn thread_cell_is_read_through_the_registry_while_its_owner_writes() {
-    let kernel = Kernel::boot(machine(3), KernelConfig::default());
-    let s1 = kernel.create_space();
-    let s2 = kernel.create_space();
-    let mut ctx = kernel.attach(Arc::clone(&s1), 0, 0).unwrap();
-    let id = ctx.thread_id();
-    let info = || kernel.thread_info(id).unwrap();
-
-    ctx.suspend();
-    assert_eq!(info().state, ThreadState::Suspended);
-    ctx.resume();
-    assert_eq!(info().state, ThreadState::Running);
-    ctx.migrate(2).unwrap();
-    ctx.switch_space(Arc::clone(&s2));
-    let seen = info();
-    assert_eq!(
-        (seen.proc, seen.space, seen.state, seen.migrations),
-        (2, s2.id(), ThreadState::Running, 1)
-    );
-
-    // The reader starts first and stops only after the last toggle, so
-    // its reads overlap the owner's stores.
-    let started = AtomicBool::new(false);
-    let done = AtomicBool::new(false);
-    let reads = std::thread::scope(|s| {
-        let reader = s.spawn(|| {
-            let mut reads = 0u64;
-            while !done.load(Ordering::Acquire) {
-                let seen = info();
-                assert!(
-                    matches!(seen.state, ThreadState::Running | ThreadState::Suspended),
-                    "toggling between two states showed {:?}",
-                    seen.state
-                );
-                assert_eq!((seen.proc, seen.space, seen.migrations), (2, s2.id(), 1));
-                reads += 1;
-                started.store(true, Ordering::Release);
-            }
-            reads
-        });
-        while !started.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
-        for _ in 0..100_000 {
-            ctx.suspend();
-            ctx.resume();
-        }
-        done.store(true, Ordering::Release);
-        reader.join().unwrap()
-    });
-    assert!(reads > 0);
-
-    drop(ctx);
-    let seen = info();
-    assert_eq!(
-        (seen.proc, seen.space, seen.state, seen.migrations),
-        (2, s2.id(), ThreadState::Terminated, 1)
-    );
 }

@@ -36,8 +36,9 @@ fn main() {
                     ctx.port_send(&port, &[i]);
                 }
                 println!(
-                    "generator (thread {:?} on proc 0) sent {ITEMS} messages",
-                    ctx.thread_id()
+                    "generator ({} on proc 0, space {}) sent {ITEMS} messages",
+                    ctx.thread_id(),
+                    ctx.space().id()
                 );
             });
         }
@@ -58,7 +59,11 @@ fn main() {
                     let sq = ctx.read(scratch);
                     ctx.port_send(&tx, &[sq]);
                 }
-                println!("squarer forwarded {ITEMS} squares");
+                println!(
+                    "squarer ({} on proc 1, space {}) forwarded {ITEMS} squares",
+                    ctx.thread_id(),
+                    ctx.space().id()
+                );
             });
         }
         {
@@ -74,18 +79,13 @@ fn main() {
                 let expect: u64 = (1..=u64::from(ITEMS)).map(|x| x * x).sum();
                 assert_eq!(total, expect);
                 println!(
-                    "summer got {total} (expected {expect}) at virtual time {} us",
+                    "summer ({} on proc 2, space {}) got {total} (expected {expect}) \
+                     at virtual time {} us",
+                    ctx.thread_id(),
+                    ctx.space().id(),
                     ctx.vtime() / 1000
                 );
             });
         }
     });
-
-    println!("\nthreads the kernel saw:");
-    for t in kernel.thread_list() {
-        println!(
-            "  {:?}: proc {}, space {}, state {:?}",
-            t.id, t.proc, t.space, t.state
-        );
-    }
 }
