@@ -15,7 +15,7 @@
 //!   Also serves as the static-placement baseline when the kernel runs
 //!   the `NeverReplicate` policy.
 //! * the Uniform System style — the same [`run_shared`] body over
-//!   scatter-stored rows ([`init_scattered_rows`]) on a kernel running
+//!   scatter-stored rows ([`Gauss::init_scattered`]) on a kernel running
 //!   the `NeverReplicate` policy, so every reference to a row stored on
 //!   another node crosses the switch, at every processor count.
 //! * [`run_message_passing`] — the SMP style: private rows, the pivot row
@@ -37,7 +37,7 @@ use platinum_runtime::measure::RunStats;
 use platinum_runtime::sim::Sim;
 use platinum_runtime::sync::{Barrier, EventCount};
 use platinum_runtime::zones::Zone;
-use platinum_runtime::Stage;
+use platinum_runtime::{Stage, Step, Wait};
 
 /// Modelled computation per eliminated element, ns. On the 16.67 MHz
 /// MC68020 an integer multiply alone takes ~2.6 us; with the subtract,
@@ -130,24 +130,6 @@ pub fn owns(tid: usize, p: usize, row: usize) -> bool {
     row % p == tid
 }
 
-/// Initializes the rows owned by `tid`: first touch places each row on
-/// its owner's node.
-pub fn init_owned_rows<M: Mem>(
-    m: &mut M,
-    lay: &GaussLayout,
-    cfg: &GaussConfig,
-    tid: usize,
-    p: usize,
-) {
-    let mut buf = vec![0u32; lay.n];
-    for row in (0..lay.n).filter(|r| owns(tid, p, *r)) {
-        for (j, b) in buf.iter_mut().enumerate() {
-            *b = initial(cfg.seed, row, j) as u32;
-        }
-        m.write_block(lay.elem(row, 0), &buf);
-    }
-}
-
 /// The memory node the Uniform System's scatter storage places `row` on:
 /// pseudo-random, decoupled from task ownership.
 #[inline]
@@ -155,58 +137,154 @@ pub fn scatter_node(row: usize, nodes: usize) -> usize {
     ((row as u64).wrapping_mul(2654435761) >> 16) as usize % nodes
 }
 
-/// Initializes the rows that scatter storage places on `node` — the
-/// Uniform System's storage discipline spreads data over the whole
-/// machine regardless of which task will use it, so most references are
-/// remote at any processor count.
-pub fn init_scattered_rows<M: Mem>(
-    m: &mut M,
-    lay: &GaussLayout,
-    cfg: &GaussConfig,
-    node: usize,
-    nodes: usize,
-) {
+/// Initializes each row of `rows`, one per step: first touch places it
+/// on the writer's node.
+fn init_rows<'a, M: Mem>(
+    lay: &'a GaussLayout,
+    cfg: &'a GaussConfig,
+    mut rows: impl Iterator<Item = usize> + 'a,
+) -> impl FnMut(&mut M) -> Step<'a> + 'a {
     let mut buf = vec![0u32; lay.n];
-    for row in (0..lay.n).filter(|r| scatter_node(*r, nodes) == node) {
+    move |m| {
+        let Some(row) = rows.next() else {
+            return Step::Done;
+        };
         for (j, b) in buf.iter_mut().enumerate() {
             *b = initial(cfg.seed, row, j) as u32;
         }
         m.write_block(lay.elem(row, 0), &buf);
+        Step::Ready
     }
 }
 
-/// One thread's elimination loop over shared coherent memory.
+/// One step of a worker's elimination loop.
+#[derive(Clone, Copy)]
+enum Turn {
+    /// Round `k` begins: pivot row `k` must be ready.
+    Pivot(usize),
+    /// The shared style's read of pivot row `k` for one row.
+    Fetch(usize),
+    /// Read row `i` for round `k`.
+    Read(usize, usize),
+    /// One iteration of the anecdote's inner loop: one read of the
+    /// shared matrix size.
+    Probe,
+    /// Eliminate the row read last and charge its computation.
+    Compute(usize),
+    /// Write row `i` back for round `k`.
+    Write(usize, usize),
+}
+
+/// Worker `tid`'s steps: each round's pivot, then its own rows below it,
+/// each (its pivot fetched, with `fetch`) read, (probed `n - k` times,
+/// with `probes`), computed and written.
+fn turns(n: usize, tid: usize, p: usize, fetch: bool, probes: bool) -> impl Iterator<Item = Turn> {
+    (0..n.saturating_sub(1)).flat_map(move |k| {
+        let probes = if probes { n - k } else { 0 };
+        let rows = (k + 1..n)
+            .filter(move |&i| owns(tid, p, i))
+            .flat_map(move |i| {
+                fetch
+                    .then_some(Turn::Fetch(k))
+                    .into_iter()
+                    .chain([Turn::Read(k, i)])
+                    .chain(std::iter::repeat_n(Turn::Probe, probes))
+                    .chain([Turn::Compute(k), Turn::Write(k, i)])
+            });
+        std::iter::once(Turn::Pivot(k)).chain(rows)
+    })
+}
+
+/// The part of a row's elimination every style shares: read the row,
+/// eliminate it against `pivot` and charge the computation, write it
+/// back.
+fn row_turn<M: Mem>(m: &mut M, lay: &GaussLayout, turn: Turn, pivot: &[u32], row: &mut [u32]) {
+    match turn {
+        Turn::Read(k, i) => m.read_block(lay.elem(i, k), &mut row[..lay.n - k]),
+        Turn::Compute(k) => {
+            let width = lay.n - k;
+            eliminate(&mut row[..width], &pivot[..width]);
+            m.compute(COMPUTE_NS_PER_ELEM * width as u64);
+        }
+        Turn::Write(k, i) => m.write_block(lay.elem(i, k), &row[..lay.n - k]),
+        Turn::Pivot(_) | Turn::Fetch(_) | Turn::Probe => unreachable!("not a row step"),
+    }
+}
+
+/// One thread's elimination loop over shared coherent memory, as steps.
 ///
 /// The pivot row for round `k` is ready once event count `ec` reaches
 /// `k + 1`; the owner of row `k + 1` advances `ec` as soon as it has
 /// updated that row, pipelining rounds exactly as the coarse-grain
 /// implementation in the paper.
-pub fn run_shared<M: Mem>(m: &mut M, lay: &GaussLayout, ec: &EventCount, tid: usize, p: usize) {
+///
+/// With `anecdote = Some((msize_va, start))` this is the §4.2 anecdote:
+/// the same loop with the paper's two pathologies built in. A shared
+/// "matrix size" variable at `msize_va` is read in the termination test
+/// of the inner loop (one read per element), and the barrier `start` is
+/// taken at the start of the elimination phase. When the harness
+/// co-locates the barrier's words with `msize_va` on one page, the
+/// barrier traffic freezes that page and every inner-loop read becomes a
+/// remote reference — "this dramatically increased the execution time
+/// and became a bottleneck with five or more processors". Thawing (the
+/// defrost daemon) or separated allocation recovers the performance.
+pub fn run_shared<'a, M: Mem>(
+    lay: &'a GaussLayout,
+    ec: &'a EventCount,
+    tid: usize,
+    p: usize,
+    anecdote: Option<(Va, &'a Barrier)>,
+) -> impl FnMut(&mut M) -> Step<'a> + 'a {
     let n = lay.n;
     let mut pivot = vec![0u32; n];
     let mut row_buf = vec![0u32; n];
-    if tid == 0 {
-        // Row 0 is final as soon as initialization finished.
-        ec.advance(m);
-    }
-    for k in 0..n.saturating_sub(1) {
-        ec.await_at_least(m, k as u32 + 1);
-        let width = n - k;
-        for i in (k + 1..n).filter(|r| owns(tid, p, *r)) {
-            // Transparent style: the inner loop reads the pivot row from
-            // coherent memory for every row it eliminates (the natural
-            // `a[k][j]` indexing of the 17-line version). The first touch
-            // faults and (policy permitting) replicates the page, after
-            // which all these references are local.
-            m.read_block(lay.elem(k, k), &mut pivot[..width]);
-            m.read_block(lay.elem(i, k), &mut row_buf[..width]);
-            eliminate(&mut row_buf[..width], &pivot[..width]);
-            m.compute(COMPUTE_NS_PER_ELEM * width as u64);
-            m.write_block(lay.elem(i, k), &row_buf[..width]);
+    let (mut arrive, mut first) = (anecdote.is_some(), tid == 0);
+    // The anecdote reads each round's pivot row once, at the start of the
+    // step after its wait.
+    let mut pivot_due = None;
+    let mut turns = turns(n, tid, p, anecdote.is_none(), anecdote.is_some());
+    move |m| {
+        if let (true, Some((_, start))) = (std::mem::take(&mut arrive), anecdote) {
+            return start.arrive(m).into();
+        }
+        if std::mem::take(&mut first) {
+            // Row 0 is final as soon as initialization finished.
+            ec.advance(m);
+        }
+        if let Some(k) = pivot_due.take() {
+            m.read_block(lay.elem(k, k), &mut pivot[..n - k]);
+        }
+        let turn = match turns.next() {
+            None => return Step::Done,
+            Some(Turn::Pivot(k)) => {
+                pivot_due = anecdote.map(|_| k);
+                return ec.reaching(k as u32 + 1).into();
+            }
+            // The inner loop's termination test reads the shared matrix
+            // size once per element.
+            Some(Turn::Probe) => {
+                let (msize_va, _) = anecdote.expect("only the anecdote probes");
+                let _n_now = m.read(msize_va);
+                return Step::Ready;
+            }
+            // Transparent style: each row's elimination reads the pivot
+            // row from coherent memory (the natural `a[k][j]` indexing of
+            // the 17-line version). The first touch faults and (policy
+            // permitting) replicates the page, after which all these
+            // references are local.
+            Some(Turn::Fetch(k)) => {
+                m.read_block(lay.elem(k, k), &mut pivot[..n - k]);
+                return Step::Ready;
+            }
+            Some(turn) => turn,
+        };
+        row_turn(m, lay, turn, &pivot, &mut row_buf);
+        if let Turn::Write(k, i) = turn {
             if i == k + 1 {
                 ec.advance(m);
             }
         }
+        Step::Ready
     }
 }
 
@@ -221,68 +299,19 @@ fn eliminate(row: &mut [u32], pivot: &[u32]) {
     }
 }
 
-/// The §4.2 anecdote: the same elimination loop, but with the paper's
-/// two pathologies built in. A shared "matrix size" variable at
-/// `msize_va` is read in the termination test of the inner loop (one
-/// read per element), and a barrier is taken at the start of the
-/// elimination phase. When the harness co-locates the barrier's words
-/// with `msize_va` on one page, the barrier traffic freezes that page
-/// and every inner-loop read becomes a remote reference — "this
-/// dramatically increased the execution time and became a bottleneck
-/// with five or more processors". Thawing (the defrost daemon) or
-/// separated allocation recovers the performance.
-pub fn run_shared_anecdote<M: Mem>(
-    m: &mut M,
-    lay: &GaussLayout,
-    ec: &EventCount,
-    tid: usize,
-    p: usize,
-    msize_va: Va,
-    start: &Barrier,
-) {
-    // The spin-lock barrier at the start of the elimination phase.
-    start.wait(m);
-    let n = lay.n;
-    let mut pivot = vec![0u32; n];
-    let mut row_buf = vec![0u32; n];
-    if tid == 0 {
-        ec.advance(m);
-    }
-    for k in 0..n.saturating_sub(1) {
-        ec.await_at_least(m, k as u32 + 1);
-        let width = n - k;
-        m.read_block(lay.elem(k, k), &mut pivot[..width]);
-        for i in (k + 1..n).filter(|r| owns(tid, p, *r)) {
-            m.read_block(lay.elem(i, k), &mut row_buf[..width]);
-            // The inner loop's termination test reads the shared matrix
-            // size once per element.
-            let mut j = 0;
-            while j < width {
-                let _n_now = m.read(msize_va);
-                j += 1;
-            }
-            eliminate(&mut row_buf[..width], &pivot[..width]);
-            m.compute(COMPUTE_NS_PER_ELEM * width as u64);
-            m.write_block(lay.elem(i, k), &row_buf[..width]);
-            if i == k + 1 {
-                ec.advance(m);
-            }
-        }
-    }
-}
-
 /// The SMP-style message-passing implementation: each thread keeps its
 /// rows in pages nobody else ever touches, and the pivot row travels by
-/// port messages down a binomial broadcast tree rooted at the owner.
+/// port messages down a binomial broadcast tree rooted at the owner. A
+/// receive that finds its port empty blocks in the kernel until a
+/// message arrives.
 ///
 /// `ports[t]` is thread `t`'s receive port.
-pub fn run_message_passing(
-    ctx: &mut UserCtx,
-    lay: &GaussLayout,
-    ports: &[Arc<Port>],
+pub fn run_message_passing<'a>(
+    lay: &'a GaussLayout,
+    ports: &'a [Arc<Port>],
     tid: usize,
     p: usize,
-) {
+) -> impl FnMut(&mut UserCtx) -> Step<'a> + 'a {
     let n = lay.n;
     let mut pivot = vec![0u32; n];
     let mut row_buf = vec![0u32; n];
@@ -291,7 +320,18 @@ pub fn run_message_passing(
     // k+1 message can reach a port before a slow parent's round k
     // message. Early arrivals are stashed until their round comes up.
     let mut stash: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    for k in 0..n.saturating_sub(1) {
+    // The round whose pivot a blocked receive is waiting for.
+    let mut receiving = None;
+    let mut turns = turns(n, tid, p, false, false);
+    move |ctx| {
+        let k = match receiving.take().or_else(|| turns.next()) {
+            None => return Step::Done,
+            Some(Turn::Pivot(k)) => k,
+            Some(turn) => {
+                row_turn(ctx, lay, turn, &pivot, &mut row_buf);
+                return Step::Ready;
+            }
+        };
         let width = n - k;
         let owner = k % p;
         if tid == owner {
@@ -300,13 +340,15 @@ pub fn run_message_passing(
             let body = match stash.remove(&(k as u32)) {
                 Some(body) => body,
                 None => loop {
-                    let msg = ctx.port_recv(&ports[tid]);
-                    let round = msg[0];
+                    let Some(msg) = ctx.port_recv_step(&ports[tid]) else {
+                        receiving = Some(Turn::Pivot(k));
+                        return Step::Wait(Wait::Port(&ports[tid]));
+                    };
                     let body = msg[1..].to_vec();
-                    if round == k as u32 {
+                    if msg[0] == k as u32 {
                         break body;
                     }
-                    stash.insert(round, body);
+                    stash.insert(msg[0], body);
                 },
             };
             pivot[..width].copy_from_slice(&body);
@@ -325,12 +367,7 @@ pub fn run_message_passing(
             }
             step <<= 1;
         }
-        for i in (k + 1..n).filter(|r| owns(tid, p, *r)) {
-            ctx.read_block(lay.elem(i, k), &mut row_buf[..width]);
-            eliminate(&mut row_buf[..width], &pivot[..width]);
-            ctx.compute(COMPUTE_NS_PER_ELEM * width as u64);
-            ctx.write_block(lay.elem(i, k), &row_buf[..width]);
-        }
+        Step::Ready
     }
 }
 
@@ -379,36 +416,42 @@ impl<'a> Gauss<'a> {
     /// Initialization decides data placement: owners first-touch their
     /// rows.
     pub fn init<S: Stage>(&self, stage: &mut S) {
-        stage.phase("init", self.p, |tid, ctx| {
-            init_owned_rows(ctx, &self.lay, self.cfg, tid, self.p)
+        let (n, p) = (self.lay.n, self.p);
+        stage.steps("init", p, |tid| {
+            init_rows(
+                &self.lay,
+                self.cfg,
+                (0..n).filter(move |&r| owns(tid, p, r)),
+            )
         });
     }
 
     /// The Uniform System's initialization instead: its storage
-    /// discipline scatters rows over all `nodes` memories of the
-    /// machine, whichever processors will run.
+    /// discipline scatters rows over all `nodes` memories of the machine
+    /// ([`scatter_node`]), whichever processors will run, so most
+    /// references are remote at any processor count.
     pub fn init_scattered<S: Stage>(&self, stage: &mut S, nodes: usize) {
-        stage.phase("init", nodes, |node, ctx| {
-            init_scattered_rows(ctx, &self.lay, self.cfg, node, nodes)
+        let n = self.lay.n;
+        stage.steps("init", nodes, |node| {
+            let rows = (0..n).filter(move |&r| scatter_node(r, nodes) == node);
+            init_rows(&self.lay, self.cfg, rows)
         });
     }
 
     /// The measured pass: the elimination phase, as in LeBlanc's studies.
     pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
-        let (_, run) = stage.phase("measured", self.p, |tid, ctx| {
-            run_shared(ctx, &self.lay, &self.ec, tid, self.p)
-        });
-        run
+        stage.steps("measured", self.p, |tid| {
+            run_shared(&self.lay, &self.ec, tid, self.p, None)
+        })
     }
 
     /// The measured pass in the SMP style. Ports are kernel objects
     /// outside the [`Mem`] seam, so this runs on a [`Sim`] only.
     pub fn measured_message_passing(&self, sim: &Sim) -> RunStats {
         let ports: Vec<Arc<Port>> = (0..self.p).map(|_| sim.kernel.create_port()).collect();
-        let (_, run) = sim.run(self.p, |tid, ctx| {
-            run_message_passing(ctx, &self.lay, &ports, tid, self.p)
-        });
-        run
+        sim.steps("measured", self.p, |tid| {
+            run_message_passing(&self.lay, &ports, tid, self.p)
+        })
     }
 
     /// Folds the eliminated matrix from one processor ([`checksum`]).
@@ -420,7 +463,7 @@ impl<'a> Gauss<'a> {
 
 /// The §4.2 anecdote staged on a machine: [`Gauss`] plus the shared
 /// matrix-size variable and the start barrier of
-/// [`run_shared_anecdote`].
+/// [`run_shared`]'s anecdote.
 pub struct GaussAnecdote<'a> {
     gauss: Gauss<'a>,
     msize_va: Va,
@@ -453,21 +496,29 @@ impl<'a> GaussAnecdote<'a> {
     /// [`Gauss::init`], with processor 0 also publishing the matrix size.
     pub fn init<S: Stage>(&self, stage: &mut S) {
         let g = &self.gauss;
-        stage.phase("init", g.p, |tid, ctx| {
-            if tid == 0 {
-                ctx.write(self.msize_va, g.cfg.n as u32);
+        stage.steps("init", g.p, |tid| {
+            let p = g.p;
+            let mut rows = init_rows(
+                &g.lay,
+                g.cfg,
+                (0..g.lay.n).filter(move |&r| owns(tid, p, r)),
+            );
+            let mut publish = tid == 0;
+            move |ctx: &mut S::Ctx| {
+                if std::mem::take(&mut publish) {
+                    ctx.write(self.msize_va, g.cfg.n as u32);
+                }
+                rows(ctx)
             }
-            init_owned_rows(ctx, &g.lay, g.cfg, tid, g.p)
         });
     }
 
-    /// The measured pass: [`run_shared_anecdote`].
+    /// The measured pass: [`run_shared`] with the anecdote's pathologies.
     pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
         let (g, msize_va, start) = (&self.gauss, self.msize_va, &self.start);
-        let (_, run) = stage.phase("measured", g.p, |tid, ctx| {
-            run_shared_anecdote(ctx, &g.lay, &g.ec, tid, g.p, msize_va, start)
-        });
-        run
+        stage.steps("measured", g.p, |tid| {
+            run_shared(&g.lay, &g.ec, tid, g.p, Some((msize_va, start)))
+        })
     }
 
     /// [`Gauss::checksum`].

@@ -19,9 +19,10 @@
 //!   structure access with controllable reference density) used to
 //!   measure the §4.1 crossover empirically.
 //!
-//! Each application's thread bodies are written against the
-//! [`numa_machine::Mem`] trait, and its layout and phase sequence once
-//! against [`platinum_runtime::Stage`] (`gauss::Gauss`,
+//! Each application's per-processor program is written as steps
+//! ([`platinum_runtime::Step`]) against the [`numa_machine::Mem`] trait,
+//! and its layout and phase sequence once against
+//! [`platinum_runtime::Stage`] (`gauss::Gauss`,
 //! `mergesort::Sort`, `neural::Neural`), so the caller decides which
 //! machine, kernel, and policy it runs on — and whether the run is live
 //! ([`harness`]), recorded ([`capture`]), or on the UMA comparator —
@@ -35,3 +36,19 @@ pub mod harness;
 pub mod mergesort;
 pub mod neural;
 pub mod workloads;
+
+/// Runs a stepped worker alone on `m`, spinning on its waits.
+#[cfg(test)]
+fn run_alone<'a, M: numa_machine::Mem>(
+    m: &mut M,
+    mut worker: impl FnMut(&mut M) -> platinum_runtime::Step<'a>,
+) {
+    use platinum_runtime::Step;
+    loop {
+        match worker(m) {
+            Step::Ready => {}
+            Step::Wait(w) => w.spin(m),
+            Step::Done => return,
+        }
+    }
+}

@@ -19,11 +19,13 @@
 //! sequence on any [`Stage`]: the kernel, a recording capture, or the
 //! UMA comparator.
 
+use std::ops::Range;
+
 use numa_machine::{Mem, Va};
 use platinum_runtime::measure::RunStats;
 use platinum_runtime::sync::Barrier;
 use platinum_runtime::zones::Zone;
-use platinum_runtime::Stage;
+use platinum_runtime::{Stage, Step};
 
 /// Modelled comparison/copy cost per output element during a merge, ns.
 pub const MERGE_NS_PER_ELEM: u64 = 4000;
@@ -98,24 +100,71 @@ fn key(seed: u64, i: usize) -> u32 {
     (x >> 32) as u32
 }
 
-/// Initializes thread `tid`'s segment of the input (first touch places it
-/// locally).
-pub fn init_segment<M: Mem>(m: &mut M, lay: &SortLayout, cfg: &SortConfig, tid: usize, p: usize) {
+/// The ranges of a `words`-word block transfer at `va` that one step
+/// moves: [`CHUNK`]-key pieces, or whole pages where a page is larger
+/// (so a paged machine translates each page once, as one transfer
+/// would), cut at those boundaries of the address space.
+fn chunks(va: Va, words: usize, page_words: usize) -> impl Iterator<Item = Range<usize>> {
+    let unit = CHUNK.max(page_words);
+    let first = (va / 4) as usize;
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at;
+        at = words.min(at + unit - (first + at) % unit);
+        (start < words).then_some(start..at)
+    })
+}
+
+/// Initializes thread `tid`'s segment of the input, a chunk per step
+/// (first touch places it locally).
+pub fn init_segment<'a, M: Mem>(
+    lay: &'a SortLayout,
+    cfg: &'a SortConfig,
+    tid: usize,
+    p: usize,
+    page_words: usize,
+) -> impl FnMut(&mut M) -> Step<'a> + 'a {
     let seg = lay.n / p;
     let base = tid * seg;
     let buf: Vec<u32> = (0..seg).map(|i| key(cfg.seed, base + i)).collect();
-    m.write_block(lay.a + 4 * base as u64, &buf);
+    let va = lay.a + 4 * base as u64;
+    let mut chunks = chunks(va, seg, page_words);
+    move |m| match chunks.next() {
+        Some(r) => {
+            m.write_block(va + 4 * r.start as u64, &buf[r]);
+            Step::Ready
+        }
+        None => Step::Done,
+    }
 }
 
-/// One thread's body: local sort, then the merge tree.
+/// A step of the local sort.
+enum Local {
+    /// Read a chunk of the segment.
+    Read(Range<usize>),
+    /// Charge a pass's comparisons; the last pass also sorts.
+    Compute(bool),
+    /// Write a chunk of the segment back.
+    Write(Range<usize>),
+}
+
+/// One thread's body, as steps: local sort, then the merge tree.
 ///
 /// `p` must be a power of two and divide `lay.n`. All `p` threads must
-/// call this with the same shared `barrier`.
-pub fn run<M: Mem>(m: &mut M, lay: &SortLayout, barrier: &Barrier, tid: usize, p: usize) {
+/// run this with the same shared `barrier`. A local-sort pass reads its
+/// segment a chunk per step, charges its comparisons, and writes the
+/// segment back a chunk per step; a merge fills and merges one chunk,
+/// then writes it, one step each.
+pub fn run<'a, M: Mem>(
+    lay: &'a SortLayout,
+    barrier: &'a Barrier,
+    tid: usize,
+    p: usize,
+    page_words: usize,
+) -> impl FnMut(&mut M) -> Step<'a> + 'a {
     assert!(p.is_power_of_two(), "thread count must be a power of two");
     assert!(lay.n.is_multiple_of(p), "n must divide evenly");
     let seg = lay.n / p;
-
     // Phase 0: sort own segment in place. A quicksort makes ~log2(seg)
     // streaming passes over the data; each pass re-reads and re-writes
     // the whole segment. On PLATINUM the segment is local memory; on a
@@ -123,57 +172,82 @@ pub fn run<M: Mem>(m: &mut M, lay: &SortLayout, barrier: &Barrier, tid: usize, p
     // misses again and the writes go through the bus — "the problem is
     // large enough that none of the data will remain in the Sequent
     // cache between merge phases" (§5.2), and within the sort phase too.
-    let base = tid * seg;
-    let seg_va = lay.a + 4 * base as u64;
+    let seg_va = lay.a + 4 * (tid * seg) as u64;
     let mut buf = vec![0u32; seg];
     let passes = (seg as f64).log2().ceil().max(1.0) as u32;
-    for pass in 0..passes {
-        m.read_block(seg_va, &mut buf);
-        if pass == passes - 1 {
-            // The values only matter at the end; the earlier passes model
-            // the traffic of the partial partitioning steps.
-            buf.sort_unstable();
-        }
-        m.compute(SORT_NS_PER_CMP * seg as u64);
-        m.write_block(seg_va, &buf);
-    }
-    barrier.wait(m);
-
+    let mut local = (0..passes).flat_map(move |pass| {
+        let io = move || chunks(seg_va, seg, page_words);
+        // The values only matter at the end; the earlier passes model the
+        // traffic of the partial partitioning steps.
+        io().map(Local::Read)
+            .chain(std::iter::once(Local::Compute(pass + 1 == passes)))
+            .chain(io().map(Local::Write))
+    });
     // Merge tree: at level l the *owner of the left run* performs each
     // merge (threads 0, 2, 4, ... at level 1; 0, 4, 8, ... at level 2),
     // so "one half of the data to be merged will already be in the
     // merging processor's local memory" (§5.2).
     let levels = p.trailing_zeros();
-    let mut src = lay.a;
-    let mut dst = lay.b;
-    for l in 1..=levels {
-        let stride = 1usize << l;
-        if tid.is_multiple_of(stride) {
-            let run = seg << (l - 1);
-            let left = tid * seg;
-            merge_runs(m, src, dst, left, run);
+    let (mut sorted, mut level) = (false, 0);
+    let mut merging = None;
+    let (mut src, mut dst) = (lay.a, lay.b);
+    move |m| {
+        if let Some(step) = local.next() {
+            match step {
+                Local::Read(r) => m.read_block(seg_va + 4 * r.start as u64, &mut buf[r]),
+                Local::Compute(last) => {
+                    if last {
+                        buf.sort_unstable();
+                    }
+                    m.compute(SORT_NS_PER_CMP * seg as u64);
+                }
+                Local::Write(r) => m.write_block(seg_va + 4 * r.start as u64, &buf[r]),
+            }
+            return Step::Ready;
         }
-        barrier.wait(m);
+        if merging.is_none() {
+            if !std::mem::replace(&mut sorted, true) {
+                return barrier.arrive(m).into();
+            }
+            if level == levels {
+                return Step::Done;
+            }
+            level += 1;
+            if tid.is_multiple_of(1 << level) {
+                merging = Some(merge(src, dst, tid * seg, seg << (level - 1)));
+                return Step::Ready;
+            }
+        } else if merging.as_mut().is_some_and(|step| !step(m)) {
+            return Step::Ready;
+        }
+        merging = None;
         std::mem::swap(&mut src, &mut dst);
+        barrier.arrive(m).into()
     }
 }
+
+/// Keys a merge reads from each run at a time.
+const CHUNK: usize = 256;
 
 /// Merges `src[left..left+run]` and `src[left+run..left+2run]` into
 /// `dst[left..left+2run]`, streaming through chunk buffers so the access
 /// pattern (and therefore the paging/caching behaviour) is the linear
-/// scan of a real merge.
-fn merge_runs<M: Mem>(m: &mut M, src: Va, dst: Va, left: usize, run: usize) {
-    const CHUNK: usize = 256;
-    let mut a_buf = [0u32; CHUNK];
-    let mut b_buf = [0u32; CHUNK];
+/// scan of a real merge. Each call is one step — refill a drained buffer
+/// and merge until one drains, or write the merged chunk — and returns
+/// true once the merge is complete.
+fn merge(src: Va, dst: Va, left: usize, run: usize) -> impl FnMut(&mut dyn Mem) -> bool {
+    let (mut a_buf, mut b_buf) = ([0u32; CHUNK], [0u32; CHUNK]);
     let mut out = Vec::with_capacity(CHUNK * 2);
-
     let (mut ai, mut bi) = (0usize, 0usize); // consumed from each run
     let (mut a_len, mut b_len) = (0usize, 0usize);
     let (mut a_pos, mut b_pos) = (0usize, 0usize); // cursor within buffers
-    let mut written = 0usize;
-
-    while written < 2 * run {
+    let (mut written, mut full) = (0usize, false);
+    move |m| {
+        if std::mem::take(&mut full) {
+            m.write_block(dst + 4 * (left + written) as u64, &out);
+            written += out.len();
+            return written == 2 * run;
+        }
         if a_pos == a_len && ai < run {
             a_len = CHUNK.min(run - ai);
             m.read_block(src + 4 * (left + ai) as u64, &mut a_buf[..a_len]);
@@ -212,8 +286,8 @@ fn merge_runs<M: Mem>(m: &mut M, src: Va, dst: Va, left: usize, run: usize) {
             }
         }
         m.compute(MERGE_NS_PER_ELEM * out.len() as u64);
-        m.write_block(dst + 4 * (left + written) as u64, &out);
-        written += out.len();
+        full = true;
+        false
     }
 }
 
@@ -267,6 +341,7 @@ pub struct Sort<'a> {
     p: usize,
     lay: SortLayout,
     barrier: Barrier,
+    page_words: usize,
 }
 
 impl<'a> Sort<'a> {
@@ -283,23 +358,23 @@ impl<'a> Sort<'a> {
             p,
             lay,
             barrier,
+            page_words,
         }
     }
 
     /// Every thread writes its own segment of the input (first touch
     /// places it locally).
     pub fn init<S: Stage>(&self, stage: &mut S) {
-        stage.phase("init", self.p, |tid, ctx| {
-            init_segment(ctx, &self.lay, self.cfg, tid, self.p)
+        stage.steps("init", self.p, |tid| {
+            init_segment(&self.lay, self.cfg, tid, self.p, self.page_words)
         });
     }
 
     /// The measured pass: local sorts, then the merge tree.
     pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
-        let (_, stats) = stage.phase("measured", self.p, |tid, ctx| {
-            run(ctx, &self.lay, &self.barrier, tid, self.p)
-        });
-        stats
+        stage.steps("measured", self.p, |tid| {
+            run(&self.lay, &self.barrier, tid, self.p, self.page_words)
+        })
     }
 
     /// Reads the output back from one processor and checks it
@@ -319,8 +394,15 @@ impl<'a> Sort<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_alone;
     use numa_machine::mem_iface::test_support::FlatMem;
     use numa_machine::uma::{UmaConfig, UmaMachine};
+
+    /// Runs a whole merge on one context.
+    fn merge_runs(m: &mut dyn Mem, src: Va, dst: Va, left: usize, run: usize) {
+        let mut step = merge(src, dst, left, run);
+        while !step(m) {}
+    }
 
     #[test]
     fn single_thread_sorts() {
@@ -332,8 +414,8 @@ mod tests {
         };
         let lay = SortLayout::alloc(&mut zone, cfg.n);
         let barrier = Barrier::new(zone.alloc_words(1), zone.alloc_words(1), 1);
-        init_segment(&mut m, &lay, &cfg, 0, 1);
-        run(&mut m, &lay, &barrier, 0, 1);
+        run_alone(&mut m, init_segment(&lay, &cfg, 0, 1, 1024));
+        run_alone(&mut m, run(&lay, &barrier, 0, 1, 1024));
         verify(&mut m, &lay, &cfg, 1).unwrap();
     }
 

@@ -23,7 +23,7 @@
 use numa_machine::{Mem, Va};
 use platinum_runtime::measure::RunStats;
 use platinum_runtime::zones::Zone;
-use platinum_runtime::Stage;
+use platinum_runtime::{Stage, Step};
 
 /// Number of input units (and output units) of the encoder.
 pub const INPUTS: usize = 16;
@@ -229,81 +229,154 @@ pub fn owns_unit(tid: usize, p: usize, u: usize) -> bool {
     u % p == tid
 }
 
-/// One processor's training loop over its units. Completely
+/// One processor's training loop over its units, one reference pair
+/// (a multiply-accumulate, or a weight update) per step. Completely
 /// unsynchronized: other processors' activations and deltas are read
 /// whenever they happen to be current, "depending only on the atomicity
-/// of memory operations".
-pub fn train<M: Mem>(m: &mut M, lay: &NeuralLayout, cfg: &NeuralConfig, tid: usize, p: usize) {
-    for _epoch in 0..cfg.epochs {
-        for pat in 0..PATTERNS {
-            step_pattern(m, lay, tid, p, pat);
+/// of memory operations" — so the steps are what sets the interleaving.
+pub fn train<'a, M: Mem>(
+    lay: &'a NeuralLayout,
+    cfg: &'a NeuralConfig,
+    tid: usize,
+    p: usize,
+) -> impl FnMut(&mut M) -> Step<'a> + 'a {
+    let mut steps = (0..cfg.epochs)
+        .flat_map(|_| 0..PATTERNS)
+        .flat_map(move |pat| presentation(tid, p).map(move |s| (pat, s)));
+    let mut unit = UnitState::default();
+    move |m| match steps.next() {
+        Some((pat, step)) => {
+            unit.step(m, lay, pat, step);
+            Step::Ready
         }
+        None => Step::Done,
     }
 }
 
-/// One pattern presentation for the units owned by `tid`.
-fn step_pattern<M: Mem>(m: &mut M, lay: &NeuralLayout, tid: usize, p: usize, pat: usize) {
-    // Load input activations for owned input units.
-    for i in (0..INPUTS).filter(|u| owns_unit(tid, p, *u)) {
-        let v = read_q(m, lay.patterns, pat * INPUTS + i);
-        m.write(lay.act(i), v as u32);
-    }
-    // Forward: hidden.
-    for h in (0..HIDDEN).filter(|u| owns_unit(tid, p, INPUTS + *u)) {
-        let mut net = 0i32;
-        for i in 0..INPUTS {
-            let x = m.read(lay.act(i)) as i32;
-            let w = m.read(lay.w1(i, h)) as i32;
-            net = net.wrapping_add(qmul(w, x));
-            m.compute(MAC_NS);
-        }
-        m.write(lay.act(INPUTS + h), sigmoid(net) as u32);
-        m.write(lay.delta(INPUTS + h), dsigmoid(net) as u32);
-        m.compute(ACT_NS);
-    }
-    // Forward + delta + weight update: output.
-    for o in (0..OUTPUTS).filter(|u| owns_unit(tid, p, INPUTS + HIDDEN + *u)) {
-        let mut net = 0i32;
-        for h in 0..HIDDEN {
-            let a = m.read(lay.act(INPUTS + h)) as i32;
-            let w = m.read(lay.w2(h, o)) as i32;
-            net = net.wrapping_add(qmul(w, a));
-            m.compute(MAC_NS);
-        }
-        let out = sigmoid(net);
-        m.write(lay.act(INPUTS + HIDDEN + o), out as u32);
-        m.compute(ACT_NS);
-        let target = if o == pat { ONE } else { 0 };
-        let delta = qmul(target.wrapping_sub(out), dsigmoid(net));
-        m.write(lay.delta(INPUTS + HIDDEN + o), delta as u32);
-        // Update incoming weights (racy reads of hidden activations).
-        for h in 0..HIDDEN {
-            let a = m.read(lay.act(INPUTS + h)) as i32;
-            let va = lay.w2(h, o);
-            let w = m.read(va) as i32;
-            m.write(va, w.wrapping_add(qmul(ETA_Q16, qmul(delta, a))) as u32);
-            m.compute(2 * MAC_NS);
-        }
-    }
-    // Backward: hidden deltas and first-layer weight updates.
-    for h in (0..HIDDEN).filter(|u| owns_unit(tid, p, INPUTS + *u)) {
-        let mut err = 0i32;
-        for o in 0..OUTPUTS {
-            let d = m.read(lay.delta(INPUTS + HIDDEN + o)) as i32;
-            // Reading the output units' records from the hidden units'
-            // owners is the irreducible fine-grain sharing of
-            // backpropagation.
-            let w = m.read(lay.w2(h, o)) as i32;
-            err = err.wrapping_add(qmul(w, d));
-            m.compute(MAC_NS);
-        }
-        let dh = qmul(err, m.read(lay.delta(INPUTS + h)) as i32);
-        for i in 0..INPUTS {
-            let x = m.read(lay.act(i)) as i32;
-            let va = lay.w1(i, h);
-            let w = m.read(va) as i32;
-            m.write(va, w.wrapping_add(qmul(ETA_Q16, qmul(dh, x))) as u32);
-            m.compute(2 * MAC_NS);
+/// A step of one pattern presentation.
+#[derive(Clone, Copy)]
+enum Pres {
+    /// Load input unit `i`'s activation from the pattern.
+    Input(usize),
+    /// Hidden unit `h`'s forward multiply-accumulate over input `i`.
+    HiddenMac(usize, usize),
+    /// Hidden unit `h`'s activation and derivative.
+    HiddenOut(usize),
+    /// Output unit `o`'s forward multiply-accumulate over hidden `h`.
+    OutputMac(usize, usize),
+    /// Output unit `o`'s activation and delta.
+    OutputOut(usize),
+    /// Output unit `o`'s update of its weight from hidden `h`.
+    OutputUpdate(usize, usize),
+    /// Hidden unit `h`'s backward multiply-accumulate over output `o`.
+    BackMac(usize, usize),
+    /// Hidden unit `h`'s delta.
+    BackDelta(usize),
+    /// Hidden unit `h`'s update of its weight from input `i`.
+    BackUpdate(usize, usize),
+}
+
+/// The steps of one pattern presentation for the units owned by `tid`,
+/// layer by layer, unit by unit.
+fn presentation(tid: usize, p: usize) -> impl Iterator<Item = Pres> {
+    let owned =
+        move |first: usize, count: usize| (0..count).filter(move |u| owns_unit(tid, p, first + u));
+    // Unit `u`'s steps over its `n` inputs.
+    let each = |n: usize, u: usize, step: fn(usize, usize) -> Pres| (0..n).map(move |j| step(u, j));
+    let inputs = owned(0, INPUTS).map(Pres::Input);
+    let hidden = owned(INPUTS, HIDDEN)
+        .flat_map(move |h| each(INPUTS, h, Pres::HiddenMac).chain([Pres::HiddenOut(h)]));
+    let outputs = owned(INPUTS + HIDDEN, OUTPUTS).flat_map(move |o| {
+        each(HIDDEN, o, Pres::OutputMac)
+            .chain([Pres::OutputOut(o)])
+            .chain(each(HIDDEN, o, Pres::OutputUpdate))
+    });
+    let backward = owned(INPUTS, HIDDEN).flat_map(move |h| {
+        each(OUTPUTS, h, Pres::BackMac)
+            .chain([Pres::BackDelta(h)])
+            .chain(each(INPUTS, h, Pres::BackUpdate))
+    });
+    inputs.chain(hidden).chain(outputs).chain(backward)
+}
+
+/// What a unit carries between its steps.
+#[derive(Default)]
+struct UnitState {
+    /// The net input or back-propagated error being accumulated.
+    acc: i32,
+    /// The delta the unit's weight updates apply.
+    delta: i32,
+}
+
+impl UnitState {
+    /// One step of presenting pattern `pat`.
+    fn step<M: Mem>(&mut self, m: &mut M, lay: &NeuralLayout, pat: usize, step: Pres) {
+        match step {
+            Pres::Input(i) => {
+                let v = read_q(m, lay.patterns, pat * INPUTS + i);
+                m.write(lay.act(i), v as u32);
+            }
+            Pres::HiddenMac(h, i) => {
+                let x = m.read(lay.act(i)) as i32;
+                let w = m.read(lay.w1(i, h)) as i32;
+                self.acc = self.acc.wrapping_add(qmul(w, x));
+                m.compute(MAC_NS);
+            }
+            Pres::HiddenOut(h) => {
+                let net = std::mem::take(&mut self.acc);
+                m.write(lay.act(INPUTS + h), sigmoid(net) as u32);
+                m.write(lay.delta(INPUTS + h), dsigmoid(net) as u32);
+                m.compute(ACT_NS);
+            }
+            Pres::OutputMac(o, h) => {
+                let a = m.read(lay.act(INPUTS + h)) as i32;
+                let w = m.read(lay.w2(h, o)) as i32;
+                self.acc = self.acc.wrapping_add(qmul(w, a));
+                m.compute(MAC_NS);
+            }
+            Pres::OutputOut(o) => {
+                let net = std::mem::take(&mut self.acc);
+                let out = sigmoid(net);
+                m.write(lay.act(INPUTS + HIDDEN + o), out as u32);
+                m.compute(ACT_NS);
+                let target = if o == pat { ONE } else { 0 };
+                self.delta = qmul(target.wrapping_sub(out), dsigmoid(net));
+                m.write(lay.delta(INPUTS + HIDDEN + o), self.delta as u32);
+            }
+            // Update incoming weights (racy reads of hidden activations).
+            Pres::OutputUpdate(o, h) => {
+                let a = m.read(lay.act(INPUTS + h)) as i32;
+                let va = lay.w2(h, o);
+                let w = m.read(va) as i32;
+                m.write(
+                    va,
+                    w.wrapping_add(qmul(ETA_Q16, qmul(self.delta, a))) as u32,
+                );
+                m.compute(2 * MAC_NS);
+            }
+            Pres::BackMac(h, o) => {
+                let d = m.read(lay.delta(INPUTS + HIDDEN + o)) as i32;
+                // Reading the output units' records from the hidden
+                // units' owners is the irreducible fine-grain sharing of
+                // backpropagation.
+                let w = m.read(lay.w2(h, o)) as i32;
+                self.acc = self.acc.wrapping_add(qmul(w, d));
+                m.compute(MAC_NS);
+            }
+            Pres::BackDelta(h) => {
+                let err = std::mem::take(&mut self.acc);
+                self.delta = qmul(err, m.read(lay.delta(INPUTS + h)) as i32);
+            }
+            Pres::BackUpdate(h, i) => {
+                let x = m.read(lay.act(i)) as i32;
+                let va = lay.w1(i, h);
+                let w = m.read(va) as i32;
+                m.write(
+                    va,
+                    w.wrapping_add(qmul(ETA_Q16, qmul(self.delta, x))) as u32,
+                );
+                m.compute(2 * MAC_NS);
+            }
         }
     }
 }
@@ -370,10 +443,9 @@ impl<'a> Neural<'a> {
 
     /// The measured pass: unsynchronized training.
     pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
-        let (_, run) = stage.phase("measured", self.p, |tid, ctx| {
-            train(ctx, &self.lay, self.cfg, tid, self.p)
-        });
-        run
+        stage.steps("measured", self.p, |tid| {
+            train(&self.lay, self.cfg, tid, self.p)
+        })
     }
 
     /// Evaluates the trained network from one processor
@@ -423,7 +495,7 @@ mod tests {
         let (mut m, lay) = setup();
         let before = total_error(&mut m, &lay);
         let cfg = NeuralConfig::with_epochs(60);
-        train(&mut m, &lay, &cfg, 0, 1);
+        crate::run_alone(&mut m, train(&lay, &cfg, 0, 1));
         let after = total_error(&mut m, &lay);
         assert!(
             after < before * 0.7,

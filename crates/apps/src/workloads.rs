@@ -10,6 +10,7 @@
 
 use numa_machine::{Mem, Va};
 use platinum_runtime::sync::EventCount;
+use platinum_runtime::Step;
 
 /// Configuration of the round-robin shared-structure workload.
 #[derive(Clone, Debug)]
@@ -44,23 +45,37 @@ impl Default for SharingConfig {
 }
 
 /// One processor's strict round-robin loop over the shared structure at
-/// `base`. Turn-taking uses an event count (whose own page freezes, as
-/// synchronization pages do); each turn performs `refs_per_op`
-/// references sweeping the structure.
-pub fn round_robin<M: Mem>(
-    m: &mut M,
+/// `base`, as steps. Turn-taking uses an event count (whose own page
+/// freezes, as synchronization pages do); each turn performs
+/// `refs_per_op` references sweeping the structure. A turn takes three
+/// steps: the wait for it, the operation and its computation, and
+/// handing it on — the computation can outlast the contention ring's
+/// span, so a step ends right after it.
+pub fn round_robin<'a, M: Mem>(
     base: Va,
-    turn: &EventCount,
-    cfg: &SharingConfig,
+    turn: &'a EventCount,
+    cfg: &'a SharingConfig,
     tid: usize,
     p: usize,
-) {
-    for op in 0..cfg.ops_per_proc {
-        let my_turn = (op * p + tid) as u32;
-        turn.await_at_least(m, my_turn);
-        operation_for_benchmarks(m, base, cfg, op);
-        m.compute(cfg.compute_ns_per_op);
-        turn.advance(m);
+) -> impl FnMut(&mut M) -> Step<'a> + 'a {
+    // Steps taken so far: the turn is `s / 3`, its step `s % 3`.
+    let mut s = 0;
+    move |m| {
+        let (op, step) = (s / 3, s % 3);
+        s += 1;
+        match step {
+            _ if op == cfg.ops_per_proc => Step::Done,
+            0 => turn.reaching((op * p + tid) as u32).into(),
+            1 => {
+                operation_for_benchmarks(m, base, cfg, op);
+                m.compute(cfg.compute_ns_per_op);
+                Step::Ready
+            }
+            _ => {
+                turn.advance(m);
+                Step::Ready
+            }
+        }
     }
 }
 
@@ -130,7 +145,7 @@ mod tests {
             ops_per_proc: 5,
             ..Default::default()
         };
-        round_robin(&mut m, 0x1000, &turn, &cfg, 0, 1);
+        crate::run_alone(&mut m, round_robin(0x1000, &turn, &cfg, 0, 1));
         assert_eq!(m.read_spin(0x8000), 5, "five turns taken");
     }
 }

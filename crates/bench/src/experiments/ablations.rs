@@ -204,9 +204,7 @@ fn ace_compare(run: &mut Run, _n: usize, p: usize) {
         let base = data.alloc_page_aligned(cfg.struct_words);
         let mut sync = h.alloc_zone(1);
         let turn = EventCount::new(sync.alloc_words(1));
-        let (_, stats) = h.run(p, |tid, ctx| {
-            round_robin(ctx, base, &turn, &cfg, tid, p);
-        });
+        let stats = h.steps("measured", p, |tid| round_robin(base, &turn, &cfg, tid, p));
         elapsed.push(stats.elapsed_ns());
         let s = h.kernel.stats().snapshot();
         table.row(vec![

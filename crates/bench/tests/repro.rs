@@ -116,7 +116,7 @@ const SERVER_CI: [&str; 5] = [
 /// Every exact result, one row per invocation, and the file under
 /// `results/` it must equal byte for byte: the `--out` artifact for a
 /// `.json` golden, stdout for a text one.
-const GOLDEN: [(&[&str], &str); 7] = [
+const GOLDEN: [(&[&str], &str); 12] = [
     (&["table1_smin"], "table1.txt"),
     (&["sec4_microbench"], "sec4.txt"),
     (&["crossover", "--procs", "2"], "crossover_p2.txt"),
@@ -130,6 +130,20 @@ const GOLDEN: [(&[&str], &str); 7] = [
         &["policy_matrix", "--workload", "kv"],
         "policy_matrix_kv.json",
     ),
+    (&["fig5_mergesort"], "fig5.txt"),
+    (&["fig6_neural"], "fig6.txt"),
+    (&["anecdote_freeze"], "anecdote.txt"),
+    (&["ablations"], "ablations.txt"),
+    (&["scaled_speedup"], "scaled.txt"),
+];
+
+/// The golden rows of the applications' figures at their default sizes.
+const FIGURES: [&str; 5] = [
+    "fig5.txt",
+    "fig6.txt",
+    "anecdote.txt",
+    "ablations.txt",
+    "scaled.txt",
 ];
 
 /// Where `got` first parts from `want`: the byte offset and about 60
@@ -171,12 +185,20 @@ fn hold_to_goldens(test: &str, pick: fn(&str) -> bool) {
     }
 }
 
-// The four tests below split `GOLDEN` between them: the text rows and
-// one test per JSON row, so every row is held by exactly one test.
+// The five tests below split `GOLDEN` between them: the figures, the
+// other text rows and one test per JSON row, so every row is held by
+// exactly one test.
 
 #[test]
 fn golden_texts_are_byte_identical() {
-    hold_to_goldens("golden_texts", |file| file.ends_with(".txt"));
+    hold_to_goldens("golden_texts", |file| {
+        file.ends_with(".txt") && !FIGURES.contains(&file)
+    });
+}
+
+#[test]
+fn golden_figures_are_byte_identical() {
+    hold_to_goldens("golden_figures", |file| FIGURES.contains(&file));
 }
 
 #[test]

@@ -287,11 +287,17 @@ impl Cmap {
         drop(q);
         debug_assert!(out.iter().all(|m| m.pending_for_proc(p)));
     }
+}
 
-    /// Number of distinct unacknowledged messages (tests and reporting).
-    pub fn queue_len(&self) -> usize {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coherent::cpage::CpageTable;
+
+    /// Number of distinct unacknowledged messages.
+    fn queue_len(c: &Cmap) -> usize {
         let mut seen = std::collections::HashSet::new();
-        for q in self.queues.iter() {
+        for q in c.queues.iter() {
             for m in q.lock().iter() {
                 if m.has_pending() {
                     seen.insert(Arc::as_ptr(m));
@@ -300,12 +306,6 @@ impl Cmap {
         }
         seen.len()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::coherent::cpage::CpageTable;
 
     #[test]
     fn refmask_bits() {
@@ -358,7 +358,7 @@ mod tests {
         let m2 = CmapMsg::new(2, Directive::RestrictToRead, &ProcSet::from_mask(0b11));
         c.post(&m1);
         c.post(&m2);
-        assert_eq!(c.queue_len(), 2);
+        assert_eq!(queue_len(&c), 2);
 
         // A message for two targets reaches both private queues, and
         // peeking never removes.
@@ -379,9 +379,9 @@ mod tests {
             "nothing is delivered twice"
         );
         assert_eq!(c.pending_for(1).len(), 1);
-        assert_eq!(c.queue_len(), 1);
+        assert_eq!(queue_len(&c), 1);
         assert_eq!(drain(&c, 1, &mut buf), vec![2]);
-        assert_eq!(c.queue_len(), 0);
+        assert_eq!(queue_len(&c), 0);
     }
 
     /// The drain and the queue trade buffers, so neither grows: after

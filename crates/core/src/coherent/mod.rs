@@ -23,5 +23,3 @@ mod fault;
 pub(crate) mod reclaim;
 pub(crate) mod scratch;
 pub(crate) mod shootdown;
-
-pub use shootdown::ShootdownOutcome;

@@ -1,7 +1,8 @@
 //! The lockstep executor: one host thread owns every processor's context.
 //!
-//! Every deterministic mode of the simulator — reference-trace replay,
-//! the open-loop server driver and everything built on them — rests on
+//! Every deterministic mode of the simulator — the applications' stepped
+//! phases, reference-trace replay, the open-loop server driver and
+//! everything built on them — rests on
 //! one argument: kernel entries happen one at a time in a fixed global
 //! order, and a processor that is not running does nothing except
 //! acknowledge shootdowns. [`Lockstep`] is that argument as code. It holds
@@ -15,7 +16,10 @@
 //!
 //! The mechanism is ownership, not a lock: for the duration of a step the
 //! running context carries its peers (`UserCtx::peers`), so the ack wait
-//! reaches them through the `&mut UserCtx` it already has.
+//! reaches them through the `&mut UserCtx` it already has. The executor's
+//! order, not the skew window, keeps a member's clock in step with the
+//! others: a context runs a step unheld by the window, which paces only
+//! free-running threads.
 
 use crate::user::UserCtx;
 
@@ -61,6 +65,15 @@ impl Lockstep {
     /// Panics if the executor does not own a context for `p`.
     pub fn release(&mut self, p: usize) -> UserCtx {
         *self.take(p)
+    }
+
+    /// Processor `p`'s context, to read between steps (panics like
+    /// [`Lockstep::run`] if the executor does not own one).
+    pub fn ctx(&self, p: usize) -> &UserCtx {
+        self.ctxs
+            .get(p)
+            .and_then(Option::as_deref)
+            .unwrap_or_else(|| panic!("lockstep: no context for processor {p}"))
     }
 
     /// Runs one step on processor `p`. Any shootdown the step initiates

@@ -90,28 +90,45 @@ impl UserCtx {
     /// shootdown initiators never wait on it; mapping changes are applied
     /// on reactivation (§3.1).
     pub fn port_recv(&mut self, port: &Port) -> Vec<u32> {
-        let msg = self.block_in_kernel(|| {
-            let mut q = port.queue.lock();
-            loop {
-                if let Some(m) = q.pop_front() {
-                    return m;
-                }
-                port.available.wait(&mut q);
+        self.deactivate_space();
+        let mut q = port.queue.lock();
+        let msg = loop {
+            if let Some(m) = q.pop_front() {
+                break m;
             }
-        });
-        // Causality: the receive completes no earlier than the send.
-        self.core.advance_to(msg.sent_at);
-        self.core
-            .charge(costs::PORT_OP_NS + msg.data.len() as u64 * BLOCK_WORD_NS);
-        msg.data
+            port.available.wait(&mut q);
+        };
+        drop(q);
+        self.activate_space();
+        self.received(msg)
+    }
+
+    /// The stepped form of [`UserCtx::port_recv`], for a context a
+    /// [`Lockstep`](crate::Lockstep) executor drives: the message, or
+    /// `None` with the thread blocked in the kernel — space deactivated,
+    /// as `port_recv` leaves it while it waits — until a later call finds
+    /// one queued.
+    pub fn port_recv_step(&mut self, port: &Port) -> Option<Vec<u32>> {
+        if self.is_active() {
+            self.deactivate_space();
+        }
+        let msg = port.queue.lock().pop_front()?;
+        self.activate_space();
+        Some(self.received(msg))
     }
 
     /// Receives a message if one is queued, without blocking.
     pub fn port_try_recv(&mut self, port: &Port) -> Option<Vec<u32>> {
         let m = port.queue.lock().pop_front()?;
-        self.core.advance_to(m.sent_at);
+        Some(self.received(m))
+    }
+
+    /// Completes a receive: the copy out of kernel memory, no earlier
+    /// than the send (causality).
+    fn received(&mut self, msg: Message) -> Vec<u32> {
+        self.core.advance_to(msg.sent_at);
         self.core
-            .charge(costs::PORT_OP_NS + m.data.len() as u64 * BLOCK_WORD_NS);
-        Some(m.data)
+            .charge(costs::PORT_OP_NS + msg.data.len() as u64 * BLOCK_WORD_NS);
+        msg.data
     }
 }

@@ -138,7 +138,7 @@ impl UserCtx {
     /// mapping changes that arrived while it was inactive. "Each processor
     /// is responsible for making these changes before running any thread
     /// in that address space" (§2.3). The clock goes to the skew window.
-    fn activate_space(&mut self) {
+    pub(crate) fn activate_space(&mut self) {
         let id = self.space.id();
         self.kernel.slots[self.core.id()].active.set_active(id.0);
         self.drain_messages();
@@ -149,20 +149,18 @@ impl UserCtx {
     /// Marks the current space inactive (the thread is blocking in the
     /// kernel or terminating) and acknowledges outstanding changes so no
     /// initiator waits on a blocked processor, which posts itself idle.
-    fn deactivate_space(&mut self) {
+    pub(crate) fn deactivate_space(&mut self) {
         let id = self.space.id();
         self.kernel.slots[self.core.id()].active.clear_active(id.0);
         self.drain_messages();
         self.kernel.machine().skew().post(self.core.id(), IDLE);
     }
 
-    /// Blocks "in the kernel": deactivates, runs `wait` (which may park
-    /// the OS thread), then reactivates. Used by port receive.
-    pub(crate) fn block_in_kernel<T>(&mut self, wait: impl FnOnce() -> T) -> T {
-        self.deactivate_space();
-        let out = wait();
-        self.activate_space();
-        out
+    /// Whether the current space is active on this processor (false
+    /// while the thread is blocked in the kernel or suspended).
+    pub(crate) fn is_active(&self) -> bool {
+        let id = self.space.id();
+        self.kernel.slots[self.core.id()].active.is_active(id.0)
     }
 
     /// Suspends the thread: the address space is deactivated and the
@@ -318,9 +316,9 @@ impl UserCtx {
     /// Services the IPI doorbell — and nothing else: no access-counter
     /// tick, no throttling, no defrost opportunity. Callers that must
     /// stay responsive to shootdowns *without* perturbing the
-    /// kernel-entry schedule (the reference-trace recorder's gate wait,
-    /// the lockstep executor draining an awaited target inline) call
-    /// this instead of touching memory.
+    /// kernel-entry schedule (the lockstep executor draining an awaited
+    /// target inline, replay's detach) call this instead of touching
+    /// memory.
     #[inline(always)]
     pub fn service_ipis(&mut self) {
         if self.core.take_ipi() {
@@ -355,7 +353,8 @@ impl UserCtx {
 
     /// Kernel entry bookkeeping performed on every access: service the
     /// IPI doorbell, keep the virtual clock posted, respect the skew
-    /// window, and run the defrost daemon when its period elapses.
+    /// window when free-running, and run the defrost daemon when its
+    /// period elapses.
     #[inline]
     pub(crate) fn enter(&mut self) {
         self.service_ipis();
@@ -366,9 +365,12 @@ impl UserCtx {
 
     #[cold]
     fn slow_tick(&mut self) {
-        while self
-            .pacer
-            .should_throttle(self.kernel.machine().skew(), self.core.vtime())
+        // A lockstep step (peers held) is ordered by its executor; only a
+        // free-running thread is held by the window.
+        while self.peers.is_none()
+            && self
+                .pacer
+                .should_throttle(self.kernel.machine().skew(), self.core.vtime())
         {
             self.service_ipis();
             std::hint::spin_loop();

@@ -59,12 +59,6 @@ impl MemoryObject {
         self.pages[idx].get_or_init(|| table.alloc(home))
     }
 
-    /// The coherent page backing object page `idx`, if it has ever been
-    /// touched.
-    pub fn existing_cpage(&self, idx: usize) -> Option<CpageId> {
-        self.pages.get(idx).and_then(|p| p.get().map(|c| c.id()))
-    }
-
     /// All coherent pages that have been created for this object.
     pub fn touched_cpages(&self) -> Vec<(usize, CpageId)> {
         self.pages
@@ -79,14 +73,20 @@ impl MemoryObject {
 mod tests {
     use super::*;
 
+    /// The coherent page backing object page `idx`, if it has ever been
+    /// touched.
+    fn existing_cpage(obj: &MemoryObject, idx: usize) -> Option<CpageId> {
+        obj.pages.get(idx).and_then(|p| p.get().map(|c| c.id()))
+    }
+
     #[test]
     fn lazy_cpage_creation() {
         let table = CpageTable::new();
         let obj = MemoryObject::new(ObjId(0), 1, 4);
         assert_eq!(obj.len_pages(), 4);
-        assert_eq!(obj.existing_cpage(2), None);
+        assert_eq!(existing_cpage(&obj, 2), None);
         let c = obj.cpage_for(2, &table, 3).id();
-        assert_eq!(obj.existing_cpage(2), Some(c));
+        assert_eq!(existing_cpage(&obj, 2), Some(c));
         // Idempotent: a second fault gets the same page.
         assert_eq!(obj.cpage_for(2, &table, 5).id(), c);
         assert_eq!(table.len(), 1);

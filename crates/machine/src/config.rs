@@ -17,8 +17,8 @@ pub const BLOCK_BUS_FRACTION_PCT: u64 = 75;
 /// it per target whatever the distance.
 pub const IPI_NS: u64 = 7000;
 
-/// Default virtual-clock coupling window, ns
-/// ([`MachineConfig::skew_window_ns`]); the UMA comparator's fixed one.
+/// Default virtual-clock coupling window of free-running threads, ns
+/// ([`MachineConfig::skew_window_ns`]).
 pub const SKEW_WINDOW_NS: u64 = 2_000_000;
 
 /// Default width of the contention model's utilization buckets, ns

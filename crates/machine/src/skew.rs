@@ -1,8 +1,11 @@
 //! The skew window (DESIGN.md §5): a free-running host thread whose clock
 //! gets more than the window ahead of the slowest running processor is
-//! held until it catches up, as contention booking assumes. Each machine
-//! holds one [`SkewWindow`]; each driving context (the Butterfly's
-//! `UserCtx`, the comparator's [`crate::uma::UmaCtx`]) keeps a [`Pacer`].
+//! held until it catches up, as contention booking assumes. The NUMA
+//! machine holds one [`SkewWindow`] and each `UserCtx` keeps a [`Pacer`];
+//! only a context on a thread of its own (`Sim::run`, the concurrency
+//! tests) is ever held. Stepped execution on one host thread orders the
+//! processors by their clocks instead, and the UMA comparator runs only
+//! that way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,11 +102,7 @@ impl Pacer {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
-    use crate::uma::{UmaConfig, UmaCtx, UmaMachine};
-    use crate::Mem;
 
     #[test]
     fn throttle_respects_window() {
@@ -158,25 +157,5 @@ mod tests {
             }
             assert!(p.tick(), "round {round}: the {POST_INTERVAL}th access");
         }
-    }
-
-    #[test]
-    fn the_comparator_is_held_by_a_running_peer_until_it_drops() {
-        let m = UmaMachine::new(UmaConfig {
-            procs: 2,
-            mem_words: 1 << 10,
-        })
-        .unwrap();
-        let mut a = UmaCtx::new(Arc::clone(&m), 0);
-        let b = UmaCtx::new(Arc::clone(&m), 1);
-        assert!(!a.held(), "both at 0");
-        a.compute(crate::SKEW_WINDOW_NS + 1);
-        assert!(a.held(), "a is past the window, b runs at 0");
-        a.begin_wait();
-        assert!(!a.held(), "a spin-waiting is never held");
-        a.end_wait();
-        assert!(a.held());
-        drop(b);
-        assert!(!a.held(), "a dropped peer does not hold the window");
     }
 }

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use crate::addr::Va;
 use crate::contention::BucketCursor;
 use crate::mem_iface::Mem;
-use crate::skew::{Pacer, IDLE};
 use crate::stats::AccessCounters;
 
 use super::{
@@ -16,17 +15,17 @@ use super::{
 
 /// One simulated processor of the UMA comparator, implementing [`Mem`].
 ///
-/// Owned by the thread that simulates the processor. Every access goes
-/// through the private tag cache and, on misses and writes, the shared
-/// bus, accumulating virtual time the same way the NUMA machine does, and
-/// is paced against the other processors by the machine's skew window.
+/// Held by the host thread that steps the comparator's processors. Every
+/// access goes through the private tag cache and, on misses and writes,
+/// the shared bus, accumulating virtual time the same way the NUMA
+/// machine does; the stepped schedule keeps the processors' clocks
+/// together.
 pub struct UmaCtx {
     machine: Arc<UmaMachine>,
     id: usize,
     vtime: u64,
     cache: TagCache,
     counters: AccessCounters,
-    pacer: Pacer,
     /// This processor's memo of its clock's bus bucket.
     cursor: BucketCursor,
 }
@@ -39,32 +38,14 @@ impl UmaCtx {
     /// Panics if `id` is out of range for the machine.
     pub fn new(machine: Arc<UmaMachine>, id: usize) -> Self {
         assert!(id < machine.cfg().procs, "processor {id} out of range");
-        machine.skew.post(id, 0);
         Self {
             machine,
             id,
             vtime: 0,
             cache: TagCache::new(CACHE_BYTES / LINE_BYTES),
             counters: AccessCounters::default(),
-            pacer: Pacer::new(id),
             cursor: BucketCursor::default(),
         }
-    }
-
-    /// Clock-coupling bookkeeping, run on every access: every so many
-    /// accesses, post the clock and hold while the skew window says so.
-    #[inline]
-    fn tick(&mut self) {
-        if self.pacer.tick() {
-            while self.held() {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Posts the clock; whether the skew window holds this processor.
-    pub(crate) fn held(&self) -> bool {
-        self.pacer.should_throttle(&self.machine.skew, self.vtime)
     }
 
     /// The machine this processor belongs to.
@@ -112,9 +93,6 @@ impl UmaCtx {
     }
 
     fn read_impl(&mut self, va: Va, charge: bool) -> u32 {
-        if charge {
-            self.tick();
-        }
         let idx = self.word_index(va);
         let line = self.line_of(idx);
         let version = self.machine.line_version(idx);
@@ -164,14 +142,6 @@ impl Mem for UmaCtx {
         self.counters.compute_ns += ns;
     }
 
-    fn begin_wait(&mut self) {
-        self.pacer.begin_wait(&self.machine.skew);
-    }
-
-    fn end_wait(&mut self) {
-        self.pacer.end_wait(&self.machine.skew, self.vtime);
-    }
-
     fn read(&mut self, va: Va) -> u32 {
         self.read_impl(va, true)
     }
@@ -181,7 +151,6 @@ impl Mem for UmaCtx {
     }
 
     fn write(&mut self, va: Va, val: u32) {
-        self.tick();
         let idx = self.word_index(va);
         let line = self.line_of(idx);
         // Write-through: the word goes over the bus to memory; other
@@ -196,7 +165,6 @@ impl Mem for UmaCtx {
     }
 
     fn fetch_add(&mut self, va: Va, delta: u32) -> u32 {
-        self.tick();
         let idx = self.word_index(va);
         self.bus(ATOMIC_NS, ATOMIC_NS);
         self.counters.remote_atomics += 1;
@@ -206,7 +174,6 @@ impl Mem for UmaCtx {
     }
 
     fn compare_exchange(&mut self, va: Va, current: u32, new: u32) -> Result<u32, u32> {
-        self.tick();
         let idx = self.word_index(va);
         self.bus(ATOMIC_NS, ATOMIC_NS);
         self.counters.remote_atomics += 1;
@@ -223,20 +190,12 @@ impl Mem for UmaCtx {
     }
 
     fn swap(&mut self, va: Va, val: u32) -> u32 {
-        self.tick();
         let idx = self.word_index(va);
         self.bus(ATOMIC_NS, ATOMIC_NS);
         self.counters.remote_atomics += 1;
         let old = self.machine.word(idx).swap(val, Ordering::AcqRel);
         self.machine.bump_line_version(idx);
         old
-    }
-}
-
-impl Drop for UmaCtx {
-    fn drop(&mut self) {
-        // A finished processor must not hold the skew window's minimum.
-        self.machine.skew.post(self.id, IDLE);
     }
 }
 

@@ -22,9 +22,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::addr::Va;
-use crate::config::{CONTENTION_BUCKET_NS, SKEW_WINDOW_NS};
+use crate::config::CONTENTION_BUCKET_NS;
 use crate::contention::BucketedResource;
-use crate::skew::SkewWindow;
 
 // Timing of a Sequent Symmetry model A: a cache hit is fast, a miss is a
 // full bus transaction fetching a 16-byte line, and every write goes
@@ -82,7 +81,7 @@ impl UmaConfig {
 }
 
 /// The shared part of the UMA machine: memory, per-line write versions
-/// (for snoop approximation), the bus, and the skew window.
+/// (for snoop approximation) and the bus.
 pub struct UmaMachine {
     cfg: UmaConfig,
     memory: Box<[AtomicU32]>,
@@ -93,8 +92,6 @@ pub struct UmaMachine {
     /// The shared bus; each [`UmaCtx`] books it through its own cursor.
     bus: BucketedResource,
     alloc_next: AtomicU64,
-    /// Paces the threads as the Butterfly's are: the bus needs it.
-    skew: SkewWindow,
 }
 
 impl UmaMachine {
@@ -106,14 +103,12 @@ impl UmaMachine {
         let nlines = cfg.mem_words.div_ceil(WORDS_PER_LINE);
         let mut versions = Vec::with_capacity(nlines);
         versions.resize_with(nlines, || AtomicU64::new(0));
-        let skew = SkewWindow::new(cfg.procs, Some(SKEW_WINDOW_NS));
         Ok(Arc::new(Self {
             cfg,
             memory: memory.into_boxed_slice(),
             line_versions: versions.into_boxed_slice(),
             bus: BucketedResource::new(CONTENTION_BUCKET_NS),
             alloc_next: AtomicU64::new(0),
-            skew,
         }))
     }
 

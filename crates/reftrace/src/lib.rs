@@ -8,9 +8,10 @@
 //! separates the two concerns:
 //!
 //! 1. **Record** ([`Capture`]): run the application once, under the
-//!    PLATINUM policy, with every simulated memory operation serialized
-//!    through a global FIFO ticket gate. The serialization picks one valid
-//!    interleaving and *writes it down*: each processor's reference stream
+//!    PLATINUM policy, as steps on the one stepped executor, which runs
+//!    one simulated memory operation at a time. That order is one valid
+//!    interleaving, and the recorder *writes it down*: each processor's
+//!    reference stream
 //!    (operation kind, virtual address, word counts, compute charges,
 //!    synchronization release edges) lands in one global, totally-ordered
 //!    op list per phase — a [`format::RefTrace`].
@@ -47,13 +48,12 @@
 //! application does *around* that seam — notably the message-passing
 //! Gaussian variant, which talks to kernel ports directly — cannot be
 //! captured. The capture machine runs with the virtual-clock skew window
-//! disabled (serialized execution cannot deadlock on the throttle, but
-//! the window would add no information); replays use the same setting.
+//! disabled (it paces only free-running threads); replays use the same
+//! setting.
 
 #![warn(missing_docs)]
 
 pub mod format;
-pub mod gate;
 pub mod record;
 pub mod replay;
 

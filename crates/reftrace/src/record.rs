@@ -1,34 +1,27 @@
 //! The recorder: run an application once and write its reference stream
 //! down.
 //!
-//! [`Capture`] boots a PLATINUM simulation whose memory interface is
-//! wrapped by [`RecordingCtx`]: every [`Mem`] call first wins the global
-//! FIFO [`Gate`], then executes against the real
-//! kernel, then appends one [`Rec`] to the phase's totally ordered op
-//! list. Serialization makes the recorded order *the* execution order, so
-//! replaying the list op by op reproduces the run exactly (see the crate
-//! docs for the argument).
-//!
-//! While a worker waits for the gate it services incoming shootdown IPIs
-//! ([`platinum::UserCtx::service_ipis`]) and nothing else — the gate
-//! holder may be blocked on that worker's ack, but any other kernel
-//! activity (clock ticks, defrost) would perturb the schedule being
-//! recorded.
+//! [`Capture`] boots a PLATINUM simulation and runs each phase's stepped
+//! workers on one host thread, in the order the one scheduler fixes
+//! (`platinum_runtime::step`), through a [`RecordingCtx`]: every [`Mem`]
+//! call executes against the real kernel, then appends one [`Rec`] to the
+//! phase's op list. The executor already runs one operation at a time,
+//! so the recorded order *is* the execution order, and replaying the
+//! list op by op reproduces the run exactly (see the crate docs for the
+//! argument). A blocked processor's retests are its own spin reads, so
+//! they are recorded like any other operation.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use numa_machine::{MachineConfig, Mem, Va};
-use parking_lot::Mutex;
-use platinum::{PolicyKind, StatsSnapshot, UserCtx};
+use platinum::{Lockstep, PolicyKind, StatsSnapshot, UserCtx};
 use platinum_runtime::measure::{RunStats, WorkerStats};
-use platinum_runtime::par::pool;
 use platinum_runtime::sim::Sim;
+use platinum_runtime::step::{schedule, Procs, Step};
 use platinum_runtime::zones::Zone;
 use platinum_runtime::Stage;
 
 use crate::format::{Op, Phase, Rec, RefTrace};
-use crate::gate::Gate;
 use crate::replay::ReplayOptions;
 
 /// The release-time map is bounded: one entry per recorded op would grow
@@ -37,37 +30,9 @@ use crate::replay::ReplayOptions;
 /// map is cleared; affected edges fall back to [`Op::AdvanceAbs`].
 const VTIME_MAP_CAP: usize = 1 << 22;
 
-/// Per-phase recording state shared by all workers.
-#[derive(Default)]
-struct PhaseState {
-    gate: Gate,
-    ops: Mutex<Vec<Rec>>,
-    /// post-vtime → global sequence number of the op that produced it
-    /// (last writer wins), consulted by `advance_to` to emit release
-    /// edges as dependencies.
-    vtime_seqs: Mutex<HashMap<u64, u64>>,
-}
-
-impl PhaseState {
-    /// Appends an op and indexes its post-execution virtual time. Must be
-    /// called while holding the gate.
-    fn push(&self, proc: u8, op: Op, post_vtime: u64) {
-        let seq = {
-            let mut ops = self.ops.lock();
-            ops.push(Rec { proc, op });
-            (ops.len() - 1) as u64
-        };
-        let mut map = self.vtime_seqs.lock();
-        if map.len() >= VTIME_MAP_CAP {
-            map.clear();
-        }
-        map.insert(post_vtime, seq);
-    }
-}
-
 /// A recording session: a booted PLATINUM simulation plus the trace being
-/// accumulated. Allocate zones, run phases (each phase's closure receives
-/// a [`RecordingCtx`] in place of a [`UserCtx`]), then [`Capture::finish`]
+/// accumulated. Allocate zones, run phases (each worker's steps receive a
+/// [`RecordingCtx`] in place of a [`UserCtx`]), then [`Capture::finish`]
 /// to obtain the [`RefTrace`].
 ///
 /// The capture run doubles as the *live* PLATINUM measurement: phase
@@ -122,53 +87,45 @@ impl Capture {
         self.sim.alloc_zone(pages)
     }
 
-    /// Runs `f(worker_index, ctx)` on processors `0..n`, recording every
-    /// memory operation, and appends the resulting op list as a phase.
-    /// Returns the workers' results and their *live* run statistics.
-    pub fn run_phase<F, R>(&mut self, label: &str, n: usize, f: F) -> (Vec<R>, RunStats)
+    /// Runs the stepped worker `worker(i)` on processor `i` for `i` in
+    /// `0..n`, recording every memory operation, and appends the
+    /// resulting op list as a phase. Returns the workers' *live* run
+    /// statistics. A worker's attach opens its stream and its detach,
+    /// when it finishes, closes it, so replay attaches and detaches in
+    /// the recorded order.
+    pub fn run_phase<'a, W>(
+        &mut self,
+        label: &str,
+        n: usize,
+        worker: impl FnMut(usize) -> W,
+    ) -> RunStats
     where
-        F: Fn(usize, &mut RecordingCtx) -> R + Sync,
-        R: Send,
+        W: FnMut(&mut RecordingCtx) -> Step<'a>,
     {
-        let st = Arc::new(PhaseState::default());
-        let sim = &self.sim;
-        // The runtime's worker pool with the recorder's two extra steps:
-        // attach and detach each take the gate and are written into the
-        // op list, so replay attaches and detaches in the recorded order.
-        let (results, stats) = pool(
-            n,
-            |p| {
-                let _g = st.gate.lock(|| {});
-                let ctx = sim
-                    .attach(p)
-                    .expect("recording worker claims a free processor");
-                st.push(p as u8, Op::Attach, ctx.vtime());
-                RecordingCtx {
-                    ctx,
-                    st: Arc::clone(&st),
-                }
-            },
-            f,
-            |proc, RecordingCtx { mut ctx, st }| {
-                let _g = st.gate.lock(|| ctx.service_ipis());
-                let stats = WorkerStats {
-                    proc,
-                    vtime_ns: ctx.vtime(),
-                    counters: ctx.counters(),
-                };
-                st.push(proc as u8, Op::Detach, ctx.vtime());
-                drop(ctx);
-                stats
-            },
-        );
-        let st = Arc::into_inner(st).expect("every recording context detached");
+        let mut rec = RecordingCtx {
+            procs: Lockstep::new(n),
+            p: 0,
+            ops: Vec::new(),
+            vtime_seqs: HashMap::new(),
+        };
+        for p in 0..n {
+            let ctx = self
+                .sim
+                .attach(p)
+                .expect("recording worker claims a free processor");
+            rec.procs.adopt(ctx);
+            rec.p = p;
+            rec.push(Op::Attach);
+        }
+        let mut workers: Vec<W> = (0..n).map(worker).collect();
+        let stats = schedule(label, &mut rec, &mut workers);
         self.phases.push(Phase {
             label: label.to_string(),
             workers: n,
             final_vtimes: stats.workers.iter().map(|w| w.vtime_ns).collect(),
-            ops: st.ops.into_inner(),
+            ops: rec.ops,
         });
-        (results, stats)
+        stats
     }
 
     /// Seals the recording into a self-contained [`RefTrace`].
@@ -197,119 +154,144 @@ impl Stage for Capture {
         Capture::alloc_zone(self, pages)
     }
 
-    fn phase<R, F>(&mut self, label: &str, n: usize, f: F) -> (Vec<R>, RunStats)
+    fn steps<'a, W>(&mut self, label: &str, n: usize, worker: impl FnMut(usize) -> W) -> RunStats
     where
-        F: Fn(usize, &mut RecordingCtx) -> R + Sync,
-        R: Send,
+        W: FnMut(&mut RecordingCtx) -> Step<'a>,
     {
-        self.run_phase(label, n, f)
+        self.run_phase(label, n, worker)
     }
 }
 
-/// A [`UserCtx`] wrapped for recording: implements [`Mem`] by winning the
-/// phase's global gate, executing the real operation, and appending it to
-/// the op list. Application code written against `Mem` (including the
-/// runtime's locks, barriers and event counts) records itself unchanged.
+/// A phase's kernel contexts under recording: the lockstep executor that
+/// holds them, pointed at the processor whose step is running. It
+/// implements [`Mem`] by executing each operation on that processor and
+/// appending it to the op list, so application code written against
+/// `Mem` (including the runtime's locks, barriers and event counts)
+/// records itself unchanged.
 pub struct RecordingCtx {
-    ctx: UserCtx,
-    st: Arc<PhaseState>,
+    procs: Lockstep,
+    /// The processor the current step runs on.
+    p: usize,
+    ops: Vec<Rec>,
+    /// post-vtime → sequence number of the op that produced it (last
+    /// writer wins), consulted by `advance_to` to emit release edges as
+    /// dependencies.
+    vtime_seqs: HashMap<u64, u64>,
 }
 
 impl RecordingCtx {
-    /// The wrapped kernel context (read-only; going around the recorder
-    /// for mutation would leave holes in the trace).
+    /// The running processor's kernel context (read-only; going around
+    /// the recorder for mutation would leave holes in the trace).
     pub fn inner(&self) -> &UserCtx {
-        &self.ctx
+        self.procs.ctx(self.p)
     }
 
-    /// Gate → execute → record. The split borrow (gate on `st`, executor
-    /// on `ctx`) lets waiting service IPIs targeted at this processor.
+    /// Appends an op by the running processor and indexes its
+    /// post-execution virtual time.
+    fn push(&mut self, op: Op) {
+        let seq = self.ops.len() as u64;
+        self.ops.push(Rec {
+            proc: self.p as u8,
+            op,
+        });
+        if self.vtime_seqs.len() >= VTIME_MAP_CAP {
+            self.vtime_seqs.clear();
+        }
+        self.vtime_seqs.insert(self.inner().vtime(), seq);
+    }
+
+    /// Execute → record.
     fn op<R>(&mut self, op: Op, exec: impl FnOnce(&mut UserCtx) -> R) -> R {
-        let Self { ctx, st } = self;
-        let _g = st.gate.lock(|| ctx.service_ipis());
-        let r = exec(ctx);
-        st.push(ctx.proc_id() as u8, op, ctx.vtime());
+        let r = self.procs.run(self.p, exec);
+        self.push(op);
         r
+    }
+}
+
+/// The scheduler drives the recording context itself, pointed at each
+/// step's processor in turn.
+impl Procs for RecordingCtx {
+    type Ctx = RecordingCtx;
+
+    fn vtime(&self, p: usize) -> u64 {
+        self.procs.ctx(p).vtime()
+    }
+
+    fn on<R>(&mut self, p: usize, f: impl FnOnce(&mut RecordingCtx) -> R) -> R {
+        self.p = p;
+        f(self)
+    }
+
+    fn finish(&mut self, p: usize) -> WorkerStats {
+        self.p = p;
+        let stats = self.procs.finish(p);
+        self.ops.push(Rec {
+            proc: p as u8,
+            op: Op::Detach,
+        });
+        self.vtime_seqs
+            .insert(stats.vtime_ns, self.ops.len() as u64 - 1);
+        stats
     }
 }
 
 impl Mem for RecordingCtx {
     fn proc_id(&self) -> usize {
-        self.ctx.proc_id()
+        self.p
     }
-
     fn nprocs(&self) -> usize {
-        self.ctx.nprocs()
+        self.inner().nprocs()
     }
-
     fn vtime(&self) -> u64 {
-        self.ctx.vtime()
+        self.inner().vtime()
     }
-
     fn advance_to(&mut self, t: u64) {
-        let Self { ctx, st } = self;
-        let _g = st.gate.lock(|| ctx.service_ipis());
         // Release edge: if some recorded op produced exactly this time
         // (a lock release, an event-count advance), record the dependency
         // so replay under another policy propagates *that policy's* time.
-        let dep = st.vtime_seqs.lock().get(&t).copied();
-        let op = match dep {
-            Some(seq) => Op::AdvanceDep { seq },
+        let op = match self.vtime_seqs.get(&t) {
+            Some(&seq) => Op::AdvanceDep { seq },
             None => Op::AdvanceAbs { t },
         };
-        ctx.advance_to(t);
-        st.push(ctx.proc_id() as u8, op, ctx.vtime());
+        self.op(op, |c| c.advance_to(t));
     }
-
     fn compute(&mut self, ns: u64) {
         self.op(Op::Compute { ns }, |c| c.compute(ns));
     }
-
     fn read(&mut self, va: Va) -> u32 {
         self.op(Op::Read { va }, |c| c.read(va))
     }
-
     fn write(&mut self, va: Va, val: u32) {
         self.op(Op::Write { va }, |c| c.write(va, val));
     }
-
     fn read_spin(&mut self, va: Va) -> u32 {
         self.op(Op::ReadSpin { va }, |c| c.read_spin(va))
     }
-
     fn fetch_add(&mut self, va: Va, delta: u32) -> u32 {
         self.op(Op::Atomic { va }, |c| c.fetch_add(va, delta))
     }
-
     fn compare_exchange(&mut self, va: Va, current: u32, new: u32) -> Result<u32, u32> {
         self.op(Op::Atomic { va }, |c| c.compare_exchange(va, current, new))
     }
-
     fn swap(&mut self, va: Va, val: u32) -> u32 {
         self.op(Op::Atomic { va }, |c| c.swap(va, val))
     }
-
     fn poll(&mut self) {
         self.op(Op::Poll, |c| c.poll());
     }
-
     fn begin_wait(&mut self) {
         self.op(Op::BeginWait, |c| c.begin_wait());
     }
-
     fn end_wait(&mut self) {
         self.op(Op::EndWait, |c| c.end_wait());
     }
-
     fn trace_lock(&mut self, va: Va, acquire: bool) {
         self.op(Op::TraceLock { va, acquire }, |c| c.trace_lock(va, acquire));
     }
-
     fn read_block(&mut self, va: Va, dst: &mut [u32]) {
         let words = dst.len() as u64;
         self.op(Op::ReadBlock { va, words }, |c| c.read_block(va, dst));
     }
-
     fn write_block(&mut self, va: Va, src: &[u32]) {
         let words = src.len() as u64;
         self.op(Op::WriteBlock { va, words }, |c| c.write_block(va, src));
@@ -327,7 +309,7 @@ mod tests {
         let mut cap = Capture::new(4, &ReplayOptions::default());
         let word = cap.alloc_zone(1).alloc_words(1);
         for (label, n) in [("three", 3), ("four", 4)] {
-            cap.run_phase(label, n, |_, ctx| ctx.fetch_add(word, 1));
+            cap.phase(label, n, |_, ctx| ctx.fetch_add(word, 1));
         }
         let trace = cap.finish();
         assert_eq!(trace.phases.len(), 2);

@@ -102,8 +102,9 @@ impl ReplayOptions {
     }
 
     /// Boots the machine a capture runs on and every replay of it
-    /// rebuilds: virtual-clock skew window disabled (serialized execution
-    /// needs no throttle), these options' topology and page-table fabric.
+    /// rebuilds: virtual-clock skew window disabled (it paces only
+    /// free-running threads), these options' topology and page-table
+    /// fabric.
     pub fn boot(
         &self,
         nodes: usize,
@@ -238,9 +239,10 @@ fn exec(ctx: &mut UserCtx, op: Op, post: &[u64], block_buf: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Capture;
+    use crate::record::{Capture, RecordingCtx};
     use numa_machine::TimingConfig;
     use platinum_runtime::sync::{Barrier, SpinLock};
+    use platinum_runtime::Step;
 
     /// A small hand-written workload exercising every op kind the
     /// recorder emits: private sweeps, a contended lock + shared counter
@@ -259,31 +261,46 @@ mod tests {
         let counter_va = sync.base() + 64;
         let base = data.base();
         let n = nodes;
-        let (_r, live) = cap.run_phase("mini", n, move |i, ctx| {
-            let lock = SpinLock::new(lock_va);
-            let barrier = Barrier::new(barrier_count_va, barrier_gen_va, n as u32);
-            // Private sweep: first-touch placement, charged reads/writes.
-            for k in 0..64u64 {
-                ctx.write(base + (i as u64) * 1024 + 4 * k, (k as u32) * 3 + 1);
-                ctx.read(base + (i as u64) * 1024 + 4 * k);
+        let lock = SpinLock::new(lock_va);
+        let barrier = Barrier::new(barrier_count_va, barrier_gen_va, n as u32);
+        let live = cap.run_phase("mini", n, |i| {
+            let (lock, barrier) = (&lock, &barrier);
+            let mut pc = 0;
+            move |ctx: &mut RecordingCtx| {
+                pc += 1;
+                match pc {
+                    // Private sweep: first-touch placement, charged
+                    // reads/writes.
+                    1 => {
+                        for k in 0..64u64 {
+                            ctx.write(base + (i as u64) * 1024 + 4 * k, (k as u32) * 3 + 1);
+                            ctx.read(base + (i as u64) * 1024 + 4 * k);
+                        }
+                        ctx.compute(5_000);
+                        barrier.arrive(ctx).into()
+                    }
+                    // Contended critical section, 16 times: the lock word
+                    // freezes, spin reads and release edges land in the
+                    // trace.
+                    2..=33 if pc % 2 == 0 => Step::Wait(lock.acquiring()),
+                    2..=33 => {
+                        let v = ctx.fetch_add(counter_va, 1);
+                        ctx.write(base + 4096 + 4 * u64::from(v % 32), v);
+                        lock.release(ctx);
+                        ctx.compute(1_000);
+                        Step::Ready
+                    }
+                    34 => barrier.arrive(ctx).into(),
+                    // Block transfer from a shared region.
+                    _ => {
+                        let mut buf = vec![0u32; 128];
+                        ctx.read_block(base + 4096, &mut buf);
+                        ctx.write_block(base + 8192 + (i as u64) * 512, &buf);
+                        ctx.fetch_add(counter_va, 0);
+                        Step::Done
+                    }
+                }
             }
-            ctx.compute(5_000);
-            barrier.wait(ctx);
-            // Contended critical section: the lock word freezes, spin
-            // reads and release edges land in the trace.
-            for _ in 0..16 {
-                lock.acquire(ctx);
-                let v = ctx.fetch_add(counter_va, 1);
-                ctx.write(base + 4096 + 4 * u64::from(v % 32), v);
-                lock.release(ctx);
-                ctx.compute(1_000);
-            }
-            barrier.wait(ctx);
-            // Block transfer from a shared region.
-            let mut buf = vec![0u32; 128];
-            ctx.read_block(base + 4096, &mut buf);
-            ctx.write_block(base + 8192 + (i as u64) * 512, &buf);
-            ctx.fetch_add(counter_va, 0)
         });
         let stats = cap.stats_snapshot();
         (cap.finish(), live, stats)

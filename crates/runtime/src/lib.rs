@@ -16,8 +16,11 @@
 //!   simulated coherent memory* (so their pages freeze and thaw exactly
 //!   like the paper describes) with virtual-time propagation from
 //!   releasers to acquirers;
-//! * [`par`] — the worker pool: one thread per simulated processor,
-//!   per-worker timing/statistics collected in worker order;
+//! * [`step`] — stepped execution: a phase's workers run as bounded steps
+//!   on one host thread, lowest virtual clock first, so a run is a
+//!   function of its inputs;
+//! * [`par`] — the free-running worker pool: one thread per simulated
+//!   processor, for concurrency tests and host-time measurements;
 //! * [`stage`] — the [`Stage`] seam applications are staged against, so
 //!   one layout-plus-phases definition runs live, recorded, and on the
 //!   UMA comparator;
@@ -33,6 +36,7 @@ pub mod measure;
 pub mod par;
 pub mod sim;
 pub mod stage;
+pub mod step;
 pub mod sync;
 pub mod zones;
 
@@ -43,5 +47,6 @@ pub use measure::{RunStats, WorkerStats};
 pub use platinum::Lockstep;
 pub use sim::{Sim, SimBuilder};
 pub use stage::Stage;
-pub use sync::{Barrier, EventCount, SpinLock};
+pub use step::Step;
+pub use sync::{Barrier, EventCount, SpinLock, Wait};
 pub use zones::Zone;

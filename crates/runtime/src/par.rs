@@ -2,12 +2,11 @@
 
 use crate::measure::{RunStats, WorkerStats};
 
-/// The one worker pool: `n` scoped OS threads, worker `i` running
-/// `attach(i)`, then `f(i, &mut ctx)`, then `detach(i, ctx)`; results and
-/// per-worker statistics come back in worker order. Every way of running
-/// an application phase — on the kernel ([`crate::Sim::run`]), on the
-/// UMA comparator (its [`crate::Stage`] impl), under the reference-trace
-/// recorder — is this loop with its own attach and detach steps.
+/// The free-running worker pool: `n` scoped OS threads, worker `i`
+/// running `attach(i)`, then `f(i, &mut ctx)`, then `detach(i, ctx)`;
+/// results and per-worker statistics come back in worker order. It runs
+/// [`crate::Sim::run`]; the host schedule interleaves its threads, so
+/// stepped phases ([`crate::step`]) run everything a figure measures.
 ///
 /// # Panics
 ///

@@ -24,15 +24,16 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use numa_machine::{Machine, MachineConfig, Mem, Topology};
+use numa_machine::{Machine, MachineConfig, Topology};
 use platinum::trace::Tracer;
 use platinum::{
-    AddressSpace, FaultPlan, Kernel, KernelConfig, PolicyKind, PtableConfig, Rights, ShootdownMode,
-    UserCtx,
+    AddressSpace, FaultPlan, Kernel, KernelConfig, Lockstep, PolicyKind, PtableConfig, Rights,
+    ShootdownMode, UserCtx,
 };
 
-use crate::measure::{RunStats, WorkerStats};
+use crate::measure::RunStats;
 use crate::par::pool;
+use crate::step::{schedule, worker_stats, Step};
 use crate::zones::Zone;
 
 /// Fluent builder for a booted simulation. Entry point: [`SimBuilder::nodes`].
@@ -209,9 +210,34 @@ impl Sim {
         Ok(entry(&mut ctx))
     }
 
-    /// Runs `f(worker_index, ctx)` on processors `0..n`, one OS thread
-    /// per simulated processor, all virtual clocks starting at 0, and
-    /// collects results plus per-worker statistics.
+    /// Runs the stepped worker `worker(i)` on processor `i` for `i` in
+    /// `0..n`, all virtual clocks starting at 0, on this host thread in
+    /// the one order [`crate::step::schedule`] fixes, and collects
+    /// per-worker statistics. `label` names the phase if it deadlocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a processor is already occupied, or if every unfinished
+    /// worker is blocked.
+    pub fn steps<'a, W>(&self, label: &str, n: usize, worker: impl FnMut(usize) -> W) -> RunStats
+    where
+        W: FnMut(&mut UserCtx) -> Step<'a>,
+    {
+        assert!(n >= 1 && n <= self.nprocs());
+        let mut procs = Lockstep::new(n);
+        for p in 0..n {
+            procs.adopt(self.attach(p).expect("processor free for worker"));
+        }
+        let mut workers: Vec<W> = (0..n).map(worker).collect();
+        schedule(label, &mut procs, &mut workers)
+    }
+
+    /// Runs `f(worker_index, ctx)` on processors `0..n`, one free-running
+    /// OS thread per simulated processor, all virtual clocks starting at
+    /// 0, and collects results plus per-worker statistics. The host
+    /// schedule interleaves the threads, so their clocks are held within
+    /// the machine's skew window; for the concurrency tests and
+    /// host-time measurements. Figures run [`Sim::steps`].
     ///
     /// # Panics
     ///
@@ -226,11 +252,7 @@ impl Sim {
             n,
             |p| self.attach(p).expect("processor free for worker"),
             f,
-            |proc, ctx| WorkerStats {
-                proc,
-                vtime_ns: ctx.vtime(),
-                counters: ctx.counters(),
-            },
+            |_, ctx| worker_stats(&ctx),
         )
     }
 

@@ -8,16 +8,20 @@
 //! staging takes an already-booted stage — machine size, policy, fault
 //! plan, tracer are the caller's business — and whatever the caller wants
 //! to read off it afterwards is still in its hands.
+//!
+//! Every stage runs a phase's workers as steps on one host thread, in the
+//! one order [`crate::step::schedule`] fixes.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use numa_machine::uma::{UmaCtx, UmaMachine};
 use numa_machine::Mem;
 use platinum::UserCtx;
 
-use crate::measure::{RunStats, WorkerStats};
-use crate::par::pool;
+use crate::measure::RunStats;
 use crate::sim::Sim;
+use crate::step::{schedule, Step};
 use crate::zones::Zone;
 
 /// Somewhere a workload can allocate zones and run phases.
@@ -32,14 +36,34 @@ pub trait Stage {
     /// of this stage.
     fn alloc_zone(&mut self, pages: usize) -> Zone;
 
-    /// Runs `f(worker_index, ctx)` on processors `0..n`, each on a fresh
-    /// context whose clock starts at 0; results and statistics come back
-    /// in worker order. `label` names the phase where the stage keeps a
-    /// record of it.
+    /// Runs the stepped worker `worker(i)` on processor `i` for `i` in
+    /// `0..n`, each on a fresh context whose clock starts at 0 (see
+    /// [`crate::step`]); statistics come back in worker order. `label`
+    /// names the phase in a panic and where the stage keeps a record.
+    fn steps<'a, W>(&mut self, label: &str, n: usize, worker: impl FnMut(usize) -> W) -> RunStats
+    where
+        W: FnMut(&mut Self::Ctx) -> Step<'a>;
+
+    /// Runs `f(worker_index, ctx)` on processors `0..n` as one step each:
+    /// for phases with no waits and no step longer than the contention
+    /// ring's span. Results come back in worker order.
     fn phase<R, F>(&mut self, label: &str, n: usize, f: F) -> (Vec<R>, RunStats)
     where
-        F: Fn(usize, &mut Self::Ctx) -> R + Sync,
-        R: Send;
+        F: Fn(usize, &mut Self::Ctx) -> R,
+    {
+        let out: Vec<Cell<Option<R>>> = (0..n).map(|_| Cell::new(None)).collect();
+        let stats = self.steps(label, n, |i| {
+            let (f, out) = (&f, &out);
+            move |ctx: &mut Self::Ctx| {
+                out[i].set(Some(f(i, ctx)));
+                Step::Done
+            }
+        });
+        let out = out
+            .into_iter()
+            .map(|r| r.into_inner().expect("every worker ran"));
+        (out.collect(), stats)
+    }
 }
 
 impl Stage for Sim {
@@ -53,12 +77,11 @@ impl Stage for Sim {
         Sim::alloc_zone(self, pages)
     }
 
-    fn phase<R, F>(&mut self, _label: &str, n: usize, f: F) -> (Vec<R>, RunStats)
+    fn steps<'a, W>(&mut self, label: &str, n: usize, worker: impl FnMut(usize) -> W) -> RunStats
     where
-        F: Fn(usize, &mut UserCtx) -> R + Sync,
-        R: Send,
+        W: FnMut(&mut UserCtx) -> Step<'a>,
     {
-        self.run(n, f)
+        Sim::steps(self, label, n, worker)
     }
 }
 
@@ -77,22 +100,14 @@ impl Stage for Arc<UmaMachine> {
         Zone::new(self.alloc_words(pages), pages, 1)
     }
 
-    fn phase<R, F>(&mut self, _label: &str, n: usize, f: F) -> (Vec<R>, RunStats)
+    fn steps<'a, W>(&mut self, label: &str, n: usize, worker: impl FnMut(usize) -> W) -> RunStats
     where
-        F: Fn(usize, &mut UmaCtx) -> R + Sync,
-        R: Send,
+        W: FnMut(&mut UmaCtx) -> Step<'a>,
     {
         assert!(n >= 1 && n <= self.cfg().procs);
-        pool(
-            n,
-            |p| UmaCtx::new(Arc::clone(self), p),
-            f,
-            |proc, ctx| WorkerStats {
-                proc,
-                vtime_ns: ctx.vtime(),
-                counters: ctx.counters(),
-            },
-        )
+        let mut procs: Vec<UmaCtx> = (0..n).map(|p| UmaCtx::new(Arc::clone(self), p)).collect();
+        let mut workers: Vec<W> = (0..n).map(worker).collect();
+        schedule(label, &mut procs, &mut workers)
     }
 }
 

@@ -7,15 +7,14 @@
 //! — which is why the [`crate::zones`] module exists to keep them off
 //! everyone else's pages.
 //!
-//! # Timing model
-//!
-//! Spin iterations use [`Mem::read_spin`] (uncharged): under execution-
-//! driven simulation the number of real spin iterations is an artifact of
-//! host scheduling, so waiting time is instead modelled analytically —
-//! the releaser records its virtual release time and the acquirer's clock
-//! advances to at least that. A final charged access models the
-//! successful observation. The protocol side effects of spinning (faults,
-//! freezing) still occur through the uncharged reads.
+//! Every wait is one condition, a [`Wait`]: a stepped program returns it
+//! to the scheduler ([`crate::step`]), a free-running thread spins on it.
+//! A test is one uncharged [`Mem::read_spin`]: how many a wait takes is an
+//! artifact of the simulation, so waiting time is modelled analytically —
+//! the releaser records its virtual release time and the waiter's clock
+//! advances to at least that, after one charged access that models the
+//! successful observation. The spin reads still exercise the protocol
+//! (faults, freezing).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,13 +22,72 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use numa_machine::{Mem, Va};
+use platinum::Port;
 
-#[inline]
-fn backoff(spins: &mut u32) {
-    std::hint::spin_loop();
-    *spins = spins.wrapping_add(1);
-    if spins.is_multiple_of(8) {
-        std::thread::yield_now();
+/// What a blocked processor waits for. See the module docs.
+#[derive(Clone, Copy)]
+pub enum Wait<'a> {
+    /// An event count reaching a value.
+    Event(&'a EventCount, u32),
+    /// A barrier generation being released.
+    Barrier(&'a Barrier, u32),
+    /// A spin lock being acquired.
+    Lock(&'a SpinLock),
+    /// A message arriving at a port; the receiver is blocked in the
+    /// kernel (`UserCtx::port_recv_step`) and its test reads no memory.
+    Port(&'a Port),
+}
+
+impl Wait<'_> {
+    /// Tests the condition once — one uncharged spin read (a lock's is
+    /// followed by its compare-and-swap when the word reads free) — and,
+    /// if it holds, completes the wait: the charged observation, then the
+    /// releaser's time.
+    pub fn holds<M: Mem>(&self, m: &mut M) -> bool {
+        match *self {
+            Wait::Event(ec, target) => {
+                m.read_spin(ec.va) >= target && {
+                    let _ = m.read(ec.va);
+                    let t = ec.times.lock().get(target as usize - 1).copied();
+                    m.advance_to(t.unwrap_or(0));
+                    true
+                }
+            }
+            Wait::Barrier(b, gen) => {
+                m.read_spin(b.gen_va) != gen && {
+                    let _ = m.read(b.gen_va);
+                    let rel = b.releases.lock().get(gen as usize).copied();
+                    m.advance_to(rel.unwrap_or(0));
+                    true
+                }
+            }
+            // The critical section cannot begin before the previous holder
+            // released.
+            Wait::Lock(l) => {
+                m.read_spin(l.word) == 0 && m.compare_exchange(l.word, 0, 1).is_ok() && {
+                    m.advance_to(l.release_vtime.load(Ordering::Acquire));
+                    m.trace_lock(l.word, true);
+                    true
+                }
+            }
+            Wait::Port(port) => !port.is_empty(),
+        }
+    }
+
+    /// The free-running form: spins until the wait [`holds`](Wait::holds).
+    /// (A free-running port receiver blocks in the kernel instead,
+    /// `UserCtx::port_recv`.)
+    pub fn spin<M: Mem>(&self, m: &mut M) {
+        let mut spins = 0u32;
+        m.begin_wait();
+        while !self.holds(m) {
+            std::hint::spin_loop();
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(8) {
+                std::thread::yield_now();
+            }
+        }
+        m.end_wait();
     }
 }
 
@@ -59,24 +117,17 @@ impl SpinLock {
         self.word
     }
 
+    /// The stepped acquire: the lock is held once the wait completes.
+    /// Test-and-test-and-set: each test reads before attempting the
+    /// atomic, as one did on the Butterfly to avoid hammering the remote
+    /// module with RMWs.
+    pub fn acquiring(&self) -> Wait<'_> {
+        Wait::Lock(self)
+    }
+
     /// Acquires the lock.
     pub fn acquire<M: Mem>(&self, m: &mut M) {
-        let mut spins = 0u32;
-        m.begin_wait();
-        loop {
-            // Test-and-test-and-set: spin reading before attempting the
-            // atomic, as one did on the Butterfly to avoid hammering the
-            // remote module with RMWs.
-            if m.read_spin(self.word) == 0 && m.compare_exchange(self.word, 0, 1).is_ok() {
-                break;
-            }
-            backoff(&mut spins);
-        }
-        m.end_wait();
-        // The critical section cannot begin before the previous holder
-        // released.
-        m.advance_to(self.release_vtime.load(Ordering::Acquire));
-        m.trace_lock(self.word, true);
+        self.acquiring().spin(m);
     }
 
     /// Releases the lock.
@@ -136,37 +187,32 @@ impl Barrier {
         self.gen_va
     }
 
-    /// Waits until all `n` participants arrive.
-    pub fn wait<M: Mem>(&self, m: &mut M) {
+    /// Arrives at the barrier: `None` for the last arriver, which
+    /// releases the generation, otherwise the wait for its release.
+    pub fn arrive<M: Mem>(&self, m: &mut M) -> Option<Wait<'_>> {
         let gen = m.read(self.gen_va);
         let arrived = m.fetch_add(self.count_va, 1) + 1;
-        if arrived == self.n {
-            // Last arriver: record the release time, reset, and open the
-            // next generation.
-            {
-                let mut rel = self.releases.lock();
-                if rel.len() <= gen as usize {
-                    rel.resize(gen as usize + 1, 0);
-                }
-                rel[gen as usize] = m.vtime();
+        if arrived < self.n {
+            return Some(Wait::Barrier(self, gen));
+        }
+        // Last arriver: record the release time, reset, and open the next
+        // generation.
+        {
+            let mut rel = self.releases.lock();
+            if rel.len() <= gen as usize {
+                rel.resize(gen as usize + 1, 0);
             }
-            m.write(self.count_va, 0);
-            m.write(self.gen_va, gen + 1);
-        } else {
-            let mut spins = 0u32;
-            m.begin_wait();
-            while m.read_spin(self.gen_va) == gen {
-                backoff(&mut spins);
-            }
-            m.end_wait();
-            // One charged read models observing the flip; then propagate
-            // the releaser's time.
-            let _ = m.read(self.gen_va);
-            let rel = {
-                let rel = self.releases.lock();
-                rel.get(gen as usize).copied().unwrap_or(0)
-            };
-            m.advance_to(rel);
+            rel[gen as usize] = m.vtime();
+        }
+        m.write(self.count_va, 0);
+        m.write(self.gen_va, gen + 1);
+        None
+    }
+
+    /// Waits until all `n` participants arrive.
+    pub fn wait<M: Mem>(&self, m: &mut M) {
+        if let Some(w) = self.arrive(m) {
+            w.spin(m);
         }
     }
 }
@@ -211,23 +257,17 @@ impl EventCount {
         m.read(self.va)
     }
 
+    /// The wait for the count to reach `target`; `None` when there is
+    /// nothing to wait for (`target == 0`).
+    pub fn reaching(&self, target: u32) -> Option<Wait<'_>> {
+        (target > 0).then_some(Wait::Event(self, target))
+    }
+
     /// Waits until the count reaches at least `target`.
     pub fn await_at_least<M: Mem>(&self, m: &mut M, target: u32) {
-        if target == 0 {
-            return;
+        if let Some(w) = self.reaching(target) {
+            w.spin(m);
         }
-        let mut spins = 0u32;
-        m.begin_wait();
-        while m.read_spin(self.va) < target {
-            backoff(&mut spins);
-        }
-        m.end_wait();
-        let _ = m.read(self.va);
-        let t = {
-            let times = self.times.lock();
-            times.get(target as usize - 1).copied().unwrap_or(0)
-        };
-        m.advance_to(t);
     }
 }
 

@@ -11,9 +11,8 @@
 //! sees identical state on every run, and virtual times, counters, and
 //! table contents are bit-identical (DESIGN.md §10 has the argument; the
 //! reference-trace replayer rests on the same executor at per-operation
-//! granularity). The simulation must be booted with `skew_window_ns:
-//! None` — the skew throttle is a liveness aid for free-running workers
-//! and would add host-dependent kernel entries.
+//! granularity). The skew window holds no context inside a lockstep
+//! step, so the machine's `skew_window_ns` does not matter here.
 //!
 //! Virtual time still *overlaps* between processors — each worker's
 //! clock advances independently, arrivals pace it, and a backlogged
@@ -175,19 +174,12 @@ fn serve<W: Workload>(ctx: &mut UserCtx, w: &W, req: &Request, rep: &mut DriverR
 /// open-loop `schedule` deterministically. The populate and measured
 /// phases each attach fresh contexts with clocks at zero, mirroring the
 /// phase structure of every other harness in the repository.
-///
-/// Boot the simulation with `skew_window_ns: None` — see the module
-/// docs.
 pub fn run_open_loop<W: Workload>(
     sim: &Sim,
     w: &W,
     procs: usize,
     schedule: &[Request],
 ) -> DriverReport {
-    assert!(
-        sim.machine.cfg().skew_window_ns.is_none(),
-        "deterministic driver needs skew_window_ns: None"
-    );
     let mut workers = attach_all(sim, procs);
     for t in 0..procs {
         workers.run(t, |ctx| {

@@ -121,6 +121,17 @@ mod tests {
     use super::*;
     use crate::{json, EventKind, FaultResolution, Tracer};
 
+    impl json::Value {
+        /// The number as an `f64` (integers above 2^53 round).
+        fn as_num(&self) -> Option<f64> {
+            match self {
+                json::Value::Num(n) => Some(*n),
+                json::Value::Int(n) => Some(*n as f64),
+                _ => None,
+            }
+        }
+    }
+
     fn sample_trace() -> Trace {
         let t = Tracer::new();
         t.emit(0, 1_000, EventKind::FaultBegin, 1, 0x4000, 0);

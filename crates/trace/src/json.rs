@@ -68,15 +68,6 @@ impl Value {
         }
     }
 
-    /// The number as an `f64` (integers above 2^53 round).
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            Value::Int(n) => Some(*n as f64),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {

@@ -47,9 +47,7 @@ fn main() {
         let base = data.alloc_page_aligned(cfg.struct_words);
         let mut sync = h.alloc_zone(1);
         let turn = EventCount::new(sync.alloc_words(1));
-        let (_, run) = h.run(p, |tid, ctx| {
-            round_robin(ctx, base, &turn, &cfg, tid, p);
-        });
+        let run = h.steps("measured", p, |tid| round_robin(base, &turn, &cfg, tid, p));
         let s = h.kernel.stats().snapshot();
         println!(
             "{:<28} {:>10.2} {:>8} {:>8} {:>9} {:>8}",

@@ -162,9 +162,7 @@ fn ace_policy_slower_on_coarse_grain_migratory_sharing() {
         let base = data.alloc_page_aligned(cfg.struct_words);
         let mut sync = h.alloc_zone(1);
         let turn = EventCount::new(sync.alloc_words(1));
-        let (_, run) = h.run(4, |tid, ctx| {
-            round_robin(ctx, base, &turn, &cfg, tid, 4);
-        });
+        let run = h.steps("measured", 4, |tid| round_robin(base, &turn, &cfg, tid, 4));
         run.elapsed_ns()
     };
     let plat = run_with(PolicyKind::Platinum);
