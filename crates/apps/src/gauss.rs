@@ -159,6 +159,7 @@ fn init_rows<'a, M: Mem>(
 
 /// One step of a worker's elimination loop.
 #[derive(Clone, Copy)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum Turn {
     /// Round `k` begins: pivot row `k` must be ready.
     Pivot(usize),
@@ -178,21 +179,80 @@ enum Turn {
 /// Worker `tid`'s steps: each round's pivot, then its own rows below it,
 /// each (its pivot fetched, with `fetch`) read, (probed `n - k` times,
 /// with `probes`), computed and written.
-fn turns(n: usize, tid: usize, p: usize, fetch: bool, probes: bool) -> impl Iterator<Item = Turn> {
-    (0..n.saturating_sub(1)).flat_map(move |k| {
-        let probes = if probes { n - k } else { 0 };
-        let rows = (k + 1..n)
-            .filter(move |&i| owns(tid, p, i))
-            .flat_map(move |i| {
-                fetch
-                    .then_some(Turn::Fetch(k))
-                    .into_iter()
-                    .chain([Turn::Read(k, i)])
-                    .chain(std::iter::repeat_n(Turn::Probe, probes))
-                    .chain([Turn::Compute(k), Turn::Write(k, i)])
-            });
-        std::iter::once(Turn::Pivot(k)).chain(rows)
-    })
+///
+/// A cursor over (round `k`, row `i`, position in the row's turns): the
+/// next owned row is `i + p`, so a step costs a few compares, not a
+/// walk through nested iterator adaptors.
+struct Turns {
+    n: usize,
+    tid: usize,
+    p: usize,
+    fetch: bool,
+    probes: bool,
+    k: usize,
+    /// The row being stepped; `k` itself while round `k`'s pivot is due.
+    i: usize,
+    /// Turns of row `i` already yielded.
+    pos: usize,
+}
+
+fn turns(n: usize, tid: usize, p: usize, fetch: bool, probes: bool) -> Turns {
+    Turns {
+        n,
+        tid,
+        p,
+        fetch,
+        probes,
+        k: 0,
+        i: 0,
+        pos: 0,
+    }
+}
+
+impl Iterator for Turns {
+    type Item = Turn;
+
+    fn next(&mut self) -> Option<Turn> {
+        if self.k + 1 >= self.n {
+            return None;
+        }
+        if self.i >= self.n {
+            // Round `k`'s rows are done: round `k + 1`'s pivot is due.
+            self.k += 1;
+            self.i = self.k;
+            if self.k + 1 >= self.n {
+                return None;
+            }
+        }
+        let k = self.k;
+        if self.i == k {
+            // The first row below the pivot this worker owns.
+            let first = k + 1;
+            self.i = first + (self.tid + self.p - first % self.p) % self.p;
+            self.pos = 0;
+            return Some(Turn::Pivot(k));
+        }
+        let mut pos = self.pos;
+        self.pos += 1;
+        if self.fetch {
+            if pos == 0 {
+                return Some(Turn::Fetch(k));
+            }
+            pos -= 1;
+        }
+        let probes = if self.probes { self.n - k } else { 0 };
+        Some(match pos {
+            0 => Turn::Read(k, self.i),
+            _ if pos <= probes => Turn::Probe,
+            _ if pos == probes + 1 => Turn::Compute(k),
+            _ => {
+                let i = self.i;
+                self.i += self.p;
+                self.pos = 0;
+                Turn::Write(k, i)
+            }
+        })
+    }
 }
 
 /// The part of a row's elimination every style shares: read the row,
@@ -556,6 +616,52 @@ pub fn reference_checksum(cfg: &GaussConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The nested-adaptor form the cursor replaced, kept as its oracle.
+    fn turns_oracle(
+        n: usize,
+        tid: usize,
+        p: usize,
+        fetch: bool,
+        probes: bool,
+    ) -> impl Iterator<Item = Turn> {
+        (0..n.saturating_sub(1)).flat_map(move |k| {
+            let probes = if probes { n - k } else { 0 };
+            let rows = (k + 1..n)
+                .filter(move |&i| owns(tid, p, i))
+                .flat_map(move |i| {
+                    fetch
+                        .then_some(Turn::Fetch(k))
+                        .into_iter()
+                        .chain([Turn::Read(k, i)])
+                        .chain(std::iter::repeat_n(Turn::Probe, probes))
+                        .chain([Turn::Compute(k), Turn::Write(k, i)])
+                });
+            std::iter::once(Turn::Pivot(k)).chain(rows)
+        })
+    }
+
+    #[test]
+    fn turn_cursor_matches_the_adaptor_oracle() {
+        for n in [0, 1, 2, 3, 17, 40] {
+            for p in [1, 2, 3, 5, 16] {
+                for tid in 0..p {
+                    for (fetch, probes) in
+                        [(false, false), (true, false), (false, true), (true, true)]
+                    {
+                        let mut cursor = turns(n, tid, p, fetch, probes);
+                        let got: Vec<Turn> = cursor.by_ref().collect();
+                        let want: Vec<Turn> = turns_oracle(n, tid, p, fetch, probes).collect();
+                        assert_eq!(
+                            got, want,
+                            "n {n} p {p} tid {tid} fetch {fetch} probes {probes}"
+                        );
+                        assert_eq!(cursor.next(), None, "an exhausted cursor stays done");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn ownership_is_partition() {

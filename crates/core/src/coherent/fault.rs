@@ -760,10 +760,13 @@ impl Kernel {
     }
 
     /// Zero-fills the fresh page's frame `pp` — it may be a recycled
-    /// frame still holding its previous page's words — and charges the
-    /// clear (a fast local loop). `pp` is allocated but not yet mapped.
+    /// frame still holding its previous page's words; a frame never used
+    /// before is materialised zeroed and not cleared again — and charges
+    /// the clear (a fast local loop). `pp` is allocated but not yet mapped.
     fn zero_fill(&self, ctx: &mut UserCtx, pp: PhysPage) {
-        self.machine().frame_data(pp).zero();
+        self.machine()
+            .module(pp.module_id())
+            .zeroed_frame(pp.frame_id());
         let words = self.machine().cfg().words_per_page() as u64;
         // ~80 ns/word: a tight clear loop is much faster than discrete
         // word stores on the 68020.

@@ -117,12 +117,6 @@ impl UserCtx {
         Some(self.received(msg))
     }
 
-    /// Receives a message if one is queued, without blocking.
-    pub fn port_try_recv(&mut self, port: &Port) -> Option<Vec<u32>> {
-        let m = port.queue.lock().pop_front()?;
-        Some(self.received(m))
-    }
-
     /// Completes a receive: the copy out of kernel memory, no earlier
     /// than the send (causality).
     fn received(&mut self, msg: Message) -> Vec<u32> {

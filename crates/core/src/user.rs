@@ -515,6 +515,36 @@ impl UserCtx {
         Ok(op(self.kernel.machine().frame_data(pp), word))
     }
 
+    /// [`UserCtx::data_access`] for `n` consecutive words of one page,
+    /// charged as a block ([`ProcCore::charge_word_block`]): the same
+    /// enter/probe/fault sequence, with a hit charging from its ATC entry
+    /// and taking the frame from it ([`ProcCore::fast_block`]).
+    #[inline]
+    fn block_access(
+        &mut self,
+        va: Va,
+        write: bool,
+        kind: AccessKind,
+        n: usize,
+        op: impl FnOnce(&Frame),
+    ) {
+        let pp = if self.core.fast_path_enabled() && va & 3 == 0 {
+            self.enter();
+            let vpn = self.vpn_of(va);
+            let missed = match self.core.fast_block(self.asid, vpn, write, kind, n as u64) {
+                FastPath::Hit(frame) => return op(frame),
+                FastPath::Miss => true,
+                FastPath::NoRights => false,
+            };
+            self.translate_after_probe(va, write, missed)
+                .unwrap_or_else(|e| Self::die(e))
+        } else {
+            self.translate_or_panic(va, write)
+        };
+        self.core.charge_word_block(pp, kind, n as u64);
+        op(self.kernel.machine().frame_data(pp));
+    }
+
     /// Fallible read (kernel-style API; the [`Mem`] methods are one-line
     /// panicking wrappers, like a program dying on a bus error).
     #[inline]
@@ -634,14 +664,12 @@ impl Mem for UserCtx {
         let mut done = 0usize;
         while done < dst.len() {
             let addr = va + 4 * done as u64;
-            let pp = self.translate_or_panic(addr, false);
             let word0 = self.word_of(addr);
             let n = (words_per_page - word0).min(dst.len() - done);
-            self.core.charge_word_block(pp, AccessKind::Read, n as u64);
-            self.kernel
-                .machine()
-                .frame_data(pp)
-                .load_slice(word0, &mut dst[done..done + n]);
+            let words = &mut dst[done..done + n];
+            self.block_access(addr, false, AccessKind::Read, n, |f| {
+                f.load_slice(word0, words)
+            });
             done += n;
         }
     }
@@ -651,14 +679,12 @@ impl Mem for UserCtx {
         let mut done = 0usize;
         while done < src.len() {
             let addr = va + 4 * done as u64;
-            let pp = self.translate_or_panic(addr, true);
             let word0 = self.word_of(addr);
             let n = (words_per_page - word0).min(src.len() - done);
-            self.core.charge_word_block(pp, AccessKind::Write, n as u64);
-            self.kernel
-                .machine()
-                .frame_data(pp)
-                .store_slice(word0, &src[done..done + n]);
+            let words = &src[done..done + n];
+            self.block_access(addr, true, AccessKind::Write, n, |f| {
+                f.store_slice(word0, words)
+            });
             done += n;
         }
     }

@@ -50,7 +50,8 @@ fn directory_of(space: &platinum::AddressSpace) -> Vec<(u64, u64, Rights, ProcSe
 /// A deterministic single-threaded schedule over four processors:
 /// replication (everyone reads everything), hot loops (ATC hits),
 /// invalidating writes and atomics against suspended peers (lazy
-/// message application), plus error paths (misaligned, unmapped).
+/// message application), error paths (misaligned, unmapped), and block
+/// copies across page boundaries.
 fn run_scripted(fast_path: bool, faults: Option<Arc<FaultPlan>>) -> Observation {
     const P: usize = 4;
     const PAGES: usize = 8;
@@ -114,6 +115,28 @@ fn run_scripted(fast_path: bool, faults: Option<Arc<FaultPlan>>) -> Observation 
         for ctx in &mut ctxs {
             values.push(ctx.read(page(writer)));
             values.push(ctx.read(page((writer + 4) % PAGES)));
+        }
+    }
+
+    // Block copies a page and a half long from unaligned words: ATC hits
+    // and misses, replication on read, and invalidating block writes
+    // against suspended peers.
+    let words = kernel.machine().cfg().words_per_page();
+    for writer in 0..P {
+        for p in (0..P).filter(|&p| p != writer) {
+            ctxs[p].suspend();
+        }
+        let src: Vec<u32> = (0..words as u32 * 3 / 2)
+            .map(|w| w.wrapping_mul(31) ^ writer as u32)
+            .collect();
+        ctxs[writer].write_block(page(writer + 1) + 4 * 7, &src);
+        for p in (0..P).filter(|&p| p != writer) {
+            ctxs[p].resume();
+        }
+        for ctx in &mut ctxs {
+            let mut buf = vec![0u32; words + 9];
+            ctx.read_block(page(writer + 1) + 4 * 3, &mut buf);
+            values.push(buf.iter().fold(0u32, |a, &w| a.wrapping_mul(33) ^ w));
         }
     }
 

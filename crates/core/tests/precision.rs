@@ -184,13 +184,17 @@ fn inactive_targets_get_messages_not_interrupts() {
 }
 
 #[test]
-fn port_try_recv_and_multiple_senders() {
+fn port_recv_step_and_multiple_senders() {
     let kernel = Kernel::boot(machine(3), KernelConfig::default());
     let space = kernel.create_space();
     let port = kernel.create_port();
     let mut rx = kernel.attach(Arc::clone(&space), 0, 0).unwrap();
-    assert!(rx.port_try_recv(&port).is_none(), "empty port");
+    // An empty port: the stepped receive reports nothing and leaves the
+    // receiver blocked in the kernel until a message is queued.
+    let before = rx.vtime();
+    assert!(rx.port_recv_step(&port).is_none(), "empty port");
     assert!(port.is_empty());
+    assert_eq!(rx.vtime(), before, "an empty receive charges nothing");
 
     let mut a = kernel.attach(Arc::clone(&space), 1, 0).unwrap();
     let mut b = kernel.attach(Arc::clone(&space), 2, 0).unwrap();
@@ -202,7 +206,7 @@ fn port_try_recv_and_multiple_senders() {
     // FIFO overall; per-sender order preserved.
     let m1 = rx.port_recv(&port);
     let m2 = rx.port_recv(&port);
-    let m3 = rx.port_try_recv(&port).expect("third message queued");
+    let m3 = rx.port_recv_step(&port).expect("third message queued");
     let from_a: Vec<u32> = [&m1, &m2, &m3]
         .iter()
         .filter(|m| m[0] == 1)
@@ -210,6 +214,7 @@ fn port_try_recv_and_multiple_senders() {
         .collect();
     assert_eq!(from_a, vec![10, 11], "per-sender FIFO");
     assert!(port.is_empty());
+    assert!(rx.port_recv_step(&port).is_none(), "drained");
 }
 
 #[test]

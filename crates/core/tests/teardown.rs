@@ -184,3 +184,33 @@ fn reclaim_prefers_replicas_and_keeps_sole_copies() {
     assert_eq!(ctxs[0].read(pva), 11, "sole copies must never be evicted");
     assert_eq!(ctxs[0].read(pva + 4096), 22);
 }
+
+#[test]
+fn first_touch_of_a_recycled_frame_reads_zero() {
+    // One frame per node: the second object's first touch must reuse the
+    // frame the first object wrote and freed, and clear it.
+    let kernel = Kernel::boot(machine(1, 1), KernelConfig::default());
+    let words = kernel.machine().cfg().words_per_page();
+    let space = kernel.create_space();
+    let mut ctx = kernel.attach(Arc::clone(&space), 0, 0).unwrap();
+
+    let first = kernel.create_object(1);
+    let va = space.map_anywhere(Arc::clone(&first), Rights::RW).unwrap();
+    let ones: Vec<u32> = (1..=words as u32).collect();
+    ctx.write_block(va, &ones);
+    kernel.unmap(&mut ctx, va).unwrap();
+    kernel.destroy_object(&mut ctx, &first).unwrap();
+    assert_eq!(kernel.machine().frames_allocated(), 0);
+    assert_eq!(kernel.machine().frames_materialized(), 1);
+
+    let second = kernel.create_object(1);
+    let va = space.map_anywhere(second, Rights::RW).unwrap();
+    let mut got = vec![u32::MAX; words];
+    ctx.read_block(va, &mut got);
+    assert!(got.iter().all(|&w| w == 0), "recycled frame not cleared");
+    assert_eq!(
+        kernel.machine().frames_materialized(),
+        1,
+        "the frame was reused, not materialised again"
+    );
+}

@@ -2,6 +2,7 @@
 
 use crate::addr::{PhysPage, Vpn};
 use crate::frame::Frame;
+use crate::machine::Machine;
 use crate::module::MemoryModule;
 
 /// Entries in each processor's address translation cache: the MC68851's
@@ -77,6 +78,26 @@ impl FrameHandle {
     #[inline]
     pub(crate) fn is_null(&self) -> bool {
         self.frame.is_null()
+    }
+
+    /// The frame and module the handle points at, borrowed for as long as
+    /// `machine` is: the only dereference of a handle.
+    ///
+    /// The caller passes the machine of the core that installed the
+    /// handle, and only a non-null one.
+    #[inline(always)]
+    pub(crate) fn resolve<'m>(&self, _machine: &'m Machine) -> (&'m Frame, &'m MemoryModule) {
+        debug_assert!(
+            !self.is_null(),
+            "a null handle resolves through the machine"
+        );
+        // SAFETY: the handle was installed by `ProcCore::atc_insert` from
+        // this machine's own storage. Modules are allocated at boot and a
+        // frame is materialised by the `frame()` call `atc_insert` made;
+        // neither moves or is freed afterwards (`free_frame` only retags
+        // the inverted page table), and the borrow of `machine` keeps them
+        // alive for the returned lifetime.
+        unsafe { (&*self.frame, &*self.module) }
     }
 }
 

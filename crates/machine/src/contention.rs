@@ -32,6 +32,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::stats::RelaxedTally;
+
 /// Number of buckets in the ring. With the default 100 us bucket this
 /// spans 6.4 ms of virtual time — comfortably more than the default
 /// 2 ms skew window.
@@ -152,6 +154,8 @@ pub struct BucketedResource {
     bucket_ns: u64,
     /// Magic-constant divider for `now / bucket_ns` (see [`Divider`]).
     bucket_div: Divider,
+    /// Bookings dropped behind a newer generation of their slot.
+    lost: RelaxedTally,
 }
 
 impl BucketedResource {
@@ -166,7 +170,22 @@ impl BucketedResource {
             slots: std::array::from_fn(|_| AtomicU64::new(0)),
             bucket_ns,
             bucket_div: Divider::new(bucket_ns),
+            lost: RelaxedTally::default(),
         }
+    }
+
+    /// Bookings this resource dropped because their ring slot already
+    /// held a newer generation: a requester more than the ring's span
+    /// (64 buckets) behind another saw no contention and booked nothing.
+    /// A run where this is not zero lost part of its contention.
+    pub fn lost_bookings(&self) -> u64 {
+        self.lost.get()
+    }
+
+    /// The width of a bucket, ns.
+    #[inline(always)]
+    pub(crate) fn bucket_ns(&self) -> u64 {
+        self.bucket_ns
     }
 
     /// The resource's one state transition: adds `service_ns` to
@@ -194,7 +213,9 @@ impl BucketedResource {
         if cur >> LOAD_BITS > epoch {
             // The bucket already belongs to a future generation: this
             // requester is far behind every other clock; its access
-            // would long since have completed.
+            // would long since have completed. Nothing is booked, and
+            // the drop is counted.
+            self.lost.bump();
             return 0;
         }
         // Bucket 0 has no predecessor: `bucket - 1` wraps to a
@@ -232,15 +253,26 @@ impl BucketedResource {
         }
     }
 
-    /// Positions `cursor` on the bucket containing `now` — one division
-    /// when the clock has left the memoized bucket or the cursor was
-    /// seeded on a resource of another width, none otherwise — and
-    /// returns `now`'s offset into that bucket (`now % bucket_ns`).
+    /// Positions `cursor` on the bucket containing `now` and returns
+    /// `now`'s offset into that bucket (`now % bucket_ns`): no division
+    /// while the clock stays in the memoized bucket or has moved on to the
+    /// next one (a stream crossing the edge), one when it jumped further,
+    /// went back, or the cursor was seeded on a resource of another width.
     #[inline(always)]
     pub(crate) fn seek(&self, cursor: &mut BucketCursor, now: u64) -> u64 {
         let into = now.wrapping_sub(cursor.start);
-        if into < self.bucket_ns && cursor.span == self.bucket_ns {
-            return into;
+        if cursor.span == self.bucket_ns {
+            if into < self.bucket_ns {
+                return into;
+            }
+            // `into >= bucket_ns` here; a clock behind `start` wrapped
+            // `into` far past two buckets.
+            let past = into - self.bucket_ns;
+            if past < self.bucket_ns {
+                cursor.start += self.bucket_ns;
+                cursor.bucket += 1;
+                return past;
+            }
         }
         let bucket = self.bucket_div.div(now);
         *cursor = BucketCursor {
@@ -708,8 +740,16 @@ mod tests {
         let ring = 100 * BUCKETS as u64;
         // Someone reserves far in the future (same slot, later epoch).
         let _ = reserve(&r, ring * 5, 90);
-        // A very late clock hitting that slot pays nothing.
+        assert_eq!(r.lost_bookings(), 0);
+        // A very late clock hitting that slot pays nothing, and the
+        // dropped booking is counted — by every entry point.
         assert_eq!(reserve(&r, 0, 60), 0);
+        assert_eq!(r.lost_bookings(), 1);
+        assert_eq!(r.reserve_span(0, 250), 0);
+        assert_eq!(r.lost_bookings(), 2, "the span's first bucket");
+        // A slot of this generation or an older one books as usual.
+        let _ = reserve(&r, ring * 5 + 100, 60);
+        assert_eq!(r.lost_bookings(), 2);
     }
 
     /// Two cursor policies for the implementation under test: one

@@ -29,6 +29,25 @@ impl Frame {
         }
     }
 
+    /// Allocates a frame holding a copy of `src`'s words: a block
+    /// transfer into a frame that never held data, with no zeroing first.
+    pub(crate) fn copy_of(src: &Frame) -> Self {
+        let n = src.words.len();
+        let mut v: Vec<AtomicU32> = Vec::with_capacity(n);
+        // SAFETY: one memcpy into the new allocation, by `copy_from`'s
+        // argument: `AtomicU32` has the in-memory representation of `u32`
+        // and every bit pattern is a valid one, the capacity is `n`, the
+        // regions are distinct allocations, and no writer exists while a
+        // page is copied. All `n` words are initialised before `set_len`.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.words.as_ptr(), v.as_mut_ptr(), n);
+            v.set_len(n);
+        }
+        Self {
+            words: v.into_boxed_slice(),
+        }
+    }
+
     /// The number of words in the frame.
     pub fn len(&self) -> usize {
         self.words.len()
@@ -240,6 +259,23 @@ mod tests {
         for i in 0..8 {
             assert_eq!(b.load(i), 0);
         }
+    }
+
+    #[test]
+    fn copy_of_holds_exactly_the_source() {
+        let a = Frame::new(8);
+        for i in 0..8 {
+            a.store(i, 0x100 + i as u32);
+        }
+        let b = Frame::copy_of(&a);
+        assert_eq!(b.len(), 8);
+        for i in 0..8 {
+            assert_eq!(b.load(i), 0x100 + i as u32);
+        }
+        // A distinct storage: writes to one leave the other alone.
+        b.store(0, 7);
+        assert_eq!(a.load(0), 0x100);
+        assert!(Frame::copy_of(&Frame::new(0)).is_empty());
     }
 
     #[test]

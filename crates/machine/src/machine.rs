@@ -153,6 +153,14 @@ impl Machine {
         self.modules.iter().map(|m| m.frames_allocated()).sum()
     }
 
+    /// Contention bookings dropped across all modules because a ring
+    /// slot already held a newer generation
+    /// ([`crate::BucketedResource::lost_bookings`]): contention the run
+    /// did not see.
+    pub fn lost_bookings(&self) -> u64 {
+        self.modules.iter().map(MemoryModule::lost_bookings).sum()
+    }
+
     /// Total frames whose storage has been materialised across all
     /// modules — what the machine has cost the host so far, in pages.
     pub fn frames_materialized(&self) -> usize {
@@ -196,6 +204,40 @@ mod tests {
         assert!(
             m.skew().holds(crate::SKEW_WINDOW_NS + 1),
             "the default window"
+        );
+    }
+
+    #[test]
+    fn lost_bookings_sum_over_modules() {
+        use crate::proc::{AccessKind, ProcCore};
+        let m = Machine::new(MachineConfig {
+            nodes: 2,
+            frames_per_node: 4,
+            skew_window_ns: None,
+            ..MachineConfig::default()
+        })
+        .unwrap();
+        // Two ring generations ahead: the same slots of both modules.
+        let ahead = 2 * 64 * m.cfg().contention_bucket_ns;
+        let mut early = ProcCore::new(Arc::clone(&m), 0, ahead);
+        let mut late = ProcCore::new(Arc::clone(&m), 1, 0);
+        for module in 0..2 {
+            early.charge_word_access(PhysPage::new(module, 0), AccessKind::Read);
+        }
+        assert_eq!(m.lost_bookings(), 0);
+        late.charge_word_access(PhysPage::new(0, 0), AccessKind::Read);
+        late.charge_word_block(PhysPage::new(1, 0), AccessKind::Read, 3);
+        assert_eq!(m.module(0).lost_bookings(), 1);
+        assert_eq!(
+            m.module(1).lost_bookings(),
+            1,
+            "a block books its bucket once"
+        );
+        assert_eq!(m.lost_bookings(), 2);
+        assert_eq!(
+            late.counters().queue_delay_ns,
+            0,
+            "a dropped booking never queues"
         );
     }
 

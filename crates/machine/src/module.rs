@@ -34,10 +34,12 @@ type SlotRun = Box<[OnceLock<Frame>]>;
 /// concurrent data structures".
 ///
 /// Only the inverted page table exists at boot. A frame's *storage* is
-/// materialised, zeroed, by the first [`Self::frame`] call that names it —
-/// in practice the fault handler's first-touch zero-fill or a block
-/// transfer into it — so what a machine costs the host follows the pages a
-/// run touches, not `frames_per_node`. Once materialised a [`Frame`] is
+/// materialised by the first call that names it, once, with its first
+/// contents — zeroed by the fault handler's first-touch zero fill
+/// ([`Self::zeroed_frame`]), a copy of the source by a block transfer into
+/// it (`fill_frame`), zeroed by any other [`Self::frame`] call — so
+/// what a machine costs the host follows the pages a run touches, not
+/// `frames_per_node`. Once materialised a [`Frame`] is
 /// never moved or freed before the module drops: `free_frame` only retags
 /// the inverted page table, and a recycled frame keeps its storage.
 pub struct MemoryModule {
@@ -121,10 +123,63 @@ impl MemoryModule {
     /// Panics if `frame` is out of range.
     #[inline]
     pub fn frame(&self, frame: usize) -> &Frame {
+        self.slot(frame)
+            .get_or_init(|| Frame::new(self.words_per_page))
+    }
+
+    /// `frame`'s storage, all zero: materialised zeroed by this call, or a
+    /// recycled frame cleared — the first-touch zero fill, which clears a
+    /// page's words once, never twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is out of range.
+    pub fn zeroed_frame(&self, frame: usize) -> &Frame {
+        let mut fresh = false;
+        let f = self.slot(frame).get_or_init(|| {
+            fresh = true;
+            Frame::new(self.words_per_page)
+        });
+        if !fresh {
+            f.zero();
+        }
+        f
+    }
+
+    /// Makes `frame` hold `src`'s words — a block transfer's landing — and
+    /// returns it. A frame that was never used is materialised as the copy
+    /// itself, with no zeroing first; one already materialised is
+    /// overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is out of range or `src` is not a page of this
+    /// module's size.
+    pub(crate) fn fill_frame(&self, frame: usize, src: &Frame) -> &Frame {
+        assert_eq!(
+            src.len(),
+            self.words_per_page,
+            "block transfer between unequal frames"
+        );
+        let mut fresh = false;
+        let f = self.slot(frame).get_or_init(|| {
+            fresh = true;
+            Frame::copy_of(src)
+        });
+        if !fresh {
+            f.copy_from(src);
+        }
+        f
+    }
+
+    /// The write-once cell holding `frame`'s storage, creating its run of
+    /// the slot table on first use.
+    #[inline]
+    fn slot(&self, frame: usize) -> &OnceLock<Frame> {
         assert!(frame < self.owners.len(), "frame {frame} out of range");
         let run = self.runs[frame / SLOTS_PER_RUN]
             .get_or_init(|| (0..SLOTS_PER_RUN).map(|_| OnceLock::new()).collect());
-        run[frame % SLOTS_PER_RUN].get_or_init(|| Frame::new(self.words_per_page))
+        &run[frame % SLOTS_PER_RUN]
     }
 
     /// The owning coherent page recorded for `frame`, if allocated.
@@ -215,6 +270,18 @@ impl MemoryModule {
         now + self.bus.reserve_with(cursor, now, service_ns)
     }
 
+    /// Word-traffic bookings this module's bus dropped behind a newer
+    /// ring generation ([`BucketedResource::lost_bookings`]).
+    pub(crate) fn lost_bookings(&self) -> u64 {
+        self.bus.lost_bookings()
+    }
+
+    /// The width of the bus's contention buckets, ns.
+    #[inline(always)]
+    pub(crate) fn bucket_ns(&self) -> u64 {
+        self.bus.bucket_ns()
+    }
+
     /// The position of `now` within its contention bucket
     /// (`now % bucket_ns`), leaving `cursor` on that bucket so the
     /// booking that follows finds it without a division.
@@ -301,6 +368,39 @@ mod tests {
         assert_eq!(m.frames_materialized(), 2);
         assert_eq!(m.frame(f) as *const Frame, at);
         assert_eq!(m.frame(f).load(3), 7);
+    }
+
+    #[test]
+    fn frames_materialise_once_with_their_first_contents() {
+        let m = MemoryModule::new(0, 8, 16, 100_000);
+        let src = Frame::new(16);
+        for w in 0..16 {
+            src.store(w, 0xA000 + w as u32);
+        }
+        // A transfer into a never-used frame materialises it as the copy.
+        let f = m.fill_frame(1, &src);
+        assert_eq!(m.frames_materialized(), 1);
+        for w in 0..16 {
+            assert_eq!(f.load(w), 0xA000 + w as u32, "word {w}");
+        }
+        // Into a used frame it overwrites, at the same storage.
+        let at = f as *const Frame;
+        src.store(5, 1);
+        assert_eq!(m.fill_frame(1, &src) as *const Frame, at);
+        assert_eq!(m.frame(1).load(5), 1);
+        assert_eq!(m.frames_materialized(), 1);
+        // A first-touch fill of a fresh frame and of a recycled one both
+        // read zero; the recycled one keeps its storage.
+        assert!((0..16).all(|w| m.zeroed_frame(2).load(w) == 0));
+        assert_eq!(m.zeroed_frame(1) as *const Frame, at);
+        assert!((0..16).all(|w| m.frame(1).load(w) == 0));
+        assert_eq!(m.frames_materialized(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal frames")]
+    fn fill_from_a_frame_of_another_size_panics() {
+        MemoryModule::new(0, 4, 16, 100_000).fill_frame(0, &Frame::new(8));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::config::{BLOCK_BUS_FRACTION_PCT, BLOCK_WORD_NS};
 use crate::contention::BucketCursor;
 use crate::frame::Frame;
 use crate::machine::Machine;
+use crate::module::MemoryModule;
 use crate::stats::AccessCounters;
 
 /// The kind of a single-word memory access, for the timing model.
@@ -59,6 +60,56 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<ProcCore>();
 };
+
+/// Books `n` consecutive word accesses on `module`, each paying `latency`
+/// and occupying `service` ns of its bus, from clock `vtime`; returns the
+/// clock after the last access and the queueing delay on the way.
+///
+/// The service is booked across the virtual time the stream actually
+/// spans, one contention bucket at a time, so a self-paced stream never
+/// queues behind itself: a chunk is the accesses that start before the
+/// clock's bucket ends, `ceil(left / step)` of the `left` ns remaining in
+/// it. That division runs only where it must:
+///
+/// * not at all when the rest of the stream fits (`ceil(left / step) >=
+///   remaining` iff `left > step * (remaining - 1)`);
+/// * once per stream when the clock is less than one `step` into its
+///   bucket — where a stream that crossed the last edge without queueing
+///   always lands — because with `bucket_ns = q * step + r` and an offset
+///   `into < step`, `ceil((bucket_ns - into) / step)` is `q + (r > into)`;
+/// * per bucket only after a queueing delay moved the clock further in.
+#[inline(always)]
+fn book_stream(
+    cursor: &mut BucketCursor,
+    mut vtime: u64,
+    module: &MemoryModule,
+    latency: u64,
+    service: u64,
+    n: u64,
+) -> (u64, u64) {
+    let bucket_ns = module.bucket_ns();
+    let step = latency.max(1);
+    let mut per_bucket = None;
+    let mut remaining = n;
+    let mut queue_delay = 0u64;
+    while remaining > 0 {
+        let into = module.bucket_into(cursor, vtime);
+        let left = bucket_ns - into;
+        let chunk = if left > step * (remaining - 1) {
+            remaining
+        } else if into < step {
+            let (q, r) = *per_bucket.get_or_insert_with(|| (bucket_ns / step, bucket_ns % step));
+            q + u64::from(r > into)
+        } else {
+            left.div_ceil(step)
+        };
+        let start = module.reserve_with(cursor, vtime, service * chunk);
+        queue_delay += start - vtime;
+        vtime = start + latency * chunk;
+        remaining -= chunk;
+    }
+    (vtime, queue_delay)
+}
 
 /// The outcome of a [`ProcCore::fast_path`] probe.
 pub enum FastPath<'a> {
@@ -267,17 +318,11 @@ impl ProcCore {
             self.charge_word_access(pp, kind);
             return FastPath::Hit(self.machine.frame_data(pp));
         }
-        // SAFETY: the handle was installed by `atc_insert` on this core
-        // from this machine's own storage. Modules are allocated at boot
-        // and a frame is materialised by the `frame()` call `atc_insert`
-        // made; neither moves or is freed afterwards (`free_frame` only
-        // retags the inverted page table), and `self.machine` keeps them
-        // alive for at least the returned borrow's lifetime.
-        let (frame, module) = unsafe { (&*h.frame, &*h.module) };
+        let (frame, module) = h.resolve(&self.machine);
         let start = module.reserve_with(&mut self.cursor, self.vtime, u64::from(h.service));
         self.counters.queue_delay_ns += start - self.vtime;
         self.vtime = start + u64::from(h.latency[kind as usize]);
-        self.count(h.local, kind, 1);
+        self.refs[usize::from(h.local)][kind as usize] += 1;
         FastPath::Hit(frame)
     }
 
@@ -295,9 +340,48 @@ impl ProcCore {
         if h.is_null() {
             return FastPath::Hit(self.machine.frame_data(pp));
         }
-        // SAFETY: as in `fast_path` — the handle points into this
-        // machine's immovable frame storage, kept alive by `self.machine`.
-        FastPath::Hit(unsafe { &*h.frame })
+        FastPath::Hit(h.resolve(&self.machine).0)
+    }
+
+    /// The block form of [`Self::fast_path`], for software block copies:
+    /// one ATC probe that, on a hit with sufficient rights, charges `n`
+    /// consecutive words exactly as [`Self::charge_word_block`] would —
+    /// from the entry's own latency, service time and module — and hands
+    /// the frame back. A miss or a rights fault charges nothing beyond the
+    /// probe's count.
+    #[inline]
+    pub fn fast_block(
+        &mut self,
+        asid: u32,
+        vpn: Vpn,
+        write: bool,
+        kind: AccessKind,
+        n: u64,
+    ) -> FastPath<'_> {
+        let Some((pp, writable, h)) = self.atc.lookup_with_handle(asid, vpn) else {
+            return FastPath::Miss;
+        };
+        if write && !writable {
+            return FastPath::NoRights;
+        }
+        if h.is_null() {
+            self.charge_word_block(pp, kind, n);
+            return FastPath::Hit(self.machine.frame_data(pp));
+        }
+        let (frame, module) = h.resolve(&self.machine);
+        let latency = u64::from(h.latency[kind as usize]);
+        let (vtime, delay) = book_stream(
+            &mut self.cursor,
+            self.vtime,
+            module,
+            latency,
+            u64::from(h.service),
+            n,
+        );
+        self.vtime = vtime;
+        self.counters.queue_delay_ns += delay;
+        self.refs[usize::from(h.local)][kind as usize] += n;
+        FastPath::Hit(frame)
     }
 
     /// Charges `n` consecutive word accesses to the module holding `pp`,
@@ -310,34 +394,18 @@ impl ProcCore {
         if n == 0 {
             return;
         }
-        let local = pp.module_id() == self.id;
-        let latency = u64::from(self.lat[pp.module_id()][kind as usize]);
-        let service = u64::from(self.svc[pp.module_id()]);
-        let bucket_ns = self.machine.cfg().contention_bucket_ns;
-        let module = self.machine.module(pp.module_id());
-        let step = latency.max(1);
-        let mut remaining = n;
-        let mut queue_delay = 0u64;
-        while remaining > 0 {
-            // Book only the accesses that fall inside the clock's current
-            // contention bucket, so a self-paced stream never re-books a
-            // bucket it has already filled. `left.div_ceil(step)` of them
-            // start before the bucket ends; the division runs only when
-            // the run really crosses the edge (`left.div_ceil(step) >=
-            // remaining` iff `left > step * (remaining - 1)`).
-            let left = bucket_ns - module.bucket_into(&mut self.cursor, self.vtime);
-            let chunk = if left > step * (remaining - 1) {
-                remaining
-            } else {
-                left.div_ceil(step)
-            };
-            let start = module.reserve_with(&mut self.cursor, self.vtime, service * chunk);
-            queue_delay += start - self.vtime;
-            self.vtime = start + latency * chunk;
-            remaining -= chunk;
-        }
-        self.counters.queue_delay_ns += queue_delay;
-        self.count(local, kind, n);
+        let to = pp.module_id();
+        let (vtime, delay) = book_stream(
+            &mut self.cursor,
+            self.vtime,
+            self.machine.module(to),
+            u64::from(self.lat[to][kind as usize]),
+            u64::from(self.svc[to]),
+            n,
+        );
+        self.vtime = vtime;
+        self.counters.queue_delay_ns += delay;
+        self.count(to == self.id, kind, n);
     }
 
     /// The resolved word latency this processor pays against the module
@@ -394,8 +462,9 @@ impl ProcCore {
         self.counters.block_words += words;
 
         let src_frame = self.machine.frame_data(src);
-        let dst_frame = self.machine.frame_data(dst);
-        dst_frame.copy_from(src_frame);
+        self.machine
+            .module(dst.module_id())
+            .fill_frame(dst.frame_id(), src_frame);
     }
 
     /// Books the source's and the destination's transfer engines for a run
@@ -542,9 +611,18 @@ mod tests {
         let mut core = ProcCore::new(Arc::clone(&m), 0, 0);
         let src = PhysPage::new(0, 0);
         let dst = PhysPage::new(1, 0);
-        m.frame_data(src).store(17, 0xabcd);
+        let words = m.cfg().words_per_page();
+        for w in 0..words {
+            m.frame_data(src).store(w, 0xab00 + w as u32);
+        }
+        // The destination was never used: the transfer materialises it
+        // holding exactly the source's words.
+        assert_eq!(m.frames_materialized(), 1);
         core.block_transfer(src, dst);
-        assert_eq!(m.frame_data(dst).load(17), 0xabcd);
+        assert_eq!(m.frames_materialized(), 2);
+        for w in 0..words {
+            assert_eq!(m.frame_data(dst).load(w), 0xab00 + w as u32, "word {w}");
+        }
         // 1024 words at 1100 ns each = 1.1264 ms, the paper's ~1.11 ms
         // for a 4 KB page.
         assert_eq!(core.vtime(), 1024 * 1100);
@@ -786,6 +864,126 @@ mod tests {
                         without.module(module).bus_load_at(at),
                         "module {module} load at {at}"
                     );
+                }
+            }
+        }
+    }
+
+    /// `charge_word_block` as it was before its chunking went
+    /// division-free: `left.div_ceil(step)` at every bucket edge.
+    fn charge_word_block_div_ceil(core: &mut ProcCore, pp: PhysPage, kind: AccessKind, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let local = pp.module_id() == core.id;
+        let latency = u64::from(core.lat[pp.module_id()][kind as usize]);
+        let service = u64::from(core.svc[pp.module_id()]);
+        let bucket_ns = core.machine.cfg().contention_bucket_ns;
+        let module = core.machine.module(pp.module_id());
+        let step = latency.max(1);
+        let mut remaining = n;
+        let mut queue_delay = 0u64;
+        while remaining > 0 {
+            let left = bucket_ns - module.bucket_into(&mut core.cursor, core.vtime);
+            let chunk = if left > step * (remaining - 1) {
+                remaining
+            } else {
+                left.div_ceil(step)
+            };
+            let start = module.reserve_with(&mut core.cursor, core.vtime, service * chunk);
+            queue_delay += start - core.vtime;
+            core.vtime = start + latency * chunk;
+            remaining -= chunk;
+        }
+        core.counters.queue_delay_ns += queue_delay;
+        core.count(local, kind, n);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The division-free chunking books what the per-edge `div_ceil`
+        /// booked, block for block: the same clock, the same queueing
+        /// delay, the same load in every bucket the streams touched. Each
+        /// case runs a few blocks (local or remote, every access kind)
+        /// from arbitrary clocks, over rings already holding bookings —
+        /// light ones, and ones that overload a bucket so the streams
+        /// queue and land arbitrarily far into the next. The bucket
+        /// widths include ones no latency divides and ones the remote
+        /// read's 5000 ns does.
+        #[test]
+        fn block_chunking_matches_div_ceil_oracle(
+            bucket_ns in prop_oneof![Just(100_000u64), Just(7919u64), Just(1000u64), Just(320u64), Just(20_000u64)],
+            booked in prop::collection::vec((0usize..2, 0u64..40, 0u64..1 << 20, 0u64..3), 0..24),
+            blocks in prop::collection::vec(
+                (0u64..40 * 100_000, 0u64..1100, 0u8..3, any::<bool>(), 0u8..3),
+                1..6,
+            ),
+        ) {
+            let build = || {
+                Machine::new(MachineConfig {
+                    nodes: 2,
+                    frames_per_node: 4,
+                    skew_window_ns: None,
+                    contention_bucket_ns: bucket_ns,
+                    ..MachineConfig::default()
+                })
+                .expect("valid config")
+            };
+            let (new, old) = (build(), build());
+            // Bookings already in the ring: a bucket's worth of load
+            // times 0..3 (overloaded at 2), in buckets the blocks reach.
+            for &(module, bucket, offset, times) in &booked {
+                let now = bucket * bucket_ns + offset % bucket_ns;
+                let service = times * bucket_ns / 2 + offset % 600;
+                for m in [&new, &old] {
+                    let _ = m.module(module).reserve_with(&mut BucketCursor::default(), now, service);
+                }
+            }
+            let mut a = ProcCore::new(Arc::clone(&new), 0, 0);
+            let mut b = ProcCore::new(Arc::clone(&old), 0, 0);
+            let mut spans = Vec::new();
+            for &(at, n, kind, remote, jump) in &blocks {
+                let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Atomic][usize::from(kind)];
+                // A jump moves the clock (kernel entries may step it
+                // back) to anywhere, or to a whole number of the block's
+                // steps past a bucket edge; otherwise the block streams
+                // on from the last.
+                let pp = PhysPage::new(usize::from(remote), 0);
+                let step = a.word_latency_to(pp.module_id(), kind).max(1);
+                let to = at * bucket_ns / 100_000;
+                match jump {
+                    0 => {}
+                    1 => a.vtime = to,
+                    _ => a.vtime = to - to % bucket_ns + at % 3 * step,
+                }
+                b.vtime = a.vtime;
+                let from = a.vtime;
+                a.charge_word_block(pp, kind, n);
+                charge_word_block_div_ceil(&mut b, pp, kind, n);
+                prop_assert_eq!(a.vtime(), b.vtime(), "clock after {} words", n);
+                prop_assert_eq!(
+                    a.counters().queue_delay_ns,
+                    b.counters().queue_delay_ns,
+                    "queue delay after {} words",
+                    n
+                );
+                spans.push((from, a.vtime()));
+            }
+            prop_assert_eq!(a.counters(), b.counters());
+            for (from, to) in spans {
+                let mut at = from - from % bucket_ns;
+                while at <= to {
+                    for module in 0..2 {
+                        prop_assert_eq!(
+                            new.module(module).bus_load_at(at),
+                            old.module(module).bus_load_at(at),
+                            "module {} load at {}",
+                            module,
+                            at
+                        );
+                    }
+                    at += bucket_ns;
                 }
             }
         }

@@ -1,5 +1,7 @@
 //! Per-processor access statistics.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// Counters accumulated by one simulated processor.
 ///
 /// These underpin the kernel's post-mortem memory-management report
@@ -80,6 +82,29 @@ impl AccessCounters {
         self.compute_ns += other.compute_ns;
         self.atc_hits += other.atc_hits;
         self.atc_misses += other.atc_misses;
+    }
+}
+
+/// A shared event count bumped with a relaxed load and a relaxed store,
+/// nothing lock-prefixed, for events on a path that must stay that way
+/// (a contention booking): exact in any schedule driven by one host
+/// thread; under free-running threads a racing bump may be lost. It
+/// lives here, not in `contention.rs`, so the ring's one store stays
+/// `book`'s.
+#[derive(Debug, Default)]
+pub(crate) struct RelaxedTally(AtomicU64);
+
+impl RelaxedTally {
+    /// Counts one event.
+    #[inline]
+    pub(crate) fn bump(&self) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// The events counted so far.
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 

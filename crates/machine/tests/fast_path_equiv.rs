@@ -177,6 +177,63 @@ proptest! {
         }
     }
 
+    /// The block form: a hit charges `n` words as the reference path's
+    /// `charge_word_block` does, from the entry, and hands back the frame
+    /// the reference resolves through the machine; a miss or a rights
+    /// fault charges nothing. Runs reach far past a bucket, so streams
+    /// cross edges and, on the asymmetric machine, queue.
+    #[test]
+    fn fast_block_is_observationally_identical(
+        asymmetric_machine in any::<bool>(),
+        proc in 0usize..4,
+        pages in prop::collection::vec(
+            (0u8..4, any::<bool>(), any::<bool>()),
+            NPAGES as usize..NPAGES as usize + 1,
+        ),
+        ops in prop::collection::vec(
+            (0u64..NPAGES + 2, 0u8..3, 0u64..2048, any::<u32>()),
+            1..60,
+        ),
+    ) {
+        let (mf, ms) = machines(asymmetric_machine);
+        let proc = proc % mf.nprocs();
+        let mut fast = ProcCore::new(Arc::clone(&mf), proc, 0);
+        let mut slow = ProcCore::new(Arc::clone(&ms), proc, 0);
+        install(&mut fast, &mut slow, &pages);
+        let wpp = mf.cfg().words_per_page();
+
+        for &(vpn, op, n, val) in &ops {
+            let kind = [AccessKind::Read, AccessKind::Write, AccessKind::Atomic][usize::from(op)];
+            let write = kind != AccessKind::Read;
+            let word = val as usize % wpp;
+            let len = (n as usize).min(wpp - word);
+            let outcome = fast.fast_block(ASID, vpn, write, kind, n);
+            let reference = slow.atc().lookup(ASID, vpn);
+            match (outcome, reference) {
+                (FastPath::Miss, None) => {}
+                (FastPath::NoRights, Some((_, w))) => prop_assert!(write && !w),
+                (FastPath::Hit(frame), Some((pp, w))) => {
+                    prop_assert!(!write || w);
+                    slow.charge_word_block(pp, kind, n);
+                    let sf = ms.frame_data(pp);
+                    if write {
+                        let src: Vec<u32> = (0..len as u32).map(|i| val ^ i).collect();
+                        frame.store_slice(word, &src);
+                        sf.store_slice(word, &src);
+                    } else {
+                        let (mut a, mut b) = (vec![0; len], vec![0; len]);
+                        frame.load_slice(word, &mut a);
+                        sf.load_slice(word, &mut b);
+                        prop_assert_eq!(a, b);
+                    }
+                }
+                _ => return Err(TestCaseError::fail("probe results diverged")),
+            }
+            prop_assert_eq!(fast.vtime(), slow.vtime(), "virtual time diverged");
+        }
+        prop_assert_eq!(fast.counters(), slow.counters(), "counters diverged");
+    }
+
     #[test]
     fn fast_probe_charges_nothing(
         asymmetric_machine in any::<bool>(),

@@ -83,33 +83,6 @@ fn big_machines_boot_beyond_the_old_64_node_cap() {
 }
 
 #[test]
-fn uma_ctx_publishes_idle_on_drop_and_while_waiting() {
-    let m = UmaMachine::new(UmaConfig {
-        procs: 2,
-        mem_words: 1 << 12,
-    })
-    .unwrap();
-    {
-        let mut a = UmaCtx::new(Arc::clone(&m), 0);
-        let mut b = UmaCtx::new(Arc::clone(&m), 1);
-        // b races far ahead; a waits; the skew window must not deadlock
-        // because waiting processors publish idle.
-        a.begin_wait();
-        for i in 0..100_000u64 {
-            b.write((i % 512) * 4, i as u32);
-        }
-        a.end_wait();
-        assert!(b.vtime() > 0);
-    } // both drop here
-      // After drop, a fresh context can run ahead freely (dropped
-      // processors do not hold the window's minimum down).
-    let mut c = UmaCtx::new(m, 0);
-    for i in 0..100_000u64 {
-        c.write((i % 512) * 4, i as u32);
-    }
-}
-
-#[test]
 fn uma_read_spin_is_uncharged_but_sees_fresh_data() {
     let m = UmaMachine::new(UmaConfig {
         procs: 2,

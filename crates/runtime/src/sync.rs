@@ -252,11 +252,6 @@ impl EventCount {
         new
     }
 
-    /// Reads the current count (charged).
-    pub fn current<M: Mem>(&self, m: &mut M) -> u32 {
-        m.read(self.va)
-    }
-
     /// The wait for the count to reach `target`; `None` when there is
     /// nothing to wait for (`target == 0`).
     pub fn reaching(&self, target: u32) -> Option<Wait<'_>> {

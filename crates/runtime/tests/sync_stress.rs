@@ -107,7 +107,7 @@ fn event_count_orders_producer_chain() {
             }
         }
     });
-    let (final_count, _) = h.run(1, |_, ctx| ec.current(ctx));
+    let (final_count, _) = h.run(1, |_, ctx| ctx.read(ec.va()));
     assert_eq!(final_count[0], ITEMS);
 }
 
