@@ -69,8 +69,18 @@ where
     let mut waits: Vec<Option<Wait<'a>>> = vec![None; n];
     let mut stats: Vec<Option<WorkerStats>> = vec![None; n];
     loop {
-        let runnable = (0..n).filter(|&p| stats[p].is_none() && waits[p].is_none());
-        let Some(p) = runnable.min_by_key(|&p| (procs.vtime(p), p)) else {
+        // The runnable processor with the lowest (clock, id); ids rise, so
+        // only a strictly lower clock takes over. A plain loop, because it
+        // runs every turn and `min_by_key` compares through a function
+        // pointer per processor.
+        let mut next: Option<(u64, usize)> = None;
+        for p in (0..n).filter(|&p| stats[p].is_none() && waits[p].is_none()) {
+            let t = procs.vtime(p);
+            if next.is_none_or(|(best, _)| t < best) {
+                next = Some((t, p));
+            }
+        }
+        let Some((_, p)) = next else {
             let blocked: Vec<usize> = (0..n).filter(|&p| waits[p].is_some()).collect();
             assert!(
                 blocked.is_empty(),
