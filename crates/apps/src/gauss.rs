@@ -27,7 +27,7 @@
 //!
 //! [`Gauss`] is the program's one staging — zones, layout and phase
 //! sequence on any [`Stage`] — and [`GaussAnecdote`] the §4.2 variant
-//! of it; every runner, recorder, benchmark and test goes through them.
+//! of it; every runner, experiment and test goes through them.
 
 use std::sync::Arc;
 

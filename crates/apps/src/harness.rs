@@ -3,9 +3,9 @@
 //!
 //! Each application's layout and phase sequence is written once, in its
 //! own module, against [`platinum_runtime::Stage`]; a runner here is a
-//! boot followed by calls into that staging, so the per-figure benchmark
-//! binaries, the examples, the integration tests and the trace recorder
-//! (`crate::capture`) all run the same program.
+//! boot followed by calls into that staging, so the per-figure
+//! experiments, the policy matrix, the examples and the integration tests
+//! all run the same program.
 
 use std::sync::Arc;
 

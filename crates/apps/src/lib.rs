@@ -24,13 +24,11 @@
 //! and its layout and phase sequence once against
 //! [`platinum_runtime::Stage`] (`gauss::Gauss`,
 //! `mergesort::Sort`, `neural::Neural`), so the caller decides which
-//! machine, kernel, and policy it runs on — and whether the run is live
-//! ([`harness`]), recorded ([`capture`]), or on the UMA comparator —
-//! without restating the program.
+//! machine, kernel, and policy it runs on — a booted simulation
+//! ([`harness`]) or the UMA comparator — without restating the program.
 
 #![warn(missing_docs)]
 
-pub mod capture;
 pub mod gauss;
 pub mod harness;
 pub mod mergesort;

@@ -16,8 +16,7 @@
 //! good showing.
 //!
 //! [`Sort`] is the program's one staging — zones, layout and phase
-//! sequence on any [`Stage`]: the kernel, a recording capture, or the
-//! UMA comparator.
+//! sequence on any [`Stage`]: the kernel or the UMA comparator.
 
 use std::ops::Range;
 

@@ -1,14 +1,13 @@
 //! Each application is staged once, against `platinum_runtime::Stage`.
-//! These tests hold the three things that rests on: the staging runs on
-//! every stage, live == captured == replayed, and the runners still
-//! report what they reported before the stagings were unified.
+//! These tests hold the two things that rests on: the staging runs on
+//! both stages, and the runners still report what they reported before
+//! the stagings were unified.
 //!
 //! Every comparison of numbers runs at `p = 1`, where no host scheduling
 //! enters and every number is exact.
 
 use numa_machine::uma::{UmaConfig, UmaMachine};
 use platinum::{PolicyKind, StatsSnapshot};
-use platinum_apps::capture::{record_gauss, record_mergesort, record_neural, CapturedRun};
 use platinum_apps::gauss::{self, Gauss, GaussConfig};
 use platinum_apps::harness::{
     run_gauss, run_gauss_anecdote, run_gauss_profiled, run_mergesort_platinum, run_mergesort_uma,
@@ -16,7 +15,6 @@ use platinum_apps::harness::{
 };
 use platinum_apps::mergesort::{Sort, SortConfig};
 use platinum_apps::neural::NeuralConfig;
-use platinum_reftrace::{replay, Capture, ReplayOptions};
 use platinum_runtime::sim::SimBuilder;
 use platinum_runtime::Stage;
 
@@ -39,72 +37,13 @@ fn apps_verify_on<S: Stage>(stage: &mut S) {
 }
 
 #[test]
-fn one_staging_runs_on_all_three_stages() {
+fn one_staging_runs_on_both_stages() {
     apps_verify_on(&mut SimBuilder::nodes(NODES).build());
     let uma = UmaMachine::new(UmaConfig {
         procs: NODES,
         mem_words: 1 << 12,
     });
     apps_verify_on(&mut uma.unwrap());
-
-    let mut cap = Capture::new(NODES, &ReplayOptions::default());
-    apps_verify_on(&mut cap);
-    let trace = cap.finish();
-    // Matrix + event count, arrays + barrier; three phases per app (the
-    // verification pass is a phase like any other when staged on the
-    // capture itself).
-    assert_eq!(trace.zones, [18, 1, 5, 1]);
-    let labels: Vec<&str> = trace.phases.iter().map(|p| p.label.as_str()).collect();
-    assert_eq!(
-        labels,
-        ["init", "measured", "verify", "init", "measured", "verify"]
-    );
-    assert!(replay(&trace, PolicyKind::Platinum).measured_elapsed_ns() > 0);
-}
-
-/// Live (`harness`), captured (`capture`) and replayed agree on the
-/// measured phase: one staging, so there is nothing to keep in sync.
-fn assert_live_captured_replayed(live: &AppRun, captured: &CapturedRun) {
-    let out = replay(&captured.trace, PolicyKind::Platinum);
-    assert_eq!(
-        live.elapsed_ns, captured.live.elapsed_ns,
-        "live vs captured"
-    );
-    assert_eq!(
-        captured.live.elapsed_ns,
-        out.measured_elapsed_ns(),
-        "captured vs replayed"
-    );
-    let replayed = &out.phases.last().unwrap().stats;
-    assert_eq!(
-        live.run.merged_counters(),
-        captured.live.run.merged_counters()
-    );
-    assert_eq!(
-        captured.live.run.merged_counters(),
-        replayed.merged_counters()
-    );
-    assert_eq!(live.checksum, captured.live.checksum);
-    assert_eq!(captured.live.kernel_stats, out.kernel);
-}
-
-#[test]
-fn live_captured_and_replayed_agree_at_p1() {
-    let opts = ReplayOptions::default();
-
-    let cfg = GaussConfig::with_n(40);
-    let live = run_gauss(GaussStyle::Shared(PolicyKind::Platinum), NODES, 1, &cfg);
-    assert_live_captured_replayed(&live, &record_gauss(NODES, 1, &cfg, &opts));
-
-    let cfg = SortConfig::with_n(1 << 10);
-    let live = run_mergesort_platinum(NODES, 1, &cfg);
-    assert_live_captured_replayed(&live, &record_mergesort(NODES, 1, &cfg, &opts));
-
-    let cfg = NeuralConfig::with_epochs(2);
-    let (live, live_err) = run_neural(NODES, 1, &cfg);
-    let (captured, captured_err) = record_neural(NODES, 1, &cfg, &opts);
-    assert_live_captured_replayed(&live, &captured);
-    assert_eq!(live_err, captured_err);
 }
 
 /// What a runner reported at the commit before the stagings were unified

@@ -1,17 +1,20 @@
-//! The Figure-1-style policy matrix: price one reference stream under
-//! the five placement policies and tabulate per-policy virtual time,
+//! The Figure-1-style policy matrix: run each workload live under the
+//! five placement policies and tabulate per-policy virtual time,
 //! remote-reference ratio, and freeze/defrost counts.
 //!
-//! The comparison is over *identical* reference streams, so differences
-//! are attributable to the policy alone. The three applications get
-//! there by capture and replay: each runs once under PLATINUM while its
-//! stream is recorded, then the trace is replayed under every policy. The
-//! PLATINUM replay doubles as a self-check: it must reproduce the live
-//! capture run bit for bit, and on gauss the Fig. 1 ordering (coherent <
-//! local-only < remote-only) is a named check. The key-value store needs
-//! no capture: the open-loop driver runs each request to completion on
-//! one host thread, so one machine per policy driving the same merged
-//! schedule executes the same requests in the same order by construction.
+//! Every cell is one live run on its own machine, as the paper's Fig. 1
+//! compares the same program under each memory system. The applications
+//! run as steps on one host thread (`platinum_runtime::step`) and the
+//! key-value store's open-loop driver runs each request to completion on
+//! one host thread, so a cell is a function of its inputs, and the
+//! machines run one after another: two runs of the matrix print the same
+//! artifact. A policy's timing feeds back into the program's own
+//! synchronisation (a waiter spins longer behind a slow policy), so two
+//! cells of one workload need not make the same references. PLATINUM
+//! runs once more with replicated page tables
+//! (`PtablePlacement::ReplicatedOnFault`) for the `repl-ptable` column.
+//! On gauss the Fig. 1 ordering (coherent < local-only < remote-only) is
+//! a named check.
 //!
 //! `--nodes N` (4), `--procs P` (4, at most nodes), `--n N` (gauss
 //! matrix, 96), `--epochs E` (3), `--workload a,b,c`
@@ -27,15 +30,15 @@
 
 use std::fmt::Write as _;
 
-use numa_machine::MachineConfig;
+use numa_machine::{MachineConfig, Topology};
 use platinum::trace::json::Value;
-use platinum::{PolicyKind, PtableConfig, PtablePlacement};
-use platinum_apps::capture::{record_gauss, record_mergesort, record_neural, CapturedRun};
-use platinum_apps::gauss::GaussConfig;
-use platinum_apps::mergesort::SortConfig;
-use platinum_apps::neural::NeuralConfig;
-use platinum_reftrace::ReplayOptions;
-use platinum_server::{run_open_loop, DriverReport, KvConfig, KvTable, Request, TrafficConfig};
+use platinum::{PolicyKind, PtableConfig, PtablePlacement, StatsSnapshot};
+use platinum_apps::gauss::{self, Gauss, GaussConfig};
+use platinum_apps::mergesort::{Sort, SortConfig};
+use platinum_apps::neural::{Neural, NeuralConfig};
+use platinum_runtime::measure::RunStats;
+use platinum_runtime::sim::{Sim, SimBuilder};
+use platinum_server::{run_open_loop, KvConfig, KvTable, TrafficConfig};
 
 use crate::args::{topology, KEYS};
 use crate::run::{Artifact, Run};
@@ -51,176 +54,91 @@ struct Row {
     replications: u64,
     migrations: u64,
     remote_maps: u64,
-    /// PLATINUM rows of a replayed trace only: replay reproduced the
-    /// live run exactly.
-    bit_identical: Option<bool>,
-    /// PLATINUM rows only: elapsed time of the same stream run with
+    /// PLATINUM rows only: elapsed time of the same workload run with
     /// replicated page tables (`PtablePlacement::ReplicatedOnFault`)
-    /// instead of the centralized default — the replicated-vs-centralized
-    /// page-table comparison over an identical reference stream.
+    /// instead of the centralized default.
     ptable_replicated_ns: Option<u64>,
 }
 
-/// `f(kind)` for every Fig. 1 policy, in `FIG1_SET` order, one machine
-/// after another on the calling thread: a processor's trace ring takes
-/// one producer, so machines sharing the tracer must not run at once.
-/// Each machine's events go under its own `--trace` phase.
-fn per_policy<R>(run: &Run, app: &str, mut f: impl FnMut(PolicyKind) -> R) -> Vec<R> {
-    PolicyKind::FIG1_SET
+/// What one live run measured.
+struct Cell {
+    /// The measured phase's elapsed virtual time.
+    elapsed_ns: u64,
+    /// Share of the measured phase's references served remotely.
+    remote_ratio: f64,
+    /// The kernel's protocol counters, read before any verification.
+    protocol: StatsSnapshot,
+}
+
+impl Cell {
+    /// An application's cell: `run` is its measured phase, `sim` the
+    /// machine it ran on, read before the application verifies itself.
+    fn app(run: RunStats, sim: &Sim) -> Self {
+        Cell {
+            elapsed_ns: run.elapsed_ns(),
+            remote_ratio: run.merged_counters().remote_fraction(),
+            protocol: sim.kernel.stats().snapshot(),
+        }
+    }
+}
+
+/// The machine every cell boots: `nodes` nodes of 4096 frames, the
+/// default page, no skew window (it paces only free-running threads), on
+/// the `--topology` description.
+struct Machine {
+    nodes: usize,
+    topology: Option<Topology>,
+}
+
+impl Machine {
+    fn boot(&self, kind: PolicyKind, placement: PtablePlacement) -> Sim {
+        let mut mc = MachineConfig::with_nodes(self.nodes);
+        mc.frames_per_node = 4096;
+        mc.skew_window_ns = None;
+        let mut b = SimBuilder::nodes(self.nodes)
+            .machine_config(mc)
+            .policy(kind);
+        if let Some(t) = &self.topology {
+            b = b.topology(t.clone());
+        }
+        b.ptable(PtableConfig::with_placement(placement)).build()
+    }
+}
+
+/// The rows of one workload: `cell(kind, placement)` once per Fig. 1
+/// policy on centralized page tables, in `FIG1_SET` order, and PLATINUM
+/// once more on replicated ones. The machines run one after another on
+/// the calling thread: a processor's trace ring takes one producer, so
+/// machines sharing the tracer must not run at once. Each machine's
+/// events go under its own `--trace` phase.
+fn sweep(
+    run: &Run,
+    app: &str,
+    mut cell: impl FnMut(PolicyKind, PtablePlacement) -> Cell,
+) -> Vec<Row> {
+    let cells: Vec<Cell> = PolicyKind::FIG1_SET
         .into_iter()
         .map(|kind| {
             run.phase(&format!("{app} {}", kind.name()));
-            f(kind)
+            cell(kind, PtablePlacement::Centralized)
         })
-        .collect()
-}
-
-/// `opts` with replicated page tables.
-fn replicated(opts: &ReplayOptions) -> ReplayOptions {
-    ReplayOptions {
-        ptable: Some(PtableConfig::with_placement(
-            PtablePlacement::ReplicatedOnFault,
-        )),
-        ..opts.clone()
-    }
-}
-
-/// Replays `captured` under every Fig. 1 policy and returns the rows,
-/// asserting that the PLATINUM replay reproduces the live run bit for
-/// bit.
-fn sweep(run: &Run, app: &str, captured: &CapturedRun, opts: &ReplayOptions) -> Vec<Row> {
-    let mut rows = Vec::new();
-    let outs = per_policy(run, app, |kind| opts.replay(&captured.trace, kind));
-    for (kind, out) in PolicyKind::FIG1_SET.into_iter().zip(outs) {
-        let last = out.phases.last().expect("trace has a measured phase");
-        let bit_identical = if kind == PolicyKind::Platinum {
-            let same_as_live = last
-                .stats
-                .workers
-                .iter()
-                .zip(&captured.live.run.workers)
-                .all(|(r, l)| r.vtime_ns == l.vtime_ns && r.counters == l.counters)
-                && out.kernel == captured.live.kernel_stats;
-            assert!(
-                same_as_live,
-                "{app}: PLATINUM replay diverged from the live run \
-                 (replay {} ns vs live {} ns)",
-                last.stats.elapsed_ns(),
-                captured.live.elapsed_ns,
-            );
-            Some(same_as_live)
-        } else {
-            None
-        };
-        // The replicated-page-table column: replay the identical stream
-        // once more under ReplicatedOnFault. The trace was captured with
-        // centralized tables, so live-vs-replay identity cannot hold
-        // here; what must hold is replay determinism — two replicated
-        // replays agree bit for bit — asserted by running it twice.
-        let ptable_replicated_ns = if kind == PolicyKind::Platinum {
-            let replicated = replicated(opts);
-            let phase = format!("{app} {} replicated page tables", kind.name());
-            run.phase(&phase);
-            let a = replicated.replay(&captured.trace, kind);
-            run.phase(&format!("{phase}, again"));
-            let b = replicated.replay(&captured.trace, kind);
-            let deterministic = a.phases.iter().zip(&b.phases).all(|(x, y)| {
-                x.stats
-                    .workers
-                    .iter()
-                    .zip(&y.stats.workers)
-                    .all(|(u, v)| u.vtime_ns == v.vtime_ns && u.counters == v.counters)
-            }) && a.kernel == b.kernel;
-            assert!(
-                deterministic,
-                "{app}: two replicated-ptable replays diverged ({} ns vs {} ns)",
-                a.measured_elapsed_ns(),
-                b.measured_elapsed_ns(),
-            );
-            Some(a.measured_elapsed_ns())
-        } else {
-            None
-        };
-        rows.push(Row {
-            app: app.to_string(),
-            policy: kind.name(),
-            elapsed_ns: out.measured_elapsed_ns(),
-            remote_ratio: out.measured_remote_ratio(),
-            freezes: out.kernel.freezes,
-            defrost_runs: out.kernel.defrost_runs,
-            replications: out.kernel.replications,
-            migrations: out.kernel.migrations,
-            remote_maps: out.kernel.remote_maps,
-            bit_identical,
-            ptable_replicated_ns,
-        });
-    }
-    rows
-}
-
-/// Drives `schedule` through a fresh kv table on a `kind` machine booted
-/// as a capture boots one ([`ReplayOptions::boot`]: 4096 frames per node,
-/// the default page, no skew window, the topology and page-table fabric
-/// `opts` names); returns the driver's report and the quiesced table's
-/// checksum.
-fn kv_run(
-    nodes: usize,
-    procs: usize,
-    kcfg: &KvConfig,
-    schedule: &[Request],
-    opts: &ReplayOptions,
-    kind: PolicyKind,
-) -> (DriverReport, u64) {
-    let page_shift = MachineConfig::default().page_shift;
-    let mut sim = opts.boot(nodes, 4096, page_shift, kind);
-    let kv = KvTable::stage(kcfg.clone(), &mut sim);
-    let report = run_open_loop(&sim, &kv, procs, schedule);
-    let audit = sim
-        .spawn(0, |ctx| kv.verify(ctx))
-        .expect("processor 0 free after the driver")
-        .expect("quiesced table verifies");
-    assert_eq!(audit.occupied, kcfg.keys, "keys lost from the table");
-    (report, audit.checksum)
-}
-
-/// The kv rows: one open-loop run per Fig. 1 policy over the same merged
-/// schedule, and PLATINUM once more on replicated page tables.
-fn kv_sweep(
-    run: &Run,
-    nodes: usize,
-    procs: usize,
-    kcfg: &KvConfig,
-    traffic: &TrafficConfig,
-    opts: &ReplayOptions,
-) -> Vec<Row> {
-    let schedule = traffic.schedule(procs);
-    let runs = per_policy(run, "kv", |kind| {
-        kv_run(nodes, procs, kcfg, &schedule, opts, kind)
-    });
-    // Placement moves data, never changes it: every policy must leave
-    // the table the same requests produce.
-    let checksum = runs[0].1;
-    assert!(
-        runs.iter().all(|(_, c)| *c == checksum),
-        "kv: two policies left different tables"
-    );
+        .collect();
     let platinum = PolicyKind::Platinum;
-    run.phase(&format!("kv {} replicated page tables", platinum.name()));
-    let (replicated, _) = kv_run(nodes, procs, kcfg, &schedule, &replicated(opts), platinum);
+    run.phase(&format!("{app} {} replicated page tables", platinum.name()));
+    let replicated = cell(platinum, PtablePlacement::ReplicatedOnFault);
     PolicyKind::FIG1_SET
         .into_iter()
-        .zip(runs)
-        .map(|(kind, (rep, _))| Row {
-            app: "kv".to_string(),
+        .zip(cells)
+        .map(|(kind, c)| Row {
+            app: app.to_string(),
             policy: kind.name(),
-            elapsed_ns: rep.elapsed_ns,
-            remote_ratio: rep.counters.remote_fraction(),
-            freezes: rep.protocol.freezes,
-            defrost_runs: rep.protocol.defrost_runs,
-            replications: rep.protocol.replications,
-            migrations: rep.protocol.migrations,
-            remote_maps: rep.protocol.remote_maps,
-            bit_identical: None,
+            elapsed_ns: c.elapsed_ns,
+            remote_ratio: c.remote_ratio,
+            freezes: c.protocol.freezes,
+            defrost_runs: c.protocol.defrost_runs,
+            replications: c.protocol.replications,
+            migrations: c.protocol.migrations,
+            remote_maps: c.protocol.remote_maps,
             ptable_replicated_ns: (kind == platinum).then_some(replicated.elapsed_ns),
         })
         .collect()
@@ -241,20 +159,15 @@ fn markdown(rows: &[Row]) -> String {
     );
     s.push_str("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|\n");
     for r in rows {
-        let check = match r.bit_identical {
-            Some(true) => " *(= live run)*",
-            _ => "",
-        };
         let ptable = match r.ptable_replicated_ns {
             Some(ns) => format!("{:.3}", ns as f64 / 1e6),
             None => "—".to_string(),
         };
         let _ = writeln!(
             s,
-            "| {} | {}{} | {:.3} | {:.1}% | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {:.3} | {:.1}% | {} | {} | {} | {} | {} | {} |",
             r.app,
             r.policy,
-            check,
             r.elapsed_ns as f64 / 1e6,
             r.remote_ratio * 100.0,
             r.freezes,
@@ -285,7 +198,6 @@ fn artifact(rows: &[Row], nodes: usize, procs: usize, topology: &str, checks: Va
             ("migrations", Value::Int(r.migrations)),
             ("remote_maps", Value::Int(r.remote_maps)),
         ];
-        fields.extend(r.bit_identical.map(|b| ("bit_identical", Value::Bool(b))));
         fields.extend(
             r.ptable_replicated_ns
                 .map(|ns| ("ptable_replicated_ns", Value::Int(ns))),
@@ -301,9 +213,8 @@ fn artifact(rows: &[Row], nodes: usize, procs: usize, topology: &str, checks: Va
     ])
 }
 
-/// Prices each requested workload's reference stream under the Fig. 1
-/// policies, prints the table, and records the bit-identity and ordering
-/// self-checks.
+/// Runs each requested workload live under the Fig. 1 policies, prints
+/// the table, and records the named checks.
 pub(crate) fn run(run: &mut Run) {
     let args = &mut run.args;
     let nodes = args.count("--nodes", 1..).unwrap_or(4);
@@ -323,61 +234,102 @@ pub(crate) fn run(run: &mut Run) {
     }
     // An explicit machine description: `--topology hier2 --nodes 64`
     // reads the same policy comparison on a big hierarchical machine.
-    // Capture, every replay and every kv run boot from this one value, so
-    // the PLATINUM bit-identity self-check still holds.
     let topo_name: Option<String> = args.get("--topology");
-    let opts = ReplayOptions {
+    let machine = Machine {
+        nodes,
         topology: topo_name.as_deref().map(|name| topology(name, nodes)),
-        ptable: None,
     };
     run.start(Artifact::Json);
 
     let mut rows = Vec::new();
     for app in apps.iter().map(String::as_str) {
-        if app == "kv" {
-            let traffic = TrafficConfig {
-                keys: kv_keys,
-                requests_per_proc: kv_requests,
-                mean_interarrival_ns: 5_000,
-                // Read-heavy, no bursts: at matrix scale the table is
-                // only ~64 pages, so the default 20%+ write mix makes
-                // every page write-hot and no placement can replicate
-                // profitably. A 2% update rate keeps the hot pages
-                // read-mostly — the regime where the placement policies
-                // actually separate.
-                write_pct: 2,
-                burst_every: 0,
-                ..TrafficConfig::default()
-            };
-            say!(
-                run,
-                "driving kv: {} requests open loop under each policy",
-                procs * kv_requests,
-            );
-            let kcfg = KvConfig::for_keys(kv_keys, 8);
-            rows.extend(kv_sweep(run, nodes, procs, &kcfg, &traffic, &opts));
-        } else {
-            run.phase(&format!("{app} capture"));
-            let captured = match app {
-                "gauss" => record_gauss(nodes, procs, &GaussConfig::with_n(n), &opts),
-                "mergesort" => record_mergesort(nodes, procs, &SortConfig::with_n(2048), &opts),
-                "neural" => {
-                    record_neural(nodes, procs, &NeuralConfig::with_epochs(epochs), &opts).0
-                }
-                other => unreachable!("workload {other:?} was checked at parse time"),
-            };
-            say!(
-                run,
-                "captured {app}: {} ops, live PLATINUM time {:.3} ms, \
-                 remote refs {:.1}%",
-                captured.trace.total_ops(),
-                captured.live.elapsed_ns as f64 / 1e6,
-                captured.live.run.merged_counters().remote_fraction() * 100.0,
-            );
-            rows.extend(sweep(run, app, &captured, &opts));
-        }
+        rows.extend(match app {
+            "gauss" => {
+                let cfg = GaussConfig::with_n(n);
+                let want = gauss::reference_checksum(&cfg);
+                sweep(run, app, |kind, placement| {
+                    let mut sim = machine.boot(kind, placement);
+                    let g = Gauss::stage(&mut sim, &cfg, procs);
+                    g.init(&mut sim);
+                    let cell = Cell::app(g.measured(&mut sim), &sim);
+                    assert_eq!(g.checksum(&mut sim), want, "gauss under {kind:?}");
+                    cell
+                })
+            }
+            "mergesort" => {
+                let cfg = SortConfig::with_n(2048);
+                sweep(run, app, |kind, placement| {
+                    let mut sim = machine.boot(kind, placement);
+                    let sort = Sort::stage(&mut sim, &cfg, procs);
+                    sort.init(&mut sim);
+                    let cell = Cell::app(sort.measured(&mut sim), &sim);
+                    sort.verify(&mut sim);
+                    cell
+                })
+            }
+            "neural" => {
+                let cfg = NeuralConfig::with_epochs(epochs);
+                sweep(run, app, |kind, placement| {
+                    let mut sim = machine.boot(kind, placement);
+                    let net = Neural::stage(&mut sim, &cfg, procs);
+                    net.init(&mut sim);
+                    // No evaluation pass: training is unsynchronised, so
+                    // its error depends on the policy's timing and
+                    // verifies nothing.
+                    Cell::app(net.measured(&mut sim), &sim)
+                })
+            }
+            "kv" => {
+                let traffic = TrafficConfig {
+                    keys: kv_keys,
+                    requests_per_proc: kv_requests,
+                    mean_interarrival_ns: 5_000,
+                    // Read-heavy, no bursts: at matrix scale the table is
+                    // only ~64 pages, so the default 20%+ write mix makes
+                    // every page write-hot and no placement can replicate
+                    // profitably. A 2% update rate keeps the hot pages
+                    // read-mostly — the regime where the placement
+                    // policies actually separate.
+                    write_pct: 2,
+                    burst_every: 0,
+                    ..TrafficConfig::default()
+                };
+                say!(
+                    run,
+                    "driving kv: {} requests open loop under each policy",
+                    procs * kv_requests,
+                );
+                let kcfg = KvConfig::for_keys(kv_keys, 8);
+                let schedule = traffic.schedule(procs);
+                let mut checksum = None;
+                sweep(run, app, |kind, placement| {
+                    let mut sim = machine.boot(kind, placement);
+                    let kv = KvTable::stage(kcfg.clone(), &mut sim);
+                    let report = run_open_loop(&sim, &kv, procs, &schedule);
+                    let audit = sim
+                        .spawn(0, |ctx| kv.verify(ctx))
+                        .expect("processor 0 free after the driver")
+                        .expect("quiesced table verifies");
+                    assert_eq!(audit.occupied, kcfg.keys, "keys lost from the table");
+                    // Placement moves data, never changes it: every
+                    // policy must leave the table the same requests
+                    // produce.
+                    assert_eq!(
+                        *checksum.get_or_insert(audit.checksum),
+                        audit.checksum,
+                        "kv: two policies left different tables"
+                    );
+                    Cell {
+                        elapsed_ns: report.elapsed_ns,
+                        remote_ratio: report.counters.remote_fraction(),
+                        protocol: report.protocol,
+                    }
+                })
+            }
+            other => unreachable!("workload {other:?} was checked at parse time"),
+        });
 
-        if app == "kv" && opts.topology.is_none() {
+        if app == "kv" && machine.topology.is_none() {
             // The serve phase arrives faster than any policy can serve
             // (5 µs mean gap), so per-policy elapsed is service cost:
             // the five placements must price the same request stream
@@ -419,7 +371,7 @@ pub(crate) fn run(run: &mut Run) {
             run.check("kv_freeze_beats_naive_replication", coherent < replicate);
         }
 
-        if app == "gauss" && opts.topology.is_none() {
+        if app == "gauss" && machine.topology.is_none() {
             // The paper's comparison (Fig. 1): coherent memory beats
             // static placement, and local static beats all-remote.
             // Checked on the flat Butterfly only: the n thresholds

@@ -68,7 +68,7 @@ const EXPERIMENTS: [Experiment; 14] = [
     ("trace_report", "§4.2: the frozen-page diagnosis, read off the event timeline", trace_report::run),
     ("ablations", "§4.1/§4.2/§8: t1, t2, post-freeze variant, ACE-style policy, page size", ablations::run),
     ("scaled_speedup", "§4.1: fixed-size vs scaled-problem efficiency", scaled_speedup::run),
-    ("policy_matrix", "Fig. 1's comparison as a matrix: one captured trace under five policies", policy_matrix::run),
+    ("policy_matrix", "Fig. 1's comparison as a matrix: each workload live under five policies", policy_matrix::run),
     ("server_bench", "server tier: kv store and flow tables under open-loop traffic (exact)", server_bench::run),
     ("ptable_ablation", "page-table placement: walk locality and fabric time (exact)", ptable_ablation::run),
     ("chaos_soak", "apps or kv under seeded fault plans: correct, live, every fault recovered", chaos_soak::run),

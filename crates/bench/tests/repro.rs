@@ -116,7 +116,7 @@ const SERVER_CI: [&str; 5] = [
 /// Every exact result, one row per invocation, and the file under
 /// `results/` it must equal byte for byte: the `--out` artifact for a
 /// `.json` golden, stdout for a text one.
-const GOLDEN: [(&[&str], &str); 12] = [
+const GOLDEN: [(&[&str], &str); 13] = [
     (&["table1_smin"], "table1.txt"),
     (&["sec4_microbench"], "sec4.txt"),
     (&["crossover", "--procs", "2"], "crossover_p2.txt"),
@@ -126,6 +126,7 @@ const GOLDEN: [(&[&str], &str); 12] = [
         &["ptable_ablation", "--procs", "16,64", "--topology", "hier2"],
         "BENCH_ptable_baseline.json",
     ),
+    (&["policy_matrix"], "policy_matrix.json"),
     (
         &["policy_matrix", "--workload", "kv"],
         "policy_matrix_kv.json",
@@ -185,7 +186,7 @@ fn hold_to_goldens(test: &str, pick: fn(&str) -> bool) {
     }
 }
 
-// The five tests below split `GOLDEN` between them: the figures, the
+// The six tests below split `GOLDEN` between them: the figures, the
 // other text rows and one test per JSON row, so every row is held by
 // exactly one test.
 
@@ -212,6 +213,11 @@ fn ptable_ablation_gate_is_exact() {
 }
 
 #[test]
+fn policy_matrix_equals_its_golden() {
+    hold_to_goldens("golden_matrix", |file| file == "policy_matrix.json");
+}
+
+#[test]
 fn policy_matrix_kv_equals_its_golden() {
     hold_to_goldens("golden_kv", |file| file == "policy_matrix_kv.json");
 }
@@ -230,8 +236,11 @@ fn a_golden_mismatch_names_where_the_bytes_part() {
     assert!(diff.starts_with("first difference at byte 3:"), "{diff}");
 }
 
+/// Gauss under the five policies at the smallest size the first Fig. 1
+/// check applies to: each cell is a live stepped run, so two runs print
+/// the same artifact, and remote-always is no faster than PLATINUM.
 #[test]
-fn policy_matrix_json_parses_and_replay_is_bit_identical() {
+fn policy_matrix_gauss_is_deterministic_and_green() {
     let cwd = scratch("policy_matrix");
     let args = [
         "policy_matrix",
@@ -241,15 +250,15 @@ fn policy_matrix_json_parses_and_replay_is_bit_identical() {
         "gauss",
         "--json",
     ];
-    let out = repro(&cwd, &args);
-    assert_eq!(out.status, 0, "{}", out.stderr);
-    let v = json::parse(&out.stdout).expect("--json prints the artifact and nothing else");
-    let rows = v.get("rows").and_then(Value::as_arr).expect("rows");
-    let platinum = rows
-        .iter()
-        .find(|r| r.get("policy").and_then(Value::as_str) == Some("PLATINUM"))
-        .expect("a PLATINUM row");
-    assert_eq!(platinum.get("bit_identical"), Some(&Value::Bool(true)));
+    let first = repro(&cwd, &args);
+    assert_eq!(first.status, 0, "{}{}", first.stdout, first.stderr);
+    assert_eq!(repro(&cwd, &args).stdout, first.stdout, "two runs differ");
+    let v = json::parse(&first.stdout).expect("--json prints the artifact and nothing else");
+    let checks = v.get("checks").expect("checks");
+    assert_eq!(
+        checks.get("gauss_remote_ge_coherent"),
+        Some(&Value::Bool(true))
+    );
 }
 
 /// The kv matrix at its default size: one machine per policy drives the

@@ -73,9 +73,9 @@ pub enum Op {
         /// Global sequence number of the producing op within the phase.
         seq: u64,
     },
-    /// `advance_to` an absolute captured time (no producing op matched).
+    /// `advance_to` an absolute time (no producing op is named).
     AdvanceAbs {
-        /// Captured target time, ns.
+        /// Target time, ns.
         t: u64,
     },
     /// A `poll` kernel entry (IPI service + defrost opportunity).
@@ -103,25 +103,27 @@ pub struct Rec {
     pub op: Op,
 }
 
-/// One recorded phase: an `n`-worker parallel region between barriers of
-/// the capturing harness (attach → ops → detach per worker).
+/// One phase: an `n`-worker parallel region of the traced program
+/// (attach → ops → detach per worker).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Phase {
     /// Human-readable phase label ("init", "measured", ...).
     pub label: String,
     /// Worker (processor) count.
     pub workers: usize,
-    /// Each worker's final virtual time in the capture run, ns. Replay
-    /// under the same policy must reproduce these bit for bit.
+    /// Each worker's final virtual time as the trace's producer reports
+    /// it, ns. Replay neither reads nor checks them; a synthesised trace
+    /// has no run whose clocks these could be and writes zeros.
     pub final_vtimes: Vec<u64>,
     /// The totally ordered op stream.
     pub ops: Vec<Rec>,
 }
 
-/// A complete recorded run: machine shape, allocation layout, phases.
+/// A complete trace: machine shape, allocation layout, phases.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RefTrace {
-    /// Nodes (processor + memory module pairs) on the capture machine.
+    /// Nodes (processor + memory module pairs) of the machine replay
+    /// boots.
     pub nodes: usize,
     /// Physical frames per memory module.
     pub frames_per_node: usize,
@@ -130,7 +132,7 @@ pub struct RefTrace {
     /// Page counts of the `alloc_zone` calls, in order — replaying the
     /// sequence reproduces the virtual-address layout exactly.
     pub zones: Vec<u64>,
-    /// The recorded phases, in execution order. The last phase is the
+    /// The phases, in execution order. The last phase is the
     /// measured region by harness convention.
     pub phases: Vec<Phase>,
 }
@@ -250,7 +252,6 @@ impl RefTrace {
 /// processor below the worker count and inside that processor's single
 /// `Attach`…`Detach` bracket, every worker must have its bracket, and an
 /// `AdvanceDep` must name an earlier op (whose post-time then exists).
-/// Every phase [`Capture`](crate::Capture) records satisfies all three.
 fn check_replayable(ph: &Phase) -> io::Result<()> {
     #[derive(Clone, Copy, PartialEq)]
     enum Worker {
@@ -505,8 +506,8 @@ mod tests {
         assert!(RefTrace::read_from(&mut buf2.as_slice()).is_err());
     }
 
-    /// Each edit makes the sample a trace no capture can produce and the
-    /// replayer cannot execute; decoding must refuse all of them.
+    /// Each edit makes the sample a trace the replayer cannot execute;
+    /// decoding must refuse all of them.
     #[test]
     fn rejects_unreplayable_phases() {
         /// Applies `edit` to the sample's first phase and returns the

@@ -1,62 +1,42 @@
-//! `platinum-reftrace`: the policy lab's record/replay engine.
+//! `platinum-reftrace`: a reference-trace format and the replay of a
+//! given stream under any placement policy.
 //!
-//! The paper's central claim (§4, Figure 1) is *comparative*: coherent
-//! replication + migration + freezing beats plain local or remote
-//! placement on real workloads. Comparing policies by re-running each
-//! application once per policy wastes work and — worse — entangles the
-//! comparison with the application's own nondeterminism. This crate
-//! separates the two concerns:
+//! A [`format::RefTrace`] is a per-processor reference stream (operation
+//! kind, virtual address, word counts, compute charges, synchronization
+//! release edges) written down as one global, totally ordered op list per
+//! phase, plus the machine shape and allocation layout it assumes.
+//! [`replay::replay`] re-executes that op list, in exactly its global
+//! order, against a fresh kernel booted with *any*
+//! [`platinum::PolicyKind`] — no application code involved — and answers
+//! "what does this exact reference stream cost under that policy?", the
+//! trace-driven methodology of the NUMA placement literature. Replay is
+//! deterministic: the same trace under the same policy yields the same
+//! virtual times and counters bit for bit.
 //!
-//! 1. **Record** ([`Capture`]): run the application once, under the
-//!    PLATINUM policy, as steps on the one stepped executor, which runs
-//!    one simulated memory operation at a time. That order is one valid
-//!    interleaving, and the recorder *writes it down*: each processor's
-//!    reference stream
-//!    (operation kind, virtual address, word counts, compute charges,
-//!    synchronization release edges) lands in one global, totally-ordered
-//!    op list per phase — a [`format::RefTrace`].
-//! 2. **Replay** ([`replay::replay`]): re-execute the recorded op list,
-//!    in exactly the recorded global order, against a fresh kernel booted
-//!    with *any* [`platinum::PolicyKind`] — no application code involved.
-//!    A 5-policy × 3-app comparison costs one execution plus five cheap
-//!    replays.
+//! The paper's own comparison (`repro policy_matrix`) runs each
+//! application live under each policy instead; a trace here comes from
+//! its producer, e.g. a seeded synthesiser built on the format's public
+//! fields.
 //!
-//! Replaying the trace under the *same* policy reproduces the capture
-//! run's virtual times bit for bit (the round-trip test in this crate and
-//! the `policy_matrix` benchmark both assert it). Replaying under a
-//! different policy answers "what would this exact reference stream have
-//! cost under that policy?" — the trace-driven methodology of the NUMA
-//! placement literature.
+//! # What a trace holds
 //!
-//! # What is (and is not) recorded
-//!
-//! Data *values* are not recorded: the coherency protocol's behaviour and
-//! costs depend on which pages are touched with which rights, never on
-//! the bits moved, so replay is value-free (writes store zeros, atomics
-//! add zero). Synchronization is captured structurally: spin reads are
-//! recorded one op per iteration (their global interleaving is what
-//! freezes pages), and `advance_to` release edges are recorded as a
-//! dependency on the op that produced the release time when possible
-//! ([`format::Op::AdvanceDep`]), falling back to the absolute captured
-//! time ([`format::Op::AdvanceAbs`]). Under same-policy replay the two
-//! encodings are identical; under other policies the dependency form
-//! propagates that policy's own timing through the synchronization graph.
-//!
-//! # Limitations
-//!
-//! The recorder wraps the [`numa_machine::Mem`] seam, so anything an
-//! application does *around* that seam — notably the message-passing
-//! Gaussian variant, which talks to kernel ports directly — cannot be
-//! captured. The capture machine runs with the virtual-clock skew window
-//! disabled (it paces only free-running threads); replays use the same
-//! setting.
+//! Data *values* are not in the trace: the coherency protocol's behaviour
+//! and costs depend on which pages are touched with which rights, never
+//! on the bits moved, so replay is value-free (writes store zeros,
+//! atomics add zero). Synchronization is structural: a spin read is one
+//! op per iteration (their global interleaving is what freezes pages),
+//! and an `advance_to` release edge is either a dependency on the op that
+//! produced the release time ([`format::Op::AdvanceDep`]) or an absolute
+//! time ([`format::Op::AdvanceAbs`]). Under replay the dependency form
+//! propagates the replayed policy's own timing through the
+//! synchronization graph. Replay boots the flat Butterfly with
+//! centralized page tables and the virtual-clock skew window disabled
+//! (it paces only free-running threads).
 
 #![warn(missing_docs)]
 
 pub mod format;
-pub mod record;
 pub mod replay;
 
 pub use format::{Op, Phase, Rec, RefTrace};
-pub use record::{Capture, RecordingCtx};
-pub use replay::{replay, PhaseOutcome, ReplayOptions, ReplayOutcome};
+pub use replay::{replay, PhaseOutcome, ReplayOutcome};

@@ -1,28 +1,28 @@
-//! The replayer: re-execute a recorded reference stream against any
+//! The replayer: re-execute a given reference stream against any
 //! placement policy.
 //!
-//! Replay reconstructs the capture machine (same node count, frame depth,
+//! Replay reconstructs the trace's machine (same node count, frame depth,
 //! page size, zone layout), boots a kernel with the requested
-//! [`PolicyKind`], and executes the recorded op list *in exactly the
-//! recorded global order* on one host thread: a [`Lockstep`] executor owns
-//! every processor's context, each op runs on the context of the processor
-//! that recorded it, and a shootdown's targets acknowledge inline, inside
-//! the initiator's wait (DESIGN.md §10 has the determinism argument).
+//! [`PolicyKind`], and executes the op list *in exactly its global order*
+//! on one host thread: a [`Lockstep`] executor owns every processor's
+//! context, each op runs on the context of the processor the trace names,
+//! and a shootdown's targets acknowledge inline, inside the initiator's
+//! wait (DESIGN.md §10 has the determinism argument).
 //!
 //! Each op's post-execution virtual time is kept in a side array so that
 //! [`Op::AdvanceDep`] release edges can read the *replayed* producer
 //! time — under a slow policy the consumer inherits the slow release
 //! time, exactly as the application's synchronization would behave.
 
-use numa_machine::{MachineConfig, Mem, Topology};
-use platinum::{PolicyKind, PtableConfig, StatsSnapshot, UserCtx};
+use numa_machine::{MachineConfig, Mem};
+use platinum::{PolicyKind, StatsSnapshot, UserCtx};
 use platinum_runtime::measure::{RunStats, WorkerStats};
 use platinum_runtime::sim::{Sim, SimBuilder};
 use platinum_runtime::Lockstep;
 
 use crate::format::{Op, Phase, RefTrace};
 
-/// One replayed phase: the label it was recorded under plus the replay's
+/// One replayed phase: its label in the trace plus the replay's
 /// per-worker clocks and access counters.
 #[derive(Clone, Debug)]
 pub struct PhaseOutcome {
@@ -66,81 +66,42 @@ impl ReplayOutcome {
     }
 }
 
-/// What a record/replay machine needs that the trace format does not
-/// record. Hand [`Capture::new`](crate::Capture::new) and
-/// [`ReplayOptions::replay`] the same value and both boot the same
-/// machine — one function builds it for either side — which is what the
-/// bit-identity guarantee rests on; any value yields a deterministic
-/// replay (same trace + policy + options → identical virtual times).
-#[derive(Clone, Debug, Default)]
-pub struct ReplayOptions {
-    /// The machine description; `None` is the flat Butterfly.
-    pub topology: Option<Topology>,
-    /// The page-table fabric configuration; `None` is the centralized
-    /// default.
-    pub ptable: Option<PtableConfig>,
-}
-
-impl ReplayOptions {
-    /// Replays `trace` against `kind` on the machine these options
-    /// describe. See [`replay`].
-    pub fn replay(&self, trace: &RefTrace, kind: PolicyKind) -> ReplayOutcome {
-        let sim = self.boot(trace.nodes, trace.frames_per_node, trace.page_shift, kind);
-        for &pages in &trace.zones {
-            sim.alloc_zone(pages as usize);
-        }
-        let phases = trace
-            .phases
-            .iter()
-            .map(|ph| replay_phase(&sim, ph))
-            .collect();
-        ReplayOutcome {
-            policy: kind,
-            phases,
-            kernel: sim.kernel.stats().snapshot(),
-        }
-    }
-
-    /// Boots the machine a capture runs on and every replay of it
-    /// rebuilds: virtual-clock skew window disabled (it paces only
-    /// free-running threads), these options' topology and page-table
-    /// fabric.
-    pub fn boot(
-        &self,
-        nodes: usize,
-        frames_per_node: usize,
-        page_shift: u32,
-        kind: PolicyKind,
-    ) -> Sim {
-        let mut mc = MachineConfig::with_nodes(nodes);
-        mc.frames_per_node = frames_per_node;
-        mc.page_shift = page_shift;
-        mc.skew_window_ns = None;
-        let mut b = SimBuilder::nodes(nodes).machine_config(mc).policy(kind);
-        if let Some(t) = &self.topology {
-            b = b.topology(t.clone());
-        }
-        if let Some(p) = self.ptable {
-            b = b.ptable(p);
-        }
-        b.build()
-    }
-}
-
-/// Replays `trace` against `kind` on the default machine (flat topology,
-/// centralized page tables) and returns the outcome. The replay is
-/// deterministic: same trace + same policy → identical virtual times and
-/// counters, and a PLATINUM replay of a fresh capture reproduces the
-/// capture run bit for bit.
+/// Replays `trace` against `kind` and returns the outcome. The machine
+/// is the trace's (node count, frame depth, page size) as the flat
+/// Butterfly with centralized page tables and the virtual-clock skew
+/// window disabled (it paces only free-running threads); the trace's
+/// zones are allocated in order, then its phases run one after another.
+/// The replay is deterministic: same trace + same policy → identical
+/// virtual times and counters.
 ///
 /// # Panics
 ///
-/// Panics on a trace that no capture could have produced (an op outside
-/// its processor's `Attach`…`Detach` bracket, a processor index beyond
-/// the phase's worker count, an `AdvanceDep` naming a missing op);
+/// Panics on a trace the replayer cannot execute (an op outside its
+/// processor's `Attach`…`Detach` bracket, a processor index beyond the
+/// phase's worker count, an `AdvanceDep` naming a missing op);
 /// [`RefTrace::read_from`] rejects those before they get here.
 pub fn replay(trace: &RefTrace, kind: PolicyKind) -> ReplayOutcome {
-    ReplayOptions::default().replay(trace, kind)
+    let mut mc = MachineConfig::with_nodes(trace.nodes);
+    mc.frames_per_node = trace.frames_per_node;
+    mc.page_shift = trace.page_shift;
+    mc.skew_window_ns = None;
+    let sim = SimBuilder::nodes(trace.nodes)
+        .machine_config(mc)
+        .policy(kind)
+        .build();
+    for &pages in &trace.zones {
+        sim.alloc_zone(pages as usize);
+    }
+    let phases = trace
+        .phases
+        .iter()
+        .map(|ph| replay_phase(&sim, ph))
+        .collect();
+    ReplayOutcome {
+        policy: kind,
+        phases,
+        kernel: sim.kernel.stats().snapshot(),
+    }
 }
 
 fn replay_phase(sim: &Sim, ph: &Phase) -> PhaseOutcome {
@@ -199,8 +160,8 @@ fn replay_phase(sim: &Sim, ph: &Phase) -> PhaseOutcome {
     }
 }
 
-/// Executes one recorded op against the replay kernel. Values were not
-/// recorded (the protocol's behaviour and charges are value-independent),
+/// Executes one op against the replay kernel. Values are not in the
+/// trace (the protocol's behaviour and charges are value-independent),
 /// so writes store zero and atomics add zero; block ops borrow the
 /// phase's reusable scratch buffer instead of allocating per op.
 fn exec(ctx: &mut UserCtx, op: Op, post: &[u64], block_buf: &mut Vec<u32>) {
@@ -239,135 +200,168 @@ fn exec(ctx: &mut UserCtx, op: Op, post: &[u64], block_buf: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Capture, RecordingCtx};
-    use numa_machine::TimingConfig;
-    use platinum_runtime::sync::{Barrier, SpinLock};
-    use platinum_runtime::Step;
+    use crate::format::Rec;
 
-    /// A small hand-written workload exercising every op kind the
-    /// recorder emits: private sweeps, a contended lock + shared counter
-    /// (spin reads, atomics, advance_to release edges), a barrier, block
-    /// transfers, and compute charges.
-    fn capture_mini(
-        nodes: usize,
-        opts: &ReplayOptions,
-    ) -> (crate::RefTrace, RunStats, StatsSnapshot) {
-        let mut cap = Capture::new(nodes, opts);
-        let sync = cap.alloc_zone(1);
-        let data = cap.alloc_zone(4);
-        let lock_va = sync.base();
-        let barrier_count_va = sync.base() + 32;
-        let barrier_gen_va = sync.base() + 36;
-        let counter_va = sync.base() + 64;
-        let base = data.base();
-        let n = nodes;
-        let lock = SpinLock::new(lock_va);
-        let barrier = Barrier::new(barrier_count_va, barrier_gen_va, n as u32);
-        let live = cap.run_phase("mini", n, |i| {
-            let (lock, barrier) = (&lock, &barrier);
-            let mut pc = 0;
-            move |ctx: &mut RecordingCtx| {
-                pc += 1;
-                match pc {
-                    // Private sweep: first-touch placement, charged
-                    // reads/writes.
-                    1 => {
-                        for k in 0..64u64 {
-                            ctx.write(base + (i as u64) * 1024 + 4 * k, (k as u32) * 3 + 1);
-                            ctx.read(base + (i as u64) * 1024 + 4 * k);
-                        }
-                        ctx.compute(5_000);
-                        barrier.arrive(ctx).into()
-                    }
-                    // Contended critical section, 16 times: the lock word
-                    // freezes, spin reads and release edges land in the
-                    // trace.
-                    2..=33 if pc % 2 == 0 => Step::Wait(lock.acquiring()),
-                    2..=33 => {
-                        let v = ctx.fetch_add(counter_va, 1);
-                        ctx.write(base + 4096 + 4 * u64::from(v % 32), v);
-                        lock.release(ctx);
-                        ctx.compute(1_000);
-                        Step::Ready
-                    }
-                    34 => barrier.arrive(ctx).into(),
-                    // Block transfer from a shared region.
-                    _ => {
-                        let mut buf = vec![0u32; 128];
-                        ctx.read_block(base + 4096, &mut buf);
-                        ctx.write_block(base + 8192 + (i as u64) * 512, &buf);
-                        ctx.fetch_add(counter_va, 0);
-                        Step::Done
-                    }
+    const NODES: usize = 3;
+    const FRAMES: usize = 4096;
+
+    /// Where replay maps zones of `pages` pages: the same `alloc_zone`
+    /// calls on the same boot.
+    fn zone_bases<const N: usize>(pages: [u64; N]) -> [u64; N] {
+        let sim = SimBuilder::nodes(NODES).frames_per_node(FRAMES).build();
+        pages.map(|p| sim.alloc_zone(p as usize).base())
+    }
+
+    /// A one-phase trace of `workers` processors on `zones`; `body`
+    /// appends the ops between the attaches and the detaches through
+    /// `push`, which returns the op's sequence number.
+    fn trace(
+        workers: usize,
+        zones: &[u64],
+        body: impl FnOnce(&mut dyn FnMut(usize, Op) -> u64),
+    ) -> RefTrace {
+        let mut ops = Vec::new();
+        let mut push = |p: usize, op| {
+            ops.push(Rec { proc: p as u8, op });
+            ops.len() as u64 - 1
+        };
+        for p in 0..workers {
+            push(p, Op::Attach);
+        }
+        body(&mut push);
+        for p in 0..workers {
+            push(p, Op::Detach);
+        }
+        RefTrace {
+            nodes: NODES,
+            frames_per_node: FRAMES,
+            page_shift: MachineConfig::default().page_shift,
+            zones: zones.to_vec(),
+            phases: vec![Phase {
+                label: "mini".to_string(),
+                workers,
+                final_vtimes: vec![0; workers],
+                ops,
+            }],
+        }
+    }
+
+    /// A hand-built stream with every op kind: private sweeps with
+    /// compute charges, a lock handed round the processors (spin reads
+    /// inside begin/end wait, atomics, trace-lock marks, polls, and each
+    /// holder's release as the next one's `AdvanceDep`), an absolute
+    /// join, and block transfers from a shared region.
+    fn mini() -> RefTrace {
+        const ZONES: [u64; 2] = [1, 4];
+        let [sync, data] = zone_bases(ZONES);
+        let (lock, counter) = (sync, sync + 64);
+        let mark = |acquire| Op::TraceLock { va: lock, acquire };
+        trace(NODES, &ZONES, |push| {
+            for p in 0..NODES {
+                let mine = data + p as u64 * 1024;
+                for k in 0..16 {
+                    push(p, Op::Write { va: mine + 4 * k });
+                    push(p, Op::Read { va: mine + 4 * k });
                 }
+                push(p, Op::Compute { ns: 5_000 });
             }
-        });
-        let stats = cap.stats_snapshot();
-        (cap.finish(), live, stats)
+            let mut release = None;
+            for round in 0..8u64 {
+                let p = round as usize % NODES;
+                if let Some(seq) = release {
+                    push(p, Op::AdvanceDep { seq });
+                }
+                push(p, Op::BeginWait);
+                push(p, Op::ReadSpin { va: lock });
+                push(p, Op::EndWait);
+                push(p, Op::Atomic { va: lock });
+                push(p, mark(true));
+                push(p, Op::Atomic { va: counter });
+                push(
+                    p,
+                    Op::Write {
+                        va: data + 4096 + 4 * round,
+                    },
+                );
+                release = Some(push(p, Op::Write { va: lock }));
+                push(p, mark(false));
+                push((p + 1) % NODES, Op::ReadSpin { va: lock });
+                push(p, Op::Poll);
+                push(p, Op::Compute { ns: 1_000 });
+            }
+            for p in 0..NODES {
+                push(p, Op::AdvanceAbs { t: 500_000 });
+                push(
+                    p,
+                    Op::ReadBlock {
+                        va: data + 4096,
+                        words: 128,
+                    },
+                );
+                let va = data + 8192 + p as u64 * 512;
+                push(p, Op::WriteBlock { va, words: 128 });
+            }
+        })
+    }
+
+    /// Every worker's clock and counters, and the kernel's protocol
+    /// counters, agree.
+    fn assert_same(a: &ReplayOutcome, b: &ReplayOutcome) {
+        assert_eq!(a.phases.len(), b.phases.len());
+        for (x, y) in a.phases.iter().zip(&b.phases) {
+            for (u, v) in x.stats.workers.iter().zip(&y.stats.workers) {
+                assert_eq!(u.proc, v.proc);
+                assert_eq!(u.vtime_ns, v.vtime_ns, "proc {} vtime drifted", u.proc);
+                assert_eq!(u.counters, v.counters, "proc {} counters drifted", u.proc);
+            }
+        }
+        assert_eq!(a.kernel, b.kernel, "kernel protocol counters drifted");
     }
 
     #[test]
     fn same_policy_replay_is_bit_identical() {
-        // The default machine, and one whose description the trace does
-        // not carry: capture and replay go through the same value.
-        let hier2 = ReplayOptions {
-            topology: Some(Topology::hier2(4, 2, &TimingConfig::default())),
-            ..ReplayOptions::default()
-        };
-        for (nodes, opts) in [(3, ReplayOptions::default()), (4, hier2)] {
-            let (trace, live, live_kernel) = capture_mini(nodes, &opts);
-            assert!(trace.total_ops() > 0);
-            let out = opts.replay(&trace, PolicyKind::Platinum);
-            assert_eq!(out.phases.len(), 1);
-            let replayed = &out.phases[0].stats;
-            for (a, b) in live.workers.iter().zip(&replayed.workers) {
-                assert_eq!(a.proc, b.proc);
-                assert_eq!(a.vtime_ns, b.vtime_ns, "proc {} vtime drifted", a.proc);
-                assert_eq!(a.counters, b.counters, "proc {} counters drifted", a.proc);
-            }
-            assert_eq!(
-                trace.phases[0].final_vtimes,
-                replayed
-                    .workers
-                    .iter()
-                    .map(|w| w.vtime_ns)
-                    .collect::<Vec<_>>()
-            );
-            assert_eq!(out.kernel, live_kernel, "kernel protocol counters drifted");
+        let trace = mini();
+        for kind in PolicyKind::FIG1_SET {
+            let first = replay(&trace, kind);
+            assert!(first.measured_elapsed_ns() > 0, "{kind:?} produced no time");
+            assert_same(&first, &replay(&trace, kind));
         }
     }
 
     #[test]
     fn replay_survives_serialization_round_trip() {
-        let (trace, live, _) = capture_mini(2, &ReplayOptions::default());
+        let trace = mini();
         let mut buf = Vec::new();
         trace.write_to(&mut buf).unwrap();
-        let back = crate::RefTrace::read_from(&mut buf.as_slice()).unwrap();
+        let back = RefTrace::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(trace, back);
-        let out = replay(&back, PolicyKind::Platinum);
-        assert_eq!(out.phases[0].stats.elapsed_ns(), live.elapsed_ns());
+        assert_same(
+            &replay(&back, PolicyKind::Platinum),
+            &replay(&trace, PolicyKind::Platinum),
+        );
     }
 
     #[test]
     fn other_policies_replay_to_completion() {
-        let (trace, live, _) = capture_mini(2, &ReplayOptions::default());
-        for kind in [
-            PolicyKind::MigrateOnly,
-            PolicyKind::ReplicateOnly,
-            PolicyKind::LocalFirstTouch,
-            PolicyKind::RemoteAlways,
-        ] {
+        let trace = mini();
+        let compute_ns: u64 = trace.phases[0]
+            .ops
+            .iter()
+            .map(|r| match r.op {
+                Op::Compute { ns } => ns,
+                _ => 0,
+            })
+            .sum();
+        for kind in PolicyKind::FIG1_SET {
             let out = replay(&trace, kind);
-            assert!(out.measured_elapsed_ns() > 0, "{kind:?} produced no time");
             // Same reference stream: the modelled computation comes from
             // the trace alone, so it is policy-invariant (reference
             // counters are not — fault-path page copies charge refs too).
             let c = out.phases[0].stats.merged_counters();
-            let l = live.merged_counters();
-            assert_eq!(c.compute_ns, l.compute_ns, "{kind:?} lost compute ops");
+            assert_eq!(c.compute_ns, compute_ns, "{kind:?} lost compute ops");
         }
         // Elapsed time can legitimately go either way on this
-        // lock-dominated workload (the §4.2 anecdote: freezing the lock
+        // lock-dominated stream (the §4.2 anecdote: freezing the lock
         // page hurts PLATINUM), but off-node static placement must serve
         // a larger share of references remotely than the coherent policy.
         let remote = replay(&trace, PolicyKind::RemoteAlways);
@@ -377,6 +371,44 @@ mod tests {
             "remote-always was not more remote: {} <= {}",
             remote.measured_remote_ratio(),
             plat.measured_remote_ratio()
+        );
+    }
+
+    /// A release edge carries the replayed policy's time: processor 1
+    /// waits on processor 0's last write, so under a slower policy it
+    /// inherits that policy's later post-time, not the time the trace was
+    /// taken at (here, PLATINUM's, written into `final_vtimes`).
+    #[test]
+    fn advance_dep_inherits_the_replayed_producer_time() {
+        const ZONES: [u64; 1] = [1];
+        let [page] = zone_bases(ZONES);
+        let mut trace = trace(2, &ZONES, |push| {
+            let mut last = 0;
+            for k in 0..64 {
+                push(0, Op::Read { va: page + 4 * k });
+                last = push(0, Op::Write { va: page + 4 * k });
+            }
+            push(1, Op::AdvanceDep { seq: last });
+        });
+        let clocks = |out: &ReplayOutcome| -> Vec<u64> {
+            out.phases[0]
+                .stats
+                .workers
+                .iter()
+                .map(|w| w.vtime_ns)
+                .collect()
+        };
+        let taken = clocks(&replay(&trace, PolicyKind::Platinum));
+        assert_eq!(taken[1], taken[0], "the consumer waits for the producer");
+        trace.phases[0].final_vtimes = taken.clone();
+        let slow = clocks(&replay(&trace, PolicyKind::RemoteAlways));
+        assert!(
+            slow[0] > taken[0],
+            "remote-always is slower: {slow:?} vs {taken:?}"
+        );
+        assert_eq!(
+            slow[1], slow[0],
+            "the consumer inherits the replayed release"
         );
     }
 }

@@ -22,8 +22,8 @@
 //! * [`par`] — the free-running worker pool: one thread per simulated
 //!   processor, for concurrency tests and host-time measurements;
 //! * [`stage`] — the [`Stage`] seam applications are staged against, so
-//!   one layout-plus-phases definition runs live, recorded, and on the
-//!   UMA comparator;
+//!   one layout-plus-phases definition runs on a booted simulation and
+//!   on the UMA comparator;
 //! * [`measure`] — speedup bookkeeping shared by the benchmark harness.
 //!
 //! Everything generic is written against [`numa_machine::Mem`], so the

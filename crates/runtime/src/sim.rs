@@ -5,7 +5,7 @@
 //! per-thread `attach` — plus tracer and fault-plan installation for
 //! instrumented runs. The builder folds all of that into one chain, and
 //! everything above the kernel crate (applications, benchmark binaries,
-//! record/replay, the server tier, examples) boots through it:
+//! trace replay, the server tier, examples) boots through it:
 //!
 //! ```
 //! use platinum_runtime::sim::SimBuilder;

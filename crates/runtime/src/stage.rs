@@ -1,10 +1,9 @@
-//! The staging seam: the three places a workload can be laid out and run.
+//! The staging seam: the two places a workload can be laid out and run.
 //!
 //! An application allocates zones, then runs phases of one worker per
 //! processor. [`Stage`] is exactly that, so each application writes its
 //! layout and phase sequence once and the caller picks where it happens:
-//! a booted [`Sim`], a `platinum_reftrace::Capture` (which writes zone
-//! sizes and phase op lists into the trace), or the UMA comparator. A
+//! a booted [`Sim`] or the UMA comparator. A
 //! staging takes an already-booted stage — machine size, policy, fault
 //! plan, tracer are the caller's business — and whatever the caller wants
 //! to read off it afterwards is still in its hands.
@@ -39,7 +38,7 @@ pub trait Stage {
     /// Runs the stepped worker `worker(i)` on processor `i` for `i` in
     /// `0..n`, each on a fresh context whose clock starts at 0 (see
     /// [`crate::step`]); statistics come back in worker order. `label`
-    /// names the phase in a panic and where the stage keeps a record.
+    /// names the phase in a panic.
     fn steps<'a, W>(&mut self, label: &str, n: usize, worker: impl FnMut(usize) -> W) -> RunStats
     where
         W: FnMut(&mut Self::Ctx) -> Step<'a>;
