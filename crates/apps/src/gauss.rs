@@ -9,16 +9,16 @@
 //! Three implementations of the same computation, one per programming
 //! system in LeBlanc's comparison:
 //!
-//! * [`run_shared`] — the PLATINUM style: one thread per processor,
+//! * `run_shared` — the PLATINUM style: one thread per processor,
 //!   statically allocated rows, the pivot row read through transparent
 //!   coherent memory (17 lines of elimination-phase code in the paper).
 //!   Also serves as the static-placement baseline when the kernel runs
 //!   the `NeverReplicate` policy.
-//! * the Uniform System style — the same [`run_shared`] body over
-//!   scatter-stored rows ([`Gauss::init_scattered`]) on a kernel running
+//! * the Uniform System style — the same `run_shared` body over
+//!   scatter-stored rows (`Gauss::init_scattered`) on a kernel running
 //!   the `NeverReplicate` policy, so every reference to a row stored on
 //!   another node crosses the switch, at every processor count.
-//! * [`run_message_passing`] — the SMP style: private rows, the pivot row
+//! * `run_message_passing` — the SMP style: private rows, the pivot row
 //!   broadcast down a binomial tree of port messages.
 //!
 //! All variants compute bit-identical results (wrapping integer
@@ -26,7 +26,7 @@
 //! equality is a strong end-to-end test of the whole stack.
 //!
 //! [`Gauss`] is the program's one staging — zones, layout and phase
-//! sequence on any [`Stage`] — and [`GaussAnecdote`] the §4.2 variant
+//! sequence on any [`Stage`] — and `GaussAnecdote` the §4.2 variant
 //! of it; every runner, experiment and test goes through them.
 
 use std::sync::Arc;
@@ -79,7 +79,7 @@ impl Default for GaussConfig {
 /// pages per row) so rows owned by different threads never share a page —
 /// the §6 allocation discipline.
 #[derive(Clone, Debug)]
-pub struct GaussLayout {
+pub(crate) struct GaussLayout {
     /// Base of row 0.
     pub matrix: Va,
     /// Distance between consecutive rows, in words.
@@ -90,7 +90,7 @@ pub struct GaussLayout {
 
 impl GaussLayout {
     /// Allocates the matrix from `zone`, one page-aligned region per row.
-    pub fn alloc(zone: &mut Zone, n: usize, page_words: usize) -> Self {
+    pub(crate) fn alloc(zone: &mut Zone, n: usize, page_words: usize) -> Self {
         let stride = n.div_ceil(page_words) * page_words;
         let matrix = zone.alloc_page_aligned(stride * n);
         Self {
@@ -102,13 +102,13 @@ impl GaussLayout {
 
     /// The address of element (row, col).
     #[inline]
-    pub fn elem(&self, row: usize, col: usize) -> Va {
+    pub(crate) fn elem(&self, row: usize, col: usize) -> Va {
         self.matrix + 4 * (row * self.row_stride_words + col) as u64
     }
 
     /// Pages a zone must hold so [`GaussLayout::alloc`] succeeds for an
     /// `n`×`n` matrix: the page-aligned rows plus alignment slop.
-    pub fn zone_pages(n: usize, page_words: usize) -> usize {
+    pub(crate) fn zone_pages(n: usize, page_words: usize) -> usize {
         let stride = n.div_ceil(page_words) * page_words;
         (stride * n).div_ceil(page_words) + 2
     }
@@ -126,14 +126,14 @@ fn initial(seed: u64, i: usize, j: usize) -> i32 {
 
 /// Rows owned by `tid` of `p` (interleaved static allocation).
 #[inline]
-pub fn owns(tid: usize, p: usize, row: usize) -> bool {
+pub(crate) fn owns(tid: usize, p: usize, row: usize) -> bool {
     row % p == tid
 }
 
 /// The memory node the Uniform System's scatter storage places `row` on:
 /// pseudo-random, decoupled from task ownership.
 #[inline]
-pub fn scatter_node(row: usize, nodes: usize) -> usize {
+pub(crate) fn scatter_node(row: usize, nodes: usize) -> usize {
     ((row as u64).wrapping_mul(2654435761) >> 16) as usize % nodes
 }
 
@@ -288,7 +288,7 @@ fn row_turn<M: Mem>(m: &mut M, lay: &GaussLayout, turn: Turn, pivot: &[u32], row
 /// remote reference — "this dramatically increased the execution time
 /// and became a bottleneck with five or more processors". Thawing (the
 /// defrost daemon) or separated allocation recovers the performance.
-pub fn run_shared<'a, M: Mem>(
+pub(crate) fn run_shared<'a, M: Mem>(
     lay: &'a GaussLayout,
     ec: &'a EventCount,
     tid: usize,
@@ -366,7 +366,7 @@ fn eliminate(row: &mut [u32], pivot: &[u32]) {
 /// message arrives.
 ///
 /// `ports[t]` is thread `t`'s receive port.
-pub fn run_message_passing<'a>(
+pub(crate) fn run_message_passing<'a>(
     lay: &'a GaussLayout,
     ports: &'a [Arc<Port>],
     tid: usize,
@@ -433,7 +433,7 @@ pub fn run_message_passing<'a>(
 
 /// Checksum of the eliminated matrix (wrapping sum of all words): equal
 /// across processor counts and across the three variants.
-pub fn checksum<M: Mem>(m: &mut M, lay: &GaussLayout) -> u64 {
+pub(crate) fn checksum<M: Mem>(m: &mut M, lay: &GaussLayout) -> u64 {
     let mut buf = vec![0u32; lay.n];
     let mut sum = 0u64;
     for row in 0..lay.n {
@@ -490,7 +490,7 @@ impl<'a> Gauss<'a> {
     /// discipline scatters rows over all `nodes` memories of the machine
     /// ([`scatter_node`]), whichever processors will run, so most
     /// references are remote at any processor count.
-    pub fn init_scattered<S: Stage>(&self, stage: &mut S, nodes: usize) {
+    pub(crate) fn init_scattered<S: Stage>(&self, stage: &mut S, nodes: usize) {
         let n = self.lay.n;
         stage.steps("init", nodes, |node| {
             let rows = (0..n).filter(move |&r| scatter_node(r, nodes) == node);
@@ -507,14 +507,14 @@ impl<'a> Gauss<'a> {
 
     /// The measured pass in the SMP style. Ports are kernel objects
     /// outside the [`Mem`] seam, so this runs on a [`Sim`] only.
-    pub fn measured_message_passing(&self, sim: &Sim) -> RunStats {
+    pub(crate) fn measured_message_passing(&self, sim: &Sim) -> RunStats {
         let ports: Vec<Arc<Port>> = (0..self.p).map(|_| sim.kernel.create_port()).collect();
         sim.steps("measured", self.p, |tid| {
             run_message_passing(&self.lay, &ports, tid, self.p)
         })
     }
 
-    /// Folds the eliminated matrix from one processor ([`checksum`]).
+    /// Folds the eliminated matrix from one processor (`checksum`).
     pub fn checksum<S: Stage>(&self, stage: &mut S) -> u64 {
         let (sums, _) = stage.phase("verify", 1, |_, ctx| checksum(ctx, &self.lay));
         sums[0]
@@ -524,7 +524,7 @@ impl<'a> Gauss<'a> {
 /// The §4.2 anecdote staged on a machine: [`Gauss`] plus the shared
 /// matrix-size variable and the start barrier of
 /// [`run_shared`]'s anecdote.
-pub struct GaussAnecdote<'a> {
+pub(crate) struct GaussAnecdote<'a> {
     gauss: Gauss<'a>,
     msize_va: Va,
     start: Barrier,
@@ -534,7 +534,12 @@ impl<'a> GaussAnecdote<'a> {
     /// With `colocated` the barrier words share a page with the
     /// matrix-size variable (the paper's original, accidental layout);
     /// without, they live in separate zones (the fixed layout).
-    pub fn stage<S: Stage>(stage: &mut S, cfg: &'a GaussConfig, p: usize, colocated: bool) -> Self {
+    pub(crate) fn stage<S: Stage>(
+        stage: &mut S,
+        cfg: &'a GaussConfig,
+        p: usize,
+        colocated: bool,
+    ) -> Self {
         let lay = stage_matrix(stage, cfg.n);
         let mut sync = stage.alloc_zone(2);
         let ec = EventCount::new(sync.alloc_page_aligned(1));
@@ -554,7 +559,7 @@ impl<'a> GaussAnecdote<'a> {
     }
 
     /// [`Gauss::init`], with processor 0 also publishing the matrix size.
-    pub fn init<S: Stage>(&self, stage: &mut S) {
+    pub(crate) fn init<S: Stage>(&self, stage: &mut S) {
         let g = &self.gauss;
         stage.steps("init", g.p, |tid| {
             let p = g.p;
@@ -574,7 +579,7 @@ impl<'a> GaussAnecdote<'a> {
     }
 
     /// The measured pass: [`run_shared`] with the anecdote's pathologies.
-    pub fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
+    pub(crate) fn measured<S: Stage>(&self, stage: &mut S) -> RunStats {
         let (g, msize_va, start) = (&self.gauss, self.msize_va, &self.start);
         stage.steps("measured", g.p, |tid| {
             run_shared(&g.lay, &g.ec, tid, g.p, Some((msize_va, start)))
@@ -582,7 +587,7 @@ impl<'a> GaussAnecdote<'a> {
     }
 
     /// [`Gauss::checksum`].
-    pub fn checksum<S: Stage>(&self, stage: &mut S) -> u64 {
+    pub(crate) fn checksum<S: Stage>(&self, stage: &mut S) -> u64 {
         self.gauss.checksum(stage)
     }
 }

@@ -182,7 +182,6 @@ pub fn run_gauss_anecdote(
     t2_ns: u64,
 ) -> AppRun {
     let mut h = SimBuilder::nodes(nodes)
-        .frames_per_node(4096)
         .policy(PolicyKind::Platinum)
         .defrost_ns(t2_ns)
         .build();

@@ -27,9 +27,9 @@ use platinum_runtime::zones::Zone;
 use platinum_runtime::{Stage, Step};
 
 /// Modelled comparison/copy cost per output element during a merge, ns.
-pub const MERGE_NS_PER_ELEM: u64 = 4000;
+pub(crate) const MERGE_NS_PER_ELEM: u64 = 4000;
 /// Modelled cost per comparison in the local sort phase, ns.
-pub const SORT_NS_PER_CMP: u64 = 2000;
+pub(crate) const SORT_NS_PER_CMP: u64 = 2000;
 
 /// Problem configuration.
 #[derive(Clone, Debug)]
@@ -63,7 +63,7 @@ impl Default for SortConfig {
 /// Shared layout: two full-size arrays (source and scratch) plus barrier
 /// words, all page-separated.
 #[derive(Clone, Debug)]
-pub struct SortLayout {
+pub(crate) struct SortLayout {
     /// Array A (holds the input initially).
     pub a: Va,
     /// Array B (scratch).
@@ -74,7 +74,7 @@ pub struct SortLayout {
 
 impl SortLayout {
     /// Allocates both arrays page-aligned from `zone`.
-    pub fn alloc(zone: &mut Zone, n: usize) -> Self {
+    pub(crate) fn alloc(zone: &mut Zone, n: usize) -> Self {
         let a = zone.alloc_page_aligned(n);
         let b = zone.alloc_page_aligned(n);
         Self { a, b, n }
@@ -83,7 +83,7 @@ impl SortLayout {
     /// Pages a zone must hold so [`SortLayout::alloc`] succeeds for `n`
     /// keys: both arrays plus alignment slop — none where a page is one
     /// word (the UMA comparator), so there the arrays pack back to back.
-    pub fn zone_pages(n: usize, page_words: usize) -> usize {
+    pub(crate) fn zone_pages(n: usize, page_words: usize) -> usize {
         let slop = if page_words > 1 { 4 } else { 0 };
         (2 * n).div_ceil(page_words) + slop
     }
@@ -116,7 +116,7 @@ fn chunks(va: Va, words: usize, page_words: usize) -> impl Iterator<Item = Range
 
 /// Initializes thread `tid`'s segment of the input, a chunk per step
 /// (first touch places it locally).
-pub fn init_segment<'a, M: Mem>(
+pub(crate) fn init_segment<'a, M: Mem>(
     lay: &'a SortLayout,
     cfg: &'a SortConfig,
     tid: usize,
@@ -154,7 +154,7 @@ enum Local {
 /// segment a chunk per step, charges its comparisons, and writes the
 /// segment back a chunk per step; a merge fills and merges one chunk,
 /// then writes it, one step each.
-pub fn run<'a, M: Mem>(
+pub(crate) fn run<'a, M: Mem>(
     lay: &'a SortLayout,
     barrier: &'a Barrier,
     tid: usize,
@@ -291,7 +291,7 @@ fn merge(src: Va, dst: Va, left: usize, run: usize) -> impl FnMut(&mut dyn Mem) 
 }
 
 /// Where the sorted output lives after `run` with `p` threads.
-pub fn output_array(lay: &SortLayout, p: usize) -> Va {
+pub(crate) fn output_array(lay: &SortLayout, p: usize) -> Va {
     if p.trailing_zeros() % 2 == 1 {
         lay.b
     } else {
@@ -302,7 +302,7 @@ pub fn output_array(lay: &SortLayout, p: usize) -> Va {
 /// Verifies the output is sorted and is a permutation (by XOR/sum
 /// fingerprint) of the deterministic input. Returns an error description
 /// on failure.
-pub fn verify<M: Mem>(
+pub(crate) fn verify<M: Mem>(
     m: &mut M,
     lay: &SortLayout,
     cfg: &SortConfig,
@@ -377,7 +377,7 @@ impl<'a> Sort<'a> {
     }
 
     /// Reads the output back from one processor and checks it
-    /// ([`verify`]).
+    /// (`verify`).
     ///
     /// # Panics
     ///

@@ -26,27 +26,27 @@ use platinum_runtime::zones::Zone;
 use platinum_runtime::{Stage, Step};
 
 /// Number of input units (and output units) of the encoder.
-pub const INPUTS: usize = 16;
+pub(crate) const INPUTS: usize = 16;
 /// Number of hidden units.
-pub const HIDDEN: usize = 8;
+pub(crate) const HIDDEN: usize = 8;
 /// Number of output units.
-pub const OUTPUTS: usize = 16;
+pub(crate) const OUTPUTS: usize = 16;
 /// Total units, as in the paper.
-pub const UNITS: usize = INPUTS + HIDDEN + OUTPUTS;
+pub(crate) const UNITS: usize = INPUTS + HIDDEN + OUTPUTS;
 /// Training patterns (input/output pairs).
-pub const PATTERNS: usize = 16;
+pub(crate) const PATTERNS: usize = 16;
 
 /// One in Q16 fixed point.
 const ONE: i32 = 1 << 16;
 
 /// Learning rate in Q16.
-pub const ETA_Q16: i32 = ONE / 2;
+pub(crate) const ETA_Q16: i32 = ONE / 2;
 /// Modelled cost of one multiply-accumulate, ns. The original simulator
 /// did floating-point arithmetic; on the 16.67 MHz MC68020 with
 /// coprocessor support an FP multiply-add lands around 5 us.
-pub const MAC_NS: u64 = 9000;
+pub(crate) const MAC_NS: u64 = 9000;
 /// Modelled cost of one activation-function evaluation, ns.
-pub const ACT_NS: u64 = 15000;
+pub(crate) const ACT_NS: u64 = 15000;
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -80,7 +80,7 @@ impl Default for NeuralConfig {
 /// remote: exactly the "extensive use of remote accesses" of Figure 6,
 /// with the hot data spread over all the nodes.
 #[derive(Clone, Debug)]
-pub struct NeuralLayout {
+pub(crate) struct NeuralLayout {
     /// Base of unit 0's record page.
     pub records: Va,
     /// Page stride between unit records, in words.
@@ -100,7 +100,7 @@ const REC_W: usize = 2;
 impl NeuralLayout {
     /// Pages a zone must hold so [`NeuralLayout::alloc`] succeeds: one
     /// page per unit record plus the pattern pages.
-    pub fn zone_pages() -> usize {
+    pub(crate) fn zone_pages() -> usize {
         UNITS + 2
     }
 
@@ -109,7 +109,7 @@ impl NeuralLayout {
     /// # Panics
     ///
     /// Panics if a page cannot hold a unit record.
-    pub fn alloc(zone: &mut Zone) -> Self {
+    pub(crate) fn alloc(zone: &mut Zone) -> Self {
         let stride = zone.page_words();
         assert!(
             stride >= REC_W + INPUTS.max(HIDDEN),
@@ -131,27 +131,27 @@ impl NeuralLayout {
 
     /// Address of unit `u`'s activation.
     #[inline]
-    pub fn act(&self, u: usize) -> Va {
+    pub(crate) fn act(&self, u: usize) -> Va {
         self.rec(u, REC_ACT)
     }
 
     /// Address of unit `u`'s error term.
     #[inline]
-    pub fn delta(&self, u: usize) -> Va {
+    pub(crate) fn delta(&self, u: usize) -> Va {
         self.rec(u, REC_DELTA)
     }
 
     /// Address of `w1[i][h]` (input `i` to hidden `h`), in hidden unit
     /// `h`'s record.
     #[inline]
-    pub fn w1(&self, i: usize, h: usize) -> Va {
+    pub(crate) fn w1(&self, i: usize, h: usize) -> Va {
         self.rec(INPUTS + h, REC_W + i)
     }
 
     /// Address of `w2[h][o]` (hidden `h` to output `o`), in output unit
     /// `o`'s record.
     #[inline]
-    pub fn w2(&self, h: usize, o: usize) -> Va {
+    pub(crate) fn w2(&self, h: usize, o: usize) -> Va {
         self.rec(INPUTS + HIDDEN + o, REC_W + h)
     }
 }
@@ -189,7 +189,7 @@ fn init_weight(seed: u64, idx: usize) -> i32 {
 
 /// Initializes the read-only pattern page; call once from a single
 /// context before spawning workers.
-pub fn init<M: Mem>(m: &mut M, lay: &NeuralLayout) {
+pub(crate) fn init<M: Mem>(m: &mut M, lay: &NeuralLayout) {
     for pat in 0..PATTERNS {
         for i in 0..INPUTS {
             let v = if i == pat { ONE } else { 0 };
@@ -200,7 +200,7 @@ pub fn init<M: Mem>(m: &mut M, lay: &NeuralLayout) {
 
 /// Initializes the records of the units owned by `tid`: first touch
 /// places each unit's record page on its owner's node.
-pub fn init_owned_weights<M: Mem>(m: &mut M, lay: &NeuralLayout, tid: usize, p: usize) {
+pub(crate) fn init_owned_weights<M: Mem>(m: &mut M, lay: &NeuralLayout, tid: usize, p: usize) {
     for u in (0..UNITS).filter(|u| owns_unit(tid, p, *u)) {
         m.write(lay.act(u), 0);
         m.write(lay.delta(u), 0);
@@ -225,7 +225,7 @@ fn read_q<M: Mem>(m: &mut M, base: Va, idx: usize) -> i32 {
 /// Whether unit `u` belongs to processor `tid` of `p` (for-loop
 /// parallelization on units).
 #[inline]
-pub fn owns_unit(tid: usize, p: usize, u: usize) -> bool {
+pub(crate) fn owns_unit(tid: usize, p: usize, u: usize) -> bool {
     u % p == tid
 }
 
@@ -234,7 +234,7 @@ pub fn owns_unit(tid: usize, p: usize, u: usize) -> bool {
 /// unsynchronized: other processors' activations and deltas are read
 /// whenever they happen to be current, "depending only on the atomicity
 /// of memory operations" — so the steps are what sets the interleaving.
-pub fn train<'a, M: Mem>(
+pub(crate) fn train<'a, M: Mem>(
     lay: &'a NeuralLayout,
     cfg: &'a NeuralConfig,
     tid: usize,
@@ -384,7 +384,7 @@ impl UnitState {
 /// Evaluates the network on all patterns from one context (no learning),
 /// returning the summed absolute output error in floating point (where
 /// 1.0 is a full-scale error on one output).
-pub fn total_error<M: Mem>(m: &mut M, lay: &NeuralLayout) -> f64 {
+pub(crate) fn total_error<M: Mem>(m: &mut M, lay: &NeuralLayout) -> f64 {
     let mut err = 0i64;
     for pat in 0..PATTERNS {
         let mut hidden = [0i32; HIDDEN];
@@ -449,7 +449,7 @@ impl<'a> Neural<'a> {
     }
 
     /// Evaluates the trained network from one processor
-    /// ([`total_error`]).
+    /// (`total_error`).
     pub fn total_error<S: Stage>(&self, stage: &mut S) -> f64 {
         let (errors, _) = stage.phase("verify", 1, |_, ctx| total_error(ctx, &self.lay));
         errors[0]

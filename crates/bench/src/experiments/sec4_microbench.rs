@@ -88,7 +88,7 @@ fn read_miss_non_modified() {
     // processor 1, faulting processor 0.
     let mb = MicroBench::new(false);
     let space2 = mb.sim.kernel.create_space(); // AsId 1 -> home 1
-    let object = mb.sim.kernel.create_object_homed(1, 1);
+    let object = mb.sim.kernel.create_object(1);
     let va = space2.map_anywhere(object, platinum::Rights::RW).unwrap();
     {
         let mut c1 = mb

@@ -20,7 +20,7 @@ use numa_machine::{TimingConfig, BLOCK_WORD_NS};
 
 /// The machine parameters of the model.
 #[derive(Clone, Copy, Debug)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Local reference time, ns (T_l).
     pub t_local_ns: f64,
     /// Remote reference time, ns (T_r).
@@ -35,7 +35,7 @@ pub struct CostModel {
 
 /// The minimum page size for which migration pays, in words.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SMin {
+pub(crate) enum SMin {
     /// Migration pays for any page at least this large.
     Words(u64),
     /// Migration never pays at this density (`ρ ≤ 0.24·g`): the protocol
@@ -54,7 +54,7 @@ impl std::fmt::Display for SMin {
 
 impl CostModel {
     /// The paper's published constants.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             t_local_ns: 320.0,
             t_remote_ns: 5000.0,
@@ -67,7 +67,7 @@ impl CostModel {
     /// (107 and 0.24): Table 1 was computed from the rounded
     /// coefficients, not from the raw latencies, so this is the model
     /// that reproduces the printed numbers.
-    pub fn paper_published() -> Self {
+    pub(crate) fn paper_published() -> Self {
         Self {
             t_local_ns: 320.0,
             t_remote_ns: 5000.0,
@@ -78,7 +78,7 @@ impl CostModel {
 
     /// Builds the model from a machine's word latencies, the machine-wide
     /// block-transfer rate and a measured fixed overhead.
-    pub fn from_timing(t: &TimingConfig, overhead_ns: f64) -> Self {
+    pub(crate) fn from_timing(t: &TimingConfig, overhead_ns: f64) -> Self {
         Self {
             t_local_ns: t.local_read_ns as f64,
             t_remote_ns: t.remote_read_ns as f64,
@@ -88,20 +88,20 @@ impl CostModel {
     }
 
     /// The numerator coefficient `F / (T_r − T_l)` (the paper's 107).
-    pub fn overhead_coefficient(&self) -> f64 {
+    pub(crate) fn overhead_coefficient(&self) -> f64 {
         self.overhead_ns / (self.t_remote_ns - self.t_local_ns)
     }
 
     /// The ratio `T_b / (T_r − T_l)` (the paper's 0.24) — "the single
     /// most important characteristic of the architecture" for this
     /// decision.
-    pub fn block_ratio(&self) -> f64 {
+    pub(crate) fn block_ratio(&self) -> f64 {
         self.t_block_ns / (self.t_remote_ns - self.t_local_ns)
     }
 
     /// Inequality (2): the minimum page size (words) for which migration
     /// always pays at density `rho` and movement ratio `g`.
-    pub fn s_min(&self, rho: f64, g: f64) -> SMin {
+    pub(crate) fn s_min(&self, rho: f64, g: f64) -> SMin {
         let denom = rho - self.block_ratio() * g;
         if denom <= 0.0 {
             SMin::Never
@@ -112,7 +112,7 @@ impl CostModel {
 
     /// The crossover density for a fixed page size: the ρ above which
     /// migration pays for a page of `s_words`.
-    pub fn crossover_density(&self, s_words: u64, g: f64) -> f64 {
+    pub(crate) fn crossover_density(&self, s_words: u64, g: f64) -> f64 {
         // From s = coef·g / (ρ − ratio·g):  ρ* = coef·g/s + ratio·g.
         self.overhead_coefficient() * g / s_words as f64 + self.block_ratio() * g
     }
@@ -124,18 +124,18 @@ impl CostModel {
 /// # Panics
 ///
 /// Panics for `p < 2` — a single processor never moves data to itself.
-pub fn g_round_robin(p: usize) -> f64 {
+pub(crate) fn g_round_robin(p: usize) -> f64 {
     assert!(p >= 2, "round-robin g(p) needs at least two processors");
     p as f64 / (p as f64 - 1.0)
 }
 
 /// The ρ values of Table 1's rows.
-pub const TABLE1_RHOS: [f64; 9] = [0.17, 0.24, 0.35, 0.48, 0.60, 0.75, 1.0, 1.5, 2.0];
+pub(crate) const TABLE1_RHOS: [f64; 9] = [0.17, 0.24, 0.35, 0.48, 0.60, 0.75, 1.0, 1.5, 2.0];
 /// The g values of Table 1's columns.
-pub const TABLE1_GS: [f64; 3] = [0.5, 1.0, 2.0];
+pub(crate) const TABLE1_GS: [f64; 3] = [0.5, 1.0, 2.0];
 
 /// Computes Table 1: S_min for each (ρ, g) pair.
-pub fn table1(model: &CostModel) -> Vec<(f64, [SMin; 3])> {
+pub(crate) fn table1(model: &CostModel) -> Vec<(f64, [SMin; 3])> {
     TABLE1_RHOS
         .iter()
         .map(|&rho| {

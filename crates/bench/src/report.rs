@@ -10,14 +10,14 @@ use platinum::trace::json::Value;
 
 /// A simple right-aligned text table.
 #[derive(Clone, Debug)]
-pub struct Table {
+pub(crate) struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
+    pub(crate) fn new<S: Into<String>>(headers: Vec<S>) -> Self {
         Self {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -25,7 +25,7 @@ impl Table {
     }
 
     /// Appends a row; short rows are padded with blanks.
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
+    pub(crate) fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
@@ -63,7 +63,7 @@ impl std::fmt::Display for Table {
 
 /// A named data series (e.g. one speedup curve of a figure).
 #[derive(Clone, Debug)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend name.
     pub name: String,
     /// (x, y) points.
@@ -72,7 +72,7 @@ pub struct Series {
 
 impl Series {
     /// Creates an empty series.
-    pub fn new<S: Into<String>>(name: S) -> Self {
+    pub(crate) fn new<S: Into<String>>(name: S) -> Self {
         Self {
             name: name.into(),
             points: Vec::new(),
@@ -80,12 +80,12 @@ impl Series {
     }
 
     /// Appends a point.
-    pub fn push(&mut self, x: f64, y: f64) {
+    pub(crate) fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
     }
 
     /// The y value at the largest x (e.g. speedup at 16 processors).
-    pub fn final_y(&self) -> Option<f64> {
+    pub(crate) fn final_y(&self) -> Option<f64> {
         self.points
             .iter()
             .max_by(|a, b| a.0.total_cmp(&b.0))
@@ -95,7 +95,7 @@ impl Series {
 
 /// Renders one or more series as an ASCII chart (the harness's stand-in
 /// for the paper's figures), with one plot glyph per series.
-pub fn ascii_chart(series: &[Series], width: usize, height: usize) -> String {
+pub(crate) fn ascii_chart(series: &[Series], width: usize, height: usize) -> String {
     const GLYPHS: [char; 6] = ['*', '+', 'o', 'x', '#', '@'];
     let (mut xmin, mut xmax) = (f64::INFINITY, f64::NEG_INFINITY);
     let (mut ymin, mut ymax) = (0.0f64, f64::NEG_INFINITY);
@@ -154,7 +154,7 @@ pub fn ascii_chart(series: &[Series], width: usize, height: usize) -> String {
 /// the hit rate. A high rate means the simulator served most accesses
 /// from the translation fast path; a low one means the workload spent
 /// its time faulting (shootdowns, freezes, invalidation storms).
-pub fn atc_summary(c: &numa_machine::AccessCounters) -> String {
+pub(crate) fn atc_summary(c: &numa_machine::AccessCounters) -> String {
     let total = c.atc_hits + c.atc_misses;
     if total == 0 {
         return "ATC: no probes".to_string();
@@ -170,7 +170,7 @@ pub fn atc_summary(c: &numa_machine::AccessCounters) -> String {
 
 /// A named set of (x, y) series — the standard shape of a figure's
 /// data — as a JSON artifact.
-pub fn series_artifact(name: &str, series: &[Series]) -> Value {
+pub(crate) fn series_artifact(name: &str, series: &[Series]) -> Value {
     let points = |s: &Series| {
         s.points
             .iter()

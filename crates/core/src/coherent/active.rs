@@ -31,19 +31,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// (`Cmap::pending_for_into`): an unlocked emptiness test would take the
 /// drain out of the ordering the argument rests on.
 #[derive(Debug, Default)]
-pub struct ActiveSpace {
+pub(crate) struct ActiveSpace {
     word: AtomicU64,
 }
 
 impl ActiveSpace {
     /// No space active.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Marks `asid` as the processor's active space.
     #[inline]
-    pub fn set_active(&self, asid: u32) {
+    pub(crate) fn set_active(&self, asid: u32) {
         self.word.store(u64::from(asid) + 1, Ordering::SeqCst);
     }
 
@@ -53,7 +53,7 @@ impl ActiveSpace {
     /// was). Load-then-store suffices because only the processor's own
     /// thread writes its slot.
     #[inline]
-    pub fn clear_active(&self, asid: u32) {
+    pub(crate) fn clear_active(&self, asid: u32) {
         if self.word.load(Ordering::SeqCst) == u64::from(asid) + 1 {
             self.word.store(0, Ordering::SeqCst);
         }
@@ -61,7 +61,7 @@ impl ActiveSpace {
 
     /// Whether `asid` is the processor's active space.
     #[inline]
-    pub fn is_active(&self, asid: u32) -> bool {
+    pub(crate) fn is_active(&self, asid: u32) -> bool {
         self.word.load(Ordering::SeqCst) == u64::from(asid) + 1
     }
 }

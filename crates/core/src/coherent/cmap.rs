@@ -37,7 +37,7 @@ pub struct CmapEntry {
 impl CmapEntry {
     /// Creates an entry with an empty reference mask, sized for a machine
     /// of `nprocs` processors.
-    pub fn new(page: Arc<Cpage>, rights: Rights, nprocs: usize) -> Self {
+    pub(crate) fn new(page: Arc<Cpage>, rights: Rights, nprocs: usize) -> Self {
         Self {
             cpage: page.id(),
             page,
@@ -48,13 +48,13 @@ impl CmapEntry {
 
     /// Marks processor `p` as holding a translation.
     #[inline]
-    pub fn set_ref(&self, p: usize) {
+    pub(crate) fn set_ref(&self, p: usize) {
         self.refmask.insert(p);
     }
 
     /// Clears processor `p`'s reference bit.
     #[inline]
-    pub fn clear_ref(&self, p: usize) {
+    pub(crate) fn clear_ref(&self, p: usize) {
         self.refmask.remove(p);
     }
 
@@ -83,7 +83,7 @@ pub enum Directive {
 impl Directive {
     /// The directive's code byte in `ShootdownInit` / `ShootdownAck`
     /// trace events.
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             Directive::Invalidate => 0,
             Directive::InvalidateModules(_) => 1,
@@ -108,7 +108,7 @@ pub struct CmapMsg {
 
 impl CmapMsg {
     /// Creates a message for `targets`.
-    pub fn new(vpn: Vpn, directive: Directive, targets: &ProcSet) -> Arc<Self> {
+    pub(crate) fn new(vpn: Vpn, directive: Directive, targets: &ProcSet) -> Arc<Self> {
         Arc::new(Self {
             vpn,
             directive,
@@ -120,7 +120,7 @@ impl CmapMsg {
     /// (`Arc::get_mut`), which proves no queue, target, or waiter still
     /// holds the message — the per-processor message pools rely on this
     /// to recycle acknowledged messages without heap traffic.
-    pub fn reset(&mut self, vpn: Vpn, directive: Directive, targets: &ProcSet) {
+    pub(crate) fn reset(&mut self, vpn: Vpn, directive: Directive, targets: &ProcSet) {
         self.vpn = vpn;
         self.directive = directive;
         self.targets.store_from(targets);
@@ -134,33 +134,27 @@ impl CmapMsg {
     /// the interrupt cost when it posted, and `Kernel::batch_flush` only
     /// waits.
     #[inline]
-    pub fn ack(&self, p: usize) {
+    pub(crate) fn ack(&self, p: usize) {
         self.targets.remove(p);
     }
 
     /// A snapshot of the processors that have not yet applied the change.
     #[inline]
-    pub fn pending(&self) -> ProcSet {
+    pub(crate) fn pending(&self) -> ProcSet {
         self.targets.load()
     }
 
     /// Whether processor `p` still has to apply the change.
     #[inline]
-    pub fn pending_for_proc(&self, p: usize) -> bool {
+    pub(crate) fn pending_for_proc(&self, p: usize) -> bool {
         self.targets.contains(p)
-    }
-
-    /// Whether any target has yet to apply the change.
-    #[inline]
-    pub fn has_pending(&self) -> bool {
-        !self.targets.is_empty()
     }
 
     /// Whether any processor in `set` has yet to apply the change — the
     /// snapshot-free test initiators spin on while awaiting their own
     /// targets.
     #[inline]
-    pub fn pending_intersects(&self, set: &ProcSet) -> bool {
+    pub(crate) fn pending_intersects(&self, set: &ProcSet) -> bool {
         self.targets.intersects(set)
     }
 }
@@ -190,7 +184,7 @@ impl Cmap {
     /// # Panics
     ///
     /// Panics if `nprocs` is 0.
-    pub fn new(nprocs: usize) -> Self {
+    pub(crate) fn new(nprocs: usize) -> Self {
         assert!(nprocs > 0, "Cmap needs at least one processor queue");
         Self {
             entries: RwLock::new(FastMap::default()),
@@ -199,13 +193,8 @@ impl Cmap {
         }
     }
 
-    /// The processor count this Cmap was sized for.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
     /// An empty entry for `vpn`-insertion, sized for this machine.
-    pub fn make_entry(&self, page: Arc<Cpage>, rights: Rights) -> CmapEntry {
+    pub(crate) fn make_entry(&self, page: Arc<Cpage>, rights: Rights) -> CmapEntry {
         CmapEntry::new(page, rights, self.nprocs)
     }
 
@@ -223,7 +212,7 @@ impl Cmap {
     /// Runs `f` on the entry for `vpn`, if present, under the read
     /// lock — the message-apply path's `clear_ref` without cloning the
     /// entry handle.
-    pub fn with_entry(&self, vpn: Vpn, f: impl FnOnce(&CmapEntry)) {
+    pub(crate) fn with_entry(&self, vpn: Vpn, f: impl FnOnce(&CmapEntry)) {
         if let Some(e) = self.entries.read().get(&vpn) {
             f(e);
         }
@@ -231,13 +220,13 @@ impl Cmap {
 
     /// Inserts an entry for `vpn`, returning the entry actually in the
     /// table (the existing one if another processor raced the insert).
-    pub fn insert(&self, vpn: Vpn, entry: CmapEntry) -> Arc<CmapEntry> {
+    pub(crate) fn insert(&self, vpn: Vpn, entry: CmapEntry) -> Arc<CmapEntry> {
         let mut map = self.entries.write();
         Arc::clone(map.entry(vpn).or_insert_with(|| Arc::new(entry)))
     }
 
     /// Removes and returns the entry for `vpn` (unmap).
-    pub fn remove(&self, vpn: Vpn) -> Option<Arc<CmapEntry>> {
+    pub(crate) fn remove(&self, vpn: Vpn) -> Option<Arc<CmapEntry>> {
         self.entries.write().remove(&vpn)
     }
 
@@ -249,7 +238,7 @@ impl Cmap {
 
     /// Posts a message: it is enqueued on the private queue of every
     /// processor in its (current) target set.
-    pub fn post(&self, msg: &Arc<CmapMsg>) {
+    pub(crate) fn post(&self, msg: &Arc<CmapMsg>) {
         for p in msg.pending().iter() {
             self.queues[p].lock().push(Arc::clone(msg));
         }
@@ -278,7 +267,7 @@ impl Cmap {
     /// `post`, so an unlocked emptiness test may not replace it.
     ///
     /// [`ActiveSpace`]: crate::coherent::active::ActiveSpace
-    pub fn pending_for_into(&self, p: usize, out: &mut Vec<Arc<CmapMsg>>) {
+    pub(crate) fn pending_for_into(&self, p: usize, out: &mut Vec<Arc<CmapMsg>>) {
         debug_assert!(out.is_empty(), "a drain hands in an empty buffer");
         let mut q = self.queues[p].lock();
         if !q.is_empty() {
@@ -299,7 +288,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for q in c.queues.iter() {
             for m in q.lock().iter() {
-                if m.has_pending() {
+                if !m.pending().is_empty() {
                     seen.insert(Arc::as_ptr(m));
                 }
             }
@@ -335,7 +324,7 @@ mod tests {
         m.ack(3);
         assert_eq!(m.pending(), ProcSet::from_mask(0b0010));
         m.ack(1);
-        assert!(!m.has_pending());
+        assert!(m.pending().is_empty());
     }
 
     /// What `UserCtx::drain_messages` does with a queue: take it, ack
@@ -428,7 +417,7 @@ mod tests {
         assert_eq!(q.len(), 1);
         m.ack(127);
         assert!(c.pending_for(127).is_empty());
-        assert!(!m.has_pending());
+        assert!(m.pending().is_empty());
     }
 
     /// A target the machine does not have is a bug in the caller: the

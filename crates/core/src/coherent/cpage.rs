@@ -103,12 +103,12 @@ impl CpageInner {
 
     /// Whether a copy exists on `module`.
     #[inline]
-    pub fn has_copy_on(&self, module: usize) -> bool {
+    pub(crate) fn has_copy_on(&self, module: usize) -> bool {
         self.copies_mask.contains(module)
     }
 
     /// The copy on `module`, if any.
-    pub fn copy_on(&self, module: usize) -> Option<PhysPage> {
+    pub(crate) fn copy_on(&self, module: usize) -> Option<PhysPage> {
         self.copies
             .iter()
             .copied()
@@ -121,7 +121,7 @@ impl CpageInner {
     ///
     /// Panics if the module already holds a copy — the protocol never
     /// allocates two copies of one Cpage on one module.
-    pub fn add_copy(&mut self, pp: PhysPage) {
+    pub(crate) fn add_copy(&mut self, pp: PhysPage) {
         assert!(
             !self.has_copy_on(pp.module_id()),
             "duplicate copy of a Cpage on module {}",
@@ -136,7 +136,7 @@ impl CpageInner {
     /// # Panics
     ///
     /// Panics if no copy exists there.
-    pub fn remove_copy_on(&mut self, module: usize) -> PhysPage {
+    pub(crate) fn remove_copy_on(&mut self, module: usize) -> PhysPage {
         let idx = self
             .copies
             .iter()
@@ -220,7 +220,7 @@ impl Cpage {
     }
 
     /// The node homing the page's metadata.
-    pub fn home(&self) -> usize {
+    pub(crate) fn home(&self) -> usize {
         self.home
     }
 
@@ -232,7 +232,7 @@ impl Cpage {
     }
 
     /// Attempts to lock the page state without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, CpageInner>> {
+    pub(crate) fn try_lock(&self) -> Option<MutexGuard<'_, CpageInner>> {
         self.inner.try_lock()
     }
 }
@@ -241,13 +241,13 @@ impl Cpage {
 /// all coherent pages").
 ///
 /// Append-only: ids are stable for the life of the kernel.
-pub struct CpageTable {
+pub(crate) struct CpageTable {
     pages: RwLock<Vec<std::sync::Arc<Cpage>>>,
 }
 
 impl CpageTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             pages: RwLock::new(Vec::new()),
         }
@@ -255,7 +255,7 @@ impl CpageTable {
 
     /// Allocates a fresh coherent page in the `empty` state, homed on
     /// `home`.
-    pub fn alloc(&self, home: usize) -> std::sync::Arc<Cpage> {
+    pub(crate) fn alloc(&self, home: usize) -> std::sync::Arc<Cpage> {
         let mut pages = self.pages.write();
         let id = CpageId(pages.len() as u64);
         let page = std::sync::Arc::new(Cpage {
@@ -268,22 +268,17 @@ impl CpageTable {
     }
 
     /// Looks up a page by id.
-    pub fn get(&self, id: CpageId) -> Option<std::sync::Arc<Cpage>> {
+    pub(crate) fn get(&self, id: CpageId) -> Option<std::sync::Arc<Cpage>> {
         self.pages.read().get(id.index()).cloned()
     }
 
     /// The number of coherent pages ever allocated.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pages.read().len()
     }
 
-    /// Whether no pages have been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshot of all pages (for the post-mortem report).
-    pub fn snapshot(&self) -> Vec<std::sync::Arc<Cpage>> {
+    pub(crate) fn snapshot(&self) -> Vec<std::sync::Arc<Cpage>> {
         self.pages.read().clone()
     }
 }
@@ -301,7 +296,7 @@ mod tests {
     #[test]
     fn alloc_and_get() {
         let t = CpageTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         let a = t.alloc(0);
         let b = t.alloc(3);
         assert_eq!(a.id(), CpageId(0));

@@ -35,7 +35,7 @@ const FROZEN_SHARDS: usize = 16;
 
 /// The defrost daemon's state: the frozen-page list (striped by page id)
 /// and the next activation time.
-pub struct DefrostState {
+pub(crate) struct DefrostState {
     frozen: Box<[Mutex<Vec<CpageId>>]>,
     next_run: AtomicU64,
     t2_ns: u64,
@@ -43,7 +43,7 @@ pub struct DefrostState {
 
 impl DefrostState {
     /// Creates the daemon state with period `t2_ns`.
-    pub fn new(t2_ns: u64) -> Self {
+    pub(crate) fn new(t2_ns: u64) -> Self {
         let mut frozen = Vec::with_capacity(FROZEN_SHARDS);
         frozen.resize_with(FROZEN_SHARDS, || Mutex::new(Vec::new()));
         Self {
@@ -59,17 +59,11 @@ impl DefrostState {
     }
 
     /// Enrolls a freshly frozen page.
-    pub fn enroll(&self, id: CpageId) {
+    pub(crate) fn enroll(&self, id: CpageId) {
         let mut list = self.shard(id).lock();
         if !list.contains(&id) {
             list.push(id);
         }
-    }
-
-    /// The number of pages currently enrolled (some may have been thawed
-    /// by other means and are skipped at the next run).
-    pub fn enrolled(&self) -> usize {
-        self.frozen.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Claims a daemon activation if `now` has crossed the next run time.
@@ -243,8 +237,7 @@ mod tests {
         d.enroll(CpageId(3));
         d.enroll(CpageId(3));
         d.enroll(CpageId(4));
-        assert_eq!(d.enrolled(), 2);
         assert_eq!(d.take().len(), 2);
-        assert_eq!(d.enrolled(), 0);
+        assert!(d.take().is_empty(), "a take empties the enrolment");
     }
 }

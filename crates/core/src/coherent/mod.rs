@@ -13,11 +13,11 @@
 //! * `scratch` — per-processor allocation-free slow-path pools,
 //! * [`defrost`] — the defrost daemon (§4.2).
 
-pub mod active;
-pub mod cmap;
-pub mod cpage;
-pub mod defrost;
-pub mod policy;
+pub(crate) mod active;
+pub(crate) mod cmap;
+pub(crate) mod cpage;
+pub(crate) mod defrost;
+pub(crate) mod policy;
 
 mod fault;
 pub(crate) mod reclaim;

@@ -178,7 +178,7 @@ impl PolicyKind {
     /// virtual page number, and `nodes` the machine size. Every policy in
     /// the paper places locally; [`PolicyKind::RemoteAlways`] spreads
     /// pages over every module except the faulter's own.
-    pub fn place_first_touch(self, faulter: usize, vpn: u64, nodes: usize) -> usize {
+    pub(crate) fn place_first_touch(self, faulter: usize, vpn: u64, nodes: usize) -> usize {
         match self {
             PolicyKind::RemoteAlways if nodes > 1 => {
                 (faulter + 1 + (vpn as usize % (nodes - 1))) % nodes

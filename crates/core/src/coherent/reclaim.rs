@@ -19,7 +19,7 @@ use crate::coherent::cmap::Directive;
 use crate::coherent::cpage::{CpState, CpageInner};
 use crate::costs;
 use crate::error::{KernelError, Result};
-use crate::ids::{CpageId, ObjId};
+use crate::ids::CpageId;
 use crate::kernel::Kernel;
 use crate::user::UserCtx;
 use crate::vm::object::MemoryObject;
@@ -106,7 +106,6 @@ impl Kernel {
     /// every coherent page the object ever created and resets the pages
     /// to `empty`.
     pub fn destroy_object(&self, ctx: &mut UserCtx, object: &MemoryObject) -> Result<()> {
-        let _: ObjId = object.id();
         // First pass: refuse if any page is still bound anywhere.
         for (_, cpage_id) in object.touched_cpages() {
             if let Some(cpage) = self.cpages.get(cpage_id) {

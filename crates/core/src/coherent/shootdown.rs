@@ -50,7 +50,7 @@ use crate::vm::space::AddressSpace;
 /// interrupts and pages are in the event stream (`ShootdownInit`'s arg
 /// is the target count, one `Ipi` per interrupt).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShootdownOutcome {
+pub(crate) struct ShootdownOutcome {
     /// Acknowledgment-wait rounds performed: 1 when any active target had
     /// to be awaited, else 0. A batch waits once for all its pages, so
     /// fewer rounds than pages is the coalescing win.

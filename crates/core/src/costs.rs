@@ -23,48 +23,48 @@
 /// state save, dispatch, return, ns. The dominant part of the paper's
 /// ~0.23 ms fixed overhead for "allocating and mapping a physical page"
 /// on the 16.67 MHz MC68020.
-pub const FAULT_FIXED_NS: u64 = 200_000;
+pub(crate) const FAULT_FIXED_NS: u64 = 200_000;
 
 /// Modelled references to the faulting address space's Cmap (homed on the
 /// space's home node).
-pub const CMAP_LOOKUP_REFS: u32 = 4;
+pub(crate) const CMAP_LOOKUP_REFS: u32 = 4;
 
 /// Modelled references to the Cpage table entry (homed on the page's home
 /// node). These are what make the paper's "kernel data structures local
 /// vs. remote" spread (~40 us) appear.
-pub const CPAGE_TOUCH_REFS: u32 = 8;
+pub(crate) const CPAGE_TOUCH_REFS: u32 = 8;
 
 /// Modelled local references to install a Pmap + ATC entry.
-pub const MAP_REFS: u32 = 8;
+pub(crate) const MAP_REFS: u32 = 8;
 
 /// Extra fixed cost of a virtual-memory-layer fault (region lookup, Cmap
 /// entry creation) the first time a page is touched in a space, ns.
-pub const VM_FAULT_NS: u64 = 60_000;
+pub(crate) const VM_FAULT_NS: u64 = 60_000;
 
 /// References to post one Cmap message (remote writes into the target
 /// space's queue).
-pub const POST_MSG_REFS: u32 = 2;
+pub(crate) const POST_MSG_REFS: u32 = 2;
 
 /// Cost charged to a *target* applying one Cmap message to its own Pmap
 /// and ATC, ns.
-pub const APPLY_MSG_NS: u64 = 5_000;
+pub(crate) const APPLY_MSG_NS: u64 = 5_000;
 
 /// Extra initiator-side cost per target under the Mach-style shared-Pmap
 /// shootdown comparator, ns. Black et al. measured ~55 us incremental per
 /// processor on a 16-processor Encore Multimax; we charge their constant
 /// minus our modelled IPI so the comparator reproduces the published
 /// comparison (see DESIGN.md).
-pub const MACH_STALL_EXTRA_NS: u64 = 48_000;
+pub(crate) const MACH_STALL_EXTRA_NS: u64 = 48_000;
 
 /// Fixed cost of a port send/receive, excluding the per-word copy, ns.
-pub const PORT_OP_NS: u64 = 30_000;
+pub(crate) const PORT_OP_NS: u64 = 30_000;
 
 /// Cost of moving a thread's kernel stack when the thread migrates, ns
 /// (§2.2: "explicitly moving the kernel stack with the thread").
-pub const THREAD_MIGRATE_NS: u64 = 150_000;
+pub(crate) const THREAD_MIGRATE_NS: u64 = 150_000;
 
 /// Cost of one defrost daemon activation, excluding per-page work, ns.
-pub const DEFROST_RUN_NS: u64 = 20_000;
+pub(crate) const DEFROST_RUN_NS: u64 = 20_000;
 
 #[cfg(test)]
 mod tests {

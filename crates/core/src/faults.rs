@@ -43,7 +43,7 @@ impl FaultSite {
     pub const COUNT: usize = 5;
 
     /// Every site, in discriminant order.
-    pub const ALL: [FaultSite; FaultSite::COUNT] = [
+    pub(crate) const ALL: [FaultSite; FaultSite::COUNT] = [
         FaultSite::FrameRead,
         FaultSite::ShootdownAck,
         FaultSite::BlockTransfer,
@@ -57,7 +57,7 @@ impl FaultSite {
     }
 
     /// A short stable name used by reports and traces.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultSite::FrameRead => "frame_read",
             FaultSite::ShootdownAck => "shootdown_ack",
@@ -96,10 +96,10 @@ impl FaultPlan {
 
     /// Base timeout before a missing shootdown ack is retried, ns; doubles
     /// per attempt (capped) as backoff.
-    pub const ACK_TIMEOUT_NS: u64 = 20_000;
+    pub(crate) const ACK_TIMEOUT_NS: u64 = 20_000;
 
     /// The modelled cost of one re-read of a flaky frame, ns.
-    pub const RETRY_NS: u64 = 2_000;
+    pub(crate) const RETRY_NS: u64 = 2_000;
 
     /// A plan that injects nothing (all rates zero) — useful as a base
     /// for the `with_*` builders.
@@ -124,7 +124,7 @@ impl FaultPlan {
     }
 
     /// Sets the same injection rate (parts per million) for every site.
-    pub fn with_all_rates(mut self, ppm: u32) -> Self {
+    pub(crate) fn with_all_rates(mut self, ppm: u32) -> Self {
         for r in &mut self.rates_ppm {
             *r = ppm.min(1_000_000);
         }
@@ -139,20 +139,15 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The timeout charged before retry number `attempt` of a missing
-    /// shootdown ack: exponential backoff from [`FaultPlan::ACK_TIMEOUT_NS`],
+    /// shootdown ack: exponential backoff from `FaultPlan::ACK_TIMEOUT_NS`,
     /// capped at 8x the base.
     pub fn ack_timeout_ns(attempt: u32) -> u64 {
         Self::ACK_TIMEOUT_NS << attempt.saturating_sub(1).min(3)
     }
 
     /// Whether `module` refuses every allocation under this plan.
-    pub fn alloc_denied(&self, module: usize) -> bool {
+    pub(crate) fn alloc_denied(&self, module: usize) -> bool {
         module < 64 && self.alloc_deny_mask >> module & 1 != 0
     }
 

@@ -14,7 +14,7 @@ const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A non-cryptographic hasher for kernel-internal integer keys.
 #[derive(Default)]
-pub struct FastHasher(u64);
+pub(crate) struct FastHasher(u64);
 
 impl Hasher for FastHasher {
     #[inline]
@@ -55,7 +55,7 @@ impl Hasher for FastHasher {
 }
 
 /// `HashMap` keyed by kernel integers, using [`FastHasher`].
-pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
+pub(crate) type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 /// A slow-path phase bucket.
 #[derive(Clone, Copy, Debug)]
-pub enum HostPhase {
+pub(crate) enum HostPhase {
     /// The coherent fault handler, entry to exit.
     Fault = 0,
     /// Shootdown posting and acknowledgment waits.
@@ -31,7 +31,7 @@ pub enum HostPhase {
     Walk = 4,
 }
 
-/// Wall-clock nanoseconds spent per [`HostPhase`], collected only while
+/// Wall-clock nanoseconds spent per `HostPhase`, collected only while
 /// enabled.
 #[derive(Debug, Default)]
 pub struct HostProf {

@@ -2,8 +2,10 @@
 //!
 //! PLATINUM's fundamental abstractions — threads, memory objects, ports,
 //! and address spaces — "all appear in a single flat global name space"
-//! (§1.1 of the paper). Identifiers are small indices into kernel
-//! registries.
+//! (§1.1 of the paper). Here threads, memory objects and address
+//! spaces are named from per-kind counters in creation order; a port is
+//! the `Arc<Port>` its senders and receivers share, since nothing reads
+//! a port's name.
 
 use core::fmt;
 
@@ -12,14 +14,6 @@ macro_rules! id_type {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u32);
-
-        impl $name {
-            /// The raw index.
-            #[inline]
-            pub fn index(self) -> usize {
-                self.0 as usize
-            }
-        }
 
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -40,17 +34,20 @@ id_type!(
     AsId,
     "as"
 );
+
+impl AsId {
+    /// The raw index into the kernel's space registry.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 id_type!(
     /// The global name of a memory object (an ordered list of coherent
     /// pages that can be bound into any address space).
     ObjId,
     "obj"
-);
-id_type!(
-    /// The global name of a port (a message queue with any number of
-    /// senders and receivers).
-    PortId,
-    "port"
 );
 id_type!(
     /// The global name of a kernel thread.
@@ -68,7 +65,7 @@ pub struct CpageId(pub u64);
 impl CpageId {
     /// The raw index into the coherent page table.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -104,11 +101,6 @@ impl Rights {
         read: true,
         write: true,
     };
-
-    /// Whether these rights include `other`.
-    pub fn covers(&self, other: Rights) -> bool {
-        (!other.read || self.read) && (!other.write || self.write)
-    }
 }
 
 #[cfg(test)]
@@ -120,14 +112,13 @@ mod tests {
         assert_eq!(format!("{}", AsId(3)), "as3");
         assert_eq!(format!("{:?}", ObjId(1)), "obj1");
         assert_eq!(format!("{:?}", CpageId(9)), "cp9");
-        assert_eq!(PortId(2).index(), 2);
+        assert_eq!(AsId(2).index(), 2);
     }
 
     #[test]
     fn rights_covering() {
-        assert!(Rights::RW.covers(Rights::RO));
-        assert!(Rights::RW.covers(Rights::RW));
-        assert!(!Rights::RO.covers(Rights::RW));
-        assert!(Rights::RO.covers(Rights::RO));
+        // RW covers RO and RW; RO covers RO but not RW.
+        assert_eq!((Rights::RW.read, Rights::RW.write), (true, true));
+        assert_eq!((Rights::RO.read, Rights::RO.write), (true, false));
     }
 }

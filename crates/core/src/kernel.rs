@@ -16,7 +16,7 @@ use crate::coherent::reclaim::ReclaimState;
 use crate::error::{KernelError, Result};
 use crate::faults::FaultPlan;
 use crate::hostprof::HostProf;
-use crate::ids::{AsId, ObjId, PortId, ThreadId};
+use crate::ids::{AsId, ObjId, ThreadId};
 use crate::port::Port;
 use crate::ptable::{PtableConfig, WalkSnapshot};
 use crate::stats::{KernelStats, MemoryReport};
@@ -109,7 +109,6 @@ pub struct Kernel {
     /// binding through [`Kernel::space`].
     spaces: RwLock<Vec<Arc<AddressSpace>>>,
     next_object: AtomicU32,
-    next_port: AtomicU32,
     next_thread: AtomicU32,
     pub(crate) slots: Box<[ProcSlot]>,
     pub(crate) stats: KernelStats,
@@ -139,7 +138,6 @@ impl Kernel {
             cpages: CpageTable::new(),
             spaces: RwLock::new(Vec::new()),
             next_object: AtomicU32::new(0),
-            next_port: AtomicU32::new(0),
             next_thread: AtomicU32::new(0),
             slots,
             stats,
@@ -171,18 +169,11 @@ impl Kernel {
         self.cfg.faults.as_deref()
     }
 
-    /// Creates a memory object of `pages` pages, homing its metadata
-    /// round-robin across nodes (kernel decentralization, §2.2).
+    /// Creates a memory object of `pages` pages. Its coherent pages are
+    /// homed on the processor that first touches each one.
     pub fn create_object(&self, pages: usize) -> Arc<MemoryObject> {
         let id = ObjId(self.next_object.fetch_add(1, Ordering::Relaxed));
-        let home = id.index() % self.machine.nprocs();
-        Arc::new(MemoryObject::new(id, home, pages))
-    }
-
-    /// Creates a memory object homed on a specific node.
-    pub fn create_object_homed(&self, pages: usize, home: usize) -> Arc<MemoryObject> {
-        let id = ObjId(self.next_object.fetch_add(1, Ordering::Relaxed));
-        Arc::new(MemoryObject::new(id, home % self.machine.nprocs(), pages))
+        Arc::new(MemoryObject::new(id, pages))
     }
 
     /// Creates an address space, homing its metadata round-robin.
@@ -201,7 +192,7 @@ impl Kernel {
     }
 
     /// Looks up an address space by name.
-    pub fn space(&self, id: AsId) -> Result<Arc<AddressSpace>> {
+    pub(crate) fn space(&self, id: AsId) -> Result<Arc<AddressSpace>> {
         self.spaces
             .read()
             .get(id.index())
@@ -211,9 +202,7 @@ impl Kernel {
 
     /// Creates a port.
     pub fn create_port(&self) -> Arc<Port> {
-        let id = PortId(self.next_port.fetch_add(1, Ordering::Relaxed));
-        let home = id.index() % self.machine.nprocs();
-        Arc::new(Port::new(id, home))
+        Arc::new(Port::new())
     }
 
     /// Binds a new thread to processor `proc`, executing in `space`, and
@@ -405,28 +394,15 @@ mod tests {
         assert!(matches!(k.space(AsId(9)), Err(KernelError::NoSuchSpace(_))));
     }
 
-    /// Each kind is named from its own counter, in creation order, and
-    /// homed round-robin by that name.
+    /// Each kind is named from its own counter, in creation order.
     #[test]
-    fn object_homes_round_robin() {
+    fn objects_and_threads_are_named_in_order() {
         let k = kernel();
-        let objs: Vec<_> = (0..6).map(|_| k.create_object(1)).collect();
-        let homes: Vec<usize> = objs.iter().map(|o| o.home()).collect();
-        assert_eq!(homes, vec![0, 1, 2, 3, 0, 1]);
+        let objs: Vec<_> = (0..7).map(|_| k.create_object(1)).collect();
         let ids: Vec<ObjId> = objs.iter().map(|o| o.id()).collect();
-        assert_eq!(ids, (0..6).map(ObjId).collect::<Vec<_>>());
-        let homed = k.create_object_homed(1, 9);
-        assert_eq!(homed.home(), 1, "wraps modulo nodes");
-        assert_eq!(homed.id(), ObjId(6), "a homed object takes the next name");
+        assert_eq!(ids, (0..7).map(ObjId).collect::<Vec<_>>());
 
-        // Ports count from zero on their own, whatever objects exist.
-        let ports: Vec<_> = (0..5).map(|_| k.create_port()).collect();
-        let ids: Vec<PortId> = ports.iter().map(|p| p.id()).collect();
-        assert_eq!(ids, (0..5).map(PortId).collect::<Vec<_>>());
-        let homes: Vec<usize> = ports.iter().map(|p| p.home()).collect();
-        assert_eq!(homes, vec![0, 1, 2, 3, 0]);
-
-        // So do threads, one name per attach; a name outlives its
+        // Threads count from zero on their own, whatever objects exist, one name per attach; a name outlives its
         // context and is never reused.
         let s = k.create_space();
         let a = k.attach(Arc::clone(&s), 0, 0).unwrap();
@@ -435,6 +411,26 @@ mod tests {
         drop(a);
         let c = k.attach(s, 0, 0).unwrap();
         assert_eq!(c.thread_id(), ThreadId(2));
+    }
+
+    /// An object has no home of its own: each coherent page's metadata is
+    /// homed on the processor whose fault first touches it.
+    #[test]
+    fn object_pages_are_homed_on_their_first_toucher() {
+        use numa_machine::Mem;
+        let k = kernel();
+        let s = k.create_space();
+        let va = s
+            .map_anywhere(k.create_object(2), crate::Rights::RW)
+            .unwrap();
+        let second = va + k.machine().cfg().page_bytes();
+        let mut a = k.attach(Arc::clone(&s), 3, 0).unwrap();
+        let mut b = k.attach(Arc::clone(&s), 1, 0).unwrap();
+        a.read(va);
+        b.read(second);
+        b.read(va);
+        assert_eq!(k.cpage_for_va(&s, va).unwrap().home(), 3);
+        assert_eq!(k.cpage_for_va(&s, second).unwrap().home(), 1);
     }
 
     #[test]

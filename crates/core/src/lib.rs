@@ -11,10 +11,10 @@
 //!
 //! The memory management system is constructed in three layers (§2.1):
 //!
-//! 1. **Virtual memory** ([`vm`]): address spaces and memory objects;
+//! 1. **Virtual memory** (`vm`): address spaces and memory objects;
 //!    virtual ranges bind to object pages, objects bind to coherent
 //!    pages.
-//! 2. **Coherent memory** ([`coherent`]): the one-to-many mapping from
+//! 2. **Coherent memory** (`coherent`): the one-to-many mapping from
 //!    coherent pages to physical pages, kept consistent by a
 //!    directory-based selective-invalidation protocol extended with the
 //!    NUMA-specific option of *remote mapping* — the ability to disable
@@ -24,10 +24,10 @@
 //!    the kernel runs `KernelConfig::policy` with the freeze window
 //!    `KernelConfig::t1_freeze_ns`), the freeze/defrost machinery, and
 //!    the shootdown mechanism.
-//! 3. **Physical map** ([`pmap`]): per-processor, per-space translation
+//! 3. **Physical map** (`pmap`): per-processor, per-space translation
 //!    caches backing the hardware ATC.
 //!
-//! Beside the layers sit the translation fabric ([`ptable`]: where page
+//! Beside the layers sit the translation fabric (`ptable`: where page
 //! tables live, what a walk costs, which replicas a shootdown stales) and
 //! deterministic fault-injection plans ([`faults`]).
 //!
@@ -55,18 +55,18 @@
 
 #![warn(missing_docs)]
 
-pub mod coherent;
-pub mod costs;
-pub mod error;
+pub(crate) mod coherent;
+pub(crate) mod costs;
+pub(crate) mod error;
 pub mod faults;
 pub(crate) mod hash;
 pub mod hostprof;
-pub mod ids;
-pub mod pmap;
-pub mod port;
-pub mod ptable;
-pub mod stats;
-pub mod vm;
+pub(crate) mod ids;
+pub(crate) mod pmap;
+pub(crate) mod port;
+pub(crate) mod ptable;
+pub(crate) mod stats;
+pub(crate) mod vm;
 
 mod kernel;
 mod lockstep;
@@ -76,7 +76,7 @@ pub use coherent::cpage::{CpState, Cpage, CpageInner};
 pub use coherent::policy::{FaultAction, FaultInfo, PolicyKind, ACE_MAX_MIGRATIONS};
 pub use error::{KernelError, Result};
 pub use faults::{FaultPlan, FaultSite};
-pub use ids::{AsId, CpageId, ObjId, PortId, Rights, ThreadId};
+pub use ids::{AsId, CpageId, ObjId, Rights, ThreadId};
 pub use kernel::{Kernel, KernelConfig, ShootdownMode};
 pub use lockstep::Lockstep;
 /// The protocol-event tracer (re-exported so downstream crates need not
@@ -87,7 +87,7 @@ pub use ptable::{PtableConfig, PtablePlacement, WalkSnapshot};
 pub use stats::{CpageReport, KernelStats, MemoryReport, StatsSnapshot};
 pub use user::UserCtx;
 pub use vm::object::MemoryObject;
-pub use vm::space::{AddressSpace, Region};
+pub use vm::space::AddressSpace;
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,7 @@ use crate::ids::AsId;
 
 /// One cached virtual-to-physical translation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PmapEntry {
+pub(crate) struct PmapEntry {
     /// The backing physical page.
     pub pp: PhysPage,
     /// Whether the translation permits writes. The coherency protocol
@@ -29,47 +29,37 @@ pub struct PmapEntry {
 
 /// A processor's private physical map.
 #[derive(Default)]
-pub struct Pmap {
+pub(crate) struct Pmap {
     entries: FastMap<(AsId, Vpn), PmapEntry>,
 }
 
 impl Pmap {
     /// An empty Pmap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The translation for (`space`, `vpn`), if cached.
     #[inline]
-    pub fn lookup(&self, space: AsId, vpn: Vpn) -> Option<PmapEntry> {
+    pub(crate) fn lookup(&self, space: AsId, vpn: Vpn) -> Option<PmapEntry> {
         self.entries.get(&(space, vpn)).copied()
     }
 
     /// Installs (or replaces) a translation.
-    pub fn enter(&mut self, space: AsId, vpn: Vpn, entry: PmapEntry) {
+    pub(crate) fn enter(&mut self, space: AsId, vpn: Vpn, entry: PmapEntry) {
         self.entries.insert((space, vpn), entry);
     }
 
     /// Removes a translation, returning it if present.
-    pub fn remove(&mut self, space: AsId, vpn: Vpn) -> Option<PmapEntry> {
+    pub(crate) fn remove(&mut self, space: AsId, vpn: Vpn) -> Option<PmapEntry> {
         self.entries.remove(&(space, vpn))
     }
 
     /// Downgrades a translation to read-only; no-op if absent.
-    pub fn restrict_to_read(&mut self, space: AsId, vpn: Vpn) {
+    pub(crate) fn restrict_to_read(&mut self, space: AsId, vpn: Vpn) {
         if let Some(e) = self.entries.get_mut(&(space, vpn)) {
             e.writable = false;
         }
-    }
-
-    /// The number of cached translations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the Pmap caches nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -89,7 +79,7 @@ mod tests {
         assert_eq!(p.lookup(AsId(0), 5), Some(e));
         assert!(p.lookup(AsId(1), 5).is_none(), "keyed by space too");
         assert_eq!(p.remove(AsId(0), 5), Some(e));
-        assert!(p.is_empty());
+        assert!(p.entries.is_empty());
     }
 
     #[test]

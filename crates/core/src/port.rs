@@ -18,7 +18,6 @@ use numa_machine::BLOCK_WORD_NS;
 use parking_lot::{Condvar, Mutex};
 
 use crate::costs;
-use crate::ids::PortId;
 use crate::user::UserCtx;
 
 struct Message {
@@ -30,30 +29,16 @@ struct Message {
 
 /// A port: a multi-sender, multi-receiver message queue.
 pub struct Port {
-    id: PortId,
-    home: usize,
     queue: Mutex<VecDeque<Message>>,
     available: Condvar,
 }
 
 impl Port {
-    pub(crate) fn new(id: PortId, home: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            id,
-            home,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
         }
-    }
-
-    /// The port's global name.
-    pub fn id(&self) -> PortId {
-        self.id
-    }
-
-    /// The node homing the port's kernel state (cost model).
-    pub fn home(&self) -> usize {
-        self.home
     }
 
     /// The number of queued messages.

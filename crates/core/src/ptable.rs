@@ -99,7 +99,7 @@ impl PtablePlacement {
     /// Whether this placement maintains per-node replicas (and therefore
     /// needs the invalidation protocol).
     #[inline]
-    pub fn replicates(self) -> bool {
+    pub(crate) fn replicates(self) -> bool {
         matches!(
             self,
             PtablePlacement::ReplicatedAll | PtablePlacement::ReplicatedOnFault

@@ -6,5 +6,5 @@
 //! machine-independent part of Mach memory management, as the paper's
 //! design was.
 
-pub mod object;
-pub mod space;
+pub(crate) mod object;
+pub(crate) mod space;

@@ -14,37 +14,28 @@ use crate::ids::{CpageId, ObjId};
 /// physical backing.
 pub struct MemoryObject {
     id: ObjId,
-    /// The node homing this object's metadata (cost model) and preferred
-    /// for the home of its coherent pages.
-    home: usize,
     /// Lazily-created coherent pages, one slot per object page.
     pages: Box<[OnceLock<Arc<Cpage>>]>,
 }
 
 impl MemoryObject {
-    /// Creates an object of `pages` pages, homed on `home`.
-    pub(crate) fn new(id: ObjId, home: usize, pages: usize) -> Self {
+    /// Creates an object of `pages` pages.
+    pub(crate) fn new(id: ObjId, pages: usize) -> Self {
         let mut v = Vec::with_capacity(pages);
         v.resize_with(pages, OnceLock::new);
         Self {
             id,
-            home,
             pages: v.into_boxed_slice(),
         }
     }
 
     /// The object's global name.
-    pub fn id(&self) -> ObjId {
+    pub(crate) fn id(&self) -> ObjId {
         self.id
     }
 
-    /// The node homing the object's metadata.
-    pub fn home(&self) -> usize {
-        self.home
-    }
-
     /// The object's length in pages.
-    pub fn len_pages(&self) -> usize {
+    pub(crate) fn len_pages(&self) -> usize {
         self.pages.len()
     }
 
@@ -55,12 +46,12 @@ impl MemoryObject {
     ///
     /// Panics if `idx` is out of range; the caller validates ranges when
     /// binding.
-    pub fn cpage_for(&self, idx: usize, table: &CpageTable, home: usize) -> &Arc<Cpage> {
+    pub(crate) fn cpage_for(&self, idx: usize, table: &CpageTable, home: usize) -> &Arc<Cpage> {
         self.pages[idx].get_or_init(|| table.alloc(home))
     }
 
     /// All coherent pages that have been created for this object.
-    pub fn touched_cpages(&self) -> Vec<(usize, CpageId)> {
+    pub(crate) fn touched_cpages(&self) -> Vec<(usize, CpageId)> {
         self.pages
             .iter()
             .enumerate()
@@ -82,7 +73,7 @@ mod tests {
     #[test]
     fn lazy_cpage_creation() {
         let table = CpageTable::new();
-        let obj = MemoryObject::new(ObjId(0), 1, 4);
+        let obj = MemoryObject::new(ObjId(0), 4);
         assert_eq!(obj.len_pages(), 4);
         assert_eq!(existing_cpage(&obj, 2), None);
         let c = obj.cpage_for(2, &table, 3).id();
@@ -97,7 +88,7 @@ mod tests {
     #[test]
     fn concurrent_first_touch_creates_one_page() {
         let table = Arc::new(CpageTable::new());
-        let obj = Arc::new(MemoryObject::new(ObjId(0), 0, 1));
+        let obj = Arc::new(MemoryObject::new(ObjId(0), 1));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let t = Arc::clone(&table);

@@ -15,7 +15,7 @@ use crate::vm::object::MemoryObject;
 
 /// One binding of a range of object pages to a virtual address range.
 #[derive(Clone)]
-pub struct Region {
+pub(crate) struct Region {
     /// First virtual page of the region.
     pub vpn_start: Vpn,
     /// Length in pages.
@@ -32,7 +32,7 @@ pub struct Region {
 
 impl Region {
     /// Whether the region contains `vpn`.
-    pub fn contains(&self, vpn: Vpn) -> bool {
+    pub(crate) fn contains(&self, vpn: Vpn) -> bool {
         vpn >= self.vpn_start && vpn < self.vpn_start + self.pages as u64
     }
 
@@ -41,7 +41,7 @@ impl Region {
     /// # Panics
     ///
     /// Panics if `vpn` is outside the region.
-    pub fn object_page(&self, vpn: Vpn) -> usize {
+    pub(crate) fn object_page(&self, vpn: Vpn) -> usize {
         assert!(self.contains(vpn), "vpn outside region");
         self.obj_page_offset + (vpn - self.vpn_start) as usize
     }
@@ -51,7 +51,7 @@ impl Region {
 /// rights to virtual address ranges. It defines the environment in which
 /// one or more threads may execute" (§1.1).
 ///
-/// The space owns its [`Cmap`] — the cached composition of its bindings
+/// The space owns its `Cmap` — the cached composition of its bindings
 /// with the object-to-coherent mappings, plus the queue of mapping-change
 /// messages used by the shootdown mechanism.
 pub struct AddressSpace {
@@ -89,12 +89,12 @@ impl AddressSpace {
     }
 
     /// The ASID used to tag ATC entries.
-    pub fn asid(&self) -> u32 {
+    pub(crate) fn asid(&self) -> u32 {
         self.id.0
     }
 
     /// The node homing the space's metadata.
-    pub fn home(&self) -> usize {
+    pub(crate) fn home(&self) -> usize {
         self.home
     }
 
@@ -117,7 +117,7 @@ impl AddressSpace {
 
     /// Converts a virtual page number to its base byte address.
     #[inline]
-    pub fn va_of(&self, vpn: Vpn) -> Va {
+    pub(crate) fn va_of(&self, vpn: Vpn) -> Va {
         vpn << self.page_shift
     }
 
@@ -177,7 +177,7 @@ impl AddressSpace {
     }
 
     /// The region containing `vpn`, if any.
-    pub fn region_for(&self, vpn: Vpn) -> Option<Region> {
+    pub(crate) fn region_for(&self, vpn: Vpn) -> Option<Region> {
         self.regions
             .read()
             .iter()
@@ -186,16 +186,11 @@ impl AddressSpace {
     }
 
     /// Removes the region starting exactly at `va`, returning it.
-    pub fn unmap_region(&self, va: Va) -> Option<Region> {
+    pub(crate) fn unmap_region(&self, va: Va) -> Option<Region> {
         let vpn = self.vpn_of(va);
         let mut regions = self.regions.write();
         let idx = regions.iter().position(|r| r.vpn_start == vpn)?;
         Some(regions.swap_remove(idx))
-    }
-
-    /// Snapshot of all regions.
-    pub fn regions(&self) -> Vec<Region> {
-        self.regions.read().clone()
     }
 }
 
@@ -206,7 +201,7 @@ mod tests {
     use crate::ids::ObjId;
 
     fn obj(pages: usize) -> Arc<MemoryObject> {
-        Arc::new(MemoryObject::new(ObjId(0), 0, pages))
+        Arc::new(MemoryObject::new(ObjId(0), pages))
     }
 
     fn space() -> AddressSpace {

@@ -7,7 +7,7 @@ use crate::module::MemoryModule;
 
 /// Entries in each processor's address translation cache: the MC68851's
 /// on-chip ATC held 64.
-pub const ATC_ENTRIES: usize = 64;
+pub(crate) const ATC_ENTRIES: usize = 64;
 
 /// One cached translation, with its resolved frame handle embedded and
 /// the whole entry aligned to a cache line, so a probe touches exactly
@@ -103,7 +103,7 @@ impl FrameHandle {
 
 /// Hit/miss counters of an [`Atc`], for locality reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AtcStats {
+pub(crate) struct AtcStats {
     /// Lookups satisfied from the cache.
     pub hits: u64,
     /// Lookups that required a Pmap walk.
@@ -269,7 +269,7 @@ impl Atc {
     }
 
     /// Hit/miss counters since construction.
-    pub fn stats(&self) -> AtcStats {
+    pub(crate) fn stats(&self) -> AtcStats {
         AtcStats {
             hits: self.hits,
             misses: self.misses,

@@ -9,7 +9,7 @@ pub const BLOCK_WORD_NS: u64 = 1100;
 
 /// Percentage of each involved node's memory-bus bandwidth a block
 /// transfer consumes (§7: 75% on both nodes).
-pub const BLOCK_BUS_FRACTION_PCT: u64 = 75;
+pub(crate) const BLOCK_BUS_FRACTION_PCT: u64 = 75;
 
 /// Cost to deliver an interprocessor interrupt to one target and have it
 /// run the Cmap synchronization handler, ns. The paper deduces roughly
@@ -24,10 +24,10 @@ pub const SKEW_WINDOW_NS: u64 = 2_000_000;
 /// Default width of the contention model's utilization buckets, ns
 /// ([`MachineConfig::contention_bucket_ns`]); the UMA comparator's bus
 /// books in the same buckets.
-pub const CONTENTION_BUCKET_NS: u64 = 100_000;
+pub(crate) const CONTENTION_BUCKET_NS: u64 = 100_000;
 
 /// Word latencies and memory-module service times of the paper's machine,
-/// the inputs [`Topology::flat`] and [`Topology::hier2`] build their
+/// the inputs `Topology::flat` and [`Topology::hier2`] build their
 /// distance classes from.
 ///
 /// Defaults are the figures the paper publishes for the 16-processor BBN
@@ -85,13 +85,15 @@ pub struct MachineConfig {
     /// default page size).
     pub page_shift: u32,
     /// Machine description for hierarchical or asymmetric interconnects.
-    /// `None` (the default) charges through [`Topology::flat`] built from
+    /// `None` (the default) charges through `Topology::flat` built from
     /// [`TimingConfig::default`]: the paper's Butterfly.
     pub topology: Option<Topology>,
-    /// If set, conservative virtual-time coupling: a processor whose clock
-    /// runs more than this many nanoseconds ahead of the slowest running
-    /// processor stalls until the others catch up. Keeps the replication
-    /// policy's timestamps meaningful across processors.
+    /// If set, conservative virtual-time coupling of free-running threads:
+    /// a `Sim::run` thread whose clock runs more than this many
+    /// nanoseconds ahead of the slowest running processor stalls until
+    /// the others catch up, as contention booking assumes. A context run
+    /// stepped (`Sim::steps`, a `Lockstep`) is never held: one host thread
+    /// orders those processors by their clocks instead.
     pub skew_window_ns: Option<u64>,
     /// Width of the contention model's utilization buckets, ns. Should
     /// comfortably exceed typical access latencies and sit well below the
@@ -174,7 +176,6 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proc::AccessKind;
 
     #[test]
     fn paper_defaults() {
@@ -194,10 +195,10 @@ mod tests {
     fn latency_table() {
         // Node 0 against itself and against node 1 of the default machine.
         let t = Topology::flat(2, &TimingConfig::default());
-        assert_eq!(t.word_latency(0, 0, AccessKind::Read), 320);
-        assert_eq!(t.word_latency(0, 1, AccessKind::Read), 5000);
-        assert_eq!(t.word_latency(0, 1, AccessKind::Write), 2500);
-        assert_eq!(t.word_latency(0, 1, AccessKind::Atomic), 6000);
+        assert_eq!(t.link(0, 0).read_ns, 320);
+        assert_eq!(t.link(0, 1).read_ns, 5000);
+        assert_eq!(t.link(0, 1).write_ns, 2500);
+        assert_eq!(t.link(0, 1).atomic_ns, 6000);
         assert!(t.service_time(0, 0) < t.service_time(0, 1));
     }
 

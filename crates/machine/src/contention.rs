@@ -178,7 +178,7 @@ impl BucketedResource {
     /// held a newer generation: a requester more than the ring's span
     /// (64 buckets) behind another saw no contention and booked nothing.
     /// A run where this is not zero lost part of its contention.
-    pub fn lost_bookings(&self) -> u64 {
+    pub(crate) fn lost_bookings(&self) -> u64 {
         self.lost.get()
     }
 
@@ -302,7 +302,7 @@ impl BucketedResource {
     /// Reserves a long occupancy (e.g. a block transfer's bus time)
     /// starting at `now`, spreading it over as many buckets as it spans.
     /// Returns the queueing delay before the occupancy can begin.
-    pub fn reserve_span(&self, now: u64, occupancy_ns: u64) -> u64 {
+    pub(crate) fn reserve_span(&self, now: u64, occupancy_ns: u64) -> u64 {
         // The delay is what the *first* bucket imposes; the rest of the
         // occupancy is booked into the following buckets so that later
         // traffic queues behind it. The walk is by bucket index — a
@@ -318,12 +318,6 @@ impl BucketedResource {
             remaining -= chunk;
         }
         delay
-    }
-
-    /// The load currently booked in the bucket containing `now`
-    /// (diagnostics and tests).
-    pub fn load_at(&self, now: u64) -> u64 {
-        self.load_of(self.bucket_div.div(now))
     }
 }
 
@@ -534,6 +528,13 @@ mod cas_oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BucketedResource {
+        /// The load currently booked in the bucket containing `now`.
+        pub(crate) fn load_at(&self, now: u64) -> u64 {
+            self.load_of(self.bucket_div.div(now))
+        }
+    }
 
     /// A booking through a fresh cursor: the bucket by division, every time.
     fn reserve(r: &BucketedResource, now: u64, service_ns: u64) -> u64 {

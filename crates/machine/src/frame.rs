@@ -49,13 +49,8 @@ impl Frame {
     }
 
     /// The number of words in the frame.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.len()
-    }
-
-    /// Whether the frame has zero words (never true for machine frames).
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
     }
 
     /// Reads the word at `idx` (an ordinary program load).
@@ -159,7 +154,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if `words` exceeds either frame's length.
-    pub fn copy_prefix_from(&self, src: &Frame, words: usize) {
+    pub(crate) fn copy_prefix_from(&self, src: &Frame, words: usize) {
         assert!(
             words <= self.len() && words <= src.len(),
             "partial transfer beyond frame bounds"
@@ -175,7 +170,7 @@ impl Frame {
     /// Zero-fills the frame: the fault handler's first-touch clear of a
     /// freshly allocated page (§3.3), which may be a recycled frame still
     /// holding its previous page's words.
-    pub fn zero(&self) {
+    pub(crate) fn zero(&self) {
         if self.words.is_empty() {
             return;
         }
@@ -227,7 +222,6 @@ mod tests {
     fn load_store_roundtrip() {
         let f = Frame::new(16);
         assert_eq!(f.len(), 16);
-        assert!(!f.is_empty());
         f.store(3, 0xdead_beef);
         assert_eq!(f.load(3), 0xdead_beef);
         assert_eq!(f.load(4), 0);
@@ -275,7 +269,7 @@ mod tests {
         // A distinct storage: writes to one leave the other alone.
         b.store(0, 7);
         assert_eq!(a.load(0), 0x100);
-        assert!(Frame::copy_of(&Frame::new(0)).is_empty());
+        assert_eq!(Frame::copy_of(&Frame::new(0)).len(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * one processor per node, each with a private *address translation
 //!   cache* (ATC) standing in for the MC68851 MMU ([`Atc`]),
 //! * one memory module per node holding word-granular page frames backed by
-//!   real storage ([`MemoryModule`], [`Frame`]), each with an *inverted page
+//!   real storage (`MemoryModule`, [`Frame`]), each with an *inverted page
 //!   table* as described in §2.3 of the paper,
 //! * an interconnect with per-module contention accounting and a microcoded
 //!   *block-transfer engine* that consumes 75% of the bus bandwidth of both
@@ -24,7 +24,7 @@
 //! Simulated physical memory is real memory (`AtomicU32` words), so page
 //! replicas made by the kernel are genuine copies and a coherence bug
 //! produces a genuinely wrong application answer. A frame's storage is
-//! materialised on its first use ([`MemoryModule::frame`]), so host memory
+//! materialised on its first use (`MemoryModule::frame`), so host memory
 //! follows the pages a run touches, not `frames_per_node`.
 //!
 //! The kernel built on top of this substrate lives in the `platinum` crate;
@@ -34,33 +34,29 @@
 
 #![warn(missing_docs)]
 
-pub mod addr;
-pub mod atc;
-pub mod config;
+pub(crate) mod addr;
+pub(crate) mod atc;
+pub(crate) mod config;
 pub mod contention;
-pub mod frame;
+pub(crate) mod frame;
 pub mod mem_iface;
 pub mod module;
-pub mod proc;
-pub mod procset;
+pub(crate) mod proc;
+pub(crate) mod procset;
 pub mod skew;
-pub mod stats;
-pub mod topology;
+pub(crate) mod stats;
+pub(crate) mod topology;
 pub mod uma;
 
 mod machine;
 
 pub use addr::{AccessErr, PhysPage, ProcId, Va, Vpn};
-pub use atc::{Atc, AtcStats, ATC_ENTRIES};
-pub use config::{
-    MachineConfig, TimingConfig, BLOCK_BUS_FRACTION_PCT, BLOCK_WORD_NS, CONTENTION_BUCKET_NS,
-    IPI_NS, SKEW_WINDOW_NS,
-};
+pub use atc::Atc;
+pub use config::{MachineConfig, TimingConfig, BLOCK_WORD_NS, IPI_NS, SKEW_WINDOW_NS};
 pub use contention::{BucketCursor, BucketedResource};
 pub use frame::Frame;
 pub use machine::Machine;
 pub use mem_iface::Mem;
-pub use module::MemoryModule;
 pub use proc::{AccessKind, FastPath, ProcCore};
 pub use procset::{AtomicProcSet, ProcSet};
 pub use skew::{Pacer, SkewWindow};

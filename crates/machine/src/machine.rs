@@ -142,7 +142,7 @@ impl Machine {
 
     /// Whether processor `p`'s doorbell is rung, consuming it.
     #[inline(always)]
-    pub fn take_ipi(&self, p: ProcId) -> bool {
+    pub(crate) fn take_ipi(&self, p: ProcId) -> bool {
         // A relaxed load keeps the RMW off the path when none is pending.
         let bell = &self.doorbells[p];
         bell.load(Ordering::Relaxed) && bell.swap(false, Ordering::Acquire)
@@ -155,7 +155,7 @@ impl Machine {
 
     /// Contention bookings dropped across all modules because a ring
     /// slot already held a newer generation
-    /// ([`crate::BucketedResource::lost_bookings`]): contention the run
+    /// (`crate::BucketedResource::lost_bookings`): contention the run
     /// did not see.
     pub fn lost_bookings(&self) -> u64 {
         self.modules.iter().map(MemoryModule::lost_bookings).sum()

@@ -37,7 +37,7 @@ type SlotRun = Box<[OnceLock<Frame>]>;
 /// materialised by the first call that names it, once, with its first
 /// contents — zeroed by the fault handler's first-touch zero fill
 /// ([`Self::zeroed_frame`]), a copy of the source by a block transfer into
-/// it (`fill_frame`), zeroed by any other [`Self::frame`] call — so
+/// it (`fill_frame`), zeroed by any other `Self::frame` call — so
 /// what a machine costs the host follows the pages a run touches, not
 /// `frames_per_node`. Once materialised a [`Frame`] is
 /// never moved or freed before the module drops: `free_frame` only retags
@@ -91,18 +91,13 @@ impl MemoryModule {
         }
     }
 
-    /// The node this module belongs to.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// The number of currently allocated frames.
     pub fn frames_allocated(&self) -> usize {
         self.allocated.load(Ordering::Relaxed) as usize
     }
 
     /// The number of frames whose storage has been materialised: every
-    /// frame [`Self::frame`] has ever named, whether or not it is still
+    /// frame `Self::frame` has ever named, whether or not it is still
     /// allocated.
     pub fn frames_materialized(&self) -> usize {
         self.runs
@@ -122,7 +117,7 @@ impl MemoryModule {
     ///
     /// Panics if `frame` is out of range.
     #[inline]
-    pub fn frame(&self, frame: usize) -> &Frame {
+    pub(crate) fn frame(&self, frame: usize) -> &Frame {
         self.slot(frame)
             .get_or_init(|| Frame::new(self.words_per_page))
     }
@@ -266,7 +261,7 @@ impl MemoryModule {
     /// contention visible, the effect §7 argues replication exists to
     /// relieve.
     #[inline(always)]
-    pub fn reserve_with(&self, cursor: &mut BucketCursor, now: u64, service_ns: u64) -> u64 {
+    pub(crate) fn reserve_with(&self, cursor: &mut BucketCursor, now: u64, service_ns: u64) -> u64 {
         now + self.bus.reserve_with(cursor, now, service_ns)
     }
 
@@ -298,7 +293,7 @@ impl MemoryModule {
     /// pivot-row effect); the serialization horizon is capped at `cap_ns`
     /// beyond `now` so loosely-coupled clocks cannot queue behind
     /// far-future reservations.
-    pub fn reserve_block(&self, now: u64, occupancy_ns: u64, cap_ns: u64) -> u64 {
+    pub(crate) fn reserve_block(&self, now: u64, occupancy_ns: u64, cap_ns: u64) -> u64 {
         let mut cur = self.block_busy_until.load(Ordering::Relaxed);
         let start = loop {
             let start = now.max(cur.min(now + cap_ns));
@@ -320,6 +315,11 @@ impl MemoryModule {
 
 #[cfg(test)]
 impl MemoryModule {
+    /// The node this module belongs to.
+    pub(crate) fn node(&self) -> usize {
+        self.node
+    }
+
     /// The bus load booked in the contention bucket containing `now`.
     pub(crate) fn bus_load_at(&self, now: u64) -> u64 {
         self.bus.load_at(now)

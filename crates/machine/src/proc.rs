@@ -429,7 +429,7 @@ impl ProcCore {
 
     /// Performs a page-sized block transfer from `src` to `dst`: copies
     /// the data and charges the block-transfer engine's timing, occupying
-    /// [`BLOCK_BUS_FRACTION_PCT`] of both modules' bus bandwidth for the
+    /// `BLOCK_BUS_FRACTION_PCT` of both modules' bus bandwidth for the
     /// duration (§7).
     ///
     /// # Panics
@@ -719,7 +719,12 @@ mod tests {
     impl Reference {
         fn word_block(&mut self, module: usize, kind: AccessKind, n: u64) {
             let topo = self.m.topology();
-            let latency = topo.word_latency(self.id, module, kind);
+            let link = topo.link(self.id, module);
+            let latency = match kind {
+                AccessKind::Read => link.read_ns,
+                AccessKind::Write => link.write_ns,
+                AccessKind::Atomic => link.atomic_ns,
+            };
             let service = topo.service_time(self.id, module);
             let bucket_ns = self.m.cfg().contention_bucket_ns;
             let mut remaining = n;

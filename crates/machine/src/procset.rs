@@ -210,22 +210,11 @@ impl ProcSet {
         self.zip_with(other, |a, b| a | b)
     }
 
-    /// The members of `self` that are not in `other`.
-    pub fn minus(&self, other: &ProcSet) -> ProcSet {
-        self.zip_with(other, |a, b| a & !b)
-    }
-
     /// A copy of the set with `p` removed.
     pub fn without(&self, p: ProcId) -> ProcSet {
         let mut s = self.clone();
         s.remove(p);
         s
-    }
-
-    /// Whether the two sets share any member.
-    pub fn intersects(&self, other: &ProcSet) -> bool {
-        let words = self.words().max(other.words());
-        (0..words).any(|i| self.word(i) & other.word(i) != 0)
     }
 
     /// Adds every member of `other` to `self`.
@@ -344,7 +333,7 @@ impl AtomicProcSet {
 
     /// Highest id this set can hold, plus one.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         (1 + self.rest.len()) * 64
     }
 
@@ -384,13 +373,6 @@ impl AtomicProcSet {
     #[inline]
     pub fn contains(&self, p: ProcId) -> bool {
         p < self.capacity() && self.word(p / 64).load(Ordering::Acquire) & (1u64 << (p % 64)) != 0
-    }
-
-    /// Whether the set is currently empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.w0.load(Ordering::Acquire) == 0
-            && self.rest.iter().all(|w| w.load(Ordering::Acquire) == 0)
     }
 
     /// Whether the current membership shares any id with `set`, without
@@ -500,9 +482,8 @@ mod tests {
             a.union(&b).iter().collect::<Vec<_>>(),
             vec![1, 70, 129, 200]
         );
-        assert_eq!(a.minus(&b).iter().collect::<Vec<_>>(), vec![70]);
-        assert!(a.intersects(&b));
-        assert!(!a.minus(&b).intersects(&b));
+        assert!(!a.intersect(&b).is_empty());
+        assert!(a.without(1).without(129).intersect(&b).is_empty());
         assert_eq!(a.without(70), [1usize, 129].into_iter().collect());
     }
 
@@ -536,7 +517,7 @@ mod tests {
         assert_eq!(big.load().iter().collect::<Vec<_>>(), vec![0, 64, 255]);
         big.remove(64);
         assert!(!big.contains(64));
-        assert!(!big.is_empty());
+        assert!(!big.load().is_empty());
     }
 
     #[test]
@@ -642,7 +623,7 @@ mod tests {
                 (0..nprocs).step_by(2).count() - expect.len(),
                 "nprocs={nprocs}"
             );
-            assert!(!left.intersects(&staled), "nprocs={nprocs}");
+            assert!(left.intersect(&staled).is_empty(), "nprocs={nprocs}");
         }
     }
 }

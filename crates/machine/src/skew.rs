@@ -26,7 +26,7 @@ pub struct SkewWindow {
 
 impl SkewWindow {
     /// A window of `window` ns over `procs` processors, all idle.
-    pub fn new(procs: usize, window: Option<u64>) -> Self {
+    pub(crate) fn new(procs: usize, window: Option<u64>) -> Self {
         let clocks = (0..procs).map(|_| AtomicU64::new(IDLE)).collect();
         Self { window, clocks }
     }

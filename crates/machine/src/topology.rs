@@ -27,7 +27,6 @@
 //!   machines, asymmetric links included.
 
 use crate::config::TimingConfig;
-use crate::proc::AccessKind;
 
 /// Latencies of one distance class, in nanoseconds.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,7 +43,7 @@ pub struct LinkTiming {
 
 impl LinkTiming {
     /// The local-access timings of `t` (class 0 of every built-in).
-    pub fn local(t: &TimingConfig) -> Self {
+    pub(crate) fn local(t: &TimingConfig) -> Self {
         Self {
             read_ns: t.local_read_ns,
             write_ns: t.local_write_ns,
@@ -55,23 +54,13 @@ impl LinkTiming {
 
     /// The remote-access timings of `t`, scaled by `num/den` (integer
     /// arithmetic, so scaled topologies stay deterministic).
-    pub fn remote_scaled(t: &TimingConfig, num: u64, den: u64) -> Self {
+    pub(crate) fn remote_scaled(t: &TimingConfig, num: u64, den: u64) -> Self {
         let s = |ns: u64| ns * num / den;
         Self {
             read_ns: s(t.remote_read_ns),
             write_ns: s(t.remote_write_ns),
             atomic_ns: s(t.remote_atomic_ns),
             service_ns: s(t.module_service_remote_ns),
-        }
-    }
-
-    /// Latency of one word access of `kind` across this link.
-    #[inline]
-    pub fn word_latency(&self, kind: AccessKind) -> u64 {
-        match kind {
-            AccessKind::Read => self.read_ns,
-            AccessKind::Write => self.write_ns,
-            AccessKind::Atomic => self.atomic_ns,
         }
     }
 }
@@ -94,7 +83,7 @@ pub struct Topology {
 impl Topology {
     /// The paper's flat Butterfly: class 0 on-node, class 1 through the
     /// switch, timings lifted verbatim from `t`.
-    pub fn flat(nodes: usize, t: &TimingConfig) -> Self {
+    pub(crate) fn flat(nodes: usize, t: &TimingConfig) -> Self {
         Self::build(
             nodes,
             "flat",
@@ -219,33 +208,26 @@ impl Topology {
 
     /// The distance class of the ordered pair `(from, to)`.
     #[inline]
-    pub fn class_of(&self, from: usize, to: usize) -> u8 {
+    pub(crate) fn class_of(&self, from: usize, to: usize) -> u8 {
         self.class[from * self.nodes + to]
     }
 
     /// The link timings of the ordered pair `(from, to)`.
     #[inline]
-    pub fn link(&self, from: usize, to: usize) -> &LinkTiming {
+    pub(crate) fn link(&self, from: usize, to: usize) -> &LinkTiming {
         &self.classes[self.class_of(from, to) as usize]
-    }
-
-    /// Latency of one word access of `kind` issued by `from` against the
-    /// memory module on `to`.
-    #[inline]
-    pub fn word_latency(&self, from: usize, to: usize, kind: AccessKind) -> u64 {
-        self.link(from, to).word_latency(kind)
     }
 
     /// Memory-module occupancy on `to` for one access issued by `from`.
     #[inline]
-    pub fn service_time(&self, from: usize, to: usize) -> u64 {
+    pub(crate) fn service_time(&self, from: usize, to: usize) -> u64 {
         self.link(from, to).service_ns
     }
 
     /// Checks internal consistency against a machine of `nodes` nodes, and
     /// that every class's latencies and service time fit the 32-bit
     /// fields an ATC entry carries them in.
-    pub fn validate(&self, nodes: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, nodes: usize) -> Result<(), String> {
         if self.nodes != nodes {
             return Err(format!(
                 "topology describes {} nodes but the machine has {nodes}",
@@ -292,9 +274,9 @@ mod tests {
                         t.module_service_remote_ns,
                     )
                 };
-                assert_eq!(topo.word_latency(from, to, AccessKind::Read), read);
-                assert_eq!(topo.word_latency(from, to, AccessKind::Write), write);
-                assert_eq!(topo.word_latency(from, to, AccessKind::Atomic), atomic);
+                assert_eq!(topo.link(from, to).read_ns, read);
+                assert_eq!(topo.link(from, to).write_ns, write);
+                assert_eq!(topo.link(from, to).atomic_ns, atomic);
                 assert_eq!(topo.service_time(from, to), service, "({from},{to})");
             }
         }
@@ -308,15 +290,15 @@ mod tests {
         let t = TimingConfig::default();
         // 16 nodes, 2 sockets x 2 dies: dies are {0..3},{4..7},{8..11},{12..15}.
         let topo = Topology::hier2(16, 2, &t);
-        let same_die = topo.word_latency(0, 1, AccessKind::Read);
-        let cross_die = topo.word_latency(0, 4, AccessKind::Read);
-        let cross_socket = topo.word_latency(0, 8, AccessKind::Read);
+        let same_die = topo.link(0, 1).read_ns;
+        let cross_die = topo.link(0, 4).read_ns;
+        let cross_socket = topo.link(0, 8).read_ns;
         assert_eq!(same_die, t.remote_read_ns);
         assert!(cross_die > same_die, "{cross_die} vs {same_die}");
         assert!(cross_socket > cross_die, "{cross_socket} vs {cross_die}");
         assert_eq!(cross_socket, 2 * t.remote_read_ns);
         // Local access is unchanged by the hierarchy.
-        assert_eq!(topo.word_latency(5, 5, AccessKind::Write), t.local_write_ns);
+        assert_eq!(topo.link(5, 5).write_ns, t.local_write_ns);
     }
 
     #[test]
@@ -328,9 +310,7 @@ mod tests {
         // 2 nodes: 0->1 fast remote, 1->0 slow remote (asymmetric link).
         let topo =
             Topology::from_matrix(2, vec![0, 1, 2, 0], vec![l, r, slow]).expect("valid matrix");
-        assert!(
-            topo.word_latency(1, 0, AccessKind::Read) > topo.word_latency(0, 1, AccessKind::Read)
-        );
+        assert!(topo.link(1, 0).read_ns > topo.link(0, 1).read_ns);
         assert_eq!(topo.name(), "matrix");
         assert!(topo.validate(2).is_ok());
         assert!(topo.validate(3).is_err());

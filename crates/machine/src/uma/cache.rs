@@ -17,7 +17,7 @@ struct TagEntry {
 /// Only tags and versions are stored; data always comes from the shared
 /// backing store, so the comparator machine cannot return stale values
 /// even if the timing model is approximate.
-pub struct TagCache {
+pub(crate) struct TagCache {
     entries: Box<[TagEntry]>,
     mask: usize,
     hits: u64,
@@ -30,7 +30,7 @@ impl TagCache {
     /// # Panics
     ///
     /// Panics unless `lines` is a nonzero power of two.
-    pub fn new(lines: usize) -> Self {
+    pub(crate) fn new(lines: usize) -> Self {
         assert!(
             lines.is_power_of_two() && lines > 0,
             "cache lines must be a nonzero power of two"
@@ -60,7 +60,7 @@ impl TagCache {
     /// A version mismatch (another processor wrote the line since the
     /// fill) counts as a miss, like a snoop invalidation.
     #[inline]
-    pub fn probe(&mut self, line: u64, current_version: u64) -> bool {
+    pub(crate) fn probe(&mut self, line: u64, current_version: u64) -> bool {
         let e = &self.entries[self.slot(line)];
         if e.valid && e.line == line && e.version == current_version {
             self.hits += 1;
@@ -74,7 +74,7 @@ impl TagCache {
     /// Installs `line` at `version` (after a miss fill, or updating the
     /// processor's own copy after its own write-through).
     #[inline]
-    pub fn fill(&mut self, line: u64, version: u64) {
+    pub(crate) fn fill(&mut self, line: u64, version: u64) {
         let slot = self.slot(line);
         self.entries[slot] = TagEntry {
             valid: true,
@@ -84,13 +84,13 @@ impl TagCache {
     }
 
     /// Whether `line` is currently resident (regardless of version).
-    pub fn resident(&self, line: u64) -> bool {
+    pub(crate) fn resident(&self, line: u64) -> bool {
         let e = &self.entries[self.slot(line)];
         e.valid && e.line == line
     }
 
     /// (hits, misses) so far.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }

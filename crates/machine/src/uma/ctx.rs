@@ -8,8 +8,9 @@ use crate::contention::BucketCursor;
 use crate::mem_iface::Mem;
 use crate::stats::AccessCounters;
 
+use super::cache::TagCache;
 use super::{
-    TagCache, UmaMachine, ATOMIC_NS, BUS_LINE_SERVICE_NS, BUS_WORD_SERVICE_NS, CACHE_BYTES, HIT_NS,
+    UmaMachine, ATOMIC_NS, BUS_LINE_SERVICE_NS, BUS_WORD_SERVICE_NS, CACHE_BYTES, HIT_NS,
     LINE_BYTES, MISS_NS, WORDS_PER_LINE, WRITE_NS,
 };
 
@@ -46,11 +47,6 @@ impl UmaCtx {
             counters: AccessCounters::default(),
             cursor: BucketCursor::default(),
         }
-    }
-
-    /// The machine this processor belongs to.
-    pub fn machine(&self) -> &Arc<UmaMachine> {
-        &self.machine
     }
 
     /// Counters accumulated so far. The "local"/"remote" split reports

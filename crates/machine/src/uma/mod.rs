@@ -15,7 +15,6 @@
 mod cache;
 mod ctx;
 
-pub use cache::TagCache;
 pub use ctx::UmaCtx;
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -69,7 +68,7 @@ impl Default for UmaConfig {
 
 impl UmaConfig {
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.procs == 0 {
             return Err("procs must be nonzero".into());
         }

@@ -11,9 +11,9 @@ use std::io::{self, Read, Write};
 use numa_machine::MachineConfig;
 
 /// Magic bytes opening every trace file.
-pub const MAGIC: &[u8; 4] = b"PLRT";
+pub(crate) const MAGIC: &[u8; 4] = b"PLRT";
 /// Format version written and accepted by this build.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// One recorded memory operation. Virtual addresses are the application's
 /// own; word counts parameterize block transfers; `AdvanceDep`/`AdvanceAbs`

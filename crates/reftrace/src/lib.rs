@@ -35,7 +35,7 @@
 
 #![warn(missing_docs)]
 
-pub mod format;
+pub(crate) mod format;
 pub mod replay;
 
 pub use format::{Op, Phase, Rec, RefTrace};

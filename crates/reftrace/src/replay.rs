@@ -34,7 +34,7 @@ pub struct PhaseOutcome {
 
 impl PhaseOutcome {
     /// The phase's execution time: maximum final virtual time.
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         self.stats.elapsed_ns()
     }
 }
@@ -55,14 +55,6 @@ impl ReplayOutcome {
     /// convention. Zero for an empty trace.
     pub fn measured_elapsed_ns(&self) -> u64 {
         self.phases.last().map(|p| p.elapsed_ns()).unwrap_or(0)
-    }
-
-    /// Fraction of charged references served by remote memory, summed
-    /// over the last (measured) phase's workers.
-    pub fn measured_remote_ratio(&self) -> f64 {
-        self.phases
-            .last()
-            .map_or(0.0, |p| p.stats.merged_counters().remote_fraction())
     }
 }
 
@@ -364,13 +356,17 @@ mod tests {
         // lock-dominated stream (the §4.2 anecdote: freezing the lock
         // page hurts PLATINUM), but off-node static placement must serve
         // a larger share of references remotely than the coherent policy.
-        let remote = replay(&trace, PolicyKind::RemoteAlways);
-        let plat = replay(&trace, PolicyKind::Platinum);
+        // The share of the measured (last) phase's references served
+        // remotely.
+        let remote_ratio = |out: &ReplayOutcome| {
+            let last = out.phases.last().expect("the trace has phases");
+            last.stats.merged_counters().remote_fraction()
+        };
+        let remote = remote_ratio(&replay(&trace, PolicyKind::RemoteAlways));
+        let plat = remote_ratio(&replay(&trace, PolicyKind::Platinum));
         assert!(
-            remote.measured_remote_ratio() > plat.measured_remote_ratio(),
-            "remote-always was not more remote: {} <= {}",
-            remote.measured_remote_ratio(),
-            plat.measured_remote_ratio()
+            remote > plat,
+            "remote-always was not more remote: {remote} <= {plat}"
         );
     }
 

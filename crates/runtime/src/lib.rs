@@ -16,12 +16,12 @@
 //!   simulated coherent memory* (so their pages freeze and thaw exactly
 //!   like the paper describes) with virtual-time propagation from
 //!   releasers to acquirers;
-//! * [`step`] — stepped execution: a phase's workers run as bounded steps
+//! * `step` — stepped execution: a phase's workers run as bounded steps
 //!   on one host thread, lowest virtual clock first, so a run is a
 //!   function of its inputs;
-//! * [`par`] — the free-running worker pool: one thread per simulated
+//! * `par` — the free-running worker pool: one thread per simulated
 //!   processor, for concurrency tests and host-time measurements;
-//! * [`stage`] — the [`Stage`] seam applications are staged against, so
+//! * `stage` — the [`Stage`] seam applications are staged against, so
 //!   one layout-plus-phases definition runs on a booted simulation and
 //!   on the UMA comparator;
 //! * [`measure`] — speedup bookkeeping shared by the benchmark harness.
@@ -33,14 +33,13 @@
 #![warn(missing_docs)]
 
 pub mod measure;
-pub mod par;
+pub(crate) mod par;
 pub mod sim;
-pub mod stage;
-pub mod step;
+pub(crate) mod stage;
+pub(crate) mod step;
 pub mod sync;
 pub mod zones;
 
-pub use measure::{RunStats, WorkerStats};
 /// The lockstep executor: one host thread drives every processor's
 /// context in a caller-chosen order (re-exported from the kernel crate,
 /// where its shootdown-ack hook lives).
@@ -49,4 +48,3 @@ pub use sim::{Sim, SimBuilder};
 pub use stage::Stage;
 pub use step::Step;
 pub use sync::{Barrier, EventCount, SpinLock, Wait};
-pub use zones::Zone;

@@ -38,14 +38,6 @@ impl RunStats {
     }
 }
 
-/// Speedup of a parallel time against a serial baseline.
-pub fn speedup(serial_ns: u64, parallel_ns: u64) -> f64 {
-    if parallel_ns == 0 {
-        return 0.0;
-    }
-    serial_ns as f64 / parallel_ns as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,12 +56,6 @@ mod tests {
             workers: vec![w(0, 100), w(1, 250), w(2, 180)],
         };
         assert_eq!(r.elapsed_ns(), 250);
-    }
-
-    #[test]
-    fn speedup_math() {
-        assert_eq!(speedup(1000, 250), 4.0);
-        assert_eq!(speedup(1000, 0), 0.0);
     }
 
     #[test]

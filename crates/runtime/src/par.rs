@@ -11,7 +11,7 @@ use crate::measure::{RunStats, WorkerStats};
 /// # Panics
 ///
 /// Panics if any worker panics.
-pub fn pool<C, R>(
+pub(crate) fn pool<C, R>(
     n: usize,
     attach: impl Fn(usize) -> C + Sync,
     f: impl Fn(usize, &mut C) -> R + Sync,

@@ -189,7 +189,7 @@ pub struct Sim {
 
 impl Sim {
     /// The number of processors.
-    pub fn nprocs(&self) -> usize {
+    pub(crate) fn nprocs(&self) -> usize {
         self.machine.nprocs()
     }
 
@@ -212,7 +212,7 @@ impl Sim {
 
     /// Runs the stepped worker `worker(i)` on processor `i` for `i` in
     /// `0..n`, all virtual clocks starting at 0, on this host thread in
-    /// the one order [`crate::step::schedule`] fixes, and collects
+    /// the one order `crate::step::schedule` fixes, and collects
     /// per-worker statistics. `label` names the phase if it deadlocks.
     ///
     /// # Panics
@@ -266,11 +266,6 @@ impl Sim {
             .expect("fresh mapping cannot conflict");
         let words = pages * self.machine.cfg().words_per_page();
         Zone::new(base, words, self.machine.cfg().words_per_page())
-    }
-
-    /// The tracer installed by [`SimBuilder::trace`], if any.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.kernel.tracer()
     }
 
     /// Exports the collected trace as Chrome/Perfetto JSON to the path

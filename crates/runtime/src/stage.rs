@@ -37,7 +37,7 @@ pub trait Stage {
 
     /// Runs the stepped worker `worker(i)` on processor `i` for `i` in
     /// `0..n`, each on a fresh context whose clock starts at 0 (see
-    /// [`crate::step`]); statistics come back in worker order. `label`
+    /// `crate::step`); statistics come back in worker order. `label`
     /// names the phase in a panic.
     fn steps<'a, W>(&mut self, label: &str, n: usize, worker: impl FnMut(usize) -> W) -> RunStats
     where

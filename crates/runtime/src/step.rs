@@ -39,7 +39,7 @@ impl<'a> From<Option<Wait<'a>>> for Step<'a> {
 }
 
 /// The contexts of a phase's processors, held by one host thread.
-pub trait Procs {
+pub(crate) trait Procs {
     /// The context a step runs on.
     type Ctx: Mem;
 
@@ -60,7 +60,7 @@ pub trait Procs {
 ///
 /// Panics, naming `label` and the processors, if every unfinished
 /// processor is blocked: nothing could ever release them.
-pub fn schedule<'a, P, W>(label: &str, procs: &mut P, workers: &mut [W]) -> RunStats
+pub(crate) fn schedule<'a, P, W>(label: &str, procs: &mut P, workers: &mut [W]) -> RunStats
 where
     P: Procs,
     W: FnMut(&mut P::Ctx) -> Step<'a>,

@@ -8,7 +8,7 @@
 //! everyone else's pages.
 //!
 //! Every wait is one condition, a [`Wait`]: a stepped program returns it
-//! to the scheduler ([`crate::step`]), a free-running thread spins on it.
+//! to the scheduler (`crate::step`), a free-running thread spins on it.
 //! A test is one uncharged [`Mem::read_spin`]: how many a wait takes is an
 //! artifact of the simulation, so waiting time is modelled analytically —
 //! the releaser records its virtual release time and the waiter's clock
@@ -43,7 +43,7 @@ impl Wait<'_> {
     /// followed by its compare-and-swap when the word reads free) — and,
     /// if it holds, completes the wait: the charged observation, then the
     /// releaser's time.
-    pub fn holds<M: Mem>(&self, m: &mut M) -> bool {
+    pub(crate) fn holds<M: Mem>(&self, m: &mut M) -> bool {
         match *self {
             Wait::Event(ec, target) => {
                 m.read_spin(ec.va) >= target && {
@@ -74,7 +74,7 @@ impl Wait<'_> {
         }
     }
 
-    /// The free-running form: spins until the wait [`holds`](Wait::holds).
+    /// The free-running form: spins until the wait holds (`Wait::holds`).
     /// (A free-running port receiver blocks in the kernel instead,
     /// `UserCtx::port_recv`.)
     pub fn spin<M: Mem>(&self, m: &mut M) {
@@ -111,17 +111,11 @@ impl SpinLock {
         }
     }
 
-    /// The lock word's address (for instrumentation: finding out whether
-    /// the lock's page got frozen).
-    pub fn va(&self) -> Va {
-        self.word
-    }
-
     /// The stepped acquire: the lock is held once the wait completes.
     /// Test-and-test-and-set: each test reads before attempting the
     /// atomic, as one did on the Butterfly to avoid hammering the remote
     /// module with RMWs.
-    pub fn acquiring(&self) -> Wait<'_> {
+    pub(crate) fn acquiring(&self) -> Wait<'_> {
         Wait::Lock(self)
     }
 

@@ -50,12 +50,12 @@ impl Default for FlowConfig {
 
 impl FlowConfig {
     /// Pages for the read-mostly zone (route + next-hop tables).
-    pub fn lookup_pages(&self, page_words: usize) -> usize {
+    pub(crate) fn lookup_pages(&self, page_words: usize) -> usize {
         self.route_entries.div_ceil(page_words) + self.hop_entries.div_ceil(page_words)
     }
 
     /// Pages for the flow-state zone.
-    pub fn state_pages(&self, page_words: usize) -> usize {
+    pub(crate) fn state_pages(&self, page_words: usize) -> usize {
         (self.flows as usize * self.state_words).div_ceil(page_words)
     }
 }
@@ -83,7 +83,7 @@ impl FlowTables {
     /// Carves the lookup tables out of `lookup` and the state records
     /// out of `state`. Size the zones with [`FlowConfig::lookup_pages`]
     /// and [`FlowConfig::state_pages`].
-    pub fn layout(cfg: FlowConfig, lookup: &mut Zone, state: &mut Zone) -> Self {
+    pub(crate) fn layout(cfg: FlowConfig, lookup: &mut Zone, state: &mut Zone) -> Self {
         let route_base = lookup.alloc_page_aligned(cfg.route_entries);
         let hop_base = lookup.alloc_page_aligned(cfg.hop_entries);
         let state_base = state.alloc_page_aligned(cfg.flows as usize * cfg.state_words);
@@ -104,16 +104,11 @@ impl FlowTables {
         Self::layout(cfg, &mut lookup, &mut state)
     }
 
-    /// The geometry this pipeline was laid out with.
-    pub fn config(&self) -> &FlowConfig {
-        &self.cfg
-    }
-
     /// Fills the entries this worker owns (striped round-robin, so the
     /// read-mostly tables are first-touched across the machine rather
     /// than piled on one node). Route entries point into the next-hop
     /// table; next-hop entries carry a nonzero egress id.
-    pub fn populate_owned<M: ServerMem>(
+    pub(crate) fn populate_owned<M: ServerMem>(
         &self,
         m: &mut M,
         worker: usize,
@@ -143,7 +138,7 @@ impl FlowTables {
     /// lookup, next-hop lookup, then either a state peek (monitoring
     /// path, `write == false`) or the forwarding update (packet/byte
     /// counters and last-seen stamps).
-    pub fn packet<M: ServerMem>(
+    pub(crate) fn packet<M: ServerMem>(
         &self,
         m: &mut M,
         key: u64,

@@ -82,20 +82,10 @@ impl Histogram {
         self.max
     }
 
-    /// Mean of recorded values (reporting only — not part of any exact
-    /// baseline comparison).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `num/den` quantile as the upper bound of the bucket holding
     /// it (p99 = `quantile(99, 100)`). Integer arithmetic throughout;
     /// returns 0 for an empty histogram.
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
+    pub(crate) fn quantile(&self, num: u64, den: u64) -> u64 {
         assert!(num <= den && den > 0, "quantile out of range");
         if self.count == 0 {
             return 0;
@@ -179,6 +169,6 @@ mod tests {
     fn empty_histogram() {
         let h = Histogram::new();
         assert_eq!(h.p99(), 0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!((h.count(), h.sum()), (0, 0));
     }
 }

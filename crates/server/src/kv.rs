@@ -35,7 +35,7 @@ use crate::traffic::Request;
 use crate::ServerMem;
 
 /// Value payload words per slot.
-pub const VALUE_WORDS: usize = 6;
+pub(crate) const VALUE_WORDS: usize = 6;
 /// Words per slot: tag, version, value.
 const SLOT_WORDS: usize = 2 + VALUE_WORDS;
 
@@ -125,13 +125,8 @@ impl KvTable {
         Self::layout(cfg, &mut data, &mut locks)
     }
 
-    /// The geometry this table was laid out with.
-    pub fn config(&self) -> &KvConfig {
-        &self.cfg
-    }
-
     /// The shard owning `key`.
-    pub fn shard_of(&self, key: u64) -> usize {
+    pub(crate) fn shard_of(&self, key: u64) -> usize {
         (key % self.cfg.shards as u64) as usize
     }
 
@@ -168,7 +163,7 @@ impl KvTable {
 
     /// Inserts `key` with its serial-0 value. Populate-phase only: the
     /// caller partitions keys between workers, so no lock is taken.
-    pub fn insert<M: ServerMem>(&self, m: &mut M, key: u64) -> platinum::Result<()> {
+    pub(crate) fn insert<M: ServerMem>(&self, m: &mut M, key: u64) -> platinum::Result<()> {
         let tag = (key + 1) as u32;
         self.probe(m, key, |m, va, t| {
             if t != 0 {
@@ -381,7 +376,7 @@ mod tests {
         kv.populate_owned(&mut m, 0, 1).unwrap();
         // Corrupt one value word of key 5 behind the table's back.
         let shard = kv.shard_of(5);
-        for idx in 0..kv.config().slots_per_shard {
+        for idx in 0..kv.cfg.slots_per_shard {
             let va = kv.slot_va(shard, idx);
             if *m.words.get(&va).unwrap_or(&0) == 6 {
                 let word = va + 4 * 3;

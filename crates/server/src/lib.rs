@@ -7,21 +7,21 @@
 //! (reader-heavy with write bursts). This crate builds that terrain on
 //! top of the existing coherent memory abstraction:
 //!
-//! * [`kv`] — a sharded key-value/session store laid out over coherent
+//! * `kv` — a sharded key-value/session store laid out over coherent
 //!   pages: fixed-slot open-addressing tables, one spin lock per shard,
 //!   values spanning several words within a page.
-//! * [`flow`] — a packet-pipeline workload modeled on dataplane
+//! * `flow` — a packet-pipeline workload modeled on dataplane
 //!   flow/routing tables: a read-mostly route + next-hop lookup followed
 //!   by a per-flow state update.
-//! * [`traffic`] — a deterministic open-loop request generator: seeded
-//!   Zipf key popularity ([`zipf`]), rolling hot-set drift, configurable
+//! * `traffic` — a deterministic open-loop request generator: seeded
+//!   Zipf key popularity (`zipf`), rolling hot-set drift, configurable
 //!   read/write mix with write bursts, per-processor arrival schedules
 //!   in virtual time.
-//! * [`drive`] — the measurement harness: a serialized, deterministic
+//! * `drive` — the measurement harness: a serialized, deterministic
 //!   open-loop driver (same executor as the reftrace replay engine: one
 //!   host thread, one kernel entry at a time in a fixed global order,
 //!   reproduces the run exactly) with per-request virtual-time latency
-//!   accounting ([`hist`]).
+//!   accounting (`hist`).
 //!
 //! Workloads are written against [`ServerMem`], a small extension of the
 //! portable [`Mem`] interface that exposes the kernel's *fallible*
@@ -33,13 +33,13 @@
 
 use numa_machine::{Mem, Va};
 
-pub mod drive;
-pub mod flow;
-pub mod hist;
-pub mod kv;
-pub mod rng;
-pub mod traffic;
-pub mod zipf;
+pub(crate) mod drive;
+pub(crate) mod flow;
+pub(crate) mod hist;
+pub(crate) mod kv;
+pub(crate) mod rng;
+pub(crate) mod traffic;
+pub(crate) mod zipf;
 
 pub use drive::{run_open_loop, DriverReport, Workload};
 pub use flow::{FlowConfig, FlowTables};

@@ -23,7 +23,7 @@ impl Rng {
     }
 
     /// The next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -37,7 +37,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "empty range");
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
@@ -45,7 +45,7 @@ impl Rng {
     /// Uniform in `[0, 1)` with 53 bits of precision. The conversion is
     /// a single exactly-rounded IEEE multiply, so it is bit-stable
     /// across hosts.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
@@ -53,7 +53,7 @@ impl Rng {
 /// Mixes two words into a seed (finalizer of splitmix64 applied to the
 /// pair). Used to derive per-processor and per-key streams from the run
 /// seed without correlation between them.
-pub fn mix(a: u64, b: u64) -> u64 {
+pub(crate) fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -17,9 +17,9 @@ use crate::rng::{mix, Rng};
 use crate::zipf::Zipf;
 
 /// Length of each write burst, in requests.
-pub const BURST_LEN: u64 = 32;
+pub(crate) const BURST_LEN: u64 = 32;
 /// How far the hot set moves per drift period, in keys.
-pub const DRIFT_STEP: u64 = 997;
+pub(crate) const DRIFT_STEP: u64 = 997;
 
 /// Generator parameters. Everything is in virtual nanoseconds and
 /// per-processor terms; the whole stream is a pure function of this
@@ -37,10 +37,10 @@ pub struct TrafficConfig {
     /// Percentage of non-burst requests that are writes (0..=100).
     pub write_pct: u32,
     /// Every `burst_every`-th request per processor opens a write burst
-    /// of [`BURST_LEN`] requests (0 disables bursts).
+    /// of `BURST_LEN` requests (0 disables bursts).
     pub burst_every: u64,
     /// Period of hot-set drift in virtual ns (0 disables drift): every
-    /// period, the popularity ranking rotates by [`DRIFT_STEP`] keys.
+    /// period, the popularity ranking rotates by `DRIFT_STEP` keys.
     pub drift_period_ns: u64,
     /// Mean per-processor interarrival gap, virtual ns (arrivals are
     /// uniform on `[0, 2 * mean]`, so the mean is exact without any

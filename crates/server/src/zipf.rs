@@ -75,7 +75,7 @@ fn det_exp2(x: f64) -> f64 {
 }
 
 /// `x^y` for positive `x`, built only from exactly-rounded IEEE ops.
-pub fn det_pow(x: f64, y: f64) -> f64 {
+pub(crate) fn det_pow(x: f64, y: f64) -> f64 {
     det_exp2(y * det_log2(x))
 }
 
@@ -98,7 +98,7 @@ pub struct Zipf {
 impl Zipf {
     /// Precomputes the CDF for `n` ranks with exponent `theta`.
     /// `theta == 0` degenerates to uniform; `theta == 1` is the
-    /// harmonic special case (pure divisions, no [`det_pow`]).
+    /// harmonic special case (pure divisions, no `det_pow`).
     ///
     /// # Panics
     ///
@@ -138,11 +138,6 @@ impl Zipf {
             guide,
             scale: g as f64 / total,
         }
-    }
-
-    /// The number of ranks.
-    pub fn n(&self) -> u64 {
-        self.cum.len() as u64
     }
 
     /// The probability mass of `rank` under this sampler's own CDF

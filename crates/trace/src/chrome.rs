@@ -28,7 +28,7 @@ pub fn chrome_trace_string(trace: &Trace) -> String {
 }
 
 /// Streams `trace` as Chrome trace_event JSON into `w`.
-pub fn write_chrome_trace<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
+pub(crate) fn write_chrome_trace<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
     w.write_all(b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
     let mut first = true;
     let mut sep = |w: &mut W| -> io::Result<()> {

@@ -156,7 +156,7 @@ impl EventKind {
     ];
 
     /// Decodes a discriminant produced by `kind as u8`.
-    pub fn from_u8(v: u8) -> Option<EventKind> {
+    pub(crate) fn from_u8(v: u8) -> Option<EventKind> {
         EventKind::ALL.get(v as usize).copied()
     }
 
@@ -208,7 +208,7 @@ impl EventKind {
 
     /// Whether this kind's `page` payload is a coherent page id (the
     /// per-Cpage timeline filters on this).
-    pub fn page_is_cpage(self) -> bool {
+    pub(crate) fn page_is_cpage(self) -> bool {
         matches!(
             self,
             EventKind::FaultEnd
@@ -264,7 +264,7 @@ impl FaultResolution {
     }
 
     /// A short stable name used by the exporters.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultResolution::FirstTouch => "first_touch",
             FaultResolution::LocalHit => "local_hit",

@@ -3,7 +3,7 @@
 //!
 //! Experiment artifacts, the figure series and the tests that read
 //! artifacts back all go through it; the Chrome exporter streams its millions of events with
-//! `write!` but shares [`escape`]. It lives in this crate because this is
+//! `write!` but shares `escape`. It lives in this crate because this is
 //! the one every other crate already sits above.
 //!
 //! Integers are first-class: a `u64` is written digit for digit and an
@@ -132,7 +132,7 @@ fn write_str(out: &mut String, s: &str) {
 /// `s` with everything a JSON string literal may not hold verbatim
 /// escaped (quotes, backslashes, control characters); the surrounding
 /// quotes are the caller's.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -53,7 +53,7 @@ pub mod json;
 pub mod timeline;
 
 pub use event::{EventKind, FaultResolution, TraceEvent};
-pub use tracer::{Trace, Tracer, CAPACITY_PER_PROC};
+pub use tracer::{Trace, Tracer};
 
 use std::sync::{Arc, OnceLock};
 
